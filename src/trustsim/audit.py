@@ -11,6 +11,7 @@ dual-route privacy checks and the engine behind `trustsim verify`.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 DEFAULT_FRESHNESS_WINDOW = 100
@@ -218,20 +219,31 @@ def check_billing_package_exactness(transcript) -> Finding:
     return Finding("billing-package-exactness", True)
 
 
+def _accepted_verdict_ticks(transcript) -> dict:
+    """subject -> ticks of its accepted attestation verdicts, ascending."""
+    ticks = {}
+    for verdict in transcript.events("attestation-verdict"):
+        if verdict["accepted"]:
+            ticks.setdefault(verdict["subject"], []).append(verdict["tick"])
+    for subject_ticks in ticks.values():
+        subject_ticks.sort()
+    return ticks
+
+
 def check_no_grant_without_attestation(transcript) -> Finding:
+    """Every grant lies within the freshness window after an accepted
+    attestation of the same device. Only the latest accepted verdict at or
+    before the grant's tick can be in the window, so each grant is one
+    bisection into its device's sorted verdict ticks."""
     window = transcript.snapshot.get("summary", {}).get(
         "freshness_window", DEFAULT_FRESHNESS_WINDOW
     )
-    verdicts = transcript.events("attestation-verdict")
-    for grant in transcript.events("grant"):
-        ok = [
-            v
-            for v in verdicts
-            if v["subject"] == grant["device"]
-            and v["accepted"]
-            and v["tick"] <= grant["tick"] <= v["tick"] + window
-        ]
-        if not ok:
+    grants = transcript.events("grant")
+    accepted = _accepted_verdict_ticks(transcript) if grants else {}
+    for grant in grants:
+        ticks = accepted.get(grant["device"], ())
+        latest = bisect_right(ticks, grant["tick"])
+        if not latest or grant["tick"] > ticks[latest - 1] + window:
             return Finding(
                 "no-grant-without-attestation",
                 False,
@@ -241,16 +253,13 @@ def check_no_grant_without_attestation(transcript) -> Finding:
 
 
 def check_gate_logging(transcript) -> Finding:
-    verdicts = transcript.events("attestation-verdict")
-    for entry in transcript.events("entry"):
-        if not entry["granted"]:
-            continue
-        ok = [
-            v
-            for v in verdicts
-            if v["subject"] == entry["device"] and v["accepted"] and v["tick"] <= entry["tick"]
-        ]
-        if not ok:
+    """Every granted entry comes at or after an accepted attestation of the
+    same device."""
+    entries = [entry for entry in transcript.events("entry") if entry["granted"]]
+    accepted = _accepted_verdict_ticks(transcript) if entries else {}
+    for entry in entries:
+        ticks = accepted.get(entry["device"])
+        if not ticks or ticks[0] > entry["tick"]:
             return Finding(
                 "gate-logging",
                 False,

@@ -150,7 +150,7 @@ def subdomain_admission_flow(
         admission = Admission(False, "attestation-failed")
         fingerprint = None
     else:
-        response_msg = sim.messages("attestation-response")[-1]
+        response_msg = sim.latest_messages("attestation-response")[-1]
         fingerprint = crypto.hash160(
             bytes.fromhex(response_msg["payload"]["quote"]["aik_public"])
         ).hex()

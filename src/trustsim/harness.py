@@ -12,6 +12,7 @@ bytes.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .crypto import Rng
@@ -139,7 +140,10 @@ class Simulation:
         self.tick = 0
         self.parties: dict[str, PartyState] = {}
         self.channels: dict[str, Channel] = {}
+        # Append-only: every record goes through _record, which keeps
+        # _by_type, the per-(kind, type) index behind events/messages.
         self.records = []
+        self._by_type = defaultdict(list)
         self.summary = {}
         self._hooks = []
         self._msg_counter = 0
@@ -203,7 +207,7 @@ class Simulation:
         for hook in self._hooks:
             outcome = hook(message)
             if outcome is DROP:
-                self.records.append(
+                self._record(
                     {
                         "kind": "event",
                         "tick": self.tick,
@@ -219,7 +223,7 @@ class Simulation:
                 message = outcome
 
         self.tick += 1
-        self.records.append(message.record())
+        self._record(message.record())
         self._observe(message, ch)
         return message
 
@@ -245,25 +249,35 @@ class Simulation:
 
     # -- events and queries --------------------------------------------------
 
+    def _record(self, record: dict) -> None:
+        self.records.append(record)
+        kind = record["kind"]
+        rtype = record["event"] if kind == "event" else record["type"]
+        self._by_type[kind, rtype].append(record)
+
     def event(self, event_type: str, **fields) -> dict:
         record = {"kind": "event", "tick": self.tick, "event": event_type}
         record.update(fields)
-        self.records.append(record)
+        self._record(record)
         return record
 
     def events(self, event_type: str | None = None) -> list:
-        return [
-            r
-            for r in self.records
-            if r["kind"] == "event" and (event_type is None or r["event"] == event_type)
-        ]
+        """Event records of that type (all events for None), in record order."""
+        if event_type is None:
+            return [r for r in self.records if r["kind"] == "event"]
+        return list(self._by_type.get(("event", event_type), ()))
 
     def messages(self, msg_type: str | None = None) -> list:
-        return [
-            r
-            for r in self.records
-            if r["kind"] == "message" and (msg_type is None or r["type"] == msg_type)
-        ]
+        """Message records of that type (all messages for None), in record order."""
+        if msg_type is None:
+            return [r for r in self.records if r["kind"] == "message"]
+        return list(self._by_type.get(("message", msg_type), ()))
+
+    def latest_messages(self, msg_type: str, n: int = 1) -> list:
+        """The newest n message records of that type, in record order: the
+        tail of messages(msg_type) without copying the rest of it."""
+        records = self._by_type.get(("message", msg_type), [])
+        return records[max(len(records) - n, 0):]
 
     def knowledge_query(self, party: str, label: str | None = None, fname: str | None = None) -> set:
         """Exact set of canonical values with that label (or field name)

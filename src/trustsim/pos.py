@@ -169,7 +169,7 @@ def _open_session(sim, ctx: PosContext) -> str:
     session_id = ctx.next_id("session")
     # fresh transport keys derived under the attested exchange: fold of the
     # two challenge nonces both sides just answered
-    nonces = [m["payload"]["nonce"] for m in sim.messages("attestation-challenge")[-2:]]
+    nonces = [m["payload"]["nonce"] for m in sim.latest_messages("attestation-challenge", 2)]
     ctx.session_keys[session_id] = crypto.hash160("".join(nonces).encode()).hex()
     sim.event("secure-session", device=ctx.device_id, pos=ctx.pos_id, session=session_id)
     return session_id

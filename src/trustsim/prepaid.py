@@ -193,7 +193,7 @@ def prepaid_service_request(
     if not verdict.accepted:
         return deny(verdict.reasons[0])
 
-    nonce = bytes.fromhex(sim.messages("attestation-challenge")[-1]["payload"]["nonce"])
+    nonce = bytes.fromhex(sim.latest_messages("attestation-challenge")[-1]["payload"]["nonce"])
     try:
         statement = client.sign_statement(service, units, cost, nonce)
     except ProtocolError as err:

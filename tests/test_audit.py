@@ -1,0 +1,207 @@
+"""Grant and gate audit checks against the plain scans they replaced."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trustsim import audit
+from trustsim.audit import DEFAULT_FRESHNESS_WINDOW, Finding
+from trustsim.harness import Transcript
+from trustsim.scenarios import run_scenario
+
+SUBJECTS = ("dev-1", "dev-2", "dev-3")
+
+
+# -- reference scans: every event against every verdict ----------------------
+
+
+def reference_no_grant_without_attestation(transcript) -> Finding:
+    window = transcript.snapshot.get("summary", {}).get(
+        "freshness_window", DEFAULT_FRESHNESS_WINDOW
+    )
+    verdicts = transcript.events("attestation-verdict")
+    for grant in transcript.events("grant"):
+        ok = [
+            v
+            for v in verdicts
+            if v["subject"] == grant["device"]
+            and v["accepted"]
+            and v["tick"] <= grant["tick"] <= v["tick"] + window
+        ]
+        if not ok:
+            return Finding(
+                "no-grant-without-attestation",
+                False,
+                f"grant to {grant['device']} at tick {grant['tick']} has no fresh accepted attestation",
+            )
+    return Finding("no-grant-without-attestation", True)
+
+
+def reference_gate_logging(transcript) -> Finding:
+    verdicts = transcript.events("attestation-verdict")
+    for entry in transcript.events("entry"):
+        if not entry["granted"]:
+            continue
+        ok = [
+            v
+            for v in verdicts
+            if v["subject"] == entry["device"] and v["accepted"] and v["tick"] <= entry["tick"]
+        ]
+        if not ok:
+            return Finding(
+                "gate-logging",
+                False,
+                f"entry of {entry['device']} at tick {entry['tick']} lacks an attestation verdict",
+            )
+    return Finding("gate-logging", True)
+
+
+# -- transcripts built from bare records --------------------------------------
+
+
+def verdict(tick, subject="dev-1", accepted=True):
+    return {"kind": "event", "event": "attestation-verdict", "tick": tick,
+            "subject": subject, "accepted": accepted, "verifier": "mno"}
+
+
+def grant(tick, device="dev-1"):
+    return {"kind": "event", "event": "grant", "tick": tick, "device": device, "cost": 1}
+
+
+def entry(tick, device="dev-1", granted=True):
+    return {"kind": "event", "event": "entry", "tick": tick, "device": device,
+            "granted": granted}
+
+
+def transcript_of(records, window=None):
+    summary = {} if window is None else {"freshness_window": window}
+    return Transcript(
+        header={"schema": "trustsim-transcript/1", "channels": {}},
+        records=list(records),
+        snapshot={"kind": "snapshot", "knowledge": {}, "summary": summary},
+    )
+
+
+TICK = st.integers(min_value=0, max_value=40)
+SUBJECT = st.sampled_from(SUBJECTS)
+WINDOW = st.one_of(st.none(), st.integers(min_value=0, max_value=12))
+MOSTLY_TRUE = st.sampled_from((True, True, True, False))
+NOISE = st.one_of(
+    st.builds(verdict, TICK, SUBJECT, st.booleans()),
+    st.builds(lambda t: {"kind": "message", "type": "grant", "tick": t}, TICK),
+)
+
+
+@st.composite
+def shuffled_records(draw, window):
+    """Grants and entries, each beside a verdict of its subject that is
+    mostly accepted and lies inside the window or just past its edge, plus
+    unrelated verdicts and messages, all in a random record order."""
+    width = DEFAULT_FRESHNESS_WINDOW if window is None else window
+    lag = st.one_of(st.integers(0, 2), st.sampled_from((width, width + 1)))
+    records = draw(st.lists(NOISE, max_size=10))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        subject, tick = draw(SUBJECT), draw(TICK)
+        records.append(verdict(tick - draw(lag), subject, draw(MOSTLY_TRUE)))
+        records.append(grant(tick, subject))
+        records.append(entry(tick, subject, draw(MOSTLY_TRUE)))
+    return draw(st.permutations(records))
+
+
+@given(st.data(), WINDOW)
+@settings(max_examples=500, deadline=None)
+def test_checks_equal_the_reference_scans(data, window):
+    transcript = transcript_of(data.draw(shuffled_records(window)), window)
+    assert audit.check_no_grant_without_attestation(transcript) == (
+        reference_no_grant_without_attestation(transcript)
+    )
+    assert audit.check_gate_logging(transcript) == reference_gate_logging(transcript)
+
+
+@pytest.mark.parametrize("window", [None, 0, 5])
+def test_grant_window_edges(window):
+    width = DEFAULT_FRESHNESS_WINDOW if window is None else window
+    check = audit.check_no_grant_without_attestation
+    base = [verdict(10), verdict(3, accepted=False), verdict(11, subject="dev-2")]
+    assert check(transcript_of(base + [grant(10)], window)).ok
+    assert check(transcript_of(base + [grant(10 + width)], window)).ok
+    late = check(transcript_of(base + [grant(10 + width + 1)], window))
+    assert late == Finding(
+        "no-grant-without-attestation", False,
+        f"grant to dev-1 at tick {10 + width + 1} has no fresh accepted attestation",
+    )
+    assert not check(transcript_of(base + [grant(9)], window)).ok
+    # a later verdict renews the window; the earlier one still covers its own
+    renewed = base + [verdict(10 + width + 1), grant(10 + width + 1), grant(10 + width)]
+    assert check(transcript_of(renewed, window)).ok
+
+
+def test_grant_reports_the_first_failure_in_record_order():
+    records = [verdict(5), grant(50, "dev-2"), grant(1), grant(6)]
+    finding = audit.check_no_grant_without_attestation(transcript_of(records, 10))
+    assert finding.detail == "grant to dev-2 at tick 50 has no fresh accepted attestation"
+
+
+def test_gate_edges():
+    check = audit.check_gate_logging
+    base = [verdict(10), verdict(2, accepted=False), verdict(1, subject="dev-2")]
+    assert check(transcript_of(base + [entry(10), entry(500)])).ok
+    assert check(transcript_of(base + [entry(9, granted=False)])).ok
+    assert check(transcript_of(base + [entry(9), entry(3, device="dev-3")])) == Finding(
+        "gate-logging", False, "entry of dev-1 at tick 9 lacks an attestation verdict"
+    )
+
+
+def without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "name, records",
+    [
+        ("no-grant-without-attestation", [verdict(1), without(grant(2), "device")]),
+        ("no-grant-without-attestation", [verdict(1), without(grant(2), "tick")]),
+        ("no-grant-without-attestation", [without(verdict(1), "subject"), grant(2)]),
+        ("no-grant-without-attestation", [without(verdict(1), "accepted"), grant(2)]),
+        ("no-grant-without-attestation", [without(verdict(1), "tick"), grant(2)]),
+        ("gate-logging", [verdict(1), without(entry(2), "device")]),
+        ("gate-logging", [verdict(1), without(entry(2), "granted")]),
+        ("gate-logging", [without(verdict(1), "tick"), entry(2)]),
+    ],
+)
+def test_record_missing_a_key_fails_without_raising(name, records):
+    findings = {f.name: f for f in audit.audit(transcript_of(records))}
+    assert not findings[name].ok
+
+
+# -- in-place edits of parsed transcripts -------------------------------------
+
+
+def parsed(scenario):
+    transcript, _ = run_scenario(scenario, seed=11)
+    parsed = Transcript.parse(transcript.to_text())
+    findings = {f.name: f for f in audit.audit(parsed)}
+    assert all(f.ok for f in findings.values()), findings
+    return parsed
+
+
+def failing(transcript):
+    return {f.name for f in audit.audit(transcript) if not f.ok}
+
+
+def test_audit_sees_edits_to_a_parsed_transcript():
+    transcript = parsed("prepaid-happy")
+    for record in transcript.events("attestation-verdict"):
+        record["accepted"] = False
+    assert "no-grant-without-attestation" in failing(transcript)
+
+    transcript = parsed("prepaid-happy")
+    window = transcript.snapshot["summary"].get("freshness_window", DEFAULT_FRESHNESS_WINDOW)
+    last = transcript.events("grant")[-1]
+    transcript.records.append({**last, "tick": last["tick"] + window + 1})
+    assert "no-grant-without-attestation" in failing(transcript)
+
+    transcript = parsed("facility-entry")
+    for record in transcript.events("attestation-verdict"):
+        record["tick"] = transcript.snapshot["tick"] + 1
+    assert "gate-logging" in failing(transcript)
