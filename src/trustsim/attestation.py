@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import crypto
 from .anchor import Quote, verify_quote_signature
-from .boot import MeasurementLog, ReferenceDb
+from .boot import BOOT_PCR, MeasurementLog, ReferenceDb
 from .privacy_ca import AikCertificate, verify_aik_certificate
 
 REASON_OK = "ok"
@@ -70,15 +70,9 @@ class AttestationVerdict:
         return cls(accepted=True, reasons=(REASON_OK,))
 
 
-def recompute_pcr(log: MeasurementLog) -> bytes:
-    """Left fold of extend over the logged measurements, from the zero state."""
-    acc = crypto.ZERO_DIGEST
-    for entry in log.entries:
-        acc = crypto.hash160(acc + bytes.fromhex(entry.measurement))
-    return acc
-
-
-def _recompute_register(log: MeasurementLog, register: int) -> bytes:
+def recompute_pcr(log: MeasurementLog, register: int = BOOT_PCR) -> bytes:
+    """Left fold of extend over the register's logged measurements, from the
+    zero state: the value that register holds after the logged boot."""
     acc = crypto.ZERO_DIGEST
     for entry in log.entries:
         if entry.pcr_index == register:
@@ -127,7 +121,7 @@ def verify_attestation(
     if tuple(quote.pcr_selection) != tuple(challenge.pcr_selection):
         failures.add(REASON_STALE_NONCE)
     for register, quoted in zip(quote.pcr_selection, quote.pcr_values):
-        if _recompute_register(response.log, register).hex() != quoted:
+        if recompute_pcr(response.log, register).hex() != quoted:
             failures.add(REASON_LOG_PCR_MISMATCH)
 
     # 6. every logged measurement is a known-good reference value

@@ -76,31 +76,34 @@ class ReferenceDb:
         for component in chain:
             self.register(component.name, crypto.hash160(component.payload))
 
-    def lookup(self, name: str):
-        return self._expected.get(name)
-
     def matches(self, name: str, measurement_hex: str) -> bool:
         return self._expected.get(name) == measurement_hex
 
 
-def boot(anchor: TrustAnchor, chain, pcr_index: int = BOOT_PCR,
-         stage_pcrs: dict | None = None) -> MeasurementLog:
-    """Run the measured boot: hash each component, extend, log, in order.
+def measure(chain, pcr_index: int = BOOT_PCR, stage_pcrs: dict | None = None) -> MeasurementLog:
+    """The log a measured boot of chain writes, computed without an anchor.
 
-    One register accumulates the whole chain by default; stage_pcrs maps
+    One register takes the whole chain by default; stage_pcrs maps
     component names to other registers for per-stage assignment."""
-    if not chain:
-        raise ValueError("boot chain must not be empty")
     stage_pcrs = stage_pcrs or {}
-    for register in {stage_pcrs.get(c.name, pcr_index) for c in chain}:
-        if anchor.pcr_value(register) != crypto.ZERO_DIGEST:
-            raise ProtocolError("pcr-not-reset", f"register {register} already extended")
     log = MeasurementLog()
     for component in chain:
-        register = stage_pcrs.get(component.name, pcr_index)
-        measurement = crypto.hash160(component.payload)
-        anchor.extend(register, measurement)
-        log.append(component.name, measurement, register)
+        log.append(component.name, crypto.hash160(component.payload),
+                   stage_pcrs.get(component.name, pcr_index))
+    return log
+
+
+def boot(anchor: TrustAnchor, chain, pcr_index: int = BOOT_PCR,
+         stage_pcrs: dict | None = None) -> MeasurementLog:
+    """Run the measured boot: hash each component, extend, log, in order."""
+    if not chain:
+        raise ValueError("boot chain must not be empty")
+    log = measure(chain, pcr_index, stage_pcrs)
+    for register in {e.pcr_index for e in log.entries}:
+        if anchor.pcr_value(register) != crypto.ZERO_DIGEST:
+            raise ProtocolError("pcr-not-reset", f"register {register} already extended")
+    for entry in log.entries:
+        anchor.extend(entry.pcr_index, bytes.fromhex(entry.measurement))
     return log
 
 

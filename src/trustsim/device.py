@@ -3,7 +3,8 @@
 Every scenario device is one of these. The default chain measures the
 platform stages and the application components the scenario cares about
 (policy enforcer, VSIM, prepaid client, POS client) so their integrity is
-part of every quote.
+part of every quote. Verifier-side reference DBs come from a chain alone
+(reference_db_for), never from a provisioned device.
 """
 
 from __future__ import annotations
@@ -77,14 +78,9 @@ class TrustedDevice:
         quote = self.anchor.quote(record.aik_id, challenge.pcr_selection, challenge.nonce)
         return AttestationResponse(quote=quote, log=self.log, certificate=cert)
 
-    def reference_db(self) -> mb.ReferenceDb:
-        """Expected measurements of this device's (honest) chain — verifier-side."""
-        refs = mb.ReferenceDb()
-        refs.register_chain(self.chain)
-        return refs
 
-
-def reference_db_for(components) -> mb.ReferenceDb:
+def reference_db_for(chain) -> mb.ReferenceDb:
+    """Verifier-side expected measurements of an honest boot chain."""
     refs = mb.ReferenceDb()
-    refs.register_chain(mb.make_chain(list(components)))
+    refs.register_chain(chain)
     return refs

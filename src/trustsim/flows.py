@@ -44,12 +44,6 @@ class AttackPlan:
             return True
         return False
 
-    def pending_attestation_attack(self) -> str | None:
-        for name in ("forge-log", "replay-aik", "wrong-nonce", "expired-cert"):
-            if name in self.names and name not in self._fired:
-                return name
-        return None
-
 
 def apply_setup_attacks(device: TrustedDevice, plan: AttackPlan | None) -> None:
     """Pre-boot injections; call after provisioning, before boot."""
@@ -179,6 +173,23 @@ def mangle_and_respond(device: TrustedDevice, wire_challenge: AttestationChallen
     return response, presentations
 
 
+def record_verdict(sim, verifier_id: str, verifier: Verifier, subject: str,
+                   wire_payload: dict, challenge: AttestationChallenge, now: int):
+    """Verify a response as it came off the wire and put the verdict on the
+    record; the one writer of "attestation-verdict" events."""
+    wire_response = parse_response(wire_payload)
+    verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
+    sim.event(
+        "attestation-verdict",
+        verifier=verifier_id,
+        subject=subject,
+        aik_fp=wire_response.aik_fingerprint(),
+        accepted=verdict.accepted,
+        reasons=list(verdict.reasons),
+    )
+    return verdict
+
+
 def attest_flow(
     sim,
     device: TrustedDevice,
@@ -219,16 +230,8 @@ def attest_flow(
         if msg is None:
             sim.event("abort", party=verifier_id, code="response-lost")
             return None
-        wire_response = parse_response(msg.payload)
-        verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
-        sim.event(
-            "attestation-verdict",
-            verifier=verifier_id,
-            subject=device.device_id,
-            aik_fp=wire_response.aik_fingerprint(),
-            accepted=verdict.accepted,
-            reasons=list(verdict.reasons),
-        )
+        verdict = record_verdict(sim, verifier_id, verifier, device.device_id,
+                                 msg.payload, challenge, now)
     return verdict
 
 

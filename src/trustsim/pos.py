@@ -25,7 +25,7 @@ from .flows import (
     expired_cert_override,
     mangle_and_respond,
     parse_challenge,
-    parse_response,
+    record_verdict,
     response_fields,
 )
 from .harness import seal
@@ -122,22 +122,55 @@ class PosContext:
 
 
 def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
-           payload: dict, labels: dict) -> None:
+           payload: dict, labels: dict):
     """POS backhaul through the device: short-range hop, then a sealed hop
-    over the mobile network (or the reverse). Relays never read the interior."""
-    body = seal([dest], payload, labels)
+    over the mobile network (or the reverse). The device forwards the
+    envelope as it arrived and never reads the interior.
+
+    Returns the message delivered to dest, or None when a hop was dropped."""
     if origin == ctx.pos_id:
-        sim.send(origin, ctx.device_id, CHANNEL_SR, f"{msg_type}-relay",
-                 {"env": body}, {"env": "plumbing"}, encrypted=True)
-        sim.send(ctx.device_id, dest, CHANNEL_MOBILE, msg_type,
-                 {"env": body}, {"env": "plumbing"}, encrypted=True)
+        hops = ((origin, ctx.device_id, CHANNEL_SR, f"{msg_type}-relay"),
+                (ctx.device_id, dest, CHANNEL_MOBILE, msg_type))
     elif dest == ctx.pos_id:
-        sim.send(origin, ctx.device_id, CHANNEL_MOBILE, msg_type,
-                 {"env": body}, {"env": "plumbing"}, encrypted=True)
-        sim.send(ctx.device_id, dest, CHANNEL_SR, f"{msg_type}-relay",
-                 {"env": body}, {"env": "plumbing"}, encrypted=True)
+        hops = ((origin, ctx.device_id, CHANNEL_MOBILE, msg_type),
+                (ctx.device_id, dest, CHANNEL_SR, f"{msg_type}-relay"))
     else:
         raise ValueError("relay endpoints must include the POS")
+    body = seal([dest], payload, labels)
+    msg = None
+    for sender, receiver, channel, hop_type in hops:
+        msg = sim.send(sender, receiver, channel, hop_type,
+                       {"env": body}, {"env": "plumbing"}, encrypted=True)
+        if msg is None:
+            return None
+        body = msg.payload["env"]
+    return msg
+
+
+def _opened(msg) -> dict:
+    """The interior of a relayed envelope, as its addressee reads it."""
+    return msg.payload["env"]["_sealed"]["payload"]
+
+
+def _decision_path(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
+                   payload: dict, labels: dict, direct: bool):
+    """Carry a token-decision message between the authentication provider
+    and the POS: relayed straight through the device when direct, else
+    through the POS owner. Returns the payload as dest received it, or None
+    when a hop was dropped."""
+    if direct:
+        msg = _relay(sim, ctx, origin, dest, msg_type, payload, labels)
+        return None if msg is None else _opened(msg)
+    owner = ctx.pos_owner_id
+    if dest == ctx.pos_id:
+        msg = sim.send(origin, owner, CHANNEL_NET, msg_type, payload, labels, encrypted=True)
+        if msg is not None:
+            msg = _relay(sim, ctx, owner, dest, msg_type, msg.payload, labels)
+        return None if msg is None else _opened(msg)
+    msg = _relay(sim, ctx, origin, owner, msg_type, payload, labels)
+    if msg is not None:
+        msg = sim.send(owner, dest, CHANNEL_NET, msg_type, _opened(msg), labels, encrypted=True)
+    return None if msg is None else msg.payload
 
 
 # -- session establishment -----------------------------------------------------
@@ -298,21 +331,23 @@ def separation_session(
     token whose acceptance is decided at the authentication provider;
     the device checks the POS pseudonym locally.
 
-    Returns (session_id, token_fingerprint, response_payload) or None.
-    The decision travels POS -> owner -> provider unless validate_direct.
+    Returns (session_id, token_fingerprint, response_payload), or None
+    after an abort event: token rejected or a hop lost. Each party acts on
+    what reached it. The decision travels POS -> owner -> provider unless
+    validate_direct.
     """
     now = expired_cert_override(ctx.device, plan) or sim.tick
     # the decision maker mints the nonce; it reaches the POS down the same path
     challenge = ctx.auth_verifier.make_challenge(now)
     ch_payload, ch_labels = challenge_fields(challenge)
-    if validate_direct:
-        _relay(sim, ctx, ctx.auth_id, ctx.pos_id, "token-challenge", ch_payload, ch_labels)
-    else:
-        sim.send(ctx.auth_id, ctx.pos_owner_id, CHANNEL_NET, "token-challenge",
-                 ch_payload, ch_labels, encrypted=True)
-        _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "token-challenge", ch_payload, ch_labels)
-    forward = sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "attestation-challenge",
-                       ch_payload, ch_labels, encrypted=True)
+    at_pos = _decision_path(sim, ctx, ctx.auth_id, ctx.pos_id, "token-challenge",
+                            ch_payload, ch_labels, validate_direct)
+    forward = None if at_pos is None else sim.send(
+        ctx.pos_id, ctx.device_id, CHANNEL_SR, "attestation-challenge",
+        at_pos, ch_labels, encrypted=True)
+    if forward is None:
+        sim.event("abort", party=ctx.device_id, code="challenge-lost")
+        return None
 
     if reuse_response is not None:
         response_payload, presentations = dict(reuse_response), 1
@@ -321,47 +356,30 @@ def separation_session(
         response, presentations = mangle_and_respond(ctx.device, wire_challenge, plan)
         response_payload, _ = response_fields(response)
 
-    verdict = None
+    token_labels = {"quote": "plumbing", "log": "plumbing", "certificate": "token"}
+    verdict_labels = {"ok": "plumbing", "reasons": "plumbing"}
     for _ in range(presentations):
         token_msg = sim.send(ctx.device_id, ctx.pos_id, CHANNEL_SR, "auth-token",
-                             response_payload,
-                             {"quote": "plumbing", "log": "plumbing", "certificate": "token"},
-                             encrypted=True)
-        if token_msg is None:
+                             response_payload, token_labels, encrypted=True)
+        at_auth = None if token_msg is None else _decision_path(
+            sim, ctx, ctx.pos_id, ctx.auth_id, "token-validate", token_msg.payload,
+            token_labels, validate_direct)
+        if at_auth is None:
             sim.event("abort", party=ctx.pos_id, code="token-lost")
             return None
-        wire_payload = token_msg.payload
-        labels = {"quote": "plumbing", "log": "plumbing", "certificate": "token"}
-        if validate_direct:
-            _relay(sim, ctx, ctx.pos_id, ctx.auth_id, "token-validate", wire_payload, labels)
-        else:
-            _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "token-validate", wire_payload, labels)
-            sim.send(ctx.pos_owner_id, ctx.auth_id, CHANNEL_NET, "token-validate",
-                     wire_payload, labels, encrypted=True)
-        wire_response = parse_response(wire_payload)
-        verdict = ctx.auth_verifier.verify(wire_response, challenge, now=max(now, sim.tick))
-        sim.event(
-            "attestation-verdict",
-            verifier=ctx.auth_id,
-            subject=ctx.device_id,
-            aik_fp=wire_response.aik_fingerprint(),
-            accepted=verdict.accepted,
-            reasons=list(verdict.reasons),
-        )
-        verdict_payload = {"ok": verdict.accepted, "reasons": list(verdict.reasons)}
-        verdict_labels = {"ok": "plumbing", "reasons": "plumbing"}
-        if validate_direct:
-            _relay(sim, ctx, ctx.auth_id, ctx.pos_id, "token-verdict",
-                   verdict_payload, verdict_labels)
-        else:
-            sim.send(ctx.auth_id, ctx.pos_owner_id, CHANNEL_NET, "token-verdict",
-                     verdict_payload, verdict_labels, encrypted=True)
-            _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "token-verdict",
-                   verdict_payload, verdict_labels)
+        verdict = record_verdict(sim, ctx.auth_id, ctx.auth_verifier, ctx.device_id,
+                                 at_auth, challenge, now)
+        decision = _decision_path(
+            sim, ctx, ctx.auth_id, ctx.pos_id, "token-verdict",
+            {"ok": verdict.accepted, "reasons": list(verdict.reasons)}, verdict_labels,
+            validate_direct)
+        if decision is None:
+            sim.event("abort", party=ctx.pos_id, code="verdict-lost")
+            return None
 
-    if not verdict.accepted:
+    if not decision["ok"]:
         sim.event("abort", party=ctx.pos_id, code="token-rejected",
-                  reasons=list(verdict.reasons))
+                  reasons=list(decision["reasons"]))
         return None
 
     # mutual assurance: the device checks the POS pseudonym locally

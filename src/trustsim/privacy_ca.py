@@ -188,10 +188,6 @@ class CredentialWallet:
         return certs
 
     @property
-    def count_unused(self) -> int:
-        return len(self.credentials)
-
-    @property
     def needs_replenish(self) -> bool:
         return len(self.credentials) == 1
 
@@ -212,19 +208,3 @@ class CredentialWallet:
     def install_batch(self, records, certs) -> None:
         self.credentials = list(zip(records, certs))
         self.replenish_count += 1
-
-    def replenish(self, now: int) -> list:
-        """Spend the last old credential to certify a fresh batch (direct,
-        unrecorded path; scenarios use flows.replenish_flow instead)."""
-        request = self.prepare_replenish()
-        certs = self.pca.replenish(
-            request.old_certificate, request.publics, request.signature, now
-        )
-        self.install_batch(request.records, certs)
-        return certs
-
-
-def authenticate_for_service(service, response, challenge, now: int):
-    """Service-access authentication is exactly an attestation at the
-    service's verifier; acceptance doubles as the access decision."""
-    return service.verify(response, challenge, now)

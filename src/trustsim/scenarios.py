@@ -13,8 +13,10 @@ import json
 from dataclasses import dataclass
 
 from . import audit, crypto
-from .attestation import Verifier
-from .device import TrustedDevice, standard_chain
+from .anchor import Manufacturer
+from .attestation import Verifier, recompute_pcr
+from .boot import measure
+from .device import TrustedDevice, reference_db_for, standard_chain
 from .domain import (
     BOUND,
     UNBOUND,
@@ -145,8 +147,6 @@ def _knowledge_clean(sim, party: str, forbidden_values) -> bool:
 def _run_one_time_aik(sim, config, plan):
     rng = sim.rng
     mfr_rng = rng.fork("world")
-    from .anchor import Manufacturer
-
     mfr = Manufacturer(mfr_rng)
     pca = PrivacyCa("pca", mfr_rng, {mfr.root.public}, domain_id="service-collab",
                     validity_ticks=config["cert_validity"])
@@ -155,8 +155,7 @@ def _run_one_time_aik(sim, config, plan):
                                      chain=standard_chain(extra))
     apply_setup_attacks(device, plan)
     device.boot()
-    refs = TrustedDevice.provision("ref", rng.fork("ref"), mfr,
-                                   chain=standard_chain(extra)).reference_db()
+    refs = reference_db_for(standard_chain(extra))
     enroll_flow(sim, device, "pca", pca, config["batch_size"], "mobile")
 
     shared = set() if config["shared_used_set"] else None
@@ -173,7 +172,7 @@ def _run_one_time_aik(sim, config, plan):
         svc = "svc-a" if i % 2 == 0 else "svc-b"
         verdict = attest_flow(
             sim, device, svc, services[svc], "mobile",
-            plan=plan if i == 0 else None,
+            plan=plan,
             replenish_via=("pca", pca, "mobile"),
         )
         if verdict is None or not verdict.accepted:
@@ -228,8 +227,6 @@ ONE_TIME_AIK = ScenarioScript(
 
 
 def _run_clone(sim, config, plan):
-    from .anchor import Manufacturer
-
     rng = sim.rng
     mfr = Manufacturer(rng.fork("world"))
     mode = config["mode"]
@@ -240,7 +237,7 @@ def _run_clone(sim, config, plan):
     legit = TrustedDevice.provision("legit", rng.fork("legit"), mfr, identity="imsi-100")
     clone = TrustedDevice.provision("clone", rng.fork("clone"), mfr, identity="imsi-100")
     credential = mno.issue_credential("imsi-100")
-    refs = TrustedDevice.provision("ref", rng.fork("ref"), mfr).reference_db()
+    refs = reference_db_for(standard_chain())
 
     apply_setup_attacks(clone, plan)  # the clone is the attacked requester
     for device in (clone, legit):
@@ -258,8 +255,7 @@ def _run_clone(sim, config, plan):
     for device in (clone, legit):
         session = network_access_flow(sim, device, "mno", mno, credential)
         admissions[device.device_id] = subdomain_admission_flow(
-            sim, device, "mno", mno, verifier, session,
-            plan=plan if device is clone else None,
+            sim, device, "mno", mno, verifier, session, plan=plan,
         )
 
     rows = []
@@ -321,8 +317,6 @@ CLONE_BOUND = ScenarioScript(
 
 
 def _prepaid_setup(sim, config, plan, tampered=False):
-    from .anchor import Manufacturer
-
     rng = sim.rng
     mfr = Manufacturer(rng.fork("world"))
     pca = PrivacyCa("pca", rng.fork("world"), {mfr.root.public}, domain_id="prepaid",
@@ -337,10 +331,8 @@ def _prepaid_setup(sim, config, plan, tampered=False):
     operator = PrepaidOperator(pool)
 
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
-    refs = TrustedDevice.provision("ref", rng.fork("ref"), mfr, chain=chain).reference_db()
-    honest = TrustedDevice.provision("honest-ref", rng.fork("honest"), mfr, chain=chain)
-    honest.boot()
-    sealed_policy = {0: honest.anchor.pcr_value(0)}
+    refs = reference_db_for(chain)
+    sealed_policy = {0: recompute_pcr(measure(chain), 0)}
 
     device = TrustedDevice.provision("dev-1", rng.fork("dev-1"), mfr, chain=chain)
     if tampered:
@@ -378,14 +370,11 @@ def _run_prepaid_happy(sim, config, plan):
     voucher_counter = 0
     schedule = list(config["requests"])
     voucher_values = list(config["vouchers"])
-    first = True
     for service, units in schedule:
         prepaid_service_request(
             sim, client, "mno", operator, verifier, service, units,
-            plan=plan if first else None,
-            replenish_via=("pca", pca, "mobile"),
+            plan=plan, replenish_via=("pca", pca, "mobile"),
         )
-        first = False
         if attacked:
             break  # the attacked exchange is the whole story of this run
         if voucher_values:
@@ -422,11 +411,9 @@ def _run_prepaid_tamper(sim, config, plan):
                                                                tampered=True)
     logon = vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
     attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
-    first = True
     for service, units in config["requests"]:
         prepaid_service_request(sim, client, "mno", operator, verifier, service, units,
-                                plan=plan if first else None)
-        first = False
+                                plan=plan)
         if attacked:
             break
     _prepaid_finish(sim, client, config)
@@ -524,8 +511,6 @@ _POS_GOODS = (("cola", 3), ("water", 2), ("juice", 4))
 
 
 def _pos_setup(sim, config, plan, merged=False):
-    from .anchor import Manufacturer
-
     rng = sim.rng
     mfr = Manufacturer(rng.fork("world"))
     auth_id = "mno" if merged else "auth"
@@ -549,12 +534,8 @@ def _pos_setup(sim, config, plan, merged=False):
     )
     pos_device.boot()
 
-    device_refs = TrustedDevice.provision(
-        "ref-d", rng.fork("ref-d"), mfr,
-        chain=standard_chain((("wallet-app", b"wallet-v1"),))).reference_db()
-    pos_refs = TrustedDevice.provision(
-        "ref-p", rng.fork("ref-p"), mfr,
-        chain=standard_chain((("pos-client", b"pos-firmware-v1"),))).reference_db()
+    device_refs = reference_db_for(standard_chain((("wallet-app", b"wallet-v1"),)))
+    pos_refs = reference_db_for(standard_chain((("pos-client", b"pos-firmware-v1"),)))
 
     credential = mno.issue_credential("imsi-7001")
     network_access_flow(sim, device, "mno", mno, credential)
@@ -731,7 +712,7 @@ POS_SEP_DUTIES = ScenarioScript(
     defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
               "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
-    runner=lambda sim, config, plan: _run_pos_sep(sim, config, plan, merged=False),
+    runner=_run_pos_sep,
 )
 
 POS_DECENTRALISED = ScenarioScript(
@@ -742,7 +723,7 @@ POS_DECENTRALISED = ScenarioScript(
     defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
               "good": "water", "variant": "decentralised"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
-    runner=lambda sim, config, plan: _run_pos_sep(sim, config, plan, merged=False),
+    runner=_run_pos_sep,
 )
 
 POS_MNO_MERGED = ScenarioScript(
@@ -767,8 +748,6 @@ POS_MNO_MERGED = ScenarioScript(
 
 
 def _facility_setup(sim, config, plan):
-    from .anchor import Manufacturer
-
     rng = sim.rng
     mfr = Manufacturer(rng.fork("world"))
     mno = MobileNetworkOperator("mno", rng, registry_mode=BOUND)
@@ -777,7 +756,7 @@ def _facility_setup(sim, config, plan):
                     validity_ticks=config["cert_validity"])
 
     chain = standard_chain((("enforcer", b"policy-enforcer-v1"),))
-    refs = TrustedDevice.provision("ref", rng.fork("ref"), mfr, chain=chain).reference_db()
+    refs = reference_db_for(chain)
 
     employee = TrustedDevice.provision("employee", rng.fork("employee"), mfr,
                                        chain=chain, identity="imsi-9001")
@@ -794,8 +773,7 @@ def _facility_setup(sim, config, plan):
     gate = TrustedDevice.provision("gate-dev", rng.fork("gate"), mfr, chain=gate_chain)
     gate.boot()
     gate.attach_wallet(pca, config["batch_size"], now=0)
-    gate_refs = TrustedDevice.provision("ref-g", rng.fork("ref-g"), mfr,
-                                        chain=gate_chain).reference_db()
+    gate_refs = reference_db_for(gate_chain)
 
     # company sub-domain enrollment: employee admitted under the joint authority
     credential = mno.issue_credential("imsi-9001")

@@ -10,7 +10,7 @@ from trustsim.anchor import Manufacturer, TrustAnchor
 from trustsim.attestation import Verifier, recompute_pcr
 from trustsim.boot import boot, make_chain
 from trustsim.crypto import Rng
-from trustsim.device import TrustedDevice, standard_chain
+from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.flows import ATTESTATION_ATTACKS, EXPECTED_ATTACK_REASONS
 from trustsim.harness import MOBILE_NETWORK, Simulation
 from trustsim.prepaid import (
@@ -146,7 +146,7 @@ def _conservation_world(seed):
     pool = PpImsiPool(("ppimsi-0", "ppimsi-1", "ppimsi-2"), "mno", statement.public)
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
     device = TrustedDevice.provision("dev-1", rng.fork("dev"), mfr, chain=chain)
-    refs = TrustedDevice.provision("ref", rng.fork("ref"), mfr, chain=chain).reference_db()
+    refs = reference_db_for(chain)
     device.boot()
     initial = rng.randrange(120)
     client = PrepaidClient.provision(device, {"calls": 10, "data": 5}, initial,

@@ -4,7 +4,8 @@ import pytest
 
 from trustsim import boot as mb
 from trustsim.anchor import Manufacturer, TrustAnchor
-from trustsim.crypto import Rng, hash160
+from trustsim.attestation import recompute_pcr
+from trustsim.crypto import ZERO_DIGEST, Rng, hash160
 from trustsim.errors import ProtocolError
 
 from sha1_oracle import fold_pcr, sha1
@@ -140,3 +141,17 @@ def test_per_stage_pcr_assignment():
     apps = [sha1(c.payload) for c in chain[3:]]
     assert anchor.pcr_value(0) == fold_pcr(platform)
     assert anchor.pcr_value(8) == fold_pcr(apps)
+    # the verifier's refold keeps the registers apart
+    assert recompute_pcr(log, 0) == anchor.pcr_value(0)
+    assert recompute_pcr(log, 8) == anchor.pcr_value(8)
+    assert recompute_pcr(log, 1) == ZERO_DIGEST
+
+
+def test_measure_is_the_log_boot_writes():
+    chain = default_chain()
+    stages = {"app": 8, "enforcer": 8}
+    anchor = make_anchor()
+    booted = mb.boot(anchor, chain, stage_pcrs=stages)
+    assert mb.measure(chain, stage_pcrs=stages).to_fields() == booted.to_fields()
+    assert recompute_pcr(mb.measure(chain)) == fold_pcr([sha1(c.payload) for c in chain])
+    assert anchor.pcr_value(8) == recompute_pcr(mb.measure(chain, stage_pcrs=stages), 8)

@@ -6,7 +6,7 @@ from trustsim.anchor import Manufacturer
 from trustsim.crypto import hash160
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
-from trustsim.device import TrustedDevice
+from trustsim.device import TrustedDevice, reference_db_for
 from trustsim.domain import (
     BOUND,
     UNBOUND,
@@ -35,7 +35,7 @@ def clone_world(mode, seed=3):
     legit = TrustedDevice.provision("legit", rng.fork("legit"), mfr, identity="imsi-100")
     clone = TrustedDevice.provision("clone", rng.fork("clone"), mfr, identity="imsi-100")
     credential = mno.issue_credential("imsi-100")
-    refs = legit.reference_db()
+    refs = reference_db_for(legit.chain)
     for device in (legit, clone):
         sim.add_party(device.device_id, "device")
         device.boot()

@@ -4,7 +4,7 @@ from trustsim import crypto
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
-from trustsim.device import TrustedDevice, standard_chain
+from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import FeaturePolicy
 from trustsim.facility import (
     FacilityContext,
@@ -33,7 +33,7 @@ def facility_world(seed=9, tampered_employee=False):
     mfr = Manufacturer(rng)
     pca = PrivacyCa("pca", rng, {mfr.root.public}, domain_id="company")
     chain = standard_chain((("enforcer", b"policy-enforcer-v1"),))
-    refs = TrustedDevice.provision("ref", rng.fork("ref"), mfr, chain=chain).reference_db()
+    refs = reference_db_for(chain)
 
     employee = TrustedDevice.provision("employee", rng.fork("emp"), mfr,
                                        chain=chain, identity="imsi-1")
@@ -46,8 +46,7 @@ def facility_world(seed=9, tampered_employee=False):
     gate = TrustedDevice.provision("gate-dev", rng.fork("gate"), mfr, chain=gate_chain)
     gate.boot()
     gate.attach_wallet(pca, 4, now=0)
-    gate_refs = TrustedDevice.provision("refg", rng.fork("refg"), mfr,
-                                        chain=gate_chain).reference_db()
+    gate_refs = reference_db_for(gate_chain)
 
     ctx = FacilityContext(
         company_id="company", gate_id="gate", external_id="external", mno_id="mno",

@@ -1,5 +1,6 @@
 """POS flows: mutual sessions, both purchase variants, privacy of parties."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -8,10 +9,10 @@ from trustsim import crypto, pos
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
-from trustsim.device import TrustedDevice, standard_chain
+from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import MobileNetworkOperator, network_access_flow
 from trustsim.flows import apply_setup_attacks, enroll_flow
-from trustsim.harness import MOBILE_NETWORK, SHORT_RANGE, Simulation, canon_value
+from trustsim.harness import DROP, MOBILE_NETWORK, SHORT_RANGE, Simulation, canon_value
 from trustsim.pos import (
     PosContext,
     PriceList,
@@ -66,12 +67,8 @@ def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
         pos_device.tamper("pos-client", b"skimmer")
     pos_device.boot()
 
-    device_refs = TrustedDevice.provision("ref-d", rng.fork("ref-d"), mfr,
-                                          chain=standard_chain((("wallet-app", b"wallet-v1"),))
-                                          ).reference_db()
-    pos_refs = TrustedDevice.provision("ref-p", rng.fork("ref-p"), mfr,
-                                       chain=standard_chain((("pos-client", b"pos-firmware-v1"),))
-                                       ).reference_db()
+    device_refs = reference_db_for(standard_chain((("wallet-app", b"wallet-v1"),)))
+    pos_refs = reference_db_for(standard_chain((("pos-client", b"pos-firmware-v1"),)))
 
     credential = mno.issue_credential("imsi-7001")
     network_access_flow(sim, device, "mno", mno, credential)
@@ -308,3 +305,103 @@ def test_billing_package_shape_is_enforced():
     assert verify_billing_package(package, [keys.public])
     assert not verify_billing_package({**package, "extra": 1}, [keys.public])
     assert not verify_billing_package(package, [crypto.keygen(Rng(6)).public])
+
+
+# -- lost and rewritten hops in the separation session ---------------------------
+
+# Every message type separation_session puts on the wire, with the abort
+# code a loss of that hop must produce.
+SESSION_HOPS = {
+    "token-challenge": "challenge-lost",
+    "token-challenge-relay": "challenge-lost",
+    "attestation-challenge": "challenge-lost",
+    "auth-token": "token-lost",
+    "token-validate-relay": "token-lost",
+    "token-validate": "token-lost",
+    "token-verdict": "verdict-lost",
+    "token-verdict-relay": "verdict-lost",
+}
+
+
+def _drop_type(msg_type):
+    def hook(message):
+        return DROP if message.msg_type == msg_type else None
+    return hook
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["via-owner", "direct"])
+@pytest.mark.parametrize("msg_type", sorted(SESSION_HOPS))
+def test_separation_session_aborts_on_any_lost_hop(msg_type, direct):
+    sim, ctx = pos_world()
+    sim.add_hook(_drop_type(msg_type))
+    assert separation_session(sim, ctx, validate_direct=direct) is None
+    dropped = [e for e in sim.events("message-dropped") if e["type"] == msg_type]
+    assert dropped, f"{msg_type} never went on the wire"
+    assert sim.events("abort")[-1]["code"] == SESSION_HOPS[msg_type]
+    assert sim.events("secure-session") == []
+    if SESSION_HOPS[msg_type] != "verdict-lost":
+        # the authentication provider never decides on a token it did not get
+        assert sim.events("attestation-verdict") == []
+
+
+def _rewrite_validated_nonce(message):
+    if message.msg_type != "token-validate":
+        return None
+    payload = copy.deepcopy(message.payload)
+    interior = payload["env"]["_sealed"]["payload"] if "env" in payload else payload
+    interior["quote"]["nonce"] = "00" * 16
+    return dataclasses.replace(message, payload=payload)
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["via-owner", "direct"])
+def test_auth_provider_verifies_the_token_it_received(direct):
+    sim, ctx = pos_world()
+    sim.add_hook(_rewrite_validated_nonce)
+    assert separation_session(sim, ctx, validate_direct=direct) is None
+    verdict = sim.events("attestation-verdict")[-1]
+    assert verdict["verifier"] == "auth" and not verdict["accepted"]
+    assert "stale-nonce" in verdict["reasons"]
+    abort = sim.events("abort")[-1]
+    assert abort["code"] == "token-rejected" and "stale-nonce" in abort["reasons"]
+    assert sim.events("secure-session") == []
+
+
+def test_pos_acts_on_the_verdict_that_reached_it():
+    sim, ctx = pos_world()
+
+    def refuse(message):
+        if message.msg_type != "token-verdict-relay":
+            return None
+        payload = copy.deepcopy(message.payload)
+        payload["env"]["_sealed"]["payload"] = {"ok": False, "reasons": ["forged"]}
+        return dataclasses.replace(message, payload=payload)
+
+    sim.add_hook(refuse)
+    assert separation_session(sim, ctx) is None
+    assert sim.events("attestation-verdict")[-1]["accepted"]
+    abort = sim.events("abort")[-1]
+    assert abort["code"] == "token-rejected" and abort["reasons"] == ["forged"]
+    assert sim.events("secure-session") == []
+
+
+def test_relay_forwards_what_arrived_and_stops_at_a_lost_hop():
+    sim, ctx = pos_world()
+
+    def stamp(message):
+        if message.msg_type == "note-relay":
+            payload = copy.deepcopy(message.payload)
+            payload["env"]["_sealed"]["payload"]["text"] = "rewritten"
+            return dataclasses.replace(message, payload=payload)
+        return None
+
+    sim.add_hook(stamp)
+    delivered = pos._relay(sim, ctx, "pos-1", "pos-owner", "note",
+                           {"text": "hello"}, {"text": "plumbing"})
+    assert delivered.msg_type == "note" and delivered.receiver == "pos-owner"
+    assert pos._opened(delivered) == {"text": "rewritten"}
+
+    sim.add_hook(_drop_type("note-relay"))
+    sent = len(sim.messages())
+    assert pos._relay(sim, ctx, "pos-1", "pos-owner", "note",
+                      {"text": "hello"}, {"text": "plumbing"}) is None
+    assert len(sim.messages()) == sent  # nothing left the device

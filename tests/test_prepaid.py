@@ -4,9 +4,10 @@ import pytest
 
 from trustsim import crypto
 from trustsim.anchor import Manufacturer
-from trustsim.attestation import Verifier
+from trustsim.attestation import Verifier, recompute_pcr
+from trustsim.boot import measure
 from trustsim.crypto import Rng
-from trustsim.device import TrustedDevice, standard_chain
+from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.errors import ProtocolError
 from trustsim.flows import AttackPlan, apply_setup_attacks
 from trustsim.harness import MOBILE_NETWORK, Simulation
@@ -49,17 +50,13 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
         )
         sim.add_party(device.device_id, "device")
         if refs is None:
-            refs = device.reference_db()
+            refs = reference_db_for(device.chain)
         plan = AttackPlan({"tamper"} if tampered else set())
         apply_setup_attacks(device, plan)
         device.boot()
         if tampered:
             # provisioning sealed to the honest state happened at manufacture
-            honest = TrustedDevice.provision(
-                "ref", rng.fork(f"ref-{i}"), mfr, chain=standard_chain(chain_extra)
-            )
-            honest.boot()
-            policy = {0: honest.anchor.pcr_value(0)}
+            policy = {0: recompute_pcr(measure(standard_chain(chain_extra)), 0)}
             device.anchor.define_slot("prepaid-balance", balance, policy)
             device.anchor.define_slot("ppc-statement-key", statement_keys.private, policy)
             client = PrepaidClient(device=device, tariffs=TARIFFS)

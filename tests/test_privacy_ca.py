@@ -8,13 +8,11 @@ from trustsim import boot as mb
 from trustsim.anchor import Manufacturer, TrustAnchor
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
+from trustsim.device import TrustedDevice
 from trustsim.errors import ProtocolError
-from trustsim.privacy_ca import (
-    CredentialWallet,
-    PrivacyCa,
-    authenticate_for_service,
-    verify_aik_certificate,
-)
+from trustsim.flows import replenish_flow
+from trustsim.harness import MOBILE_NETWORK, Simulation
+from trustsim.privacy_ca import CredentialWallet, PrivacyCa, verify_aik_certificate
 
 
 def build(seed=1, batch_size=10):
@@ -28,6 +26,21 @@ def build(seed=1, batch_size=10):
     refs.register_chain(chain)
     wallet = CredentialWallet(anchor, pca, batch_size=batch_size)
     return rng, mfr, pca, anchor, log, refs, wallet
+
+
+def recorded_replenisher(anchor, wallet, pca):
+    """replenish() running the recorded flow the scenarios use."""
+    sim = Simulation(1, scenario="unit-pca")
+    sim.add_party("dev-1", "device")
+    sim.add_party("pca", "pca")
+    sim.add_channel("net", MOBILE_NETWORK)
+    device = TrustedDevice("dev-1", anchor, chain=[], wallet=wallet)
+
+    def replenish():
+        replenish_flow(sim, device, "pca", pca, "net")
+        return [cert for _, cert in wallet.credentials]
+
+    return sim, replenish
 
 
 def test_enroll_issues_one_cert_per_aik_with_no_ek_material():
@@ -83,10 +96,13 @@ def test_replenish_after_batch_exhaustion():
     wallet.take()
     wallet.take()
     assert wallet.needs_replenish
-    new_certs = wallet.replenish(now=5)
+    sim, replenish = recorded_replenisher(anchor, wallet, pca)
+    new_certs = replenish()
     assert len(new_certs) == 3
-    assert wallet.count_unused == 3
+    assert len(wallet.credentials) == 3
     assert wallet.replenish_count == 1
+    assert all(verify_aik_certificate(c, pca.root.public) for c in new_certs)
+    assert [e["count"] for e in sim.events("replenishment")] == [1]
     # fresh certificates share nothing with the old beyond domain and CA
     old_fields = [c.to_fields() for c in old_certs]
     for new in new_certs:
@@ -131,12 +147,14 @@ def test_batch_liveness_replenishment_count(batch_size, uses):
     # k service uses with batch size N trigger exactly floor(k/(N-1)) replenishments
     _, _, pca, anchor, log, refs, wallet = build(batch_size=batch_size)
     wallet.enroll(now=0)
+    sim, replenish = recorded_replenisher(anchor, wallet, pca)
     for _ in range(uses):
         wallet.take()
         if wallet.needs_replenish:
-            wallet.replenish(now=1)
+            replenish()
     assert wallet.replenish_count == uses // (batch_size - 1)
-    assert wallet.count_unused >= 1
+    assert len(sim.events("replenishment")) == wallet.replenish_count
+    assert len(wallet.credentials) >= 1
 
 
 def test_service_access_fresh_token_accepted_expired_rejected():
@@ -150,15 +168,13 @@ def test_service_access_fresh_token_accepted_expired_rejected():
     from trustsim.attestation import AttestationResponse
 
     resp = AttestationResponse(quote, log, cert)
-    assert authenticate_for_service(service, resp, challenge, now=2).accepted
+    assert service.verify(resp, challenge, now=2).accepted
 
     record2, cert2 = wallet.take()
     late = cert2.valid_until + 1
     challenge2 = service.make_challenge(now=late)
     quote2 = anchor.quote(record2.aik_id, challenge2.pcr_selection, challenge2.nonce)
-    verdict = authenticate_for_service(
-        service, AttestationResponse(quote2, log, cert2), challenge2, now=late
-    )
+    verdict = service.verify(AttestationResponse(quote2, log, cert2), challenge2, now=late)
     assert not verdict.accepted
     assert "cert-expired" in verdict.reasons
 
