@@ -29,8 +29,9 @@ class Finding:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def _canon(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+# The auditor's own canonical encoder (sorted keys, "," and ":" separators,
+# non-ASCII escaped), built once. It is deliberately not the harness's.
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _replay_observations(transcript):
@@ -39,19 +40,31 @@ def _replay_observations(transcript):
     knowledge = {pid: set() for pid in transcript.snapshot.get("knowledge", {})}
     carrier_views = {pid: [] for pid in knowledge}
 
-    def absorb(party, payload, labels):
-        for fname, value in payload.items():
-            if isinstance(value, dict) and set(value) == {"_sealed"}:
-                sealed = value["_sealed"]
-                if party in sealed["readers"]:
-                    absorb(party, sealed["payload"], sealed["labels"])
-                continue
-            knowledge.setdefault(party, set()).add((fname, labels[fname], _canon(value)))
+    def absorb(party, payload, labels, memo):
+        # memo: this record's (id(payload), id(labels)) -> (plain rows,
+        # sealed interiors), so the receiver and the carrier share one
+        # encoding of each field; an interior is encoded only once opened.
+        key = id(payload), id(labels)
+        split = memo.get(key)
+        if split is None:
+            plain, sealed = [], []
+            for fname, value in payload.items():
+                if isinstance(value, dict) and len(value) == 1 and "_sealed" in value:
+                    sealed.append(value["_sealed"])
+                else:
+                    plain.append((fname, labels[fname], _canon(value)))
+            split = memo[key] = (plain, sealed)
+        plain, sealed = split
+        knowledge.setdefault(party, set()).update(plain)
+        for inner in sealed:
+            if party in inner["readers"]:
+                absorb(party, inner["payload"], inner["labels"], memo)
 
     for record in transcript.records:
         if record["kind"] != "message":
             continue
-        absorb(record["receiver"], record["payload"], record["labels"])
+        memo = {}
+        absorb(record["receiver"], record["payload"], record["labels"], memo)
         ch = channels.get(record["channel"], {})
         carrier = ch.get("carrier")
         if (
@@ -68,7 +81,7 @@ def _replay_observations(transcript):
                 }
             )
             if not record["encrypted"]:
-                absorb(carrier, record["payload"], record["labels"])
+                absorb(carrier, record["payload"], record["labels"], memo)
 
     return knowledge, carrier_views
 

@@ -36,9 +36,13 @@ def hash256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# Built once: json.dumps would construct this same encoder on every call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_bytes(obj) -> bytes:
     """Stable byte encoding of a JSON-able structure, used for signing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _encode(obj).encode("utf-8")
 
 
 class Rng:

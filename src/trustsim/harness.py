@@ -30,9 +30,15 @@ LABELS = frozenset(
 DROP = "drop"
 
 
+# The canonical form of transcript lines and knowledge-set values: sorted
+# keys, "," and ":" separators, non-ASCII escaped. This is the encoder
+# json.dumps builds for the same arguments, built once instead of per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canon_value(value) -> str:
     """Canonical JSON string for one payload value (knowledge-set element)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _encode(value)
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ def seal(readers, payload: dict, labels: dict) -> dict:
 
 
 def is_sealed(value) -> bool:
-    return isinstance(value, dict) and set(value) == {"_sealed"}
+    return isinstance(value, dict) and len(value) == 1 and "_sealed" in value
 
 
 def _check_labels(payload: dict, labels: dict) -> None:
@@ -123,9 +129,6 @@ class PartyState:
         self.knowledge = set()
         # carrier-side metadata: list of shape records, in delivery order
         self.carrier_view = []
-
-    def learn(self, fname: str, label: str, value) -> None:
-        self.knowledge.add((fname, label, canon_value(value)))
 
 
 class Simulation:
@@ -228,8 +231,11 @@ class Simulation:
         return message
 
     def _observe(self, message: Message, channel: Channel) -> None:
+        # Encodings of this message's fields, shared by the receiver and the
+        # carrier; dropped with the message.
+        memo = {}
         receiver = self.parties[message.receiver]
-        _absorb(receiver, message.receiver, message.payload, message.labels)
+        _absorb(receiver, message.receiver, message.payload, message.labels, memo)
 
         if channel.kind != MOBILE_NETWORK or channel.carrier is None:
             return
@@ -245,7 +251,7 @@ class Simulation:
             }
         )
         if not message.encrypted:
-            _absorb(carrier, channel.carrier, message.payload, message.labels)
+            _absorb(carrier, channel.carrier, message.payload, message.labels, memo)
 
     # -- events and queries --------------------------------------------------
 
@@ -325,19 +331,30 @@ class Simulation:
         )
 
 
-def _absorb(state: PartyState, party_id: str, payload: dict, labels: dict) -> None:
+def _absorb(state: PartyState, party_id: str, payload: dict, labels: dict, memo: dict) -> None:
     """Fold readable payload fields into a party's knowledge set.
 
     Sealed sub-payloads open only for their listed readers, however deeply
-    the envelope travelled.
+    the envelope travelled. memo maps (id(payload), id(labels)) to the
+    plain knowledge rows and sealed envelopes in them, so each field of one
+    message is encoded once whoever reads it; it must not outlive that
+    message.
     """
-    for fname, value in payload.items():
-        if is_sealed(value):
-            inner = value["_sealed"]
-            if party_id in inner["readers"]:
-                _absorb(state, party_id, inner["payload"], inner["labels"])
-            continue
-        state.learn(fname, labels[fname], value)
+    key = id(payload), id(labels)
+    split = memo.get(key)
+    if split is None:
+        plain, sealed = [], []
+        for fname, value in payload.items():
+            if is_sealed(value):
+                sealed.append(value["_sealed"])
+            else:
+                plain.append((fname, labels[fname], _encode(value)))
+        split = memo[key] = (plain, sealed)
+    plain, sealed = split
+    state.knowledge.update(plain)
+    for inner in sealed:
+        if party_id in inner["readers"]:
+            _absorb(state, party_id, inner["payload"], inner["labels"], memo)
 
 
 @dataclass
@@ -349,11 +366,9 @@ class Transcript:
     snapshot: dict
 
     def to_lines(self) -> list:
-        lines = [json.dumps(self.header, sort_keys=True, separators=(",", ":"))]
-        lines += [
-            json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.records
-        ]
-        lines.append(json.dumps(self.snapshot, sort_keys=True, separators=(",", ":")))
+        lines = [_encode(self.header)]
+        lines += map(_encode, self.records)
+        lines.append(_encode(self.snapshot))
         return lines
 
     def to_text(self) -> str:

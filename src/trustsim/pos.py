@@ -209,14 +209,20 @@ def _open_session(sim, ctx: PosContext) -> str:
 
 
 def exchange_price_list(sim, ctx: PosContext) -> bool:
-    """Step 1: signed price list over the established channel."""
+    """Step 1: signed price list over the established channel; the device
+    checks the list that reached it."""
     payload = {
         "entries": [list(e) for e in ctx.price_list.entries],
         "signature": ctx.price_list.signature.hex(),
     }
-    sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "price-list",
-             payload, {"entries": "price", "signature": "plumbing"}, encrypted=True)
-    if not ctx.price_list.verify(ctx.pos_owner_keys.public):
+    msg = sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "price-list",
+                   payload, {"entries": "price", "signature": "plumbing"}, encrypted=True)
+    if msg is None:
+        sim.event("abort", party=ctx.device_id, code="price-list-lost")
+        return False
+    received = PriceList(tuple(tuple(e) for e in msg.payload["entries"]),
+                         bytes.fromhex(msg.payload["signature"]))
+    if not received.verify(ctx.pos_owner_keys.public):
         sim.event("abort", party=ctx.device_id, code="bad-price-list")
         return False
     return True
@@ -404,62 +410,72 @@ def separation_purchase(
 ) -> str | None:
     """Steps (iii)+(iv): billing through the POS owner (or the POS itself in
     the decentralised variant); delivery only after the owner's signed
-    acknowledgement of a confirmed charge."""
+    acknowledgement of a confirmed charge.
+
+    Each party acts on what reached it. A lost hop aborts with
+    billing-lost, confirmation-lost or ack-lost, and nothing is delivered."""
     order_id = ctx.next_id("order")
     price = ctx.price_list.price_of(good)
+    billing = {"order_id": order_id, "auth_token": token_fp, "good_id": good, "price": price}
+    billing_labels = {"order_id": "plumbing", "auth_token": "token", "good_id": "good",
+                      "price": "price"}
+    package_labels = {"auth_token": "token", "grand_total": "price", "signature": "plumbing"}
+    confirmation_labels = {"auth_token": "token", "status": "plumbing",
+                           "signature": "plumbing"}
 
     if not decentralised:
-        _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "billing-data",
-               {"order_id": order_id, "auth_token": token_fp, "good_id": good, "price": price},
-               {"order_id": "plumbing", "auth_token": "token", "good_id": "good",
-                "price": "price"})
-        package = make_billing_package(token_fp, price, ctx.pos_owner_keys)
-        sim.send(ctx.pos_owner_id, ctx.charging_id, CHANNEL_NET, "billing-package",
-                 package, {"auth_token": "token", "grand_total": "price",
-                           "signature": "plumbing"}, encrypted=True)
-        accepted = verify_billing_package(package, [ctx.pos_owner_keys.public])
-        confirmation = _confirm(ctx, token_fp, accepted)
-        sim.send(ctx.charging_id, ctx.pos_owner_id, CHANNEL_NET, "charge-confirmation",
-                 confirmation, {"auth_token": "token", "status": "plumbing",
-                                "signature": "plumbing"}, encrypted=True)
-        if not _confirmation_ok(ctx, confirmation):
-            sim.event("abort", party=ctx.pos_owner_id, code="charge-refused",
-                      order_id=order_id)
-            return None
+        msg = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "billing-data",
+                     billing, billing_labels)
+        if msg is None:
+            return _purchase_abort(sim, ctx.pos_id, "billing-lost", order_id)
+        billed = _opened(msg)
+        package = make_billing_package(billed["auth_token"], billed["price"],
+                                       ctx.pos_owner_keys)
+        msg = sim.send(ctx.pos_owner_id, ctx.charging_id, CHANNEL_NET, "billing-package",
+                       package, package_labels, encrypted=True)
+        if msg is None:
+            return _purchase_abort(sim, ctx.pos_owner_id, "billing-lost", order_id)
+        confirmation = _charge(ctx, msg.payload, [ctx.pos_owner_keys.public])
+        msg = sim.send(ctx.charging_id, ctx.pos_owner_id, CHANNEL_NET, "charge-confirmation",
+                       confirmation, confirmation_labels, encrypted=True)
+        if msg is None:
+            return _purchase_abort(sim, ctx.pos_owner_id, "confirmation-lost", order_id)
+        if not _confirmation_ok(ctx, msg.payload, billed["auth_token"]):
+            return _purchase_abort(sim, ctx.pos_owner_id, "charge-refused", order_id)
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
-        ack = _acknowledgement(ctx, order_id, ctx.pos_owner_keys)
-        _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement",
-               ack, {"order_id": "plumbing", "signature": "plumbing"})
     else:
         package = make_billing_package(token_fp, price, ctx.pos_delegate_keys)
-        _relay(sim, ctx, ctx.pos_id, ctx.charging_id, "billing-package",
-               package, {"auth_token": "token", "grand_total": "price",
-                         "signature": "plumbing"})
-        accepted = verify_billing_package(
-            package, [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public]
-        )
-        confirmation = _confirm(ctx, token_fp, accepted)
-        _relay(sim, ctx, ctx.charging_id, ctx.pos_id, "charge-confirmation",
-               confirmation, {"auth_token": "token", "status": "plumbing",
-                              "signature": "plumbing"})
-        if not _confirmation_ok(ctx, confirmation):
-            sim.event("abort", party=ctx.pos_id, code="charge-refused", order_id=order_id)
-            return None
+        msg = _relay(sim, ctx, ctx.pos_id, ctx.charging_id, "billing-package",
+                     package, package_labels)
+        if msg is None:
+            return _purchase_abort(sim, ctx.pos_id, "billing-lost", order_id)
+        confirmation = _charge(ctx, _opened(msg),
+                               [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public])
+        msg = _relay(sim, ctx, ctx.charging_id, ctx.pos_id, "charge-confirmation",
+                     confirmation, confirmation_labels)
+        if msg is None:
+            return _purchase_abort(sim, ctx.pos_id, "confirmation-lost", order_id)
+        if not _confirmation_ok(ctx, _opened(msg), token_fp):
+            return _purchase_abort(sim, ctx.pos_id, "charge-refused", order_id)
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
-        _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "ack-request",
-               {"order_id": order_id, "auth_token": token_fp, "good_id": good,
-                "price": price},
-               {"order_id": "plumbing", "auth_token": "token", "good_id": "good",
-                "price": "price"})
-        ack = _acknowledgement(ctx, order_id, ctx.pos_owner_keys)
-        _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement",
-               ack, {"order_id": "plumbing", "signature": "plumbing"})
+        msg = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "ack-request",
+                     billing, billing_labels)
+        if msg is None:
+            return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
+        billed = _opened(msg)
 
-    if not crypto.verify(ctx.pos_owner_keys.public,
-                         _ACK_TAG + crypto.canonical_bytes({"order_id": order_id}),
-                         bytes.fromhex(ack["signature"])):
-        sim.event("abort", party=ctx.pos_id, code="bad-ack-signature", order_id=order_id)
-        return None
+    ack = _acknowledgement(ctx, billed["order_id"], ctx.pos_owner_keys)
+    msg = _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement",
+                 ack, {"order_id": "plumbing", "signature": "plumbing"})
+    if msg is None:
+        return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
+    wire_ack = _opened(msg)
+    if wire_ack["order_id"] != order_id or not crypto.verify(
+        ctx.pos_owner_keys.public,
+        _ACK_TAG + crypto.canonical_bytes({"order_id": wire_ack["order_id"]}),
+        bytes.fromhex(wire_ack["signature"]),
+    ):
+        return _purchase_abort(sim, ctx.pos_id, "bad-ack-signature", order_id)
     sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
     sim.event("delivery", pos=ctx.pos_id, order_id=order_id)
     sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "delivery-confirmation",
@@ -467,19 +483,30 @@ def separation_purchase(
     return order_id
 
 
-def _confirm(ctx: PosContext, token_fp: str, accepted: bool) -> dict:
+def _purchase_abort(sim, party: str, code: str, order_id: str) -> None:
+    sim.event("abort", party=party, code=code, order_id=order_id)
+    return None
+
+
+def _charge(ctx: PosContext, package: dict, signer_publics) -> dict:
+    """The charging provider's signed answer to the package it received."""
+    accepted = verify_billing_package(package, signer_publics)
     status = "confirmed" if accepted else "refused"
-    body = {"auth_token": token_fp, "status": status}
+    body = {"auth_token": package.get("auth_token"), "status": status}
     sig = crypto.sign(ctx.charging_keys, _CONFIRM_TAG + crypto.canonical_bytes(body))
     return {**body, "signature": sig.hex()}
 
 
-def _confirmation_ok(ctx: PosContext, confirmation: dict) -> bool:
+def _confirmation_ok(ctx: PosContext, confirmation: dict, token_fp: str) -> bool:
     body = {"auth_token": confirmation["auth_token"], "status": confirmation["status"]}
-    return confirmation["status"] == "confirmed" and crypto.verify(
-        ctx.charging_keys.public,
-        _CONFIRM_TAG + crypto.canonical_bytes(body),
-        bytes.fromhex(confirmation["signature"]),
+    return (
+        confirmation["status"] == "confirmed"
+        and confirmation["auth_token"] == token_fp
+        and crypto.verify(
+            ctx.charging_keys.public,
+            _CONFIRM_TAG + crypto.canonical_bytes(body),
+            bytes.fromhex(confirmation["signature"]),
+        )
     )
 
 

@@ -675,15 +675,15 @@ def _run_pos_sep(sim, config, plan, merged=False):
                      not sim.knowledge_query(ctx.charging_id, "good")))
     rows.append(_row("pos-owner-blind-to-customer-identity",
                      not sim.knowledge_query(ctx.pos_owner_id, "identity")))
+    # no token is spent when the session aborted
+    spent = response_payload["quote"]["aik_public"] if response_payload else None
     if merged:
-        spent = response_payload["quote"]["aik_public"]
         rows.append(_row("merged-operator-links-identity",
                          bool(sim.knowledge_query("mno", "identity"))))
-        rows.append(_row("merged-operator-holds-spent-token",
+        rows.append(_row("merged-operator-holds-spent-token", spent is not None and
                          any(spent in v for v in sim.knowledge_query("mno", "token"))))
     else:
-        spent = response_payload["quote"]["aik_public"]
-        rows.append(_row("operator-never-sees-spent-token",
+        rows.append(_row("operator-never-sees-spent-token", spent is None or
                          all(spent not in v for v in sim.knowledge_query("mno", "token"))))
         rows.append(_row("operator-blind-to-good",
                          not sim.knowledge_query("mno", "good")))

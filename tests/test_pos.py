@@ -5,14 +5,21 @@ import dataclasses
 
 import pytest
 
-from trustsim import crypto, pos
+from trustsim import audit, crypto, pos, scenarios
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import MobileNetworkOperator, network_access_flow
 from trustsim.flows import apply_setup_attacks, enroll_flow
-from trustsim.harness import DROP, MOBILE_NETWORK, SHORT_RANGE, Simulation, canon_value
+from trustsim.harness import (
+    DROP,
+    MOBILE_NETWORK,
+    SHORT_RANGE,
+    Simulation,
+    Transcript,
+    canon_value,
+)
 from trustsim.pos import (
     PosContext,
     PriceList,
@@ -405,3 +412,137 @@ def test_relay_forwards_what_arrived_and_stops_at_a_lost_hop():
     assert pos._relay(sim, ctx, "pos-1", "pos-owner", "note",
                       {"text": "hello"}, {"text": "plumbing"}) is None
     assert len(sim.messages()) == sent  # nothing left the device
+
+
+
+def _rewrite_interior(msg_type, **fields):
+    """Hook: overwrite fields inside the relayed envelope of msg_type."""
+    def hook(message):
+        if message.msg_type != msg_type:
+            return None
+        payload = copy.deepcopy(message.payload)
+        payload["env"]["_sealed"]["payload"].update(fields)
+        return dataclasses.replace(message, payload=payload)
+    return hook
+
+
+@pytest.mark.parametrize("decentralised", [False, True], ids=["centralised", "decentralised"])
+def test_pos_verifies_the_acknowledgement_that_reached_it(decentralised):
+    sim, ctx = pos_world()
+    _, token_fp, _ = separation_session(sim, ctx, validate_direct=decentralised)
+    assert exchange_price_list(sim, ctx)
+    sim.add_hook(_rewrite_interior("purchase-acknowledgement-relay", signature="00" * 64))
+    assert separation_purchase(sim, ctx, "cola", token_fp, decentralised=decentralised) is None
+    assert sim.events("abort")[-1]["code"] == "bad-ack-signature"
+    assert sim.events("delivery") == []
+
+
+def test_owner_bills_the_data_that_reached_it():
+    sim, ctx = pos_world()
+    _, token_fp, _ = separation_session(sim, ctx)
+    assert exchange_price_list(sim, ctx)
+    sim.add_hook(_rewrite_interior("billing-data-relay", price=99))
+    separation_purchase(sim, ctx, "cola", token_fp)
+    assert sim.messages("billing-package")[-1]["payload"]["grand_total"] == 99
+
+
+
+def test_charging_provider_judges_the_package_that_reached_it():
+    sim, ctx = pos_world()
+    _, token_fp, _ = separation_session(sim, ctx)
+    assert exchange_price_list(sim, ctx)
+
+    def discount(message):
+        if message.msg_type != "billing-package":
+            return None
+        return dataclasses.replace(message, payload={**message.payload, "grand_total": 0})
+
+    sim.add_hook(discount)
+    assert separation_purchase(sim, ctx, "cola", token_fp) is None
+    assert sim.events("abort")[-1]["code"] == "charge-refused"
+    assert sim.events("charge-confirmed") == [] and sim.events("delivery") == []
+
+
+def test_owner_refuses_a_confirmation_for_another_token():
+    sim, ctx = pos_world()
+    _, token_fp, _ = separation_session(sim, ctx)
+    assert exchange_price_list(sim, ctx)
+    # a genuine confirmation, but of someone else's purchase
+    other = pos._charge(ctx, make_billing_package("other-token", 3, ctx.pos_owner_keys),
+                        [ctx.pos_owner_keys.public])
+    assert other["status"] == "confirmed"
+    sim.add_hook(lambda m: dataclasses.replace(m, payload=other)
+                 if m.msg_type == "charge-confirmation" else None)
+    assert separation_purchase(sim, ctx, "cola", token_fp) is None
+    assert sim.events("abort")[-1]["code"] == "charge-refused"
+    assert sim.events("delivery") == []
+
+def test_device_checks_the_price_list_that_reached_it():
+    sim, ctx = pos_world()
+    separation_session(sim, ctx)
+
+    def reprice(message):
+        if message.msg_type != "price-list":
+            return None
+        return dataclasses.replace(message, payload={**message.payload, "entries": [["cola", 1]]})
+
+    sim.add_hook(reprice)
+    assert not exchange_price_list(sim, ctx)
+    assert sim.events("abort")[-1]["code"] == "bad-price-list"
+
+
+# -- lost hops in whole separation-of-duties runs ---------------------------------
+
+# Every message type of the separation flow from the token challenge to the
+# owner's acknowledgement, per route; dropping the first one of any must end
+# the run in an abort.
+_SESSION_TYPES = sorted(SESSION_HOPS) + ["attestation-response", "price-list"]
+_PURCHASE_TYPES = {
+    "centralised": ["billing-data-relay", "billing-data", "billing-package",
+                    "charge-confirmation", "purchase-acknowledgement",
+                    "purchase-acknowledgement-relay"],
+    "decentralised": ["billing-package-relay", "billing-package", "charge-confirmation",
+                      "charge-confirmation-relay", "ack-request-relay", "ack-request",
+                      "purchase-acknowledgement", "purchase-acknowledgement-relay"],
+}
+_SEPARATION_RUNS = [
+    (scenario, msg_type)
+    for scenario, route in (("pos-sep-duties", "centralised"),
+                            ("pos-decentralised", "decentralised"),
+                            ("pos-mno-merged", "centralised"))
+    for msg_type in _SESSION_TYPES + _PURCHASE_TYPES[route]
+]
+
+
+def _drop_first(msg_type):
+    dropped = []
+
+    def hook(message):
+        if message.msg_type == msg_type and not dropped:
+            dropped.append(message.msg_id)
+            return DROP
+        return None
+    return hook
+
+
+@pytest.mark.parametrize("scenario,msg_type", _SEPARATION_RUNS)
+def test_separation_run_aborts_on_a_lost_hop(monkeypatch, scenario, msg_type):
+    class DroppingSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.add_hook(_drop_first(msg_type))
+
+    monkeypatch.setattr(scenarios, "Simulation", DroppingSimulation)
+    transcript, report = scenarios.run_scenario(scenario, 1)
+
+    events = transcript.events()
+    assert [e for e in events if e["event"] == "message-dropped"
+            and e["type"] == msg_type], f"{msg_type} never went on the wire"
+    aborts = [i for i, e in enumerate(events) if e["event"] == "abort"]
+    assert aborts, "a lost hop must end in an abort"
+    after = {e["event"] for e in events[aborts[0]:]}
+    assert not after & {"delivery", "secure-session"}
+    rows = {row["name"]: row["ok"] for row in report["assertions"]}
+    assert rows["purchase-delivered"] is False
+    parsed = Transcript.parse(transcript.to_text())
+    assert all(f.ok for f in audit.audit(parsed)), audit.audit(parsed)
