@@ -10,9 +10,12 @@ dual-route privacy checks and the engine behind `trustsim verify`.
 
 from __future__ import annotations
 
+import gc
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 DEFAULT_FRESHNESS_WINDOW = 100
 
@@ -33,38 +36,52 @@ class Finding:
 # non-ASCII escaped), built once. It is deliberately not the harness's.
 _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# The canonical encoding in a knowledge row (field, label, encoding), and
+# the plain rows of a payload split (labels, plain rows, sealed interiors).
+_ENCODED = itemgetter(2)
+_PLAIN = itemgetter(1)
 
-def _replay_observations(transcript):
-    """Walk the message records and rebuild who could read what."""
+
+def _split(payload, labels, splits):
+    """(labels, plain knowledge rows, sealed interiors) of one payload dict,
+    computed once per payload and labels in splits, keyed by id(payload).
+    Every payload a replay reaches stays alive in its transcript, so these
+    ids are not reused while splits is in use."""
+    split = splits.get(id(payload))
+    if split is None or split[0] is not labels:
+        plain, sealed = [], []
+        for fname, value in payload.items():
+            if isinstance(value, dict) and len(value) == 1 and "_sealed" in value:
+                sealed.append(value["_sealed"])
+            else:
+                plain.append((fname, labels[fname], _canon(value)))
+        split = splits[id(payload)] = (labels, plain, sealed)
+    return split
+
+
+def _absorb(knowledge, party, payload, labels, splits):
+    """Fold what party can read of payload into its knowledge set; a sealed
+    interior opens only for its listed readers, however deeply nested."""
+    _, plain, sealed = _split(payload, labels, splits)
+    knowledge.setdefault(party, set()).update(plain)
+    for inner in sealed:
+        if party in inner["readers"]:
+            _absorb(knowledge, party, inner["payload"], inner["labels"], splits)
+
+
+def _replay_observations(transcript, splits=None):
+    """Walk the message records and rebuild who could read what.
+
+    splits collects the split of every payload the replay reads (see
+    _split), so the receiver and the carrier share one encoding of each
+    field and a later check of the same audit can reuse it."""
+    splits = {} if splits is None else splits
     channels = transcript.header.get("channels", {})
     knowledge = {pid: set() for pid in transcript.snapshot.get("knowledge", {})}
     carrier_views = {pid: [] for pid in knowledge}
 
-    def absorb(party, payload, labels, memo):
-        # memo: this record's (id(payload), id(labels)) -> (plain rows,
-        # sealed interiors), so the receiver and the carrier share one
-        # encoding of each field; an interior is encoded only once opened.
-        key = id(payload), id(labels)
-        split = memo.get(key)
-        if split is None:
-            plain, sealed = [], []
-            for fname, value in payload.items():
-                if isinstance(value, dict) and len(value) == 1 and "_sealed" in value:
-                    sealed.append(value["_sealed"])
-                else:
-                    plain.append((fname, labels[fname], _canon(value)))
-            split = memo[key] = (plain, sealed)
-        plain, sealed = split
-        knowledge.setdefault(party, set()).update(plain)
-        for inner in sealed:
-            if party in inner["readers"]:
-                absorb(party, inner["payload"], inner["labels"], memo)
-
-    for record in transcript.records:
-        if record["kind"] != "message":
-            continue
-        memo = {}
-        absorb(record["receiver"], record["payload"], record["labels"], memo)
+    for record in _messages(transcript):
+        _absorb(knowledge, record["receiver"], record["payload"], record["labels"], splits)
         ch = channels.get(record["channel"], {})
         carrier = ch.get("carrier")
         if (
@@ -81,14 +98,14 @@ def _replay_observations(transcript):
                 }
             )
             if not record["encrypted"]:
-                absorb(carrier, record["payload"], record["labels"], memo)
+                _absorb(knowledge, carrier, record["payload"], record["labels"], splits)
 
     return knowledge, carrier_views
 
 
 def check_knowledge_soundness(transcript) -> Finding:
     """Snapshot knowledge == what the raw messages actually exposed."""
-    knowledge, carrier_views = _replay_observations(transcript)
+    knowledge, carrier_views = _replay_observations(transcript, _splits(transcript))
     snapshot_knowledge = {
         pid: {tuple(row) for row in rows}
         for pid, rows in transcript.snapshot.get("knowledge", {}).items()
@@ -190,30 +207,72 @@ def _sealed_interior(value):
     return None
 
 
+def _field_sets(value):
+    """Key sets of the dicts in value that carry a grand total, looking
+    through sealed envelopes into their interiors."""
+    if isinstance(value, dict):
+        interior = _sealed_interior(value)
+        if interior is not None:
+            yield from _field_sets(interior)
+            return
+        if "grand_total" in value:
+            yield set(value)
+        for nested in value.values():
+            yield from _field_sets(nested)
+    elif isinstance(value, list):
+        for nested in value:
+            yield from _field_sets(nested)
+
+
+def _shows_package(encoded: str) -> bool:
+    """Whether a value with this canonical encoding can hold a billing
+    package, or make the walk of _field_sets fail.
+
+    The encoding of a value holds '"grand_total":' if any dict inside it
+    has that key, and '"_sealed":' if any dict inside it is a sealed
+    envelope, the only place that walk can fail on a malformed value. A
+    value whose encoding shows neither yields nothing when walked."""
+    return '"grand_total":' in encoded or '"_sealed":' in encoded
+
+
+def _package_field_sets(payload, splits, fields_show):
+    """_field_sets(payload), skipping the fields whose encoding in the
+    knowledge replay's split of payload does not show a package, and all
+    encoded fields when fields_show is False: no encoding of the replay
+    shows one. A payload the replay did not split is walked whole."""
+    split = splits.get(id(payload))
+    if split is None or "_sealed" in payload:
+        yield from _field_sets(payload)
+        return
+    if "grand_total" in payload:
+        yield set(payload)
+    encodings = {fname: encoded for fname, _, encoded in split[1]}
+    for fname, value in payload.items():
+        encoded = encodings.get(fname)
+        if encoded is None:  # a sealed envelope: walk its interior
+            interior = _sealed_interior(value)
+            if interior is None:
+                yield from _field_sets(value)
+            else:
+                yield from _package_field_sets(interior, splits, fields_show)
+        elif fields_show and _shows_package(encoded):
+            yield from _field_sets(value)
+
+
 def check_billing_package_exactness(transcript) -> Finding:
     """Structural exactness wherever a billing package appears: a message of
     that type (possibly one sealed hop) and any payload dict carrying a
     grand total must hold exactly {auth_token, grand_total, signature}."""
-
-    def field_sets(value):
-        if isinstance(value, dict):
-            interior = _sealed_interior(value)
-            if interior is not None:
-                yield from field_sets(interior)
-                return
-            if "grand_total" in value:
-                yield set(value)
-            for nested in value.values():
-                yield from field_sets(nested)
-        elif isinstance(value, list):
-            for nested in value:
-                yield from field_sets(nested)
-
-    for record in transcript.records:
-        if record["kind"] != "message":
-            continue
-        if record["type"] == "billing-package":
-            payload = record["payload"]
+    splits = _splits(transcript)
+    # One scan over every field encoding of the replay: when none shows a
+    # package, a payload it split can hold one only in its own keys or in
+    # a sealed field, and all others are skipped without a walk.
+    fields_show = _shows_package(
+        "".join(map(_ENCODED, chain.from_iterable(map(_PLAIN, splits.values()))))
+    )
+    for record in _messages(transcript):
+        rtype, payload = record["type"], record["payload"]
+        if rtype == "billing-package":
             interior = len(payload) == 1 and _sealed_interior(next(iter(payload.values())))
             fields = set(interior) if interior else set(payload)
             if fields != BILLING_PACKAGE_FIELDS:
@@ -222,7 +281,15 @@ def check_billing_package_exactness(transcript) -> Finding:
                     False,
                     f"message {record['id']} has fields {sorted(fields)}",
                 )
-        for fields in field_sets(record["payload"]):
+        split = splits.get(id(payload))
+        if (
+            split is not None
+            and not (fields_show or split[2])
+            and "grand_total" not in payload
+            and "_sealed" not in payload
+        ):
+            continue
+        for fields in _package_field_sets(payload, splits, fields_show):
             if fields != BILLING_PACKAGE_FIELDS:
                 return Finding(
                     "billing-package-exactness",
@@ -293,16 +360,78 @@ INVARIANT_CHECKS = (
 )
 
 
+class _AuditView:
+    """What the checks of one audit() call share: the transcript's header,
+    snapshot and records, those records grouped by kind (events also by
+    type) in one pass, and the payload splits of the knowledge replay. It
+    lives for that call only and is never stored on the transcript, so
+    in-place edits show up on the next audit.
+
+    Grouping reads exactly what Transcript.events reads, each record's
+    "kind" and each event's "event", so when it succeeds every check reads
+    the same keys of the same records in the same order as on the
+    transcript itself."""
+
+    def __init__(self, transcript):
+        self.header = transcript.header
+        self.snapshot = transcript.snapshot
+        self.records = transcript.records
+        self.splits = {}
+        self.messages = []
+        self._events = {}
+        for record in self.records:
+            kind = record["kind"]
+            if kind == "message":
+                self.messages.append(record)
+            elif kind == "event":
+                self._events.setdefault(record["event"], []).append(record)
+
+    def events(self, event_type: str) -> list:
+        """Event records of that type, in record order. The list is shared:
+        checks only read it."""
+        return self._events.get(event_type, [])
+
+
+def _messages(transcript):
+    """The message records, in record order."""
+    if isinstance(transcript, _AuditView):
+        return transcript.messages
+    return (record for record in transcript.records if record["kind"] == "message")
+
+
+def _splits(transcript) -> dict:
+    """The payload splits shared across one audit, or a fresh dict for a
+    check run on its own."""
+    return transcript.splits if isinstance(transcript, _AuditView) else {}
+
+
 def audit(transcript) -> list:
     """Run every transcript invariant; returns the findings in fixed order.
 
     A record so malformed that a check cannot even run (a payload field
     with no label, a missing event key) fails that check rather than
-    raising: hand-edited files must come back as findings."""
-    findings = []
-    for name, check in INVARIANT_CHECKS:
+    raising: hand-edited files must come back as findings.
+
+    The cyclic garbage collector is paused for the call: the audit builds
+    many containers but no reference cycles, so the pause defers no
+    garbage and saves the collections those allocations would trigger. A
+    collector the caller had disabled stays disabled."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         try:
-            findings.append(check(transcript))
-        except Exception as err:
-            findings.append(Finding(name, False, f"malformed transcript: {err!r}"))
-    return findings
+            view = _AuditView(transcript)
+        except Exception:
+            # A record too malformed to group: the checks read the transcript
+            # itself and fail exactly as they would without the view.
+            view = transcript
+        findings = []
+        for name, check in INVARIANT_CHECKS:
+            try:
+                findings.append(check(view))
+            except Exception as err:
+                findings.append(Finding(name, False, f"malformed transcript: {err!r}"))
+        return findings
+    finally:
+        if collecting:
+            gc.enable()

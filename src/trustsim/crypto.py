@@ -1,9 +1,9 @@
 """Deterministic-capable crypto primitives shared by every other module.
 
 Three things live here: the 160-bit digest used for PCRs and measurement
-logs, a signature scheme hidden behind a scheme id, and a seedable random
-stream. Everything is reproducible from a 64-bit seed so whole protocol
-runs can be replayed bit-for-bit.
+logs, Ed25519 signatures, and a seedable random stream. Everything is
+reproducible from a 64-bit seed so whole protocol runs can be replayed
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 DIGEST_LEN = 20
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
 
-DEFAULT_SCHEME = "ed25519"
 CERT_HASH_ALG = "sha256"
 
 
@@ -103,9 +102,10 @@ class Rng:
 
 @dataclass(frozen=True)
 class KeyPair:
+    """An Ed25519 key pair: 32-byte raw public and private keys."""
+
     public: bytes
     private: bytes
-    scheme_id: str = DEFAULT_SCHEME
 
 
 @lru_cache(maxsize=4096)
@@ -118,46 +118,27 @@ def _ed25519_public(public: bytes) -> Ed25519PublicKey:
     return Ed25519PublicKey.from_public_bytes(public)
 
 
-def keygen(rng: Rng, scheme: str = DEFAULT_SCHEME) -> KeyPair:
+def keygen(rng: Rng) -> KeyPair:
     """Fresh key pair drawn from the rng stream."""
-    if scheme == "ed25519":
-        private = rng.bytes(32)
-        public = _ed25519_private(private).public_key().public_bytes_raw()
-        return KeyPair(public=public, private=private, scheme_id=scheme)
-    if scheme == "toy":
-        # Test double only: publicly forgeable, see sign()/verify().
-        secret = rng.bytes(16)
-        return KeyPair(public=secret, private=secret, scheme_id=scheme)
-    raise ValueError(f"unknown signature scheme: {scheme}")
+    private = rng.bytes(32)
+    return KeyPair(public=public_from_private(private), private=private)
 
 
-def public_from_private(private: bytes, scheme: str = DEFAULT_SCHEME) -> bytes:
-    if scheme == "ed25519":
-        return _ed25519_private(private).public_key().public_bytes_raw()
-    if scheme == "toy":
-        return private
-    raise ValueError(f"unknown signature scheme: {scheme}")
+def public_from_private(private: bytes) -> bytes:
+    return _ed25519_private(private).public_key().public_bytes_raw()
 
 
 def sign(key: KeyPair, message: bytes) -> bytes:
-    if key.scheme_id == "ed25519":
-        return _ed25519_private(key.private).sign(message)
-    if key.scheme_id == "toy":
-        return hash256(key.private + message)
-    raise ValueError(f"unknown signature scheme: {key.scheme_id}")
+    return _ed25519_private(key.private).sign(message)
 
 
-def verify(public: bytes, message: bytes, signature: bytes, scheme: str = DEFAULT_SCHEME) -> bool:
+def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature was produced over exactly this message by the
     matching private key. Malformed input never raises."""
-    if scheme == "ed25519":
-        if not isinstance(signature, (bytes, bytearray)) or len(public) != 32:
-            return False
-        try:
-            _ed25519_public(bytes(public)).verify(bytes(signature), message)
-            return True
-        except (InvalidSignature, ValueError):
-            return False
-    if scheme == "toy":
-        return signature == hash256(public + message)
-    return False
+    if not isinstance(signature, (bytes, bytearray)) or len(public) != 32:
+        return False
+    try:
+        _ed25519_public(bytes(public)).verify(bytes(signature), message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False

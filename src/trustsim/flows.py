@@ -98,17 +98,10 @@ def parse_response(payload: dict) -> AttestationResponse:
         aik_public=bytes.fromhex(q["aik_public"]),
         signature=bytes.fromhex(q["signature"]),
     )
-    c = payload["certificate"]
-    cert = AikCertificate(
-        aik_public=bytes.fromhex(c["aik_public"]),
-        domain_id=c["domain_id"],
-        valid_from=c["valid_from"],
-        valid_until=c["valid_until"],
-        hash_alg=c["hash_alg"],
-        pca_signature=bytes.fromhex(c["pca_signature"]),
-    )
     return AttestationResponse(
-        quote=quote, log=mb.MeasurementLog.from_fields(payload["log"]), certificate=cert
+        quote=quote,
+        log=mb.MeasurementLog.from_fields(payload["log"]),
+        certificate=AikCertificate.from_fields(payload["certificate"]),
     )
 
 

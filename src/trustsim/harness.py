@@ -11,6 +11,7 @@ bytes.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -380,17 +381,30 @@ class Transcript:
 
     @classmethod
     def parse(cls, text: str) -> "Transcript":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if len(lines) < 2:
-            raise ValueError("transcript too short")
-        header = json.loads(lines[0])
-        if header.get("schema") != TRANSCRIPT_SCHEMA:
-            raise ValueError(f"unknown transcript schema: {header.get('schema')!r}")
-        snapshot = json.loads(lines[-1])
-        if snapshot.get("kind") != "snapshot":
-            raise ValueError("transcript missing snapshot line")
-        records = [json.loads(line) for line in lines[1:-1]]
-        return cls(header=header, records=records, snapshot=snapshot)
+        """Decode a transcript line by line.
+
+        The cyclic garbage collector is paused meanwhile: decoded JSON holds
+        no reference cycles, so the pause defers no garbage and saves the
+        collections that the new containers would trigger, each scanning
+        the records decoded so far. A collector the caller had disabled
+        stays disabled."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            lines = [line for line in text.splitlines() if line.strip()]
+            if len(lines) < 2:
+                raise ValueError("transcript too short")
+            header = json.loads(lines[0])
+            if header.get("schema") != TRANSCRIPT_SCHEMA:
+                raise ValueError(f"unknown transcript schema: {header.get('schema')!r}")
+            snapshot = json.loads(lines[-1])
+            if snapshot.get("kind") != "snapshot":
+                raise ValueError("transcript missing snapshot line")
+            records = [json.loads(line) for line in lines[1:-1]]
+            return cls(header=header, records=records, snapshot=snapshot)
+        finally:
+            if collecting:
+                gc.enable()
 
     @classmethod
     def read(cls, path) -> "Transcript":

@@ -29,13 +29,15 @@ from .flows import (
     response_fields,
 )
 from .harness import seal
-from .privacy_ca import verify_aik_certificate
+from .privacy_ca import AikCertificate, verify_aik_certificate
 
 _ACK_TAG = b"ack:"
 _PRICED_TAG = b"pricelist:"
 _ORDER_TAG = b"order:"
 _BILLING_TAG = b"billing:"
 _CONFIRM_TAG = b"confirm:"
+
+_ORDER_FIELDS = ("order_id", "account", "price", "modality", "good")
 
 CHANNEL_SR = "sr"
 CHANNEL_MOBILE = "mobile"
@@ -79,13 +81,22 @@ def make_billing_package(auth_token: str, grand_total: int, signer: KeyPair) -> 
 def verify_billing_package(package: dict, signer_publics) -> bool:
     if set(package) != {"auth_token", "grand_total", "signature"}:
         return False
-    body = _BILLING_TAG + crypto.canonical_bytes(
-        {"auth_token": package["auth_token"], "grand_total": package["grand_total"]}
-    )
     return any(
-        crypto.verify(public, body, bytes.fromhex(package["signature"]))
+        _signed(public, _BILLING_TAG, package, ("auth_token", "grand_total"))
         for public in signer_publics
     )
+
+
+def _signed(public: bytes, tag: bytes, payload: dict, fields) -> bool:
+    """Whether a payload, as it arrived, carries public's signature over
+    those of its fields. A payload that lacks one of them, or whose
+    signature is not hex text, is unsigned rather than an error."""
+    try:
+        body = {name: payload[name] for name in fields}
+        signature = bytes.fromhex(payload["signature"])
+    except (KeyError, TypeError, ValueError):
+        return False
+    return crypto.verify(public, tag + crypto.canonical_bytes(body), signature)
 
 
 @dataclass
@@ -220,9 +231,12 @@ def exchange_price_list(sim, ctx: PosContext) -> bool:
     if msg is None:
         sim.event("abort", party=ctx.device_id, code="price-list-lost")
         return False
-    received = PriceList(tuple(tuple(e) for e in msg.payload["entries"]),
-                         bytes.fromhex(msg.payload["signature"]))
-    if not received.verify(ctx.pos_owner_keys.public):
+    try:
+        received = PriceList(tuple(tuple(e) for e in msg.payload["entries"]),
+                             bytes.fromhex(msg.payload["signature"]))
+    except (KeyError, TypeError, ValueError):
+        received = None
+    if received is None or not received.verify(ctx.pos_owner_keys.public):
         sim.event("abort", party=ctx.device_id, code="bad-price-list")
         return False
     return True
@@ -241,17 +255,32 @@ def purchase_via_operator(
     check_pos_via_mno: bool = False,
 ) -> str | None:
     """The seven-step operator flow. With encryption on, the good travels
-    sealed for the vendor and the operator never learns it."""
+    sealed for the vendor and the operator never learns it.
+
+    Each party acts on what reached it: the operator on the POS certificate
+    and the order, the device on the operator's answer and relays the
+    acknowledgement it received, and the POS delivers on a verified one. A
+    lost hop aborts with identity-check-lost, order-lost or ack-lost."""
     if check_pos_via_mno:
-        # operator vouches for the POS pseudonym; its identity is revealed to it
+        # operator vouches for the POS pseudonym it received; its identity is
+        # revealed to it. The device acts on the answer that reached it.
         _, pos_cert = ctx.pos.wallet.credentials[0]
-        sim.send(ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "pos-identity-check",
-                 {"pos_certificate": pos_cert.to_fields()},
-                 {"pos_certificate": "token"}, encrypted=True)
-        ok = verify_aik_certificate(pos_cert, ctx.device_verifier_for_pos.pca_root)
-        sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
-                 {"ok": ok}, {"ok": "plumbing"}, encrypted=True)
-        if not ok:
+        msg = sim.send(ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "pos-identity-check",
+                       {"pos_certificate": pos_cert.to_fields()},
+                       {"pos_certificate": "token"}, encrypted=True)
+        if msg is not None:
+            try:
+                received = AikCertificate.from_fields(msg.payload["pos_certificate"])
+            except (KeyError, TypeError, ValueError):
+                received = None
+            ok = received is not None and verify_aik_certificate(
+                received, ctx.device_verifier_for_pos.pca_root)
+            msg = sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
+                           {"ok": ok}, {"ok": "plumbing"}, encrypted=True)
+        if msg is None:
+            sim.event("abort", party=ctx.device_id, code="identity-check-lost")
+            return None
+        if not msg.payload.get("ok"):
             sim.event("abort", party=ctx.device_id, code="pos-identity-unverified")
             return None
 
@@ -268,54 +297,54 @@ def purchase_via_operator(
     }
     signature = crypto.sign(ctx.device_credential.secret,
                             _ORDER_TAG + crypto.canonical_bytes(order_body))
-    sim.send(
+    msg = sim.send(
         ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "purchase-order",
         {**order_body, "signature": signature.hex()},
         {"order_id": "plumbing", "account": "identity", "price": "price",
          "modality": "plumbing", "good": "good", "signature": "plumbing"},
         encrypted=True,
     )
-    # operator verifies the subscriber's signature before acknowledging
-    if not crypto.verify(ctx.device_credential.secret.public,
-                         _ORDER_TAG + crypto.canonical_bytes(order_body), signature):
+    if msg is None:
+        return _purchase_abort(sim, ctx.device_id, "order-lost", order_id)
+    # operator verifies the subscriber's signature on the order that reached
+    # it before acknowledging, and then acts on that order
+    order = msg.payload
+    if not _signed(ctx.device_credential.secret.public, _ORDER_TAG, order, _ORDER_FIELDS):
         reject = crypto.sign(ctx.mno_keys, _ACK_TAG + crypto.canonical_bytes(
             {"order_id": order_id, "status": "rejected"}))
         sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-reject",
                  {"order_id": order_id, "signature": reject.hex()},
                  {"order_id": "plumbing", "signature": "plumbing"}, encrypted=True)
-        sim.event("abort", party=ctx.mno_id, code="bad-order-signature", order_id=order_id)
-        return None
+        return _purchase_abort(sim, ctx.mno_id, "bad-order-signature", order_id)
 
     if notify_vendor and ctx.vendor_id:
         sim.send(ctx.mno_id, ctx.vendor_id, CHANNEL_NET, "vendor-notify",
-                 {"order_id": order_id, "good": good_field, "price": price},
+                 {"order_id": order["order_id"], "good": order["good"], "price": order["price"]},
                  {"order_id": "plumbing", "good": "good", "price": "price"},
                  encrypted=True)
     if notify_payment and ctx.payment_id:
         sim.send(ctx.mno_id, ctx.payment_id, CHANNEL_NET, "payment-notify",
-                 {"order_id": order_id, "price": price, "modality": "operator-account"},
+                 {"order_id": order["order_id"], "price": order["price"],
+                  "modality": order["modality"]},
                  {"order_id": "plumbing", "price": "price", "modality": "plumbing"},
                  encrypted=True)
 
-    ack_body = {"order_id": order_id, "status": "ok"}
+    ack_body = {"order_id": order["order_id"], "status": "ok"}
     ack_sig = crypto.sign(ctx.mno_keys, _ACK_TAG + crypto.canonical_bytes(ack_body))
-    sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack",
-             {**ack_body, "signature": ack_sig.hex()},
-             {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"},
-             encrypted=True)
-    relay = sim.send(ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay",
-                     {**ack_body, "signature": ack_sig.hex()},
-                     {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"},
-                     encrypted=True)
-    if relay is None:
-        sim.event("abort", party=ctx.pos_id, code="ack-lost", order_id=order_id)
-        return None
-    wire_sig = bytes.fromhex(relay.payload["signature"])
-    wire_body = {"order_id": relay.payload["order_id"], "status": relay.payload["status"]}
-    if not crypto.verify(ctx.mno_keys.public, _ACK_TAG + crypto.canonical_bytes(wire_body),
-                         wire_sig) or wire_body["status"] != "ok":
-        sim.event("abort", party=ctx.pos_id, code="bad-ack-signature", order_id=order_id)
-        return None
+    ack_labels = {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"}
+    msg = sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack",
+                   {**ack_body, "signature": ack_sig.hex()}, ack_labels, encrypted=True)
+    if msg is None:
+        return _purchase_abort(sim, ctx.device_id, "ack-lost", order_id)
+    # the device relays the acknowledgement as it arrived
+    msg = sim.send(ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay",
+                   msg.payload, msg.labels, encrypted=True)
+    if msg is None:
+        return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
+    ack = msg.payload
+    if not (_signed(ctx.mno_keys.public, _ACK_TAG, ack, ("order_id", "status"))
+            and ack["order_id"] == order_id and ack["status"] == "ok"):
+        return _purchase_abort(sim, ctx.pos_id, "bad-ack-signature", order_id)
     sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
     sim.event("delivery", pos=ctx.pos_id, order_id=order_id)
     sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "delivery-confirmation",
@@ -383,9 +412,9 @@ def separation_session(
             sim.event("abort", party=ctx.pos_id, code="verdict-lost")
             return None
 
-    if not decision["ok"]:
+    if not decision.get("ok"):
         sim.event("abort", party=ctx.pos_id, code="token-rejected",
-                  reasons=list(decision["reasons"]))
+                  reasons=list(decision.get("reasons", ())))
         return None
 
     # mutual assurance: the device checks the POS pseudonym locally
@@ -413,7 +442,9 @@ def separation_purchase(
     acknowledgement of a confirmed charge.
 
     Each party acts on what reached it. A lost hop aborts with
-    billing-lost, confirmation-lost or ack-lost, and nothing is delivered."""
+    billing-lost, confirmation-lost or ack-lost, and a malformed one with
+    bad-billing-data, charge-refused or bad-ack-signature; either way
+    nothing is delivered."""
     order_id = ctx.next_id("order")
     price = ctx.price_list.price_of(good)
     billing = {"order_id": order_id, "auth_token": token_fp, "good_id": good, "price": price}
@@ -429,6 +460,8 @@ def separation_purchase(
         if msg is None:
             return _purchase_abort(sim, ctx.pos_id, "billing-lost", order_id)
         billed = _opened(msg)
+        if billing.keys() - billed.keys():
+            return _purchase_abort(sim, ctx.pos_owner_id, "bad-billing-data", order_id)
         package = make_billing_package(billed["auth_token"], billed["price"],
                                        ctx.pos_owner_keys)
         msg = sim.send(ctx.pos_owner_id, ctx.charging_id, CHANNEL_NET, "billing-package",
@@ -463,6 +496,8 @@ def separation_purchase(
         if msg is None:
             return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
         billed = _opened(msg)
+        if billing.keys() - billed.keys():
+            return _purchase_abort(sim, ctx.pos_owner_id, "bad-billing-data", order_id)
 
     ack = _acknowledgement(ctx, billed["order_id"], ctx.pos_owner_keys)
     msg = _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement",
@@ -470,10 +505,8 @@ def separation_purchase(
     if msg is None:
         return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
     wire_ack = _opened(msg)
-    if wire_ack["order_id"] != order_id or not crypto.verify(
-        ctx.pos_owner_keys.public,
-        _ACK_TAG + crypto.canonical_bytes({"order_id": wire_ack["order_id"]}),
-        bytes.fromhex(wire_ack["signature"]),
+    if wire_ack.get("order_id") != order_id or not _signed(
+        ctx.pos_owner_keys.public, _ACK_TAG, wire_ack, ("order_id",)
     ):
         return _purchase_abort(sim, ctx.pos_id, "bad-ack-signature", order_id)
     sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
@@ -498,15 +531,11 @@ def _charge(ctx: PosContext, package: dict, signer_publics) -> dict:
 
 
 def _confirmation_ok(ctx: PosContext, confirmation: dict, token_fp: str) -> bool:
-    body = {"auth_token": confirmation["auth_token"], "status": confirmation["status"]}
     return (
-        confirmation["status"] == "confirmed"
-        and confirmation["auth_token"] == token_fp
-        and crypto.verify(
-            ctx.charging_keys.public,
-            _CONFIRM_TAG + crypto.canonical_bytes(body),
-            bytes.fromhex(confirmation["signature"]),
-        )
+        confirmation.get("status") == "confirmed"
+        and confirmation.get("auth_token") == token_fp
+        and _signed(ctx.charging_keys.public, _CONFIRM_TAG, confirmation,
+                    ("auth_token", "status"))
     )
 
 

@@ -62,6 +62,18 @@ class AikCertificate:
             "pca_signature": self.pca_signature.hex(),
         }
 
+    @classmethod
+    def from_fields(cls, fields: dict) -> "AikCertificate":
+        """The certificate that to_fields() put on the wire."""
+        return cls(
+            aik_public=bytes.fromhex(fields["aik_public"]),
+            domain_id=fields["domain_id"],
+            valid_from=fields["valid_from"],
+            valid_until=fields["valid_until"],
+            hash_alg=fields["hash_alg"],
+            pca_signature=bytes.fromhex(fields["pca_signature"]),
+        )
+
 
 def verify_aik_certificate(cert: AikCertificate, pca_root: bytes) -> bool:
     return crypto.verify(pca_root, cert.signed_payload(), cert.pca_signature)

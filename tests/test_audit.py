@@ -1,13 +1,19 @@
-"""Grant and gate audit checks against the plain scans they replaced."""
+"""Audit checks against reference scans: the grant and gate checks against
+the plain scans they replaced, and audit() as a whole against the checks
+as they stood before the verify path was sped up."""
+
+import functools
+import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim import audit
+from audit_reference import REFERENCE_CHECKS, reference_audit
+from trustsim import audit, harness
 from trustsim.audit import DEFAULT_FRESHNESS_WINDOW, Finding
 from trustsim.harness import Transcript
-from trustsim.scenarios import run_scenario
+from trustsim.scenarios import CATALOG, run_scenario
 
 SUBJECTS = ("dev-1", "dev-2", "dev-3")
 
@@ -205,3 +211,190 @@ def test_audit_sees_edits_to_a_parsed_transcript():
     for record in transcript.events("attestation-verdict"):
         record["tick"] = transcript.snapshot["tick"] + 1
     assert "gate-logging" in failing(transcript)
+
+
+def test_audit_sees_edits_between_two_audits_of_one_transcript():
+    transcript = parsed("pos-sep-duties")
+    attrs = set(vars(transcript))
+    package = transcript.messages("billing-package")[0]
+    package["payload"]["note"] = "x"
+    package["labels"]["note"] = "plumbing"
+    assert "billing-package-exactness" in failing(transcript)
+    del package["payload"]["note"]
+    assert "billing-package-exactness" not in failing(transcript)
+    transcript.records = [r for r in transcript.records if r.get("event") != "ack-verified"]
+    assert "no-delivery-without-confirmation" in failing(transcript)
+    assert set(vars(transcript)) == attrs  # audit stores nothing on the transcript
+
+
+# -- audit() against the reference checks -------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def transcript_pool() -> tuple:
+    """Transcript texts: every catalog scenario clean, a few attacks, and a
+    prepaid run long enough to replenish its credentials (sealed
+    envelopes both ways)."""
+    runs = [(name, ()) for name in CATALOG]
+    runs += [("pos-fig4", ("ack-strip",)), ("pos-sep-duties", ("reuse-token",)),
+             ("one-time-aik-auth", ("replay-aik",)), ("prepaid-zero", ("voucher-replay",))]
+    texts = [run_scenario(name, 5, attacks=attacks)[0].to_text() for name, attacks in runs]
+    requests = [["calls", 1]] * 14
+    happy, _ = run_scenario("prepaid-happy", 5, variants={
+        "requests": requests, "vouchers": [20] * 5, "initial_balance": 200})
+    texts.append(happy.to_text())
+    return tuple(texts)
+
+
+def _package(rnd):
+    fields = {"grand_total": rnd.randint(0, 9)}
+    for name in ("auth_token", "signature", "note"):
+        if rnd.random() < (0.2 if name == "note" else 0.8):
+            fields[name] = "x"
+    return fields
+
+
+def _wrap(rnd, value, receiver):
+    """value nested at a random depth in dicts, lists and sealed envelopes,
+    some readable by the receiver and some not."""
+    for _ in range(rnd.randint(0, 4)):
+        shape = rnd.choice(("dict", "list", "sealed"))
+        if shape == "dict":
+            value = {rnd.choice(("a", "b", "grand_total")): value}
+        elif shape == "list":
+            value = [rnd.randint(0, 3), value]
+        else:
+            readers = [receiver] if rnd.random() < 0.5 else ["nobody"]
+            value = {"_sealed": {"readers": readers, "payload": {"inner": value},
+                                 "labels": {"inner": "price"}}}
+    return value
+
+
+def _malformed_envelope(rnd):
+    return rnd.choice(({"_sealed": 5}, {"_sealed": {"readers": []}}, {"_sealed": [1]},
+                       {"_sealed": {"payload": None, "labels": {"grand_total": "price"}}}))
+
+
+def _mutate(rnd, transcript):
+    """One random edit: a package (well-formed or not) embedded in a payload
+    at some depth or merged into it, a malformed envelope, a shuffle of
+    the records, a record of an unknown kind, or a key or label deleted."""
+    records = transcript.records
+    messages = [r for r in records if r.get("kind") == "message"
+                and {"payload", "labels", "receiver"} <= r.keys()]
+    op = rnd.choice(("embed", "merge", "envelope", "shuffle", "rekind", "delete-key",
+                     "delete-label", "delete-nested"))
+    if not messages:
+        return
+    message = rnd.choice(messages)
+    if op == "embed":
+        message["payload"]["embedded"] = _wrap(rnd, _package(rnd), message["receiver"])
+        message["labels"]["embedded"] = "price"
+    elif op == "merge":
+        package = _package(rnd)
+        message["payload"].update(package)
+        message["labels"].update(dict.fromkeys(package, "price"))
+    elif op == "envelope":
+        message["payload"]["embedded"] = _wrap(rnd, _malformed_envelope(rnd), "nobody")
+        message["labels"]["embedded"] = "plumbing"
+    elif op == "shuffle":
+        rnd.shuffle(records)
+    elif op == "rekind":
+        rnd.choice(records)["kind"] = "note"
+    elif op == "delete-key":
+        record = rnd.choice(records)
+        if record:
+            del record[rnd.choice(sorted(record))]
+    elif op == "delete-label" and message["labels"]:
+        del message["labels"][rnd.choice(sorted(message["labels"]))]
+    elif op == "delete-nested":
+        for value in message["payload"].values():
+            if isinstance(value, dict) and "_sealed" in value:
+                inner = value["_sealed"]
+                del inner[rnd.choice(sorted(inner))]
+                break
+
+
+@given(st.data(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_audit_equals_the_reference_checks(data, rnd):
+    pool = transcript_pool()
+    transcript = Transcript.parse(pool[data.draw(st.integers(0, len(pool) - 1))])
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(rnd, transcript)
+    assert audit.audit(transcript) == reference_audit(transcript)
+
+
+def test_reference_pool_audits_clean_and_equal():
+    for text in transcript_pool():
+        transcript = Transcript.parse(text)
+        findings = audit.audit(transcript)
+        assert all(f.ok for f in findings), findings
+        assert findings == reference_audit(transcript)
+
+
+def test_each_check_alone_equals_its_reference():
+    for text in transcript_pool():
+        transcript = Transcript.parse(text)
+        for (name, check), (_, reference) in zip(audit.INVARIANT_CHECKS, REFERENCE_CHECKS):
+            assert check(transcript) == reference(transcript), name
+
+
+# -- the cyclic collector is paused for parse and audit, then restored --------
+
+
+@pytest.fixture
+def collector():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_parse_and_audit_restore_the_collector(collector, monkeypatch, enabled):
+    text = transcript_pool()[0]
+    (gc.enable if enabled else gc.disable)()
+    seen = []
+    loads = harness.json.loads
+
+    def spying_loads(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(harness.json, "loads", spying_loads)
+    transcript = Transcript.parse(text)
+    monkeypatch.undo()
+    assert seen and not any(seen)
+    assert gc.isenabled() is enabled
+
+    checks = audit.INVARIANT_CHECKS
+    seen.clear()
+    spy = (("spy", lambda t: seen.append(gc.isenabled()) or Finding("spy", True)),)
+    monkeypatch.setattr(audit, "INVARIANT_CHECKS", checks + spy)
+    assert all(f.ok for f in audit.audit(transcript))
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+class Interrupted(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_parse_and_audit_restore_the_collector_on_exceptions(collector, monkeypatch,
+                                                              enabled):
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(ValueError):
+        Transcript.parse('{"schema": "trustsim-transcript/1"}\n{"kind": "event"}\n')
+    assert gc.isenabled() is enabled
+
+    def interrupt(transcript):
+        raise Interrupted
+
+    monkeypatch.setattr(audit, "INVARIANT_CHECKS", (("interrupt", interrupt),))
+    with pytest.raises(Interrupted):
+        audit.audit(Transcript.parse(transcript_pool()[0]))
+    assert gc.isenabled() is enabled

@@ -76,11 +76,11 @@ def test_no_forgery_without_private_key():
     assert not verify(kp.public, msg, crypto.hash256(kp.public + msg) * 2)
 
 
-def test_toy_scheme_round_trip():
-    kp = keygen(Rng(5), scheme="toy")
+def test_public_from_private_matches_keygen():
+    kp = keygen(Rng(5))
+    assert crypto.public_from_private(kp.private) == kp.public
     sig = sign(kp, b"x")
-    assert verify(kp.public, b"x", sig, scheme="toy")
-    assert not verify(kp.public, b"y", sig, scheme="toy")
+    assert verify(crypto.public_from_private(kp.private), b"x", sig)
 
 
 def test_rng_same_seed_same_stream():

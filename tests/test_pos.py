@@ -525,24 +525,168 @@ def _drop_first(msg_type):
     return hook
 
 
-@pytest.mark.parametrize("scenario,msg_type", _SEPARATION_RUNS)
-def test_separation_run_aborts_on_a_lost_hop(monkeypatch, scenario, msg_type):
-    class DroppingSimulation(Simulation):
+def _run_with_hook(monkeypatch, scenario, hook, variants=None):
+    """run_scenario(scenario, 1, variants=variants) with hook on its
+    Simulation; returns the transcript, the report and the event records."""
+    class HookedSimulation(Simulation):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.add_hook(_drop_first(msg_type))
+            self.add_hook(hook)
 
-    monkeypatch.setattr(scenarios, "Simulation", DroppingSimulation)
-    transcript, report = scenarios.run_scenario(scenario, 1)
+    monkeypatch.setattr(scenarios, "Simulation", HookedSimulation)
+    transcript, report = scenarios.run_scenario(scenario, 1, variants=variants)
+    return transcript, report, transcript.events()
 
-    events = transcript.events()
-    assert [e for e in events if e["event"] == "message-dropped"
-            and e["type"] == msg_type], f"{msg_type} never went on the wire"
+
+def _assert_aborted_without_delivery(transcript, report, events, code=None):
     aborts = [i for i, e in enumerate(events) if e["event"] == "abort"]
-    assert aborts, "a lost hop must end in an abort"
+    assert aborts, "a lost or altered hop must end in an abort"
+    if code is not None:
+        assert events[aborts[-1]]["code"] == code
     after = {e["event"] for e in events[aborts[0]:]}
     assert not after & {"delivery", "secure-session"}
     rows = {row["name"]: row["ok"] for row in report["assertions"]}
     assert rows["purchase-delivered"] is False
     parsed = Transcript.parse(transcript.to_text())
     assert all(f.ok for f in audit.audit(parsed)), audit.audit(parsed)
+
+
+@pytest.mark.parametrize("scenario,msg_type", _SEPARATION_RUNS)
+def test_separation_run_aborts_on_a_lost_hop(monkeypatch, scenario, msg_type):
+    transcript, report, events = _run_with_hook(monkeypatch, scenario, _drop_first(msg_type))
+    assert [e for e in events if e["event"] == "message-dropped"
+            and e["type"] == msg_type], f"{msg_type} never went on the wire"
+    _assert_aborted_without_delivery(transcript, report, events)
+
+
+# pos-fig4 hop types from the session to the acknowledgement, with the abort
+# code a loss of each must produce, and the hops delivery does not wait for.
+_FIG4_HOPS = {
+    "attestation-challenge": "session-attestation-failed",
+    "attestation-response": "session-attestation-failed",
+    "price-list": "price-list-lost",
+    "purchase-order": "order-lost",
+    "purchase-ack": "ack-lost",
+    "purchase-ack-relay": "ack-lost",
+}
+_FIG4_SIDE_HOPS = ["vendor-notify", "payment-notify", "delivery-confirmation", "control-env"]
+
+
+@pytest.mark.parametrize("msg_type", sorted(_FIG4_HOPS))
+def test_operator_run_aborts_on_a_lost_hop(monkeypatch, msg_type):
+    transcript, report, events = _run_with_hook(monkeypatch, "pos-fig4", _drop_first(msg_type))
+    assert [e for e in events if e["event"] == "message-dropped"
+            and e["type"] == msg_type], f"{msg_type} never went on the wire"
+    _assert_aborted_without_delivery(transcript, report, events, _FIG4_HOPS[msg_type])
+
+
+@pytest.mark.parametrize("msg_type", _FIG4_SIDE_HOPS)
+def test_operator_run_survives_a_lost_side_hop(monkeypatch, msg_type):
+    transcript, report, events = _run_with_hook(monkeypatch, "pos-fig4", _drop_first(msg_type))
+    assert [e for e in events if e["event"] == "message-dropped" and e["type"] == msg_type]
+    assert not [e for e in events if e["event"] == "abort"]
+    parsed = Transcript.parse(transcript.to_text())
+    assert all(f.ok for f in audit.audit(parsed)), audit.audit(parsed)
+
+
+REMOVED = object()
+NOT_HEX = "zz" * 64
+
+
+_IDENTITY_CHECK = {"pos_check_via_mno": True}
+
+
+@pytest.mark.parametrize("msg_type", ["pos-identity-check", "pos-identity-ok"])
+def test_operator_identity_check_aborts_on_a_lost_hop(monkeypatch, msg_type):
+    transcript, report, events = _run_with_hook(monkeypatch, "pos-fig4", _drop_first(msg_type),
+                                                _IDENTITY_CHECK)
+    _assert_aborted_without_delivery(transcript, report, events, "identity-check-lost")
+    assert not [m for m in transcript.messages() if m["type"] == "purchase-order"]
+
+
+def test_operator_identity_check_judges_the_certificate_that_reached_it(monkeypatch):
+    def forge(message):
+        if message.msg_type != "pos-identity-check":
+            return None
+        payload = copy.deepcopy(message.payload)
+        payload["pos_certificate"]["valid_until"] += 1
+        return dataclasses.replace(message, payload=payload)
+
+    transcript, report, events = _run_with_hook(monkeypatch, "pos-fig4", forge,
+                                                _IDENTITY_CHECK)
+    assert transcript.messages("pos-identity-ok")[0]["payload"] == {"ok": False}
+    _assert_aborted_without_delivery(transcript, report, events, "pos-identity-unverified")
+
+
+def _alter_first(msg_type, changes):
+    """Hook: in the first message of msg_type, set each field of changes to
+    its value, or delete it for REMOVED, inside the relayed envelope if the
+    message carries one."""
+    altered = []
+
+    def hook(message):
+        if message.msg_type != msg_type or altered:
+            return None
+        altered.append(message.msg_id)
+        payload = copy.deepcopy(message.payload)
+        body = payload["env"]["_sealed"]["payload"] if "env" in payload else payload
+        for name, value in changes.items():
+            if value is REMOVED:
+                del body[name]
+            else:
+                body[name] = value
+        return dataclasses.replace(message, payload=payload)
+    return hook
+
+
+# (scenario, message type, changes, abort code): malformed payloads of every
+# kind a party reads, on each route; each must end in that abort, not in an
+# exception out of run_scenario.
+_MALFORMED_RUNS = [
+    ("pos-fig4", "purchase-order", {"signature": NOT_HEX}, "bad-order-signature"),
+    ("pos-fig4", "purchase-order", {"price": REMOVED}, "bad-order-signature"),
+    ("pos-fig4", "purchase-ack", {"signature": NOT_HEX}, "bad-ack-signature"),
+    ("pos-fig4", "purchase-ack-relay", {"status": REMOVED}, "bad-ack-signature"),
+    ("pos-fig4", "purchase-ack-relay", {"signature": 7}, "bad-ack-signature"),
+    ("pos-fig4", "price-list", {"signature": NOT_HEX}, "bad-price-list"),
+    ("pos-fig4", "pos-identity-check", {"pos_certificate": {"aik_public": NOT_HEX}},
+     "pos-identity-unverified"),
+    ("pos-fig4", "pos-identity-ok", {"ok": REMOVED}, "pos-identity-unverified"),
+    ("pos-sep-duties", "charge-confirmation", {"status": REMOVED}, "charge-refused"),
+    ("pos-sep-duties", "charge-confirmation", {"signature": NOT_HEX}, "charge-refused"),
+    ("pos-sep-duties", "billing-package", {"signature": NOT_HEX}, "charge-refused"),
+    ("pos-sep-duties", "billing-data-relay", {"price": REMOVED}, "bad-billing-data"),
+    ("pos-sep-duties", "purchase-acknowledgement-relay", {"signature": NOT_HEX},
+     "bad-ack-signature"),
+    ("pos-sep-duties", "purchase-acknowledgement-relay", {"order_id": REMOVED},
+     "bad-ack-signature"),
+    ("pos-sep-duties", "token-verdict-relay", {"ok": REMOVED}, "token-rejected"),
+    ("pos-decentralised", "billing-package-relay", {"signature": NOT_HEX}, "charge-refused"),
+    ("pos-decentralised", "charge-confirmation-relay", {"status": REMOVED}, "charge-refused"),
+    ("pos-decentralised", "charge-confirmation", {"signature": NOT_HEX}, "charge-refused"),
+    ("pos-decentralised", "ack-request-relay", {"order_id": REMOVED}, "bad-billing-data"),
+    ("pos-decentralised", "purchase-acknowledgement-relay", {"signature": REMOVED},
+     "bad-ack-signature"),
+    ("pos-mno-merged", "charge-confirmation", {"status": REMOVED}, "charge-refused"),
+    ("pos-mno-merged", "purchase-acknowledgement-relay", {"signature": NOT_HEX},
+     "bad-ack-signature"),
+    ("pos-mno-merged", "token-verdict", {"ok": REMOVED, "reasons": REMOVED},
+     "token-rejected"),
+]
+
+
+def _malformed_id(run):
+    scenario, msg_type, changes, _ = run
+    what = ",".join(f"{name}-{'removed' if value is REMOVED else 'bad'}"
+                    for name, value in changes.items())
+    return f"{scenario}:{msg_type}:{what}"
+
+
+@pytest.mark.parametrize("scenario,msg_type,changes,code", _MALFORMED_RUNS,
+                         ids=[_malformed_id(run) for run in _MALFORMED_RUNS])
+def test_malformed_hop_aborts_instead_of_raising(monkeypatch, scenario, msg_type, changes,
+                                                  code):
+    variants = _IDENTITY_CHECK if msg_type.startswith("pos-identity") else None
+    transcript, report, events = _run_with_hook(monkeypatch, scenario,
+                                                _alter_first(msg_type, changes), variants)
+    _assert_aborted_without_delivery(transcript, report, events, code)
