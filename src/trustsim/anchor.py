@@ -103,6 +103,16 @@ class EkCertificate:
             "signature": self.signature.hex(),
         }
 
+    @classmethod
+    def from_fields(cls, fields: dict) -> "EkCertificate":
+        """The certificate that to_fields() put on the wire."""
+        return cls(
+            ek_public=bytes.fromhex(fields["ek_public"]),
+            model=fields["model"],
+            manufacturer_public=bytes.fromhex(fields["manufacturer_public"]),
+            signature=bytes.fromhex(fields["signature"]),
+        )
+
 
 class Manufacturer:
     """Root of the EK certificate chain."""

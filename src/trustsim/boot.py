@@ -58,9 +58,14 @@ class MeasurementLog:
 
     @classmethod
     def from_fields(cls, rows) -> "MeasurementLog":
-        return cls(
-            LogEntry(r["component"], r["measurement"], r["pcr"]) for r in rows
-        )
+        """The log that to_fields() put on the wire. Raises KeyError,
+        TypeError or ValueError when an entry is malformed."""
+        log = cls(LogEntry(r["component"], r["measurement"], r["pcr"]) for r in rows)
+        for entry in log.entries:
+            if not (isinstance(entry.component, str) and isinstance(entry.pcr_index, int)):
+                raise ValueError("log entry needs a component name and a pcr index")
+            bytes.fromhex(entry.measurement)
+        return log
 
 
 class ReferenceDb:

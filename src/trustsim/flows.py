@@ -13,9 +13,10 @@ import dataclasses
 from . import boot as mb
 from . import crypto
 from .attestation import AttestationChallenge, AttestationResponse, Verifier
-from .anchor import Quote
+from .anchor import PCR_COUNT, EkCertificate, Quote
 from .device import TrustedDevice
-from .privacy_ca import AikCertificate, PrivacyCa
+from .errors import ProtocolError
+from .privacy_ca import AikCertificate, CredentialWallet, PrivacyCa
 
 # The five generic attestation attacks and the reason each must trigger.
 ATTESTATION_ATTACKS = ("forge-log", "tamper", "replay-aik", "wrong-nonce", "expired-cert")
@@ -65,9 +66,14 @@ def challenge_fields(challenge: AttestationChallenge) -> tuple:
 
 
 def parse_challenge(payload: dict) -> AttestationChallenge:
+    """The challenge as it came off the wire. Raises KeyError, TypeError or
+    ValueError when a field the device acts on is malformed."""
+    selection = tuple(payload["selection"])
+    if not all(isinstance(i, int) and 0 <= i < PCR_COUNT for i in selection):
+        raise ValueError("pcr selection outside the bank")
     return AttestationChallenge(
         nonce=bytes.fromhex(payload["nonce"]),
-        pcr_selection=tuple(payload["selection"]),
+        pcr_selection=selection,
         freshness_deadline=payload["deadline"],
     )
 
@@ -90,6 +96,8 @@ def response_fields(response: AttestationResponse) -> tuple:
 
 
 def parse_response(payload: dict) -> AttestationResponse:
+    """The response as it came off the wire. Raises KeyError, TypeError or
+    ValueError when a field the verifier checks is malformed."""
     q = payload["quote"]
     quote = Quote(
         pcr_selection=tuple(q["selection"]),
@@ -144,7 +152,7 @@ def expired_cert_override(device: TrustedDevice, plan: AttackPlan | None) -> int
     """expired-cert injection: run the exchange after the credential window
     closed. Consult before minting the challenge."""
     if plan and plan.take("expired-cert"):
-        return device.wallet.credentials[0][1].valid_until + 1
+        return device.wallet.peek()[1].valid_until + 1
     return None
 
 
@@ -169,8 +177,14 @@ def mangle_and_respond(device: TrustedDevice, wire_challenge: AttestationChallen
 def record_verdict(sim, verifier_id: str, verifier: Verifier, subject: str,
                    wire_payload: dict, challenge: AttestationChallenge, now: int):
     """Verify a response as it came off the wire and put the verdict on the
-    record; the one writer of "attestation-verdict" events."""
-    wire_response = parse_response(wire_payload)
+    record; the one writer of "attestation-verdict" events. A response that
+    does not parse gets no verdict: the verifier aborts with bad-response
+    and None is returned."""
+    try:
+        wire_response = parse_response(wire_payload)
+    except (KeyError, TypeError, ValueError):
+        sim.event("abort", party=verifier_id, code="bad-response")
+        return None
     verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
     sim.event(
         "attestation-verdict",
@@ -195,9 +209,9 @@ def attest_flow(
 ) -> "object | None":
     """One challenge-response attestation, recorded; returns the verdict.
 
-    Returns None when an attack hook dropped a message. With a replay-aik
-    injection the response is presented twice and the second (rejected)
-    verdict is returned.
+    Returns None after an abort: a message was dropped, or arrived too
+    malformed to act on. With a replay-aik injection the response is
+    presented twice and the second (rejected) verdict is returned.
     """
     now = expired_cert_override(device, plan) or sim.tick
 
@@ -208,7 +222,11 @@ def attest_flow(
     if msg is None:
         sim.event("abort", party=device.device_id, code="challenge-lost")
         return None
-    wire_challenge = parse_challenge(msg.payload)
+    try:
+        wire_challenge = parse_challenge(msg.payload)
+    except (KeyError, TypeError, ValueError):
+        sim.event("abort", party=device.device_id, code="bad-challenge")
+        return None
 
     response, presentations = mangle_and_respond(device, wire_challenge, plan)
     if device.wallet.needs_replenish and replenish_via is not None:
@@ -225,45 +243,82 @@ def attest_flow(
             return None
         verdict = record_verdict(sim, verifier_id, verifier, device.device_id,
                                  msg.payload, challenge, now)
+        if verdict is None:
+            return None
     return verdict
 
 
+def opened(msg) -> dict:
+    """The interior of a message's sealed envelope, as its addressee reads it."""
+    return msg.payload["env"]["_sealed"]["payload"]
+
+
 def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
-                batch_size: int, channel: str) -> None:
+                batch_size: int, channel: str) -> bool:
     """Recorded batch enrollment: EK provenance + liveness in a sealed
     request, certificates sealed back. The EK reaches the CA and nobody
-    else — linkage by the CA is inherent."""
-    from .privacy_ca import CredentialWallet
+    else — linkage by the CA is inherent.
+
+    Each side acts on what reached it: the device answers the challenge it
+    received, the CA judges and certifies the request it received, and the
+    device installs the certificates it received, each of which must name
+    its record's AIK. Returns whether the device now holds the batch; a lost
+    or malformed hop, or a refused EK, ends in one abort instead."""
     from .harness import seal
 
     records = device.anchor.create_aik_batch(batch_size)
     challenge = pca.liveness_challenge()
     challenge_env = seal([device.device_id], {"nonce": challenge.hex()}, {"nonce": "plumbing"})
-    sim.send(pca_id, device.device_id, channel, "enroll-challenge",
-             {"env": challenge_env}, {"env": "plumbing"}, encrypted=True)
+    msg = sim.send(pca_id, device.device_id, channel, "enroll-challenge",
+                   {"env": challenge_env}, {"env": "plumbing"}, encrypted=True)
+    if msg is None:
+        return _enroll_abort(sim, device.device_id, "enroll-challenge-lost")
+    try:
+        nonce = bytes.fromhex(opened(msg)["nonce"])
+    except (KeyError, TypeError, ValueError):
+        return _enroll_abort(sim, device.device_id, "bad-enroll-challenge")
     request = seal(
         [pca_id],
         {
             "ek_certificate": device.anchor.ek_certificate.to_fields(),
             "aik_publics": [r.key.public.hex() for r in records],
-            "liveness": device.anchor.ek_challenge_response(challenge).hex(),
+            "liveness": device.anchor.ek_challenge_response(nonce).hex(),
         },
         {"ek_certificate": "identity", "aik_publics": "token", "liveness": "plumbing"},
     )
-    sim.send(device.device_id, pca_id, channel, "enroll-request",
-             {"env": request}, {"env": "plumbing"}, encrypted=True)
-    certs = pca.enroll(
-        device.anchor.ek_certificate,
-        [r.key.public for r in records],
-        challenge,
-        device.anchor.ek_challenge_response(challenge),
-        now=sim.tick,
-    )
+    msg = sim.send(device.device_id, pca_id, channel, "enroll-request",
+                   {"env": request}, {"env": "plumbing"}, encrypted=True)
+    if msg is None:
+        return _enroll_abort(sim, pca_id, "enroll-request-lost")
+    try:
+        fields = opened(msg)
+        ek_certificate = EkCertificate.from_fields(fields["ek_certificate"])
+        publics = [bytes.fromhex(public) for public in fields["aik_publics"]]
+        liveness = bytes.fromhex(fields["liveness"])
+    except (KeyError, TypeError, ValueError):
+        return _enroll_abort(sim, pca_id, "bad-enroll-request")
+    try:
+        certs = pca.enroll(ek_certificate, publics, challenge, liveness, now=sim.tick)
+    except ProtocolError as err:
+        return _enroll_abort(sim, pca_id, err.code)
     reply = seal([device.device_id],
                  {"certificates": [c.to_fields() for c in certs]},
                  {"certificates": "token"})
-    sim.send(pca_id, device.device_id, channel, "enroll-certs",
-             {"env": reply}, {"env": "plumbing"}, encrypted=True)
-    wallet = CredentialWallet(device.anchor, pca, batch_size=batch_size)
-    wallet.credentials = list(zip(records, certs))
-    device.wallet = wallet
+    msg = sim.send(pca_id, device.device_id, channel, "enroll-certs",
+                   {"env": reply}, {"env": "plumbing"}, encrypted=True)
+    if msg is None:
+        return _enroll_abort(sim, device.device_id, "enroll-certs-lost")
+    try:
+        certs = [AikCertificate.from_fields(c) for c in opened(msg)["certificates"]]
+    except (KeyError, TypeError, ValueError):
+        certs = None
+    if certs is None or [c.aik_public for c in certs] != [r.key.public for r in records]:
+        return _enroll_abort(sim, device.device_id, "bad-enroll-certs")
+    device.wallet = CredentialWallet(device.anchor, pca, batch_size=batch_size,
+                                     credentials=list(zip(records, certs)))
+    return True
+
+
+def _enroll_abort(sim, party: str, code: str) -> bool:
+    sim.event("abort", party=party, code=code)
+    return False

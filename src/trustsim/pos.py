@@ -24,6 +24,7 @@ from .flows import (
     challenge_fields,
     expired_cert_override,
     mangle_and_respond,
+    opened,
     parse_challenge,
     record_verdict,
     response_fields,
@@ -158,11 +159,6 @@ def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
     return msg
 
 
-def _opened(msg) -> dict:
-    """The interior of a relayed envelope, as its addressee reads it."""
-    return msg.payload["env"]["_sealed"]["payload"]
-
-
 def _decision_path(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
                    payload: dict, labels: dict, direct: bool):
     """Carry a token-decision message between the authentication provider
@@ -171,16 +167,16 @@ def _decision_path(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
     when a hop was dropped."""
     if direct:
         msg = _relay(sim, ctx, origin, dest, msg_type, payload, labels)
-        return None if msg is None else _opened(msg)
+        return None if msg is None else opened(msg)
     owner = ctx.pos_owner_id
     if dest == ctx.pos_id:
         msg = sim.send(origin, owner, CHANNEL_NET, msg_type, payload, labels, encrypted=True)
         if msg is not None:
             msg = _relay(sim, ctx, owner, dest, msg_type, msg.payload, labels)
-        return None if msg is None else _opened(msg)
+        return None if msg is None else opened(msg)
     msg = _relay(sim, ctx, origin, owner, msg_type, payload, labels)
     if msg is not None:
-        msg = sim.send(owner, dest, CHANNEL_NET, msg_type, _opened(msg), labels, encrypted=True)
+        msg = sim.send(owner, dest, CHANNEL_NET, msg_type, opened(msg), labels, encrypted=True)
     return None if msg is None else msg.payload
 
 
@@ -264,7 +260,7 @@ def purchase_via_operator(
     if check_pos_via_mno:
         # operator vouches for the POS pseudonym it received; its identity is
         # revealed to it. The device acts on the answer that reached it.
-        _, pos_cert = ctx.pos.wallet.credentials[0]
+        _, pos_cert = ctx.pos.wallet.peek()
         msg = sim.send(ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "pos-identity-check",
                        {"pos_certificate": pos_cert.to_fields()},
                        {"pos_certificate": "token"}, encrypted=True)
@@ -367,7 +363,8 @@ def separation_session(
     the device checks the POS pseudonym locally.
 
     Returns (session_id, token_fingerprint, response_payload), or None
-    after an abort event: token rejected or a hop lost. Each party acts on
+    after an abort event: token rejected, or a hop lost or malformed
+    (bad-challenge, bad-response). Each party acts on
     what reached it. The decision travels POS -> owner -> provider unless
     validate_direct.
     """
@@ -387,7 +384,11 @@ def separation_session(
     if reuse_response is not None:
         response_payload, presentations = dict(reuse_response), 1
     else:
-        wire_challenge = parse_challenge(forward.payload)
+        try:
+            wire_challenge = parse_challenge(forward.payload)
+        except (KeyError, TypeError, ValueError):
+            sim.event("abort", party=ctx.device_id, code="bad-challenge")
+            return None
         response, presentations = mangle_and_respond(ctx.device, wire_challenge, plan)
         response_payload, _ = response_fields(response)
 
@@ -404,6 +405,8 @@ def separation_session(
             return None
         verdict = record_verdict(sim, ctx.auth_id, ctx.auth_verifier, ctx.device_id,
                                  at_auth, challenge, now)
+        if verdict is None:
+            return None
         decision = _decision_path(
             sim, ctx, ctx.auth_id, ctx.pos_id, "token-verdict",
             {"ok": verdict.accepted, "reasons": list(verdict.reasons)}, verdict_labels,
@@ -459,7 +462,7 @@ def separation_purchase(
                      billing, billing_labels)
         if msg is None:
             return _purchase_abort(sim, ctx.pos_id, "billing-lost", order_id)
-        billed = _opened(msg)
+        billed = opened(msg)
         if billing.keys() - billed.keys():
             return _purchase_abort(sim, ctx.pos_owner_id, "bad-billing-data", order_id)
         package = make_billing_package(billed["auth_token"], billed["price"],
@@ -482,20 +485,20 @@ def separation_purchase(
                      package, package_labels)
         if msg is None:
             return _purchase_abort(sim, ctx.pos_id, "billing-lost", order_id)
-        confirmation = _charge(ctx, _opened(msg),
+        confirmation = _charge(ctx, opened(msg),
                                [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public])
         msg = _relay(sim, ctx, ctx.charging_id, ctx.pos_id, "charge-confirmation",
                      confirmation, confirmation_labels)
         if msg is None:
             return _purchase_abort(sim, ctx.pos_id, "confirmation-lost", order_id)
-        if not _confirmation_ok(ctx, _opened(msg), token_fp):
+        if not _confirmation_ok(ctx, opened(msg), token_fp):
             return _purchase_abort(sim, ctx.pos_id, "charge-refused", order_id)
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
         msg = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "ack-request",
                      billing, billing_labels)
         if msg is None:
             return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
-        billed = _opened(msg)
+        billed = opened(msg)
         if billing.keys() - billed.keys():
             return _purchase_abort(sim, ctx.pos_owner_id, "bad-billing-data", order_id)
 
@@ -504,7 +507,7 @@ def separation_purchase(
                  ack, {"order_id": "plumbing", "signature": "plumbing"})
     if msg is None:
         return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
-    wire_ack = _opened(msg)
+    wire_ack = opened(msg)
     if wire_ack.get("order_id") != order_id or not _signed(
         ctx.pos_owner_keys.public, _ACK_TAG, wire_ack, ("order_id",)
     ):
@@ -552,7 +555,7 @@ def rotate_pos_pseudonym(sim, ctx: PosContext) -> str:
         from .flows import replenish_flow
 
         replenish_flow(sim, ctx.pos, ctx.pos_owner_id, ctx.pos.wallet.pca, CHANNEL_SR)
-    _, cert = ctx.pos.wallet.credentials[0]
+    _, cert = ctx.pos.wallet.peek()
     return crypto.hash160(cert.aik_public).hex()
 
 

@@ -64,12 +64,16 @@ class AikCertificate:
 
     @classmethod
     def from_fields(cls, fields: dict) -> "AikCertificate":
-        """The certificate that to_fields() put on the wire."""
+        """The certificate that to_fields() put on the wire. Raises KeyError,
+        TypeError or ValueError when a field is malformed."""
+        valid_from, valid_until = fields["valid_from"], fields["valid_until"]
+        if not (isinstance(valid_from, int) and isinstance(valid_until, int)):
+            raise ValueError("validity bounds must be integer ticks")
         return cls(
             aik_public=bytes.fromhex(fields["aik_public"]),
             domain_id=fields["domain_id"],
-            valid_from=fields["valid_from"],
-            valid_until=fields["valid_until"],
+            valid_from=valid_from,
+            valid_until=valid_until,
             hash_alg=fields["hash_alg"],
             pca_signature=bytes.fromhex(fields["pca_signature"]),
         )
@@ -102,7 +106,8 @@ class PrivacyCa:
     def liveness_challenge(self) -> bytes:
         return self.rng.bytes(16)
 
-    def _certify(self, aik_public: bytes, now: int) -> AikCertificate:
+    def certify(self, aik_public: bytes, now: int) -> AikCertificate:
+        """One certificate for an AIK of an admitted device, valid from now."""
         cert = AikCertificate(
             aik_public=aik_public,
             domain_id=self.domain_id,
@@ -118,6 +123,13 @@ class PrivacyCa:
         self._issued.add(aik_public.hex())
         return issued
 
+    def admit(self, ek_certificate: EkCertificate, challenge: bytes, ek_response: bytes) -> None:
+        """Check EK provenance and liveness; raises ProtocolError on failure."""
+        if not verify_ek_certificate(ek_certificate, self.trusted_roots):
+            raise ProtocolError("untrusted-ek", ek_certificate.model)
+        if not verify_ek_response(ek_certificate.ek_public, challenge, ek_response):
+            raise ProtocolError("ek-liveness-failed")
+
     def enroll(
         self,
         ek_certificate: EkCertificate,
@@ -128,11 +140,8 @@ class PrivacyCa:
     ) -> list:
         """Issue one certificate per AIK after checking EK provenance and
         liveness. The EK itself never appears in the issued certificates."""
-        if not verify_ek_certificate(ek_certificate, self.trusted_roots):
-            raise ProtocolError("untrusted-ek", ek_certificate.model)
-        if not verify_ek_response(ek_certificate.ek_public, challenge, ek_response):
-            raise ProtocolError("ek-liveness-failed")
-        return [self._certify(public, now) for public in aik_publics]
+        self.admit(ek_certificate, challenge, ek_response)
+        return [self.certify(public, now) for public in aik_publics]
 
     def replenish(
         self,
@@ -158,7 +167,7 @@ class PrivacyCa:
         ):
             raise ProtocolError("bad-replenish-signature")
         self._consumed_replenish_aiks.add(old_certificate.aik_public.hex())
-        return [self._certify(public, now) for public in new_aik_publics]
+        return [self.certify(public, now) for public in new_aik_publics]
 
 
 @dataclass(frozen=True)
@@ -175,39 +184,52 @@ class ReplenishRequest:
 class CredentialWallet:
     """Device-side batch of (AIK, certificate) pairs with one-time take().
 
-    Replenishment is due exactly when one unused credential remains: that
-    last credential authenticates the request for the next batch.
+    An enrolled batch stays off the record, so its certificates are minted
+    on first use: enroll() runs the PCA's EK and liveness checks and keeps
+    (AikRecord, None) entries, and peek()/take() certify an AIK, valid from
+    the enrollment tick, the first time it is looked at. Installed batches
+    arrive certified. Replenishment is due exactly when one unused
+    credential remains: that last credential authenticates the request for
+    the next batch.
     """
 
     anchor: TrustAnchor
     pca: PrivacyCa
     batch_size: int = DEFAULT_BATCH_SIZE
-    credentials: list = field(default_factory=list)  # (AikRecord, AikCertificate)
+    credentials: list = field(default_factory=list)  # (AikRecord, AikCertificate | None)
     replenish_count: int = 0
+    enrolled_at: int = 0  # valid_from of the certificates minted on first use
 
-    def enroll(self, now: int) -> list:
-        """First batch: prove EK provenance + liveness, get certificates."""
+    def enroll(self, now: int) -> None:
+        """First batch: prove EK provenance + liveness now, certify on use."""
         records = self.anchor.create_aik_batch(self.batch_size)
         challenge = self.pca.liveness_challenge()
-        certs = self.pca.enroll(
-            self.anchor.ek_certificate,
-            [r.key.public for r in records],
-            challenge,
-            self.anchor.ek_challenge_response(challenge),
-            now,
+        self.pca.admit(
+            self.anchor.ek_certificate, challenge, self.anchor.ek_challenge_response(challenge)
         )
-        self.credentials = list(zip(records, certs))
-        return certs
+        self.enrolled_at = now
+        self.credentials = [(record, None) for record in records]
 
     @property
     def needs_replenish(self) -> bool:
         return len(self.credentials) == 1
 
-    def take(self) -> tuple:
-        """Consume the next one-time credential: (AikRecord, AikCertificate)."""
+    def peek(self) -> tuple:
+        """The next one-time credential, (AikRecord, AikCertificate), left
+        in place."""
         if not self.credentials:
             raise ProtocolError("wallet-empty", self.anchor.device_id)
-        return self.credentials.pop(0)
+        record, cert = self.credentials[0]
+        if cert is None:
+            cert = self.pca.certify(record.key.public, self.enrolled_at)
+            self.credentials[0] = (record, cert)
+        return record, cert
+
+    def take(self) -> tuple:
+        """Consume the next one-time credential: (AikRecord, AikCertificate)."""
+        credential = self.peek()
+        del self.credentials[0]
+        return credential
 
     def prepare_replenish(self) -> ReplenishRequest:
         """Consume the last old credential and sign the fresh batch's publics."""

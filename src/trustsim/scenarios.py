@@ -156,7 +156,7 @@ def _run_one_time_aik(sim, config, plan):
     apply_setup_attacks(device, plan)
     device.boot()
     refs = reference_db_for(standard_chain(extra))
-    enroll_flow(sim, device, "pca", pca, config["batch_size"], "mobile")
+    aborted = not enroll_flow(sim, device, "pca", pca, config["batch_size"], "mobile")
 
     shared = set() if config["shared_used_set"] else None
     services = {}
@@ -167,9 +167,8 @@ def _run_one_time_aik(sim, config, plan):
                                  used_aiks=used)
 
     accepted = 0
-    aborted = False
-    for i in range(config["auth_count"]):
-        svc = "svc-a" if i % 2 == 0 else "svc-b"
+    while not aborted and accepted < config["auth_count"]:
+        svc = "svc-a" if accepted % 2 == 0 else "svc-b"
         verdict = attest_flow(
             sim, device, svc, services[svc], "mobile",
             plan=plan,
@@ -177,8 +176,8 @@ def _run_one_time_aik(sim, config, plan):
         )
         if verdict is None or not verdict.accepted:
             aborted = True
-            break
-        accepted += 1
+        else:
+            accepted += 1
 
     rows = []
     if plan.names:
@@ -511,6 +510,7 @@ _POS_GOODS = (("cola", 3), ("water", 2), ("juice", 4))
 
 
 def _pos_setup(sim, config, plan, merged=False):
+    """The POS world, or None after an enrollment abort."""
     rng = sim.rng
     mfr = Manufacturer(rng.fork("world"))
     auth_id = "mno" if merged else "auth"
@@ -539,8 +539,9 @@ def _pos_setup(sim, config, plan, merged=False):
 
     credential = mno.issue_credential("imsi-7001")
     network_access_flow(sim, device, "mno", mno, credential)
-    enroll_flow(sim, device, auth_id, device_pca, config["batch_size"], "mobile")
-    enroll_flow(sim, pos_device, "pos-pca", pos_pca, config["batch_size"], "net")
+    if not (enroll_flow(sim, device, auth_id, device_pca, config["batch_size"], "mobile")
+            and enroll_flow(sim, pos_device, "pos-pca", pos_pca, config["batch_size"], "net")):
+        return None
 
     window = config["freshness_window"]
     ctx = PosContext(
@@ -584,6 +585,8 @@ def _carrier_uniformity_row(sim) -> dict:
 
 def _run_pos_fig4(sim, config, plan):
     ctx = _pos_setup(sim, config, plan)
+    if ctx is None:
+        return [_row("purchase-delivered", False, "enrollment aborted")]
     if "ack-strip" in plan.names:
         def corrupt(message):
             if message.msg_type == "purchase-ack-relay":
@@ -641,6 +644,8 @@ def _run_pos_fig4(sim, config, plan):
 def _run_pos_sep(sim, config, plan, merged=False):
     decentralised = config["variant"] == "decentralised"
     ctx = _pos_setup(sim, config, plan, merged=merged)
+    if ctx is None:
+        return [_row("purchase-delivered", False, "enrollment aborted")]
 
     session = separation_session(sim, ctx, plan=plan,
                                  validate_direct=decentralised)

@@ -1,0 +1,192 @@
+"""Shared flows act on delivered hops: recorded enrollment and the
+attestation exchange end a run in a named abort, never in an exception or a
+service event, when a hop is lost or arrives malformed."""
+
+import copy
+import dataclasses
+
+import pytest
+
+from trustsim import audit, scenarios
+from trustsim.harness import DROP, Simulation, Transcript
+
+SERVICE_EVENTS = {"delivery", "grant", "secure-session"}
+
+
+def _run_with_hook(monkeypatch, scenario, hook, attacks=()):
+    """run_scenario(scenario, 1, attacks) with hook on its Simulation;
+    returns the transcript, the report and the event records."""
+    class HookedSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.add_hook(hook)
+
+    monkeypatch.setattr(scenarios, "Simulation", HookedSimulation)
+    transcript, report = scenarios.run_scenario(scenario, 1, attacks)
+    return transcript, report, transcript.events()
+
+
+def _nth(msg_type, change, n=1):
+    """Hook: apply change to the nth message of msg_type (counting from 1).
+    change is DROP, or a function that edits a deep copy of the payload."""
+    seen = []
+
+    def hook(message):
+        if message.msg_type != msg_type:
+            return None
+        seen.append(message.msg_id)
+        if len(seen) != n:
+            return None
+        if change is DROP:
+            return DROP
+        payload = copy.deepcopy(message.payload)
+        change(payload)
+        return dataclasses.replace(message, payload=payload)
+    return hook
+
+
+def _interior(edit):
+    """change for _nth: edit the interior of the sealed envelope."""
+    return lambda payload: edit(payload["env"]["_sealed"]["payload"])
+
+
+def _assert_aborted(transcript, report, events, code):
+    codes = [e["code"] for e in events if e["event"] == "abort"]
+    assert code in codes, codes
+    first = next(i for i, e in enumerate(events) if e["event"] == "abort")
+    after = events[first:]
+    assert not {e["event"] for e in after} & SERVICE_EVENTS
+    assert not [e for e in after if e["event"] == "entry" and e["granted"]]
+    assert report["ok"] is False
+    parsed = Transcript.parse(transcript.to_text())
+    assert all(f.ok for f in audit.audit(parsed)), audit.audit(parsed)
+
+
+# -- enrollment ---------------------------------------------------------------------
+
+_ENROLL_DROPS = {
+    "enroll-challenge": "enroll-challenge-lost",
+    "enroll-request": "enroll-request-lost",
+    "enroll-certs": "enroll-certs-lost",
+}
+
+
+def _swap_first_public(fields):
+    publics = fields["aik_publics"]
+    publics[0], publics[1] = publics[1], publics[0]
+
+
+def _misname_first_cert(fields):
+    certs = fields["certificates"]
+    certs[0]["aik_public"] = certs[1]["aik_public"]
+
+
+# (what, message type, interior edit, abort code)
+_ENROLL_REWRITES = [
+    ("nonce-not-hex", "enroll-challenge", lambda f: f.update(nonce="zz"),
+     "bad-enroll-challenge"),
+    ("other-nonce", "enroll-challenge", lambda f: f.update(nonce="00" * 16),
+     "ek-liveness-failed"),
+    ("liveness-not-hex", "enroll-request", lambda f: f.update(liveness="zz"),
+     "bad-enroll-request"),
+    ("publics-not-a-list", "enroll-request", lambda f: f.update(aik_publics=5),
+     "bad-enroll-request"),
+    ("no-ek-certificate", "enroll-request", lambda f: f.pop("ek_certificate"),
+     "bad-enroll-request"),
+    ("forged-ek-model", "enroll-request", lambda f: f["ek_certificate"].update(model="forged"),
+     "untrusted-ek"),
+    ("publics-swapped", "enroll-request", _swap_first_public, "bad-enroll-certs"),
+    ("certs-not-a-list", "enroll-certs", lambda f: f.update(certificates=5),
+     "bad-enroll-certs"),
+    ("cert-missing", "enroll-certs", lambda f: f["certificates"].pop(), "bad-enroll-certs"),
+    ("cert-misnamed", "enroll-certs", _misname_first_cert, "bad-enroll-certs"),
+    ("validity-not-int", "enroll-certs", lambda f: f["certificates"][0].update(valid_from="0"),
+     "bad-enroll-certs"),
+]
+
+
+# (scenario, which enrollment of the run): pos-fig4 enrolls the customer
+# device first and the POS terminal second
+_ENROLLMENTS = [("one-time-aik-auth", 1), ("pos-fig4", 1), ("pos-fig4", 2)]
+
+
+@pytest.mark.parametrize("scenario,n", _ENROLLMENTS,
+                         ids=[f"{scenario}-{n}" for scenario, n in _ENROLLMENTS])
+@pytest.mark.parametrize("msg_type", sorted(_ENROLL_DROPS))
+def test_enrollment_aborts_on_a_lost_hop(monkeypatch, scenario, n, msg_type):
+    transcript, report, events = _run_with_hook(monkeypatch, scenario,
+                                                _nth(msg_type, DROP, n))
+    assert [e for e in events if e["event"] == "message-dropped" and e["type"] == msg_type]
+    _assert_aborted(transcript, report, events, _ENROLL_DROPS[msg_type])
+    assert not transcript.messages("attestation-challenge")
+
+
+@pytest.mark.parametrize("what,msg_type,edit,code", _ENROLL_REWRITES,
+                         ids=[run[0] for run in _ENROLL_REWRITES])
+def test_enrollment_acts_on_the_hop_that_arrived(monkeypatch, what, msg_type, edit, code):
+    transcript, report, events = _run_with_hook(monkeypatch, "one-time-aik-auth",
+                                                _nth(msg_type, _interior(edit)))
+    _assert_aborted(transcript, report, events, code)
+    assert not transcript.messages("attestation-challenge")
+
+
+def test_pca_certifies_the_publics_that_arrived(monkeypatch):
+    transcript, _, _ = _run_with_hook(monkeypatch, "one-time-aik-auth",
+                                      _nth("enroll-request", _interior(_swap_first_public)))
+    request = transcript.messages("enroll-request")[0]["payload"]["env"]["_sealed"]["payload"]
+    reply = transcript.messages("enroll-certs")[0]["payload"]["env"]["_sealed"]["payload"]
+    assert [c["aik_public"] for c in reply["certificates"]] == request["aik_publics"]
+
+
+# -- attestation fields --------------------------------------------------------------
+
+# (scenario, message type, what, edit of the payload, abort code): fields
+# the device or the verifier cannot parse.
+_MALFORMED_ATTESTATION = [
+    ("pos-fig4", "attestation-challenge", "nonce-not-hex",
+     lambda p: p.update(nonce="zz"), "bad-challenge"),
+    ("facility-entry", "attestation-challenge", "nonce-not-hex",
+     lambda p: p.update(nonce="zz"), "bad-challenge"),
+    ("one-time-aik-auth", "attestation-challenge", "pcr-out-of-range",
+     lambda p: p.update(selection=[99]), "bad-challenge"),
+    ("one-time-aik-auth", "attestation-challenge", "selection-not-a-list",
+     lambda p: p.update(selection=5), "bad-challenge"),
+    ("one-time-aik-auth", "attestation-response", "log-not-a-list",
+     lambda p: p.update(log=5), "bad-response"),
+    ("one-time-aik-auth", "attestation-response", "measurement-not-hex",
+     lambda p: p["log"][0].update(measurement="zz"), "bad-response"),
+    ("one-time-aik-auth", "attestation-response", "signature-not-hex",
+     lambda p: p["quote"].update(signature="zz"), "bad-response"),
+    ("one-time-aik-auth", "attestation-response", "validity-not-int",
+     lambda p: p["certificate"].update(valid_until="1000"), "bad-response"),
+    ("facility-entry", "attestation-response", "no-certificate",
+     lambda p: p.pop("certificate"), "bad-response"),
+    ("pos-sep-duties", "attestation-challenge", "nonce-not-hex",
+     lambda p: p.update(nonce="zz"), "bad-challenge"),
+    ("pos-sep-duties", "auth-token", "log-not-a-list",
+     lambda p: p.update(log=5), "bad-response"),
+]
+
+
+@pytest.mark.parametrize("scenario,msg_type,what,edit,code", _MALFORMED_ATTESTATION,
+                         ids=[":".join(run[:3]) for run in _MALFORMED_ATTESTATION])
+def test_malformed_attestation_field_aborts_instead_of_raising(monkeypatch, scenario,
+                                                               msg_type, what, edit, code):
+    transcript, report, events = _run_with_hook(monkeypatch, scenario, _nth(msg_type, edit))
+    _assert_aborted(transcript, report, events, code)
+    # the verifier writes no verdict for a response it could not read
+    responses = len(transcript.messages("attestation-response"))
+    verdicts = len(transcript.events("attestation-verdict"))
+    if code == "bad-response" and msg_type == "attestation-response":
+        assert verdicts == responses - 1
+
+
+def test_a_response_the_verifier_could_not_read_is_not_presented_again(monkeypatch):
+    # replay-aik presents one response twice; after the first copy aborts
+    # the exchange, the second never goes on the wire
+    transcript, report, events = _run_with_hook(
+        monkeypatch, "one-time-aik-auth", _nth("attestation-response", lambda p: p.update(log=5)),
+        attacks=("replay-aik",))
+    _assert_aborted(transcript, report, events, "bad-response")
+    assert len(transcript.messages("attestation-response")) == 1
+    assert not transcript.events("attestation-verdict")

@@ -11,7 +11,7 @@ from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import MobileNetworkOperator, network_access_flow
-from trustsim.flows import apply_setup_attacks, enroll_flow
+from trustsim.flows import apply_setup_attacks, enroll_flow, opened
 from trustsim.harness import (
     DROP,
     MOBILE_NETWORK,
@@ -405,7 +405,7 @@ def test_relay_forwards_what_arrived_and_stops_at_a_lost_hop():
     delivered = pos._relay(sim, ctx, "pos-1", "pos-owner", "note",
                            {"text": "hello"}, {"text": "plumbing"})
     assert delivered.msg_type == "note" and delivered.receiver == "pos-owner"
-    assert pos._opened(delivered) == {"text": "rewritten"}
+    assert opened(delivered) == {"text": "rewritten"}
 
     sim.add_hook(_drop_type("note-relay"))
     sent = len(sim.messages())

@@ -1,10 +1,14 @@
 """Privacy CA: enrollment hygiene, replenishment protocol, batch liveness."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustsim import boot as mb
+from trustsim import crypto
 from trustsim.anchor import Manufacturer, TrustAnchor
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
@@ -45,8 +49,9 @@ def recorded_replenisher(anchor, wallet, pca):
 
 def test_enroll_issues_one_cert_per_aik_with_no_ek_material():
     _, _, pca, anchor, _, _, wallet = build()
-    certs = wallet.enroll(now=0)
-    assert len(certs) == 10
+    wallet.enroll(now=0)
+    certs = [wallet.take()[1] for _ in range(10)]
+    assert not wallet.credentials
     ek_hex = anchor.ek_certificate.ek_public.hex()
     for cert in certs:
         assert verify_aik_certificate(cert, pca.root.public)
@@ -92,9 +97,8 @@ def test_enroll_rejects_failed_liveness():
 
 def test_replenish_after_batch_exhaustion():
     _, _, pca, anchor, _, _, wallet = build(batch_size=3)
-    old_certs = wallet.enroll(now=0)
-    wallet.take()
-    wallet.take()
+    wallet.enroll(now=0)
+    old_certs = [wallet.take()[1], wallet.take()[1], wallet.peek()[1]]
     assert wallet.needs_replenish
     sim, replenish = recorded_replenisher(anchor, wallet, pca)
     new_certs = replenish()
@@ -118,7 +122,7 @@ def test_replenish_replay_rejected():
     _, _, pca, anchor, _, _, wallet = build(batch_size=2)
     wallet.enroll(now=0)
     wallet.take()
-    last_record, last_cert = wallet.credentials[0]
+    last_record, last_cert = wallet.peek()
     publics = [r.key.public for r in anchor.create_aik_batch(2)]
     signature = anchor.sign_replenishment(last_record.aik_id, publics)
     assert len(pca.replenish(last_cert, publics, signature, now=1)) == 2
@@ -130,7 +134,7 @@ def test_replenish_replay_rejected():
 def test_replenish_refuses_foreign_or_unsigned_requests():
     _, _, pca, anchor, _, _, wallet = build(batch_size=2)
     wallet.enroll(now=0)
-    record, cert = wallet.credentials[0]
+    record, cert = wallet.peek()
     publics = [r.key.public for r in anchor.create_aik_batch(2)]
     with pytest.raises(ProtocolError) as err:
         pca.replenish(cert, publics, b"\x11" * 64, now=1)
@@ -215,3 +219,91 @@ def test_shared_used_set_links_services_unshared_does_not():
     svc_d = Verifier("d", pca.root.public, refs, rng.fork("d"))
     assert attest_at(svc_c, 3).accepted
     assert attest_at(svc_d, 4).accepted
+
+
+# -- certificates minted on first use -------------------------------------------
+
+
+def _eager_certificates(seed, batch_size, now):
+    """What PrivacyCa.enroll issues for the batch a fresh wallet would hold,
+    and the PCA it issued them from."""
+    _, _, pca, anchor, _, _, _ = build(seed, batch_size)
+    records = anchor.create_aik_batch(batch_size)
+    challenge = pca.liveness_challenge()
+    certs = pca.enroll(anchor.ek_certificate, [r.key.public for r in records], challenge,
+                       anchor.ek_challenge_response(challenge), now)
+    return pca, certs
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), batch_size=st.integers(2, 12),
+       now=st.integers(0, 5000), calls=st.lists(st.sampled_from(["take", "peek"]),
+                                                max_size=30))
+def test_wallet_mints_what_eager_enrollment_issues(seed, batch_size, now, calls):
+    eager_pca, eager = _eager_certificates(seed, batch_size, now)
+    _, _, pca, _, _, _, wallet = build(seed, batch_size)
+    wallet.enroll(now)
+    # the EK and liveness checks ran now: the PCA's stream is where eager left it
+    assert pca.rng.bytes(32) == eager_pca.rng.bytes(32)
+
+    taken, looked = [], set()
+    with mock.patch.object(crypto, "sign", wraps=crypto.sign) as sign:
+        for call in calls[:batch_size]:
+            before = sign.call_count
+            record, cert = wallet.take() if call == "take" else wallet.peek()
+            # one signature per AIK, at the first look only
+            assert sign.call_count - before == (record.aik_id not in looked)
+            looked.add(record.aik_id)
+            if call == "take":
+                taken.append(cert)
+    assert taken == eager[:len(taken)]
+    rest = [wallet.take()[1] for _ in range(len(wallet.credentials))]
+    assert taken + rest == eager
+    assert {c.aik_public.hex() for c in eager} <= pca._issued
+
+
+def test_peek_then_take_signs_once():
+    _, _, pca, _, _, _, wallet = build(batch_size=3)
+    wallet.enroll(now=5)
+    with mock.patch.object(crypto, "sign", wraps=crypto.sign) as sign:
+        peeked = wallet.peek()
+        assert wallet.peek() == peeked
+        assert wallet.take() == peeked
+        assert sign.call_count == 1
+    assert peeked[1].valid_from == 5 and peeked[1].valid_until == 5 + pca.validity_ticks
+    assert len(wallet.credentials) == 2
+
+
+def test_wallet_enroll_mints_nothing_until_used():
+    _, _, pca, _, _, _, wallet = build(batch_size=4)
+    with mock.patch.object(crypto, "sign", wraps=crypto.sign) as sign:
+        wallet.enroll(now=0)
+    assert sign.call_count == 1  # the EK's liveness answer, no certificate
+    assert [cert for _, cert in wallet.credentials] == [None] * 4
+    assert not pca._issued
+
+
+def test_wallet_enroll_checks_ek_provenance_and_liveness_up_front():
+    rng, _, pca, _, _, _, _ = build()
+    rogue = TrustAnchor.manufacture("rogue", Rng(778), Manufacturer(Rng(777)))
+    with pytest.raises(ProtocolError) as err:
+        CredentialWallet(rogue, pca).enroll(now=0)
+    assert err.value.code == "untrusted-ek"
+
+    _, _, pca, anchor, _, _, wallet = build()
+    anchor.ek_challenge_response = lambda challenge: b"\x00" * 64
+    with pytest.raises(ProtocolError) as err:
+        wallet.enroll(now=0)
+    assert err.value.code == "ek-liveness-failed"
+    assert not wallet.credentials
+
+
+def test_replenishment_is_authenticated_by_a_minted_last_credential():
+    # the last AIK of a lazily minted batch joins the PCA's issued set when
+    # it is taken to sign the request, before the PCA sees the request
+    _, _, pca, anchor, _, _, wallet = build(batch_size=2)
+    wallet.enroll(now=0)
+    wallet.take()
+    sim, replenish = recorded_replenisher(anchor, wallet, pca)
+    assert len(replenish()) == 2
+    assert [e["count"] for e in sim.events("replenishment")] == [1]
