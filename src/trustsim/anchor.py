@@ -9,6 +9,7 @@ is explicitly disabled for a misbehaving-device test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import crypto
 from .crypto import DIGEST_LEN, ZERO_DIGEST, KeyPair, Rng
@@ -50,10 +51,19 @@ class PcrBank:
 
 @dataclass
 class AikRecord:
+    """One AIK of an anchor. Its key pair is drawn from its own label-derived
+    rng fork the first time it is needed, so an AIK that never signs or shows
+    its public key costs no keygen, and the key is the same whenever it is
+    drawn."""
+
     aik_id: str
-    key: KeyPair
     batch_id: str
+    rng: Rng = field(repr=False)
     used: bool = False
+
+    @cached_property
+    def key(self) -> KeyPair:
+        return crypto.keygen(self.rng)
 
 
 @dataclass(frozen=True)
@@ -186,8 +196,8 @@ class TrustAnchor:
         batch_id = f"{self.device_id}-batch{self._batch_counter}"
         records = []
         for i in range(count):
-            key = crypto.keygen(self.rng.fork(f"aik:{batch_id}:{i}"))
-            record = AikRecord(aik_id=f"{batch_id}-aik{i}", key=key, batch_id=batch_id)
+            record = AikRecord(aik_id=f"{batch_id}-aik{i}", batch_id=batch_id,
+                               rng=self.rng.fork(f"aik:{batch_id}:{i}"))
             self.aiks[record.aik_id] = record
             records.append(record)
         return records

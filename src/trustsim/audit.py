@@ -15,6 +15,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
 DEFAULT_FRESHNESS_WINDOW = 100
@@ -32,9 +33,24 @@ class Finding:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-# The auditor's own canonical encoder (sorted keys, "," and ":" separators,
-# non-ASCII escaped), built once. It is deliberately not the harness's.
-_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The auditor's own canonical encoder: json.dumps(value, sort_keys=True,
+# separators=(",", ":")) through a C encoder built once at import. It is
+# deliberately not the harness's. markers is None (no circular-reference
+# check), so an encode that raised leaves no stale container ids behind.
+_iterencode = c_make_encoder and c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",",
+    True, False, True,
+)
+
+
+def _canon(value) -> str:
+    if value.__class__ is str:  # JSONEncoder.encode's own shortcut
+        return encode_basestring_ascii(value)
+    return "".join(_iterencode(value, 0))
+
+
+if c_make_encoder is None:  # no C accelerator: the pure-Python encoder, same text
+    _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # The canonical encoding in a knowledge row (field, label, encoding), and
 # the plain rows of a payload split (labels, plain rows, sealed interiors).

@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -35,13 +36,33 @@ def hash256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-# Built once: json.dumps would construct this same encoder on every call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The C encoder behind json.dumps(value, sort_keys=True, separators=(",",
+# ":")), built once at import: JSONEncoder.encode builds a fresh one on every
+# call. markers is None, so there is no circular-reference check: a shared
+# markers dict keeps the ids of the containers an encode was inside when it
+# raised, and a later encode of one of them would then fail as a false
+# "Circular reference". A cyclic value raises RecursionError instead.
+_iterencode = c_make_encoder and c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",",
+    True, False, True,
+)
+
+
+def canonical_json(value) -> str:
+    """Canonical JSON text of a value: sorted keys, "," and ":" separators,
+    non-ASCII escaped, exactly as json.dumps writes it with those options."""
+    if value.__class__ is str:  # JSONEncoder.encode's own shortcut
+        return encode_basestring_ascii(value)
+    return "".join(_iterencode(value, 0))
+
+
+if c_make_encoder is None:  # no C accelerator: the pure-Python encoder, same text
+    canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_bytes(obj) -> bytes:
     """Stable byte encoding of a JSON-able structure, used for signing."""
-    return _encode(obj).encode("utf-8")
+    return canonical_json(obj).encode("utf-8")
 
 
 class Rng:

@@ -116,8 +116,14 @@ def parse_response(payload: dict) -> AttestationResponse:
 # -- flows -------------------------------------------------------------------
 
 
-def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, channel: str) -> None:
-    """Spend the device's last credential to certify a fresh batch, on the record."""
+def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, channel: str) -> bool:
+    """Spend the device's last credential to certify a fresh batch, on the record.
+
+    Each side acts on what reached it: the CA judges the request it received
+    and the device installs the certificates it received, each of which must
+    name its record's AIK. Returns whether the device now holds the new
+    batch; a lost or malformed hop, or a refused request, ends in one abort
+    instead."""
     from .harness import seal
 
     request = device.wallet.prepare_replenish()
@@ -130,14 +136,31 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
         },
         {"old_certificate": "token", "new_publics": "token", "signature": "plumbing"},
     )
-    sim.send(device.device_id, pca_id, channel, "replenish-request",
-             {"env": body}, {"env": "plumbing"}, encrypted=True)
-    certs = pca.replenish(request.old_certificate, request.publics, request.signature, now=sim.tick)
+    msg = sim.send(device.device_id, pca_id, channel, "replenish-request",
+                   {"env": body}, {"env": "plumbing"}, encrypted=True)
+    if msg is None:
+        return _abort(sim, pca_id, "replenish-request-lost")
+    try:
+        fields = opened(msg)
+        old_certificate = AikCertificate.from_fields(fields["old_certificate"])
+        publics = [bytes.fromhex(public) for public in fields["new_publics"]]
+        signature = bytes.fromhex(fields["signature"])
+    except (KeyError, TypeError, ValueError):
+        return _abort(sim, pca_id, "bad-replenish-request")
+    try:
+        certs = pca.replenish(old_certificate, publics, signature, now=sim.tick)
+    except ProtocolError as err:
+        return _abort(sim, pca_id, err.code)
     reply = seal([device.device_id],
                  {"certificates": [c.to_fields() for c in certs]},
                  {"certificates": "token"})
-    sim.send(pca_id, device.device_id, channel, "replenish-certs",
-             {"env": reply}, {"env": "plumbing"}, encrypted=True)
+    msg = sim.send(pca_id, device.device_id, channel, "replenish-certs",
+                   {"env": reply}, {"env": "plumbing"}, encrypted=True)
+    if msg is None:
+        return _abort(sim, device.device_id, "replenish-certs-lost")
+    certs = _certificates_for(msg, request.records)
+    if certs is None:
+        return _abort(sim, device.device_id, "bad-replenish-certs")
     device.wallet.install_batch(request.records, certs)
     sim.event(
         "replenishment",
@@ -146,6 +169,7 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
         batch_size=len(certs),
         count=device.wallet.replenish_count,
     )
+    return True
 
 
 def expired_cert_override(device: TrustedDevice, plan: AttackPlan | None) -> int | None:
@@ -231,7 +255,8 @@ def attest_flow(
     response, presentations = mangle_and_respond(device, wire_challenge, plan)
     if device.wallet.needs_replenish and replenish_via is not None:
         pca_id, pca, replenish_channel = replenish_via
-        replenish_flow(sim, device, pca_id, pca, replenish_channel)
+        if not replenish_flow(sim, device, pca_id, pca, replenish_channel):
+            return None
 
     verdict = None
     for _ in range(presentations):
@@ -272,11 +297,11 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
     msg = sim.send(pca_id, device.device_id, channel, "enroll-challenge",
                    {"env": challenge_env}, {"env": "plumbing"}, encrypted=True)
     if msg is None:
-        return _enroll_abort(sim, device.device_id, "enroll-challenge-lost")
+        return _abort(sim, device.device_id, "enroll-challenge-lost")
     try:
         nonce = bytes.fromhex(opened(msg)["nonce"])
     except (KeyError, TypeError, ValueError):
-        return _enroll_abort(sim, device.device_id, "bad-enroll-challenge")
+        return _abort(sim, device.device_id, "bad-enroll-challenge")
     request = seal(
         [pca_id],
         {
@@ -289,36 +314,45 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
     msg = sim.send(device.device_id, pca_id, channel, "enroll-request",
                    {"env": request}, {"env": "plumbing"}, encrypted=True)
     if msg is None:
-        return _enroll_abort(sim, pca_id, "enroll-request-lost")
+        return _abort(sim, pca_id, "enroll-request-lost")
     try:
         fields = opened(msg)
         ek_certificate = EkCertificate.from_fields(fields["ek_certificate"])
         publics = [bytes.fromhex(public) for public in fields["aik_publics"]]
         liveness = bytes.fromhex(fields["liveness"])
     except (KeyError, TypeError, ValueError):
-        return _enroll_abort(sim, pca_id, "bad-enroll-request")
+        return _abort(sim, pca_id, "bad-enroll-request")
     try:
         certs = pca.enroll(ek_certificate, publics, challenge, liveness, now=sim.tick)
     except ProtocolError as err:
-        return _enroll_abort(sim, pca_id, err.code)
+        return _abort(sim, pca_id, err.code)
     reply = seal([device.device_id],
                  {"certificates": [c.to_fields() for c in certs]},
                  {"certificates": "token"})
     msg = sim.send(pca_id, device.device_id, channel, "enroll-certs",
                    {"env": reply}, {"env": "plumbing"}, encrypted=True)
     if msg is None:
-        return _enroll_abort(sim, device.device_id, "enroll-certs-lost")
-    try:
-        certs = [AikCertificate.from_fields(c) for c in opened(msg)["certificates"]]
-    except (KeyError, TypeError, ValueError):
-        certs = None
-    if certs is None or [c.aik_public for c in certs] != [r.key.public for r in records]:
-        return _enroll_abort(sim, device.device_id, "bad-enroll-certs")
+        return _abort(sim, device.device_id, "enroll-certs-lost")
+    certs = _certificates_for(msg, records)
+    if certs is None:
+        return _abort(sim, device.device_id, "bad-enroll-certs")
     device.wallet = CredentialWallet(device.anchor, pca, batch_size=batch_size,
                                      credentials=list(zip(records, certs)))
     return True
 
 
-def _enroll_abort(sim, party: str, code: str) -> bool:
+def _certificates_for(msg, records) -> list | None:
+    """The certificates a delivered enroll-certs or replenish-certs carries,
+    or None unless they parse and name the records' AIKs, in order."""
+    try:
+        certs = [AikCertificate.from_fields(c) for c in opened(msg)["certificates"]]
+    except (KeyError, TypeError, ValueError):
+        return None
+    if [c.aik_public for c in certs] != [r.key.public for r in records]:
+        return None
+    return certs
+
+
+def _abort(sim, party: str, code: str) -> bool:
     sim.event("abort", party=party, code=code)
     return False

@@ -15,8 +15,9 @@ import gc
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from json.scanner import make_scanner
 
-from .crypto import Rng
+from .crypto import Rng, canonical_json as _encode
 
 TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 
@@ -31,10 +32,23 @@ LABELS = frozenset(
 DROP = "drop"
 
 
-# The canonical form of transcript lines and knowledge-set values: sorted
-# keys, "," and ":" separators, non-ASCII escaped. This is the encoder
-# json.dumps builds for the same arguments, built once instead of per call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Transcript lines and knowledge-set values are in crypto's canonical JSON
+# form (_encode). Lines decode through one scanner built at import: the one
+# json.loads ends up calling, without its per-call checks.
+_scan = make_scanner(json.JSONDecoder())
+
+
+def _decode(line: str):
+    """json.loads(line): the scanner's value when it read the whole line, and
+    json.loads itself (padding, extra data, no value) otherwise, so a line
+    decodes or fails exactly as json.loads would have it."""
+    try:
+        value, end = _scan(line, 0)
+        if end == len(line):
+            return value
+    except StopIteration:
+        pass
+    return json.loads(line)
 
 
 def canon_value(value) -> str:
@@ -394,13 +408,13 @@ class Transcript:
             lines = [line for line in text.splitlines() if line.strip()]
             if len(lines) < 2:
                 raise ValueError("transcript too short")
-            header = json.loads(lines[0])
+            header = _decode(lines[0])
             if header.get("schema") != TRANSCRIPT_SCHEMA:
                 raise ValueError(f"unknown transcript schema: {header.get('schema')!r}")
-            snapshot = json.loads(lines[-1])
+            snapshot = _decode(lines[-1])
             if snapshot.get("kind") != "snapshot":
                 raise ValueError("transcript missing snapshot line")
-            records = [json.loads(line) for line in lines[1:-1]]
+            records = list(map(_decode, lines[1:-1]))
             return cls(header=header, records=records, snapshot=snapshot)
         finally:
             if collecting:

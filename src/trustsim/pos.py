@@ -547,14 +547,15 @@ def _acknowledgement(ctx: PosContext, order_id: str, keys: KeyPair) -> dict:
     return {"order_id": order_id, "signature": sig.hex()}
 
 
-def rotate_pos_pseudonym(sim, ctx: PosContext) -> str:
+def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:
     """Fresh pseudonym for upcoming sessions. One-time credentials rotate on
     every session anyway; this tops the wallet back up so rotation never
-    leaves a service gap."""
+    leaves a service gap. None after a replenishment that ended in an abort."""
     if ctx.pos.wallet.needs_replenish:
         from .flows import replenish_flow
 
-        replenish_flow(sim, ctx.pos, ctx.pos_owner_id, ctx.pos.wallet.pca, CHANNEL_SR)
+        if not replenish_flow(sim, ctx.pos, ctx.pos_owner_id, ctx.pos.wallet.pca, CHANNEL_SR):
+            return None
     _, cert = ctx.pos.wallet.peek()
     return crypto.hash160(cert.aik_public).hex()
 

@@ -358,13 +358,13 @@ def test_parse_and_audit_restore_the_collector(collector, monkeypatch, enabled):
     text = transcript_pool()[0]
     (gc.enable if enabled else gc.disable)()
     seen = []
-    loads = harness.json.loads
+    decode = harness._decode
 
-    def spying_loads(*args, **kwargs):
+    def spying_decode(line):
         seen.append(gc.isenabled())
-        return loads(*args, **kwargs)
+        return decode(line)
 
-    monkeypatch.setattr(harness.json, "loads", spying_loads)
+    monkeypatch.setattr(harness, "_decode", spying_decode)
     transcript = Transcript.parse(text)
     monkeypatch.undo()
     assert seen and not any(seen)

@@ -1,5 +1,5 @@
-"""Shared flows act on delivered hops: recorded enrollment and the
-attestation exchange end a run in a named abort, never in an exception or a
+"""Shared flows act on delivered hops: recorded enrollment, replenishment and
+the attestation exchange end a run in a named abort, never in an exception or a
 service event, when a hop is lost or arrives malformed."""
 
 import copy
@@ -136,6 +136,66 @@ def test_pca_certifies_the_publics_that_arrived(monkeypatch):
     request = transcript.messages("enroll-request")[0]["payload"]["env"]["_sealed"]["payload"]
     reply = transcript.messages("enroll-certs")[0]["payload"]["env"]["_sealed"]["payload"]
     assert [c["aik_public"] for c in reply["certificates"]] == request["aik_publics"]
+
+
+# -- replenishment ------------------------------------------------------------------
+
+_REPLENISH_DROPS = {
+    "replenish-request": "replenish-request-lost",
+    "replenish-certs": "replenish-certs-lost",
+}
+
+
+def _swap_first_new_public(fields):
+    publics = fields["new_publics"]
+    publics[0], publics[1] = publics[1], publics[0]
+
+
+# (what, message type, interior edit, abort code)
+_REPLENISH_REWRITES = [
+    ("signature-not-hex", "replenish-request", lambda f: f.update(signature="zz"),
+     "bad-replenish-request"),
+    ("publics-not-a-list", "replenish-request", lambda f: f.update(new_publics=5),
+     "bad-replenish-request"),
+    ("public-not-hex", "replenish-request", lambda f: f["new_publics"].__setitem__(0, "zz"),
+     "bad-replenish-request"),
+    ("no-old-certificate", "replenish-request", lambda f: f.pop("old_certificate"),
+     "bad-replenish-request"),
+    ("validity-not-int", "replenish-request",
+     lambda f: f["old_certificate"].update(valid_from="0"), "bad-replenish-request"),
+    ("forged-domain", "replenish-request",
+     lambda f: f["old_certificate"].update(domain_id="forged"), "untrusted-replenish-cert"),
+    ("publics-swapped", "replenish-request", _swap_first_new_public, "bad-replenish-signature"),
+    ("certs-not-a-list", "replenish-certs", lambda f: f.update(certificates=5),
+     "bad-replenish-certs"),
+    ("cert-missing", "replenish-certs", lambda f: f["certificates"].pop(), "bad-replenish-certs"),
+    ("cert-misnamed", "replenish-certs", _misname_first_cert, "bad-replenish-certs"),
+]
+
+
+def _assert_replenishment_aborted(transcript, report, events, code):
+    """The run's first replenishment failed: the run ends in its abort, with
+    no replenishment on the record."""
+    _assert_aborted(transcript, report, events, code)
+    last = transcript.records[-1]
+    assert (last["kind"], last.get("event"), last.get("code")) == ("event", "abort", code)
+    assert not transcript.events("replenishment")
+
+
+@pytest.mark.parametrize("msg_type", sorted(_REPLENISH_DROPS))
+def test_replenishment_aborts_on_a_lost_hop(monkeypatch, msg_type):
+    transcript, report, events = _run_with_hook(monkeypatch, "one-time-aik-auth",
+                                                _nth(msg_type, DROP))
+    assert [e for e in events if e["event"] == "message-dropped" and e["type"] == msg_type]
+    _assert_replenishment_aborted(transcript, report, events, _REPLENISH_DROPS[msg_type])
+
+
+@pytest.mark.parametrize("what,msg_type,edit,code", _REPLENISH_REWRITES,
+                         ids=[run[0] for run in _REPLENISH_REWRITES])
+def test_replenishment_acts_on_the_hop_that_arrived(monkeypatch, what, msg_type, edit, code):
+    transcript, report, events = _run_with_hook(monkeypatch, "one-time-aik-auth",
+                                                _nth(msg_type, _interior(edit)))
+    _assert_replenishment_aborted(transcript, report, events, code)
 
 
 # -- attestation fields --------------------------------------------------------------

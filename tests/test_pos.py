@@ -285,6 +285,17 @@ def test_rotation_keeps_service_alive():
     assert fp_before != fp_after
 
 
+@pytest.mark.parametrize("msg_type", ["replenish-request", "replenish-certs"])
+def test_rotation_stops_after_a_failed_replenishment(msg_type):
+    sim, ctx = pos_world()
+    del ctx.pos.wallet.credentials[1:]  # the last credential: rotation replenishes
+    sim.add_hook(lambda message: DROP if message.msg_type == msg_type else None)
+    assert rotate_pos_pseudonym(sim, ctx) is None
+    last = sim.records[-1]
+    assert (last["event"], last["code"]) == ("abort", f"{msg_type}-lost")
+    assert not sim.events("replenishment")
+
+
 def test_expired_pos_pseudonym_aborts_session():
     sim, ctx = pos_world()
     # shrink every POS credential's window so it has lapsed by session time
