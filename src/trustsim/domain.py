@@ -143,18 +143,16 @@ def subdomain_admission_flow(
         device.device_id, mno_id, channel, "subdomain-request",
         {"session_id": session.session_id}, {"session_id": "plumbing"},
     )
-    verdict = attest_flow(
+    exchange = attest_flow(
         sim, device, mno_id, verifier, channel, plan=plan, replenish_via=replenish_via
     )
-    if verdict is None:
+    if exchange is None:
         admission = Admission(False, "attestation-failed")
         fingerprint = None
     else:
-        response_msg = sim.latest_messages("attestation-response")[-1]
-        fingerprint = crypto.hash160(
-            bytes.fromhex(response_msg["payload"]["quote"]["aik_public"])
-        ).hex()
-        admission = mno.registry.decide(session.identity, fingerprint, verdict.accepted)
+        fingerprint = exchange.response.aik_fingerprint()  # of the response that arrived
+        admission = mno.registry.decide(session.identity, fingerprint,
+                                        exchange.verdict.accepted)
     sim.send(
         mno_id, device.device_id, channel, "subdomain-verdict",
         {"admitted": admission.admitted, "reason": admission.reason},

@@ -71,19 +71,19 @@ def facility_access(
     """Gate entry: mutual attestation, rights check, zone policy application.
 
     Returns the applied feature map on entry, None when denied."""
-    device_verdict = attest_flow(
+    device_side = attest_flow(
         sim, device, ctx.gate_id, ctx.gate_verifier_for_device, CHANNEL_SR, plan=plan
     )
-    attested = device_verdict is not None and device_verdict.accepted
+    attested = device_side is not None and device_side.verdict.accepted
     authorized = attested and access_rights_check(sim, ctx, device.identity)
     decision = apply_policy(ctx.policy.zone_policy, zone, enforcement_attested=attested)
     granted = authorized and decision.status == ENFORCED
     if granted:
         # the gate proves itself back before the door opens
-        gate_verdict = attest_flow(
+        gate_side = attest_flow(
             sim, ctx.gate, device.device_id, ctx.device_verifier_for_gate, CHANNEL_SR
         )
-        granted = gate_verdict is not None and gate_verdict.accepted
+        granted = gate_side is not None and gate_side.verdict.accepted
     sim.event("entry", gate=ctx.gate_id, device=device.device_id,
               granted=granted, zone=zone)
     if not granted:

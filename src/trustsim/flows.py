@@ -12,10 +12,11 @@ import dataclasses
 
 from . import boot as mb
 from . import crypto
-from .attestation import AttestationChallenge, AttestationResponse, Verifier
+from .attestation import AttestationChallenge, AttestationResponse, AttestationVerdict, Verifier
 from .anchor import PCR_COUNT, EkCertificate, Quote
 from .device import TrustedDevice
 from .errors import ProtocolError
+from .harness import seal
 from .privacy_ca import AikCertificate, CredentialWallet, PrivacyCa
 
 # The five generic attestation attacks and the reason each must trigger.
@@ -115,6 +116,46 @@ def parse_response(payload: dict) -> AttestationResponse:
 
 # -- flows -------------------------------------------------------------------
 
+ENV_LABELS = {"env": "plumbing"}  # labels of a hop that carries one sealed envelope
+
+
+def hop(sim, sender: str, receiver: str, channel: str, msg_type: str, payload: dict,
+        labels: dict, lost: str, *, read=None, bad: str | None = None,
+        party: str | None = None, encrypted: bool = True, **fields):
+    """Send one hop and return the payload that reached receiver, decoded
+    through read(payload) when a reader is given.
+
+    Returns None after writing the one abort record instead: with code bad,
+    for the receiver, when read raised KeyError, TypeError or ValueError;
+    with code lost, for party (the receiver unless named), when the hop was
+    dropped, or could not be read and has no bad code. fields go on the
+    abort record."""
+    msg = sim.send(sender, receiver, channel, msg_type, payload, labels, encrypted=encrypted)
+    if msg is not None:
+        if read is None:
+            return msg.payload
+        try:
+            return read(msg.payload)
+        except (KeyError, TypeError, ValueError):
+            if bad is not None:
+                sim.event("abort", party=receiver, code=bad, **fields)
+                return None
+    sim.event("abort", party=party or receiver, code=lost, **fields)
+    return None
+
+
+def checked(value, ok):
+    """value, or ValueError unless ok: a reader's failed check becomes its
+    hop's bad-* abort."""
+    if not ok:
+        raise ValueError("check failed")
+    return value
+
+
+def opened(payload: dict) -> dict:
+    """The interior of a payload's sealed envelope, as its addressee reads it."""
+    return payload["env"]["_sealed"]["payload"]
+
 
 def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, channel: str) -> bool:
     """Spend the device's last credential to certify a fresh batch, on the record.
@@ -124,8 +165,6 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
     name its record's AIK. Returns whether the device now holds the new
     batch; a lost or malformed hop, or a refused request, ends in one abort
     instead."""
-    from .harness import seal
-
     request = device.wallet.prepare_replenish()
     body = seal(
         [pca_id],
@@ -136,31 +175,24 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
         },
         {"old_certificate": "token", "new_publics": "token", "signature": "plumbing"},
     )
-    msg = sim.send(device.device_id, pca_id, channel, "replenish-request",
-                   {"env": body}, {"env": "plumbing"}, encrypted=True)
-    if msg is None:
-        return _abort(sim, pca_id, "replenish-request-lost")
+    received = hop(sim, device.device_id, pca_id, channel, "replenish-request",
+                   {"env": body}, ENV_LABELS, "replenish-request-lost",
+                   read=_replenish_request, bad="bad-replenish-request")
+    if received is None:
+        return False
     try:
-        fields = opened(msg)
-        old_certificate = AikCertificate.from_fields(fields["old_certificate"])
-        publics = [bytes.fromhex(public) for public in fields["new_publics"]]
-        signature = bytes.fromhex(fields["signature"])
-    except (KeyError, TypeError, ValueError):
-        return _abort(sim, pca_id, "bad-replenish-request")
-    try:
-        certs = pca.replenish(old_certificate, publics, signature, now=sim.tick)
+        certs = pca.replenish(*received, now=sim.tick)
     except ProtocolError as err:
-        return _abort(sim, pca_id, err.code)
+        sim.event("abort", party=pca_id, code=err.code)
+        return False
     reply = seal([device.device_id],
                  {"certificates": [c.to_fields() for c in certs]},
                  {"certificates": "token"})
-    msg = sim.send(pca_id, device.device_id, channel, "replenish-certs",
-                   {"env": reply}, {"env": "plumbing"}, encrypted=True)
-    if msg is None:
-        return _abort(sim, device.device_id, "replenish-certs-lost")
-    certs = _certificates_for(msg, request.records)
+    certs = hop(sim, pca_id, device.device_id, channel, "replenish-certs",
+                {"env": reply}, ENV_LABELS, "replenish-certs-lost",
+                read=lambda p: _certificates_for(p, request.records), bad="bad-replenish-certs")
     if certs is None:
-        return _abort(sim, device.device_id, "bad-replenish-certs")
+        return False
     device.wallet.install_batch(request.records, certs)
     sim.event(
         "replenishment",
@@ -199,16 +231,10 @@ def mangle_and_respond(device: TrustedDevice, wire_challenge: AttestationChallen
 
 
 def record_verdict(sim, verifier_id: str, verifier: Verifier, subject: str,
-                   wire_payload: dict, challenge: AttestationChallenge, now: int):
+                   wire_response: AttestationResponse, challenge: AttestationChallenge,
+                   now: int):
     """Verify a response as it came off the wire and put the verdict on the
-    record; the one writer of "attestation-verdict" events. A response that
-    does not parse gets no verdict: the verifier aborts with bad-response
-    and None is returned."""
-    try:
-        wire_response = parse_response(wire_payload)
-    except (KeyError, TypeError, ValueError):
-        sim.event("abort", party=verifier_id, code="bad-response")
-        return None
+    record; the one writer of "attestation-verdict" events."""
     verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
     sim.event(
         "attestation-verdict",
@@ -221,6 +247,17 @@ def record_verdict(sim, verifier_id: str, verifier: Verifier, subject: str,
     return verdict
 
 
+@dataclasses.dataclass(frozen=True)
+class Exchange:
+    """One recorded attestation exchange: the challenge as it reached the
+    device, the response as it reached the verifier (the last presentation)
+    and the verdict on it."""
+
+    challenge: AttestationChallenge
+    response: AttestationResponse
+    verdict: AttestationVerdict
+
+
 def attest_flow(
     sim,
     device: TrustedDevice,
@@ -230,52 +267,39 @@ def attest_flow(
     plan: AttackPlan | None = None,
     encrypted: bool = False,
     replenish_via: tuple | None = None,
-) -> "object | None":
-    """One challenge-response attestation, recorded; returns the verdict.
+) -> Exchange | None:
+    """One challenge-response attestation, recorded; returns the Exchange.
 
     Returns None after an abort: a message was dropped, or arrived too
     malformed to act on. With a replay-aik injection the response is
     presented twice and the second (rejected) verdict is returned.
+    replenish_via is replenish_flow's (pca_id, pca, channel).
     """
     now = expired_cert_override(device, plan) or sim.tick
 
     challenge = verifier.make_challenge(now)
     payload, labels = challenge_fields(challenge)
-    msg = sim.send(verifier_id, device.device_id, channel, "attestation-challenge",
-                   payload, labels, encrypted=encrypted)
-    if msg is None:
-        sim.event("abort", party=device.device_id, code="challenge-lost")
-        return None
-    try:
-        wire_challenge = parse_challenge(msg.payload)
-    except (KeyError, TypeError, ValueError):
-        sim.event("abort", party=device.device_id, code="bad-challenge")
+    wire_challenge = hop(sim, verifier_id, device.device_id, channel, "attestation-challenge",
+                         payload, labels, "challenge-lost", read=parse_challenge,
+                         bad="bad-challenge", encrypted=encrypted)
+    if wire_challenge is None:
         return None
 
     response, presentations = mangle_and_respond(device, wire_challenge, plan)
     if device.wallet.needs_replenish and replenish_via is not None:
-        pca_id, pca, replenish_channel = replenish_via
-        if not replenish_flow(sim, device, pca_id, pca, replenish_channel):
+        if not replenish_flow(sim, device, *replenish_via):
             return None
 
-    verdict = None
     for _ in range(presentations):
         payload, labels = response_fields(response)
-        msg = sim.send(device.device_id, verifier_id, channel, "attestation-response",
-                       payload, labels, encrypted=encrypted)
-        if msg is None:
-            sim.event("abort", party=verifier_id, code="response-lost")
+        wire_response = hop(sim, device.device_id, verifier_id, channel, "attestation-response",
+                            payload, labels, "response-lost", read=parse_response,
+                            bad="bad-response", encrypted=encrypted)
+        if wire_response is None:
             return None
         verdict = record_verdict(sim, verifier_id, verifier, device.device_id,
-                                 msg.payload, challenge, now)
-        if verdict is None:
-            return None
-    return verdict
-
-
-def opened(msg) -> dict:
-    """The interior of a message's sealed envelope, as its addressee reads it."""
-    return msg.payload["env"]["_sealed"]["payload"]
+                                 wire_response, challenge, now)
+    return Exchange(wire_challenge, wire_response, verdict)
 
 
 def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
@@ -289,19 +313,14 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
     device installs the certificates it received, each of which must name
     its record's AIK. Returns whether the device now holds the batch; a lost
     or malformed hop, or a refused EK, ends in one abort instead."""
-    from .harness import seal
-
     records = device.anchor.create_aik_batch(batch_size)
     challenge = pca.liveness_challenge()
     challenge_env = seal([device.device_id], {"nonce": challenge.hex()}, {"nonce": "plumbing"})
-    msg = sim.send(pca_id, device.device_id, channel, "enroll-challenge",
-                   {"env": challenge_env}, {"env": "plumbing"}, encrypted=True)
-    if msg is None:
-        return _abort(sim, device.device_id, "enroll-challenge-lost")
-    try:
-        nonce = bytes.fromhex(opened(msg)["nonce"])
-    except (KeyError, TypeError, ValueError):
-        return _abort(sim, device.device_id, "bad-enroll-challenge")
+    nonce = hop(sim, pca_id, device.device_id, channel, "enroll-challenge",
+                {"env": challenge_env}, ENV_LABELS, "enroll-challenge-lost",
+                read=lambda p: bytes.fromhex(opened(p)["nonce"]), bad="bad-enroll-challenge")
+    if nonce is None:
+        return False
     request = seal(
         [pca_id],
         {
@@ -311,48 +330,48 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
         },
         {"ek_certificate": "identity", "aik_publics": "token", "liveness": "plumbing"},
     )
-    msg = sim.send(device.device_id, pca_id, channel, "enroll-request",
-                   {"env": request}, {"env": "plumbing"}, encrypted=True)
-    if msg is None:
-        return _abort(sim, pca_id, "enroll-request-lost")
-    try:
-        fields = opened(msg)
-        ek_certificate = EkCertificate.from_fields(fields["ek_certificate"])
-        publics = [bytes.fromhex(public) for public in fields["aik_publics"]]
-        liveness = bytes.fromhex(fields["liveness"])
-    except (KeyError, TypeError, ValueError):
-        return _abort(sim, pca_id, "bad-enroll-request")
+    received = hop(sim, device.device_id, pca_id, channel, "enroll-request",
+                   {"env": request}, ENV_LABELS, "enroll-request-lost",
+                   read=_enroll_request, bad="bad-enroll-request")
+    if received is None:
+        return False
+    ek_certificate, publics, liveness = received
     try:
         certs = pca.enroll(ek_certificate, publics, challenge, liveness, now=sim.tick)
     except ProtocolError as err:
-        return _abort(sim, pca_id, err.code)
+        sim.event("abort", party=pca_id, code=err.code)
+        return False
     reply = seal([device.device_id],
                  {"certificates": [c.to_fields() for c in certs]},
                  {"certificates": "token"})
-    msg = sim.send(pca_id, device.device_id, channel, "enroll-certs",
-                   {"env": reply}, {"env": "plumbing"}, encrypted=True)
-    if msg is None:
-        return _abort(sim, device.device_id, "enroll-certs-lost")
-    certs = _certificates_for(msg, records)
+    certs = hop(sim, pca_id, device.device_id, channel, "enroll-certs",
+                {"env": reply}, ENV_LABELS, "enroll-certs-lost",
+                read=lambda p: _certificates_for(p, records), bad="bad-enroll-certs")
     if certs is None:
-        return _abort(sim, device.device_id, "bad-enroll-certs")
+        return False
     device.wallet = CredentialWallet(device.anchor, pca, batch_size=batch_size,
                                      credentials=list(zip(records, certs)))
     return True
 
 
-def _certificates_for(msg, records) -> list | None:
-    """The certificates a delivered enroll-certs or replenish-certs carries,
-    or None unless they parse and name the records' AIKs, in order."""
-    try:
-        certs = [AikCertificate.from_fields(c) for c in opened(msg)["certificates"]]
-    except (KeyError, TypeError, ValueError):
-        return None
-    if [c.aik_public for c in certs] != [r.key.public for r in records]:
-        return None
-    return certs
+def _enroll_request(payload: dict) -> tuple:
+    """(EK certificate, AIK publics, liveness answer) of a delivered enroll-request."""
+    fields = opened(payload)
+    return (EkCertificate.from_fields(fields["ek_certificate"]),
+            [bytes.fromhex(public) for public in fields["aik_publics"]],
+            bytes.fromhex(fields["liveness"]))
 
 
-def _abort(sim, party: str, code: str) -> bool:
-    sim.event("abort", party=party, code=code)
-    return False
+def _replenish_request(payload: dict) -> tuple:
+    """(old certificate, new AIK publics, signature) of a delivered replenish-request."""
+    fields = opened(payload)
+    return (AikCertificate.from_fields(fields["old_certificate"]),
+            [bytes.fromhex(public) for public in fields["new_publics"]],
+            bytes.fromhex(fields["signature"]))
+
+
+def _certificates_for(payload: dict, records) -> list:
+    """The certificates a delivered enroll-certs or replenish-certs carries;
+    ValueError unless they name the records' AIKs, in order."""
+    certs = [AikCertificate.from_fields(c) for c in opened(payload)["certificates"]]
+    return checked(certs, [c.aik_public for c in certs] == [r.key.public for r in records])

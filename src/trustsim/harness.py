@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from json.scanner import make_scanner
 
@@ -158,10 +157,7 @@ class Simulation:
         self.tick = 0
         self.parties: dict[str, PartyState] = {}
         self.channels: dict[str, Channel] = {}
-        # Append-only: every record goes through _record, which keeps
-        # _by_type, the per-(kind, type) index behind events/messages.
         self.records = []
-        self._by_type = defaultdict(list)
         self.summary = {}
         self._hooks = []
         self._msg_counter = 0
@@ -225,7 +221,7 @@ class Simulation:
         for hook in self._hooks:
             outcome = hook(message)
             if outcome is DROP:
-                self._record(
+                self.records.append(
                     {
                         "kind": "event",
                         "tick": self.tick,
@@ -241,7 +237,7 @@ class Simulation:
                 message = outcome
 
         self.tick += 1
-        self._record(message.record())
+        self.records.append(message.record())
         self._observe(message, ch)
         return message
 
@@ -268,49 +264,27 @@ class Simulation:
         if not message.encrypted:
             _absorb(carrier, channel.carrier, message.payload, message.labels, memo)
 
-    # -- events and queries --------------------------------------------------
-
-    def _record(self, record: dict) -> None:
-        self.records.append(record)
-        kind = record["kind"]
-        rtype = record["event"] if kind == "event" else record["type"]
-        self._by_type[kind, rtype].append(record)
+    # -- events and report queries -------------------------------------------
 
     def event(self, event_type: str, **fields) -> dict:
         record = {"kind": "event", "tick": self.tick, "event": event_type}
         record.update(fields)
-        self._record(record)
+        self.records.append(record)
         return record
 
     def events(self, event_type: str | None = None) -> list:
         """Event records of that type (all events for None), in record order."""
-        if event_type is None:
-            return [r for r in self.records if r["kind"] == "event"]
-        return list(self._by_type.get(("event", event_type), ()))
+        return _select(self.records, "event", event_type)
 
     def messages(self, msg_type: str | None = None) -> list:
         """Message records of that type (all messages for None), in record order."""
-        if msg_type is None:
-            return [r for r in self.records if r["kind"] == "message"]
-        return list(self._by_type.get(("message", msg_type), ()))
-
-    def latest_messages(self, msg_type: str, n: int = 1) -> list:
-        """The newest n message records of that type, in record order: the
-        tail of messages(msg_type) without copying the rest of it."""
-        records = self._by_type.get(("message", msg_type), [])
-        return records[max(len(records) - n, 0):]
+        return _select(self.records, "message", msg_type)
 
     def knowledge_query(self, party: str, label: str | None = None, fname: str | None = None) -> set:
         """Exact set of canonical values with that label (or field name)
         ever readable by the party."""
         state = self.parties.get(party)
-        if state is None:
-            raise ValueError(f"unknown party: {party}")
-        return {
-            value
-            for f, l, value in state.knowledge
-            if (label is None or l == label) and (fname is None or f == fname)
-        }
+        return _known(party, None if state is None else state.knowledge, label, fname)
 
     # -- transcript --------------------------------------------------------
 
@@ -344,6 +318,28 @@ class Simulation:
                 "summary": self.summary,
             },
         )
+
+
+def _select(records: list, kind: str, rtype: str | None) -> list:
+    """The records of that kind ("event" or "message") and type (any type
+    for None), in record order: events/messages of Simulation and
+    Transcript. They serve report rows; protocol steps act on delivered
+    hops instead."""
+    key = "event" if kind == "event" else "type"
+    return [r for r in records if r["kind"] == kind and (rtype is None or r[key] == rtype)]
+
+
+def _known(party: str, rows, label: str | None, fname: str | None) -> set:
+    """knowledge_query of Simulation and Transcript: the exact set of
+    canonical values with that label (or field name) among a party's
+    knowledge rows (field, label, value)."""
+    if rows is None:
+        raise ValueError(f"unknown party: {party}")
+    return {
+        value
+        for f, l, value in rows
+        if (label is None or l == label) and (fname is None or f == fname)
+    }
 
 
 def _absorb(state: PartyState, party_id: str, payload: dict, labels: dict, memo: dict) -> None:
@@ -401,11 +397,16 @@ class Transcript:
         no reference cycles, so the pause defers no garbage and saves the
         collections that the new containers would trigger, each scanning
         the records decoded so far. A collector the caller had disabled
-        stays disabled."""
+        stays disabled.
+
+        Lines end at "\n", "\r\n" or "\r" only: U+2028, U+2029 and U+0085
+        may stand raw inside a JSON string."""
         collecting = gc.isenabled()
         gc.disable()
         try:
-            lines = [line for line in text.splitlines() if line.strip()]
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = [line for line in text.split("\n") if line.strip()]
             if len(lines) < 2:
                 raise ValueError("transcript too short")
             header = _decode(lines[0])
@@ -426,25 +427,10 @@ class Transcript:
             return cls.parse(fh.read())
 
     def knowledge_query(self, party: str, label: str | None = None, fname: str | None = None) -> set:
-        rows = self.snapshot["knowledge"].get(party)
-        if rows is None:
-            raise ValueError(f"unknown party: {party}")
-        return {
-            value
-            for f, l, value in (tuple(r) for r in rows)
-            if (label is None or l == label) and (fname is None or f == fname)
-        }
+        return _known(party, self.snapshot["knowledge"].get(party), label, fname)
 
     def events(self, event_type: str | None = None) -> list:
-        return [
-            r
-            for r in self.records
-            if r["kind"] == "event" and (event_type is None or r["event"] == event_type)
-        ]
+        return _select(self.records, "event", event_type)
 
     def messages(self, msg_type: str | None = None) -> list:
-        return [
-            r
-            for r in self.records
-            if r["kind"] == "message" and (msg_type is None or r["type"] == msg_type)
-        ]
+        return _select(self.records, "message", msg_type)

@@ -19,14 +19,19 @@ from .attestation import Verifier
 from .crypto import KeyPair
 from .device import TrustedDevice
 from .flows import (
+    ENV_LABELS,
     AttackPlan,
     attest_flow,
     challenge_fields,
+    checked,
     expired_cert_override,
+    hop,
     mangle_and_respond,
     opened,
     parse_challenge,
+    parse_response,
     record_verdict,
+    replenish_flow,
     response_fields,
 )
 from .harness import seal
@@ -133,54 +138,68 @@ class PosContext:
         return f"{kind}-{self._counters[kind]}"
 
 
-def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
-           payload: dict, labels: dict):
+def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str, payload: dict,
+           labels: dict, lost: str, party: str | None = None, read=None, bad=None, **fields):
     """POS backhaul through the device: short-range hop, then a sealed hop
     over the mobile network (or the reverse). The device forwards the
     envelope as it arrived and never reads the interior.
 
-    Returns the message delivered to dest, or None when a hop was dropped."""
+    Returns the interior as dest received it, through read when given; a
+    lost hop or a failed read ends in flows.hop's abort, for party (the POS
+    unless named) or dest."""
     if origin == ctx.pos_id:
-        hops = ((origin, ctx.device_id, CHANNEL_SR, f"{msg_type}-relay"),
-                (ctx.device_id, dest, CHANNEL_MOBILE, msg_type))
+        first = (origin, ctx.device_id, CHANNEL_SR, f"{msg_type}-relay")
+        last = (ctx.device_id, dest, CHANNEL_MOBILE, msg_type)
     elif dest == ctx.pos_id:
-        hops = ((origin, ctx.device_id, CHANNEL_MOBILE, msg_type),
-                (ctx.device_id, dest, CHANNEL_SR, f"{msg_type}-relay"))
+        first = (origin, ctx.device_id, CHANNEL_MOBILE, msg_type)
+        last = (ctx.device_id, dest, CHANNEL_SR, f"{msg_type}-relay")
     else:
         raise ValueError("relay endpoints must include the POS")
-    body = seal([dest], payload, labels)
-    msg = None
-    for sender, receiver, channel, hop_type in hops:
-        msg = sim.send(sender, receiver, channel, hop_type,
-                       {"env": body}, {"env": "plumbing"}, encrypted=True)
-        if msg is None:
-            return None
-        body = msg.payload["env"]
-    return msg
+    party = party or ctx.pos_id
+    carried = hop(sim, *first, {"env": seal([dest], payload, labels)}, ENV_LABELS, lost,
+                  party=party, read=lambda p: {"env": p["env"]}, **fields)
+    if carried is None:
+        return None
+    return hop(sim, *last, carried, ENV_LABELS, lost, party=party,
+               read=lambda p: opened(p) if read is None else read(opened(p)), bad=bad,
+               **fields)
 
 
 def _decision_path(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
-                   payload: dict, labels: dict, direct: bool):
+                   payload: dict, labels: dict, direct: bool, lost: str,
+                   party: str | None = None, read=None, bad=None):
     """Carry a token-decision message between the authentication provider
     and the POS: relayed straight through the device when direct, else
-    through the POS owner. Returns the payload as dest received it, or None
-    when a hop was dropped."""
+    through the POS owner. Returns the payload as dest received it, through
+    read when given, or None after the abort (see _relay)."""
     if direct:
-        msg = _relay(sim, ctx, origin, dest, msg_type, payload, labels)
-        return None if msg is None else opened(msg)
-    owner = ctx.pos_owner_id
+        return _relay(sim, ctx, origin, dest, msg_type, payload, labels, lost, party, read, bad)
+    owner, party = ctx.pos_owner_id, party or ctx.pos_id
     if dest == ctx.pos_id:
-        msg = sim.send(origin, owner, CHANNEL_NET, msg_type, payload, labels, encrypted=True)
-        if msg is not None:
-            msg = _relay(sim, ctx, owner, dest, msg_type, msg.payload, labels)
-        return None if msg is None else opened(msg)
-    msg = _relay(sim, ctx, origin, owner, msg_type, payload, labels)
-    if msg is not None:
-        msg = sim.send(owner, dest, CHANNEL_NET, msg_type, opened(msg), labels, encrypted=True)
-    return None if msg is None else msg.payload
+        at_owner = hop(sim, origin, owner, CHANNEL_NET, msg_type, payload, labels, lost,
+                       party=party)
+        return None if at_owner is None else _relay(
+            sim, ctx, owner, dest, msg_type, at_owner, labels, lost, party, read, bad)
+    at_owner = _relay(sim, ctx, origin, owner, msg_type, payload, labels, lost, party)
+    return None if at_owner is None else hop(
+        sim, owner, dest, CHANNEL_NET, msg_type, at_owner, labels, lost, party=party,
+        read=read, bad=bad)
 
 
 # -- session establishment -----------------------------------------------------
+
+
+def _attest_peer(sim, ctx: PosContext, subject: TrustedDevice, judge_id: str,
+                 verifier: Verifier, plan: AttackPlan | None = None):
+    """The subject's attestation at judge over the short-range channel: the
+    Exchange when accepted, else None after judge's
+    session-attestation-failed abort."""
+    exchange = attest_flow(sim, subject, judge_id, verifier, CHANNEL_SR, plan=plan)
+    if exchange is None or not exchange.verdict.accepted:
+        sim.event("abort", party=judge_id, code="session-attestation-failed",
+                  peer=subject.device_id)
+        return None
+    return exchange
 
 
 def mutual_attest_session(sim, ctx: PosContext, plan: AttackPlan | None = None):
@@ -188,29 +207,21 @@ def mutual_attest_session(sim, ctx: PosContext, plan: AttackPlan | None = None):
 
     Each side spends a one-time credential; the session id seeds the
     transport keys. Returns the session id or None on abort."""
-    device_verdict = attest_flow(
-        sim, ctx.device, ctx.pos_id, ctx.pos_verifier_for_device, CHANNEL_SR, plan=plan
-    )
-    if device_verdict is None or not device_verdict.accepted:
-        sim.event("abort", party=ctx.pos_id, code="session-attestation-failed",
-                  peer=ctx.device_id)
+    device_side = _attest_peer(sim, ctx, ctx.device, ctx.pos_id,
+                               ctx.pos_verifier_for_device, plan)
+    pos_side = None if device_side is None else _attest_peer(
+        sim, ctx, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
+    if pos_side is None:
         return None
-    pos_verdict = attest_flow(
-        sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos, CHANNEL_SR
-    )
-    if pos_verdict is None or not pos_verdict.accepted:
-        sim.event("abort", party=ctx.device_id, code="session-attestation-failed",
-                  peer=ctx.pos_id)
-        return None
-    return _open_session(sim, ctx)
+    return _open_session(sim, ctx, device_side.challenge, pos_side.challenge)
 
 
-def _open_session(sim, ctx: PosContext) -> str:
+def _open_session(sim, ctx: PosContext, *challenges) -> str:
     session_id = ctx.next_id("session")
     # fresh transport keys derived under the attested exchange: fold of the
-    # two challenge nonces both sides just answered
-    nonces = [m["payload"]["nonce"] for m in sim.latest_messages("attestation-challenge", 2)]
-    ctx.session_keys[session_id] = crypto.hash160("".join(nonces).encode()).hex()
+    # two challenge nonces both sides just answered, as they arrived
+    nonces = "".join(c.nonce.hex() for c in challenges)
+    ctx.session_keys[session_id] = crypto.hash160(nonces.encode()).hex()
     sim.event("secure-session", device=ctx.device_id, pos=ctx.pos_id, session=session_id)
     return session_id
 
@@ -218,24 +229,17 @@ def _open_session(sim, ctx: PosContext) -> str:
 def exchange_price_list(sim, ctx: PosContext) -> bool:
     """Step 1: signed price list over the established channel; the device
     checks the list that reached it."""
+    def read(p):
+        received = PriceList(tuple(tuple(e) for e in p["entries"]), bytes.fromhex(p["signature"]))
+        return checked(received, received.verify(ctx.pos_owner_keys.public))
+
     payload = {
         "entries": [list(e) for e in ctx.price_list.entries],
         "signature": ctx.price_list.signature.hex(),
     }
-    msg = sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "price-list",
-                   payload, {"entries": "price", "signature": "plumbing"}, encrypted=True)
-    if msg is None:
-        sim.event("abort", party=ctx.device_id, code="price-list-lost")
-        return False
-    try:
-        received = PriceList(tuple(tuple(e) for e in msg.payload["entries"]),
-                             bytes.fromhex(msg.payload["signature"]))
-    except (KeyError, TypeError, ValueError):
-        received = None
-    if received is None or not received.verify(ctx.pos_owner_keys.public):
-        sim.event("abort", party=ctx.device_id, code="bad-price-list")
-        return False
-    return True
+    return hop(sim, ctx.pos_id, ctx.device_id, CHANNEL_SR, "price-list", payload,
+               {"entries": "price", "signature": "plumbing"}, "price-list-lost",
+               read=read, bad="bad-price-list") is not None
 
 
 # -- operator-mediated purchase (device -> MNO -> ack -> POS delivers) ----------
@@ -261,23 +265,20 @@ def purchase_via_operator(
         # operator vouches for the POS pseudonym it received; its identity is
         # revealed to it. The device acts on the answer that reached it.
         _, pos_cert = ctx.pos.wallet.peek()
-        msg = sim.send(ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "pos-identity-check",
-                       {"pos_certificate": pos_cert.to_fields()},
-                       {"pos_certificate": "token"}, encrypted=True)
-        if msg is not None:
-            try:
-                received = AikCertificate.from_fields(msg.payload["pos_certificate"])
-            except (KeyError, TypeError, ValueError):
-                received = None
-            ok = received is not None and verify_aik_certificate(
-                received, ctx.device_verifier_for_pos.pca_root)
-            msg = sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
-                           {"ok": ok}, {"ok": "plumbing"}, encrypted=True)
-        if msg is None:
-            sim.event("abort", party=ctx.device_id, code="identity-check-lost")
+        check = hop(sim, ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "pos-identity-check",
+                    {"pos_certificate": pos_cert.to_fields()}, {"pos_certificate": "token"},
+                    "identity-check-lost", party=ctx.device_id)
+        if check is None:
             return None
-        if not msg.payload.get("ok"):
-            sim.event("abort", party=ctx.device_id, code="pos-identity-unverified")
+        try:
+            received = AikCertificate.from_fields(check["pos_certificate"])
+        except (KeyError, TypeError, ValueError):
+            received = None
+        ok = received is not None and verify_aik_certificate(
+            received, ctx.device_verifier_for_pos.pca_root)
+        if hop(sim, ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
+               {"ok": ok}, {"ok": "plumbing"}, "identity-check-lost",
+               read=lambda p: checked(True, p["ok"]), bad="pos-identity-unverified") is None:
             return None
 
     order_id = ctx.next_id("order")
@@ -293,25 +294,25 @@ def purchase_via_operator(
     }
     signature = crypto.sign(ctx.device_credential.secret,
                             _ORDER_TAG + crypto.canonical_bytes(order_body))
-    msg = sim.send(
-        ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "purchase-order",
+    order = hop(
+        sim, ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "purchase-order",
         {**order_body, "signature": signature.hex()},
         {"order_id": "plumbing", "account": "identity", "price": "price",
          "modality": "plumbing", "good": "good", "signature": "plumbing"},
-        encrypted=True,
+        "order-lost", party=ctx.device_id, order_id=order_id,
     )
-    if msg is None:
-        return _purchase_abort(sim, ctx.device_id, "order-lost", order_id)
+    if order is None:
+        return None
     # operator verifies the subscriber's signature on the order that reached
     # it before acknowledging, and then acts on that order
-    order = msg.payload
     if not _signed(ctx.device_credential.secret.public, _ORDER_TAG, order, _ORDER_FIELDS):
         reject = crypto.sign(ctx.mno_keys, _ACK_TAG + crypto.canonical_bytes(
             {"order_id": order_id, "status": "rejected"}))
         sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-reject",
                  {"order_id": order_id, "signature": reject.hex()},
                  {"order_id": "plumbing", "signature": "plumbing"}, encrypted=True)
-        return _purchase_abort(sim, ctx.mno_id, "bad-order-signature", order_id)
+        sim.event("abort", party=ctx.mno_id, code="bad-order-signature", order_id=order_id)
+        return None
 
     if notify_vendor and ctx.vendor_id:
         sim.send(ctx.mno_id, ctx.vendor_id, CHANNEL_NET, "vendor-notify",
@@ -328,19 +329,18 @@ def purchase_via_operator(
     ack_body = {"order_id": order["order_id"], "status": "ok"}
     ack_sig = crypto.sign(ctx.mno_keys, _ACK_TAG + crypto.canonical_bytes(ack_body))
     ack_labels = {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"}
-    msg = sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack",
-                   {**ack_body, "signature": ack_sig.hex()}, ack_labels, encrypted=True)
-    if msg is None:
-        return _purchase_abort(sim, ctx.device_id, "ack-lost", order_id)
+    ack = hop(sim, ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack",
+              {**ack_body, "signature": ack_sig.hex()}, ack_labels, "ack-lost",
+              order_id=order_id)
     # the device relays the acknowledgement as it arrived
-    msg = sim.send(ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay",
-                   msg.payload, msg.labels, encrypted=True)
-    if msg is None:
-        return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
-    ack = msg.payload
-    if not (_signed(ctx.mno_keys.public, _ACK_TAG, ack, ("order_id", "status"))
-            and ack["order_id"] == order_id and ack["status"] == "ok"):
-        return _purchase_abort(sim, ctx.pos_id, "bad-ack-signature", order_id)
+    if ack is None or hop(
+        sim, ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay", ack, ack_labels,
+        "ack-lost", read=lambda a: checked(a, _signed(
+            ctx.mno_keys.public, _ACK_TAG, a, ("order_id", "status"))
+            and a["order_id"] == order_id and a["status"] == "ok"),
+        bad="bad-ack-signature", order_id=order_id,
+    ) is None:
+        return None
     sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
     sim.event("delivery", pos=ctx.pos_id, order_id=order_id)
     sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "delivery-confirmation",
@@ -373,46 +373,37 @@ def separation_session(
     challenge = ctx.auth_verifier.make_challenge(now)
     ch_payload, ch_labels = challenge_fields(challenge)
     at_pos = _decision_path(sim, ctx, ctx.auth_id, ctx.pos_id, "token-challenge",
-                            ch_payload, ch_labels, validate_direct)
-    forward = None if at_pos is None else sim.send(
-        ctx.pos_id, ctx.device_id, CHANNEL_SR, "attestation-challenge",
-        at_pos, ch_labels, encrypted=True)
-    if forward is None:
-        sim.event("abort", party=ctx.device_id, code="challenge-lost")
+                            ch_payload, ch_labels, validate_direct, "challenge-lost",
+                            party=ctx.device_id)
+    wire_challenge = None if at_pos is None else hop(
+        sim, ctx.pos_id, ctx.device_id, CHANNEL_SR, "attestation-challenge", at_pos,
+        ch_labels, "challenge-lost", read=parse_challenge, bad="bad-challenge")
+    if wire_challenge is None:
         return None
 
     if reuse_response is not None:
         response_payload, presentations = dict(reuse_response), 1
     else:
-        try:
-            wire_challenge = parse_challenge(forward.payload)
-        except (KeyError, TypeError, ValueError):
-            sim.event("abort", party=ctx.device_id, code="bad-challenge")
-            return None
         response, presentations = mangle_and_respond(ctx.device, wire_challenge, plan)
         response_payload, _ = response_fields(response)
 
     token_labels = {"quote": "plumbing", "log": "plumbing", "certificate": "token"}
     verdict_labels = {"ok": "plumbing", "reasons": "plumbing"}
     for _ in range(presentations):
-        token_msg = sim.send(ctx.device_id, ctx.pos_id, CHANNEL_SR, "auth-token",
-                             response_payload, token_labels, encrypted=True)
-        at_auth = None if token_msg is None else _decision_path(
-            sim, ctx, ctx.pos_id, ctx.auth_id, "token-validate", token_msg.payload,
-            token_labels, validate_direct)
-        if at_auth is None:
-            sim.event("abort", party=ctx.pos_id, code="token-lost")
+        token = hop(sim, ctx.device_id, ctx.pos_id, CHANNEL_SR, "auth-token",
+                    response_payload, token_labels, "token-lost")
+        wire_response = None if token is None else _decision_path(
+            sim, ctx, ctx.pos_id, ctx.auth_id, "token-validate", token, token_labels,
+            validate_direct, "token-lost", read=parse_response, bad="bad-response")
+        if wire_response is None:
             return None
         verdict = record_verdict(sim, ctx.auth_id, ctx.auth_verifier, ctx.device_id,
-                                 at_auth, challenge, now)
-        if verdict is None:
-            return None
+                                 wire_response, challenge, now)
         decision = _decision_path(
             sim, ctx, ctx.auth_id, ctx.pos_id, "token-verdict",
             {"ok": verdict.accepted, "reasons": list(verdict.reasons)}, verdict_labels,
-            validate_direct)
+            validate_direct, "verdict-lost")
         if decision is None:
-            sim.event("abort", party=ctx.pos_id, code="verdict-lost")
             return None
 
     if not decision.get("ok"):
@@ -421,14 +412,11 @@ def separation_session(
         return None
 
     # mutual assurance: the device checks the POS pseudonym locally
-    pos_verdict = attest_flow(sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos,
-                              CHANNEL_SR)
-    if pos_verdict is None or not pos_verdict.accepted:
-        sim.event("abort", party=ctx.device_id, code="session-attestation-failed",
-                  peer=ctx.pos_id)
+    pos_side = _attest_peer(sim, ctx, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
+    if pos_side is None:
         return None
 
-    session_id = _open_session(sim, ctx)
+    session_id = _open_session(sim, ctx, wire_challenge, pos_side.challenge)
     token_fp = crypto.hash160(bytes.fromhex(response_payload["quote"]["aik_public"])).hex()
     return session_id, token_fp, response_payload
 
@@ -457,71 +445,61 @@ def separation_purchase(
     confirmation_labels = {"auth_token": "token", "status": "plumbing",
                            "signature": "plumbing"}
 
+    def billed_in_full(b):
+        return checked(b, not billing.keys() - b.keys())
+
+    def confirmed(token):
+        return lambda c: checked(c, _confirmation_ok(ctx, c, token))
+
     if not decentralised:
-        msg = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "billing-data",
-                     billing, billing_labels)
-        if msg is None:
-            return _purchase_abort(sim, ctx.pos_id, "billing-lost", order_id)
-        billed = opened(msg)
-        if billing.keys() - billed.keys():
-            return _purchase_abort(sim, ctx.pos_owner_id, "bad-billing-data", order_id)
+        billed = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "billing-data", billing,
+                        billing_labels, "billing-lost", read=billed_in_full,
+                        bad="bad-billing-data", order_id=order_id)
+        if billed is None:
+            return None
         package = make_billing_package(billed["auth_token"], billed["price"],
                                        ctx.pos_owner_keys)
-        msg = sim.send(ctx.pos_owner_id, ctx.charging_id, CHANNEL_NET, "billing-package",
-                       package, package_labels, encrypted=True)
-        if msg is None:
-            return _purchase_abort(sim, ctx.pos_owner_id, "billing-lost", order_id)
-        confirmation = _charge(ctx, msg.payload, [ctx.pos_owner_keys.public])
-        msg = sim.send(ctx.charging_id, ctx.pos_owner_id, CHANNEL_NET, "charge-confirmation",
-                       confirmation, confirmation_labels, encrypted=True)
-        if msg is None:
-            return _purchase_abort(sim, ctx.pos_owner_id, "confirmation-lost", order_id)
-        if not _confirmation_ok(ctx, msg.payload, billed["auth_token"]):
-            return _purchase_abort(sim, ctx.pos_owner_id, "charge-refused", order_id)
+        at_charging = hop(sim, ctx.pos_owner_id, ctx.charging_id, CHANNEL_NET,
+                          "billing-package", package, package_labels, "billing-lost",
+                          party=ctx.pos_owner_id, order_id=order_id)
+        if at_charging is None or hop(
+            sim, ctx.charging_id, ctx.pos_owner_id, CHANNEL_NET, "charge-confirmation",
+            _charge(ctx, at_charging, [ctx.pos_owner_keys.public]), confirmation_labels,
+            "confirmation-lost", read=confirmed(billed["auth_token"]), bad="charge-refused",
+            order_id=order_id,
+        ) is None:
+            return None
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
     else:
         package = make_billing_package(token_fp, price, ctx.pos_delegate_keys)
-        msg = _relay(sim, ctx, ctx.pos_id, ctx.charging_id, "billing-package",
-                     package, package_labels)
-        if msg is None:
-            return _purchase_abort(sim, ctx.pos_id, "billing-lost", order_id)
-        confirmation = _charge(ctx, opened(msg),
-                               [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public])
-        msg = _relay(sim, ctx, ctx.charging_id, ctx.pos_id, "charge-confirmation",
-                     confirmation, confirmation_labels)
-        if msg is None:
-            return _purchase_abort(sim, ctx.pos_id, "confirmation-lost", order_id)
-        if not _confirmation_ok(ctx, opened(msg), token_fp):
-            return _purchase_abort(sim, ctx.pos_id, "charge-refused", order_id)
+        at_charging = _relay(sim, ctx, ctx.pos_id, ctx.charging_id, "billing-package",
+                             package, package_labels, "billing-lost", order_id=order_id)
+        if at_charging is None or _relay(
+            sim, ctx, ctx.charging_id, ctx.pos_id, "charge-confirmation",
+            _charge(ctx, at_charging, [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public]),
+            confirmation_labels, "confirmation-lost", read=confirmed(token_fp),
+            bad="charge-refused", order_id=order_id,
+        ) is None:
+            return None
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
-        msg = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "ack-request",
-                     billing, billing_labels)
-        if msg is None:
-            return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
-        billed = opened(msg)
-        if billing.keys() - billed.keys():
-            return _purchase_abort(sim, ctx.pos_owner_id, "bad-billing-data", order_id)
+        billed = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "ack-request", billing,
+                        billing_labels, "ack-lost", read=billed_in_full,
+                        bad="bad-billing-data", order_id=order_id)
+        if billed is None:
+            return None
 
     ack = _acknowledgement(ctx, billed["order_id"], ctx.pos_owner_keys)
-    msg = _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement",
-                 ack, {"order_id": "plumbing", "signature": "plumbing"})
-    if msg is None:
-        return _purchase_abort(sim, ctx.pos_id, "ack-lost", order_id)
-    wire_ack = opened(msg)
-    if wire_ack.get("order_id") != order_id or not _signed(
-        ctx.pos_owner_keys.public, _ACK_TAG, wire_ack, ("order_id",)
-    ):
-        return _purchase_abort(sim, ctx.pos_id, "bad-ack-signature", order_id)
+    if _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement", ack,
+              {"order_id": "plumbing", "signature": "plumbing"}, "ack-lost",
+              read=lambda a: checked(a, a.get("order_id") == order_id and _signed(
+                  ctx.pos_owner_keys.public, _ACK_TAG, a, ("order_id",))),
+              bad="bad-ack-signature", order_id=order_id) is None:
+        return None
     sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
     sim.event("delivery", pos=ctx.pos_id, order_id=order_id)
     sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "delivery-confirmation",
              {"order_id": order_id}, {"order_id": "plumbing"}, encrypted=True)
     return order_id
-
-
-def _purchase_abort(sim, party: str, code: str, order_id: str) -> None:
-    sim.event("abort", party=party, code=code, order_id=order_id)
-    return None
 
 
 def _charge(ctx: PosContext, package: dict, signer_publics) -> dict:
@@ -552,8 +530,6 @@ def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:
     every session anyway; this tops the wallet back up so rotation never
     leaves a service gap. None after a replenishment that ended in an abort."""
     if ctx.pos.wallet.needs_replenish:
-        from .flows import replenish_flow
-
         if not replenish_flow(sim, ctx.pos, ctx.pos_owner_id, ctx.pos.wallet.pca, CHANNEL_SR):
             return None
     _, cert = ctx.pos.wallet.peek()

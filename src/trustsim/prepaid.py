@@ -178,8 +178,8 @@ def prepaid_service_request(
              {"service": service, "units": units},
              {"service": "good", "units": "plumbing"})
 
-    verdict = attest_flow(sim, client.device, mno_id, verifier, channel,
-                          plan=plan, replenish_via=replenish_via)
+    exchange = attest_flow(sim, client.device, mno_id, verifier, channel,
+                           plan=plan, replenish_via=replenish_via)
 
     def deny(code):
         sim.send(mno_id, device_id, channel, "service-denied",
@@ -188,12 +188,12 @@ def prepaid_service_request(
         sim.event("denial", device=device_id, service=service, code=code)
         return None
 
-    if verdict is None:
+    if exchange is None:
         return deny("attestation-lost")
-    if not verdict.accepted:
-        return deny(verdict.reasons[0])
+    if not exchange.verdict.accepted:
+        return deny(exchange.verdict.reasons[0])
 
-    nonce = bytes.fromhex(sim.latest_messages("attestation-challenge")[-1]["payload"]["nonce"])
+    nonce = exchange.challenge.nonce  # as the device received it
     try:
         statement = client.sign_statement(service, units, cost, nonce)
     except ProtocolError as err:

@@ -169,12 +169,12 @@ def _run_one_time_aik(sim, config, plan):
     accepted = 0
     while not aborted and accepted < config["auth_count"]:
         svc = "svc-a" if accepted % 2 == 0 else "svc-b"
-        verdict = attest_flow(
+        exchange = attest_flow(
             sim, device, svc, services[svc], "mobile",
             plan=plan,
             replenish_via=("pca", pca, "mobile"),
         )
-        if verdict is None or not verdict.accepted:
+        if exchange is None or not exchange.verdict.accepted:
             aborted = True
         else:
             accepted += 1
@@ -376,6 +376,8 @@ def _run_prepaid_happy(sim, config, plan):
         )
         if attacked:
             break  # the attacked exchange is the whole story of this run
+        if not client.device.wallet.credentials:
+            break  # a failed replenishment spent the last credential
         if voucher_values:
             voucher_counter += 1
             voucher = make_voucher(mno_keys, f"v-{voucher_counter}", voucher_values.pop(0))

@@ -13,16 +13,16 @@ from trustsim.harness import DROP, Simulation, Transcript
 SERVICE_EVENTS = {"delivery", "grant", "secure-session"}
 
 
-def _run_with_hook(monkeypatch, scenario, hook, attacks=()):
-    """run_scenario(scenario, 1, attacks) with hook on its Simulation;
-    returns the transcript, the report and the event records."""
+def _run_with_hook(monkeypatch, scenario, hook, attacks=(), variants=None):
+    """run_scenario(scenario, 1, attacks, variants) with hook on its
+    Simulation; returns the transcript, the report and the event records."""
     class HookedSimulation(Simulation):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.add_hook(hook)
 
     monkeypatch.setattr(scenarios, "Simulation", HookedSimulation)
-    transcript, report = scenarios.run_scenario(scenario, 1, attacks)
+    transcript, report = scenarios.run_scenario(scenario, 1, attacks, variants)
     return transcript, report, transcript.events()
 
 
@@ -196,6 +196,20 @@ def test_replenishment_acts_on_the_hop_that_arrived(monkeypatch, what, msg_type,
     transcript, report, events = _run_with_hook(monkeypatch, "one-time-aik-auth",
                                                 _nth(msg_type, _interior(edit)))
     _assert_replenishment_aborted(transcript, report, events, code)
+
+
+def test_prepaid_run_ends_after_a_lost_replenishment(monkeypatch):
+    # the lost request spent the device's last credential: the request it
+    # was for is denied, and no later request is attempted
+    variants = {"requests": [["calls", 1]] * 12, "vouchers": []}
+    transcript, report, events = _run_with_hook(
+        monkeypatch, "prepaid-happy", _nth("replenish-request", DROP), variants=variants)
+    _assert_aborted(transcript, report, events, "replenish-request-lost")
+    first = next(i for i, e in enumerate(events) if e["event"] == "abort")
+    assert [(e["event"], e.get("code")) for e in events[first:]] == [
+        ("abort", "replenish-request-lost"), ("denial", "attestation-lost")]
+    assert transcript.records[-1] is events[-1]
+    assert len(transcript.events("grant")) < len(variants["requests"])
 
 
 # -- attestation fields --------------------------------------------------------------

@@ -152,6 +152,32 @@ def test_transcript_parse_rejects_garbage():
         Transcript.parse("not json\nstill not json")
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_transcript_lines_end_only_at_line_feeds_and_returns(separator):
+    # JSON allows these raw inside a string, so they must not end a line
+    sim = basic_sim()
+    sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
+    sim.event("note", text=f"a{separator}b")
+    lines = [json.dumps(json.loads(line), ensure_ascii=False)
+             for line in sim.finalize().to_lines()]
+    assert separator in lines[2]
+    back = Transcript.parse("\n".join(lines) + "\n")
+    assert back.records == [json.loads(line) for line in lines[1:-1]]
+    assert back.events("note")[0]["text"] == f"a{separator}b"
+    assert all(f.ok for f in audit.audit(back)), audit.audit(back)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_transcript_parses_crlf_and_cr_line_ends(newline):
+    sim = basic_sim()
+    sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
+    sim.event("delivery", order_id="o1")
+    transcript = sim.finalize()
+    back = Transcript.parse(transcript.to_text().replace("\n", newline))
+    assert (back.header, back.records, back.snapshot) == (
+        transcript.header, transcript.records, transcript.snapshot)
+
+
 def test_auditor_accepts_honest_transcript():
     sim = basic_sim()
     envelope = seal(["owner"], {"item": "cola"}, {"item": "good"})

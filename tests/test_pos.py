@@ -11,7 +11,7 @@ from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import MobileNetworkOperator, network_access_flow
-from trustsim.flows import apply_setup_attacks, enroll_flow, opened
+from trustsim.flows import apply_setup_attacks, enroll_flow
 from trustsim.harness import (
     DROP,
     MOBILE_NETWORK,
@@ -414,15 +414,19 @@ def test_relay_forwards_what_arrived_and_stops_at_a_lost_hop():
 
     sim.add_hook(stamp)
     delivered = pos._relay(sim, ctx, "pos-1", "pos-owner", "note",
-                           {"text": "hello"}, {"text": "plumbing"})
-    assert delivered.msg_type == "note" and delivered.receiver == "pos-owner"
-    assert opened(delivered) == {"text": "rewritten"}
+                           {"text": "hello"}, {"text": "plumbing"}, "note-lost")
+    assert delivered == {"text": "rewritten"}
+    last = sim.messages()[-1]
+    assert last["type"] == "note" and last["receiver"] == "pos-owner"
+    assert not sim.events("abort")
 
     sim.add_hook(_drop_type("note-relay"))
     sent = len(sim.messages())
-    assert pos._relay(sim, ctx, "pos-1", "pos-owner", "note",
-                      {"text": "hello"}, {"text": "plumbing"}) is None
+    assert pos._relay(sim, ctx, "pos-1", "pos-owner", "note", {"text": "hello"},
+                      {"text": "plumbing"}, "note-lost", order_id="order-9") is None
     assert len(sim.messages()) == sent  # nothing left the device
+    abort = sim.events("abort")[-1]
+    assert (abort["party"], abort["code"], abort["order_id"]) == ("pos-1", "note-lost", "order-9")
 
 
 
@@ -701,3 +705,31 @@ def test_malformed_hop_aborts_instead_of_raising(monkeypatch, scenario, msg_type
     transcript, report, events = _run_with_hook(monkeypatch, scenario,
                                                 _alter_first(msg_type, changes), variants)
     _assert_aborted_without_delivery(transcript, report, events, code)
+
+
+# (scenario, relayed hop, payload it arrives with, abort party, abort code):
+# an envelope that is missing or does not open is malformed where its
+# reader has a bad-* code, and otherwise counts as lost for the party
+# waiting on it
+_UNOPENABLE_RUNS = [
+    ("pos-sep-duties", "token-challenge-relay", {"env": "sealed?"}, "dev-1", "challenge-lost"),
+    ("pos-sep-duties", "token-validate-relay", {"env": "sealed?"}, "pos-1", "token-lost"),
+    ("pos-sep-duties", "token-verdict-relay", {"env": "sealed?"}, "pos-1", "verdict-lost"),
+    ("pos-decentralised", "charge-confirmation-relay", {"env": "sealed?"}, "pos-1",
+     "charge-refused"),
+    ("pos-sep-duties", "billing-data-relay", {}, "pos-1", "billing-lost"),
+]
+
+
+@pytest.mark.parametrize("scenario,msg_type,arrives,party,code", _UNOPENABLE_RUNS,
+                         ids=[f"{run[0]}:{run[1]}" for run in _UNOPENABLE_RUNS])
+def test_an_envelope_that_does_not_open_counts_as_lost(monkeypatch, scenario, msg_type,
+                                                       arrives, party, code):
+    def unseal(message):
+        if message.msg_type != msg_type:
+            return None
+        return dataclasses.replace(message, payload=dict(arrives))
+
+    transcript, report, events = _run_with_hook(monkeypatch, scenario, unseal)
+    _assert_aborted_without_delivery(transcript, report, events, code)
+    assert [e["party"] for e in events if e["event"] == "abort"] == [party]

@@ -1,9 +1,11 @@
-"""Simulation's per-type record index against a plain filter over records."""
+"""Record queries of Simulation and Transcript (one shared implementation)
+against a plain filter over records."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim.harness import DROP, MOBILE_NETWORK, Simulation
+from trustsim.harness import DROP, MOBILE_NETWORK, Simulation, Transcript
 
 # Shared between messages and events on purpose, "message-dropped" included,
 # so a type name alone never tells the two kinds apart.
@@ -16,10 +18,10 @@ OPERATIONS = st.lists(
 )
 
 
-def naive(sim, kind, rtype):
+def naive(view, kind, rtype):
     key = "event" if kind == "event" else "type"
     return [
-        r for r in sim.records if r["kind"] == kind and (rtype is None or r[key] == rtype)
+        r for r in view.records if r["kind"] == kind and (rtype is None or r[key] == rtype)
     ]
 
 
@@ -46,14 +48,16 @@ def same_records(got, expected):
 @settings(max_examples=300, deadline=None)
 def test_queries_equal_the_filter_over_records(operations):
     sim = replay(operations)
-    for rtype in QUERIED + (None,):
-        assert same_records(sim.events(rtype), naive(sim, "event", rtype))
-        assert same_records(sim.messages(rtype), naive(sim, "message", rtype))
-    for rtype in QUERIED:
-        expected = naive(sim, "message", rtype)
-        for n in (1, 2, 3):
-            assert same_records(sim.latest_messages(rtype, n), expected[-n:])
-        assert sim.latest_messages(rtype, 0) == []
+    parsed = Transcript.parse(sim.finalize().to_text())
+    for view in (sim, parsed):
+        for rtype in QUERIED + (None,):
+            assert same_records(view.events(rtype), naive(view, "event", rtype))
+            assert same_records(view.messages(rtype), naive(view, "message", rtype))
+    for party in sim.parties:
+        for label in ("plumbing", "identity", None):
+            for fname in ("n", "other", None):
+                assert (sim.knowledge_query(party, label, fname)
+                        == parsed.knowledge_query(party, label, fname))
 
 
 @given(OPERATIONS)
@@ -64,7 +68,12 @@ def test_returned_lists_are_copies(operations):
         events, messages = naive(sim, "event", rtype), naive(sim, "message", rtype)
         sim.events(rtype).clear()
         sim.messages(rtype).append({"kind": "message", "type": rtype})
-        sim.latest_messages(rtype, 2).clear()
         assert same_records(sim.events(rtype), events)
         assert same_records(sim.messages(rtype), messages)
-        assert same_records(sim.latest_messages(rtype, 2), messages[-2:])
+
+
+def test_unknown_party_is_an_error_in_both_views():
+    sim = replay([("send", "alpha")])
+    for view in (sim, sim.finalize()):
+        with pytest.raises(ValueError, match="unknown party: nobody"):
+            view.knowledge_query("nobody")
