@@ -127,9 +127,8 @@ class EkCertificate:
 class Manufacturer:
     """Root of the EK certificate chain."""
 
-    def __init__(self, rng: Rng, name: str = "manufacturer"):
-        self.name = name
-        self.root = crypto.keygen(rng.fork(f"mfr:{name}"))
+    def __init__(self, rng: Rng):
+        self.root = crypto.keygen(rng.fork("mfr:manufacturer"))
 
     def endorse(self, ek_public: bytes, model: str) -> EkCertificate:
         payload = crypto.canonical_bytes({"ek_public": ek_public.hex(), "model": model})

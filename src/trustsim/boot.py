@@ -85,7 +85,7 @@ class ReferenceDb:
         return self._expected.get(name) == measurement_hex
 
 
-def measure(chain, pcr_index: int = BOOT_PCR, stage_pcrs: dict | None = None) -> MeasurementLog:
+def measure(chain, stage_pcrs: dict | None = None) -> MeasurementLog:
     """The log a measured boot of chain writes, computed without an anchor.
 
     One register takes the whole chain by default; stage_pcrs maps
@@ -94,16 +94,15 @@ def measure(chain, pcr_index: int = BOOT_PCR, stage_pcrs: dict | None = None) ->
     log = MeasurementLog()
     for component in chain:
         log.append(component.name, crypto.hash160(component.payload),
-                   stage_pcrs.get(component.name, pcr_index))
+                   stage_pcrs.get(component.name, BOOT_PCR))
     return log
 
 
-def boot(anchor: TrustAnchor, chain, pcr_index: int = BOOT_PCR,
-         stage_pcrs: dict | None = None) -> MeasurementLog:
+def boot(anchor: TrustAnchor, chain, stage_pcrs: dict | None = None) -> MeasurementLog:
     """Run the measured boot: hash each component, extend, log, in order."""
     if not chain:
         raise ValueError("boot chain must not be empty")
-    log = measure(chain, pcr_index, stage_pcrs)
+    log = measure(chain, stage_pcrs)
     for register in {e.pcr_index for e in log.entries}:
         if anchor.pcr_value(register) != crypto.ZERO_DIGEST:
             raise ProtocolError("pcr-not-reset", f"register {register} already extended")

@@ -73,11 +73,11 @@ class Rng:
     consumer's draws never shift another's.
     """
 
-    def __init__(self, seed: int, path: str = ""):
+    def __init__(self, seed: int):
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = seed
-        self._key = hash256(seed.to_bytes(8, "big") + path.encode("utf-8"))
+        self._key = hash256(seed.to_bytes(8, "big"))
         self._counter = 0
         self._buffer = b""
 

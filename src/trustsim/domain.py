@@ -16,10 +16,12 @@ from . import crypto
 from .attestation import Verifier
 from .crypto import KeyPair, Rng
 from .errors import ProtocolError
-from .flows import attest_flow
+from .flows import attest_flow, checked, hop
 
 UNBOUND = "unbound"
 BOUND = "bound"
+
+CHANNEL_MOBILE = "mobile"
 
 _ACCESS_TAG = b"netaccess:"
 
@@ -105,26 +107,38 @@ class MobileNetworkOperator:
 
 
 def network_access_flow(sim, device, mno_id: str, mno: MobileNetworkOperator,
-                        credential: GenericCredential, channel: str = "mobile"):
-    """Recorded logon: identity + possession proof, session or denial back."""
-    sim.send(
-        device.device_id, mno_id, channel, "network-access",
-        {"identity": credential.device_identity, "proof": credential.access_proof().hex()},
-        {"identity": "identity", "proof": "plumbing"},
-    )
+                        credential: GenericCredential):
+    """Recorded logon: identity + possession proof, session or denial back.
+
+    The MNO judges the request that reached it. Returns the session, or
+    None after a denial or after the abort of a lost or unreadable request."""
+    received = hop(sim, device.device_id, mno_id, CHANNEL_MOBILE, "network-access",
+                   {"identity": credential.device_identity,
+                    "proof": credential.access_proof().hex()},
+                   {"identity": "identity", "proof": "plumbing"},
+                   "network-access-lost", read=_access_request, bad="bad-access-request",
+                   encrypted=False)
+    if received is None:
+        return None
     try:
-        session = mno.network_access(credential.device_identity, credential.access_proof())
+        session = mno.network_access(*received)
     except ProtocolError as err:
-        sim.send(mno_id, device.device_id, channel, "network-denied",
+        sim.send(mno_id, device.device_id, CHANNEL_MOBILE, "network-denied",
                  {"code": err.code}, {"code": "plumbing"})
         sim.event("network-denied", device=device.device_id, code=err.code)
         return None
     sim.send(
-        mno_id, device.device_id, channel, "network-session",
+        mno_id, device.device_id, CHANNEL_MOBILE, "network-session",
         {"session_id": session.session_id}, {"session_id": "plumbing"},
     )
     sim.event("network-session", device=device.device_id, session=session.session_id)
     return session
+
+
+def _access_request(payload: dict) -> tuple:
+    """(identity, possession proof) of a delivered network-access."""
+    identity = payload["identity"]
+    return checked(identity, isinstance(identity, str)), bytes.fromhex(payload["proof"])
 
 
 def subdomain_admission_flow(
@@ -135,17 +149,13 @@ def subdomain_admission_flow(
     verifier: Verifier,
     session: Session,
     plan=None,
-    channel: str = "mobile",
-    replenish_via=None,
 ) -> Admission:
     """Transmit the trust credential (attestation) and apply the registry rules."""
     sim.send(
-        device.device_id, mno_id, channel, "subdomain-request",
+        device.device_id, mno_id, CHANNEL_MOBILE, "subdomain-request",
         {"session_id": session.session_id}, {"session_id": "plumbing"},
     )
-    exchange = attest_flow(
-        sim, device, mno_id, verifier, channel, plan=plan, replenish_via=replenish_via
-    )
+    exchange = attest_flow(sim, device, mno_id, verifier, CHANNEL_MOBILE, plan=plan)
     if exchange is None:
         admission = Admission(False, "attestation-failed")
         fingerprint = None
@@ -154,7 +164,7 @@ def subdomain_admission_flow(
         admission = mno.registry.decide(session.identity, fingerprint,
                                         exchange.verdict.accepted)
     sim.send(
-        mno_id, device.device_id, channel, "subdomain-verdict",
+        mno_id, device.device_id, CHANNEL_MOBILE, "subdomain-verdict",
         {"admitted": admission.admitted, "reason": admission.reason},
         {"admitted": "plumbing", "reason": "plumbing"},
     )

@@ -265,7 +265,6 @@ def attest_flow(
     verifier: Verifier,
     channel: str,
     plan: AttackPlan | None = None,
-    encrypted: bool = False,
     replenish_via: tuple | None = None,
 ) -> Exchange | None:
     """One challenge-response attestation, recorded; returns the Exchange.
@@ -281,7 +280,7 @@ def attest_flow(
     payload, labels = challenge_fields(challenge)
     wire_challenge = hop(sim, verifier_id, device.device_id, channel, "attestation-challenge",
                          payload, labels, "challenge-lost", read=parse_challenge,
-                         bad="bad-challenge", encrypted=encrypted)
+                         bad="bad-challenge", encrypted=False)
     if wire_challenge is None:
         return None
 
@@ -294,7 +293,7 @@ def attest_flow(
         payload, labels = response_fields(response)
         wire_response = hop(sim, device.device_id, verifier_id, channel, "attestation-response",
                             payload, labels, "response-lost", read=parse_response,
-                            bad="bad-response", encrypted=encrypted)
+                            bad="bad-response", encrypted=False)
         if wire_response is None:
             return None
         verdict = record_verdict(sim, verifier_id, verifier, device.device_id,

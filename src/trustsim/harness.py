@@ -55,31 +55,15 @@ def canon_value(value) -> str:
     return _encode(value)
 
 
-@dataclass(frozen=True)
-class Envelope:
+def seal(readers, payload: dict, labels: dict) -> dict:
     """Payload sealed end-to-end for specific readers.
 
     Carried opaquely by everyone else: relays and carriers learn that a
     sealed blob passed, never the fields inside.
     """
-
-    readers: frozenset
-    payload: dict
-    labels: dict
-
-    def to_json(self) -> dict:
-        return {
-            "_sealed": {
-                "readers": sorted(self.readers),
-                "payload": self.payload,
-                "labels": self.labels,
-            }
-        }
-
-
-def seal(readers, payload: dict, labels: dict) -> dict:
     _check_labels(payload, labels)
-    return Envelope(frozenset(readers), dict(payload), dict(labels)).to_json()
+    return {"_sealed": {"readers": sorted(set(readers)), "payload": dict(payload),
+                        "labels": dict(labels)}}
 
 
 def is_sealed(value) -> bool:

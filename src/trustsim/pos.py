@@ -536,10 +536,9 @@ def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:
     return crypto.hash160(cert.aik_public).hex()
 
 
-def control_exchange(sim, device_id: str, sink_id: str, count: int = 1) -> None:
+def control_exchange(sim, device_id: str, sink_id: str) -> None:
     """An arbitrary encrypted device session: what the carrier view of any
     relayed POS traffic must be indistinguishable from."""
-    for i in range(count):
-        body = seal([sink_id], {"blob": f"opaque-{i}"}, {"blob": "plumbing"})
-        sim.send(device_id, sink_id, CHANNEL_MOBILE, "control-env",
-                 {"env": body}, {"env": "plumbing"}, encrypted=True)
+    body = seal([sink_id], {"blob": "opaque-0"}, {"blob": "plumbing"})
+    sim.send(device_id, sink_id, CHANNEL_MOBILE, "control-env",
+             {"env": body}, {"env": "plumbing"}, encrypted=True)

@@ -18,6 +18,8 @@ from .device import TrustedDevice
 from .errors import ProtocolError
 from .flows import attest_flow
 
+CHANNEL_MOBILE = "mobile"
+
 BALANCE_SLOT = "prepaid-balance"
 KEY_SLOT = "ppc-statement-key"
 
@@ -135,20 +137,20 @@ class PrepaidOperator:
 
 
 def vsim_logon(sim, client: PrepaidClient, mno_id: str, operator: PrepaidOperator,
-               rng: Rng, channel: str = "mobile"):
+               rng: Rng):
     """Random pool IMSI, retrying busy ones — at most pool-size attempts."""
     device_id = client.device.device_id
     for imsi in rng.shuffled(operator.pool.imsis):
-        sim.send(device_id, mno_id, channel, "vsim-logon",
+        sim.send(device_id, mno_id, CHANNEL_MOBILE, "vsim-logon",
                  {"imsi": imsi}, {"imsi": "identity"})
         try:
             session_id = operator.logon(imsi)
         except ProtocolError as err:
-            sim.send(mno_id, device_id, channel, "vsim-logon-conflict",
+            sim.send(mno_id, device_id, CHANNEL_MOBILE, "vsim-logon-conflict",
                      {"imsi": imsi, "code": err.code},
                      {"imsi": "identity", "code": "plumbing"})
             continue
-        sim.send(mno_id, device_id, channel, "vsim-session",
+        sim.send(mno_id, device_id, CHANNEL_MOBILE, "vsim-session",
                  {"imsi": imsi, "session_id": session_id},
                  {"imsi": "identity", "session_id": "plumbing"})
         sim.event("vsim-session", device=device_id, imsi=imsi, session=session_id)
@@ -167,22 +169,21 @@ def prepaid_service_request(
     units: int,
     plan=None,
     replenish_via=None,
-    channel: str = "mobile",
 ):
     """Attested service grant: quote + balance statement, decrement on accept.
 
     Returns the granted cost, or None on any denial (no decrement happens)."""
     device_id = client.device.device_id
     cost = client.cost_of(service, units)
-    sim.send(device_id, mno_id, channel, "service-request",
+    sim.send(device_id, mno_id, CHANNEL_MOBILE, "service-request",
              {"service": service, "units": units},
              {"service": "good", "units": "plumbing"})
 
-    exchange = attest_flow(sim, client.device, mno_id, verifier, channel,
+    exchange = attest_flow(sim, client.device, mno_id, verifier, CHANNEL_MOBILE,
                            plan=plan, replenish_via=replenish_via)
 
     def deny(code):
-        sim.send(mno_id, device_id, channel, "service-denied",
+        sim.send(mno_id, device_id, CHANNEL_MOBILE, "service-denied",
                  {"service": service, "code": code},
                  {"service": "good", "code": "plumbing"})
         sim.event("denial", device=device_id, service=service, code=code)
@@ -197,35 +198,35 @@ def prepaid_service_request(
     try:
         statement = client.sign_statement(service, units, cost, nonce)
     except ProtocolError as err:
-        sim.send(device_id, mno_id, channel, "statement-refused",
+        sim.send(device_id, mno_id, CHANNEL_MOBILE, "statement-refused",
                  {"service": service, "code": err.code},
                  {"service": "good", "code": "plumbing"})
         return deny(err.code)
 
-    sim.send(device_id, mno_id, channel, "balance-statement",
+    sim.send(device_id, mno_id, CHANNEL_MOBILE, "balance-statement",
              {"statement": statement}, {"statement": "balance"})
     if not verify_statement(statement, operator.pool.statement_public, nonce):
         return deny("bad-statement")
 
-    sim.send(mno_id, device_id, channel, "service-accept",
+    sim.send(mno_id, device_id, CHANNEL_MOBILE, "service-accept",
              {"service": service, "cost": cost},
              {"service": "good", "cost": "price"})
     remaining = client.decrement(cost)
     sim.event("decrement", device=device_id, amount=cost, balance=remaining)
-    sim.send(device_id, mno_id, channel, "service-consumed",
+    sim.send(device_id, mno_id, CHANNEL_MOBILE, "service-consumed",
              {"service": service}, {"service": "good"})
     sim.event("grant", device=device_id, service=service, cost=cost)
-    sim.send(mno_id, device_id, channel, "service-granted",
+    sim.send(mno_id, device_id, CHANNEL_MOBILE, "service-granted",
              {"service": service, "units": units},
              {"service": "good", "units": "plumbing"})
     return cost
 
 
 def top_up_flow(sim, client: PrepaidClient, mno_id: str, mno_keys: KeyPair,
-                voucher: dict, channel: str = "mobile"):
+                voucher: dict):
     """Deliver a voucher and apply it; replays and forgeries are rejected."""
     device_id = client.device.device_id
-    sim.send(mno_id, device_id, channel, "voucher",
+    sim.send(mno_id, device_id, CHANNEL_MOBILE, "voucher",
              {"voucher": voucher}, {"voucher": "balance"})
     try:
         balance = client.apply_voucher(voucher, mno_keys.public)

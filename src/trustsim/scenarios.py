@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from . import audit, crypto
 from .anchor import Manufacturer
 from .attestation import Verifier, recompute_pcr
-from .boot import measure
+from .boot import measure, tamper
 from .device import TrustedDevice, reference_db_for, standard_chain
 from .domain import (
     BOUND,
     UNBOUND,
+    Admission,
     FeaturePolicy,
     MobileNetworkOperator,
     network_access_flow,
@@ -139,51 +140,81 @@ def _knowledge_clean(sim, party: str, forbidden_values) -> bool:
     return not any(bad in value for value in all_values for bad in forbidden_values)
 
 
+class World:
+    """The trust world every scenario stands on: one manufacturer, privacy
+    CAs that trust it, booted devices and verifiers that hold the honest
+    chain's references.
+
+    Each part draws from its own rng fork, so the calls may come in any
+    order, except that off-record wallets enroll with their CA in call order.
+    """
+
+    def __init__(self, sim, config, plan):
+        self.sim, self.config, self.plan = sim, config, plan
+        self.rng = sim.rng.fork("world")  # manufacturer and CAs fork their keys from it
+        self.manufacturer = Manufacturer(self.rng)
+        self._refs = {}  # honest chain -> its reference DB, shared by its verifiers
+
+    def pca(self, name: str, domain_id: str) -> PrivacyCa:
+        return PrivacyCa(name, self.rng, {self.manufacturer.root.public},
+                         domain_id=domain_id, validity_ticks=self.config["cert_validity"])
+
+    def device(self, device_id: str, chain, *, label=None, identity=None,
+               attacked=False, wallet=None) -> TrustedDevice:
+        """A device provisioned from the rng fork label (its id by default)
+        and booted; the attacked device takes the run's setup attacks first,
+        and a wallet PCA gives it an off-record batch."""
+        device = TrustedDevice.provision(device_id, self.sim.rng.fork(label or device_id),
+                                         self.manufacturer, chain=chain, identity=identity)
+        if attacked:
+            apply_setup_attacks(device, self.plan)
+        device.boot()
+        if wallet is not None:
+            device.attach_wallet(wallet, self.config["batch_size"], now=0)
+        return device
+
+    def verifier(self, name: str, pca: PrivacyCa, chain, label: str,
+                 used_aiks=None) -> Verifier:
+        """A verifier of pca's credentials against the honest chain."""
+        key = tuple(chain)
+        if key not in self._refs:
+            self._refs[key] = reference_db_for(chain)
+        return Verifier(name, pca.root.public, self._refs[key], self.sim.rng.fork(label),
+                        freshness_window=self.config["freshness_window"],
+                        used_aiks=set() if used_aiks is None else used_aiks)
+
+
 # ---------------------------------------------------------------------------
 # one-time-aik-auth
 # ---------------------------------------------------------------------------
 
 
 def _run_one_time_aik(sim, config, plan):
-    rng = sim.rng
-    mfr_rng = rng.fork("world")
-    mfr = Manufacturer(mfr_rng)
-    pca = PrivacyCa("pca", mfr_rng, {mfr.root.public}, domain_id="service-collab",
-                    validity_ticks=config["cert_validity"])
-    extra = tuple((name, payload.encode()) for name, payload in config["extra_components"])
-    device = TrustedDevice.provision("dev-1", rng.fork("dev-1"), mfr,
-                                     chain=standard_chain(extra))
-    apply_setup_attacks(device, plan)
-    device.boot()
-    refs = reference_db_for(standard_chain(extra))
+    world = World(sim, config, plan)
+    pca = world.pca("pca", "service-collab")
+    chain = standard_chain(tuple((name, payload.encode())
+                                 for name, payload in config["extra_components"]))
+    device = world.device("dev-1", chain, attacked=True)
     aborted = not enroll_flow(sim, device, "pca", pca, config["batch_size"], "mobile")
 
     shared = set() if config["shared_used_set"] else None
-    services = {}
-    for svc in ("svc-a", "svc-b"):
-        used = shared if shared is not None else set()
-        services[svc] = Verifier(svc, pca.root.public, refs, rng.fork(f"v-{svc}"),
-                                 freshness_window=config["freshness_window"],
-                                 used_aiks=used)
+    services = {svc: world.verifier(svc, pca, chain, f"v-{svc}", used_aiks=shared)
+                for svc in ("svc-a", "svc-b")}
 
     accepted = 0
     while not aborted and accepted < config["auth_count"]:
         svc = "svc-a" if accepted % 2 == 0 else "svc-b"
-        exchange = attest_flow(
-            sim, device, svc, services[svc], "mobile",
-            plan=plan,
-            replenish_via=("pca", pca, "mobile"),
-        )
+        exchange = attest_flow(sim, device, svc, services[svc], "mobile", plan=plan,
+                               replenish_via=("pca", pca, "mobile"))
         if exchange is None or not exchange.verdict.accepted:
             aborted = True
         else:
             accepted += 1
 
-    rows = []
     if plan.names:
-        rows += _attack_rows(sim, plan, "dev-1")
-        return rows
+        return _attack_rows(sim, plan, "dev-1")
 
+    rows = []
     expected_replenishments = config["auth_count"] // (config["batch_size"] - 1)
     replenishments = len(sim.events("replenishment"))
     rows.append(_row("all-authentications-accepted",
@@ -225,43 +256,39 @@ ONE_TIME_AIK = ScenarioScript(
 # ---------------------------------------------------------------------------
 
 
+_NO_SESSION = Admission(False, "no-network-session")  # of a device that never got one
+
+
 def _run_clone(sim, config, plan):
-    rng = sim.rng
-    mfr = Manufacturer(rng.fork("world"))
+    world = World(sim, config, plan)
     mode = config["mode"]
-    mno = MobileNetworkOperator("mno", rng, registry_mode=mode)
-    pca = PrivacyCa("pca", rng.fork("world"), {mfr.root.public}, domain_id="subdomain",
-                    validity_ticks=config["cert_validity"])
-
-    legit = TrustedDevice.provision("legit", rng.fork("legit"), mfr, identity="imsi-100")
-    clone = TrustedDevice.provision("clone", rng.fork("clone"), mfr, identity="imsi-100")
+    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=mode)
+    pca = world.pca("pca", "subdomain")
+    chain = standard_chain()
+    # the clone is the attacked requester
+    clone = world.device("clone", chain, identity="imsi-100", attacked=True, wallet=pca)
+    legit = world.device("legit", chain, identity="imsi-100", wallet=pca)
     credential = mno.issue_credential("imsi-100")
-    refs = reference_db_for(standard_chain())
-
-    apply_setup_attacks(clone, plan)  # the clone is the attacked requester
-    for device in (clone, legit):
-        device.boot()
-        device.attach_wallet(pca, config["batch_size"], now=0)
     if mode == BOUND:
         mno.registry.record_binding(
             "imsi-100",
             [crypto.hash160(r.key.public).hex() for r, _ in legit.wallet.credentials],
         )
-    verifier = Verifier("mno", pca.root.public, refs, rng.fork("verifier"),
-                        freshness_window=config["freshness_window"])
+    verifier = world.verifier("mno", pca, chain, "verifier")
 
-    admissions = {}
+    admissions = dict.fromkeys(("clone", "legit"), _NO_SESSION)
     for device in (clone, legit):
         session = network_access_flow(sim, device, "mno", mno, credential)
+        if session is None:
+            break
         admissions[device.device_id] = subdomain_admission_flow(
             sim, device, "mno", mno, verifier, session, plan=plan,
         )
 
-    rows = []
     if plan.names:
-        rows += _attack_rows(sim, plan, "clone")
-        return rows
+        return _attack_rows(sim, plan, "clone")
 
+    rows = []
     if mode == UNBOUND:
         rows.append(_row("first-requester-admitted", admissions["clone"].admitted))
         rows.append(_row("second-clone-denied",
@@ -316,12 +343,10 @@ CLONE_BOUND = ScenarioScript(
 
 
 def _prepaid_setup(sim, config, plan, tampered=False):
-    rng = sim.rng
-    mfr = Manufacturer(rng.fork("world"))
-    pca = PrivacyCa("pca", rng.fork("world"), {mfr.root.public}, domain_id="prepaid",
-                    validity_ticks=config["cert_validity"])
-    mno_keys = crypto.keygen(rng.fork("mno-keys"))
-    statement_keys = crypto.keygen(rng.fork("ppc-group"))
+    world = World(sim, config, plan)
+    pca = world.pca("pca", "prepaid")
+    mno_keys = crypto.keygen(sim.rng.fork("mno-keys"))
+    statement_keys = crypto.keygen(sim.rng.fork("ppc-group"))
     pool = PpImsiPool(
         imsis=tuple(f"ppimsi-{i}" for i in range(config["pool_size"])),
         owner="mno",
@@ -330,24 +355,15 @@ def _prepaid_setup(sim, config, plan, tampered=False):
     operator = PrepaidOperator(pool)
 
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
-    refs = reference_db_for(chain)
-    sealed_policy = {0: recompute_pcr(measure(chain), 0)}
-
-    device = TrustedDevice.provision("dev-1", rng.fork("dev-1"), mfr, chain=chain)
-    if tampered:
-        device.tamper("ppc", b"balance-patcher")
-    apply_setup_attacks(device, plan)
-    device.boot()
+    device = world.device("dev-1", tamper(chain, "ppc", b"balance-patcher") if tampered else chain,
+                          attacked=True, wallet=pca)
     # provisioning sealed the slots against the honest reference state
+    sealed_policy = {0: recompute_pcr(measure(chain), 0)}
     device.anchor.define_slot("prepaid-balance", config["initial_balance"], sealed_policy)
     device.anchor.define_slot("ppc-statement-key", statement_keys.private, sealed_policy)
     client = PrepaidClient(device=device, tariffs=dict(config["tariffs"]))
-    device.attach_wallet(pca, config["batch_size"], now=0)
     sim.event("balance-init", device="dev-1", value=config["initial_balance"])
-
-    verifier = Verifier("mno", pca.root.public, refs, rng.fork("verifier"),
-                        freshness_window=config["freshness_window"])
-    return client, operator, verifier, pca, mno_keys
+    return client, operator, world.verifier("mno", pca, chain, "verifier"), pca, mno_keys
 
 
 def _prepaid_finish(sim, client, config):
@@ -511,33 +527,18 @@ PREPAID_ZERO = ScenarioScript(
 _POS_GOODS = (("cola", 3), ("water", 2), ("juice", 4))
 
 
-def _pos_setup(sim, config, plan, merged=False):
-    """The POS world, or None after an enrollment abort."""
-    rng = sim.rng
-    mfr = Manufacturer(rng.fork("world"))
-    auth_id = "mno" if merged else "auth"
-    device_pca = PrivacyCa("device-pca", rng.fork("world"), {mfr.root.public},
-                           domain_id="operator-domain",
-                           validity_ticks=config["cert_validity"])
-    pos_pca = PrivacyCa("pos-pca", rng.fork("world"), {mfr.root.public},
-                        domain_id="pos-domain",
-                        validity_ticks=config["cert_validity"])
-    mno = MobileNetworkOperator("mno", rng)
-
-    device = TrustedDevice.provision(
-        "dev-1", rng.fork("dev-1"), mfr,
-        chain=standard_chain((("wallet-app", b"wallet-v1"),)), identity="imsi-7001",
-    )
-    apply_setup_attacks(device, plan)
-    device.boot()
-    pos_device = TrustedDevice.provision(
-        "pos-1", rng.fork("pos-1"), mfr,
-        chain=standard_chain((("pos-client", b"pos-firmware-v1"),)),
-    )
-    pos_device.boot()
-
-    device_refs = reference_db_for(standard_chain((("wallet-app", b"wallet-v1"),)))
-    pos_refs = reference_db_for(standard_chain((("pos-client", b"pos-firmware-v1"),)))
+def _pos_setup(sim, config, plan):
+    """The POS world, or None after an enrollment abort. A roster without
+    an authentication provider merges it into the operator."""
+    world = World(sim, config, plan)
+    auth_id = "auth" if "auth" in sim.parties else "mno"
+    device_pca = world.pca("device-pca", "operator-domain")
+    pos_pca = world.pca("pos-pca", "pos-domain")
+    mno = MobileNetworkOperator("mno", sim.rng)
+    device_chain = standard_chain((("wallet-app", b"wallet-v1"),))
+    pos_chain = standard_chain((("pos-client", b"pos-firmware-v1"),))
+    device = world.device("dev-1", device_chain, identity="imsi-7001", attacked=True)
+    pos_device = world.device("pos-1", pos_chain)
 
     credential = mno.issue_credential("imsi-7001")
     network_access_flow(sim, device, "mno", mno, credential)
@@ -545,22 +546,18 @@ def _pos_setup(sim, config, plan, merged=False):
             and enroll_flow(sim, pos_device, "pos-pca", pos_pca, config["batch_size"], "net")):
         return None
 
-    window = config["freshness_window"]
     ctx = PosContext(
         device=device, pos=pos_device,
         device_id="dev-1", pos_id="pos-1", mno_id="mno",
         pos_owner_id="pos-owner", charging_id="charging", auth_id=auth_id,
         vendor_id="vendor", payment_id="payment",
-        pos_verifier_for_device=Verifier("pos-1", device_pca.root.public, device_refs,
-                                         rng.fork("v-pos"), freshness_window=window),
-        device_verifier_for_pos=Verifier("dev-1", pos_pca.root.public, pos_refs,
-                                         rng.fork("v-dev"), freshness_window=window),
-        auth_verifier=Verifier(auth_id, device_pca.root.public, device_refs,
-                               rng.fork("v-auth"), freshness_window=window),
+        pos_verifier_for_device=world.verifier("pos-1", device_pca, device_chain, "v-pos"),
+        device_verifier_for_pos=world.verifier("dev-1", pos_pca, pos_chain, "v-dev"),
+        auth_verifier=world.verifier(auth_id, device_pca, device_chain, "v-auth"),
         mno_keys=mno.keys,
-        pos_owner_keys=crypto.keygen(rng.fork("owner-keys")),
-        charging_keys=crypto.keygen(rng.fork("charging-keys")),
-        pos_delegate_keys=crypto.keygen(rng.fork("delegate-keys")),
+        pos_owner_keys=crypto.keygen(sim.rng.fork("owner-keys")),
+        charging_keys=crypto.keygen(sim.rng.fork("charging-keys")),
+        pos_delegate_keys=crypto.keygen(sim.rng.fork("delegate-keys")),
         device_credential=credential,
     )
     ctx.price_list = PriceList.build(_POS_GOODS, ctx.pos_owner_keys)
@@ -643,9 +640,9 @@ def _run_pos_fig4(sim, config, plan):
     return rows
 
 
-def _run_pos_sep(sim, config, plan, merged=False):
+def _run_pos_sep(sim, config, plan):
     decentralised = config["variant"] == "decentralised"
-    ctx = _pos_setup(sim, config, plan, merged=merged)
+    ctx = _pos_setup(sim, config, plan)
     if ctx is None:
         return [_row("purchase-delivered", False, "enrollment aborted")]
 
@@ -684,7 +681,7 @@ def _run_pos_sep(sim, config, plan, merged=False):
                      not sim.knowledge_query(ctx.pos_owner_id, "identity")))
     # no token is spent when the session aborted
     spent = response_payload["quote"]["aik_public"] if response_payload else None
-    if merged:
+    if ctx.auth_id == ctx.mno_id:
         rows.append(_row("merged-operator-links-identity",
                          bool(sim.knowledge_query("mno", "identity"))))
         rows.append(_row("merged-operator-holds-spent-token", spent is not None and
@@ -738,14 +735,11 @@ POS_MNO_MERGED = ScenarioScript(
     description="Degraded-privacy demonstration: operator and authentication "
                 "provider merged into one party that can link subscriber "
                 "identity to spent purchase tokens.",
-    roster=(("dev-1", "device"), ("pos-1", "pos"), ("mno", "mno"),
-            ("pos-owner", "pos_owner"), ("pos-pca", "pos_pca"),
-            ("charging", "charging_provider"), ("vendor", "vendor"),
-            ("payment", "payment_provider")),
+    roster=tuple(party for party in _POS_ROSTER if party[0] != "auth"),
     defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
               "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS,
-    runner=lambda sim, config, plan: _run_pos_sep(sim, config, plan, merged=True),
+    runner=_run_pos_sep,
 )
 
 
@@ -755,32 +749,14 @@ POS_MNO_MERGED = ScenarioScript(
 
 
 def _facility_setup(sim, config, plan):
-    rng = sim.rng
-    mfr = Manufacturer(rng.fork("world"))
-    mno = MobileNetworkOperator("mno", rng, registry_mode=BOUND)
-    pca = PrivacyCa("company-pca", rng.fork("world"), {mfr.root.public},
-                    domain_id="company-domain",
-                    validity_ticks=config["cert_validity"])
-
+    world = World(sim, config, plan)
+    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=BOUND)
+    pca = world.pca("company-pca", "company-domain")
     chain = standard_chain((("enforcer", b"policy-enforcer-v1"),))
-    refs = reference_db_for(chain)
-
-    employee = TrustedDevice.provision("employee", rng.fork("employee"), mfr,
-                                       chain=chain, identity="imsi-9001")
-    apply_setup_attacks(employee, plan)
-    employee.boot()
-    employee.attach_wallet(pca, config["batch_size"], now=0)
-
-    visitor = TrustedDevice.provision("visitor", rng.fork("visitor"), mfr,
-                                      chain=chain, identity="imsi-9002")
-    visitor.boot()
-    visitor.attach_wallet(pca, config["batch_size"], now=0)
-
     gate_chain = standard_chain((("gate-terminal", b"gate-firmware-v1"),))
-    gate = TrustedDevice.provision("gate-dev", rng.fork("gate"), mfr, chain=gate_chain)
-    gate.boot()
-    gate.attach_wallet(pca, config["batch_size"], now=0)
-    gate_refs = reference_db_for(gate_chain)
+    employee = world.device("employee", chain, identity="imsi-9001", attacked=True, wallet=pca)
+    visitor = world.device("visitor", chain, identity="imsi-9002", wallet=pca)
+    gate = world.device("gate-dev", gate_chain, label="gate", wallet=pca)
 
     # company sub-domain enrollment: employee admitted under the joint authority
     credential = mno.issue_credential("imsi-9001")
@@ -788,12 +764,10 @@ def _facility_setup(sim, config, plan):
         "imsi-9001",
         [crypto.hash160(r.key.public).hex() for r, _ in employee.wallet.credentials],
     )
-    window = config["freshness_window"]
-    company_verifier = Verifier("company", pca.root.public, refs, rng.fork("v-company"),
-                                freshness_window=window)
+    company_verifier = world.verifier("company", pca, chain, "v-company")
     session = network_access_flow(sim, employee, "mno", mno, credential)
-    admission = subdomain_admission_flow(sim, employee, "mno", mno, company_verifier,
-                                         session)
+    admitted = session is not None and subdomain_admission_flow(
+        sim, employee, "mno", mno, company_verifier, session).admitted
 
     zone_policy = FeaturePolicy(
         base={"camera": "enabled", "mms": "enabled", "calls": "enabled"},
@@ -809,12 +783,10 @@ def _facility_setup(sim, config, plan):
             enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
         ),
         gate=gate,
-        gate_verifier_for_device=Verifier("gate", pca.root.public, refs,
-                                          rng.fork("v-gate"), freshness_window=window,
-                                          used_aiks=company_verifier.used_aiks),
-        device_verifier_for_gate=Verifier("employee", pca.root.public, gate_refs,
-                                          rng.fork("v-employee"), freshness_window=window),
-        admitted_identities={"imsi-9001"} if admission.admitted else set(),
+        gate_verifier_for_device=world.verifier("gate", pca, chain, "v-gate",
+                                                used_aiks=company_verifier.used_aiks),
+        device_verifier_for_gate=world.verifier("employee", pca, gate_chain, "v-employee"),
+        admitted_identities={"imsi-9001"} if admitted else set(),
     )
     if config["gate_cache"]:
         ctx.gate_cache = set(ctx.admitted_identities)

@@ -27,7 +27,6 @@ FIRE_AND_FORGET = [
 
 # Hops whose next step still acts on local values.
 NOT_YET_DELIVERED = [
-    ("domain", "network_access_flow", "network-access"),
     ("domain", "network_access_flow", "network-denied"),
     ("domain", "network_access_flow", "network-session"),
     ("domain", "subdomain_admission_flow", "subdomain-request"),

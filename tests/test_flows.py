@@ -264,3 +264,50 @@ def test_a_response_the_verifier_could_not_read_is_not_presented_again(monkeypat
     _assert_aborted(transcript, report, events, "bad-response")
     assert len(transcript.messages("attestation-response")) == 1
     assert not transcript.events("attestation-verdict")
+
+
+# -- network access ------------------------------------------------------------------
+
+_ACCESS_SCENARIOS = ["clone-attack-unbound", "facility-entry"]
+
+
+def _assert_no_network_access(transcript, report, events, code):
+    """The first logon failed: the run writes its one abort, and no network
+    session or sub-domain admission follows it."""
+    _assert_aborted(transcript, report, events, code)
+    assert [e["code"] for e in events if e["event"] == "abort"] == [code]
+    first = next(i for i, e in enumerate(events) if e["event"] == "abort")
+    assert not {e["event"] for e in events[first:]} & {"network-session", "admission"}
+    assert not transcript.messages("subdomain-request")
+
+
+@pytest.mark.parametrize("scenario", _ACCESS_SCENARIOS)
+def test_network_access_aborts_on_a_lost_hop(monkeypatch, scenario):
+    transcript, report, events = _run_with_hook(monkeypatch, scenario,
+                                                _nth("network-access", DROP))
+    _assert_no_network_access(transcript, report, events, "network-access-lost")
+    if scenario == "clone-attack-unbound":
+        last = transcript.records[-1]
+        assert (last.get("event"), last.get("code")) == ("abort", "network-access-lost")
+
+
+@pytest.mark.parametrize("scenario", _ACCESS_SCENARIOS)
+@pytest.mark.parametrize("edit", [lambda p: p.update(proof="zz"),
+                                  lambda p: p.update(identity=5),
+                                  lambda p: p.pop("proof")],
+                         ids=["proof-not-hex", "identity-not-a-string", "no-proof"])
+def test_network_access_reads_the_request_that_arrived(monkeypatch, scenario, edit):
+    transcript, report, events = _run_with_hook(monkeypatch, scenario,
+                                                _nth("network-access", edit))
+    _assert_no_network_access(transcript, report, events, "bad-access-request")
+
+
+def test_the_operator_judges_the_delivered_proof(monkeypatch):
+    # a well-formed proof that was not made for this identity is denied
+    hook = _nth("network-access", lambda p: p.update(proof="00" * 64))
+    transcript, report, events = _run_with_hook(monkeypatch, "facility-entry", hook)
+    assert [e["code"] for e in events if e["event"] == "network-denied"] == ["bad-access-proof"]
+    assert not transcript.events("network-session")
+    assert not transcript.events("admission")
+    assert not [e for e in events if e["event"] == "entry" and e["granted"]]
+    assert report["ok"] is False

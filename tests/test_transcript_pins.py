@@ -4,7 +4,10 @@ The determinism tests elsewhere only check that two runs of the same code
 agree, which cannot catch a refactor that changes what a scenario puts on
 the record. These pins can: each is the SHA-256 of the transcript text and
 of the report exactly as `trustsim run` writes it, for every clean catalog
-scenario plus the scenario-specific attacks.
+scenario plus the scenario-specific attacks, and for two longer runs that
+replenish. One more digest covers every scenario under every generic
+attestation attack, so a world that hands an attack to the wrong device
+shows.
 
 A deliberate protocol change (new message, reordered step, new report row)
 must update the pins here, and the change that does so must say so.
@@ -17,6 +20,7 @@ import json
 
 import pytest
 
+from trustsim.flows import ATTESTATION_ATTACKS
 from trustsim.scenarios import CATALOG, run_scenario
 
 SEED = 1
@@ -57,15 +61,37 @@ PINS = (
      "72337b2ee26f33453b08ca85c085279b0ec6523c4a9e014adc820f5983a8a4bf"),
 )
 
+# (scenario, variants, sha256 of transcript text, sha256 of report file):
+# runs long enough to replenish 4 and 3 times. The prepaid report fails
+# its anonymity row, because replenish-certs is sealed to the device id.
+VARIANT_PINS = (
+    ("one-time-aik-auth", {"auth_count": 40},
+     "82c56b209bcde8ba6d79b9dcfaa58591419854afd9c8fa5e7f07ad2edc9bf27f",
+     "7010b5d7019a39dacee52016b0146392daf9a29b25a54fba503818dd55df6a5d"),
+    ("prepaid-happy", {"requests": [["calls", 1], ["data", 2]] * 15, "vouchers": [50, 50, 50]},
+     "10deb0d3d29094e481b8237b213c5672c7f1163665fe23541e64d4475ae180a6",
+     "281dde781d36f8ee2a2b11a76c3b047a32905cfe8e038a43212c8b9011fab0b3"),
+)
+
+# sha256 over the transcript text and report file of every (scenario,
+# generic attack) run, scenarios in catalog order, attacks in
+# ATTESTATION_ATTACKS order
+GENERIC_ATTACKS_SHA = "333c82ae017e0d53858e30a65820f443cecfde90a26fbebe6a764e7c6a41c1db"
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _report_text(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_pins_cover_every_clean_scenario_and_specific_attack():
     clean = {name for name, attacks, _, _ in PINS if not attacks}
     assert clean == set(CATALOG)
     assert len(PINS) == 16
+    assert len(VARIANT_PINS) == 2
 
 
 @pytest.mark.parametrize("name,attacks,transcript_sha,report_sha", PINS,
@@ -73,4 +99,27 @@ def test_pins_cover_every_clean_scenario_and_specific_attack():
 def test_transcript_and_report_bytes_are_pinned(name, attacks, transcript_sha, report_sha):
     transcript, report = run_scenario(name, SEED, attacks)
     assert _digest(transcript.to_text()) == transcript_sha
-    assert _digest(json.dumps(report, indent=2, sort_keys=True) + "\n") == report_sha
+    assert _digest(_report_text(report)) == report_sha
+
+
+@pytest.mark.parametrize("name,variants,transcript_sha,report_sha", VARIANT_PINS,
+                         ids=[p[0] for p in VARIANT_PINS])
+def test_replenishing_runs_are_pinned(name, variants, transcript_sha, report_sha):
+    transcript, report = run_scenario(name, SEED, (), variants)
+    assert len(transcript.events("replenishment")) >= 3
+    assert _digest(transcript.to_text()) == transcript_sha
+    assert _digest(_report_text(report)) == report_sha
+
+
+def test_every_generic_attack_run_is_pinned():
+    digest = hashlib.sha256()
+    runs = 0
+    for name, script in CATALOG.items():
+        assert set(ATTESTATION_ATTACKS) <= set(script.attacks)
+        for attack in ATTESTATION_ATTACKS:
+            transcript, report = run_scenario(name, SEED, (attack,))
+            digest.update(transcript.to_text().encode("utf-8"))
+            digest.update(_report_text(report).encode("utf-8"))
+            runs += 1
+    assert runs == 60
+    assert digest.hexdigest() == GENERIC_ATTACKS_SHA
