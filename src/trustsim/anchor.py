@@ -2,13 +2,12 @@
 
 One anchor per simulated device, single-owner. PCRs only ever change via
 extend; AIK private keys never leave the anchor and each AIK signs at most
-one quote (or one batch-replenishment request) unless the one-time policy
-is explicitly disabled for a misbehaving-device test.
+one quote (or one batch-replenishment request).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import crypto
@@ -16,6 +15,7 @@ from .crypto import DIGEST_LEN, ZERO_DIGEST, KeyPair, Rng
 from .errors import ProtocolError
 
 PCR_COUNT = 24
+MODEL = "trusted-handset"
 
 # Domain separation for the three things anchor keys sign.
 _EK_TAG = b"ek-liveness:"
@@ -131,13 +131,8 @@ class Manufacturer:
         self.root = crypto.keygen(rng.fork("mfr:manufacturer"))
 
     def endorse(self, ek_public: bytes, model: str) -> EkCertificate:
-        payload = crypto.canonical_bytes({"ek_public": ek_public.hex(), "model": model})
-        return EkCertificate(
-            ek_public=ek_public,
-            model=model,
-            manufacturer_public=self.root.public,
-            signature=crypto.sign(self.root, payload),
-        )
+        cert = EkCertificate(ek_public, model, self.root.public, b"")
+        return replace(cert, signature=crypto.sign(self.root, cert.signed_payload()))
 
 
 @dataclass
@@ -148,30 +143,16 @@ class TrustAnchor:
     rng: Rng
     ek: KeyPair
     ek_certificate: EkCertificate
-    one_time_aiks: bool = True
     pcrs: PcrBank = field(default_factory=PcrBank)
     aiks: dict = field(default_factory=dict)
     slots: dict = field(default_factory=dict)
     _batch_counter: int = 0
 
     @classmethod
-    def manufacture(
-        cls,
-        device_id: str,
-        rng: Rng,
-        manufacturer: Manufacturer,
-        model: str = "trusted-handset",
-        one_time_aiks: bool = True,
-    ) -> "TrustAnchor":
+    def manufacture(cls, device_id: str, rng: Rng, manufacturer: Manufacturer) -> "TrustAnchor":
         ek = crypto.keygen(rng.fork("ek"))
-        cert = manufacturer.endorse(ek.public, model)
-        return cls(
-            device_id=device_id,
-            rng=rng,
-            ek=ek,
-            ek_certificate=cert,
-            one_time_aiks=one_time_aiks,
-        )
+        return cls(device_id=device_id, rng=rng, ek=ek,
+                   ek_certificate=manufacturer.endorse(ek.public, MODEL))
 
     # -- PCRs ------------------------------------------------------------
 
@@ -205,7 +186,7 @@ class TrustAnchor:
         record = self.aiks.get(aik_id)
         if record is None:
             raise ProtocolError("unknown-aik", aik_id)
-        if record.used and self.one_time_aiks:
+        if record.used:
             raise ProtocolError("aik-already-used", aik_id)
         record.used = True
         return record
@@ -213,24 +194,13 @@ class TrustAnchor:
     def quote(self, aik_id: str, pcr_selection, nonce: bytes) -> Quote:
         record = self._take_aik(aik_id)
         selection = tuple(pcr_selection)
-        values = tuple(self.pcrs.value(i).hex() for i in selection)
-        q = Quote(
-            pcr_selection=selection,
-            pcr_values=values,
-            nonce=bytes(nonce),
-            aik_public=record.key.public,
-            signature=b"",
-        )
-        sig = crypto.sign(record.key, q.signed_payload())
-        return Quote(selection, values, bytes(nonce), record.key.public, sig)
+        quote = Quote(selection, tuple(self.pcrs.value(i).hex() for i in selection),
+                      bytes(nonce), record.key.public, b"")
+        return replace(quote, signature=crypto.sign(record.key, quote.signed_payload()))
 
     def sign_replenishment(self, aik_id: str, new_publics: list) -> bytes:
         """Authenticate a batch replenishment with (and consume) the last AIK."""
-        record = self._take_aik(aik_id)
-        payload = _REPLENISH_TAG + crypto.canonical_bytes(
-            [p.hex() for p in new_publics]
-        )
-        return crypto.sign(record.key, payload)
+        return crypto.sign(self._take_aik(aik_id).key, _replenishment(new_publics))
 
     def ek_challenge_response(self, challenge: bytes) -> bytes:
         return crypto.sign(self.ek, _EK_TAG + bytes(challenge))
@@ -282,9 +252,13 @@ def verify_quote_signature(quote: Quote) -> bool:
     return crypto.verify(quote.aik_public, quote.signed_payload(), quote.signature)
 
 
+def _replenishment(publics) -> bytes:
+    """What the last AIK of a batch signs to ask for the next one."""
+    return _REPLENISH_TAG + crypto.canonical_bytes([p.hex() for p in publics])
+
+
 def verify_replenishment_signature(aik_public: bytes, new_publics: list, signature: bytes) -> bool:
-    payload = _REPLENISH_TAG + crypto.canonical_bytes([p.hex() for p in new_publics])
-    return crypto.verify(aik_public, payload, signature)
+    return crypto.verify(aik_public, _replenishment(new_publics), signature)
 
 
 def verify_ek_response(ek_public: bytes, challenge: bytes, signature: bytes) -> bool:

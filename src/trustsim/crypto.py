@@ -1,7 +1,8 @@
 """Deterministic-capable crypto primitives shared by every other module.
 
-Three things live here: the 160-bit digest used for PCRs and measurement
-logs, Ed25519 signatures, and a seedable random stream. Everything is
+Four things live here: the 160-bit digest used for PCRs and measurement
+logs, Ed25519 signatures, the one signed-message form every signed wire
+dict takes, and a seedable random stream. Everything is
 reproducible from a 64-bit seed so whole protocol runs can be replayed
 bit-for-bit.
 """
@@ -163,3 +164,21 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+def signed(key: KeyPair, tag: bytes, body: dict) -> dict:
+    """body as it goes on the wire: its fields plus key's hex signature over
+    tag + its canonical bytes."""
+    return {**body, "signature": sign(key, tag + canonical_bytes(body)).hex()}
+
+
+def signed_by(public: bytes, tag: bytes, payload: dict, fields) -> bool:
+    """Whether a payload, as it arrived, carries public's signature over
+    those of its fields. A payload that lacks one of them, or whose
+    signature is not hex text, is unsigned rather than an error."""
+    try:
+        body = {name: payload[name] for name in fields}
+        signature = bytes.fromhex(payload["signature"])
+    except (KeyError, TypeError, ValueError):
+        return False
+    return verify(public, tag + canonical_bytes(body), signature)

@@ -57,12 +57,15 @@ class PriceList:
 
     @staticmethod
     def build(entries, owner_keys: KeyPair) -> "PriceList":
-        body = _PRICED_TAG + crypto.canonical_bytes([list(e) for e in entries])
-        return PriceList(tuple(tuple(e) for e in entries), crypto.sign(owner_keys, body))
+        unsigned = PriceList(tuple(tuple(e) for e in entries), b"")
+        return dataclasses.replace(
+            unsigned, signature=crypto.sign(owner_keys, unsigned.signed_payload()))
+
+    def signed_payload(self) -> bytes:
+        return _PRICED_TAG + crypto.canonical_bytes([list(e) for e in self.entries])
 
     def verify(self, owner_public: bytes) -> bool:
-        body = _PRICED_TAG + crypto.canonical_bytes([list(e) for e in self.entries])
-        return crypto.verify(owner_public, body, self.signature)
+        return crypto.verify(owner_public, self.signed_payload(), self.signature)
 
     def price_of(self, good: str) -> int:
         for name, price in self.entries:
@@ -74,35 +77,15 @@ class PriceList:
 def make_billing_package(auth_token: str, grand_total: int, signer: KeyPair) -> dict:
     """The charging-provider package: exactly these three fields, enforced
     here and re-checked structurally by the transcript auditor."""
-    body = _BILLING_TAG + crypto.canonical_bytes(
-        {"auth_token": auth_token, "grand_total": grand_total}
-    )
-    return {
-        "auth_token": auth_token,
-        "grand_total": grand_total,
-        "signature": crypto.sign(signer, body).hex(),
-    }
+    return crypto.signed(signer, _BILLING_TAG,
+                         {"auth_token": auth_token, "grand_total": grand_total})
 
 
 def verify_billing_package(package: dict, signer_publics) -> bool:
-    if set(package) != {"auth_token", "grand_total", "signature"}:
-        return False
-    return any(
-        _signed(public, _BILLING_TAG, package, ("auth_token", "grand_total"))
+    return set(package) == {"auth_token", "grand_total", "signature"} and any(
+        crypto.signed_by(public, _BILLING_TAG, package, ("auth_token", "grand_total"))
         for public in signer_publics
     )
-
-
-def _signed(public: bytes, tag: bytes, payload: dict, fields) -> bool:
-    """Whether a payload, as it arrived, carries public's signature over
-    those of its fields. A payload that lacks one of them, or whose
-    signature is not hex text, is unsigned rather than an error."""
-    try:
-        body = {name: payload[name] for name in fields}
-        signature = bytes.fromhex(payload["signature"])
-    except (KeyError, TypeError, ValueError):
-        return False
-    return crypto.verify(public, tag + crypto.canonical_bytes(body), signature)
 
 
 @dataclass
@@ -292,11 +275,9 @@ def purchase_via_operator(
         "modality": "operator-account",
         "good": good_field,
     }
-    signature = crypto.sign(ctx.device_credential.secret,
-                            _ORDER_TAG + crypto.canonical_bytes(order_body))
     order = hop(
         sim, ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "purchase-order",
-        {**order_body, "signature": signature.hex()},
+        crypto.signed(ctx.device_credential.secret, _ORDER_TAG, order_body),
         {"order_id": "plumbing", "account": "identity", "price": "price",
          "modality": "plumbing", "good": "good", "signature": "plumbing"},
         "order-lost", party=ctx.device_id, order_id=order_id,
@@ -305,7 +286,8 @@ def purchase_via_operator(
         return None
     # operator verifies the subscriber's signature on the order that reached
     # it before acknowledging, and then acts on that order
-    if not _signed(ctx.device_credential.secret.public, _ORDER_TAG, order, _ORDER_FIELDS):
+    if not crypto.signed_by(ctx.device_credential.secret.public, _ORDER_TAG, order,
+                            _ORDER_FIELDS):
         reject = crypto.sign(ctx.mno_keys, _ACK_TAG + crypto.canonical_bytes(
             {"order_id": order_id, "status": "rejected"}))
         sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-reject",
@@ -327,15 +309,14 @@ def purchase_via_operator(
                  encrypted=True)
 
     ack_body = {"order_id": order["order_id"], "status": "ok"}
-    ack_sig = crypto.sign(ctx.mno_keys, _ACK_TAG + crypto.canonical_bytes(ack_body))
     ack_labels = {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"}
     ack = hop(sim, ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack",
-              {**ack_body, "signature": ack_sig.hex()}, ack_labels, "ack-lost",
+              crypto.signed(ctx.mno_keys, _ACK_TAG, ack_body), ack_labels, "ack-lost",
               order_id=order_id)
     # the device relays the acknowledgement as it arrived
     if ack is None or hop(
         sim, ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay", ack, ack_labels,
-        "ack-lost", read=lambda a: checked(a, _signed(
+        "ack-lost", read=lambda a: checked(a, crypto.signed_by(
             ctx.mno_keys.public, _ACK_TAG, a, ("order_id", "status"))
             and a["order_id"] == order_id and a["status"] == "ok"),
         bad="bad-ack-signature", order_id=order_id,
@@ -488,10 +469,10 @@ def separation_purchase(
         if billed is None:
             return None
 
-    ack = _acknowledgement(ctx, billed["order_id"], ctx.pos_owner_keys)
+    ack = crypto.signed(ctx.pos_owner_keys, _ACK_TAG, {"order_id": billed["order_id"]})
     if _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement", ack,
               {"order_id": "plumbing", "signature": "plumbing"}, "ack-lost",
-              read=lambda a: checked(a, a.get("order_id") == order_id and _signed(
+              read=lambda a: checked(a, a.get("order_id") == order_id and crypto.signed_by(
                   ctx.pos_owner_keys.public, _ACK_TAG, a, ("order_id",))),
               bad="bad-ack-signature", order_id=order_id) is None:
         return None
@@ -505,24 +486,18 @@ def separation_purchase(
 def _charge(ctx: PosContext, package: dict, signer_publics) -> dict:
     """The charging provider's signed answer to the package it received."""
     accepted = verify_billing_package(package, signer_publics)
-    status = "confirmed" if accepted else "refused"
-    body = {"auth_token": package.get("auth_token"), "status": status}
-    sig = crypto.sign(ctx.charging_keys, _CONFIRM_TAG + crypto.canonical_bytes(body))
-    return {**body, "signature": sig.hex()}
+    return crypto.signed(ctx.charging_keys, _CONFIRM_TAG,
+                         {"auth_token": package.get("auth_token"),
+                          "status": "confirmed" if accepted else "refused"})
 
 
 def _confirmation_ok(ctx: PosContext, confirmation: dict, token_fp: str) -> bool:
     return (
         confirmation.get("status") == "confirmed"
         and confirmation.get("auth_token") == token_fp
-        and _signed(ctx.charging_keys.public, _CONFIRM_TAG, confirmation,
-                    ("auth_token", "status"))
+        and crypto.signed_by(ctx.charging_keys.public, _CONFIRM_TAG, confirmation,
+                             ("auth_token", "status"))
     )
-
-
-def _acknowledgement(ctx: PosContext, order_id: str, keys: KeyPair) -> dict:
-    sig = crypto.sign(keys, _ACK_TAG + crypto.canonical_bytes({"order_id": order_id}))
-    return {"order_id": order_id, "signature": sig.hex()}
 
 
 def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:

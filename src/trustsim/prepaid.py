@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto
-from .attestation import Verifier
+from .attestation import Verifier, recompute_pcr
+from .boot import measure
 from .crypto import KeyPair, Rng
 from .device import TrustedDevice
 from .errors import ProtocolError
@@ -45,14 +46,12 @@ class PrepaidClient:
     used_vouchers: set = field(default_factory=set)
 
     @staticmethod
-    def provision(device: TrustedDevice, tariffs: dict, balance: int,
+    def provision(device: TrustedDevice, chain, tariffs: dict, balance: int,
                   statement_private: bytes) -> "PrepaidClient":
-        """Seal balance and statement key to the current (honest-boot) PCR.
-
-        Call after an honest reference boot; a later tampered boot leaves
-        both slots unreadable.
+        """Seal balance and statement key to the boot state of the honest
+        chain: a device booted into any other state cannot read either slot.
         """
-        policy = {0: device.anchor.pcr_value(0)}
+        policy = {0: recompute_pcr(measure(chain), 0)}
         device.anchor.define_slot(BALANCE_SLOT, balance, policy)
         device.anchor.define_slot(KEY_SLOT, statement_private, policy)
         return PrepaidClient(device=device, tariffs=dict(tariffs))
@@ -74,9 +73,8 @@ class PrepaidClient:
         if self.device.anchor.slot_read(BALANCE_SLOT) < cost:
             raise ProtocolError("insufficient-balance")
         key = KeyPair(crypto.public_from_private(key_bytes), key_bytes)
-        body = {"service": service, "units": units, "cost": cost, "nonce": nonce.hex()}
-        signature = crypto.sign(key, _STATEMENT_TAG + crypto.canonical_bytes(body))
-        return {**body, "signature": signature.hex()}
+        return crypto.signed(key, _STATEMENT_TAG, {"service": service, "units": units,
+                                                   "cost": cost, "nonce": nonce.hex()})
 
     def decrement(self, cost: int) -> int:
         return self.device.anchor.slot_decrement(BALANCE_SLOT, cost)
@@ -91,28 +89,16 @@ class PrepaidClient:
 
 
 def verify_statement(statement: dict, statement_public: bytes, nonce: bytes) -> bool:
-    body = {k: statement[k] for k in ("service", "units", "cost", "nonce")}
-    if statement["nonce"] != nonce.hex():
-        return False
-    return crypto.verify(
-        statement_public,
-        _STATEMENT_TAG + crypto.canonical_bytes(body),
-        bytes.fromhex(statement["signature"]),
-    )
+    return statement.get("nonce") == nonce.hex() and crypto.signed_by(
+        statement_public, _STATEMENT_TAG, statement, ("service", "units", "cost", "nonce"))
 
 
 def make_voucher(mno_keys: KeyPair, voucher_id: str, value: int) -> dict:
-    body = {"voucher_id": voucher_id, "value": value}
-    signature = crypto.sign(mno_keys, _VOUCHER_TAG + crypto.canonical_bytes(body))
-    return {**body, "signature": signature.hex()}
+    return crypto.signed(mno_keys, _VOUCHER_TAG, {"voucher_id": voucher_id, "value": value})
 
 
 def verify_voucher(voucher: dict, mno_public: bytes) -> bool:
-    body = {"voucher_id": voucher["voucher_id"], "value": voucher["value"]}
-    return crypto.verify(
-        mno_public, _VOUCHER_TAG + crypto.canonical_bytes(body),
-        bytes.fromhex(voucher["signature"]),
-    )
+    return crypto.signed_by(mno_public, _VOUCHER_TAG, voucher, ("voucher_id", "value"))
 
 
 # -- recorded flows ------------------------------------------------------------

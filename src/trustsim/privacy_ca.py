@@ -8,7 +8,7 @@ authentications are linkable only by the CA itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import crypto
 from .anchor import (
@@ -108,20 +108,10 @@ class PrivacyCa:
 
     def certify(self, aik_public: bytes, now: int) -> AikCertificate:
         """One certificate for an AIK of an admitted device, valid from now."""
-        cert = AikCertificate(
-            aik_public=aik_public,
-            domain_id=self.domain_id,
-            valid_from=now,
-            valid_until=now + self.validity_ticks,
-            hash_alg=CERT_HASH_ALG,
-            pca_signature=b"",
-        )
-        sig = crypto.sign(self.root, cert.signed_payload())
-        issued = AikCertificate(
-            aik_public, self.domain_id, now, now + self.validity_ticks, CERT_HASH_ALG, sig
-        )
+        cert = AikCertificate(aik_public, self.domain_id, now, now + self.validity_ticks,
+                              CERT_HASH_ALG, b"")
         self._issued.add(aik_public.hex())
-        return issued
+        return replace(cert, pca_signature=crypto.sign(self.root, cert.signed_payload()))
 
     def admit(self, ek_certificate: EkCertificate, challenge: bytes, ek_response: bytes) -> None:
         """Check EK provenance and liveness; raises ProtocolError on failure."""

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from . import audit, crypto
 from .anchor import Manufacturer
-from .attestation import Verifier, recompute_pcr
-from .boot import measure, tamper
+from .attestation import Verifier
+from .boot import tamper
 from .device import TrustedDevice, reference_db_for, standard_chain
 from .domain import (
     BOUND,
@@ -357,11 +357,8 @@ def _prepaid_setup(sim, config, plan, tampered=False):
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
     device = world.device("dev-1", tamper(chain, "ppc", b"balance-patcher") if tampered else chain,
                           attacked=True, wallet=pca)
-    # provisioning sealed the slots against the honest reference state
-    sealed_policy = {0: recompute_pcr(measure(chain), 0)}
-    device.anchor.define_slot("prepaid-balance", config["initial_balance"], sealed_policy)
-    device.anchor.define_slot("ppc-statement-key", statement_keys.private, sealed_policy)
-    client = PrepaidClient(device=device, tariffs=dict(config["tariffs"]))
+    client = PrepaidClient.provision(device, chain, config["tariffs"],
+                                     config["initial_balance"], statement_keys.private)
     sim.event("balance-init", device="dev-1", value=config["initial_balance"])
     return client, operator, world.verifier("mno", pca, chain, "verifier"), pca, mno_keys
 
@@ -528,8 +525,8 @@ _POS_GOODS = (("cola", 3), ("water", 2), ("juice", 4))
 
 
 def _pos_setup(sim, config, plan):
-    """The POS world, or None after an enrollment abort. A roster without
-    an authentication provider merges it into the operator."""
+    """The POS world, or None after a logon or enrollment abort. A roster
+    without an authentication provider merges it into the operator."""
     world = World(sim, config, plan)
     auth_id = "auth" if "auth" in sim.parties else "mno"
     device_pca = world.pca("device-pca", "operator-domain")
@@ -541,8 +538,8 @@ def _pos_setup(sim, config, plan):
     pos_device = world.device("pos-1", pos_chain)
 
     credential = mno.issue_credential("imsi-7001")
-    network_access_flow(sim, device, "mno", mno, credential)
-    if not (enroll_flow(sim, device, auth_id, device_pca, config["batch_size"], "mobile")
+    if not (network_access_flow(sim, device, "mno", mno, credential)
+            and enroll_flow(sim, device, auth_id, device_pca, config["batch_size"], "mobile")
             and enroll_flow(sim, pos_device, "pos-pca", pos_pca, config["batch_size"], "net")):
         return None
 
@@ -585,7 +582,7 @@ def _carrier_uniformity_row(sim) -> dict:
 def _run_pos_fig4(sim, config, plan):
     ctx = _pos_setup(sim, config, plan)
     if ctx is None:
-        return [_row("purchase-delivered", False, "enrollment aborted")]
+        return [_row("purchase-delivered", False, "setup aborted")]
     if "ack-strip" in plan.names:
         def corrupt(message):
             if message.msg_type == "purchase-ack-relay":
@@ -644,7 +641,7 @@ def _run_pos_sep(sim, config, plan):
     decentralised = config["variant"] == "decentralised"
     ctx = _pos_setup(sim, config, plan)
     if ctx is None:
-        return [_row("purchase-delivered", False, "enrollment aborted")]
+        return [_row("purchase-delivered", False, "setup aborted")]
 
     session = separation_session(sim, ctx, plan=plan,
                                  validate_direct=decentralised)

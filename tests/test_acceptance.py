@@ -149,7 +149,7 @@ def _conservation_world(seed):
     refs = reference_db_for(chain)
     device.boot()
     initial = rng.randrange(120)
-    client = PrepaidClient.provision(device, {"calls": 10, "data": 5}, initial,
+    client = PrepaidClient.provision(device, chain, {"calls": 10, "data": 5}, initial,
                                      statement.private)
     device.attach_wallet(pca, 10, now=0)
     sim.event("balance-init", device="dev-1", value=initial)

@@ -20,9 +20,9 @@ MEASURE_COMPONENT_PAYLOAD = "5c887df5a5a6298b20699fb4ec2812c13773037b"
 EXTEND_ZERO_COMPONENT = "0414e057f4f2ad6aa585a4639fb0c190b2dc7877"
 
 
-def make_anchor(seed=1, device="dev-1", **kwargs):
+def make_anchor(seed=1, device="dev-1"):
     rng = Rng(seed)
-    return TrustAnchor.manufacture(device, rng.fork(device), Manufacturer(rng), **kwargs)
+    return TrustAnchor.manufacture(device, rng.fork(device), Manufacturer(rng))
 
 
 def test_reset_bank_is_all_zero():
@@ -170,11 +170,3 @@ def test_slot_credit_gated_by_same_policy():
     anchor.extend(0, hash160(b"tamper"))
     with pytest.raises(ProtocolError):
         anchor.slot_credit("balance", 1)
-
-
-def test_one_time_policy_can_be_disabled_for_misbehaving_device():
-    anchor = make_anchor(one_time_aiks=False)
-    record = anchor.create_aik_batch(2)[0]
-    anchor.quote(record.aik_id, [0], b"a" * 16)
-    second = anchor.quote(record.aik_id, [0], b"b" * 16)
-    assert verify_quote_signature(second)

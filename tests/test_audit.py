@@ -308,9 +308,11 @@ def _mutate(rnd, transcript):
     elif op == "delete-label" and message["labels"]:
         del message["labels"][rnd.choice(sorted(message["labels"]))]
     elif op == "delete-nested":
+        # only a non-empty dict interior has a key to delete; a malformed
+        # envelope planted by an earlier edit is left as it is
         for value in message["payload"].values():
-            if isinstance(value, dict) and "_sealed" in value:
-                inner = value["_sealed"]
+            inner = value.get("_sealed") if isinstance(value, dict) else None
+            if isinstance(inner, dict) and inner:
                 del inner[rnd.choice(sorted(inner))]
                 break
 

@@ -1,6 +1,11 @@
-"""Crypto suite: digest oracle agreement, signature semantics, seeded rng."""
+"""Crypto suite: digest oracle agreement, signature semantics, signed
+wire dicts, seeded rng."""
+
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustsim import crypto
 from trustsim.crypto import Rng, hash160, keygen, sign, verify
@@ -117,3 +122,47 @@ def test_canonical_bytes_stable():
     a = crypto.canonical_bytes({"b": 1, "a": [2, {"z": 3}]})
     b = crypto.canonical_bytes({"a": [2, {"z": 3}], "b": 1})
     assert a == b
+
+
+# -- signed wire dicts --------------------------------------------------------
+
+_KEY, _OTHER_KEY = keygen(Rng(20)), keygen(Rng(21))
+_TAG = b"test:"
+_NAMES = st.text(max_size=6).filter(lambda name: name != "signature")
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=st.dictionaries(_NAMES, _VALUES, min_size=1, max_size=5), data=st.data())
+def test_signed_round_trips_and_any_edit_unsigns_it(body, data):
+    wire = crypto.signed(_KEY, _TAG, body)
+    fields = tuple(body)
+    assert wire == {**body, "signature": wire["signature"]}
+    assert crypto.signed_by(_KEY.public, _TAG, wire, fields)
+    assert crypto.signed_by(_KEY.public, _TAG, json.loads(json.dumps(wire)), fields)
+
+    name = data.draw(st.sampled_from(fields))
+    extra = data.draw(_NAMES.filter(lambda n: n not in body))
+    missing = {k: v for k, v in wire.items() if k != name}
+    signature = wire["signature"]
+    # a field the check does not name is not covered by the signature
+    assert crypto.signed_by(_KEY.public, _TAG, {**wire, extra: 0}, fields)
+    unsigned = [
+        (_KEY.public, _TAG, {**wire, name: [wire[name]]}, fields),  # changed field
+        (_KEY.public, _TAG, missing, fields),  # missing field
+        (_KEY.public, _TAG, {**wire, extra: 0}, fields + (extra,)),  # extra field
+        (_KEY.public, _TAG, {**wire, "signature": "zz" + signature[2:]}, fields),  # not hex
+        (_KEY.public, _TAG, {**wire, "signature": 7}, fields),  # not a string
+        (_KEY.public, _TAG, {**wire, "signature": bytes.fromhex(signature)}, fields),
+        (_KEY.public, _TAG, {**wire, "signature": signature[:-2]}, fields),  # truncated
+        (_KEY.public, _TAG, {k: v for k, v in wire.items() if k != "signature"}, fields),
+        (_OTHER_KEY.public, _TAG, wire, fields),  # another key
+        (_KEY.public, b"other:", wire, fields),  # another tag
+    ]
+    for public, tag, payload, names in unsigned:
+        assert not crypto.signed_by(public, tag, payload, names)

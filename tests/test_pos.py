@@ -574,6 +574,18 @@ def test_separation_run_aborts_on_a_lost_hop(monkeypatch, scenario, msg_type):
     _assert_aborted_without_delivery(transcript, report, events)
 
 
+@pytest.mark.parametrize("scenario", ["pos-fig4", "pos-sep-duties", "pos-decentralised",
+                                      "pos-mno-merged"])
+def test_pos_run_stops_at_a_failed_network_logon(monkeypatch, scenario):
+    transcript, report, events = _run_with_hook(monkeypatch, scenario,
+                                                _drop_first("network-access"))
+    _assert_aborted_without_delivery(transcript, report, events, "network-access-lost")
+    assert not [e for e in events if e["event"] == "delivery"]
+    assert not report["ok"]
+    rows = {row["name"]: row for row in report["assertions"]}
+    assert rows["purchase-delivered"]["detail"] == "setup aborted"
+
+
 # pos-fig4 hop types from the session to the acknowledgement, with the abort
 # code a loss of each must produce, and the hops delivery does not wait for.
 _FIG4_HOPS = {

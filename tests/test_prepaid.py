@@ -4,8 +4,7 @@ import pytest
 
 from trustsim import crypto
 from trustsim.anchor import Manufacturer
-from trustsim.attestation import Verifier, recompute_pcr
-from trustsim.boot import measure
+from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.errors import ProtocolError
@@ -42,31 +41,20 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
     )
     operator = PrepaidOperator(pool)
 
-    chain_extra = (("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1"))
-    clients, refs = [], None
+    chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
+    clients = []
     for i in range(devices):
-        device = TrustedDevice.provision(
-            f"dev-{i}", rng.fork(f"dev-{i}"), mfr, chain=standard_chain(chain_extra)
-        )
+        device = TrustedDevice.provision(f"dev-{i}", rng.fork(f"dev-{i}"), mfr, chain=chain)
         sim.add_party(device.device_id, "device")
-        if refs is None:
-            refs = reference_db_for(device.chain)
         plan = AttackPlan({"tamper"} if tampered else set())
         apply_setup_attacks(device, plan)
         device.boot()
-        if tampered:
-            # provisioning sealed to the honest state happened at manufacture
-            policy = {0: recompute_pcr(measure(standard_chain(chain_extra)), 0)}
-            device.anchor.define_slot("prepaid-balance", balance, policy)
-            device.anchor.define_slot("ppc-statement-key", statement_keys.private, policy)
-            client = PrepaidClient(device=device, tariffs=TARIFFS)
-        else:
-            client = PrepaidClient.provision(device, TARIFFS, balance, statement_keys.private)
+        client = PrepaidClient.provision(device, chain, TARIFFS, balance, statement_keys.private)
         device.attach_wallet(pca, batch_size=10, now=0)
         sim.event("balance-init", device=device.device_id, value=balance)
         clients.append(client)
 
-    verifier = Verifier("mno", pca.root.public, refs, rng.fork("verifier"))
+    verifier = Verifier("mno", pca.root.public, reference_db_for(chain), rng.fork("verifier"))
     return sim, rng, mno_keys, pool, operator, verifier, pca, clients
 
 

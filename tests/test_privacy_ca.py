@@ -189,7 +189,7 @@ def test_shared_used_set_links_services_unshared_does_not():
     rng = Rng(4)
     mfr = Manufacturer(rng)
     pca = PrivacyCa("pca", rng, {mfr.root.public}, domain_id="collab")
-    anchor = TrustAnchor.manufacture("dev", rng.fork("dev"), mfr, one_time_aiks=False)
+    anchor = TrustAnchor.manufacture("dev", rng.fork("dev"), mfr)
     chain = mb.make_chain([("crtm", b"crtm-code")])
     log = mb.boot(anchor, chain)
     refs = mb.ReferenceDb()
@@ -205,6 +205,7 @@ def test_shared_used_set_links_services_unshared_does_not():
 
     def attest_at(service, now):
         ch = service.make_challenge(now)
+        record.used = False  # the careless device forgets it already used this AIK
         quote = anchor.quote(record.aik_id, ch.pcr_selection, ch.nonce)
         return service.verify(AttestationResponse(quote, log, cert), ch, now + 1)
 
