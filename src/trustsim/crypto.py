@@ -103,9 +103,6 @@ class Rng:
             if v < limit:
                 return v % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffled(self, seq) -> list:
         items = list(seq)
         for i in range(len(items) - 1, 0, -1):

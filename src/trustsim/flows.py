@@ -1,13 +1,17 @@
 """Recorded protocol flows shared by the scenario modules.
 
 Wire format helpers (challenge/response/certificate as labeled message
-payloads) plus the standard attestation exchange with its five injectable
-attacks. The verifier always checks what came off the wire, so drop and
-modify hooks behave like real tampering.
+payloads), the delivered-hop helper and the routes built from it, plus the
+one attestation exchange with its five injectable attacks. The exchange
+takes the route its challenge and response travel (one direct hop each
+way, or legs through relays), so every scenario runs the same exchange.
+The verifier always checks what came off the wire, so drop and modify
+hooks behave like real tampering.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 from . import boot as mb
@@ -56,14 +60,17 @@ def apply_setup_attacks(device: TrustedDevice, plan: AttackPlan | None) -> None:
 # -- wire format ------------------------------------------------------------
 
 
-def challenge_fields(challenge: AttestationChallenge) -> tuple:
-    payload = {
+CHALLENGE_LABELS = {"nonce": "plumbing", "selection": "plumbing", "deadline": "plumbing"}
+RESPONSE_LABELS = {"quote": "plumbing", "log": "plumbing", "certificate": "token"}
+VERDICT_LABELS = {"ok": "plumbing", "reasons": "plumbing"}
+
+
+def challenge_fields(challenge: AttestationChallenge) -> dict:
+    return {
         "nonce": challenge.nonce.hex(),
         "selection": list(challenge.pcr_selection),
         "deadline": challenge.freshness_deadline,
     }
-    labels = {"nonce": "plumbing", "selection": "plumbing", "deadline": "plumbing"}
-    return payload, labels
 
 
 def parse_challenge(payload: dict) -> AttestationChallenge:
@@ -79,9 +86,9 @@ def parse_challenge(payload: dict) -> AttestationChallenge:
     )
 
 
-def response_fields(response: AttestationResponse) -> tuple:
+def response_fields(response: AttestationResponse) -> dict:
     quote = response.quote
-    payload = {
+    return {
         "quote": {
             "selection": list(quote.pcr_selection),
             "values": list(quote.pcr_values),
@@ -92,8 +99,6 @@ def response_fields(response: AttestationResponse) -> tuple:
         "log": response.log.to_fields(),
         "certificate": response.certificate.to_fields(),
     }
-    labels = {"quote": "plumbing", "log": "plumbing", "certificate": "token"}
-    return payload, labels
 
 
 def parse_response(payload: dict) -> AttestationResponse:
@@ -112,6 +117,14 @@ def parse_response(payload: dict) -> AttestationResponse:
         log=mb.MeasurementLog.from_fields(payload["log"]),
         certificate=AikCertificate.from_fields(payload["certificate"]),
     )
+
+
+def parse_verdict(payload: dict) -> AttestationVerdict:
+    """A verdict as it came off the wire: accepted only when ok is True, its
+    reasons kept only when they are a list of strings."""
+    reasons = payload.get("reasons")
+    strings = isinstance(reasons, list) and all(isinstance(r, str) for r in reasons)
+    return AttestationVerdict(payload.get("ok") is True, tuple(reasons) if strings else ())
 
 
 # -- flows -------------------------------------------------------------------
@@ -157,6 +170,73 @@ def opened(payload: dict) -> dict:
     return payload["env"]["_sealed"]["payload"]
 
 
+# One hop of a route: sender to receiver over channel as msg_type; a loss
+# aborts with code lost for party (the receiver when None). sealed_for names
+# the addressee when the leg carries the payload in an envelope (see carry).
+Leg = collections.namedtuple(
+    "Leg", "sender receiver channel msg_type lost party encrypted sealed_for",
+    defaults=(None, True, None))
+
+# The legs an attestation exchange travels: the challenge to the device, the
+# response to the verifier and, when given, each verdict on to the party
+# that acts on it.
+Route = collections.namedtuple("Route", "challenge response verdict", defaults=((),))
+
+
+def carry(sim, legs, payload: dict, labels: dict, *, read=None, bad: str | None = None,
+          **fields):
+    """Send payload along legs, each sender forwarding what reached it, and
+    return it as the last receiver got it, through read when given; or None
+    after the one abort (see hop; bad is the last leg's code).
+
+    Consecutive legs sealed for one party carry the payload in one envelope:
+    sealed by the first sender, forwarded unread, opened by the addressee."""
+    sealed = False
+    for n, leg in enumerate(legs, 1):
+        last = n == len(legs)
+        if leg.sealed_for is not None and not sealed:
+            payload, sealed = {"env": seal([leg.sealed_for], payload, labels)}, True
+        opens = sealed and leg.receiver == leg.sealed_for
+        if not sealed:
+            step = read if last else None
+        elif not opens:  # a relay forwards the envelope as it arrived
+            step = lambda p: {"env": p["env"]}
+        else:
+            step = (lambda p: read(opened(p))) if last and read else opened
+        payload = hop(sim, leg.sender, leg.receiver, leg.channel, leg.msg_type, payload,
+                      ENV_LABELS if sealed else labels, leg.lost, read=step,
+                      bad=bad if last else None, party=leg.party, encrypted=leg.encrypted,
+                      **fields)
+        if payload is None:
+            return None
+        sealed = sealed and not opens
+    return payload
+
+
+def _sealed_hop(sim, sender: str, receiver: str, channel: str, msg_type: str,
+                payload: dict, labels: dict, read):
+    """One hop sealed for its receiver, who reads the interior through read;
+    aborts with msg_type-lost or bad-msg_type."""
+    leg = Leg(sender, receiver, channel, msg_type, f"{msg_type}-lost", sealed_for=receiver)
+    return carry(sim, (leg,), payload, labels, read=read, bad=f"bad-{msg_type}")
+
+
+def _certify(sim, pca_id: str, device: TrustedDevice, channel: str, kind: str, records,
+             certify):
+    """The CA's answer in enrollment and replenishment: certify() the request
+    that reached it and seal the certificates back. Returns them as the
+    device received them, each naming its record's AIK, or None after the
+    refusal's abort (the ProtocolError's code) or the hop's."""
+    try:
+        certs = certify()
+    except ProtocolError as err:
+        sim.event("abort", party=pca_id, code=err.code)
+        return None
+    return _sealed_hop(sim, pca_id, device.device_id, channel, f"{kind}-certs",
+                       {"certificates": [c.to_fields() for c in certs]},
+                       {"certificates": "token"}, lambda f: _certificates_for(f, records))
+
+
 def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, channel: str) -> bool:
     """Spend the device's last credential to certify a fresh batch, on the record.
 
@@ -166,31 +246,18 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
     batch; a lost or malformed hop, or a refused request, ends in one abort
     instead."""
     request = device.wallet.prepare_replenish()
-    body = seal(
-        [pca_id],
+    received = _sealed_hop(
+        sim, device.device_id, pca_id, channel, "replenish-request",
         {
             "old_certificate": request.old_certificate.to_fields(),
             "new_publics": [p.hex() for p in request.publics],
             "signature": request.signature.hex(),
         },
         {"old_certificate": "token", "new_publics": "token", "signature": "plumbing"},
-    )
-    received = hop(sim, device.device_id, pca_id, channel, "replenish-request",
-                   {"env": body}, ENV_LABELS, "replenish-request-lost",
-                   read=_replenish_request, bad="bad-replenish-request")
-    if received is None:
-        return False
-    try:
-        certs = pca.replenish(*received, now=sim.tick)
-    except ProtocolError as err:
-        sim.event("abort", party=pca_id, code=err.code)
-        return False
-    reply = seal([device.device_id],
-                 {"certificates": [c.to_fields() for c in certs]},
-                 {"certificates": "token"})
-    certs = hop(sim, pca_id, device.device_id, channel, "replenish-certs",
-                {"env": reply}, ENV_LABELS, "replenish-certs-lost",
-                read=lambda p: _certificates_for(p, request.records), bad="bad-replenish-certs")
+        _replenish_request)
+    certs = None if received is None else _certify(
+        sim, pca_id, device, channel, "replenish", request.records,
+        lambda: pca.replenish(*received, now=sim.tick))
     if certs is None:
         return False
     device.wallet.install_batch(request.records, certs)
@@ -204,58 +271,17 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
     return True
 
 
-def expired_cert_override(device: TrustedDevice, plan: AttackPlan | None) -> int | None:
-    """expired-cert injection: run the exchange after the credential window
-    closed. Consult before minting the challenge."""
-    if plan and plan.take("expired-cert"):
-        return device.wallet.peek()[1].valid_until + 1
-    return None
-
-
-def mangle_and_respond(device: TrustedDevice, wire_challenge: AttestationChallenge,
-                       plan: AttackPlan | None) -> tuple:
-    """Device-side response with the response-level injections applied.
-
-    Returns (response, presentations); presentations is 2 for a replay-aik
-    injection (the same response goes on the wire twice)."""
-    if plan and plan.take("wrong-nonce"):
-        mangled = crypto.hash256(wire_challenge.nonce)[:16]
-        wire_challenge = dataclasses.replace(wire_challenge, nonce=mangled)
-    response = device.respond(wire_challenge)
-    if plan and plan.take("forge-log"):
-        response = dataclasses.replace(
-            response, log=mb.forge_log(response.log, 0, crypto.hash160(b"forged-entry"))
-        )
-    presentations = 2 if plan and plan.take("replay-aik") else 1
-    return response, presentations
-
-
-def record_verdict(sim, verifier_id: str, verifier: Verifier, subject: str,
-                   wire_response: AttestationResponse, challenge: AttestationChallenge,
-                   now: int):
-    """Verify a response as it came off the wire and put the verdict on the
-    record; the one writer of "attestation-verdict" events."""
-    verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
-    sim.event(
-        "attestation-verdict",
-        verifier=verifier_id,
-        subject=subject,
-        aik_fp=wire_response.aik_fingerprint(),
-        accepted=verdict.accepted,
-        reasons=list(verdict.reasons),
-    )
-    return verdict
-
-
 @dataclasses.dataclass(frozen=True)
 class Exchange:
     """One recorded attestation exchange: the challenge as it reached the
-    device, the response as it reached the verifier (the last presentation)
-    and the verdict on it."""
+    device, the response as it reached the verifier (the last presentation),
+    the verdict on it (as it reached the end of the verdict route, if there
+    is one) and the response payload presented."""
 
     challenge: AttestationChallenge
     response: AttestationResponse
     verdict: AttestationVerdict
+    presented: dict
 
 
 def attest_flow(
@@ -263,42 +289,78 @@ def attest_flow(
     device: TrustedDevice,
     verifier_id: str,
     verifier: Verifier,
-    channel: str,
+    route: str | Route,
     plan: AttackPlan | None = None,
     replenish_via: tuple | None = None,
+    replay: dict | None = None,
 ) -> Exchange | None:
-    """One challenge-response attestation, recorded; returns the Exchange.
+    """One challenge-response attestation, recorded; returns the Exchange,
+    or None after an abort: a message was dropped, or arrived too malformed
+    to act on. The one writer of "attestation-verdict" events and the one
+    place the response-level attacks act.
 
-    Returns None after an abort: a message was dropped, or arrived too
-    malformed to act on. With a replay-aik injection the response is
-    presented twice and the second (rejected) verdict is returned.
-    replenish_via is replenish_flow's (pca_id, pca, channel).
+    route is a Route, or a channel name for the direct one: one unencrypted
+    attestation-challenge and attestation-response hop. replay is a stored
+    response payload, presented once instead of the device's answer. With a
+    replay-aik injection the response is presented twice and the second
+    (rejected) verdict is returned. replenish_via is replenish_flow's
+    (pca_id, pca, channel).
     """
-    now = expired_cert_override(device, plan) or sim.tick
+    if isinstance(route, str):
+        route = Route(
+            (Leg(verifier_id, device.device_id, route, "attestation-challenge",
+                 "challenge-lost", encrypted=False),),
+            (Leg(device.device_id, verifier_id, route, "attestation-response",
+                 "response-lost", encrypted=False),))
+    now = sim.tick
+    if plan and plan.take("expired-cert"):  # the credential window has closed
+        now = device.wallet.peek()[1].valid_until + 1
 
     challenge = verifier.make_challenge(now)
-    payload, labels = challenge_fields(challenge)
-    wire_challenge = hop(sim, verifier_id, device.device_id, channel, "attestation-challenge",
-                         payload, labels, "challenge-lost", read=parse_challenge,
-                         bad="bad-challenge", encrypted=False)
+    wire_challenge = carry(sim, route.challenge, challenge_fields(challenge), CHALLENGE_LABELS,
+                           read=parse_challenge, bad="bad-challenge")
     if wire_challenge is None:
         return None
 
-    response, presentations = mangle_and_respond(device, wire_challenge, plan)
+    presentations = 1
+    if replay is not None:
+        payload = dict(replay)
+    else:
+        answered = wire_challenge
+        if plan and plan.take("wrong-nonce"):
+            answered = dataclasses.replace(answered, nonce=crypto.hash256(answered.nonce)[:16])
+        response = device.respond(answered)
+        if plan and plan.take("forge-log"):
+            response = dataclasses.replace(
+                response, log=mb.forge_log(response.log, 0, crypto.hash160(b"forged-entry")))
+        if plan and plan.take("replay-aik"):
+            presentations = 2  # the same response goes on the wire twice
+        payload = response_fields(response)
     if device.wallet.needs_replenish and replenish_via is not None:
         if not replenish_flow(sim, device, *replenish_via):
             return None
 
     for _ in range(presentations):
-        payload, labels = response_fields(response)
-        wire_response = hop(sim, device.device_id, verifier_id, channel, "attestation-response",
-                            payload, labels, "response-lost", read=parse_response,
-                            bad="bad-response", encrypted=False)
+        wire_response = carry(sim, route.response, payload, RESPONSE_LABELS,
+                              read=parse_response, bad="bad-response")
         if wire_response is None:
             return None
-        verdict = record_verdict(sim, verifier_id, verifier, device.device_id,
-                                 wire_response, challenge, now)
-    return Exchange(wire_challenge, wire_response, verdict)
+        verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
+        sim.event(
+            "attestation-verdict",
+            verifier=verifier_id,
+            subject=device.device_id,
+            aik_fp=wire_response.aik_fingerprint(),
+            accepted=verdict.accepted,
+            reasons=list(verdict.reasons),
+        )
+        if route.verdict:
+            verdict = carry(sim, route.verdict,
+                            {"ok": verdict.accepted, "reasons": list(verdict.reasons)},
+                            VERDICT_LABELS, read=parse_verdict)
+            if verdict is None:
+                return None
+    return Exchange(wire_challenge, wire_response, verdict, payload)
 
 
 def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
@@ -314,38 +376,21 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
     or malformed hop, or a refused EK, ends in one abort instead."""
     records = device.anchor.create_aik_batch(batch_size)
     challenge = pca.liveness_challenge()
-    challenge_env = seal([device.device_id], {"nonce": challenge.hex()}, {"nonce": "plumbing"})
-    nonce = hop(sim, pca_id, device.device_id, channel, "enroll-challenge",
-                {"env": challenge_env}, ENV_LABELS, "enroll-challenge-lost",
-                read=lambda p: bytes.fromhex(opened(p)["nonce"]), bad="bad-enroll-challenge")
-    if nonce is None:
-        return False
-    request = seal(
-        [pca_id],
+    nonce = _sealed_hop(sim, pca_id, device.device_id, channel, "enroll-challenge",
+                        {"nonce": challenge.hex()}, {"nonce": "plumbing"},
+                        lambda f: bytes.fromhex(f["nonce"]))
+    received = None if nonce is None else _sealed_hop(
+        sim, device.device_id, pca_id, channel, "enroll-request",
         {
             "ek_certificate": device.anchor.ek_certificate.to_fields(),
             "aik_publics": [r.key.public.hex() for r in records],
             "liveness": device.anchor.ek_challenge_response(nonce).hex(),
         },
         {"ek_certificate": "identity", "aik_publics": "token", "liveness": "plumbing"},
-    )
-    received = hop(sim, device.device_id, pca_id, channel, "enroll-request",
-                   {"env": request}, ENV_LABELS, "enroll-request-lost",
-                   read=_enroll_request, bad="bad-enroll-request")
-    if received is None:
-        return False
-    ek_certificate, publics, liveness = received
-    try:
-        certs = pca.enroll(ek_certificate, publics, challenge, liveness, now=sim.tick)
-    except ProtocolError as err:
-        sim.event("abort", party=pca_id, code=err.code)
-        return False
-    reply = seal([device.device_id],
-                 {"certificates": [c.to_fields() for c in certs]},
-                 {"certificates": "token"})
-    certs = hop(sim, pca_id, device.device_id, channel, "enroll-certs",
-                {"env": reply}, ENV_LABELS, "enroll-certs-lost",
-                read=lambda p: _certificates_for(p, records), bad="bad-enroll-certs")
+        _enroll_request)
+    certs = None if received is None else _certify(
+        sim, pca_id, device, channel, "enroll", records,
+        lambda: pca.enroll(received[0], received[1], challenge, received[2], now=sim.tick))
     if certs is None:
         return False
     device.wallet = CredentialWallet(device.anchor, pca, batch_size=batch_size,
@@ -353,24 +398,22 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
     return True
 
 
-def _enroll_request(payload: dict) -> tuple:
+def _enroll_request(fields: dict) -> tuple:
     """(EK certificate, AIK publics, liveness answer) of a delivered enroll-request."""
-    fields = opened(payload)
     return (EkCertificate.from_fields(fields["ek_certificate"]),
             [bytes.fromhex(public) for public in fields["aik_publics"]],
             bytes.fromhex(fields["liveness"]))
 
 
-def _replenish_request(payload: dict) -> tuple:
+def _replenish_request(fields: dict) -> tuple:
     """(old certificate, new AIK publics, signature) of a delivered replenish-request."""
-    fields = opened(payload)
     return (AikCertificate.from_fields(fields["old_certificate"]),
             [bytes.fromhex(public) for public in fields["new_publics"]],
             bytes.fromhex(fields["signature"]))
 
 
-def _certificates_for(payload: dict, records) -> list:
+def _certificates_for(fields: dict, records) -> list:
     """The certificates a delivered enroll-certs or replenish-certs carries;
     ValueError unless they name the records' AIKs, in order."""
-    certs = [AikCertificate.from_fields(c) for c in opened(payload)["certificates"]]
+    certs = [AikCertificate.from_fields(c) for c in fields["certificates"]]
     return checked(certs, [c.aik_public for c in certs] == [r.key.public for r in records])

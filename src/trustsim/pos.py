@@ -6,7 +6,9 @@ separation-of-duties flow (one-time token validated at the authentication
 provider, billing package of exactly {auth token, grand total, signature}
 to the charging provider). The POS has no network uplink of its own: all
 its backhaul rides through the customer device as sealed envelopes, so the
-carrier sees only uniform encrypted shapes.
+carrier sees only uniform encrypted shapes. The token check is the
+standard attestation exchange of flows.attest_flow, routed along those
+relay legs instead of one direct hop each way.
 """
 
 from __future__ import annotations
@@ -18,22 +20,7 @@ from . import crypto
 from .attestation import Verifier
 from .crypto import KeyPair
 from .device import TrustedDevice
-from .flows import (
-    ENV_LABELS,
-    AttackPlan,
-    attest_flow,
-    challenge_fields,
-    checked,
-    expired_cert_override,
-    hop,
-    mangle_and_respond,
-    opened,
-    parse_challenge,
-    parse_response,
-    record_verdict,
-    replenish_flow,
-    response_fields,
-)
+from .flows import AttackPlan, Leg, Route, attest_flow, carry, checked, hop, replenish_flow
 from .harness import seal
 from .privacy_ca import AikCertificate, verify_aik_certificate
 
@@ -121,59 +108,46 @@ class PosContext:
         return f"{kind}-{self._counters[kind]}"
 
 
-def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str, payload: dict,
-           labels: dict, lost: str, party: str | None = None, read=None, bad=None, **fields):
-    """POS backhaul through the device: short-range hop, then a sealed hop
-    over the mobile network (or the reverse). The device forwards the
-    envelope as it arrived and never reads the interior.
-
-    Returns the interior as dest received it, through read when given; a
-    lost hop or a failed read ends in flows.hop's abort, for party (the POS
-    unless named) or dest."""
-    if origin == ctx.pos_id:
-        first = (origin, ctx.device_id, CHANNEL_SR, f"{msg_type}-relay")
-        last = (ctx.device_id, dest, CHANNEL_MOBILE, msg_type)
-    elif dest == ctx.pos_id:
-        first = (origin, ctx.device_id, CHANNEL_MOBILE, msg_type)
-        last = (ctx.device_id, dest, CHANNEL_SR, f"{msg_type}-relay")
-    else:
-        raise ValueError("relay endpoints must include the POS")
+def _backhaul(ctx: PosContext, origin: str, dest: str, msg_type: str, lost: str,
+              party: str | None = None, via_owner: bool = False) -> tuple:
+    """The legs of POS backhaul from origin to dest: relayed through the
+    device (short-range on the POS side, mobile on the other) in an envelope
+    sealed for the relay's far end, which the device forwards unread; with
+    via_owner, over the net through the POS owner as well. A loss aborts for
+    party, the POS unless named."""
     party = party or ctx.pos_id
-    carried = hop(sim, *first, {"env": seal([dest], payload, labels)}, ENV_LABELS, lost,
-                  party=party, read=lambda p: {"env": p["env"]}, **fields)
-    if carried is None:
-        return None
-    return hop(sim, *last, carried, ENV_LABELS, lost, party=party,
-               read=lambda p: opened(p) if read is None else read(opened(p)), bad=bad,
-               **fields)
+    if via_owner:
+        owner = ctx.pos_owner_id
+        if dest == ctx.pos_id:
+            return (Leg(origin, owner, CHANNEL_NET, msg_type, lost, party),
+                    *_backhaul(ctx, owner, dest, msg_type, lost, party))
+        return (*_backhaul(ctx, origin, owner, msg_type, lost, party),
+                Leg(owner, dest, CHANNEL_NET, msg_type, lost, party))
+    if ctx.pos_id not in (origin, dest):
+        raise ValueError("relay endpoints must include the POS")
+
+    def leg(sender, receiver):
+        at_pos = ctx.pos_id in (sender, receiver)
+        return Leg(sender, receiver, CHANNEL_SR if at_pos else CHANNEL_MOBILE,
+                   f"{msg_type}-relay" if at_pos else msg_type, lost, party, sealed_for=dest)
+
+    return leg(origin, ctx.device_id), leg(ctx.device_id, dest)
 
 
-def _decision_path(sim, ctx: PosContext, origin: str, dest: str, msg_type: str,
-                   payload: dict, labels: dict, direct: bool, lost: str,
-                   party: str | None = None, read=None, bad=None):
-    """Carry a token-decision message between the authentication provider
-    and the POS: relayed straight through the device when direct, else
-    through the POS owner. Returns the payload as dest received it, through
-    read when given, or None after the abort (see _relay)."""
-    if direct:
-        return _relay(sim, ctx, origin, dest, msg_type, payload, labels, lost, party, read, bad)
-    owner, party = ctx.pos_owner_id, party or ctx.pos_id
-    if dest == ctx.pos_id:
-        at_owner = hop(sim, origin, owner, CHANNEL_NET, msg_type, payload, labels, lost,
-                       party=party)
-        return None if at_owner is None else _relay(
-            sim, ctx, owner, dest, msg_type, at_owner, labels, lost, party, read, bad)
-    at_owner = _relay(sim, ctx, origin, owner, msg_type, payload, labels, lost, party)
-    return None if at_owner is None else hop(
-        sim, owner, dest, CHANNEL_NET, msg_type, at_owner, labels, lost, party=party,
-        read=read, bad=bad)
+def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str, payload: dict,
+           labels: dict, lost: str, read=None, bad=None, **fields):
+    """Carry payload over the backhaul relay; returns the interior as dest
+    received it, through read when given, or None after flows.carry's
+    abort."""
+    return carry(sim, _backhaul(ctx, origin, dest, msg_type, lost), payload, labels,
+                 read=read, bad=bad, **fields)
 
 
 # -- session establishment -----------------------------------------------------
 
 
-def _attest_peer(sim, ctx: PosContext, subject: TrustedDevice, judge_id: str,
-                 verifier: Verifier, plan: AttackPlan | None = None):
+def _attest_peer(sim, subject: TrustedDevice, judge_id: str, verifier: Verifier,
+                 plan: AttackPlan | None = None):
     """The subject's attestation at judge over the short-range channel: the
     Exchange when accepted, else None after judge's
     session-attestation-failed abort."""
@@ -190,10 +164,9 @@ def mutual_attest_session(sim, ctx: PosContext, plan: AttackPlan | None = None):
 
     Each side spends a one-time credential; the session id seeds the
     transport keys. Returns the session id or None on abort."""
-    device_side = _attest_peer(sim, ctx, ctx.device, ctx.pos_id,
-                               ctx.pos_verifier_for_device, plan)
+    device_side = _attest_peer(sim, ctx.device, ctx.pos_id, ctx.pos_verifier_for_device, plan)
     pos_side = None if device_side is None else _attest_peer(
-        sim, ctx, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
+        sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
     if pos_side is None:
         return None
     return _open_session(sim, ctx, device_side.challenge, pos_side.challenge)
@@ -261,7 +234,8 @@ def purchase_via_operator(
             received, ctx.device_verifier_for_pos.pca_root)
         if hop(sim, ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
                {"ok": ok}, {"ok": "plumbing"}, "identity-check-lost",
-               read=lambda p: checked(True, p["ok"]), bad="pos-identity-unverified") is None:
+               read=lambda p: checked(True, p["ok"] is True),
+               bad="pos-identity-unverified") is None:
             return None
 
     order_id = ctx.next_id("order")
@@ -308,15 +282,13 @@ def purchase_via_operator(
                  {"order_id": "plumbing", "price": "price", "modality": "plumbing"},
                  encrypted=True)
 
-    ack_body = {"order_id": order["order_id"], "status": "ok"}
-    ack_labels = {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"}
-    ack = hop(sim, ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack",
-              crypto.signed(ctx.mno_keys, _ACK_TAG, ack_body), ack_labels, "ack-lost",
-              order_id=order_id)
     # the device relays the acknowledgement as it arrived
-    if ack is None or hop(
-        sim, ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay", ack, ack_labels,
-        "ack-lost", read=lambda a: checked(a, crypto.signed_by(
+    if carry(
+        sim, (Leg(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack", "ack-lost"),
+              Leg(ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay", "ack-lost")),
+        crypto.signed(ctx.mno_keys, _ACK_TAG, {"order_id": order["order_id"], "status": "ok"}),
+        {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"},
+        read=lambda a: checked(a, crypto.signed_by(
             ctx.mno_keys.public, _ACK_TAG, a, ("order_id", "status"))
             and a["order_id"] == order_id and a["status"] == "ok"),
         bad="bad-ack-signature", order_id=order_id,
@@ -332,74 +304,49 @@ def purchase_via_operator(
 # -- separation-of-duties purchase ----------------------------------------------
 
 
-def separation_session(
-    sim,
-    ctx: PosContext,
-    plan: AttackPlan | None = None,
-    validate_direct: bool = False,
-    reuse_response: dict | None = None,
-):
+def separation_session(sim, ctx: PosContext, plan: AttackPlan | None = None,
+                       validate_direct: bool = False, reuse_response: dict | None = None):
     """Steps (i)+(ii): the device authenticates at the POS with a one-time
     token whose acceptance is decided at the authentication provider;
     the device checks the POS pseudonym locally.
 
-    Returns (session_id, token_fingerprint, response_payload), or None
-    after an abort event: token rejected, or a hop lost or malformed
-    (bad-challenge, bad-response). Each party acts on
-    what reached it. The decision travels POS -> owner -> provider unless
-    validate_direct.
+    One attest_flow exchange, routed: challenge and token travel between
+    the provider and the POS (through the POS owner unless validate_direct)
+    and each verdict back to the POS, which acts on the one that reached it.
+    reuse_response is a stored token, presented once instead of a fresh one.
+    Returns (session_id, token_fingerprint, response_payload), or None after
+    an abort: token rejected, or a hop lost or malformed.
     """
-    now = expired_cert_override(ctx.device, plan) or sim.tick
-    # the decision maker mints the nonce; it reaches the POS down the same path
-    challenge = ctx.auth_verifier.make_challenge(now)
-    ch_payload, ch_labels = challenge_fields(challenge)
-    at_pos = _decision_path(sim, ctx, ctx.auth_id, ctx.pos_id, "token-challenge",
-                            ch_payload, ch_labels, validate_direct, "challenge-lost",
-                            party=ctx.device_id)
-    wire_challenge = None if at_pos is None else hop(
-        sim, ctx.pos_id, ctx.device_id, CHANNEL_SR, "attestation-challenge", at_pos,
-        ch_labels, "challenge-lost", read=parse_challenge, bad="bad-challenge")
-    if wire_challenge is None:
+    def path(origin, dest, msg_type, lost, party=None):
+        return _backhaul(ctx, origin, dest, msg_type, lost, party, not validate_direct)
+
+    route = Route(
+        # the decision maker mints the nonce; it reaches the POS down the
+        # decision path, and the POS passes it to the device
+        challenge=(*path(ctx.auth_id, ctx.pos_id, "token-challenge", "challenge-lost",
+                         party=ctx.device_id),
+                   Leg(ctx.pos_id, ctx.device_id, CHANNEL_SR, "attestation-challenge",
+                       "challenge-lost")),
+        response=(Leg(ctx.device_id, ctx.pos_id, CHANNEL_SR, "auth-token", "token-lost"),
+                  *path(ctx.pos_id, ctx.auth_id, "token-validate", "token-lost")),
+        verdict=path(ctx.auth_id, ctx.pos_id, "token-verdict", "verdict-lost"),
+    )
+    exchange = attest_flow(sim, ctx.device, ctx.auth_id, ctx.auth_verifier, route, plan=plan,
+                           replay=reuse_response)
+    if exchange is None:
         return None
-
-    if reuse_response is not None:
-        response_payload, presentations = dict(reuse_response), 1
-    else:
-        response, presentations = mangle_and_respond(ctx.device, wire_challenge, plan)
-        response_payload, _ = response_fields(response)
-
-    token_labels = {"quote": "plumbing", "log": "plumbing", "certificate": "token"}
-    verdict_labels = {"ok": "plumbing", "reasons": "plumbing"}
-    for _ in range(presentations):
-        token = hop(sim, ctx.device_id, ctx.pos_id, CHANNEL_SR, "auth-token",
-                    response_payload, token_labels, "token-lost")
-        wire_response = None if token is None else _decision_path(
-            sim, ctx, ctx.pos_id, ctx.auth_id, "token-validate", token, token_labels,
-            validate_direct, "token-lost", read=parse_response, bad="bad-response")
-        if wire_response is None:
-            return None
-        verdict = record_verdict(sim, ctx.auth_id, ctx.auth_verifier, ctx.device_id,
-                                 wire_response, challenge, now)
-        decision = _decision_path(
-            sim, ctx, ctx.auth_id, ctx.pos_id, "token-verdict",
-            {"ok": verdict.accepted, "reasons": list(verdict.reasons)}, verdict_labels,
-            validate_direct, "verdict-lost")
-        if decision is None:
-            return None
-
-    if not decision.get("ok"):
+    if not exchange.verdict.accepted:
         sim.event("abort", party=ctx.pos_id, code="token-rejected",
-                  reasons=list(decision.get("reasons", ())))
+                  reasons=list(exchange.verdict.reasons))
         return None
 
     # mutual assurance: the device checks the POS pseudonym locally
-    pos_side = _attest_peer(sim, ctx, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
+    pos_side = _attest_peer(sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
     if pos_side is None:
         return None
 
-    session_id = _open_session(sim, ctx, wire_challenge, pos_side.challenge)
-    token_fp = crypto.hash160(bytes.fromhex(response_payload["quote"]["aik_public"])).hex()
-    return session_id, token_fp, response_payload
+    session_id = _open_session(sim, ctx, exchange.challenge, pos_side.challenge)
+    return session_id, exchange.response.aik_fingerprint(), exchange.presented
 
 
 def separation_purchase(

@@ -115,7 +115,7 @@ def test_single_bit_flips_always_change_final_pcr():
 
     rng = Rng(1234)
     for _ in range(50):
-        target = rng.choice(chain)
+        target = chain[rng.randrange(len(chain))]
         payload = bytearray(target.payload)
         bit = rng.randrange(len(payload) * 8)
         payload[bit // 8] ^= 1 << (bit % 8)

@@ -679,6 +679,7 @@ _MALFORMED_RUNS = [
     ("pos-fig4", "pos-identity-check", {"pos_certificate": {"aik_public": NOT_HEX}},
      "pos-identity-unverified"),
     ("pos-fig4", "pos-identity-ok", {"ok": REMOVED}, "pos-identity-unverified"),
+    ("pos-fig4", "pos-identity-ok", {"ok": "zz"}, "pos-identity-unverified"),
     ("pos-sep-duties", "charge-confirmation", {"status": REMOVED}, "charge-refused"),
     ("pos-sep-duties", "charge-confirmation", {"signature": NOT_HEX}, "charge-refused"),
     ("pos-sep-duties", "billing-package", {"signature": NOT_HEX}, "charge-refused"),
@@ -688,6 +689,9 @@ _MALFORMED_RUNS = [
     ("pos-sep-duties", "purchase-acknowledgement-relay", {"order_id": REMOVED},
      "bad-ack-signature"),
     ("pos-sep-duties", "token-verdict-relay", {"ok": REMOVED}, "token-rejected"),
+    ("pos-sep-duties", "token-verdict-relay", {"ok": False, "reasons": 5}, "token-rejected"),
+    ("pos-sep-duties", "token-verdict-relay", {"ok": [1], "reasons": REMOVED},
+     "token-rejected"),
     ("pos-decentralised", "billing-package-relay", {"signature": NOT_HEX}, "charge-refused"),
     ("pos-decentralised", "charge-confirmation-relay", {"status": REMOVED}, "charge-refused"),
     ("pos-decentralised", "charge-confirmation", {"signature": NOT_HEX}, "charge-refused"),
@@ -745,3 +749,14 @@ def test_an_envelope_that_does_not_open_counts_as_lost(monkeypatch, scenario, ms
     transcript, report, events = _run_with_hook(monkeypatch, scenario, unseal)
     _assert_aborted_without_delivery(transcript, report, events, code)
     assert [e["party"] for e in events if e["event"] == "abort"] == [party]
+
+
+@pytest.mark.parametrize("reasons,recorded", [
+    (5, []), (["forged", 7], []), ("forged", []), (["forged"], ["forged"]),
+])
+def test_token_rejected_records_only_a_list_of_reason_strings(monkeypatch, reasons, recorded):
+    transcript, report, events = _run_with_hook(
+        monkeypatch, "pos-sep-duties",
+        _alter_first("token-verdict-relay", {"ok": False, "reasons": reasons}))
+    _assert_aborted_without_delivery(transcript, report, events, "token-rejected")
+    assert [e for e in events if e["event"] == "abort"][-1]["reasons"] == recorded

@@ -150,7 +150,7 @@ def test_conservation_over_randomized_sequences():
                 if top_up_flow(sim, client, "mno", mno_keys, voucher) is not None:
                     vouchers += 25
             else:
-                service = script_rng.choice(("calls", "data"))
+                service = ("calls", "data")[script_rng.randrange(2)]
                 units = 1 + script_rng.randrange(3)
                 cost = prepaid_service_request(
                     sim, client, "mno", operator, verifier, service, units,
