@@ -58,17 +58,36 @@ _ENCODED = itemgetter(2)
 _PLAIN = itemgetter(1)
 
 
+def _is_envelope(value) -> bool:
+    return isinstance(value, dict) and len(value) == 1 and "_sealed" in value
+
+
+def _opens(inner) -> bool:
+    """Whether a sealed envelope's interior opens for its readers: a dict
+    whose readers is a list and whose payload and labels are dicts, with
+    every payload field labelled. Any other interior is opaque: no one
+    learns anything from it, and no billing package is read in it."""
+    return (
+        isinstance(inner, dict)
+        and isinstance(inner.get("readers"), list)
+        and isinstance(inner.get("payload"), dict)
+        and isinstance(inner.get("labels"), dict)
+        and inner["payload"].keys() <= inner["labels"].keys()
+    )
+
+
 def _split(payload, labels, splits):
-    """(labels, plain knowledge rows, sealed interiors) of one payload dict,
-    computed once per payload and labels in splits, keyed by id(payload).
-    Every payload a replay reaches stays alive in its transcript, so these
-    ids are not reused while splits is in use."""
+    """(labels, plain knowledge rows, sealed interiors that open) of one
+    payload dict, computed once per payload and labels in splits, keyed by
+    id(payload). Every payload a replay reaches stays alive in its
+    transcript, so these ids are not reused while splits is in use."""
     split = splits.get(id(payload))
     if split is None or split[0] is not labels:
         plain, sealed = [], []
         for fname, value in payload.items():
-            if isinstance(value, dict) and len(value) == 1 and "_sealed" in value:
-                sealed.append(value["_sealed"])
+            if _is_envelope(value):
+                if _opens(value["_sealed"]):
+                    sealed.append(value["_sealed"])
             else:
                 plain.append((fname, labels[fname], _canon(value)))
         split = splits[id(payload)] = (labels, plain, sealed)
@@ -218,18 +237,19 @@ def check_no_delivery_without_confirmation(transcript) -> Finding:
 
 
 def _sealed_interior(value):
-    if isinstance(value, dict) and set(value) == {"_sealed"}:
+    """The interior payload of an envelope that opens, else None."""
+    if _is_envelope(value) and _opens(value["_sealed"]):
         return value["_sealed"]["payload"]
     return None
 
 
 def _field_sets(value):
     """Key sets of the dicts in value that carry a grand total, looking
-    through sealed envelopes into their interiors."""
+    through sealed envelopes into the interiors that open."""
     if isinstance(value, dict):
-        interior = _sealed_interior(value)
-        if interior is not None:
-            yield from _field_sets(interior)
+        if _is_envelope(value):
+            if _opens(value["_sealed"]):
+                yield from _field_sets(value["_sealed"]["payload"])
             return
         if "grand_total" in value:
             yield set(value)
@@ -275,6 +295,17 @@ def _package_field_sets(payload, splits, fields_show):
             yield from _field_sets(value)
 
 
+def _hop_package_fields(payload):
+    """The fields of the package a billing-package message carries: the
+    interior of its one sealed envelope, or else the payload itself. None
+    when that envelope is opaque: it shows no package."""
+    value = next(iter(payload.values())) if len(payload) == 1 else None
+    if not _is_envelope(value):
+        return set(payload)
+    interior = _sealed_interior(value)
+    return None if interior is None else set(interior)
+
+
 def check_billing_package_exactness(transcript) -> Finding:
     """Structural exactness wherever a billing package appears: a message of
     that type (possibly one sealed hop) and any payload dict carrying a
@@ -289,9 +320,8 @@ def check_billing_package_exactness(transcript) -> Finding:
     for record in _messages(transcript):
         rtype, payload = record["type"], record["payload"]
         if rtype == "billing-package":
-            interior = len(payload) == 1 and _sealed_interior(next(iter(payload.values())))
-            fields = set(interior) if interior else set(payload)
-            if fields != BILLING_PACKAGE_FIELDS:
+            fields = _hop_package_fields(payload)
+            if fields is not None and fields != BILLING_PACKAGE_FIELDS:
                 return Finding(
                     "billing-package-exactness",
                     False,

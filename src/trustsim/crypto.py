@@ -9,17 +9,12 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 DIGEST_LEN = 20
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
@@ -127,14 +122,129 @@ class KeyPair:
     private: bytes
 
 
-@lru_cache(maxsize=4096)
-def _ed25519_private(private: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(private)
+# -- Ed25519 ------------------------------------------------------------------
+#
+# RFC 8032 Ed25519 through libsodium when a build of it loads, else through
+# the `cryptography` package (OpenSSL). Both derive the same keys and write
+# the same signatures, byte for byte, and verify() gives the same verdict on
+# every input: the fallback first rejects what libsodium rejects and OpenSSL
+# would accept (see _openssl_verify). The fallback imports `cryptography` on
+# first use, so a process that has libsodium never loads it.
+
+
+# The libsodium functions used, with their argument types; each returns int.
+_SODIUM_ARGTYPES = {
+    "sodium_init": (),
+    "crypto_sign_ed25519_seed_keypair": (ctypes.c_char_p,) * 3,
+    "crypto_sign_ed25519_detached": (
+        ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p),
+    "crypto_sign_ed25519_verify_detached": (
+        ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p),
+}
+
+
+def _load_libsodium():
+    """libsodium through ctypes, or None where no build of it loads. Fixed
+    sonames only: ctypes.util.find_library starts subprocesses."""
+    for name in ("libsodium.so.23", "libsodium.so.26", "libsodium.so", "libsodium.dylib"):
+        try:
+            lib = ctypes.CDLL(name)
+            for function, argtypes in _SODIUM_ARGTYPES.items():
+                getattr(lib, function).argtypes = argtypes
+                getattr(lib, function).restype = ctypes.c_int
+        except (OSError, AttributeError):  # not found, or lacks a function
+            continue
+        if lib.sodium_init() >= 0:  # 1: already initialised in this process
+            return lib
+    return None
+
+
+_sodium = _load_libsodium()
+BACKEND = "cryptography" if _sodium is None else "libsodium"
+
+
+def _sodium_secret_key(seed: bytes) -> bytes:
+    """libsodium's 64-byte secret key: the seed, then the public key."""
+    public, secret = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+    _sodium.crypto_sign_ed25519_seed_keypair(public, secret, seed)
+    return secret.raw
+
+
+def _sodium_sign(secret: bytes, message: bytes) -> bytes:
+    signature = ctypes.create_string_buffer(64)
+    _sodium.crypto_sign_ed25519_detached(signature, None, message, len(message), secret)
+    return signature.raw
+
+
+def _sodium_verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    return _sodium.crypto_sign_ed25519_verify_detached(
+        signature, message, len(message), public) == 0
+
+
+def _openssl_secret_key(seed: bytes) -> bytes:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    return seed + Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+
+
+def _openssl_sign(secret: bytes, message: bytes) -> bytes:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    return Ed25519PrivateKey.from_private_bytes(secret[:32]).sign(message)
+
+
+_P = 2**255 - 19
+# y of every point of order 1, 2, 4 or 8 ([8]P is the identity), as the
+# encodings libsodium lists: 0, 1, two y of order-8 points, p - 1, and p and
+# p + 1, which encode 0 and 1 non-canonically. The sign bit is ignored.
+_SMALL_ORDER_Y = frozenset({
+    0,
+    1,
+    int.from_bytes(bytes.fromhex(
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"), "little"),
+    int.from_bytes(bytes.fromhex(
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a"), "little"),
+    _P - 1,
+    _P,
+    _P + 1,
+})
+
+
+def _y(encoding: bytes) -> int:
+    return int.from_bytes(encoding, "little") & (2**255 - 1)
+
+
+def _openssl_verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """OpenSSL's verify behind libsodium's checks of the key and R: a key
+    must encode y < p, and neither the key nor R may be a point of small
+    order. OpenSSL alone accepts R = identity, S = 0 on any message under
+    the identity key, and on about one message in four under the all-zero
+    key."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
+    y = _y(public)
+    if y >= _P or y in _SMALL_ORDER_Y or _y(signature[:32]) in _SMALL_ORDER_Y:
+        return False
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+if _sodium is None:
+    _derive, _sign, _verify = _openssl_secret_key, _openssl_sign, _openssl_verify
+else:
+    _derive, _sign, _verify = _sodium_secret_key, _sodium_sign, _sodium_verify
 
 
 @lru_cache(maxsize=4096)
-def _ed25519_public(public: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(public)
+def _secret_key(seed: bytes) -> bytes:
+    """The 64-byte secret key of a 32-byte seed: the seed, then its public key."""
+    if not isinstance(seed, bytes) or len(seed) != 32:
+        raise ValueError("an Ed25519 private key is 32 bytes")
+    return _derive(seed)
 
 
 def keygen(rng: Rng) -> KeyPair:
@@ -144,23 +254,20 @@ def keygen(rng: Rng) -> KeyPair:
 
 
 def public_from_private(private: bytes) -> bytes:
-    return _ed25519_private(private).public_key().public_bytes_raw()
+    return _secret_key(private)[32:]
 
 
 def sign(key: KeyPair, message: bytes) -> bytes:
-    return _ed25519_private(key.private).sign(message)
+    return _sign(_secret_key(key.private), message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature was produced over exactly this message by the
     matching private key. Malformed input never raises."""
-    if not isinstance(signature, (bytes, bytearray)) or len(public) != 32:
+    if not (isinstance(public, (bytes, bytearray)) and len(public) == 32
+            and isinstance(signature, (bytes, bytearray)) and len(signature) == 64):
         return False
-    try:
-        _ed25519_public(bytes(public)).verify(bytes(signature), message)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+    return _verify(bytes(public), message, bytes(signature))
 
 
 def signed(key: KeyPair, tag: bytes, body: dict) -> dict:

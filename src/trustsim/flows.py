@@ -20,7 +20,7 @@ from .attestation import AttestationChallenge, AttestationResponse, AttestationV
 from .anchor import PCR_COUNT, EkCertificate, Quote
 from .device import TrustedDevice
 from .errors import ProtocolError
-from .harness import seal
+from .harness import is_sealed, opens, seal
 from .privacy_ca import AikCertificate, CredentialWallet, PrivacyCa
 
 # The five generic attestation attacks and the reason each must trigger.
@@ -166,8 +166,12 @@ def checked(value, ok):
 
 
 def opened(payload: dict) -> dict:
-    """The interior of a payload's sealed envelope, as its addressee reads it."""
-    return payload["env"]["_sealed"]["payload"]
+    """The interior of a payload's sealed envelope, as its addressee reads
+    it; ValueError when the envelope is opaque (see harness.opens)."""
+    env = payload["env"]
+    if not (is_sealed(env) and opens(env["_sealed"])):
+        raise ValueError("no envelope that opens")
+    return env["_sealed"]["payload"]
 
 
 # One hop of a route: sender to receiver over channel as msg_type; a loss

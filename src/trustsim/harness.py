@@ -70,6 +70,20 @@ def is_sealed(value) -> bool:
     return isinstance(value, dict) and len(value) == 1 and "_sealed" in value
 
 
+def opens(inner) -> bool:
+    """Whether a sealed envelope's interior opens for its readers: a dict
+    whose readers is a list and whose payload and labels are dicts, with
+    every payload field labelled. seal() builds nothing else, so only a
+    rewritten envelope is opaque, and no one learns anything from it."""
+    return (
+        isinstance(inner, dict)
+        and isinstance(inner.get("readers"), list)
+        and isinstance(inner.get("payload"), dict)
+        and isinstance(inner.get("labels"), dict)
+        and inner["payload"].keys() <= inner["labels"].keys()
+    )
+
+
 def _check_labels(payload: dict, labels: dict) -> None:
     missing = set(payload) - set(labels)
     if missing:
@@ -77,8 +91,8 @@ def _check_labels(payload: dict, labels: dict) -> None:
     unknown = set(labels.values()) - LABELS
     if unknown:
         raise ValueError(f"labels outside the fixed taxonomy: {sorted(unknown)}")
-    for fname, value in payload.items():
-        if is_sealed(value):
+    for value in payload.values():
+        if is_sealed(value) and opens(value["_sealed"]):
             inner = value["_sealed"]
             _check_labels(inner["payload"], inner["labels"])
 
@@ -330,10 +344,10 @@ def _absorb(state: PartyState, party_id: str, payload: dict, labels: dict, memo:
     """Fold readable payload fields into a party's knowledge set.
 
     Sealed sub-payloads open only for their listed readers, however deeply
-    the envelope travelled. memo maps (id(payload), id(labels)) to the
-    plain knowledge rows and sealed envelopes in them, so each field of one
-    message is encoded once whoever reads it; it must not outlive that
-    message.
+    the envelope travelled, and an opaque one (see opens) for no one.
+    memo maps (id(payload), id(labels)) to the plain knowledge rows and the
+    interiors that open in them, so each field of one message is encoded
+    once whoever reads it; it must not outlive that message.
     """
     key = id(payload), id(labels)
     split = memo.get(key)
@@ -341,7 +355,8 @@ def _absorb(state: PartyState, party_id: str, payload: dict, labels: dict, memo:
         plain, sealed = [], []
         for fname, value in payload.items():
             if is_sealed(value):
-                sealed.append(value["_sealed"])
+                if opens(value["_sealed"]):
+                    sealed.append(value["_sealed"])
             else:
                 plain.append((fname, labels[fname], _encode(value)))
         split = memo[key] = (plain, sealed)

@@ -100,7 +100,6 @@ class PosContext:
     pos_delegate_keys: KeyPair | None = None  # owner-registered key the POS signs with
     device_credential: object = None  # GenericCredential for operator-billed orders
     price_list: PriceList | None = None
-    session_keys: dict = field(default_factory=dict)
     _counters: dict = field(default_factory=lambda: {"session": 0, "order": 0})
 
     def next_id(self, kind: str) -> str:
@@ -147,37 +146,30 @@ def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str, payload:
 
 
 def _attest_peer(sim, subject: TrustedDevice, judge_id: str, verifier: Verifier,
-                 plan: AttackPlan | None = None):
-    """The subject's attestation at judge over the short-range channel: the
-    Exchange when accepted, else None after judge's
-    session-attestation-failed abort."""
+                 plan: AttackPlan | None = None) -> bool:
+    """Whether judge accepted the subject's attestation over the short-range
+    channel; False after judge's session-attestation-failed abort."""
     exchange = attest_flow(sim, subject, judge_id, verifier, CHANNEL_SR, plan=plan)
     if exchange is None or not exchange.verdict.accepted:
         sim.event("abort", party=judge_id, code="session-attestation-failed",
                   peer=subject.device_id)
-        return None
-    return exchange
+        return False
+    return True
 
 
 def mutual_attest_session(sim, ctx: PosContext, plan: AttackPlan | None = None):
     """Operator-flow handshake: both sides verify the other locally.
 
-    Each side spends a one-time credential; the session id seeds the
-    transport keys. Returns the session id or None on abort."""
-    device_side = _attest_peer(sim, ctx.device, ctx.pos_id, ctx.pos_verifier_for_device, plan)
-    pos_side = None if device_side is None else _attest_peer(
-        sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
-    if pos_side is None:
+    Each side spends a one-time credential. Returns the session id or
+    None on abort."""
+    if not (_attest_peer(sim, ctx.device, ctx.pos_id, ctx.pos_verifier_for_device, plan)
+            and _attest_peer(sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)):
         return None
-    return _open_session(sim, ctx, device_side.challenge, pos_side.challenge)
+    return _open_session(sim, ctx)
 
 
-def _open_session(sim, ctx: PosContext, *challenges) -> str:
+def _open_session(sim, ctx: PosContext) -> str:
     session_id = ctx.next_id("session")
-    # fresh transport keys derived under the attested exchange: fold of the
-    # two challenge nonces both sides just answered, as they arrived
-    nonces = "".join(c.nonce.hex() for c in challenges)
-    ctx.session_keys[session_id] = crypto.hash160(nonces.encode()).hex()
     sim.event("secure-session", device=ctx.device_id, pos=ctx.pos_id, session=session_id)
     return session_id
 
@@ -341,11 +333,10 @@ def separation_session(sim, ctx: PosContext, plan: AttackPlan | None = None,
         return None
 
     # mutual assurance: the device checks the POS pseudonym locally
-    pos_side = _attest_peer(sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos)
-    if pos_side is None:
+    if not _attest_peer(sim, ctx.pos, ctx.device_id, ctx.device_verifier_for_pos):
         return None
 
-    session_id = _open_session(sim, ctx, exchange.challenge, pos_side.challenge)
+    session_id = _open_session(sim, ctx)
     return session_id, exchange.response.aik_fingerprint(), exchange.presented
 
 

@@ -2,6 +2,8 @@
 as references: audit() must return the same Findings, detail text
 included. They scan the transcript's records directly, with one encoding
 memo per message and a full walk of every payload for billing packages.
+A sealed envelope whose interior does not open (see _opened) is opaque to
+both: no knowledge comes from it and no package is read in it.
 """
 
 import json
@@ -12,6 +14,20 @@ from trustsim.audit import BILLING_PACKAGE_FIELDS, DEFAULT_FRESHNESS_WINDOW, Fin
 # The auditor's own canonical encoder (sorted keys, "," and ":" separators,
 # non-ASCII escaped), built once. It is deliberately not the harness's.
 _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _opened(envelope):
+    """The interior of a sealed envelope, or None when it does not open: it
+    opens when it is a dict with a list of readers, and a payload and labels
+    that are dicts, each payload field with a label."""
+    inner = envelope["_sealed"]
+    if not isinstance(inner, dict):
+        return None
+    readers, payload, labels = (inner.get(key) for key in ("readers", "payload", "labels"))
+    if (isinstance(readers, list) and isinstance(payload, dict) and isinstance(labels, dict)
+            and all(fname in labels for fname in payload)):
+        return inner
+    return None
 
 
 def _replay_observations(transcript):
@@ -30,7 +46,9 @@ def _replay_observations(transcript):
             plain, sealed = [], []
             for fname, value in payload.items():
                 if isinstance(value, dict) and len(value) == 1 and "_sealed" in value:
-                    sealed.append(value["_sealed"])
+                    inner = _opened(value)
+                    if inner is not None:
+                        sealed.append(inner)
                 else:
                     plain.append((fname, labels[fname], _canon(value)))
             split = memo[key] = (plain, sealed)
@@ -164,12 +182,6 @@ def check_no_delivery_without_confirmation(transcript) -> Finding:
     return Finding("no-delivery-without-confirmation", True)
 
 
-def _sealed_interior(value):
-    if isinstance(value, dict) and set(value) == {"_sealed"}:
-        return value["_sealed"]["payload"]
-    return None
-
-
 def check_billing_package_exactness(transcript) -> Finding:
     """Structural exactness wherever a billing package appears: a message of
     that type (possibly one sealed hop) and any payload dict carrying a
@@ -177,9 +189,10 @@ def check_billing_package_exactness(transcript) -> Finding:
 
     def field_sets(value):
         if isinstance(value, dict):
-            interior = _sealed_interior(value)
-            if interior is not None:
-                yield from field_sets(interior)
+            if set(value) == {"_sealed"}:
+                inner = _opened(value)
+                if inner is not None:
+                    yield from field_sets(inner["payload"])
                 return
             if "grand_total" in value:
                 yield set(value)
@@ -194,9 +207,13 @@ def check_billing_package_exactness(transcript) -> Finding:
             continue
         if record["type"] == "billing-package":
             payload = record["payload"]
-            interior = len(payload) == 1 and _sealed_interior(next(iter(payload.values())))
-            fields = set(interior) if interior else set(payload)
-            if fields != BILLING_PACKAGE_FIELDS:
+            values = list(payload.values())
+            if len(values) == 1 and isinstance(values[0], dict) and set(values[0]) == {"_sealed"}:
+                inner = _opened(values[0])
+                fields = None if inner is None else set(inner["payload"])
+            else:
+                fields = set(payload)
+            if fields is not None and fields != BILLING_PACKAGE_FIELDS:
                 return Finding(
                     "billing-package-exactness",
                     False,

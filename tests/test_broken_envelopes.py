@@ -1,0 +1,78 @@
+"""A sealed envelope rewritten on the wire is opaque, never an exception.
+
+For every clean catalog scenario at seed 1 and every message type that
+carries an envelope (`env`), the first such message is broken three ways:
+its interior payload replaced by a list, its `_sealed` value by a string,
+and one unlabelled field added to its interior. No run may raise, every
+transcript must re-audit clean from its text, and a receiver that reads
+the hop must end in an abort.
+"""
+
+import copy
+import dataclasses
+import functools
+
+import pytest
+
+from trustsim import audit, scenarios
+from trustsim.harness import Transcript
+
+from test_discarded_sends import FIRE_AND_FORGET, NOT_YET_DELIVERED
+from test_flows import _run_with_hook
+
+
+def _payload_list(payload):
+    payload["env"]["_sealed"]["payload"] = ["zz"]
+
+
+def _sealed_string(payload):
+    payload["env"]["_sealed"] = "zz"
+
+
+def _unlabelled_field(payload):
+    payload["env"]["_sealed"]["payload"]["zz"] = "zz"
+
+
+BREAKS = {"payload-list": _payload_list, "sealed-string": _sealed_string,
+          "unlabelled-field": _unlabelled_field}
+
+# Hops whose receiver goes on without reading what arrived.
+UNREAD = {msg_type for _, _, msg_type in FIRE_AND_FORGET + NOT_YET_DELIVERED}
+
+
+@functools.lru_cache(maxsize=None)
+def _envelope_types(scenario: str) -> tuple:
+    transcript, _ = scenarios.run_scenario(scenario, 1)
+    return tuple(dict.fromkeys(
+        m["type"] for m in transcript.messages() if "env" in m["payload"]))
+
+
+def _run_breaking_first(monkeypatch, scenario, msg_type, change):
+    broken = []
+
+    def hook(message):
+        if message.msg_type != msg_type or broken or "env" not in message.payload:
+            return None
+        broken.append(message.msg_id)
+        payload = copy.deepcopy(message.payload)
+        change(payload)
+        return dataclasses.replace(message, payload=payload)
+
+    transcript, _, _ = _run_with_hook(monkeypatch, scenario, hook)
+    assert broken, f"no {msg_type} with an envelope"
+    return transcript
+
+
+def test_some_scenarios_carry_envelopes():
+    assert sum(len(_envelope_types(name)) for name in scenarios.CATALOG) >= 50
+
+
+@pytest.mark.parametrize("scenario", sorted(scenarios.CATALOG))
+@pytest.mark.parametrize("break_name", sorted(BREAKS))
+def test_broken_envelope_is_opaque(monkeypatch, scenario, break_name):
+    for msg_type in _envelope_types(scenario):
+        transcript = _run_breaking_first(monkeypatch, scenario, msg_type, BREAKS[break_name])
+        findings = audit.audit(Transcript.parse(transcript.to_text()))
+        assert all(f.ok for f in findings), (msg_type, [f for f in findings if not f.ok])
+        if msg_type not in UNREAD:
+            assert transcript.events("abort"), msg_type
