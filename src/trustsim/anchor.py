@@ -40,9 +40,6 @@ class PcrBank:
         self._registers[index] = crypto.hash160(self._registers[index] + measurement)
         return self._registers[index]
 
-    def reset(self) -> None:
-        self._registers = [ZERO_DIGEST] * PCR_COUNT
-
     @staticmethod
     def _check_index(index: int) -> None:
         if not 0 <= index < PCR_COUNT:
@@ -161,9 +158,6 @@ class TrustAnchor:
 
     def pcr_value(self, index: int) -> bytes:
         return self.pcrs.value(index)
-
-    def reset(self) -> None:
-        self.pcrs.reset()
 
     # -- AIKs and quotes ---------------------------------------------------
 

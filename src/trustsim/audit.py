@@ -22,6 +22,9 @@ DEFAULT_FRESHNESS_WINDOW = 100
 
 BILLING_PACKAGE_FIELDS = {"auth_token", "grand_total", "signature"}
 
+# The harness's label taxonomy, copied: the auditor imports nothing from it.
+LABELS = frozenset({"identity", "good", "price", "token", "balance", "policy", "plumbing"})
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -65,14 +68,17 @@ def _is_envelope(value) -> bool:
 def _opens(inner) -> bool:
     """Whether a sealed envelope's interior opens for its readers: a dict
     whose readers is a list and whose payload and labels are dicts, with
-    every payload field labelled. Any other interior is opaque: no one
-    learns anything from it, and no billing package is read in it."""
+    every payload field labelled and every label in the taxonomy. Any other
+    interior is opaque: no one learns anything from it, and no billing
+    package is read in it."""
     return (
         isinstance(inner, dict)
         and isinstance(inner.get("readers"), list)
         and isinstance(inner.get("payload"), dict)
         and isinstance(inner.get("labels"), dict)
         and inner["payload"].keys() <= inner["labels"].keys()
+        and all(isinstance(label, str) and label in LABELS
+                for label in inner["labels"].values())
     )
 
 

@@ -39,16 +39,10 @@ class LogEntry:
 
 
 class MeasurementLog:
-    """Append-only ordered record of boot measurements."""
+    """Ordered record of boot measurements."""
 
     def __init__(self, entries=()):
         self.entries = list(entries)
-
-    def append(self, component: str, measurement: bytes, pcr_index: int) -> None:
-        self.entries.append(LogEntry(component, measurement.hex(), pcr_index))
-
-    def __len__(self):
-        return len(self.entries)
 
     def to_fields(self) -> list:
         return [
@@ -85,29 +79,22 @@ class ReferenceDb:
         return self._expected.get(name) == measurement_hex
 
 
-def measure(chain, stage_pcrs: dict | None = None) -> MeasurementLog:
-    """The log a measured boot of chain writes, computed without an anchor.
-
-    One register takes the whole chain by default; stage_pcrs maps
-    component names to other registers for per-stage assignment."""
-    stage_pcrs = stage_pcrs or {}
-    log = MeasurementLog()
-    for component in chain:
-        log.append(component.name, crypto.hash160(component.payload),
-                   stage_pcrs.get(component.name, BOOT_PCR))
-    return log
+def measure(chain) -> MeasurementLog:
+    """The log a measured boot of chain writes, computed without an anchor:
+    every component is measured into BOOT_PCR, in order."""
+    return MeasurementLog(LogEntry(c.name, crypto.hash160(c.payload).hex(), BOOT_PCR)
+                          for c in chain)
 
 
-def boot(anchor: TrustAnchor, chain, stage_pcrs: dict | None = None) -> MeasurementLog:
+def boot(anchor: TrustAnchor, chain) -> MeasurementLog:
     """Run the measured boot: hash each component, extend, log, in order."""
     if not chain:
         raise ValueError("boot chain must not be empty")
-    log = measure(chain, stage_pcrs)
-    for register in {e.pcr_index for e in log.entries}:
-        if anchor.pcr_value(register) != crypto.ZERO_DIGEST:
-            raise ProtocolError("pcr-not-reset", f"register {register} already extended")
+    if anchor.pcr_value(BOOT_PCR) != crypto.ZERO_DIGEST:
+        raise ProtocolError("pcr-not-reset", f"register {BOOT_PCR} already extended")
+    log = measure(chain)
     for entry in log.entries:
-        anchor.extend(entry.pcr_index, bytes.fromhex(entry.measurement))
+        anchor.extend(BOOT_PCR, bytes.fromhex(entry.measurement))
     return log
 
 

@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
-from . import audit
 from .harness import Transcript
 from .scenarios import CATALOG, ScriptError, load_script_file, run_scenario
+from .scenarios import report as report_of
 
 OUT_ENV = "TRUSTSIM_OUT"
 
@@ -60,10 +61,7 @@ def cmd_run(args) -> int:
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
 
-    for row in report["assertions"]:
-        mark = "PASS" if row["ok"] else "FAIL"
-        detail = f"  ({row['detail']})" if row["detail"] else ""
-        print(f"[{mark}] {row['name']}{detail}")
+    _print_rows(report)
     print(f"transcript: {transcript_path}")
     print(f"report:     {report_path}")
     if not report["ok"]:
@@ -73,6 +71,13 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _print_rows(report: dict) -> None:
+    for row in report["assertions"]:
+        mark = "PASS" if row["ok"] else "FAIL"
+        detail = f"  ({row['detail']})" if row["detail"] else ""
+        print(f"[{mark}] {row['name']}{detail}")
+
+
 def cmd_verify(args) -> int:
     try:
         transcript = Transcript.read(args.transcript)
@@ -80,12 +85,9 @@ def cmd_verify(args) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
 
-    findings = audit.audit(transcript)
-    for finding in findings:
-        mark = "PASS" if finding.ok else "FAIL"
-        detail = f"  ({finding.detail})" if finding.detail else ""
-        print(f"[{mark}] {finding.name}{detail}")
-    ok = all(f.ok for f in findings)
+    report = report_of(transcript)
+    _print_rows(report)
+    ok = report["ok"]
 
     if args.expect:
         try:
@@ -93,19 +95,17 @@ def cmd_verify(args) -> int:
         except (OSError, json.JSONDecodeError) as err:
             print(f"parse error in expectations: {err}", file=sys.stderr)
             return 2
-        mismatches = []
-        for key in ("scenario", "seed", "attacks"):
-            if expected.get(key) != transcript.header.get(key):
-                mismatches.append(
-                    f"{key}: transcript has {transcript.header.get(key)!r}, "
-                    f"expected {expected.get(key)!r}"
-                )
+        # the header keys, then every row (name, ok and detail), in order
+        mismatches = [
+            f"{key}: transcript has {report[key]!r}, expected {expected.get(key)!r}"
+            for key in ("scenario", "seed", "attacks", "variants")
+            if expected.get(key) != report[key]
+        ]
         if not expected.get("ok", False):
             mismatches.append("expected report itself is failing")
-        recomputed = {f.name: f.ok for f in findings}
-        for row in expected.get("assertions", []):
-            if row["name"] in recomputed and recomputed[row["name"]] != row["ok"]:
-                mismatches.append(f"invariant {row['name']} diverges from expectations")
+        rows = zip_longest(expected.get("assertions", []), report["assertions"])
+        mismatches += [f"row {i}: transcript gives {got!r}, expected {want!r}"
+                       for i, (want, got) in enumerate(rows) if want != got]
         for line in mismatches:
             print(f"[FAIL] expectation: {line}")
         ok = ok and not mismatches
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="config override key=value (repeatable)")
     run.set_defaults(func=cmd_run)
 
-    verify = sub.add_parser("verify", help="re-audit a transcript file")
+    verify = sub.add_parser("verify", help="re-derive a transcript file's report")
     verify.add_argument("transcript", help="path to a .transcript.jsonl file")
     verify.add_argument("--expect", default=None,
                         help="report file the transcript must satisfy")

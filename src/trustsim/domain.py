@@ -17,11 +17,11 @@ from .attestation import Verifier
 from .crypto import KeyPair, Rng
 from .errors import ProtocolError
 from .flows import attest_flow, checked, hop
+from .harness import CHANNEL_MOBILE
 
 UNBOUND = "unbound"
 BOUND = "bound"
 
-CHANNEL_MOBILE = "mobile"
 
 _ACCESS_TAG = b"netaccess:"
 

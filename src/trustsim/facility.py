@@ -15,17 +15,13 @@ from .attestation import Verifier
 from .device import TrustedDevice
 from .domain import ENFORCED, FeaturePolicy, apply_policy
 from .flows import AttackPlan, attest_flow
-from .harness import seal
-
-CHANNEL_SR = "sr"
-CHANNEL_MOBILE = "mobile"
+from .harness import CHANNEL_MOBILE, CHANNEL_SR, seal
 
 OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
 class FacilityPolicy:
-    gates: tuple  # gate party ids
     zone_policy: FeaturePolicy  # base features plus per-zone overrides
     enforcer_allowed_fields: frozenset  # only these may leave toward the provider
 

@@ -23,6 +23,12 @@ TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 MOBILE_NETWORK = "mobile_network"
 SHORT_RANGE = "short_range"
 
+# The channels of every catalog run, (name, kind, carrier): the operator's
+# network, observed by its carrier, a short-range link and a fixed network.
+CHANNEL_MOBILE, CHANNEL_SR, CHANNEL_NET = "mobile", "sr", "net"
+CHANNELS = ((CHANNEL_MOBILE, MOBILE_NETWORK, "mno"), (CHANNEL_SR, SHORT_RANGE, None),
+            (CHANNEL_NET, MOBILE_NETWORK, None))
+
 # The fixed label taxonomy; scenario code may not invent labels.
 LABELS = frozenset(
     {"identity", "good", "price", "token", "balance", "policy", "plumbing"}
@@ -73,14 +79,17 @@ def is_sealed(value) -> bool:
 def opens(inner) -> bool:
     """Whether a sealed envelope's interior opens for its readers: a dict
     whose readers is a list and whose payload and labels are dicts, with
-    every payload field labelled. seal() builds nothing else, so only a
-    rewritten envelope is opaque, and no one learns anything from it."""
+    every payload field labelled and every label in the taxonomy. seal()
+    builds nothing else, so only a rewritten envelope is opaque, and no one
+    learns anything from it."""
     return (
         isinstance(inner, dict)
         and isinstance(inner.get("readers"), list)
         and isinstance(inner.get("payload"), dict)
         and isinstance(inner.get("labels"), dict)
         and inner["payload"].keys() <= inner["labels"].keys()
+        and all(isinstance(label, str) and label in LABELS
+                for label in inner["labels"].values())
     )
 
 
@@ -321,8 +330,8 @@ class Simulation:
 def _select(records: list, kind: str, rtype: str | None) -> list:
     """The records of that kind ("event" or "message") and type (any type
     for None), in record order: events/messages of Simulation and
-    Transcript. They serve report rows; protocol steps act on delivered
-    hops instead."""
+    Transcript. Report rows read them from the finalized transcript;
+    protocol steps act on delivered hops instead."""
     key = "event" if kind == "event" else "type"
     return [r for r in records if r["kind"] == kind and (rtype is None or r[key] == rtype)]
 

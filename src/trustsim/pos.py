@@ -21,7 +21,7 @@ from .attestation import Verifier
 from .crypto import KeyPair
 from .device import TrustedDevice
 from .flows import AttackPlan, Leg, Route, attest_flow, carry, checked, hop, replenish_flow
-from .harness import seal
+from .harness import CHANNEL_MOBILE, CHANNEL_NET, CHANNEL_SR, seal
 from .privacy_ca import AikCertificate, verify_aik_certificate
 
 _ACK_TAG = b"ack:"
@@ -31,10 +31,6 @@ _BILLING_TAG = b"billing:"
 _CONFIRM_TAG = b"confirm:"
 
 _ORDER_FIELDS = ("order_id", "account", "price", "modality", "good")
-
-CHANNEL_SR = "sr"
-CHANNEL_MOBILE = "mobile"
-CHANNEL_NET = "net"
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from .crypto import KeyPair, Rng
 from .device import TrustedDevice
 from .errors import ProtocolError
 from .flows import attest_flow
-
-CHANNEL_MOBILE = "mobile"
+from .harness import CHANNEL_MOBILE
 
 BALANCE_SLOT = "prepaid-balance"
 KEY_SLOT = "ppc-statement-key"

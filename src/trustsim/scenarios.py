@@ -1,9 +1,10 @@
 """The scenario catalog: scripted end-to-end compositions with assertions.
 
 Every run is (script, seed, attacks, variants) -> (transcript, report).
-Attack runs assert that the protocol rejected the injection — a thwarted
-attack is a passing run. Reports list every transcript invariant plus the
-scenario's own assertions, one row each.
+A script's runner only acts; its judge builds the scenario's rows from the
+finalized transcript alone (see report), so `trustsim verify` re-derives
+every row. Attack runs assert that the protocol rejected the injection: a
+thwarted attack is a passing run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .device import TrustedDevice, reference_db_for, standard_chain
 from .domain import (
     BOUND,
     UNBOUND,
-    Admission,
     FeaturePolicy,
     MobileNetworkOperator,
     network_access_flow,
@@ -28,6 +28,7 @@ from .domain import (
 )
 from .errors import ProtocolError
 from .facility import (
+    OUTSIDE,
     FacilityContext,
     FacilityPolicy,
     facility_access,
@@ -42,8 +43,9 @@ from .flows import (
     apply_setup_attacks,
     attest_flow,
     enroll_flow,
+    opened,
 )
-from .harness import MOBILE_NETWORK, SHORT_RANGE, Simulation, canon_value
+from .harness import CHANNEL_MOBILE, CHANNEL_NET, CHANNELS, Simulation, canon_value
 from .pos import (
     PosContext,
     PriceList,
@@ -79,7 +81,9 @@ class ScenarioScript:
     roster: tuple  # (party id, role) pairs registered before the run
     defaults: dict
     attacks: tuple  # supported attack flag names
-    runner: object  # fn(sim, config, plan) -> list of assertion rows
+    runner: object  # fn(sim, config, plan): acts, returns nothing
+    judge: object  # fn(transcript, config, attacks) -> list of assertion rows
+    subject: str = "dev-1"  # the device the generic attestation attacks target
 
     def to_dict(self) -> dict:
         return {
@@ -95,49 +99,31 @@ def _row(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def _attack_rows(sim, plan: AttackPlan, subject: str) -> list:
-    """Expected-rejection assertions for the generic attestation attacks."""
+def _attack_rows(transcript, names, subject: str) -> list:
+    """Expected-rejection assertions for the generic attestation attacks:
+    each is rejected for its reason, and no service follows."""
     rows = []
-    for name in sorted(plan.names & set(ATTESTATION_ATTACKS)):
+    for name in sorted(names):
         expected = EXPECTED_ATTACK_REASONS[name]
-        hits = [
-            e for e in sim.events("attestation-verdict")
-            if e["subject"] == subject and not e["accepted"] and expected in e["reasons"]
-        ]
-        rows.append(
-            _row(
-                f"attack-{name}-rejected",
-                bool(hits),
-                f"expected reason {expected!r}" + ("" if hits else " not observed"),
-            )
-        )
-        if not hits:
-            continue
-        start = hits[0]["tick"]
-        successes = [
-            e
-            for e in sim.events()
-            if e["tick"] >= start
-            and (
-                (e["event"] == "grant" and e.get("device") == subject)
-                or (e["event"] == "admission" and e.get("device") == subject and e["admitted"])
-                or (e["event"] == "entry" and e.get("device") == subject and e["granted"])
-                or e["event"] == "delivery"
-            )
-        ]
-        rows.append(
-            _row(
-                f"attack-{name}-no-service",
-                not successes,
-                "" if not successes else f"{len(successes)} service events after rejection",
-            )
-        )
+        hits = [e for e in transcript.events("attestation-verdict")
+                if e["subject"] == subject and not e["accepted"] and expected in e["reasons"]]
+        rows.append(_row(f"attack-{name}-rejected", hits,
+                         f"expected reason {expected!r}" + ("" if hits else " not observed")))
+        if hits:
+            served = sum(1 for e in transcript.events() if e["tick"] >= hits[0]["tick"] and (
+                e["event"] == "delivery" or e.get("device") == subject and (
+                    e["event"] == "grant" or e["event"] == "admission" and e["admitted"]
+                    or e["event"] == "entry" and e["granted"])))
+            rows.append(_row(f"attack-{name}-no-service", not served,
+                             f"{served} service events after rejection" if served else ""))
     return rows
 
 
-def _knowledge_clean(sim, party: str, forbidden_values) -> bool:
-    all_values = sim.knowledge_query(party)
-    return not any(bad in value for value in all_values for bad in forbidden_values)
+def _first(records: list, what: str) -> dict:
+    """The first of records, or ValueError: there is no what."""
+    if not records:
+        raise ValueError(f"no {what}")
+    return records[0]
 
 
 class World:
@@ -184,6 +170,10 @@ class World:
                         used_aiks=set() if used_aiks is None else used_aiks)
 
 
+# The credential settings most scripts start from.
+_CREDENTIALS = {"batch_size": 10, "cert_validity": 1000, "freshness_window": 100}
+
+
 # ---------------------------------------------------------------------------
 # one-time-aik-auth
 # ---------------------------------------------------------------------------
@@ -195,7 +185,7 @@ def _run_one_time_aik(sim, config, plan):
     chain = standard_chain(tuple((name, payload.encode())
                                  for name, payload in config["extra_components"]))
     device = world.device("dev-1", chain, attacked=True)
-    aborted = not enroll_flow(sim, device, "pca", pca, config["batch_size"], "mobile")
+    aborted = not enroll_flow(sim, device, "pca", pca, config["batch_size"], CHANNEL_MOBILE)
 
     shared = set() if config["shared_used_set"] else None
     services = {svc: world.verifier(svc, pca, chain, f"v-{svc}", used_aiks=shared)
@@ -204,36 +194,40 @@ def _run_one_time_aik(sim, config, plan):
     accepted = 0
     while not aborted and accepted < config["auth_count"]:
         svc = "svc-a" if accepted % 2 == 0 else "svc-b"
-        exchange = attest_flow(sim, device, svc, services[svc], "mobile", plan=plan,
-                               replenish_via=("pca", pca, "mobile"))
+        exchange = attest_flow(sim, device, svc, services[svc], CHANNEL_MOBILE, plan=plan,
+                               replenish_via=("pca", pca, CHANNEL_MOBILE))
         if exchange is None or not exchange.verdict.accepted:
             aborted = True
         else:
             accepted += 1
 
-    if plan.names:
-        return _attack_rows(sim, plan, "dev-1")
 
-    rows = []
+def _judge_one_time_aik(transcript, config, attacks):
+    # logins stop at the first rejection or abort, so each accepted verdict is one
+    verdicts = transcript.events("attestation-verdict")
+    accepted = sum(1 for v in verdicts if v["accepted"])
+    aborted = accepted < len(verdicts) or bool(transcript.events("abort"))
     expected_replenishments = config["auth_count"] // (config["batch_size"] - 1)
-    replenishments = len(sim.events("replenishment"))
-    rows.append(_row("all-authentications-accepted",
-                     not aborted and accepted == config["auth_count"],
-                     f"{accepted}/{config['auth_count']}"))
-    rows.append(_row("replenishment-count",
-                     replenishments == expected_replenishments,
-                     f"{replenishments} (expected {expected_replenishments})"))
-    common = (
-        (sim.knowledge_query("svc-a", "token") | sim.knowledge_query("svc-a", "identity"))
-        & (sim.knowledge_query("svc-b", "token") | sim.knowledge_query("svc-b", "identity"))
-    )
-    rows.append(_row("service-unlinkability", not common,
-                     "" if not common else f"{len(common)} shared credential values"))
-    ek_hex = device.anchor.ek_certificate.ek_public.hex()
-    rows.append(_row("no-ek-at-services",
-                     _knowledge_clean(sim, "svc-a", {ek_hex})
-                     and _knowledge_clean(sim, "svc-b", {ek_hex})))
-    return rows
+    replenishments = len(transcript.events("replenishment"))
+    common = set.intersection(*(transcript.knowledge_query(svc, "token")
+                                | transcript.knowledge_query(svc, "identity")
+                                for svc in ("svc-a", "svc-b")))
+    # the EK public reaches the record only inside the device's enrollment request
+    eks = {opened(m["payload"])["ek_certificate"]["ek_public"]
+           for m in transcript.messages("enroll-request")}
+    ek_known = any(ek in value for svc in ("svc-a", "svc-b")
+                   for value in transcript.knowledge_query(svc) for ek in eks)
+    return [
+        _row("all-authentications-accepted",
+             not aborted and accepted == config["auth_count"],
+             f"{accepted}/{config['auth_count']}"),
+        _row("replenishment-count",
+             replenishments == expected_replenishments,
+             f"{replenishments} (expected {expected_replenishments})"),
+        _row("service-unlinkability", not common,
+             "" if not common else f"{len(common)} shared credential values"),
+        _row("no-ek-at-services", not ek_known),
+    ]
 
 
 ONE_TIME_AIK = ScenarioScript(
@@ -248,6 +242,7 @@ ONE_TIME_AIK = ScenarioScript(
               "extra_components": [["svc-client", "svc-client-v1"]]},
     attacks=ATTESTATION_ATTACKS,
     runner=_run_one_time_aik,
+    judge=_judge_one_time_aik,
 )
 
 
@@ -256,62 +251,48 @@ ONE_TIME_AIK = ScenarioScript(
 # ---------------------------------------------------------------------------
 
 
-_NO_SESSION = Admission(False, "no-network-session")  # of a device that never got one
-
-
 def _run_clone(sim, config, plan):
     world = World(sim, config, plan)
-    mode = config["mode"]
-    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=mode)
+    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=config["mode"])
     pca = world.pca("pca", "subdomain")
     chain = standard_chain()
     # the clone is the attacked requester
     clone = world.device("clone", chain, identity="imsi-100", attacked=True, wallet=pca)
     legit = world.device("legit", chain, identity="imsi-100", wallet=pca)
     credential = mno.issue_credential("imsi-100")
-    if mode == BOUND:
+    if config["mode"] == BOUND:
         mno.registry.record_binding(
             "imsi-100",
             [crypto.hash160(r.key.public).hex() for r, _ in legit.wallet.credentials],
         )
     verifier = world.verifier("mno", pca, chain, "verifier")
 
-    admissions = dict.fromkeys(("clone", "legit"), _NO_SESSION)
     for device in (clone, legit):
         session = network_access_flow(sim, device, "mno", mno, credential)
         if session is None:
             break
-        admissions[device.device_id] = subdomain_admission_flow(
-            sim, device, "mno", mno, verifier, session, plan=plan,
-        )
+        subdomain_admission_flow(sim, device, "mno", mno, verifier, session, plan=plan)
 
-    if plan.names:
-        return _attack_rows(sim, plan, "clone")
 
-    rows = []
-    if mode == UNBOUND:
-        rows.append(_row("first-requester-admitted", admissions["clone"].admitted))
-        rows.append(_row("second-clone-denied",
-                         not admissions["legit"].admitted
-                         and admissions["legit"].reason == "clone-conflict",
-                         admissions["legit"].reason))
+def _judge_clone(transcript, config, attacks):
+    admissions = dict.fromkeys(("clone", "legit"), (False, "no-network-session"))
+    for e in transcript.events("admission"):
+        admissions[e["device"]] = e["admitted"], e["reason"]
+    (clone_in, clone_why), (legit_in, legit_why) = admissions["clone"], admissions["legit"]
+    if config["mode"] == UNBOUND:
+        rows = [_row("first-requester-admitted", clone_in),
+                _row("second-clone-denied", not legit_in and legit_why == "clone-conflict",
+                     legit_why)]
     else:
-        rows.append(_row("clone-denied-on-consistency",
-                         not admissions["clone"].admitted
-                         and admissions["clone"].reason == "credential-inconsistency",
-                         admissions["clone"].reason))
-        rows.append(_row("legit-device-admitted", admissions["legit"].admitted))
-        clones_admitted = sum(
-            1 for e in sim.events("admission")
-            if e["admitted"] and e["device"] == "clone"
-        )
-        rows.append(_row("zero-clones-admitted", clones_admitted == 0))
-    rows.append(_row(
-        "both-network-sessions-granted",
-        len(sim.events("network-session")) == 2,
-        "clone detection belongs to restriction, not network access",
-    ))
-    return rows
+        clones_admitted = sum(1 for e in transcript.events("admission")
+                              if e["admitted"] and e["device"] == "clone")
+        rows = [_row("clone-denied-on-consistency",
+                     not clone_in and clone_why == "credential-inconsistency", clone_why),
+                _row("legit-device-admitted", legit_in),
+                _row("zero-clones-admitted", clones_admitted == 0)]
+    return rows + [_row("both-network-sessions-granted",
+                        len(transcript.events("network-session")) == 2,
+                        "clone detection belongs to restriction, not network access")]
 
 
 CLONE_UNBOUND = ScenarioScript(
@@ -323,6 +304,8 @@ CLONE_UNBOUND = ScenarioScript(
               "freshness_window": 100},
     attacks=ATTESTATION_ATTACKS,
     runner=_run_clone,
+    judge=_judge_clone,
+    subject="clone",
 )
 
 CLONE_BOUND = ScenarioScript(
@@ -334,6 +317,8 @@ CLONE_BOUND = ScenarioScript(
               "freshness_window": 100},
     attacks=ATTESTATION_ATTACKS,
     runner=_run_clone,
+    judge=_judge_clone,
+    subject="clone",
 )
 
 
@@ -370,46 +355,42 @@ def _prepaid_finish(sim, client, config):
         final = config["initial_balance"]  # sealed away; nothing ever moved it
     sim.summary["balances"] = {"dev-1": final}
     sim.summary["freshness_window"] = config["freshness_window"]
-    return final
 
 
 def _run_prepaid_happy(sim, config, plan):
     client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan)
-    logon = vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-    rows = [_row("vsim-logon", logon is not None)]
+    vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
 
-    attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
-    voucher_counter = 0
-    schedule = list(config["requests"])
-    voucher_values = list(config["vouchers"])
-    for service, units in schedule:
-        prepaid_service_request(
-            sim, client, "mno", operator, verifier, service, units,
-            plan=plan, replenish_via=("pca", pca, "mobile"),
-        )
-        if attacked:
+    vouchers = list(enumerate(config["vouchers"], 1))
+    for service, units in config["requests"]:
+        prepaid_service_request(sim, client, "mno", operator, verifier, service, units,
+                                plan=plan, replenish_via=("pca", pca, CHANNEL_MOBILE))
+        if plan.names:
             break  # the attacked exchange is the whole story of this run
         if not client.device.wallet.credentials:
             break  # a failed replenishment spent the last credential
-        if voucher_values:
-            voucher_counter += 1
-            voucher = make_voucher(mno_keys, f"v-{voucher_counter}", voucher_values.pop(0))
-            top_up_flow(sim, client, "mno", mno_keys, voucher)
+        if vouchers:
+            n, value = vouchers.pop(0)
+            top_up_flow(sim, client, "mno", mno_keys, make_voucher(mno_keys, f"v-{n}", value))
 
-    final = _prepaid_finish(sim, client, config)
-    if plan.names:
-        return _attack_rows(sim, plan, "dev-1")
+    _prepaid_finish(sim, client, config)
+    # no message carries the device's EK, so the anonymity row reads it here
+    sim.summary["ek_publics"] = {"dev-1": client.device.anchor.ek_certificate.ek_public.hex()}
 
-    rows.append(_row("all-requests-granted",
-                     len(sim.events("grant")) == len(schedule),
-                     f"{len(sim.events('grant'))}/{len(schedule)}"))
-    forbidden = {client.device.device_id, client.device.anchor.ek_certificate.ek_public.hex()}
-    clean = all(
-        _payload_clean(m["payload"], forbidden) for m in sim.messages()
-    )
-    rows.append(_row("anonymity-no-device-identity-on-wire", clean))
-    rows.append(_row("balance-final-recorded", final >= 0, str(final)))
-    return rows
+
+def _judge_prepaid_happy(transcript, config, attacks):
+    summary = transcript.snapshot["summary"]
+    grants = len(transcript.events("grant"))
+    requests = len(config["requests"])
+    forbidden = {"dev-1", summary["ek_publics"]["dev-1"]}
+    final = summary["balances"]["dev-1"]
+    return [
+        _row("vsim-logon", transcript.events("vsim-session")),
+        _row("all-requests-granted", grants == requests, f"{grants}/{requests}"),
+        _row("anonymity-no-device-identity-on-wire",
+             all(_payload_clean(m["payload"], forbidden) for m in transcript.messages())),
+        _row("balance-final-recorded", final >= 0, str(final)),
+    ]
 
 
 def _payload_clean(value, forbidden) -> bool:
@@ -423,22 +404,21 @@ def _payload_clean(value, forbidden) -> bool:
 def _run_prepaid_tamper(sim, config, plan):
     client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan,
                                                                tampered=True)
-    logon = vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-    attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
+    vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
     for service, units in config["requests"]:
         prepaid_service_request(sim, client, "mno", operator, verifier, service, units,
                                 plan=plan)
-        if attacked:
+        if plan.names:
             break
     _prepaid_finish(sim, client, config)
-    if plan.names:
-        return _attack_rows(sim, plan, "dev-1")
 
-    denials = sim.events("denial")
+
+def _judge_prepaid_tamper(transcript, config, attacks):
+    denials = transcript.events("denial")
     return [
-        _row("vsim-logon", logon is not None),
-        _row("zero-grants", len(sim.events("grant")) == 0),
-        _row("zero-decrements", len(sim.events("decrement")) == 0),
+        _row("vsim-logon", transcript.events("vsim-session")),
+        _row("zero-grants", not transcript.events("grant")),
+        _row("zero-decrements", not transcript.events("decrement")),
         _row("denials-cite-reference-mismatch",
              bool(denials) and all(d["code"] == "reference-mismatch" for d in denials),
              f"{len(denials)} denials"),
@@ -448,72 +428,70 @@ def _run_prepaid_tamper(sim, config, plan):
 def _run_prepaid_zero(sim, config, plan):
     client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan)
     vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-
-    first = prepaid_service_request(
-        sim, client, "mno", operator, verifier, "calls", 1, plan=plan
-    )
-    if plan.names & set(ATTESTATION_ATTACKS):
-        _prepaid_finish(sim, client, config)
-        return _attack_rows(sim, plan, "dev-1")
-
-    voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
-    top_up_flow(sim, client, "mno", mno_keys, voucher)
-    if "voucher-replay" in plan.names:
+    prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1, plan=plan)
+    if not plan.names & set(ATTESTATION_ATTACKS):  # else that exchange is the whole story
+        voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
         top_up_flow(sim, client, "mno", mno_keys, voucher)
-    second = prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
+        if "voucher-replay" in plan.names:
+            top_up_flow(sim, client, "mno", mno_keys, voucher)
+        prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
     _prepaid_finish(sim, client, config)
 
+
+def _judge_prepaid_zero(transcript, config, attacks):
+    # The first top-up separates the first request from the second.
+    events = transcript.events()
+    top_up = next((i for i, e in enumerate(events) if e["event"] == "top-up"), len(events))
+    first_denials = [e for e in events[:top_up] if e["event"] == "denial"]
     rows = [
         _row("zero-balance-denied",
-             first is None and sim.events("denial")[0]["code"] == "insufficient-balance"),
-        _row("grant-after-top-up", second is not None),
+             bool(first_denials) and first_denials[0]["code"] == "insufficient-balance"),
+        _row("grant-after-top-up", any(e["event"] == "grant" for e in events[top_up:])),
     ]
-    if "voucher-replay" in plan.names:
-        replays = [e for e in sim.events("top-up") if not e["accepted"]]
+    if "voucher-replay" in attacks:
+        replays = [e for e in transcript.events("top-up") if not e["accepted"]]
         rows.append(_row("attack-voucher-replay-rejected",
                          bool(replays) and replays[0]["code"] == "voucher-replay"))
     return rows
 
 
+_PREPAID_ROSTER = (("dev-1", "device"), ("mno", "mno"), ("pca", "pca"))
+_TARIFFS = {"calls": 10, "data": 5}
+
 PREPAID_HAPPY = ScenarioScript(
     name="prepaid-happy",
     description="Pool logon, attested balance statements, grants decrement the "
                 "shielded counter, a voucher tops it back up.",
-    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"pool_size": 5, "initial_balance": 500, "batch_size": 10,
-              "cert_validity": 1000, "freshness_window": 100,
-              "tariffs": {"calls": 10, "data": 5},
-              "requests": [["calls", 2], ["data", 4], ["calls", 1]],
-              "vouchers": [100]},
+    roster=_PREPAID_ROSTER,
+    defaults={"pool_size": 5, "initial_balance": 500, **_CREDENTIALS, "tariffs": _TARIFFS,
+              "requests": [["calls", 2], ["data", 4], ["calls", 1]], "vouchers": [100]},
     attacks=ATTESTATION_ATTACKS,
     runner=_run_prepaid_happy,
+    judge=_judge_prepaid_happy,
 )
 
 PREPAID_TAMPER = ScenarioScript(
     name="prepaid-tamper",
     description="The prepaid client was patched before boot: every request is "
                 "rejected on reference values, nothing is granted, nothing moves.",
-    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"pool_size": 5, "initial_balance": 500, "batch_size": 10,
-              "cert_validity": 1000, "freshness_window": 100,
-              "tariffs": {"calls": 10, "data": 5},
-              "requests": [["calls", 1], ["data", 2]],
-              "vouchers": []},
+    roster=_PREPAID_ROSTER,
+    defaults={"pool_size": 5, "initial_balance": 500, **_CREDENTIALS, "tariffs": _TARIFFS,
+              "requests": [["calls", 1], ["data", 2]], "vouchers": []},
     attacks=ATTESTATION_ATTACKS,
     runner=_run_prepaid_tamper,
+    judge=_judge_prepaid_tamper,
 )
 
 PREPAID_ZERO = ScenarioScript(
     name="prepaid-zero",
     description="Empty balance: the request is denied without a decrement, a "
                 "signed voucher restores service.",
-    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"pool_size": 3, "initial_balance": 0, "batch_size": 10,
-              "cert_validity": 1000, "freshness_window": 100,
-              "tariffs": {"calls": 10, "data": 5},
+    roster=_PREPAID_ROSTER,
+    defaults={"pool_size": 3, "initial_balance": 0, **_CREDENTIALS, "tariffs": _TARIFFS,
               "voucher_value": 50},
     attacks=ATTESTATION_ATTACKS + ("voucher-replay",),
     runner=_run_prepaid_zero,
+    judge=_judge_prepaid_zero,
 )
 
 
@@ -524,11 +502,9 @@ PREPAID_ZERO = ScenarioScript(
 _POS_GOODS = (("cola", 3), ("water", 2), ("juice", 4))
 
 
-def _pos_setup(sim, config, plan):
-    """The POS world, or None after a logon or enrollment abort. A roster
-    without an authentication provider merges it into the operator."""
+def _pos_setup(sim, config, plan, auth_id):
+    """The POS world, or None after a logon or enrollment abort."""
     world = World(sim, config, plan)
-    auth_id = "auth" if "auth" in sim.parties else "mno"
     device_pca = world.pca("device-pca", "operator-domain")
     pos_pca = world.pca("pos-pca", "pos-domain")
     mno = MobileNetworkOperator("mno", sim.rng)
@@ -538,9 +514,10 @@ def _pos_setup(sim, config, plan):
     pos_device = world.device("pos-1", pos_chain)
 
     credential = mno.issue_credential("imsi-7001")
+    batch = config["batch_size"]
     if not (network_access_flow(sim, device, "mno", mno, credential)
-            and enroll_flow(sim, device, auth_id, device_pca, config["batch_size"], "mobile")
-            and enroll_flow(sim, pos_device, "pos-pca", pos_pca, config["batch_size"], "net")):
+            and enroll_flow(sim, device, auth_id, device_pca, batch, CHANNEL_MOBILE)
+            and enroll_flow(sim, pos_device, "pos-pca", pos_pca, batch, CHANNEL_NET)):
         return None
 
     ctx = PosContext(
@@ -561,6 +538,12 @@ def _pos_setup(sim, config, plan):
     return ctx
 
 
+def _pos_set_up(transcript) -> bool:
+    """Whether the POS world came up: the runners send control-env (or have
+    it dropped) after a setup that went through, and stop before it otherwise."""
+    return any(r.get("type") == "control-env" for r in transcript.records)
+
+
 _POS_ROSTER = (
     ("dev-1", "device"), ("pos-1", "pos"), ("mno", "mno"),
     ("pos-owner", "pos_owner"), ("pos-pca", "pos_pca"),
@@ -569,20 +552,18 @@ _POS_ROSTER = (
 )
 
 
-def _carrier_uniformity_row(sim) -> dict:
-    shapes = {
-        (tuple(e["fields"]), e["encrypted"])
-        for e in sim.parties["mno"].carrier_view
-    }
+def _carrier_uniformity_row(transcript) -> dict:
+    shapes = {(tuple(e["fields"]), e["encrypted"])
+              for e in transcript.snapshot["carrier_views"].get("mno", ())}
     return _row("carrier-sees-uniform-encrypted-shapes",
                 shapes <= {(("env",), True)},
                 "" if shapes <= {(("env",), True)} else str(sorted(shapes)))
 
 
 def _run_pos_fig4(sim, config, plan):
-    ctx = _pos_setup(sim, config, plan)
+    ctx = _pos_setup(sim, config, plan, "auth")
     if ctx is None:
-        return [_row("purchase-delivered", False, "setup aborted")]
+        return
     if "ack-strip" in plan.names:
         def corrupt(message):
             if message.msg_type == "purchase-ack-relay":
@@ -592,10 +573,8 @@ def _run_pos_fig4(sim, config, plan):
             return None
         sim.add_hook(corrupt)
 
-    session = mutual_attest_session(sim, ctx, plan=plan)
-    order = None
-    if session is not None and exchange_price_list(sim, ctx):
-        order = purchase_via_operator(
+    if mutual_attest_session(sim, ctx, plan=plan) is not None and exchange_price_list(sim, ctx):
+        purchase_via_operator(
             sim, ctx, config["good"],
             encrypted=config["encryption"],
             notify_vendor=config["notify_vendor"],
@@ -604,92 +583,93 @@ def _run_pos_fig4(sim, config, plan):
         )
     control_exchange(sim, "dev-1", "pos-owner")
 
-    if plan.names & set(ATTESTATION_ATTACKS):
-        return _attack_rows(sim, plan, "dev-1")
-    if "ack-strip" in plan.names:
+
+def _judge_pos_fig4(transcript, config, attacks):
+    if not _pos_set_up(transcript):
+        return [_row("purchase-delivered", False, "setup aborted")]
+    deliveries = transcript.events("delivery")
+    if "ack-strip" in attacks:
         return [
-            _row("attack-ack-strip-no-delivery",
-                 order is None and not sim.events("delivery")),
+            _row("attack-ack-strip-no-delivery", not deliveries),
             _row("attack-ack-strip-abort",
-                 any(e["code"] == "bad-ack-signature" for e in sim.events("abort"))),
+                 any(e["code"] == "bad-ack-signature" for e in transcript.events("abort"))),
         ]
 
-    rows = [_row("purchase-delivered", order is not None and
-                 len(sim.events("delivery")) == 1)]
     expected_order = ["price-list", "purchase-order"]
     if config["notify_vendor"]:
         expected_order.append("vendor-notify")
     if config["notify_payment"]:
         expected_order.append("payment-notify")
     expected_order += ["purchase-ack", "purchase-ack-relay", "delivery-confirmation"]
-    seen = [m["type"] for m in sim.messages() if m["type"] in expected_order]
-    rows.append(_row("message-sequence", seen == expected_order, "->".join(seen)))
-    good_at_mno = sim.knowledge_query("mno", "good")
-    if config["encryption"]:
-        rows.append(_row("operator-blind-to-good", not good_at_mno))
-    else:
-        rows.append(_row("plaintext-variant-reveals-good",
-                         canon_value(config["good"]) in good_at_mno))
+    seen = [m["type"] for m in transcript.messages() if m["type"] in expected_order]
+    good_at_mno = transcript.knowledge_query("mno", "good")
+    rows = [
+        _row("purchase-delivered", len(deliveries) == 1),
+        _row("message-sequence", seen == expected_order, "->".join(seen)),
+        _row("operator-blind-to-good", not good_at_mno) if config["encryption"] else
+        _row("plaintext-variant-reveals-good", canon_value(config["good"]) in good_at_mno),
+    ]
     if config["pos_check_via_mno"]:
         rows.append(_row("pos-identity-revealed-to-operator",
-                         bool(sim.knowledge_query("mno", "token"))))
-    rows.append(_carrier_uniformity_row(sim))
+                         bool(transcript.knowledge_query("mno", "token"))))
+    rows.append(_carrier_uniformity_row(transcript))
     return rows
 
 
-def _run_pos_sep(sim, config, plan):
+def _run_pos_sep(sim, config, plan, auth_id="auth"):
     decentralised = config["variant"] == "decentralised"
-    ctx = _pos_setup(sim, config, plan)
+    ctx = _pos_setup(sim, config, plan, auth_id)
     if ctx is None:
-        return [_row("purchase-delivered", False, "setup aborted")]
+        return
 
-    session = separation_session(sim, ctx, plan=plan,
-                                 validate_direct=decentralised)
-    order = None
-    token_fp = response_payload = None
+    session = separation_session(sim, ctx, plan=plan, validate_direct=decentralised)
     if session is not None:
         _, token_fp, response_payload = session
         if exchange_price_list(sim, ctx):
-            order = separation_purchase(sim, ctx, config["good"], token_fp,
-                                        decentralised=decentralised)
-    reused_outcome = None
-    if "reuse-token" in plan.names and response_payload is not None:
-        reused_outcome = separation_session(sim, ctx, validate_direct=decentralised,
-                                            reuse_response=response_payload)
+            separation_purchase(sim, ctx, config["good"], token_fp,
+                                decentralised=decentralised)
+        if "reuse-token" in plan.names:
+            separation_session(sim, ctx, validate_direct=decentralised,
+                               reuse_response=response_payload)
     control_exchange(sim, "dev-1", "pos-owner")
 
-    if plan.names & set(ATTESTATION_ATTACKS):
-        return _attack_rows(sim, plan, "dev-1")
-    if "reuse-token" in plan.names:
-        last_rejected = [e for e in sim.events("attestation-verdict") if not e["accepted"]]
+
+def _run_pos_merged(sim, config, plan):
+    """The separation run with the operator as authentication provider."""
+    _run_pos_sep(sim, config, plan, auth_id="mno")
+
+
+def _judge_pos_sep(transcript, config, attacks):
+    if not _pos_set_up(transcript):
+        return [_row("purchase-delivered", False, "setup aborted")]
+    deliveries = transcript.events("delivery")
+    # a session that went through opens a secure session, the reused one too
+    sessions = transcript.events("secure-session")
+    if "reuse-token" in attacks:
+        rejected = [e for e in transcript.events("attestation-verdict") if not e["accepted"]]
         return [
             _row("attack-reuse-token-rejected",
-                 reused_outcome is None and bool(last_rejected)
-                 and "aik-reused" in last_rejected[-1]["reasons"]),
-            _row("attack-reuse-token-single-delivery",
-                 len(sim.events("delivery")) == 1),
+                 len(sessions) < 2 and bool(rejected) and "aik-reused" in rejected[-1]["reasons"]),
+            _row("attack-reuse-token-single-delivery", len(deliveries) == 1),
         ]
 
-    rows = [_row("purchase-delivered", order is not None and
-                 len(sim.events("delivery")) == 1)]
-    rows.append(_row("charging-provider-blind-to-goods",
-                     not sim.knowledge_query(ctx.charging_id, "good")))
-    rows.append(_row("pos-owner-blind-to-customer-identity",
-                     not sim.knowledge_query(ctx.pos_owner_id, "identity")))
-    # no token is spent when the session aborted
-    spent = response_payload["quote"]["aik_public"] if response_payload else None
-    if ctx.auth_id == ctx.mno_id:
-        rows.append(_row("merged-operator-links-identity",
-                         bool(sim.knowledge_query("mno", "identity"))))
-        rows.append(_row("merged-operator-holds-spent-token", spent is not None and
-                         any(spent in v for v in sim.knowledge_query("mno", "token"))))
+    know = transcript.knowledge_query
+    rows = [
+        _row("purchase-delivered", len(deliveries) == 1),
+        _row("charging-provider-blind-to-goods", not know("charging", "good")),
+        _row("pos-owner-blind-to-customer-identity", not know("pos-owner", "identity")),
+    ]
+    # the token the device presented (none is spent when the session aborted)
+    spent = (_first(transcript.messages("auth-token"), "auth-token message")
+             ["payload"]["quote"]["aik_public"] if sessions else None)
+    held = spent is not None and any(spent in v for v in know("mno", "token"))
+    if "auth" not in transcript.snapshot["roles"]:  # the operator authenticates
+        rows += [_row("merged-operator-links-identity", know("mno", "identity")),
+                 _row("merged-operator-holds-spent-token", held)]
     else:
-        rows.append(_row("operator-never-sees-spent-token", spent is None or
-                         all(spent not in v for v in sim.knowledge_query("mno", "token"))))
-        rows.append(_row("operator-blind-to-good",
-                         not sim.knowledge_query("mno", "good")))
-    rows.append(_carrier_uniformity_row(sim))
-    return rows
+        rows += [_row("operator-never-sees-spent-token", not held),
+                 _row("operator-blind-to-good", not know("mno", "good"))]
+    return rows + [_carrier_uniformity_row(transcript)]
 
 
 POS_FIG4 = ScenarioScript(
@@ -697,11 +677,11 @@ POS_FIG4 = ScenarioScript(
     description="Operator-mediated vending purchase: signed order up, signed "
                 "acknowledgement down, delivery only on a verified ack.",
     roster=_POS_ROSTER,
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "cola", "encryption": True, "notify_vendor": True,
+    defaults={**_CREDENTIALS, "good": "cola", "encryption": True, "notify_vendor": True,
               "notify_payment": True, "pos_check_via_mno": False},
     attacks=ATTESTATION_ATTACKS + ("ack-strip",),
     runner=_run_pos_fig4,
+    judge=_judge_pos_fig4,
 )
 
 POS_SEP_DUTIES = ScenarioScript(
@@ -710,10 +690,10 @@ POS_SEP_DUTIES = ScenarioScript(
                 "authentication provider, billing package of token + grand "
                 "total only, owner acknowledges, POS delivers.",
     roster=_POS_ROSTER,
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "cola", "variant": "centralised"},
+    defaults={**_CREDENTIALS, "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
     runner=_run_pos_sep,
+    judge=_judge_pos_sep,
 )
 
 POS_DECENTRALISED = ScenarioScript(
@@ -721,10 +701,10 @@ POS_DECENTRALISED = ScenarioScript(
     description="The decentralised variant: the POS itself requests charge "
                 "confirmation and the owner's acknowledgement; same privacy.",
     roster=_POS_ROSTER,
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "water", "variant": "decentralised"},
+    defaults={**_CREDENTIALS, "good": "water", "variant": "decentralised"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
     runner=_run_pos_sep,
+    judge=_judge_pos_sep,
 )
 
 POS_MNO_MERGED = ScenarioScript(
@@ -733,16 +713,26 @@ POS_MNO_MERGED = ScenarioScript(
                 "provider merged into one party that can link subscriber "
                 "identity to spent purchase tokens.",
     roster=tuple(party for party in _POS_ROSTER if party[0] != "auth"),
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "cola", "variant": "centralised"},
+    defaults={**_CREDENTIALS, "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS,
-    runner=_run_pos_sep,
+    runner=_run_pos_merged,
+    judge=_judge_pos_sep,
 )
 
 
 # ---------------------------------------------------------------------------
 # facility family
 # ---------------------------------------------------------------------------
+
+
+def _zone_policy(config) -> FeaturePolicy:
+    """The facility's features: the base set, overridden inside each zone."""
+    return FeaturePolicy(
+        base={"camera": "enabled", "mms": "enabled", "calls": "enabled"},
+        location_rules=tuple(
+            (zone, dict(overrides)) for zone, overrides in config["zones"].items()
+        ),
+    )
 
 
 def _facility_setup(sim, config, plan):
@@ -766,17 +756,10 @@ def _facility_setup(sim, config, plan):
     admitted = session is not None and subdomain_admission_flow(
         sim, employee, "mno", mno, company_verifier, session).admitted
 
-    zone_policy = FeaturePolicy(
-        base={"camera": "enabled", "mms": "enabled", "calls": "enabled"},
-        location_rules=tuple(
-            (zone, dict(overrides)) for zone, overrides in config["zones"].items()
-        ),
-    )
     ctx = FacilityContext(
         company_id="company", gate_id="gate", external_id="external", mno_id="mno",
         policy=FacilityPolicy(
-            gates=("gate",),
-            zone_policy=zone_policy,
+            zone_policy=_zone_policy(config),
             enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
         ),
         gate=gate,
@@ -792,6 +775,14 @@ def _facility_setup(sim, config, plan):
     return ctx, employee, visitor
 
 
+def _entered(transcript, device: str) -> dict | None:
+    """The feature map applied when device was let in, or None: it was not."""
+    granted = any(e["granted"] for e in transcript.events("entry") if e["device"] == device)
+    inside = [e["features"] for e in transcript.events("policy-applied")
+              if e["device"] == device and e["location"] != OUTSIDE]
+    return inside[0] if granted and inside else None
+
+
 _FACILITY_ROSTER = (
     ("employee", "device"), ("visitor", "device"), ("gate", "gate"),
     ("gate-dev", "gate_terminal"), ("company", "company_server"),
@@ -800,7 +791,7 @@ _FACILITY_ROSTER = (
 )
 
 _FACILITY_DEFAULTS = {
-    "batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
+    **_CREDENTIALS,
     "zones": {"zone-lab": {"camera": "disabled", "mms": "disabled"}},
     "enforcer_allowed_fields": ["room", "action", "until"],
     "gate_cache": False, "cache_staleness": 500,
@@ -810,38 +801,41 @@ _FACILITY_DEFAULTS = {
 def _run_facility_entry(sim, config, plan):
     ctx, employee, visitor = _facility_setup(sim, config, plan)
     zone = next(iter(config["zones"]))
-    inside = facility_access(sim, ctx, employee, zone, plan=plan)
-
+    facility_access(sim, ctx, employee, zone, plan=plan)
     if plan.names:
-        return _attack_rows(sim, plan, "employee")
+        return
 
     terminal_interaction(sim, ctx, employee, "whiteboard", "show-agenda")
-    outside = facility_exit(sim, ctx, employee)
-    denied = facility_access(sim, ctx, visitor, zone)
+    facility_exit(sim, ctx, employee)
+    facility_access(sim, ctx, visitor, zone)
 
-    expected_zone = ctx.policy.zone_policy.effective(zone)
-    rows = [
+
+def _judge_facility_entry(transcript, config, attacks):
+    policy = _zone_policy(config)
+    inside = _entered(transcript, "employee")
+    outside = [e["features"] for e in transcript.events("policy-applied")
+               if e["device"] == "employee" and e["location"] == OUTSIDE]
+    return [
         _row("employee-entry-granted", inside is not None),
-        _row("zone-policy-applied", inside == expected_zone,
+        _row("zone-policy-applied", inside == policy.effective(next(iter(config["zones"]))),
              json.dumps(inside, sort_keys=True)),
         _row("camera-and-mms-restricted",
              inside is not None and inside["camera"] == "disabled"
              and inside["mms"] == "disabled"),
-        _row("policy-restored-on-exit", outside == ctx.policy.zone_policy.base),
-        _row("non-enrolled-device-denied", denied is None),
+        _row("policy-restored-on-exit", outside[-1:] == [policy.base]),
+        _row("non-enrolled-device-denied", _entered(transcript, "visitor") is None),
     ]
-    return rows
 
 
 def _run_facility_midnight(sim, config, plan):
     ctx, employee, visitor = _facility_setup(sim, config, plan)
     zone = next(iter(config["zones"]))
-    inside = facility_access(sim, ctx, employee, zone, plan=plan)
+    facility_access(sim, ctx, employee, zone, plan=plan)
     if plan.names:
-        return _attack_rows(sim, plan, "employee")
+        return
 
     # midnight meeting: keep the room powered, tell the provider nothing else
-    sent = send_external(
+    send_external(
         sim, ctx, "power-request",
         {"room": "conf-3", "action": "maintain-power", "until": "06:00",
          "attendees": ["imsi-9001", "imsi-9004"], "agenda": "quarterly-figures"},
@@ -850,22 +844,22 @@ def _run_facility_midnight(sim, config, plan):
     )
     facility_exit(sim, ctx, employee)
 
-    sensitive_labels = ("identity", "good", "price", "token", "balance", "policy")
-    leaked = set()
-    for label in sensitive_labels:
-        leaked |= sim.knowledge_query("external", label)
-    rows = [
-        _row("entry-granted", inside is not None),
+
+def _judge_facility_midnight(transcript, config, attacks):
+    sent = _first(transcript.messages("power-request"), "power-request message")["payload"]
+    sensitive = ("identity", "good", "price", "token", "balance", "policy")
+    leaked = set().union(*(transcript.knowledge_query("external", label) for label in sensitive))
+    return [
+        _row("entry-granted", _entered(transcript, "employee") is not None),
         _row("external-request-filtered",
              set(sent) == set(config["enforcer_allowed_fields"]),
              json.dumps(sorted(sent), sort_keys=True)),
         _row("enforcer-dropped-sensitive-fields",
              any(e["dropped_fields"] == ["agenda", "attendees"]
-                 for e in sim.events("enforcer-filtered"))),
+                 for e in transcript.events("enforcer-filtered"))),
         _row("external-provider-knows-no-sensitive-values", not leaked,
              "" if not leaked else f"{len(leaked)} leaked values"),
     ]
-    return rows
 
 
 FACILITY_ENTRY = ScenarioScript(
@@ -876,6 +870,8 @@ FACILITY_ENTRY = ScenarioScript(
     defaults=_FACILITY_DEFAULTS,
     attacks=ATTESTATION_ATTACKS,
     runner=_run_facility_entry,
+    judge=_judge_facility_entry,
+    subject="employee",
 )
 
 FACILITY_MIDNIGHT = ScenarioScript(
@@ -887,6 +883,8 @@ FACILITY_MIDNIGHT = ScenarioScript(
     defaults=_FACILITY_DEFAULTS,
     attacks=ATTESTATION_ATTACKS,
     runner=_run_facility_midnight,
+    judge=_judge_facility_midnight,
+    subject="employee",
 )
 
 
@@ -966,28 +964,41 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     variants = dict(variants or {})
     _validate_overrides(script, variants)
     _validate_attacks(script, attacks)
-    config = {**script.defaults, **variants}
 
     sim = Simulation(seed, scenario=script.name, attacks=attacks, variants=variants)
     for party_id, role in script.roster:
         sim.add_party(party_id, role)
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
-    sim.add_channel("sr", SHORT_RANGE)
-    sim.add_channel("net", MOBILE_NETWORK, carrier=None)
+    for name, kind, carrier in CHANNELS:
+        sim.add_channel(name, kind, carrier)
 
-    plan = AttackPlan(attacks)
-    rows = script.runner(sim, config, plan)
+    script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks))
     transcript = sim.finalize()
+    return transcript, report(transcript)
 
-    findings = [f.to_dict() for f in audit.audit(transcript)]
-    all_rows = findings + rows
-    report = {
+
+def report(transcript) -> dict:
+    """The report of a finalized transcript, from it alone: every audit
+    finding, then for a catalog scenario the rejection rows of the generic
+    attestation attacks it ran, or else its judge's rows; one failing row
+    when the transcript cannot be judged."""
+    header = transcript.header
+    rows = [f.to_dict() for f in audit.audit(transcript)]
+    scenario = header.get("scenario")
+    script = CATALOG.get(scenario) if isinstance(scenario, str) else None
+    if script is not None:
+        try:
+            attacks = set(header["attacks"])
+            generic = attacks & set(ATTESTATION_ATTACKS)
+            rows += (_attack_rows(transcript, generic, script.subject) if generic else
+                     script.judge(transcript, {**script.defaults, **header["variants"]}, attacks))
+        except Exception as err:
+            rows.append(_row("scenario-assertions", False, f"malformed transcript: {err!r}"))
+    return {
         "schema": "trustsim-report/1",
-        "scenario": script.name,
-        "seed": seed,
-        "attacks": list(attacks),
-        "variants": variants,
-        "assertions": all_rows,
-        "ok": all(r["ok"] for r in all_rows),
+        "scenario": scenario,
+        "seed": header.get("seed"),
+        "attacks": header.get("attacks"),
+        "variants": header.get("variants"),
+        "assertions": rows,
+        "ok": all(r["ok"] for r in rows),
     }
-    return transcript, report

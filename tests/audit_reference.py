@@ -15,17 +15,22 @@ from trustsim.audit import BILLING_PACKAGE_FIELDS, DEFAULT_FRESHNESS_WINDOW, Fin
 # non-ASCII escaped), built once. It is deliberately not the harness's.
 _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# The label taxonomy, written out again rather than imported.
+TAXONOMY = {"identity", "good", "price", "token", "balance", "policy", "plumbing"}
+
 
 def _opened(envelope):
     """The interior of a sealed envelope, or None when it does not open: it
     opens when it is a dict with a list of readers, and a payload and labels
-    that are dicts, each payload field with a label."""
+    that are dicts, each payload field with a label and each label a string
+    of the taxonomy."""
     inner = envelope["_sealed"]
     if not isinstance(inner, dict):
         return None
     readers, payload, labels = (inner.get(key) for key in ("readers", "payload", "labels"))
     if (isinstance(readers, list) and isinstance(payload, dict) and isinstance(labels, dict)
-            and all(fname in labels for fname in payload)):
+            and all(fname in labels for fname in payload)
+            and all(isinstance(label, str) and label in TAXONOMY for label in labels.values())):
         return inner
     return None
 

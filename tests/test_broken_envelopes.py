@@ -1,9 +1,10 @@
 """A sealed envelope rewritten on the wire is opaque, never an exception.
 
 For every clean catalog scenario at seed 1 and every message type that
-carries an envelope (`env`), the first such message is broken three ways:
+carries an envelope (`env`), the first such message is broken five ways:
 its interior payload replaced by a list, its `_sealed` value by a string,
-and one unlabelled field added to its interior. No run may raise, every
+one unlabelled field added to its interior, and one interior label set to
+a string outside the taxonomy or to a list. No run may raise, every
 transcript must re-audit clean from its text, and a receiver that reads
 the hop must end in an abort.
 """
@@ -14,9 +15,10 @@ import functools
 
 import pytest
 
-from trustsim import audit, scenarios
+from trustsim import audit, harness, scenarios
 from trustsim.harness import Transcript
 
+from audit_reference import TAXONOMY
 from test_discarded_sends import FIRE_AND_FORGET, NOT_YET_DELIVERED
 from test_flows import _run_with_hook
 
@@ -33,8 +35,16 @@ def _unlabelled_field(payload):
     payload["env"]["_sealed"]["payload"]["zz"] = "zz"
 
 
+def _label(value):
+    def change(payload):
+        labels = payload["env"]["_sealed"]["labels"]
+        labels[next(iter(labels))] = value
+    return change
+
+
 BREAKS = {"payload-list": _payload_list, "sealed-string": _sealed_string,
-          "unlabelled-field": _unlabelled_field}
+          "unlabelled-field": _unlabelled_field, "label-bogus": _label("bogus"),
+          "label-list": _label(["plumbing"])}
 
 # Hops whose receiver goes on without reading what arrived.
 UNREAD = {msg_type for _, _, msg_type in FIRE_AND_FORGET + NOT_YET_DELIVERED}
@@ -61,6 +71,10 @@ def _run_breaking_first(monkeypatch, scenario, msg_type, change):
     transcript, _, _ = _run_with_hook(monkeypatch, scenario, hook)
     assert broken, f"no {msg_type} with an envelope"
     return transcript
+
+
+def test_auditor_copies_of_the_taxonomy_match_the_harness():
+    assert audit.LABELS == harness.LABELS == TAXONOMY
 
 
 def test_some_scenarios_carry_envelopes():

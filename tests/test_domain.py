@@ -22,8 +22,9 @@ from trustsim.harness import MOBILE_NETWORK, Simulation
 from trustsim.privacy_ca import PrivacyCa
 
 
-def clone_world(mode, seed=3):
-    """MNO + PCA + a legit device and a clone sharing its generic credential."""
+def clone_world(mode, seed=3, tampered=False):
+    """MNO + PCA + a legit device and a clone sharing its generic credential;
+    tampered patches the legit device's OS before it boots."""
     rng = Rng(seed)
     sim = Simulation(seed, scenario="unit-clone")
     mfr = Manufacturer(rng)
@@ -36,6 +37,8 @@ def clone_world(mode, seed=3):
     clone = TrustedDevice.provision("clone", rng.fork("clone"), mfr, identity="imsi-100")
     credential = mno.issue_credential("imsi-100")
     refs = reference_db_for(legit.chain)
+    if tampered:
+        legit.tamper("os", b"rootkit")
     for device in (legit, clone):
         sim.add_party(device.device_id, "device")
         device.boot()
@@ -95,10 +98,7 @@ def test_bound_mode_rejects_clone_admits_legit():
 
 
 def test_failed_attestation_blocks_admission():
-    sim, mno, verifier, credential, legit, _ = clone_world(UNBOUND)
-    legit.anchor.reset()
-    legit.tamper("os", b"rootkit")
-    legit.boot()
+    sim, mno, verifier, credential, legit, _ = clone_world(UNBOUND, tampered=True)
     admission = admit(sim, mno, verifier, credential, legit)
     assert not admission.admitted and admission.reason == "attestation-failed"
     rejected = [e for e in sim.events("attestation-verdict") if not e["accepted"]]

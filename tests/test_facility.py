@@ -51,7 +51,6 @@ def facility_world(seed=9, tampered_employee=False):
     ctx = FacilityContext(
         company_id="company", gate_id="gate", external_id="external", mno_id="mno",
         policy=FacilityPolicy(
-            gates=("gate",),
             zone_policy=FeaturePolicy(
                 base={"camera": "enabled", "mms": "enabled"},
                 location_rules=(("zone-lab", {"camera": "disabled", "mms": "disabled"}),),

@@ -11,6 +11,13 @@ shows.
 
 A deliberate protocol change (new message, reordered step, new report row)
 must update the pins here, and the change that does so must say so.
+
+The last such change put the prepaid-happy device's EK public key into the
+snapshot summary (`ek_publics`), because no message carries it and the
+anonymity row, now judged from the transcript alone, needs it. That
+changed three transcript digests: the clean prepaid-happy pin, the
+replenishing prepaid-happy variant pin and GENERIC_ATTACKS_SHA. No report
+digest changed.
 Regenerate a pin by running the scenario and hashing the two files
 `trustsim run <name> --seed 1 [--attack A]` writes.
 """
@@ -45,7 +52,7 @@ PINS = (
      "53ccc3f5684c1e220a2ab9e71bb14cefc62fbb685a02499e4d5b93de0c92e709"),
     ("pos-sep-duties", (), "c9db6c0832a67041445ace95c72aad8cb3778c2aa81beeef2bf2661b9b999923",
      "febbb9acd0579e1a5826af08e7d3c091d1485f34300a97fe454d2ef6282f4ad3"),
-    ("prepaid-happy", (), "cb3d3954c526138d70b8d5904b0343c948f4ebc21cbea61eb57b43818229d0cd",
+    ("prepaid-happy", (), "3e254c9cb1397c56de16997af9c2122e9fcaa97b373c8be53d8d0be8f7a812f1",
      "c7708102b1509b2f7d6060467b10cb1c7594c4940daf1dc318c92d050a677ba1"),
     ("prepaid-tamper", (), "6fc78394c8efe4ffd4267074639bda4afb6371e644fd7a34824af7b238ce3a9c",
      "a313234f593672c97e9120d2f315a58c196643dcdaa1ac23491c67c72bd803c3"),
@@ -69,14 +76,14 @@ VARIANT_PINS = (
      "82c56b209bcde8ba6d79b9dcfaa58591419854afd9c8fa5e7f07ad2edc9bf27f",
      "7010b5d7019a39dacee52016b0146392daf9a29b25a54fba503818dd55df6a5d"),
     ("prepaid-happy", {"requests": [["calls", 1], ["data", 2]] * 15, "vouchers": [50, 50, 50]},
-     "10deb0d3d29094e481b8237b213c5672c7f1163665fe23541e64d4475ae180a6",
+     "abc1af84ae09f87e1726f2c24f755962d21f65d32d360bcde5ad116a3f6b68ad",
      "281dde781d36f8ee2a2b11a76c3b047a32905cfe8e038a43212c8b9011fab0b3"),
 )
 
 # sha256 over the transcript text and report file of every (scenario,
 # generic attack) run, scenarios in catalog order, attacks in
 # ATTESTATION_ATTACKS order
-GENERIC_ATTACKS_SHA = "333c82ae017e0d53858e30a65820f443cecfde90a26fbebe6a764e7c6a41c1db"
+GENERIC_ATTACKS_SHA = "e65d9c958ba6790fa5278bbc92bd20bc5822ac48bbdced289b3e573b76fba577"
 
 
 def _digest(text: str) -> str:
