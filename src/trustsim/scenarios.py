@@ -10,6 +10,7 @@ thwarted attack is a passing run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -105,17 +106,38 @@ def _attack_rows(transcript, names, subject: str) -> list:
     rows = []
     for name in sorted(names):
         expected = EXPECTED_ATTACK_REASONS[name]
-        hits = [e for e in transcript.events("attestation-verdict")
-                if e["subject"] == subject and not e["accepted"] and expected in e["reasons"]]
-        rows.append(_row(f"attack-{name}-rejected", hits,
-                         f"expected reason {expected!r}" + ("" if hits else " not observed")))
-        if hits:
-            served = sum(1 for e in transcript.events() if e["tick"] >= hits[0]["tick"] and (
-                e["event"] == "delivery" or e.get("device") == subject and (
-                    e["event"] == "grant" or e["event"] == "admission" and e["admitted"]
-                    or e["event"] == "entry" and e["granted"])))
-            rows.append(_row(f"attack-{name}-no-service", not served,
-                             f"{served} service events after rejection" if served else ""))
+        hits = [
+            e for e in transcript.events("attestation-verdict")
+            if e["subject"] == subject and not e["accepted"] and expected in e["reasons"]
+        ]
+        rows.append(
+            _row(
+                f"attack-{name}-rejected",
+                bool(hits),
+                f"expected reason {expected!r}" + ("" if hits else " not observed"),
+            )
+        )
+        if not hits:
+            continue
+        start = hits[0]["tick"]
+        successes = [
+            e
+            for e in transcript.events()
+            if e["tick"] >= start
+            and (
+                (e["event"] == "grant" and e.get("device") == subject)
+                or (e["event"] == "admission" and e.get("device") == subject and e["admitted"])
+                or (e["event"] == "entry" and e.get("device") == subject and e["granted"])
+                or e["event"] == "delivery"
+            )
+        ]
+        rows.append(
+            _row(
+                f"attack-{name}-no-service",
+                not successes,
+                "" if not successes else f"{len(successes)} service events after rejection",
+            )
+        )
     return rows
 
 
@@ -168,10 +190,6 @@ class World:
         return Verifier(name, pca.root.public, self._refs[key], self.sim.rng.fork(label),
                         freshness_window=self.config["freshness_window"],
                         used_aiks=set() if used_aiks is None else used_aiks)
-
-
-# The credential settings most scripts start from.
-_CREDENTIALS = {"batch_size": 10, "cert_validity": 1000, "freshness_window": 100}
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +271,15 @@ ONE_TIME_AIK = ScenarioScript(
 
 def _run_clone(sim, config, plan):
     world = World(sim, config, plan)
-    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=config["mode"])
+    mode = config["mode"]
+    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=mode)
     pca = world.pca("pca", "subdomain")
     chain = standard_chain()
     # the clone is the attacked requester
     clone = world.device("clone", chain, identity="imsi-100", attacked=True, wallet=pca)
     legit = world.device("legit", chain, identity="imsi-100", wallet=pca)
     credential = mno.issue_credential("imsi-100")
-    if config["mode"] == BOUND:
+    if mode == BOUND:
         mno.registry.record_binding(
             "imsi-100",
             [crypto.hash160(r.key.public).hex() for r, _ in legit.wallet.credentials],
@@ -361,17 +380,22 @@ def _run_prepaid_happy(sim, config, plan):
     client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan)
     vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
 
-    vouchers = list(enumerate(config["vouchers"], 1))
+    attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
+    voucher_counter = 0
+    voucher_values = list(config["vouchers"])
     for service, units in config["requests"]:
-        prepaid_service_request(sim, client, "mno", operator, verifier, service, units,
-                                plan=plan, replenish_via=("pca", pca, CHANNEL_MOBILE))
-        if plan.names:
+        prepaid_service_request(
+            sim, client, "mno", operator, verifier, service, units,
+            plan=plan, replenish_via=("pca", pca, CHANNEL_MOBILE),
+        )
+        if attacked:
             break  # the attacked exchange is the whole story of this run
         if not client.device.wallet.credentials:
             break  # a failed replenishment spent the last credential
-        if vouchers:
-            n, value = vouchers.pop(0)
-            top_up_flow(sim, client, "mno", mno_keys, make_voucher(mno_keys, f"v-{n}", value))
+        if voucher_values:
+            voucher_counter += 1
+            voucher = make_voucher(mno_keys, f"v-{voucher_counter}", voucher_values.pop(0))
+            top_up_flow(sim, client, "mno", mno_keys, voucher)
 
     _prepaid_finish(sim, client, config)
     # no message carries the device's EK, so the anonymity row reads it here
@@ -405,10 +429,11 @@ def _run_prepaid_tamper(sim, config, plan):
     client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan,
                                                                tampered=True)
     vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
+    attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
     for service, units in config["requests"]:
         prepaid_service_request(sim, client, "mno", operator, verifier, service, units,
                                 plan=plan)
-        if plan.names:
+        if attacked:
             break
     _prepaid_finish(sim, client, config)
 
@@ -428,13 +453,19 @@ def _judge_prepaid_tamper(transcript, config, attacks):
 def _run_prepaid_zero(sim, config, plan):
     client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan)
     vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-    prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1, plan=plan)
-    if not plan.names & set(ATTESTATION_ATTACKS):  # else that exchange is the whole story
-        voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
+
+    prepaid_service_request(
+        sim, client, "mno", operator, verifier, "calls", 1, plan=plan
+    )
+    if plan.names & set(ATTESTATION_ATTACKS):
+        _prepaid_finish(sim, client, config)
+        return  # the attacked exchange is the whole story of this run
+
+    voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
+    top_up_flow(sim, client, "mno", mno_keys, voucher)
+    if "voucher-replay" in plan.names:
         top_up_flow(sim, client, "mno", mno_keys, voucher)
-        if "voucher-replay" in plan.names:
-            top_up_flow(sim, client, "mno", mno_keys, voucher)
-        prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
+    prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
     _prepaid_finish(sim, client, config)
 
 
@@ -455,16 +486,16 @@ def _judge_prepaid_zero(transcript, config, attacks):
     return rows
 
 
-_PREPAID_ROSTER = (("dev-1", "device"), ("mno", "mno"), ("pca", "pca"))
-_TARIFFS = {"calls": 10, "data": 5}
-
 PREPAID_HAPPY = ScenarioScript(
     name="prepaid-happy",
     description="Pool logon, attested balance statements, grants decrement the "
                 "shielded counter, a voucher tops it back up.",
-    roster=_PREPAID_ROSTER,
-    defaults={"pool_size": 5, "initial_balance": 500, **_CREDENTIALS, "tariffs": _TARIFFS,
-              "requests": [["calls", 2], ["data", 4], ["calls", 1]], "vouchers": [100]},
+    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
+    defaults={"pool_size": 5, "initial_balance": 500, "batch_size": 10,
+              "cert_validity": 1000, "freshness_window": 100,
+              "tariffs": {"calls": 10, "data": 5},
+              "requests": [["calls", 2], ["data", 4], ["calls", 1]],
+              "vouchers": [100]},
     attacks=ATTESTATION_ATTACKS,
     runner=_run_prepaid_happy,
     judge=_judge_prepaid_happy,
@@ -474,9 +505,12 @@ PREPAID_TAMPER = ScenarioScript(
     name="prepaid-tamper",
     description="The prepaid client was patched before boot: every request is "
                 "rejected on reference values, nothing is granted, nothing moves.",
-    roster=_PREPAID_ROSTER,
-    defaults={"pool_size": 5, "initial_balance": 500, **_CREDENTIALS, "tariffs": _TARIFFS,
-              "requests": [["calls", 1], ["data", 2]], "vouchers": []},
+    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
+    defaults={"pool_size": 5, "initial_balance": 500, "batch_size": 10,
+              "cert_validity": 1000, "freshness_window": 100,
+              "tariffs": {"calls": 10, "data": 5},
+              "requests": [["calls", 1], ["data", 2]],
+              "vouchers": []},
     attacks=ATTESTATION_ATTACKS,
     runner=_run_prepaid_tamper,
     judge=_judge_prepaid_tamper,
@@ -486,8 +520,10 @@ PREPAID_ZERO = ScenarioScript(
     name="prepaid-zero",
     description="Empty balance: the request is denied without a decrement, a "
                 "signed voucher restores service.",
-    roster=_PREPAID_ROSTER,
-    defaults={"pool_size": 3, "initial_balance": 0, **_CREDENTIALS, "tariffs": _TARIFFS,
+    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
+    defaults={"pool_size": 3, "initial_balance": 0, "batch_size": 10,
+              "cert_validity": 1000, "freshness_window": 100,
+              "tariffs": {"calls": 10, "data": 5},
               "voucher_value": 50},
     attacks=ATTESTATION_ATTACKS + ("voucher-replay",),
     runner=_run_prepaid_zero,
@@ -503,7 +539,8 @@ _POS_GOODS = (("cola", 3), ("water", 2), ("juice", 4))
 
 
 def _pos_setup(sim, config, plan, auth_id):
-    """The POS world, or None after a logon or enrollment abort."""
+    """The POS world with auth_id as the authentication provider, or None
+    after a logon or enrollment abort."""
     world = World(sim, config, plan)
     device_pca = world.pca("device-pca", "operator-domain")
     pos_pca = world.pca("pos-pca", "pos-domain")
@@ -573,7 +610,8 @@ def _run_pos_fig4(sim, config, plan):
             return None
         sim.add_hook(corrupt)
 
-    if mutual_attest_session(sim, ctx, plan=plan) is not None and exchange_price_list(sim, ctx):
+    session = mutual_attest_session(sim, ctx, plan=plan)
+    if session is not None and exchange_price_list(sim, ctx):
         purchase_via_operator(
             sim, ctx, config["good"],
             encrypted=config["encryption"],
@@ -616,13 +654,14 @@ def _judge_pos_fig4(transcript, config, attacks):
     return rows
 
 
-def _run_pos_sep(sim, config, plan, auth_id="auth"):
+def _run_pos_sep(sim, config, plan, auth_id):
     decentralised = config["variant"] == "decentralised"
     ctx = _pos_setup(sim, config, plan, auth_id)
     if ctx is None:
         return
 
-    session = separation_session(sim, ctx, plan=plan, validate_direct=decentralised)
+    session = separation_session(sim, ctx, plan=plan,
+                                 validate_direct=decentralised)
     if session is not None:
         _, token_fp, response_payload = session
         if exchange_price_list(sim, ctx):
@@ -634,12 +673,7 @@ def _run_pos_sep(sim, config, plan, auth_id="auth"):
     control_exchange(sim, "dev-1", "pos-owner")
 
 
-def _run_pos_merged(sim, config, plan):
-    """The separation run with the operator as authentication provider."""
-    _run_pos_sep(sim, config, plan, auth_id="mno")
-
-
-def _judge_pos_sep(transcript, config, attacks):
+def _judge_pos_sep(transcript, config, attacks, auth_id):
     if not _pos_set_up(transcript):
         return [_row("purchase-delivered", False, "setup aborted")]
     deliveries = transcript.events("delivery")
@@ -663,7 +697,7 @@ def _judge_pos_sep(transcript, config, attacks):
     spent = (_first(transcript.messages("auth-token"), "auth-token message")
              ["payload"]["quote"]["aik_public"] if sessions else None)
     held = spent is not None and any(spent in v for v in know("mno", "token"))
-    if "auth" not in transcript.snapshot["roles"]:  # the operator authenticates
+    if auth_id == "mno":  # the operator authenticates
         rows += [_row("merged-operator-links-identity", know("mno", "identity")),
                  _row("merged-operator-holds-spent-token", held)]
     else:
@@ -677,7 +711,8 @@ POS_FIG4 = ScenarioScript(
     description="Operator-mediated vending purchase: signed order up, signed "
                 "acknowledgement down, delivery only on a verified ack.",
     roster=_POS_ROSTER,
-    defaults={**_CREDENTIALS, "good": "cola", "encryption": True, "notify_vendor": True,
+    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
+              "good": "cola", "encryption": True, "notify_vendor": True,
               "notify_payment": True, "pos_check_via_mno": False},
     attacks=ATTESTATION_ATTACKS + ("ack-strip",),
     runner=_run_pos_fig4,
@@ -690,10 +725,11 @@ POS_SEP_DUTIES = ScenarioScript(
                 "authentication provider, billing package of token + grand "
                 "total only, owner acknowledges, POS delivers.",
     roster=_POS_ROSTER,
-    defaults={**_CREDENTIALS, "good": "cola", "variant": "centralised"},
+    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
+              "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
-    runner=_run_pos_sep,
-    judge=_judge_pos_sep,
+    runner=functools.partial(_run_pos_sep, auth_id="auth"),
+    judge=functools.partial(_judge_pos_sep, auth_id="auth"),
 )
 
 POS_DECENTRALISED = ScenarioScript(
@@ -701,10 +737,11 @@ POS_DECENTRALISED = ScenarioScript(
     description="The decentralised variant: the POS itself requests charge "
                 "confirmation and the owner's acknowledgement; same privacy.",
     roster=_POS_ROSTER,
-    defaults={**_CREDENTIALS, "good": "water", "variant": "decentralised"},
+    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
+              "good": "water", "variant": "decentralised"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
-    runner=_run_pos_sep,
-    judge=_judge_pos_sep,
+    runner=functools.partial(_run_pos_sep, auth_id="auth"),
+    judge=functools.partial(_judge_pos_sep, auth_id="auth"),
 )
 
 POS_MNO_MERGED = ScenarioScript(
@@ -713,10 +750,11 @@ POS_MNO_MERGED = ScenarioScript(
                 "provider merged into one party that can link subscriber "
                 "identity to spent purchase tokens.",
     roster=tuple(party for party in _POS_ROSTER if party[0] != "auth"),
-    defaults={**_CREDENTIALS, "good": "cola", "variant": "centralised"},
+    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
+              "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS,
-    runner=_run_pos_merged,
-    judge=_judge_pos_sep,
+    runner=functools.partial(_run_pos_sep, auth_id="mno"),
+    judge=functools.partial(_judge_pos_sep, auth_id="mno"),
 )
 
 
@@ -791,7 +829,7 @@ _FACILITY_ROSTER = (
 )
 
 _FACILITY_DEFAULTS = {
-    **_CREDENTIALS,
+    "batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
     "zones": {"zone-lab": {"camera": "disabled", "mms": "disabled"}},
     "enforcer_allowed_fields": ["room", "action", "until"],
     "gate_cache": False, "cache_staleness": 500,
@@ -961,9 +999,11 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     """Deterministic execution -> (Transcript, report dict)."""
     if isinstance(script, str):
         script = get_script(script)
-    variants = dict(variants or {})
-    _validate_overrides(script, variants)
+    _validate_overrides(script, variants or {})
     _validate_attacks(script, attacks)
+    # the variants as the transcript header records them, keys sorted, so the
+    # runner meets any multi-key override in the order a judge of the text does
+    variants = json.loads(canon_value(variants or {}))
 
     sim = Simulation(seed, scenario=script.name, attacks=attacks, variants=variants)
     for party_id, role in script.roster:
@@ -976,11 +1016,17 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     return transcript, report(transcript)
 
 
+# What reading a hand-edited or hook-garbled record can raise: a missing key
+# or record, a value of the wrong type or shape.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+
 def report(transcript) -> dict:
     """The report of a finalized transcript, from it alone: every audit
     finding, then for a catalog scenario the rejection rows of the generic
     attestation attacks it ran, or else its judge's rows; one failing row
-    when the transcript cannot be judged."""
+    when a record the judge needs is malformed. Any other error in a judge
+    is a fault of the judge and propagates."""
     header = transcript.header
     rows = [f.to_dict() for f in audit.audit(transcript)]
     scenario = header.get("scenario")
@@ -991,7 +1037,7 @@ def report(transcript) -> dict:
             generic = attacks & set(ATTESTATION_ATTACKS)
             rows += (_attack_rows(transcript, generic, script.subject) if generic else
                      script.judge(transcript, {**script.defaults, **header["variants"]}, attacks))
-        except Exception as err:
+        except _MALFORMED as err:
             rows.append(_row("scenario-assertions", False, f"malformed transcript: {err!r}"))
     return {
         "schema": "trustsim-report/1",

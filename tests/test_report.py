@@ -7,6 +7,7 @@ re-derived from a transcript's text equals the run's own, and a hand edit
 shows in the scenario rows too, never as a traceback.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -48,6 +49,23 @@ def test_report_rederived_from_text_equals_the_runs(name):
         assert report(Transcript.parse(transcript.to_text())) == result, attacks
 
 
+def test_multi_zone_override_out_of_key_order_verifies(tmp_path, capsys):
+    # The header records the zones keys sorted; the run enters the first of
+    # them, zone-a, as a judge of the written text reads it.
+    zones = {"zone-z": {"camera": "disabled"},
+             "zone-a": {"camera": "disabled", "mms": "disabled", "calls": "disabled"}}
+    transcript, result = run_scenario("facility-entry", 1, variants={"zones": zones})
+    assert result["ok"]
+    assert '"calls": "disabled"' in _rows(result)["zone-policy-applied"]["detail"]
+    assert report(Transcript.parse(transcript.to_text())) == result
+
+    assert main(["run", "facility-entry", "--seed", "1", "--out", str(tmp_path),
+                 "--variant", "zones=" + json.dumps(zones)]) == 0
+    stem = tmp_path / "facility-entry-seed1"
+    assert main(["verify", f"{stem}.transcript.jsonl",
+                 "--expect", f"{stem}.report.json"]) == 0
+
+
 def test_verify_expect_fails_on_deleted_delivery(tmp_path, capsys):
     assert main(["run", "pos-fig4", "--seed", "1", "--out", str(tmp_path)]) == 0
     path = tmp_path / "pos-fig4-seed1.transcript.jsonl"
@@ -84,6 +102,18 @@ def test_unreadable_edit_gives_one_failing_row(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "[FAIL] scenario-assertions" in capsys.readouterr().out
+
+
+def test_judge_fault_propagates(monkeypatch):
+    # Only a malformed record becomes a failing row; a judge's own bug, here
+    # a name it never defined, stays a traceback.
+    def buggy(transcript, config, attacks):
+        return [undefined_helper(transcript)]  # noqa: F821
+
+    script = dataclasses.replace(CATALOG["facility-entry"], judge=buggy)
+    monkeypatch.setitem(CATALOG, "facility-entry", script)
+    with pytest.raises(NameError):
+        run_scenario("facility-entry", 1)
 
 
 @pytest.mark.parametrize("key,value", [("attacks", 5), ("variants", ["x"]),
