@@ -54,7 +54,6 @@ class AikRecord:
     drawn."""
 
     aik_id: str
-    batch_id: str
     rng: Rng = field(repr=False)
     used: bool = False
 
@@ -83,7 +82,6 @@ class Quote:
 
 @dataclass
 class ShieldedSlot:
-    slot_id: str
     value: object  # unsigned counter (int) or opaque bytes
     access_policy: dict  # pcr index -> required digest bytes
 
@@ -170,7 +168,7 @@ class TrustAnchor:
         batch_id = f"{self.device_id}-batch{self._batch_counter}"
         records = []
         for i in range(count):
-            record = AikRecord(aik_id=f"{batch_id}-aik{i}", batch_id=batch_id,
+            record = AikRecord(aik_id=f"{batch_id}-aik{i}",
                                rng=self.rng.fork(f"aik:{batch_id}:{i}"))
             self.aiks[record.aik_id] = record
             records.append(record)
@@ -205,7 +203,7 @@ class TrustAnchor:
         """access_policy maps pcr index -> digest the register must hold."""
         if isinstance(value, int) and value < 0:
             raise ValueError("counter slots hold unsigned values")
-        self.slots[slot_id] = ShieldedSlot(slot_id, value, dict(access_policy))
+        self.slots[slot_id] = ShieldedSlot(value, dict(access_policy))
 
     def _open_slot(self, slot_id: str) -> ShieldedSlot:
         slot = self.slots.get(slot_id)

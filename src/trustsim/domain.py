@@ -1,5 +1,5 @@
 """Sub-domain restriction: generic vs trust credentials, clone handling,
-PCR-gated feature policies with location rules.
+feature policies with location rules.
 
 Devices reach the network with an identity-bearing generic credential;
 admission to a restricted sub-domain takes an additional trust credential
@@ -34,7 +34,6 @@ class GenericCredential:
     """
 
     device_identity: str
-    issuer: str
     secret: KeyPair
 
     def access_proof(self) -> bytes:
@@ -84,13 +83,12 @@ class MobileNetworkOperator:
         self.keys = crypto.keygen(self.rng.fork("keys"))
         self.registry = SubdomainRegistry(mode=registry_mode)
         self._issued = {}  # identity -> public key of the credential secret
-        self.sessions = {}  # identity -> list of session ids
         self._session_counter = 0
 
     def issue_credential(self, identity: str) -> GenericCredential:
         secret = crypto.keygen(self.rng.fork(f"cred:{identity}"))
         self._issued[identity] = secret.public
-        return GenericCredential(device_identity=identity, issuer=self.name, secret=secret)
+        return GenericCredential(device_identity=identity, secret=secret)
 
     def network_access(self, identity: str, proof: bytes) -> Session:
         """Basic network logon; clone detection deliberately does NOT happen
@@ -101,9 +99,7 @@ class MobileNetworkOperator:
         if not crypto.verify(public, _ACCESS_TAG + identity.encode(), proof):
             raise ProtocolError("bad-access-proof", identity)
         self._session_counter += 1
-        session = Session(f"sess-{self._session_counter}", identity)
-        self.sessions.setdefault(identity, []).append(session.session_id)
-        return session
+        return Session(f"sess-{self._session_counter}", identity)
 
 
 def network_access_flow(sim, device, mno_id: str, mno: MobileNetworkOperator,
@@ -182,9 +178,6 @@ def subdomain_admission_flow(
 
 # -- feature policies ---------------------------------------------------------
 
-ENFORCED = "enforced"
-UNENFORCED = "unenforced"
-
 
 @dataclass(frozen=True)
 class FeaturePolicy:
@@ -197,17 +190,3 @@ class FeaturePolicy:
             if rule_location == location:
                 features.update(overrides)
         return features
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    status: str  # ENFORCED | UNENFORCED
-    features: dict | None
-
-
-def apply_policy(policy: FeaturePolicy, location: str, enforcement_attested: bool) -> PolicyDecision:
-    """Location-gated feature map — but only a measured, attested enforcement
-    component makes it binding; otherwise the device reports unenforced."""
-    if not enforcement_attested:
-        return PolicyDecision(UNENFORCED, None)
-    return PolicyDecision(ENFORCED, policy.effective(location))

@@ -13,17 +13,11 @@ from dataclasses import dataclass, field
 
 from .attestation import Verifier
 from .device import TrustedDevice
-from .domain import ENFORCED, FeaturePolicy, apply_policy
+from .domain import FeaturePolicy
 from .flows import AttackPlan, attest_flow
 from .harness import CHANNEL_MOBILE, CHANNEL_SR, seal
 
 OUTSIDE = "outside"
-
-
-@dataclass(frozen=True)
-class FacilityPolicy:
-    zone_policy: FeaturePolicy  # base features plus per-zone overrides
-    enforcer_allowed_fields: frozenset  # only these may leave toward the provider
 
 
 @dataclass
@@ -31,8 +25,8 @@ class FacilityContext:
     company_id: str
     gate_id: str
     external_id: str
-    mno_id: str
-    policy: FacilityPolicy
+    zone_policy: FeaturePolicy  # base features plus per-zone overrides
+    enforcer_allowed_fields: frozenset  # only these may leave toward the provider
     gate: TrustedDevice
     gate_verifier_for_device: Verifier  # gate-side check of employee devices
     device_verifier_for_gate: Verifier  # device-side check of the gate terminal
@@ -70,10 +64,8 @@ def facility_access(
     device_side = attest_flow(
         sim, device, ctx.gate_id, ctx.gate_verifier_for_device, CHANNEL_SR, plan=plan
     )
-    attested = device_side is not None and device_side.verdict.accepted
-    authorized = attested and access_rights_check(sim, ctx, device.identity)
-    decision = apply_policy(ctx.policy.zone_policy, zone, enforcement_attested=attested)
-    granted = authorized and decision.status == ENFORCED
+    granted = (device_side is not None and device_side.verdict.accepted
+               and access_rights_check(sim, ctx, device.identity))
     if granted:
         # the gate proves itself back before the door opens
         gate_side = attest_flow(
@@ -84,18 +76,19 @@ def facility_access(
               granted=granted, zone=zone)
     if not granted:
         return None
+    features = ctx.zone_policy.effective(zone)
     sim.event("policy-applied", device=device.device_id, location=zone,
-              status=decision.status, features=decision.features)
-    return decision.features
+              status="enforced", features=features)
+    return features
 
 
 def facility_exit(sim, ctx: FacilityContext, device: TrustedDevice) -> dict:
     """Leaving restores the base feature set."""
-    decision = apply_policy(ctx.policy.zone_policy, OUTSIDE, enforcement_attested=True)
+    features = ctx.zone_policy.effective(OUTSIDE)
     sim.event("policy-applied", device=device.device_id, location=OUTSIDE,
-              status=decision.status, features=decision.features)
+              status="enforced", features=features)
     sim.event("exit", device=device.device_id)
-    return decision.features
+    return features
 
 
 def terminal_interaction(sim, ctx: FacilityContext, device: TrustedDevice,
@@ -120,7 +113,7 @@ def send_external(sim, ctx: FacilityContext, msg_type: str,
                   payload: dict, labels: dict) -> dict:
     """Everything toward the outsourced provider passes the policy enforcer:
     fields outside the allow list never leave the building."""
-    allowed = {k: v for k, v in payload.items() if k in ctx.policy.enforcer_allowed_fields}
+    allowed = {k: v for k, v in payload.items() if k in ctx.enforcer_allowed_fields}
     dropped = sorted(set(payload) - set(allowed))
     if dropped:
         sim.event("enforcer-filtered", server=ctx.company_id, dropped_fields=dropped)

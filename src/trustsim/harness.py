@@ -97,9 +97,9 @@ def _check_labels(payload: dict, labels: dict) -> None:
     missing = set(payload) - set(labels)
     if missing:
         raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
-    unknown = set(labels.values()) - LABELS
-    if unknown:
-        raise ValueError(f"labels outside the fixed taxonomy: {sorted(unknown)}")
+    for label in labels.values():
+        if not isinstance(label, str) or label not in LABELS:
+            raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
     for value in payload.values():
         if is_sealed(value) and opens(value["_sealed"]):
             inner = value["_sealed"]
@@ -143,8 +143,7 @@ class Message:
 class PartyState:
     """Per-party observation state owned by the harness."""
 
-    def __init__(self, party_id: str, role: str):
-        self.party_id = party_id
+    def __init__(self, role: str):
         self.role = role
         # knowledge: set of (field, label, canonical value)
         self.knowledge = set()
@@ -174,7 +173,7 @@ class Simulation:
     def add_party(self, party_id: str, role: str) -> PartyState:
         if party_id in self.parties:
             raise ValueError(f"duplicate party id: {party_id}")
-        state = PartyState(party_id, role)
+        state = PartyState(role)
         self.parties[party_id] = state
         return state
 
@@ -204,7 +203,9 @@ class Simulation:
         encrypted: bool = False,
     ):
         """Deliver one message in order; returns it, or None when an attack
-        hook dropped it."""
+        hook dropped it. What the hooks let through is label-checked again,
+        whether replaced or edited in place: labels are the harness's record
+        of a message, not wire content."""
         if sender not in self.parties or receiver not in self.parties:
             raise ValueError(f"unregistered party in {sender}->{receiver}")
         ch = self.channels.get(channel)
@@ -228,20 +229,13 @@ class Simulation:
         for hook in self._hooks:
             outcome = hook(message)
             if outcome is DROP:
-                self.records.append(
-                    {
-                        "kind": "event",
-                        "tick": self.tick,
-                        "event": "message-dropped",
-                        "id": message.msg_id,
-                        "type": message.msg_type,
-                        "sender": sender,
-                        "receiver": receiver,
-                    }
-                )
+                self.event("message-dropped", id=message.msg_id, type=message.msg_type,
+                           sender=sender, receiver=receiver)
                 return None
             if isinstance(outcome, Message):
                 message = outcome
+        if self._hooks:
+            _check_labels(message.payload, message.labels)
 
         self.tick += 1
         self.records.append(message.record())

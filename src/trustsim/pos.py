@@ -83,8 +83,8 @@ class PosContext:
     pos_owner_id: str
     charging_id: str
     auth_id: str  # device-domain CA / authentication provider (may equal mno_id)
-    vendor_id: str | None = None
-    payment_id: str | None = None
+    vendor_id: str
+    payment_id: str
     # verification material
     pos_verifier_for_device: Verifier | None = None  # POS-side local check (operator flow)
     device_verifier_for_pos: Verifier | None = None  # device-side check of the POS
@@ -229,7 +229,7 @@ def purchase_via_operator(
     order_id = ctx.next_id("order")
     price = ctx.price_list.price_of(good)
     good_field = seal([ctx.vendor_id], {"good_id": good}, {"good_id": "good"}) \
-        if encrypted and ctx.vendor_id else good
+        if encrypted else good
     order_body = {
         "order_id": order_id,
         "account": ctx.device.identity,
@@ -258,12 +258,12 @@ def purchase_via_operator(
         sim.event("abort", party=ctx.mno_id, code="bad-order-signature", order_id=order_id)
         return None
 
-    if notify_vendor and ctx.vendor_id:
+    if notify_vendor:
         sim.send(ctx.mno_id, ctx.vendor_id, CHANNEL_NET, "vendor-notify",
                  {"order_id": order["order_id"], "good": order["good"], "price": order["price"]},
                  {"order_id": "plumbing", "good": "good", "price": "price"},
                  encrypted=True)
-    if notify_payment and ctx.payment_id:
+    if notify_payment:
         sim.send(ctx.mno_id, ctx.payment_id, CHANNEL_NET, "payment-notify",
                  {"order_id": order["order_id"], "price": order["price"],
                   "modality": order["modality"]},

@@ -32,7 +32,6 @@ class PpImsiPool:
     """Reserved group IMSIs plus the group's statement verification key."""
 
     imsis: tuple
-    owner: str
     statement_public: bytes
 
 

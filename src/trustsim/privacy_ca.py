@@ -29,8 +29,8 @@ DEFAULT_VALIDITY_TICKS = 1000
 class AikCertificate:
     """CA-signed binding of an AIK public key to "valid platform in domain".
 
-    Field set is deliberately EK-free; hash_alg records the digest used for
-    the signed payload.
+    Field set is deliberately EK-free. The CA signs the SHA-256 digest of
+    the fields; hash_alg names that digest and is signed with them.
     """
 
     aik_public: bytes
@@ -50,7 +50,7 @@ class AikCertificate:
                 "hash_alg": self.hash_alg,
             }
         )
-        return crypto.hash256(body) if self.hash_alg == "sha256" else body
+        return crypto.hash256(body)
 
     def to_fields(self) -> dict:
         return {

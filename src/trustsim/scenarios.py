@@ -31,7 +31,6 @@ from .errors import ProtocolError
 from .facility import (
     OUTSIDE,
     FacilityContext,
-    FacilityPolicy,
     facility_access,
     facility_exit,
     send_external,
@@ -353,7 +352,6 @@ def _prepaid_setup(sim, config, plan, tampered=False):
     statement_keys = crypto.keygen(sim.rng.fork("ppc-group"))
     pool = PpImsiPool(
         imsis=tuple(f"ppimsi-{i}" for i in range(config["pool_size"])),
-        owner="mno",
         statement_public=statement_keys.public,
     )
     operator = PrepaidOperator(pool)
@@ -795,11 +793,9 @@ def _facility_setup(sim, config, plan):
         sim, employee, "mno", mno, company_verifier, session).admitted
 
     ctx = FacilityContext(
-        company_id="company", gate_id="gate", external_id="external", mno_id="mno",
-        policy=FacilityPolicy(
-            zone_policy=_zone_policy(config),
-            enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
-        ),
+        company_id="company", gate_id="gate", external_id="external",
+        zone_policy=_zone_policy(config),
+        enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
         gate=gate,
         gate_verifier_for_device=world.verifier("gate", pca, chain, "v-gate",
                                                 used_aiks=company_verifier.used_aiks),

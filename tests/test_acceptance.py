@@ -143,7 +143,7 @@ def _conservation_world(seed):
     pca = PrivacyCa("pca", rng.fork("world"), {mfr.root.public}, domain_id="prepaid")
     mno_keys = crypto.keygen(rng.fork("mno-keys"))
     statement = crypto.keygen(rng.fork("group"))
-    pool = PpImsiPool(("ppimsi-0", "ppimsi-1", "ppimsi-2"), "mno", statement.public)
+    pool = PpImsiPool(("ppimsi-0", "ppimsi-1", "ppimsi-2"), statement.public)
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
     device = TrustedDevice.provision("dev-1", rng.fork("dev"), mfr, chain=chain)
     refs = reference_db_for(chain)

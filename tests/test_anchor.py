@@ -66,7 +66,8 @@ def test_aik_batch_freshness_and_determinism():
     batch2 = anchor.create_aik_batch(10)
     publics = [r.key.public for r in batch1 + batch2]
     assert len(set(publics)) == 20
-    assert batch1[0].batch_id != batch2[0].batch_id
+    # an aik_id is "<batch id>-aik<index>"
+    assert batch1[0].aik_id.rsplit("-aik", 1)[0] != batch2[0].aik_id.rsplit("-aik", 1)[0]
 
     # same seed, same call sequence -> identical key material
     again = make_anchor().create_aik_batch(10)

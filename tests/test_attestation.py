@@ -161,6 +161,18 @@ def test_foreign_certificate_rejected_as_bad_chain():
     assert "bad-cert-chain" in verdict.reasons
 
 
+@pytest.mark.parametrize("hash_alg", ["sha1", "none"])
+def test_rewritten_hash_alg_breaks_the_chain(hash_alg):
+    # the CA signs hash_alg with the other fields, whatever it names
+    anchor, log, records, certs, verifier = build_world()
+    challenge = verifier.make_challenge(now=1)
+    resp = respond(anchor, log, records[0],
+                   dataclasses.replace(certs[0], hash_alg=hash_alg), challenge)
+    verdict = verifier.verify(resp, challenge, now=2)
+    assert not verdict.accepted
+    assert "bad-cert-chain" in verdict.reasons
+
+
 def test_quote_signature_mutation_rejected():
     anchor, log, records, certs, verifier = build_world()
     challenge = verifier.make_challenge(now=1)

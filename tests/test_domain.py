@@ -13,7 +13,6 @@ from trustsim.domain import (
     FeaturePolicy,
     MobileNetworkOperator,
     SubdomainRegistry,
-    apply_policy,
     network_access_flow,
     subdomain_admission_flow,
 )
@@ -70,7 +69,7 @@ def test_two_sessions_same_identity_both_granted_at_network_layer():
     s1 = network_access_flow(sim, legit, "mno", mno, credential)
     s2 = network_access_flow(sim, clone, "mno", mno, credential)
     assert s1 is not None and s2 is not None
-    assert mno.sessions["imsi-100"] == [s1.session_id, s2.session_id]
+    assert s1.session_id != s2.session_id
 
 
 def test_unbound_first_come_first_served():
@@ -125,24 +124,13 @@ def test_bound_acceptance_implies_unbound_acceptance():
             assert unbound.decide(identity, fp, attested).admitted
 
 
-def test_apply_policy_location_rules():
+def test_effective_policy_location_rules():
     policy = FeaturePolicy(
         base={"camera": "enabled", "mms": "enabled"},
         location_rules=(("cell-X", {"camera": "disabled"}),),
     )
-    inside = apply_policy(policy, "cell-X", enforcement_attested=True)
-    assert inside.status == "enforced"
-    assert inside.features == {"camera": "disabled", "mms": "enabled"}
-
-    elsewhere = apply_policy(policy, "cell-Y", enforcement_attested=True)
-    assert elsewhere.features == policy.base
-
-
-def test_apply_policy_unenforced_without_attested_enforcer():
-    policy = FeaturePolicy(base={"camera": "enabled"})
-    decision = apply_policy(policy, "cell-X", enforcement_attested=False)
-    assert decision.status == "unenforced"
-    assert decision.features is None
+    assert policy.effective("cell-X") == {"camera": "disabled", "mms": "enabled"}
+    assert policy.effective("cell-Y") == policy.base
 
 
 def test_later_matching_rules_override_earlier():

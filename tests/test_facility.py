@@ -8,7 +8,6 @@ from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import FeaturePolicy
 from trustsim.facility import (
     FacilityContext,
-    FacilityPolicy,
     access_rights_check,
     facility_access,
     facility_exit,
@@ -49,14 +48,12 @@ def facility_world(seed=9, tampered_employee=False):
     gate_refs = reference_db_for(gate_chain)
 
     ctx = FacilityContext(
-        company_id="company", gate_id="gate", external_id="external", mno_id="mno",
-        policy=FacilityPolicy(
-            zone_policy=FeaturePolicy(
-                base={"camera": "enabled", "mms": "enabled"},
-                location_rules=(("zone-lab", {"camera": "disabled", "mms": "disabled"}),),
-            ),
-            enforcer_allowed_fields=frozenset({"room", "action"}),
+        company_id="company", gate_id="gate", external_id="external",
+        zone_policy=FeaturePolicy(
+            base={"camera": "enabled", "mms": "enabled"},
+            location_rules=(("zone-lab", {"camera": "disabled", "mms": "disabled"}),),
         ),
+        enforcer_allowed_fields=frozenset({"room", "action"}),
         gate=gate,
         gate_verifier_for_device=Verifier("gate", pca.root.public, refs, rng.fork("vg")),
         device_verifier_for_gate=Verifier("employee", pca.root.public, gate_refs,
@@ -76,13 +73,16 @@ def test_entry_applies_zone_policy_and_exit_restores():
 
 
 def test_tampered_enforcement_component_is_turned_away():
-    # policy would be unenforceable on this device, so it stays outside
+    # policy would be unenforceable on this device, so it stays outside:
+    # no rights check is made and no feature policy is applied to it
     sim, ctx, employee = facility_world(tampered_employee=True)
     assert facility_access(sim, ctx, employee, "zone-lab") is None
     entry = sim.events("entry")[-1]
     assert not entry["granted"]
     rejected = [e for e in sim.events("attestation-verdict") if not e["accepted"]]
     assert rejected and "reference-mismatch" in rejected[0]["reasons"]
+    assert sim.events("policy-applied") == []
+    assert sim.events("access-check") == [] and sim.messages("access-check") == []
 
 
 def test_unlisted_identity_denied_even_when_attested():

@@ -79,6 +79,9 @@ def test_labels_are_mandatory_and_fixed():
         sim.send("dev", "mno", "mobile", "x", {"a": 1}, {})
     with pytest.raises(ValueError):
         sim.send("dev", "mno", "mobile", "x", {"a": 1}, {"a": "made-up-label"})
+    sim.add_hook(lambda message: DROP)  # checked before any hook can drop it
+    with pytest.raises(ValueError):
+        sim.send("dev", "mno", "mobile", "x", {"a": 1}, {"a": "made-up-label"})
 
 
 def test_unknown_party_or_channel_rejected():

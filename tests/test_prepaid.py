@@ -36,7 +36,6 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
     statement_keys = crypto.keygen(rng.fork("ppc-group"))
     pool = PpImsiPool(
         imsis=tuple(f"ppimsi-{i}" for i in range(pool_size)),
-        owner="mno",
         statement_public=statement_keys.public,
     )
     operator = PrepaidOperator(pool)
