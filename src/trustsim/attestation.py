@@ -140,7 +140,6 @@ class Verifier:
     replay protection) — pass the same set to several instances.
     """
 
-    name: str
     pca_root: bytes
     refs: ReferenceDb
     rng: crypto.Rng

@@ -20,15 +20,11 @@ BOOT_PCR = 0
 class BootComponent:
     name: str
     payload: bytes
-    stage: int
 
 
 def make_chain(components) -> list:
-    """Build a boot chain from (name, payload) pairs, stages in order."""
-    return [
-        BootComponent(name=name, payload=payload, stage=i)
-        for i, (name, payload) in enumerate(components)
-    ]
+    """Build a boot chain from (name, payload) pairs, in boot order."""
+    return [BootComponent(name=name, payload=payload) for name, payload in components]
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def tamper(chain, component_name: str, new_payload: bytes) -> list:
     if component_name not in {c.name for c in chain}:
         raise ProtocolError("unknown-component", component_name)
     return [
-        BootComponent(c.name, new_payload, c.stage) if c.name == component_name else c
+        BootComponent(c.name, new_payload) if c.name == component_name else c
         for c in chain
     ]
 

@@ -72,7 +72,6 @@ class Rng:
     def __init__(self, seed: int):
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        self.seed = seed
         self._key = hash256(seed.to_bytes(8, "big"))
         self._counter = 0
         self._buffer = b""
@@ -107,7 +106,6 @@ class Rng:
 
     def fork(self, label: str) -> "Rng":
         child = Rng.__new__(Rng)
-        child.seed = self.seed
         child._key = hash256(self._key + b"fork:" + label.encode("utf-8"))
         child._counter = 0
         child._buffer = b""

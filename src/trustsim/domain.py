@@ -78,7 +78,6 @@ class MobileNetworkOperator:
     """The MNO party: credential issuance, network sessions, sub-domain registry."""
 
     def __init__(self, name: str, rng: Rng, registry_mode: str = UNBOUND):
-        self.name = name
         self.rng = rng.fork(f"mno:{name}")
         self.keys = crypto.keygen(self.rng.fork("keys"))
         self.registry = SubdomainRegistry(mode=registry_mode)

@@ -282,6 +282,12 @@ def purchase_via_operator(
         bad="bad-ack-signature", order_id=order_id,
     ) is None:
         return None
+    return _deliver(sim, ctx, order_id)
+
+
+def _deliver(sim, ctx: PosContext, order_id: str) -> str:
+    """The POS hands over the good on a verified acknowledgement and tells
+    the device so; returns the order id."""
     sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
     sim.event("delivery", pos=ctx.pos_id, order_id=order_id)
     sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "delivery-confirmation",
@@ -410,11 +416,7 @@ def separation_purchase(
                   ctx.pos_owner_keys.public, _ACK_TAG, a, ("order_id",))),
               bad="bad-ack-signature", order_id=order_id) is None:
         return None
-    sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
-    sim.event("delivery", pos=ctx.pos_id, order_id=order_id)
-    sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "delivery-confirmation",
-             {"order_id": order_id}, {"order_id": "plumbing"}, encrypted=True)
-    return order_id
+    return _deliver(sim, ctx, order_id)
 
 
 def _charge(ctx: PosContext, package: dict, signer_publics) -> dict:

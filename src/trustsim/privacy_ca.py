@@ -94,7 +94,6 @@ class PrivacyCa:
         domain_id: str,
         validity_ticks: int = DEFAULT_VALIDITY_TICKS,
     ):
-        self.name = name
         self.rng = rng.fork(f"pca:{name}")
         self.root = crypto.keygen(self.rng.fork("root"))
         self.trusted_roots = set(trusted_manufacturer_roots)

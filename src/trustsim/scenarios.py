@@ -80,9 +80,9 @@ class ScenarioScript:
     description: str
     roster: tuple  # (party id, role) pairs registered before the run
     defaults: dict
-    attacks: tuple  # supported attack flag names
     runner: object  # fn(sim, config, plan): acts, returns nothing
     judge: object  # fn(transcript, config, attacks) -> list of assertion rows
+    attacks: tuple = ATTESTATION_ATTACKS  # supported attack flag names
     subject: str = "dev-1"  # the device the generic attestation attacks target
 
     def to_dict(self) -> dict:
@@ -95,6 +95,10 @@ class ScenarioScript:
         }
 
 
+# The trust parameters every family's defaults extend.
+_TRUST_DEFAULTS = {"batch_size": 10, "cert_validity": 1000, "freshness_window": 100}
+
+
 def _row(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
@@ -105,38 +109,22 @@ def _attack_rows(transcript, names, subject: str) -> list:
     rows = []
     for name in sorted(names):
         expected = EXPECTED_ATTACK_REASONS[name]
-        hits = [
-            e for e in transcript.events("attestation-verdict")
-            if e["subject"] == subject and not e["accepted"] and expected in e["reasons"]
-        ]
-        rows.append(
-            _row(
-                f"attack-{name}-rejected",
-                bool(hits),
-                f"expected reason {expected!r}" + ("" if hits else " not observed"),
-            )
-        )
+        hits = [e for e in transcript.events("attestation-verdict")
+                if e["subject"] == subject and not e["accepted"] and expected in e["reasons"]]
+        rows.append(_row(f"attack-{name}-rejected", hits,
+                         f"expected reason {expected!r}" + ("" if hits else " not observed")))
         if not hits:
             continue
-        start = hits[0]["tick"]
         successes = [
-            e
-            for e in transcript.events()
-            if e["tick"] >= start
-            and (
+            e for e in transcript.events()
+            if e["tick"] >= hits[0]["tick"] and (
                 (e["event"] == "grant" and e.get("device") == subject)
                 or (e["event"] == "admission" and e.get("device") == subject and e["admitted"])
                 or (e["event"] == "entry" and e.get("device") == subject and e["granted"])
-                or e["event"] == "delivery"
-            )
+                or e["event"] == "delivery")
         ]
-        rows.append(
-            _row(
-                f"attack-{name}-no-service",
-                not successes,
-                "" if not successes else f"{len(successes)} service events after rejection",
-            )
-        )
+        rows.append(_row(f"attack-{name}-no-service", not successes,
+                         f"{len(successes)} service events after rejection" if successes else ""))
     return rows
 
 
@@ -180,13 +168,12 @@ class World:
             device.attach_wallet(wallet, self.config["batch_size"], now=0)
         return device
 
-    def verifier(self, name: str, pca: PrivacyCa, chain, label: str,
-                 used_aiks=None) -> Verifier:
+    def verifier(self, pca: PrivacyCa, chain, label: str, used_aiks=None) -> Verifier:
         """A verifier of pca's credentials against the honest chain."""
         key = tuple(chain)
         if key not in self._refs:
             self._refs[key] = reference_db_for(chain)
-        return Verifier(name, pca.root.public, self._refs[key], self.sim.rng.fork(label),
+        return Verifier(pca.root.public, self._refs[key], self.sim.rng.fork(label),
                         freshness_window=self.config["freshness_window"],
                         used_aiks=set() if used_aiks is None else used_aiks)
 
@@ -202,21 +189,17 @@ def _run_one_time_aik(sim, config, plan):
     chain = standard_chain(tuple((name, payload.encode())
                                  for name, payload in config["extra_components"]))
     device = world.device("dev-1", chain, attacked=True)
-    aborted = not enroll_flow(sim, device, "pca", pca, config["batch_size"], CHANNEL_MOBILE)
-
+    if not enroll_flow(sim, device, "pca", pca, config["batch_size"], CHANNEL_MOBILE):
+        return
     shared = set() if config["shared_used_set"] else None
-    services = {svc: world.verifier(svc, pca, chain, f"v-{svc}", used_aiks=shared)
+    services = {svc: world.verifier(pca, chain, f"v-{svc}", used_aiks=shared)
                 for svc in ("svc-a", "svc-b")}
-
-    accepted = 0
-    while not aborted and accepted < config["auth_count"]:
-        svc = "svc-a" if accepted % 2 == 0 else "svc-b"
+    for login in range(config["auth_count"]):  # alternating, until one is refused
+        svc = ("svc-a", "svc-b")[login % 2]
         exchange = attest_flow(sim, device, svc, services[svc], CHANNEL_MOBILE, plan=plan,
                                replenish_via=("pca", pca, CHANNEL_MOBILE))
         if exchange is None or not exchange.verdict.accepted:
-            aborted = True
-        else:
-            accepted += 1
+            break
 
 
 def _judge_one_time_aik(transcript, config, attacks):
@@ -254,10 +237,8 @@ ONE_TIME_AIK = ScenarioScript(
                 "across the two collaborating services.",
     roster=(("dev-1", "device"), ("pca", "pca"), ("svc-a", "service"),
             ("svc-b", "service"), ("mno", "mno")),
-    defaults={"batch_size": 10, "auth_count": 27, "cert_validity": 1000,
-              "freshness_window": 100, "shared_used_set": False,
+    defaults={**_TRUST_DEFAULTS, "auth_count": 27, "shared_used_set": False,
               "extra_components": [["svc-client", "svc-client-v1"]]},
-    attacks=ATTESTATION_ATTACKS,
     runner=_run_one_time_aik,
     judge=_judge_one_time_aik,
 )
@@ -283,7 +264,7 @@ def _run_clone(sim, config, plan):
             "imsi-100",
             [crypto.hash160(r.key.public).hex() for r, _ in legit.wallet.credentials],
         )
-    verifier = world.verifier("mno", pca, chain, "verifier")
+    verifier = world.verifier(pca, chain, "verifier")
 
     for device in (clone, legit):
         session = network_access_flow(sim, device, "mno", mno, credential)
@@ -318,25 +299,18 @@ CLONE_UNBOUND = ScenarioScript(
     description="Two devices share one stolen network credential; without a "
                 "joint authority the registry admits exactly the first comer.",
     roster=(("legit", "device"), ("clone", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"mode": UNBOUND, "batch_size": 4, "cert_validity": 1000,
-              "freshness_window": 100},
-    attacks=ATTESTATION_ATTACKS,
+    defaults={**_TRUST_DEFAULTS, "mode": UNBOUND, "batch_size": 4},
     runner=_run_clone,
     judge=_judge_clone,
     subject="clone",
 )
 
-CLONE_BOUND = ScenarioScript(
+CLONE_BOUND = dataclasses.replace(
+    CLONE_UNBOUND,
     name="clone-attack-bound",
     description="Same clone pair, but a single authority individualised both "
                 "credentials: the consistency check turns the clone away.",
-    roster=(("legit", "device"), ("clone", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"mode": BOUND, "batch_size": 4, "cert_validity": 1000,
-              "freshness_window": 100},
-    attacks=ATTESTATION_ATTACKS,
-    runner=_run_clone,
-    judge=_judge_clone,
-    subject="clone",
+    defaults={**CLONE_UNBOUND.defaults, "mode": BOUND},
 )
 
 
@@ -345,7 +319,9 @@ CLONE_BOUND = ScenarioScript(
 # ---------------------------------------------------------------------------
 
 
-def _prepaid_setup(sim, config, plan, tampered=False):
+def _prepaid_setup(sim, config, plan, tampered):
+    """The prepaid world after the device's pool logon; a tampered device
+    booted a patched prepaid client."""
     world = World(sim, config, plan)
     pca = world.pca("pca", "prepaid")
     mno_keys = crypto.keygen(sim.rng.fork("mno-keys"))
@@ -362,7 +338,8 @@ def _prepaid_setup(sim, config, plan, tampered=False):
     client = PrepaidClient.provision(device, chain, config["tariffs"],
                                      config["initial_balance"], statement_keys.private)
     sim.event("balance-init", device="dev-1", value=config["initial_balance"])
-    return client, operator, world.verifier("mno", pca, chain, "verifier"), pca, mno_keys
+    vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
+    return client, operator, world.verifier(pca, chain, "verifier"), pca, mno_keys
 
 
 def _prepaid_finish(sim, client, config):
@@ -374,14 +351,12 @@ def _prepaid_finish(sim, client, config):
     sim.summary["freshness_window"] = config["freshness_window"]
 
 
-def _run_prepaid_happy(sim, config, plan):
-    client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan)
-    vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-
+def _run_prepaid(sim, config, plan, tampered):
+    """The requests in order, voucher i credited right after request i."""
+    client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan, tampered)
     attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
-    voucher_counter = 0
-    voucher_values = list(config["vouchers"])
-    for service, units in config["requests"]:
+    vouchers = config["vouchers"]
+    for n, (service, units) in enumerate(config["requests"], 1):
         prepaid_service_request(
             sim, client, "mno", operator, verifier, service, units,
             plan=plan, replenish_via=("pca", pca, CHANNEL_MOBILE),
@@ -390,14 +365,14 @@ def _run_prepaid_happy(sim, config, plan):
             break  # the attacked exchange is the whole story of this run
         if not client.device.wallet.credentials:
             break  # a failed replenishment spent the last credential
-        if voucher_values:
-            voucher_counter += 1
-            voucher = make_voucher(mno_keys, f"v-{voucher_counter}", voucher_values.pop(0))
+        if n <= len(vouchers):
+            voucher = make_voucher(mno_keys, f"v-{n}", vouchers[n - 1])
             top_up_flow(sim, client, "mno", mno_keys, voucher)
 
     _prepaid_finish(sim, client, config)
-    # no message carries the device's EK, so the anonymity row reads it here
-    sim.summary["ek_publics"] = {"dev-1": client.device.anchor.ek_certificate.ek_public.hex()}
+    if not tampered:
+        # no message carries the device's EK, so the anonymity row reads it here
+        sim.summary["ek_publics"] = {"dev-1": client.device.anchor.ek_certificate.ek_public.hex()}
 
 
 def _judge_prepaid_happy(transcript, config, attacks):
@@ -423,19 +398,6 @@ def _payload_clean(value, forbidden) -> bool:
     return value not in forbidden
 
 
-def _run_prepaid_tamper(sim, config, plan):
-    client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan,
-                                                               tampered=True)
-    vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-    attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
-    for service, units in config["requests"]:
-        prepaid_service_request(sim, client, "mno", operator, verifier, service, units,
-                                plan=plan)
-        if attacked:
-            break
-    _prepaid_finish(sim, client, config)
-
-
 def _judge_prepaid_tamper(transcript, config, attacks):
     denials = transcript.events("denial")
     return [
@@ -449,21 +411,15 @@ def _judge_prepaid_tamper(transcript, config, attacks):
 
 
 def _run_prepaid_zero(sim, config, plan):
-    client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan)
-    vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-
-    prepaid_service_request(
-        sim, client, "mno", operator, verifier, "calls", 1, plan=plan
-    )
-    if plan.names & set(ATTESTATION_ATTACKS):
-        _prepaid_finish(sim, client, config)
-        return  # the attacked exchange is the whole story of this run
-
-    voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
-    top_up_flow(sim, client, "mno", mno_keys, voucher)
-    if "voucher-replay" in plan.names:
+    client, operator, verifier, _, mno_keys = _prepaid_setup(sim, config, plan, tampered=False)
+    prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1, plan=plan)
+    # an attacked exchange is the whole story of its run
+    if not plan.names & set(ATTESTATION_ATTACKS):
+        voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
         top_up_flow(sim, client, "mno", mno_keys, voucher)
-    prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
+        if "voucher-replay" in plan.names:
+            top_up_flow(sim, client, "mno", mno_keys, voucher)
+        prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
     _prepaid_finish(sim, client, config)
 
 
@@ -484,45 +440,36 @@ def _judge_prepaid_zero(transcript, config, attacks):
     return rows
 
 
+_PREPAID_DEFAULTS = {**_TRUST_DEFAULTS, "pool_size": 5, "initial_balance": 500,
+                     "tariffs": {"calls": 10, "data": 5}}
+
 PREPAID_HAPPY = ScenarioScript(
     name="prepaid-happy",
     description="Pool logon, attested balance statements, grants decrement the "
                 "shielded counter, a voucher tops it back up.",
     roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"pool_size": 5, "initial_balance": 500, "batch_size": 10,
-              "cert_validity": 1000, "freshness_window": 100,
-              "tariffs": {"calls": 10, "data": 5},
-              "requests": [["calls", 2], ["data", 4], ["calls", 1]],
+    defaults={**_PREPAID_DEFAULTS, "requests": [["calls", 2], ["data", 4], ["calls", 1]],
               "vouchers": [100]},
-    attacks=ATTESTATION_ATTACKS,
-    runner=_run_prepaid_happy,
+    runner=functools.partial(_run_prepaid, tampered=False),
     judge=_judge_prepaid_happy,
 )
 
-PREPAID_TAMPER = ScenarioScript(
+PREPAID_TAMPER = dataclasses.replace(
+    PREPAID_HAPPY,
     name="prepaid-tamper",
     description="The prepaid client was patched before boot: every request is "
                 "rejected on reference values, nothing is granted, nothing moves.",
-    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"pool_size": 5, "initial_balance": 500, "batch_size": 10,
-              "cert_validity": 1000, "freshness_window": 100,
-              "tariffs": {"calls": 10, "data": 5},
-              "requests": [["calls", 1], ["data", 2]],
-              "vouchers": []},
-    attacks=ATTESTATION_ATTACKS,
-    runner=_run_prepaid_tamper,
+    defaults={**_PREPAID_DEFAULTS, "requests": [["calls", 1], ["data", 2]], "vouchers": []},
+    runner=functools.partial(_run_prepaid, tampered=True),
     judge=_judge_prepaid_tamper,
 )
 
-PREPAID_ZERO = ScenarioScript(
+PREPAID_ZERO = dataclasses.replace(
+    PREPAID_HAPPY,
     name="prepaid-zero",
     description="Empty balance: the request is denied without a decrement, a "
                 "signed voucher restores service.",
-    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={"pool_size": 3, "initial_balance": 0, "batch_size": 10,
-              "cert_validity": 1000, "freshness_window": 100,
-              "tariffs": {"calls": 10, "data": 5},
-              "voucher_value": 50},
+    defaults={**_PREPAID_DEFAULTS, "pool_size": 3, "initial_balance": 0, "voucher_value": 50},
     attacks=ATTESTATION_ATTACKS + ("voucher-replay",),
     runner=_run_prepaid_zero,
     judge=_judge_prepaid_zero,
@@ -560,9 +507,9 @@ def _pos_setup(sim, config, plan, auth_id):
         device_id="dev-1", pos_id="pos-1", mno_id="mno",
         pos_owner_id="pos-owner", charging_id="charging", auth_id=auth_id,
         vendor_id="vendor", payment_id="payment",
-        pos_verifier_for_device=world.verifier("pos-1", device_pca, device_chain, "v-pos"),
-        device_verifier_for_pos=world.verifier("dev-1", pos_pca, pos_chain, "v-dev"),
-        auth_verifier=world.verifier(auth_id, device_pca, device_chain, "v-auth"),
+        pos_verifier_for_device=world.verifier(device_pca, device_chain, "v-pos"),
+        device_verifier_for_pos=world.verifier(pos_pca, pos_chain, "v-dev"),
+        auth_verifier=world.verifier(device_pca, device_chain, "v-auth"),
         mno_keys=mno.keys,
         pos_owner_keys=crypto.keygen(sim.rng.fork("owner-keys")),
         charging_keys=crypto.keygen(sim.rng.fork("charging-keys")),
@@ -709,8 +656,7 @@ POS_FIG4 = ScenarioScript(
     description="Operator-mediated vending purchase: signed order up, signed "
                 "acknowledgement down, delivery only on a verified ack.",
     roster=_POS_ROSTER,
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "cola", "encryption": True, "notify_vendor": True,
+    defaults={**_TRUST_DEFAULTS, "good": "cola", "encryption": True, "notify_vendor": True,
               "notify_payment": True, "pos_check_via_mno": False},
     attacks=ATTESTATION_ATTACKS + ("ack-strip",),
     runner=_run_pos_fig4,
@@ -723,33 +669,27 @@ POS_SEP_DUTIES = ScenarioScript(
                 "authentication provider, billing package of token + grand "
                 "total only, owner acknowledges, POS delivers.",
     roster=_POS_ROSTER,
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "cola", "variant": "centralised"},
+    defaults={**_TRUST_DEFAULTS, "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
     runner=functools.partial(_run_pos_sep, auth_id="auth"),
     judge=functools.partial(_judge_pos_sep, auth_id="auth"),
 )
 
-POS_DECENTRALISED = ScenarioScript(
+POS_DECENTRALISED = dataclasses.replace(
+    POS_SEP_DUTIES,
     name="pos-decentralised",
     description="The decentralised variant: the POS itself requests charge "
                 "confirmation and the owner's acknowledgement; same privacy.",
-    roster=_POS_ROSTER,
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "water", "variant": "decentralised"},
-    attacks=ATTESTATION_ATTACKS + ("reuse-token",),
-    runner=functools.partial(_run_pos_sep, auth_id="auth"),
-    judge=functools.partial(_judge_pos_sep, auth_id="auth"),
+    defaults={**POS_SEP_DUTIES.defaults, "good": "water", "variant": "decentralised"},
 )
 
-POS_MNO_MERGED = ScenarioScript(
+POS_MNO_MERGED = dataclasses.replace(
+    POS_SEP_DUTIES,
     name="pos-mno-merged",
     description="Degraded-privacy demonstration: operator and authentication "
                 "provider merged into one party that can link subscriber "
                 "identity to spent purchase tokens.",
     roster=tuple(party for party in _POS_ROSTER if party[0] != "auth"),
-    defaults={"batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
-              "good": "cola", "variant": "centralised"},
     attacks=ATTESTATION_ATTACKS,
     runner=functools.partial(_run_pos_sep, auth_id="mno"),
     judge=functools.partial(_judge_pos_sep, auth_id="mno"),
@@ -772,6 +712,8 @@ def _zone_policy(config) -> FeaturePolicy:
 
 
 def _facility_setup(sim, config, plan):
+    """The facility world, once the employee has tried the gate of the
+    first zone; an attack run's story ends there."""
     world = World(sim, config, plan)
     mno = MobileNetworkOperator("mno", sim.rng, registry_mode=BOUND)
     pca = world.pca("company-pca", "company-domain")
@@ -787,7 +729,7 @@ def _facility_setup(sim, config, plan):
         "imsi-9001",
         [crypto.hash160(r.key.public).hex() for r, _ in employee.wallet.credentials],
     )
-    company_verifier = world.verifier("company", pca, chain, "v-company")
+    company_verifier = world.verifier(pca, chain, "v-company")
     session = network_access_flow(sim, employee, "mno", mno, credential)
     admitted = session is not None and subdomain_admission_flow(
         sim, employee, "mno", mno, company_verifier, session).admitted
@@ -797,15 +739,16 @@ def _facility_setup(sim, config, plan):
         zone_policy=_zone_policy(config),
         enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
         gate=gate,
-        gate_verifier_for_device=world.verifier("gate", pca, chain, "v-gate",
+        gate_verifier_for_device=world.verifier(pca, chain, "v-gate",
                                                 used_aiks=company_verifier.used_aiks),
-        device_verifier_for_gate=world.verifier("employee", pca, gate_chain, "v-employee"),
+        device_verifier_for_gate=world.verifier(pca, gate_chain, "v-employee"),
         admitted_identities={"imsi-9001"} if admitted else set(),
     )
     if config["gate_cache"]:
         ctx.gate_cache = set(ctx.admitted_identities)
         ctx.gate_cache_synced = sim.tick
         ctx.cache_staleness = config["cache_staleness"]
+    facility_access(sim, ctx, employee, next(iter(config["zones"])), plan=plan)
     return ctx, employee, visitor
 
 
@@ -825,7 +768,7 @@ _FACILITY_ROSTER = (
 )
 
 _FACILITY_DEFAULTS = {
-    "batch_size": 10, "cert_validity": 1000, "freshness_window": 100,
+    **_TRUST_DEFAULTS,
     "zones": {"zone-lab": {"camera": "disabled", "mms": "disabled"}},
     "enforcer_allowed_fields": ["room", "action", "until"],
     "gate_cache": False, "cache_staleness": 500,
@@ -834,14 +777,10 @@ _FACILITY_DEFAULTS = {
 
 def _run_facility_entry(sim, config, plan):
     ctx, employee, visitor = _facility_setup(sim, config, plan)
-    zone = next(iter(config["zones"]))
-    facility_access(sim, ctx, employee, zone, plan=plan)
-    if plan.names:
-        return
-
-    terminal_interaction(sim, ctx, employee, "whiteboard", "show-agenda")
-    facility_exit(sim, ctx, employee)
-    facility_access(sim, ctx, visitor, zone)
+    if not plan.names:
+        terminal_interaction(sim, ctx, employee, "whiteboard", "show-agenda")
+        facility_exit(sim, ctx, employee)
+        facility_access(sim, ctx, visitor, next(iter(config["zones"])))
 
 
 def _judge_facility_entry(transcript, config, attacks):
@@ -862,21 +801,17 @@ def _judge_facility_entry(transcript, config, attacks):
 
 
 def _run_facility_midnight(sim, config, plan):
-    ctx, employee, visitor = _facility_setup(sim, config, plan)
-    zone = next(iter(config["zones"]))
-    facility_access(sim, ctx, employee, zone, plan=plan)
-    if plan.names:
-        return
-
-    # midnight meeting: keep the room powered, tell the provider nothing else
-    send_external(
-        sim, ctx, "power-request",
-        {"room": "conf-3", "action": "maintain-power", "until": "06:00",
-         "attendees": ["imsi-9001", "imsi-9004"], "agenda": "quarterly-figures"},
-        {"room": "plumbing", "action": "plumbing", "until": "plumbing",
-         "attendees": "identity", "agenda": "policy"},
-    )
-    facility_exit(sim, ctx, employee)
+    ctx, employee, _ = _facility_setup(sim, config, plan)
+    if not plan.names:
+        # midnight meeting: keep the room powered, tell the provider nothing else
+        send_external(
+            sim, ctx, "power-request",
+            {"room": "conf-3", "action": "maintain-power", "until": "06:00",
+             "attendees": ["imsi-9001", "imsi-9004"], "agenda": "quarterly-figures"},
+            {"room": "plumbing", "action": "plumbing", "until": "plumbing",
+             "attendees": "identity", "agenda": "policy"},
+        )
+        facility_exit(sim, ctx, employee)
 
 
 def _judge_facility_midnight(transcript, config, attacks):
@@ -902,23 +837,19 @@ FACILITY_ENTRY = ScenarioScript(
                 "inside, restored on exit; strangers stay outside.",
     roster=_FACILITY_ROSTER,
     defaults=_FACILITY_DEFAULTS,
-    attacks=ATTESTATION_ATTACKS,
     runner=_run_facility_entry,
     judge=_judge_facility_entry,
     subject="employee",
 )
 
-FACILITY_MIDNIGHT = ScenarioScript(
+FACILITY_MIDNIGHT = dataclasses.replace(
+    FACILITY_ENTRY,
     name="facility-midnight",
     description="Midnight meeting: the company server asks the outsourced "
                 "facility provider to keep a room powered; the policy "
                 "enforcer strips attendees and agenda.",
-    roster=_FACILITY_ROSTER,
-    defaults=_FACILITY_DEFAULTS,
-    attacks=ATTESTATION_ATTACKS,
     runner=_run_facility_midnight,
     judge=_judge_facility_midnight,
-    subject="employee",
 )
 
 
@@ -964,28 +895,55 @@ def load_script_file(path: str) -> tuple:
     attacks = raw.get("attacks", [])
     if not isinstance(config, dict) or not isinstance(attacks, list):
         raise ScriptError("'config' must be an object and 'attacks' a list")
-    _validate_overrides(script, config)
-    _validate_attacks(script, attacks)
+    _validate(script, config, attacks)
     return script, config, tuple(attacks)
 
 
-def _validate_overrides(script: ScenarioScript, overrides: dict) -> None:
+def _pairs(value, first: type, second: type) -> bool:
+    """Whether value is a list of [first, second] pairs."""
+    return all(isinstance(p, (list, tuple)) and len(p) == 2 and type(p[0]) is first
+               and type(p[1]) is second for p in value)
+
+
+# key -> (whether a well-typed value is one the runners can act on, what
+# that takes); a check may read the rest of the merged config
+_VALUE_RULES = {
+    "batch_size": (lambda v, c: v >= 2, "at least 2: replenishing spends a credential"),
+    "extra_components": (lambda v, c: _pairs(v, str, str), "[name, payload] string pairs"),
+    # prepaid-zero has no requests: it asks for calls
+    "tariffs": (lambda v, c: all(type(p) is int and p >= 0 for p in v.values())
+                and ("requests" in c or "calls" in v),
+                "a non-negative int price for each service requested"),
+    "requests": (lambda v, c: _pairs(v, str, int)
+                 and all(s in c["tariffs"] and u > 0 for s, u in v),
+                 "[service, units] pairs of a priced service and positive units"),
+    "vouchers": (lambda v, c: all(type(x) is int and x >= 0 for x in v),
+                 "non-negative int values"),
+    "good": (lambda v, c: v in dict(_POS_GOODS), f"one of {[g for g, _ in _POS_GOODS]}"),
+    "zones": (lambda v, c: v and all(isinstance(o, dict) for o in v.values()),
+              "at least one zone, each a feature override object"),
+}
+
+
+def _validate(script: ScenarioScript, overrides: dict, attacks) -> None:
+    """ScriptError for an unknown key or attack, or a value of the wrong
+    type or one the runner cannot act on, before anything runs."""
     for key, value in overrides.items():
         if key not in script.defaults:
             raise ScriptError(f"unknown config key for {script.name}: {key!r}")
         default = script.defaults[key]
-        if isinstance(default, bool) != isinstance(value, bool) or (
-            not isinstance(default, bool)
-            and not isinstance(value, type(default))
-            and not (isinstance(default, int) and isinstance(value, int))
-        ):
+        if isinstance(value, bool) != isinstance(default, bool) \
+                or not isinstance(value, type(default)):
             raise ScriptError(
                 f"config key {key!r} expects {type(default).__name__}, "
                 f"got {type(value).__name__}"
             )
-
-
-def _validate_attacks(script: ScenarioScript, attacks) -> None:
+        if type(value) is int and value < 0:
+            raise ScriptError(f"config key {key!r} must not be negative, got {value}")
+    config = {**script.defaults, **overrides}
+    for key, (usable, needs) in _VALUE_RULES.items():
+        if key in config and not usable(config[key], config):
+            raise ScriptError(f"config key {key!r} needs {needs}")
     for attack in attacks:
         if attack not in script.attacks:
             raise ScriptError(f"scenario {script.name} has no attack {attack!r}")
@@ -995,8 +953,7 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     """Deterministic execution -> (Transcript, report dict)."""
     if isinstance(script, str):
         script = get_script(script)
-    _validate_overrides(script, variants or {})
-    _validate_attacks(script, attacks)
+    _validate(script, variants or {}, attacks)
     # the variants as the transcript header records them, keys sorted, so the
     # runner meets any multi-key override in the order a judge of the text does
     variants = json.loads(canon_value(variants or {}))

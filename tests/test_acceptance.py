@@ -153,7 +153,7 @@ def _conservation_world(seed):
                                      statement.private)
     device.attach_wallet(pca, 10, now=0)
     sim.event("balance-init", device="dev-1", value=initial)
-    verifier = Verifier("mno", pca.root.public, refs, rng.fork("verifier"))
+    verifier = Verifier(pca.root.public, refs, rng.fork("verifier"))
     operator = PrepaidOperator(pool)
     return sim, rng, client, operator, verifier, pca, mno_keys, initial
 

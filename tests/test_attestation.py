@@ -42,7 +42,7 @@ def build_world(seed=1, chain_payloads=None):
         anchor.ek_challenge_response(challenge),
         now=0,
     )
-    verifier = Verifier("svc", pca.root.public, refs, rng.fork("verifier"))
+    verifier = Verifier(pca.root.public, refs, rng.fork("verifier"))
     return anchor, log, records, certs, verifier
 
 

@@ -46,6 +46,27 @@ def test_run_bad_variant_exits_2(tmp_path):
                     "--out", str(tmp_path)]) == 2
 
 
+# Well-typed values the runners cannot act on, by scenario and override.
+UNUSABLE_VARIANTS = [
+    pytest.param("one-time-aik-auth", "batch_size", "1", id="batch-of-one"),
+    pytest.param("prepaid-happy", "requests", '[["sms",1]]', id="unpriced-service"),
+    pytest.param("prepaid-happy", "requests", '[["calls",0]]', id="zero-units"),
+    pytest.param("prepaid-zero", "tariffs", '{"data":5}', id="calls-unpriced"),
+    pytest.param("pos-fig4", "good", '"tea"', id="good-not-for-sale"),
+    pytest.param("facility-entry", "zones", '{"z":5}', id="zone-without-overrides"),
+    pytest.param("one-time-aik-auth", "extra_components", '[["a"]]', id="component-no-payload"),
+]
+
+
+@pytest.mark.parametrize("scenario, key, value", UNUSABLE_VARIANTS)
+def test_run_unusable_variant_is_a_config_error(tmp_path, capsys, scenario, key, value):
+    assert run_cli(["run", scenario, "--variant", f"{key}={value}",
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_seed_determines_output_bytes(tmp_path):
     run_cli(["run", "pos-fig4", "--seed", "7", "--out", str(tmp_path / "a")])
     run_cli(["run", "pos-fig4", "--seed", "7", "--out", str(tmp_path / "b")])

@@ -17,12 +17,11 @@ import trustsim
 
 # Nothing downstream waits on these hops; losing one loses no service.
 FIRE_AND_FORGET = [
+    ("pos", "_deliver", "delivery-confirmation"),
     ("pos", "control_exchange", "control-env"),
-    ("pos", "purchase_via_operator", "delivery-confirmation"),
     ("pos", "purchase_via_operator", "payment-notify"),
     ("pos", "purchase_via_operator", "purchase-reject"),
     ("pos", "purchase_via_operator", "vendor-notify"),
-    ("pos", "separation_purchase", "delivery-confirmation"),
 ]
 
 # Hops whose next step still acts on local values.

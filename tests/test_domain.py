@@ -42,7 +42,7 @@ def clone_world(mode, seed=3, tampered=False):
         sim.add_party(device.device_id, "device")
         device.boot()
         device.attach_wallet(pca, batch_size=4, now=0)
-    verifier = Verifier("mno", pca.root.public, refs, rng.fork("verifier"))
+    verifier = Verifier(pca.root.public, refs, rng.fork("verifier"))
     if mode == BOUND:
         fps = [hash160(r.key.public).hex() for r, _ in legit.wallet.credentials]
         mno.registry.record_binding("imsi-100", fps)

@@ -55,9 +55,8 @@ def facility_world(seed=9, tampered_employee=False):
         ),
         enforcer_allowed_fields=frozenset({"room", "action"}),
         gate=gate,
-        gate_verifier_for_device=Verifier("gate", pca.root.public, refs, rng.fork("vg")),
-        device_verifier_for_gate=Verifier("employee", pca.root.public, gate_refs,
-                                          rng.fork("ve")),
+        gate_verifier_for_device=Verifier(pca.root.public, refs, rng.fork("vg")),
+        device_verifier_for_gate=Verifier(pca.root.public, gate_refs, rng.fork("ve")),
         admitted_identities={"imsi-1"},
     )
     return sim, ctx, employee

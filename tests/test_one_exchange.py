@@ -1,9 +1,11 @@
-"""Ratchet on the one attestation exchange.
+"""Ratchet on the one attestation exchange and the one delivery.
 
 Minting a challenge, writing an "attestation-verdict" event and injecting a
 response-level attack each happen in one place, `flows.attest_flow`; every
-scenario reaches them through the route it gives that function. A second
-call site anywhere in the package fails this test.
+scenario reaches them through the route it gives that function. Every POS
+purchase hands over its good through `pos._deliver`, the one writer of the
+"delivery" event. A second call site anywhere in the package fails this
+test.
 """
 
 import ast
@@ -17,6 +19,7 @@ import trustsim
 RESPONSE_ATTACKS = ("wrong-nonce", "forge-log", "replay-aik", "expired-cert")
 EXPECTED = ["make_challenge", "event attestation-verdict"] + [
     f"take {attack}" for attack in RESPONSE_ATTACKS]
+WRITTEN_EVENTS = ("attestation-verdict", "delivery")
 
 
 def _first_literal(call: ast.Call):
@@ -45,7 +48,7 @@ class _Sites(ast.NodeVisitor):
             what = None
             if name == "make_challenge":
                 what = name
-            elif name == "event" and literal == "attestation-verdict":
+            elif name == "event" and literal in WRITTEN_EVENTS:
                 what = f"event {literal}"
             elif name == "take" and literal in RESPONSE_ATTACKS:
                 what = f"take {literal}"
@@ -69,12 +72,17 @@ def test_one_call_site_inside_attest_flow(what):
     assert SITES[what] == [("flows", "attest_flow")]
 
 
+def test_one_writer_of_delivery():
+    assert SITES["event delivery"] == [("pos", "_deliver")]
+
+
 def test_the_scan_sees_each_watched_call_and_nothing_else():
     source = (
         "def exchange(sim, verifier, plan):\n"
         "    verifier.make_challenge(0)\n"
         "    sim.event('attestation-verdict', accepted=True)\n"
         "    sim.event('abort', code='x')\n"
+        "    sim.event('delivery', pos='p')\n"
         "    plan.take('tamper')\n"
         "    def inner():\n"
         "        plan.take('replay-aik')\n"
@@ -85,5 +93,6 @@ def test_the_scan_sees_each_watched_call_and_nothing_else():
     assert dict(found) == {
         "make_challenge": [("mod", "exchange")],
         "event attestation-verdict": [("mod", "exchange")],
+        "event delivery": [("mod", "exchange")],
         "take replay-aik": [("mod", "inner")],
     }

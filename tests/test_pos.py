@@ -93,12 +93,9 @@ def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
         auth_id=auth_id,
         vendor_id="vendor",
         payment_id="payment",
-        pos_verifier_for_device=Verifier("pos-1", device_pca.root.public, device_refs,
-                                         rng.fork("v-pos")),
-        device_verifier_for_pos=Verifier("dev-1", pos_pca.root.public, pos_refs,
-                                         rng.fork("v-dev")),
-        auth_verifier=Verifier(auth_id, device_pca.root.public, device_refs,
-                               rng.fork("v-auth")),
+        pos_verifier_for_device=Verifier(device_pca.root.public, device_refs, rng.fork("v-pos")),
+        device_verifier_for_pos=Verifier(pos_pca.root.public, pos_refs, rng.fork("v-dev")),
+        auth_verifier=Verifier(device_pca.root.public, device_refs, rng.fork("v-auth")),
         mno_keys=mno.keys,
         pos_owner_keys=crypto.keygen(rng.fork("owner-keys")),
         charging_keys=crypto.keygen(rng.fork("charging-keys")),

@@ -53,7 +53,7 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
         sim.event("balance-init", device=device.device_id, value=balance)
         clients.append(client)
 
-    verifier = Verifier("mno", pca.root.public, reference_db_for(chain), rng.fork("verifier"))
+    verifier = Verifier(pca.root.public, reference_db_for(chain), rng.fork("verifier"))
     return sim, rng, mno_keys, pool, operator, verifier, pca, clients
 
 

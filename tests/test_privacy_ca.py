@@ -164,7 +164,7 @@ def test_batch_liveness_replenishment_count(batch_size, uses):
 def test_service_access_fresh_token_accepted_expired_rejected():
     rng, _, pca, anchor, log, refs, wallet = build()
     wallet.enroll(now=0)
-    service = Verifier("shop", pca.root.public, refs, rng.fork("shop"))
+    service = Verifier(pca.root.public, refs, rng.fork("shop"))
 
     record, cert = wallet.take()
     challenge = service.make_challenge(now=1)
@@ -210,14 +210,14 @@ def test_shared_used_set_links_services_unshared_does_not():
         return service.verify(AttestationResponse(quote, log, cert), ch, now + 1)
 
     shared = set()
-    svc_a = Verifier("a", pca.root.public, refs, rng.fork("a"), used_aiks=shared)
-    svc_b = Verifier("b", pca.root.public, refs, rng.fork("b"), used_aiks=shared)
+    svc_a = Verifier(pca.root.public, refs, rng.fork("a"), used_aiks=shared)
+    svc_b = Verifier(pca.root.public, refs, rng.fork("b"), used_aiks=shared)
     assert attest_at(svc_a, 1).accepted
     verdict = attest_at(svc_b, 2)
     assert not verdict.accepted and "aik-reused" in verdict.reasons
 
-    svc_c = Verifier("c", pca.root.public, refs, rng.fork("c"))
-    svc_d = Verifier("d", pca.root.public, refs, rng.fork("d"))
+    svc_c = Verifier(pca.root.public, refs, rng.fork("c"))
+    svc_d = Verifier(pca.root.public, refs, rng.fork("d"))
     assert attest_at(svc_c, 3).accepted
     assert attest_at(svc_d, 4).accepted
 

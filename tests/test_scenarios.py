@@ -157,3 +157,16 @@ def test_facility_midnight_external_message_shape():
     assert set(external[0]["payload"]) == {"room", "action", "until"}
     dropped = transcript.events("enforcer-filtered")[0]["dropped_fields"]
     assert dropped == ["agenda", "attendees"]
+
+
+def test_long_tampered_prepaid_session_replenishes_and_is_refused_throughout():
+    # 25 requests outlast the 10-credential batch: the tampered device
+    # replenishes like an honest one, and every request is still refused
+    transcript, report = run_scenario("prepaid-tamper", 1,
+                                      variants={"requests": [["calls", 1]] * 25})
+    assert report["ok"], [r for r in report["assertions"] if not r["ok"]]
+    assert len(transcript.events("replenishment")) >= 2
+    assert not transcript.events("grant")
+    denials = transcript.events("denial")
+    assert len(denials) == 25
+    assert all(d["code"] == "reference-mismatch" for d in denials)

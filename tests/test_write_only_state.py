@@ -14,8 +14,9 @@ no run reads.
 
 Names are matched, not objects, so a field whose name some other object
 has and reads escapes the scan. `MobileNetworkOperator.sessions` and
-`FacilityContext.mno_id`, both write-only until they were deleted, were
-such names: `sessions` and `mno_id` are read elsewhere in the package.
+`.name`, `FacilityContext.mno_id`, `PrivacyCa.name`, `Verifier.name`,
+`Rng.seed` and `BootComponent.stage`, all write-only until they were
+deleted, were such names: each is read elsewhere in the package.
 """
 
 import ast
