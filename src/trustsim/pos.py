@@ -189,15 +189,8 @@ def exchange_price_list(sim, ctx: PosContext) -> bool:
 # -- operator-mediated purchase (device -> MNO -> ack -> POS delivers) ----------
 
 
-def purchase_via_operator(
-    sim,
-    ctx: PosContext,
-    good: str,
-    encrypted: bool = True,
-    notify_vendor: bool = True,
-    notify_payment: bool = True,
-    check_pos_via_mno: bool = False,
-) -> str | None:
+def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = True,
+                          check_pos_via_mno: bool = False) -> str | None:
     """The seven-step operator flow. With encryption on, the good travels
     sealed for the vendor and the operator never learns it.
 
@@ -258,17 +251,15 @@ def purchase_via_operator(
         sim.event("abort", party=ctx.mno_id, code="bad-order-signature", order_id=order_id)
         return None
 
-    if notify_vendor:
-        sim.send(ctx.mno_id, ctx.vendor_id, CHANNEL_NET, "vendor-notify",
-                 {"order_id": order["order_id"], "good": order["good"], "price": order["price"]},
-                 {"order_id": "plumbing", "good": "good", "price": "price"},
-                 encrypted=True)
-    if notify_payment:
-        sim.send(ctx.mno_id, ctx.payment_id, CHANNEL_NET, "payment-notify",
-                 {"order_id": order["order_id"], "price": order["price"],
-                  "modality": order["modality"]},
-                 {"order_id": "plumbing", "price": "price", "modality": "plumbing"},
-                 encrypted=True)
+    sim.send(ctx.mno_id, ctx.vendor_id, CHANNEL_NET, "vendor-notify",
+             {"order_id": order["order_id"], "good": order["good"], "price": order["price"]},
+             {"order_id": "plumbing", "good": "good", "price": "price"},
+             encrypted=True)
+    sim.send(ctx.mno_id, ctx.payment_id, CHANNEL_NET, "payment-notify",
+             {"order_id": order["order_id"], "price": order["price"],
+              "modality": order["modality"]},
+             {"order_id": "plumbing", "price": "price", "modality": "plumbing"},
+             encrypted=True)
 
     # the device relays the acknowledgement as it arrived
     if carry(

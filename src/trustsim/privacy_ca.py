@@ -22,7 +22,7 @@ from .crypto import CERT_HASH_ALG, Rng
 from .errors import ProtocolError
 
 DEFAULT_BATCH_SIZE = 10
-DEFAULT_VALIDITY_TICKS = 1000
+VALIDITY_TICKS = 1000  # every certificate's lifetime from its issue tick
 
 
 @dataclass(frozen=True)
@@ -86,19 +86,12 @@ def verify_aik_certificate(cert: AikCertificate, pca_root: bytes) -> bool:
 class PrivacyCa:
     """Certifies AIK batches for one service domain and tracks replenishment."""
 
-    def __init__(
-        self,
-        name: str,
-        rng: Rng,
-        trusted_manufacturer_roots,
-        domain_id: str,
-        validity_ticks: int = DEFAULT_VALIDITY_TICKS,
-    ):
+    def __init__(self, name: str, rng: Rng, trusted_manufacturer_roots, domain_id: str):
         self.rng = rng.fork(f"pca:{name}")
         self.root = crypto.keygen(self.rng.fork("root"))
         self.trusted_roots = set(trusted_manufacturer_roots)
         self.domain_id = domain_id
-        self.validity_ticks = validity_ticks
+        self.validity_ticks = VALIDITY_TICKS
         self._consumed_replenish_aiks = set()
         self._issued = set()  # aik public hex of every certificate ever issued
 

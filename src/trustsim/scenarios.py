@@ -96,7 +96,7 @@ class ScenarioScript:
 
 
 # The trust parameters every family's defaults extend.
-_TRUST_DEFAULTS = {"batch_size": 10, "cert_validity": 1000, "freshness_window": 100}
+_TRUST_DEFAULTS = {"batch_size": 10, "freshness_window": 100}
 
 
 def _row(name: str, ok: bool, detail: str = "") -> dict:
@@ -151,8 +151,7 @@ class World:
         self._refs = {}  # honest chain -> its reference DB, shared by its verifiers
 
     def pca(self, name: str, domain_id: str) -> PrivacyCa:
-        return PrivacyCa(name, self.rng, {self.manufacturer.root.public},
-                         domain_id=domain_id, validity_ticks=self.config["cert_validity"])
+        return PrivacyCa(name, self.rng, {self.manufacturer.root.public}, domain_id=domain_id)
 
     def device(self, device_id: str, chain, *, label=None, identity=None,
                attacked=False, wallet=None) -> TrustedDevice:
@@ -191,9 +190,7 @@ def _run_one_time_aik(sim, config, plan):
     device = world.device("dev-1", chain, attacked=True)
     if not enroll_flow(sim, device, "pca", pca, config["batch_size"], CHANNEL_MOBILE):
         return
-    shared = set() if config["shared_used_set"] else None
-    services = {svc: world.verifier(pca, chain, f"v-{svc}", used_aiks=shared)
-                for svc in ("svc-a", "svc-b")}
+    services = {svc: world.verifier(pca, chain, f"v-{svc}") for svc in ("svc-a", "svc-b")}
     for login in range(config["auth_count"]):  # alternating, until one is refused
         svc = ("svc-a", "svc-b")[login % 2]
         exchange = attest_flow(sim, device, svc, services[svc], CHANNEL_MOBILE, plan=plan,
@@ -237,7 +234,7 @@ ONE_TIME_AIK = ScenarioScript(
                 "across the two collaborating services.",
     roster=(("dev-1", "device"), ("pca", "pca"), ("svc-a", "service"),
             ("svc-b", "service"), ("mno", "mno")),
-    defaults={**_TRUST_DEFAULTS, "auth_count": 27, "shared_used_set": False,
+    defaults={**_TRUST_DEFAULTS, "auth_count": 27,
               "extra_components": [["svc-client", "svc-client-v1"]]},
     runner=_run_one_time_aik,
     judge=_judge_one_time_aik,
@@ -249,9 +246,8 @@ ONE_TIME_AIK = ScenarioScript(
 # ---------------------------------------------------------------------------
 
 
-def _run_clone(sim, config, plan):
+def _run_clone(sim, config, plan, mode):
     world = World(sim, config, plan)
-    mode = config["mode"]
     mno = MobileNetworkOperator("mno", sim.rng, registry_mode=mode)
     pca = world.pca("pca", "subdomain")
     chain = standard_chain()
@@ -273,12 +269,12 @@ def _run_clone(sim, config, plan):
         subdomain_admission_flow(sim, device, "mno", mno, verifier, session, plan=plan)
 
 
-def _judge_clone(transcript, config, attacks):
+def _judge_clone(transcript, config, attacks, mode):
     admissions = dict.fromkeys(("clone", "legit"), (False, "no-network-session"))
     for e in transcript.events("admission"):
         admissions[e["device"]] = e["admitted"], e["reason"]
     (clone_in, clone_why), (legit_in, legit_why) = admissions["clone"], admissions["legit"]
-    if config["mode"] == UNBOUND:
+    if mode == UNBOUND:
         rows = [_row("first-requester-admitted", clone_in),
                 _row("second-clone-denied", not legit_in and legit_why == "clone-conflict",
                      legit_why)]
@@ -299,9 +295,9 @@ CLONE_UNBOUND = ScenarioScript(
     description="Two devices share one stolen network credential; without a "
                 "joint authority the registry admits exactly the first comer.",
     roster=(("legit", "device"), ("clone", "device"), ("mno", "mno"), ("pca", "pca")),
-    defaults={**_TRUST_DEFAULTS, "mode": UNBOUND, "batch_size": 4},
-    runner=_run_clone,
-    judge=_judge_clone,
+    defaults={**_TRUST_DEFAULTS, "batch_size": 4},
+    runner=functools.partial(_run_clone, mode=UNBOUND),
+    judge=functools.partial(_judge_clone, mode=UNBOUND),
     subject="clone",
 )
 
@@ -310,7 +306,8 @@ CLONE_BOUND = dataclasses.replace(
     name="clone-attack-bound",
     description="Same clone pair, but a single authority individualised both "
                 "credentials: the consistency check turns the clone away.",
-    defaults={**CLONE_UNBOUND.defaults, "mode": BOUND},
+    runner=functools.partial(_run_clone, mode=BOUND),
+    judge=functools.partial(_judge_clone, mode=BOUND),
 )
 
 
@@ -320,8 +317,8 @@ CLONE_BOUND = dataclasses.replace(
 
 
 def _prepaid_setup(sim, config, plan, tampered):
-    """The prepaid world after the device's pool logon; a tampered device
-    booted a patched prepaid client."""
+    """Whether the device's pool logon went through, then the prepaid world
+    it logged on to; a tampered device booted a patched prepaid client."""
     world = World(sim, config, plan)
     pca = world.pca("pca", "prepaid")
     mno_keys = crypto.keygen(sim.rng.fork("mno-keys"))
@@ -338,8 +335,8 @@ def _prepaid_setup(sim, config, plan, tampered):
     client = PrepaidClient.provision(device, chain, config["tariffs"],
                                      config["initial_balance"], statement_keys.private)
     sim.event("balance-init", device="dev-1", value=config["initial_balance"])
-    vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon"))
-    return client, operator, world.verifier(pca, chain, "verifier"), pca, mno_keys
+    logged_on = vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon")) is not None
+    return logged_on, client, operator, world.verifier(pca, chain, "verifier"), pca, mno_keys
 
 
 def _prepaid_finish(sim, client, config):
@@ -352,11 +349,13 @@ def _prepaid_finish(sim, client, config):
 
 
 def _run_prepaid(sim, config, plan, tampered):
-    """The requests in order, voucher i credited right after request i."""
-    client, operator, verifier, pca, mno_keys = _prepaid_setup(sim, config, plan, tampered)
+    """The requests in order, voucher i credited right after request i;
+    none without a vsim session."""
+    logged_on, client, operator, verifier, pca, mno_keys = _prepaid_setup(
+        sim, config, plan, tampered)
     attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
     vouchers = config["vouchers"]
-    for n, (service, units) in enumerate(config["requests"], 1):
+    for n, (service, units) in enumerate(config["requests"] if logged_on else (), 1):
         prepaid_service_request(
             sim, client, "mno", operator, verifier, service, units,
             plan=plan, replenish_via=("pca", pca, CHANNEL_MOBILE),
@@ -411,10 +410,12 @@ def _judge_prepaid_tamper(transcript, config, attacks):
 
 
 def _run_prepaid_zero(sim, config, plan):
-    client, operator, verifier, _, mno_keys = _prepaid_setup(sim, config, plan, tampered=False)
-    prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1, plan=plan)
+    logged_on, client, operator, verifier, _, mno_keys = _prepaid_setup(
+        sim, config, plan, tampered=False)
+    if logged_on:
+        prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1, plan=plan)
     # an attacked exchange is the whole story of its run
-    if not plan.names & set(ATTESTATION_ATTACKS):
+    if logged_on and not plan.names & set(ATTESTATION_ATTACKS):
         voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
         top_up_flow(sim, client, "mno", mno_keys, voucher)
         if "voucher-replay" in plan.names:
@@ -560,8 +561,6 @@ def _run_pos_fig4(sim, config, plan):
         purchase_via_operator(
             sim, ctx, config["good"],
             encrypted=config["encryption"],
-            notify_vendor=config["notify_vendor"],
-            notify_payment=config["notify_payment"],
             check_pos_via_mno=config["pos_check_via_mno"],
         )
     control_exchange(sim, "dev-1", "pos-owner")
@@ -578,12 +577,8 @@ def _judge_pos_fig4(transcript, config, attacks):
                  any(e["code"] == "bad-ack-signature" for e in transcript.events("abort"))),
         ]
 
-    expected_order = ["price-list", "purchase-order"]
-    if config["notify_vendor"]:
-        expected_order.append("vendor-notify")
-    if config["notify_payment"]:
-        expected_order.append("payment-notify")
-    expected_order += ["purchase-ack", "purchase-ack-relay", "delivery-confirmation"]
+    expected_order = ["price-list", "purchase-order", "vendor-notify", "payment-notify",
+                      "purchase-ack", "purchase-ack-relay", "delivery-confirmation"]
     seen = [m["type"] for m in transcript.messages() if m["type"] in expected_order]
     good_at_mno = transcript.knowledge_query("mno", "good")
     rows = [
@@ -599,8 +594,7 @@ def _judge_pos_fig4(transcript, config, attacks):
     return rows
 
 
-def _run_pos_sep(sim, config, plan, auth_id):
-    decentralised = config["variant"] == "decentralised"
+def _run_pos_sep(sim, config, plan, auth_id, decentralised):
     ctx = _pos_setup(sim, config, plan, auth_id)
     if ctx is None:
         return
@@ -656,8 +650,7 @@ POS_FIG4 = ScenarioScript(
     description="Operator-mediated vending purchase: signed order up, signed "
                 "acknowledgement down, delivery only on a verified ack.",
     roster=_POS_ROSTER,
-    defaults={**_TRUST_DEFAULTS, "good": "cola", "encryption": True, "notify_vendor": True,
-              "notify_payment": True, "pos_check_via_mno": False},
+    defaults={**_TRUST_DEFAULTS, "good": "cola", "encryption": True, "pos_check_via_mno": False},
     attacks=ATTESTATION_ATTACKS + ("ack-strip",),
     runner=_run_pos_fig4,
     judge=_judge_pos_fig4,
@@ -669,9 +662,9 @@ POS_SEP_DUTIES = ScenarioScript(
                 "authentication provider, billing package of token + grand "
                 "total only, owner acknowledges, POS delivers.",
     roster=_POS_ROSTER,
-    defaults={**_TRUST_DEFAULTS, "good": "cola", "variant": "centralised"},
+    defaults={**_TRUST_DEFAULTS, "good": "cola"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
-    runner=functools.partial(_run_pos_sep, auth_id="auth"),
+    runner=functools.partial(_run_pos_sep, auth_id="auth", decentralised=False),
     judge=functools.partial(_judge_pos_sep, auth_id="auth"),
 )
 
@@ -680,7 +673,8 @@ POS_DECENTRALISED = dataclasses.replace(
     name="pos-decentralised",
     description="The decentralised variant: the POS itself requests charge "
                 "confirmation and the owner's acknowledgement; same privacy.",
-    defaults={**POS_SEP_DUTIES.defaults, "good": "water", "variant": "decentralised"},
+    defaults={**POS_SEP_DUTIES.defaults, "good": "water"},
+    runner=functools.partial(_run_pos_sep, auth_id="auth", decentralised=True),
 )
 
 POS_MNO_MERGED = dataclasses.replace(
@@ -691,7 +685,7 @@ POS_MNO_MERGED = dataclasses.replace(
                 "identity to spent purchase tokens.",
     roster=tuple(party for party in _POS_ROSTER if party[0] != "auth"),
     attacks=ATTESTATION_ATTACKS,
-    runner=functools.partial(_run_pos_sep, auth_id="mno"),
+    runner=functools.partial(_run_pos_sep, auth_id="mno", decentralised=False),
     judge=functools.partial(_judge_pos_sep, auth_id="mno"),
 )
 
@@ -747,7 +741,6 @@ def _facility_setup(sim, config, plan):
     if config["gate_cache"]:
         ctx.gate_cache = set(ctx.admitted_identities)
         ctx.gate_cache_synced = sim.tick
-        ctx.cache_staleness = config["cache_staleness"]
     facility_access(sim, ctx, employee, next(iter(config["zones"])), plan=plan)
     return ctx, employee, visitor
 
@@ -770,8 +763,7 @@ _FACILITY_ROSTER = (
 _FACILITY_DEFAULTS = {
     **_TRUST_DEFAULTS,
     "zones": {"zone-lab": {"camera": "disabled", "mms": "disabled"}},
-    "enforcer_allowed_fields": ["room", "action", "until"],
-    "gate_cache": False, "cache_staleness": 500,
+    "enforcer_allowed_fields": ["room", "action", "until"], "gate_cache": False,
 }
 
 

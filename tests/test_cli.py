@@ -46,7 +46,20 @@ def test_run_bad_variant_exits_2(tmp_path):
                     "--out", str(tmp_path)]) == 2
 
 
-# Well-typed values the runners cannot act on, by scenario and override.
+# Keys that the catalog name or a constant fixes -> a scenario that once
+# had the key, and a value it took.
+FIXED_KEYS = {
+    "mode": ("clone-attack-bound", '"x"'),
+    "variant": ("pos-sep-duties", '"x"'),
+    "cert_validity": ("one-time-aik-auth", "5"),
+    "shared_used_set": ("one-time-aik-auth", "true"),
+    "cache_staleness": ("facility-entry", "0"),
+    "notify_vendor": ("pos-fig4", "false"),
+    "notify_payment": ("pos-fig4", "false"),
+}
+
+# Overrides that are config errors, by scenario, key and value: well-typed
+# values the runners cannot act on, and the fixed keys.
 UNUSABLE_VARIANTS = [
     pytest.param("one-time-aik-auth", "batch_size", "1", id="batch-of-one"),
     pytest.param("prepaid-happy", "requests", '[["sms",1]]', id="unpriced-service"),
@@ -55,7 +68,8 @@ UNUSABLE_VARIANTS = [
     pytest.param("pos-fig4", "good", '"tea"', id="good-not-for-sale"),
     pytest.param("facility-entry", "zones", '{"z":5}', id="zone-without-overrides"),
     pytest.param("one-time-aik-auth", "extra_components", '[["a"]]', id="component-no-payload"),
-]
+] + [pytest.param(scenario, key, value, id=f"fixed-{key}")
+      for key, (scenario, value) in FIXED_KEYS.items()]
 
 
 @pytest.mark.parametrize("scenario, key, value", UNUSABLE_VARIANTS)
@@ -63,7 +77,8 @@ def test_run_unusable_variant_is_a_config_error(tmp_path, capsys, scenario, key,
     assert run_cli(["run", scenario, "--variant", f"{key}={value}",
                     "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and repr(key) in err
+    says = "unknown config key" if key in FIXED_KEYS else f"config key {key!r} needs"
+    assert err.startswith(f"config error: {says}") and repr(key) in err
     assert not list(tmp_path.iterdir())
 
 

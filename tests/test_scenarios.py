@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trustsim import audit
+from trustsim import audit, scenarios
 from trustsim.harness import Transcript
 from trustsim.scenarios import (
     CATALOG,
@@ -90,12 +90,6 @@ def test_facility_gate_cache_variant():
     assert sources == {"cache"}
 
 
-def test_one_time_aik_used_set_sharing_variant_still_passes():
-    _, report = run_scenario("one-time-aik-auth", seed=3,
-                             variants={"shared_used_set": True})
-    assert report["ok"]
-
-
 def test_chain_definition_loadable_from_config():
     transcript, report = run_scenario(
         "one-time-aik-auth", seed=3,
@@ -170,3 +164,25 @@ def test_long_tampered_prepaid_session_replenishes_and_is_refused_throughout():
     denials = transcript.events("denial")
     assert len(denials) == 25
     assert all(d["code"] == "reference-mismatch" for d in denials)
+
+
+# With an empty IMSI pool the vsim logon aborts, and the failing rows are
+# the judge's own: nothing was requested, granted or denied.
+FAILED_LOGON_ROWS = {
+    "prepaid-happy": {"vsim-logon", "all-requests-granted"},
+    "prepaid-tamper": {"vsim-logon", "denials-cite-reference-mismatch"},
+    "prepaid-zero": {"zero-balance-denied", "grant-after-top-up"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_LOGON_ROWS))
+def test_prepaid_run_stops_at_a_failed_vsim_logon(name):
+    transcript, report = run_scenario(name, 1, variants={"pool_size": 0})
+    aborts = [i for i, r in enumerate(transcript.records) if r.get("event") == "abort"]
+    assert aborts and aborts[0] == len(transcript.records) - 1, "records follow the abort"
+    assert transcript.records[-1]["code"] == "pool-exhausted"
+    failing = {r["name"] for r in report["assertions"] if not r["ok"]}
+    assert failing == FAILED_LOGON_ROWS[name]
+    parsed = Transcript.parse(transcript.to_text())
+    assert all(f.ok for f in audit.audit(parsed))
+    assert scenarios.report(parsed) == report
