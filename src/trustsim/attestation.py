@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import crypto
 from .anchor import Quote, verify_quote_signature
-from .boot import BOOT_PCR, MeasurementLog, ReferenceDb
+from .boot import BOOT_PCR, MeasurementLog
 from .privacy_ca import AikCertificate, verify_aik_certificate
 
 REASON_OK = "ok"
@@ -84,7 +84,7 @@ def verify_attestation(
     response: AttestationResponse,
     challenge: AttestationChallenge,
     pca_root: bytes,
-    refs: ReferenceDb,
+    refs: dict,
     used_aiks: set,
     now: int,
 ) -> AttestationVerdict:
@@ -126,7 +126,7 @@ def verify_attestation(
 
     # 6. every logged measurement is a known-good reference value
     for entry in response.log.entries:
-        if not refs.matches(entry.component, entry.measurement):
+        if refs.get(entry.component) != entry.measurement:
             failures.add(REASON_REFERENCE_MISMATCH)
 
     return AttestationVerdict.from_failures(failures)
@@ -141,16 +141,15 @@ class Verifier:
     """
 
     pca_root: bytes
-    refs: ReferenceDb
+    refs: dict  # component name -> measurement hex (device.reference_db_for)
     rng: crypto.Rng
     freshness_window: int = 100
-    pcr_selection: tuple = (0,)
     used_aiks: set = field(default_factory=set)
 
     def make_challenge(self, now: int) -> AttestationChallenge:
         return AttestationChallenge(
             nonce=self.rng.bytes(MIN_NONCE_LEN),
-            pcr_selection=self.pcr_selection,
+            pcr_selection=(BOOT_PCR,),
             freshness_deadline=now + self.freshness_window,
         )
 

@@ -58,23 +58,6 @@ class MeasurementLog:
         return log
 
 
-class ReferenceDb:
-    """Verifier-side expected measurements; never consulted by the device."""
-
-    def __init__(self):
-        self._expected = {}
-
-    def register(self, name: str, measurement: bytes) -> None:
-        self._expected[name] = measurement.hex()
-
-    def register_chain(self, chain) -> None:
-        for component in chain:
-            self.register(component.name, crypto.hash160(component.payload))
-
-    def matches(self, name: str, measurement_hex: str) -> bool:
-        return self._expected.get(name) == measurement_hex
-
-
 def measure(chain) -> MeasurementLog:
     """The log a measured boot of chain writes, computed without an anchor:
     every component is measured into BOOT_PCR, in order."""

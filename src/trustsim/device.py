@@ -3,8 +3,8 @@
 Every scenario device is one of these. The default chain measures the
 platform stages and the application components the scenario cares about
 (policy enforcer, VSIM, prepaid client, POS client) so their integrity is
-part of every quote. Verifier-side reference DBs come from a chain alone
-(reference_db_for), never from a provisioned device.
+part of every quote. Verifier-side reference measurements come from a
+chain alone (reference_db_for), never from a provisioned device.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class TrustedDevice:
         return AttestationResponse(quote=quote, log=self.log, certificate=cert)
 
 
-def reference_db_for(chain) -> mb.ReferenceDb:
-    """Verifier-side expected measurements of an honest boot chain."""
-    refs = mb.ReferenceDb()
-    refs.register_chain(chain)
-    return refs
+def reference_db_for(chain) -> dict:
+    """Verifier-side expected measurements of an honest boot chain:
+    component name -> measurement hex."""
+    return {e.component: e.measurement for e in mb.measure(chain).entries}

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from .attestation import Verifier
 from .device import TrustedDevice
 from .domain import FeaturePolicy
-from .flows import AttackPlan, attest_flow
-from .harness import CHANNEL_MOBILE, CHANNEL_SR, seal
+from .flows import AttackPlan, Leg, attest_flow, carry, checked
+from .harness import CHANNEL_MOBILE, CHANNEL_SR
 
 OUTSIDE = "outside"
+CACHE_STALENESS = 500  # ticks a gate's cached access rights stay usable
 
 
 @dataclass
@@ -33,12 +34,11 @@ class FacilityContext:
     admitted_identities: set = field(default_factory=set)  # company sub-domain members
     gate_cache: set | None = None  # cached access rights (None = always online)
     gate_cache_synced: int = 0
-    cache_staleness: int = 500
 
 
 def access_rights_check(sim, ctx: FacilityContext, identity: str) -> bool:
     """Online via the operator network, or from the gate's cached table."""
-    if ctx.gate_cache is not None and sim.tick - ctx.gate_cache_synced <= ctx.cache_staleness:
+    if ctx.gate_cache is not None and sim.tick - ctx.gate_cache_synced <= CACHE_STALENESS:
         sim.event("access-check", gate=ctx.gate_id, identity=identity, source="cache")
         return identity in ctx.gate_cache
     sim.send(ctx.gate_id, ctx.company_id, CHANNEL_MOBILE, "access-check",
@@ -92,21 +92,31 @@ def facility_exit(sim, ctx: FacilityContext, device: TrustedDevice) -> dict:
 
 
 def terminal_interaction(sim, ctx: FacilityContext, device: TrustedDevice,
-                         terminal_id: str, request: str) -> None:
+                         terminal_id: str, request: str) -> dict | None:
     """Room control and similar terminals have no uplink: they reach the
-    company server through the employee device, sealed end-to-end."""
-    body = seal([ctx.company_id], {"request": request, "terminal": terminal_id},
-                {"request": "plumbing", "terminal": "plumbing"})
-    sim.send(terminal_id, device.device_id, CHANNEL_SR, "terminal-request",
-             {"env": body}, {"env": "plumbing"}, encrypted=True)
-    sim.send(device.device_id, ctx.company_id, CHANNEL_MOBILE, "terminal-relay",
-             {"env": body}, {"env": "plumbing"}, encrypted=True)
-    sim.send(ctx.company_id, device.device_id, CHANNEL_MOBILE, "terminal-ack",
-             {"terminal": terminal_id, "ok": True},
-             {"terminal": "plumbing", "ok": "plumbing"}, encrypted=True)
-    sim.send(device.device_id, terminal_id, CHANNEL_SR, "terminal-ack-relay",
-             {"terminal": terminal_id, "ok": True},
-             {"terminal": "plumbing", "ok": "plumbing"}, encrypted=True)
+    company server through the employee device, sealed end-to-end, and the
+    company acks the terminal its request names the same way back.
+
+    Returns the ack as the terminal received it, or None after the abort of
+    a lost hop, an unreadable request or an ack that is not ok for this
+    terminal."""
+    dev, company = device.device_id, ctx.company_id
+    named = carry(
+        sim, (Leg(terminal_id, dev, CHANNEL_SR, "terminal-request", "request-lost",
+                  sealed_for=company),
+              Leg(dev, company, CHANNEL_MOBILE, "terminal-relay", "request-lost",
+                  sealed_for=company)),
+        {"request": request, "terminal": terminal_id},
+        {"request": "plumbing", "terminal": "plumbing"},
+        read=lambda p: p["terminal"], bad="bad-terminal-request")
+    if named is None:
+        return None
+    return carry(
+        sim, (Leg(company, dev, CHANNEL_MOBILE, "terminal-ack", "ack-lost"),
+              Leg(dev, terminal_id, CHANNEL_SR, "terminal-ack-relay", "ack-lost")),
+        {"terminal": named, "ok": True}, {"terminal": "plumbing", "ok": "plumbing"},
+        read=lambda p: checked(p, p["ok"] is True and p["terminal"] == terminal_id),
+        bad="bad-terminal-ack")
 
 
 def send_external(sim, ctx: FacilityContext, msg_type: str,

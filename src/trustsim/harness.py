@@ -23,7 +23,7 @@ TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 MOBILE_NETWORK = "mobile_network"
 SHORT_RANGE = "short_range"
 
-# The channels of every catalog run, (name, kind, carrier): the operator's
+# The channels of every simulation, (name, kind, carrier): the operator's
 # network, observed by its carrier, a short-range link and a fixed network.
 CHANNEL_MOBILE, CHANNEL_SR, CHANNEL_NET = "mobile", "sr", "net"
 CHANNELS = ((CHANNEL_MOBILE, MOBILE_NETWORK, "mno"), (CHANNEL_SR, SHORT_RANGE, None),
@@ -110,7 +110,7 @@ def _check_labels(payload: dict, labels: dict) -> None:
 class Channel:
     name: str
     kind: str  # MOBILE_NETWORK or SHORT_RANGE
-    carrier: str | None = None  # party id observing mobile_network traffic
+    carrier: str | None  # party id observing mobile_network traffic
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class PartyState:
 
 
 class Simulation:
-    """One deterministic run: registered parties, channels, transcript."""
+    """One deterministic run: registered parties, the CHANNELS, transcript."""
 
     def __init__(self, seed: int, scenario: str = "", attacks=(), variants=None):
         self.rng = Rng(seed)
@@ -162,7 +162,7 @@ class Simulation:
         self.variants = dict(variants or {})
         self.tick = 0
         self.parties: dict[str, PartyState] = {}
-        self.channels: dict[str, Channel] = {}
+        self.channels = {name: Channel(name, kind, carrier) for name, kind, carrier in CHANNELS}
         self.records = []
         self.summary = {}
         self._hooks = []
@@ -176,15 +176,6 @@ class Simulation:
         state = PartyState(role)
         self.parties[party_id] = state
         return state
-
-    def add_channel(self, name: str, kind: str, carrier: str | None = None) -> Channel:
-        if kind not in (MOBILE_NETWORK, SHORT_RANGE):
-            raise ValueError(f"unknown channel kind: {kind}")
-        if kind == SHORT_RANGE and carrier is not None:
-            raise ValueError("short_range channels have no carrier")
-        channel = Channel(name, kind, carrier)
-        self.channels[name] = channel
-        return channel
 
     def add_hook(self, hook) -> None:
         """Attack hook: hook(message) -> None (pass) | Message | harness.DROP."""

@@ -21,7 +21,6 @@ from .anchor import (
 from .crypto import CERT_HASH_ALG, Rng
 from .errors import ProtocolError
 
-DEFAULT_BATCH_SIZE = 10
 VALIDITY_TICKS = 1000  # every certificate's lifetime from its issue tick
 
 
@@ -91,7 +90,6 @@ class PrivacyCa:
         self.root = crypto.keygen(self.rng.fork("root"))
         self.trusted_roots = set(trusted_manufacturer_roots)
         self.domain_id = domain_id
-        self.validity_ticks = VALIDITY_TICKS
         self._consumed_replenish_aiks = set()
         self._issued = set()  # aik public hex of every certificate ever issued
 
@@ -100,7 +98,7 @@ class PrivacyCa:
 
     def certify(self, aik_public: bytes, now: int) -> AikCertificate:
         """One certificate for an AIK of an admitted device, valid from now."""
-        cert = AikCertificate(aik_public, self.domain_id, now, now + self.validity_ticks,
+        cert = AikCertificate(aik_public, self.domain_id, now, now + VALIDITY_TICKS,
                               CERT_HASH_ALG, b"")
         self._issued.add(aik_public.hex())
         return replace(cert, pca_signature=crypto.sign(self.root, cert.signed_payload()))
@@ -177,7 +175,7 @@ class CredentialWallet:
 
     anchor: TrustAnchor
     pca: PrivacyCa
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: int
     credentials: list = field(default_factory=list)  # (AikRecord, AikCertificate | None)
     replenish_count: int = 0
     enrolled_at: int = 0  # valid_from of the certificates minted on first use

@@ -45,7 +45,7 @@ from .flows import (
     enroll_flow,
     opened,
 )
-from .harness import CHANNEL_MOBILE, CHANNEL_NET, CHANNELS, Simulation, canon_value
+from .harness import CHANNEL_MOBILE, CHANNEL_NET, Simulation, canon_value
 from .pos import (
     PosContext,
     PriceList,
@@ -148,7 +148,6 @@ class World:
         self.sim, self.config, self.plan = sim, config, plan
         self.rng = sim.rng.fork("world")  # manufacturer and CAs fork their keys from it
         self.manufacturer = Manufacturer(self.rng)
-        self._refs = {}  # honest chain -> its reference DB, shared by its verifiers
 
     def pca(self, name: str, domain_id: str) -> PrivacyCa:
         return PrivacyCa(name, self.rng, {self.manufacturer.root.public}, domain_id=domain_id)
@@ -169,10 +168,7 @@ class World:
 
     def verifier(self, pca: PrivacyCa, chain, label: str, used_aiks=None) -> Verifier:
         """A verifier of pca's credentials against the honest chain."""
-        key = tuple(chain)
-        if key not in self._refs:
-            self._refs[key] = reference_db_for(chain)
-        return Verifier(pca.root.public, self._refs[key], self.sim.rng.fork(label),
+        return Verifier(pca.root.public, reference_db_for(chain), self.sim.rng.fork(label),
                         freshness_window=self.config["freshness_window"],
                         used_aiks=set() if used_aiks is None else used_aiks)
 
@@ -792,32 +788,37 @@ def _judge_facility_entry(transcript, config, attacks):
     ]
 
 
+# The midnight meeting's request to the facility provider, and its labels:
+# keep the room powered; the enforcer lets only the allowed fields leave.
+_MIDNIGHT_REQUEST = {"room": "conf-3", "action": "maintain-power", "until": "06:00",
+                     "attendees": ["imsi-9001", "imsi-9004"], "agenda": "quarterly-figures"}
+_MIDNIGHT_LABELS = {"room": "plumbing", "action": "plumbing", "until": "plumbing",
+                    "attendees": "identity", "agenda": "policy"}
+
+
 def _run_facility_midnight(sim, config, plan):
     ctx, employee, _ = _facility_setup(sim, config, plan)
     if not plan.names:
-        # midnight meeting: keep the room powered, tell the provider nothing else
-        send_external(
-            sim, ctx, "power-request",
-            {"room": "conf-3", "action": "maintain-power", "until": "06:00",
-             "attendees": ["imsi-9001", "imsi-9004"], "agenda": "quarterly-figures"},
-            {"room": "plumbing", "action": "plumbing", "until": "plumbing",
-             "attendees": "identity", "agenda": "policy"},
-        )
+        send_external(sim, ctx, "power-request", _MIDNIGHT_REQUEST, _MIDNIGHT_LABELS)
         facility_exit(sim, ctx, employee)
 
 
 def _judge_facility_midnight(transcript, config, attacks):
     sent = _first(transcript.messages("power-request"), "power-request message")["payload"]
+    allowed = set(config["enforcer_allowed_fields"])
+    dropped = sorted(_MIDNIGHT_REQUEST.keys() - allowed)
+    # one enforcer-filtered event naming the dropped fields, none when none are
+    filtered = [e["dropped_fields"] for e in transcript.events("enforcer-filtered")]
+    expected = [dropped] if dropped else []
     sensitive = ("identity", "good", "price", "token", "balance", "policy")
     leaked = set().union(*(transcript.knowledge_query("external", label) for label in sensitive))
     return [
         _row("entry-granted", _entered(transcript, "employee") is not None),
         _row("external-request-filtered",
-             set(sent) == set(config["enforcer_allowed_fields"]),
+             set(sent) == _MIDNIGHT_REQUEST.keys() & allowed,
              json.dumps(sorted(sent), sort_keys=True)),
-        _row("enforcer-dropped-sensitive-fields",
-             any(e["dropped_fields"] == ["agenda", "attendees"]
-                 for e in transcript.events("enforcer-filtered"))),
+        _row("enforcer-dropped-sensitive-fields", filtered == expected,
+             "" if filtered == expected else f"dropped {filtered}, expected {expected}"),
         _row("external-provider-knows-no-sensitive-values", not leaked,
              "" if not leaked else f"{len(leaked)} leaked values"),
     ]
@@ -906,9 +907,9 @@ _VALUE_RULES = {
     "tariffs": (lambda v, c: all(type(p) is int and p >= 0 for p in v.values())
                 and ("requests" in c or "calls" in v),
                 "a non-negative int price for each service requested"),
-    "requests": (lambda v, c: _pairs(v, str, int)
+    "requests": (lambda v, c: v and _pairs(v, str, int)
                  and all(s in c["tariffs"] and u > 0 for s, u in v),
-                 "[service, units] pairs of a priced service and positive units"),
+                 "at least one [service, units] pair of a priced service and positive units"),
     "vouchers": (lambda v, c: all(type(x) is int and x >= 0 for x in v),
                  "non-negative int values"),
     "good": (lambda v, c: v in dict(_POS_GOODS), f"one of {[g for g, _ in _POS_GOODS]}"),
@@ -953,8 +954,6 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     sim = Simulation(seed, scenario=script.name, attacks=attacks, variants=variants)
     for party_id, role in script.roster:
         sim.add_party(party_id, role)
-    for name, kind, carrier in CHANNELS:
-        sim.add_channel(name, kind, carrier)
 
     script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks))
     transcript = sim.finalize()

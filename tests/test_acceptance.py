@@ -12,7 +12,7 @@ from trustsim.boot import boot, make_chain
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.flows import ATTESTATION_ATTACKS, EXPECTED_ATTACK_REASONS
-from trustsim.harness import MOBILE_NETWORK, Simulation
+from trustsim.harness import Simulation
 from trustsim.prepaid import (
     PpImsiPool,
     PrepaidClient,
@@ -138,7 +138,6 @@ def _conservation_world(seed):
     sim.add_party("mno", "mno")
     sim.add_party("pca", "pca")
     sim.add_party("dev-1", "device")
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
     mfr = Manufacturer(rng.fork("world"))
     pca = PrivacyCa("pca", rng.fork("world"), {mfr.root.public}, domain_id="prepaid")
     mno_keys = crypto.keygen(rng.fork("mno-keys"))

@@ -15,6 +15,7 @@ from trustsim.attestation import (
     verify_attestation,
 )
 from trustsim.crypto import Rng, ZERO_DIGEST, hash160
+from trustsim.device import reference_db_for
 from trustsim.privacy_ca import PrivacyCa
 
 from sha1_oracle import fold_pcr, sha1
@@ -31,8 +32,7 @@ def build_world(seed=1, chain_payloads=None):
         or [("crtm", b"crtm-code"), ("bios", b"bios-code"), ("os", b"os-image")]
     )
     log = mb.boot(anchor, chain)
-    refs = mb.ReferenceDb()
-    refs.register_chain(chain)
+    refs = reference_db_for(chain)
     records = anchor.create_aik_batch(4)
     challenge = pca.liveness_challenge()
     certs = pca.enroll(
@@ -101,11 +101,9 @@ def test_tampered_component_rejected_as_reference_mismatch():
     chain_payloads = [("crtm", b"crtm-code"), ("bios", b"bios-code"), ("os", b"evil-os")]
     anchor, log, records, certs, verifier = build_world(chain_payloads=chain_payloads)
     # references describe the honest build
-    honest_refs = mb.ReferenceDb()
-    honest_refs.register_chain(
+    verifier.refs = reference_db_for(
         mb.make_chain([("crtm", b"crtm-code"), ("bios", b"bios-code"), ("os", b"os-image")])
     )
-    verifier.refs = honest_refs
     challenge = verifier.make_challenge(now=1)
     resp = respond(anchor, log, records[0], certs[0], challenge)
     verdict = verifier.verify(resp, challenge, now=2)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustsim import audit, crypto, harness
-from trustsim.harness import MOBILE_NETWORK, Simulation, Transcript, canon_value, seal
+from trustsim.harness import Simulation, Transcript, canon_value, seal
 
 
 def reference(value) -> str:
@@ -191,7 +191,6 @@ def _observed_sim():
     sim = Simulation(seed=3, scenario="unit")
     for pid, role in (("dev", "device"), ("owner", "pos_owner"), ("mno", "mno")):
         sim.add_party(pid, role)
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
     return sim
 
 

@@ -64,6 +64,8 @@ UNUSABLE_VARIANTS = [
     pytest.param("one-time-aik-auth", "batch_size", "1", id="batch-of-one"),
     pytest.param("prepaid-happy", "requests", '[["sms",1]]', id="unpriced-service"),
     pytest.param("prepaid-happy", "requests", '[["calls",0]]', id="zero-units"),
+    pytest.param("prepaid-happy", "requests", "[]", id="happy-no-requests"),
+    pytest.param("prepaid-tamper", "requests", "[]", id="tamper-no-requests"),
     pytest.param("prepaid-zero", "tariffs", '{"data":5}', id="calls-unpriced"),
     pytest.param("pos-fig4", "good", '"tea"', id="good-not-for-sale"),
     pytest.param("facility-entry", "zones", '{"z":5}', id="zone-without-overrides"),

@@ -33,10 +33,6 @@ NOT_YET_DELIVERED = [
     ("facility", "access_rights_check", "access-check"),
     ("facility", "access_rights_check", "access-verdict"),
     ("facility", "send_external", "{msg_type}"),
-    ("facility", "terminal_interaction", "terminal-ack"),
-    ("facility", "terminal_interaction", "terminal-ack-relay"),
-    ("facility", "terminal_interaction", "terminal-relay"),
-    ("facility", "terminal_interaction", "terminal-request"),
     ("prepaid", "deny", "service-denied"),
     ("prepaid", "prepaid_service_request", "balance-statement"),
     ("prepaid", "prepaid_service_request", "service-accept"),

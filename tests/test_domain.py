@@ -17,7 +17,7 @@ from trustsim.domain import (
     subdomain_admission_flow,
 )
 from trustsim.errors import ProtocolError
-from trustsim.harness import MOBILE_NETWORK, Simulation
+from trustsim.harness import Simulation
 from trustsim.privacy_ca import PrivacyCa
 
 
@@ -30,7 +30,6 @@ def clone_world(mode, seed=3, tampered=False):
     mno = MobileNetworkOperator("mno", rng, registry_mode=mode)
     pca = PrivacyCa("pca", rng, {mfr.root.public}, domain_id="subdomain")
     sim.add_party("mno", "mno")
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
 
     legit = TrustedDevice.provision("legit", rng.fork("legit"), mfr, identity="imsi-100")
     clone = TrustedDevice.provision("clone", rng.fork("clone"), mfr, identity="imsi-100")

@@ -1,5 +1,7 @@
 """Facility pieces in isolation: gate checks, cache, enforcer, terminals."""
 
+import dataclasses
+
 from trustsim import crypto
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
@@ -7,6 +9,7 @@ from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import FeaturePolicy
 from trustsim.facility import (
+    CACHE_STALENESS,
     FacilityContext,
     access_rights_check,
     facility_access,
@@ -14,7 +17,7 @@ from trustsim.facility import (
     send_external,
     terminal_interaction,
 )
-from trustsim.harness import MOBILE_NETWORK, SHORT_RANGE, Simulation
+from trustsim.harness import DROP, Simulation
 from trustsim.privacy_ca import PrivacyCa
 
 
@@ -26,8 +29,6 @@ def facility_world(seed=9, tampered_employee=False):
                       ("external", "facility_provider"), ("mno", "mno"),
                       ("board", "terminal")]:
         sim.add_party(pid, role)
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
-    sim.add_channel("sr", SHORT_RANGE)
 
     mfr = Manufacturer(rng)
     pca = PrivacyCa("pca", rng, {mfr.root.public}, domain_id="company")
@@ -94,13 +95,12 @@ def test_unlisted_identity_denied_even_when_attested():
 def test_gate_cache_used_until_stale():
     sim, ctx, employee = facility_world()
     ctx.gate_cache = {"imsi-1"}
-    ctx.gate_cache_synced = 0
-    ctx.cache_staleness = 1000
+    ctx.gate_cache_synced = sim.tick - CACHE_STALENESS  # as old as a cache may be
     assert access_rights_check(sim, ctx, "imsi-1")
     assert sim.events("access-check")[-1]["source"] == "cache"
     assert len(sim.messages("access-check")) == 0
 
-    ctx.cache_staleness = -1  # force staleness: falls back to the online path
+    ctx.gate_cache_synced = sim.tick - CACHE_STALENESS - 1  # stale: online path
     assert access_rights_check(sim, ctx, "imsi-1")
     assert sim.events("access-check")[-1]["source"] == "online"
     assert len(sim.messages("access-check")) == 1
@@ -108,10 +108,53 @@ def test_gate_cache_used_until_stale():
 
 def test_terminal_relays_through_device_sealed():
     sim, ctx, employee = facility_world()
-    terminal_interaction(sim, ctx, employee, "board", "show-agenda")
+    ack = terminal_interaction(sim, ctx, employee, "board", "show-agenda")
+    assert ack == {"terminal": "board", "ok": True}
     # the relaying device cannot read the terminal's request
     assert sim.knowledge_query("employee", fname="request") == set()
     assert sim.knowledge_query("company", fname="request") == {'"show-agenda"'}
+
+
+def _terminal_with_hook(hook):
+    sim, ctx, employee = facility_world()
+    sim.add_hook(hook)
+    return sim, terminal_interaction(sim, ctx, employee, "board", "show-agenda")
+
+
+def test_lost_terminal_request_is_never_acked():
+    sim, ack = _terminal_with_hook(
+        lambda m: DROP if m.msg_type == "terminal-relay" else None)
+    assert ack is None
+    assert [(e["party"], e["code"]) for e in sim.events("abort")] == [
+        ("company", "request-lost")]
+    assert not sim.messages("terminal-ack")
+
+
+def test_company_acks_the_terminal_its_request_named():
+    def hook(message):
+        if message.msg_type != "terminal-request":
+            return None
+        inner = message.payload["env"]["_sealed"]["payload"]
+        inner["terminal"] = "elsewhere"
+        return None
+
+    sim, ack = _terminal_with_hook(hook)
+    assert [m["payload"]["terminal"] for m in sim.messages("terminal-ack")] == ["elsewhere"]
+    assert ack is None  # the ack is not for this terminal
+    assert [(e["party"], e["code"]) for e in sim.events("abort")] == [
+        ("board", "bad-terminal-ack")]
+
+
+def test_terminal_reads_only_an_ok_ack_for_itself():
+    def hook(message):
+        if message.msg_type == "terminal-ack-relay":
+            return dataclasses.replace(message, payload={**message.payload, "ok": "yes"})
+        return None
+
+    sim, ack = _terminal_with_hook(hook)
+    assert ack is None
+    assert [(e["party"], e["code"]) for e in sim.events("abort")] == [
+        ("board", "bad-terminal-ack")]
 
 
 def test_enforcer_strips_disallowed_fields():

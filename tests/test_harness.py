@@ -7,8 +7,6 @@ import pytest
 from trustsim import audit, harness
 from trustsim.harness import (
     DROP,
-    MOBILE_NETWORK,
-    SHORT_RANGE,
     Simulation,
     Transcript,
     canon_value,
@@ -20,8 +18,6 @@ def basic_sim(**kwargs):
     sim = Simulation(seed=42, scenario="unit", **kwargs)
     for pid, role in [("dev", "device"), ("mno", "mno"), ("pos", "pos"), ("owner", "pos_owner")]:
         sim.add_party(pid, role)
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
-    sim.add_channel("sr", SHORT_RANGE)
     return sim
 
 

@@ -14,8 +14,6 @@ from trustsim.domain import MobileNetworkOperator, network_access_flow
 from trustsim.flows import apply_setup_attacks, enroll_flow
 from trustsim.harness import (
     DROP,
-    MOBILE_NETWORK,
-    SHORT_RANGE,
     Simulation,
     Transcript,
     canon_value,
@@ -52,9 +50,6 @@ def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
     for pid, role in roster:
         sim.add_party(pid, role)
     auth_id = "mno" if merged else "auth"
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
-    sim.add_channel("sr", SHORT_RANGE)
-    sim.add_channel("net", MOBILE_NETWORK, carrier=None)
 
     mfr = Manufacturer(rng)
     device_pca = PrivacyCa("device-pca", rng, {mfr.root.public}, domain_id="operator-domain")

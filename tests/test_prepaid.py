@@ -9,7 +9,7 @@ from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.errors import ProtocolError
 from trustsim.flows import AttackPlan, apply_setup_attacks
-from trustsim.harness import MOBILE_NETWORK, Simulation
+from trustsim.harness import Simulation
 from trustsim.prepaid import (
     PpImsiPool,
     PrepaidClient,
@@ -29,7 +29,6 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
     sim = Simulation(seed, scenario="unit-prepaid")
     sim.add_party("mno", "mno")
     sim.add_party("pca", "pca")
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
     mfr = Manufacturer(rng)
     pca = PrivacyCa("pca", rng, {mfr.root.public}, domain_id="prepaid")
     mno_keys = crypto.keygen(rng.fork("mno-keys"))

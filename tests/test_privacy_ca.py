@@ -12,11 +12,16 @@ from trustsim import crypto
 from trustsim.anchor import Manufacturer, TrustAnchor
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
-from trustsim.device import TrustedDevice
+from trustsim.device import TrustedDevice, reference_db_for
 from trustsim.errors import ProtocolError
 from trustsim.flows import replenish_flow
-from trustsim.harness import MOBILE_NETWORK, Simulation
-from trustsim.privacy_ca import CredentialWallet, PrivacyCa, verify_aik_certificate
+from trustsim.harness import Simulation
+from trustsim.privacy_ca import (
+    VALIDITY_TICKS,
+    CredentialWallet,
+    PrivacyCa,
+    verify_aik_certificate,
+)
 
 
 def build(seed=1, batch_size=10):
@@ -26,8 +31,7 @@ def build(seed=1, batch_size=10):
     anchor = TrustAnchor.manufacture("dev-1", rng.fork("dev"), mfr)
     chain = mb.make_chain([("crtm", b"crtm-code"), ("os", b"os-image")])
     log = mb.boot(anchor, chain)
-    refs = mb.ReferenceDb()
-    refs.register_chain(chain)
+    refs = reference_db_for(chain)
     wallet = CredentialWallet(anchor, pca, batch_size=batch_size)
     return rng, mfr, pca, anchor, log, refs, wallet
 
@@ -37,7 +41,6 @@ def recorded_replenisher(anchor, wallet, pca):
     sim = Simulation(1, scenario="unit-pca")
     sim.add_party("dev-1", "device")
     sim.add_party("pca", "pca")
-    sim.add_channel("net", MOBILE_NETWORK)
     device = TrustedDevice("dev-1", anchor, chain=[], wallet=wallet)
 
     def replenish():
@@ -192,8 +195,7 @@ def test_shared_used_set_links_services_unshared_does_not():
     anchor = TrustAnchor.manufacture("dev", rng.fork("dev"), mfr)
     chain = mb.make_chain([("crtm", b"crtm-code")])
     log = mb.boot(anchor, chain)
-    refs = mb.ReferenceDb()
-    refs.register_chain(chain)
+    refs = reference_db_for(chain)
     record = anchor.create_aik_batch(2)[0]
     challenge0 = pca.liveness_challenge()
     cert = pca.enroll(
@@ -271,7 +273,7 @@ def test_peek_then_take_signs_once():
         assert wallet.peek() == peeked
         assert wallet.take() == peeked
         assert sign.call_count == 1
-    assert peeked[1].valid_from == 5 and peeked[1].valid_until == 5 + pca.validity_ticks
+    assert peeked[1].valid_from == 5 and peeked[1].valid_until == 5 + VALIDITY_TICKS
     assert len(wallet.credentials) == 2
 
 
@@ -288,7 +290,7 @@ def test_wallet_enroll_checks_ek_provenance_and_liveness_up_front():
     rng, _, pca, _, _, _, _ = build()
     rogue = TrustAnchor.manufacture("rogue", Rng(778), Manufacturer(Rng(777)))
     with pytest.raises(ProtocolError) as err:
-        CredentialWallet(rogue, pca).enroll(now=0)
+        CredentialWallet(rogue, pca, batch_size=10).enroll(now=0)
     assert err.value.code == "untrusted-ek"
 
     _, _, pca, anchor, _, _, wallet = build()

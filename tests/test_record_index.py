@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim.harness import DROP, MOBILE_NETWORK, Simulation, Transcript
+from trustsim.harness import DROP, Simulation, Transcript
 
 # Shared between messages and events on purpose, "message-dropped" included,
 # so a type name alone never tells the two kinds apart.
@@ -29,7 +29,6 @@ def replay(operations):
     sim = Simulation(seed=7, scenario="index")
     sim.add_party("dev", "device")
     sim.add_party("mno", "mno")
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
     for action, rtype in operations:
         if action == "send":
             sim.send("dev", "mno", "mobile", rtype, {"n": len(sim.records)}, {"n": "plumbing"})

@@ -14,7 +14,7 @@ import pytest
 
 from trustsim import audit
 from trustsim.cli import main
-from trustsim.harness import MOBILE_NETWORK, Simulation, Transcript
+from trustsim.harness import Simulation, Transcript
 from trustsim.scenarios import CATALOG, report, run_scenario
 
 
@@ -132,7 +132,6 @@ def test_scenario_outside_the_catalog_verifies_on_invariants(tmp_path, capsys):
     sim = Simulation(3, scenario="custom-demo")
     for party in ("dev", "owner", "mno"):
         sim.add_party(party, "device")
-    sim.add_channel("mobile", MOBILE_NETWORK, carrier="mno")
     sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
     transcript = sim.finalize()
     result = report(transcript)

@@ -153,6 +153,33 @@ def test_facility_midnight_external_message_shape():
     assert dropped == ["agenda", "attendees"]
 
 
+@pytest.mark.parametrize("allowed, sent, dropped", [
+    (["room"], ["room"], ["action", "agenda", "attendees", "until"]),
+    (["room", "action", "until", "floor"], ["action", "room", "until"], ["agenda", "attendees"]),
+], ids=["room-only", "unrequested-field-allowed"])
+def test_facility_midnight_judge_follows_the_allow_list(allowed, sent, dropped):
+    transcript, report = run_scenario("facility-midnight", 1,
+                                      variants={"enforcer_allowed_fields": allowed})
+    assert [r for r in report["assertions"] if not r["ok"]] == []
+    assert sorted(transcript.messages("power-request")[0]["payload"]) == sent
+    assert [e["dropped_fields"] for e in transcript.events("enforcer-filtered")] == [dropped]
+
+
+def test_facility_midnight_judge_wants_no_filter_event_when_nothing_is_dropped():
+    # with every requested field allowed, an enforcer-filtered event is a fault
+    allowed = ["agenda", "attendees", "room", "action", "until"]
+    transcript, report = run_scenario("facility-midnight", 1,
+                                      variants={"enforcer_allowed_fields": allowed})
+    assert not transcript.events("enforcer-filtered")
+    rows = {r["name"]: r["ok"] for r in report["assertions"]}
+    assert rows["enforcer-dropped-sensitive-fields"] and rows["external-request-filtered"]
+    transcript.records.append({"kind": "event", "tick": transcript.records[-1]["tick"],
+                               "event": "enforcer-filtered", "server": "company",
+                               "dropped_fields": []})
+    rows = {r["name"]: r["ok"] for r in scenarios.report(transcript)["assertions"]}
+    assert not rows["enforcer-dropped-sensitive-fields"]
+
+
 def test_long_tampered_prepaid_session_replenishes_and_is_refused_throughout():
     # 25 requests outlast the 10-credential batch: the tampered device
     # replenishes like an honest one, and every request is still refused
