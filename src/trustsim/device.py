@@ -63,9 +63,9 @@ class TrustedDevice:
         self.log = mb.boot(self.anchor, self.chain)
         return self.log
 
-    def attach_wallet(self, pca: PrivacyCa, batch_size: int, now: int) -> CredentialWallet:
+    def attach_wallet(self, pca: PrivacyCa, batch_size: int) -> CredentialWallet:
         self.wallet = CredentialWallet(self.anchor, pca, batch_size=batch_size)
-        self.wallet.enroll(now)
+        self.wallet.enroll()
         return self.wallet
 
     def respond(self, challenge: AttestationChallenge) -> AttestationResponse:

@@ -17,7 +17,7 @@ from .attestation import Verifier
 from .crypto import KeyPair, Rng
 from .errors import ProtocolError
 from .flows import attest_flow, checked, hop
-from .harness import CHANNEL_MOBILE
+from .harness import CHANNEL_MOBILE, MNO
 
 UNBOUND = "unbound"
 BOUND = "bound"
@@ -77,8 +77,8 @@ class SubdomainRegistry:
 class MobileNetworkOperator:
     """The MNO party: credential issuance, network sessions, sub-domain registry."""
 
-    def __init__(self, name: str, rng: Rng, registry_mode: str = UNBOUND):
-        self.rng = rng.fork(f"mno:{name}")
+    def __init__(self, rng: Rng, registry_mode: str = UNBOUND):
+        self.rng = rng.fork(f"mno:{MNO}")
         self.keys = crypto.keygen(self.rng.fork("keys"))
         self.registry = SubdomainRegistry(mode=registry_mode)
         self._issued = {}  # identity -> public key of the credential secret
@@ -101,13 +101,13 @@ class MobileNetworkOperator:
         return Session(f"sess-{self._session_counter}", identity)
 
 
-def network_access_flow(sim, device, mno_id: str, mno: MobileNetworkOperator,
+def network_access_flow(sim, device, mno: MobileNetworkOperator,
                         credential: GenericCredential):
     """Recorded logon: identity + possession proof, session or denial back.
 
     The MNO judges the request that reached it. Returns the session, or
     None after a denial or after the abort of a lost or unreadable request."""
-    received = hop(sim, device.device_id, mno_id, CHANNEL_MOBILE, "network-access",
+    received = hop(sim, device.device_id, MNO, CHANNEL_MOBILE, "network-access",
                    {"identity": credential.device_identity,
                     "proof": credential.access_proof().hex()},
                    {"identity": "identity", "proof": "plumbing"},
@@ -118,12 +118,12 @@ def network_access_flow(sim, device, mno_id: str, mno: MobileNetworkOperator,
     try:
         session = mno.network_access(*received)
     except ProtocolError as err:
-        sim.send(mno_id, device.device_id, CHANNEL_MOBILE, "network-denied",
+        sim.send(MNO, device.device_id, CHANNEL_MOBILE, "network-denied",
                  {"code": err.code}, {"code": "plumbing"})
         sim.event("network-denied", device=device.device_id, code=err.code)
         return None
     sim.send(
-        mno_id, device.device_id, CHANNEL_MOBILE, "network-session",
+        MNO, device.device_id, CHANNEL_MOBILE, "network-session",
         {"session_id": session.session_id}, {"session_id": "plumbing"},
     )
     sim.event("network-session", device=device.device_id, session=session.session_id)
@@ -139,7 +139,6 @@ def _access_request(payload: dict) -> tuple:
 def subdomain_admission_flow(
     sim,
     device,
-    mno_id: str,
     mno: MobileNetworkOperator,
     verifier: Verifier,
     session: Session,
@@ -147,10 +146,10 @@ def subdomain_admission_flow(
 ) -> Admission:
     """Transmit the trust credential (attestation) and apply the registry rules."""
     sim.send(
-        device.device_id, mno_id, CHANNEL_MOBILE, "subdomain-request",
+        device.device_id, MNO, CHANNEL_MOBILE, "subdomain-request",
         {"session_id": session.session_id}, {"session_id": "plumbing"},
     )
-    exchange = attest_flow(sim, device, mno_id, verifier, CHANNEL_MOBILE, plan=plan)
+    exchange = attest_flow(sim, device, MNO, verifier, CHANNEL_MOBILE, plan=plan)
     if exchange is None:
         admission = Admission(False, "attestation-failed")
         fingerprint = None
@@ -159,13 +158,13 @@ def subdomain_admission_flow(
         admission = mno.registry.decide(session.identity, fingerprint,
                                         exchange.verdict.accepted)
     sim.send(
-        mno_id, device.device_id, CHANNEL_MOBILE, "subdomain-verdict",
+        MNO, device.device_id, CHANNEL_MOBILE, "subdomain-verdict",
         {"admitted": admission.admitted, "reason": admission.reason},
         {"admitted": "plumbing", "reason": "plumbing"},
     )
     sim.event(
         "admission",
-        mno=mno_id,
+        mno=MNO,
         device=device.device_id,
         identity=session.identity,
         fingerprint=fingerprint,

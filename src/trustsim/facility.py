@@ -20,12 +20,12 @@ from .harness import CHANNEL_MOBILE, CHANNEL_SR
 OUTSIDE = "outside"
 CACHE_STALENESS = 500  # ticks a gate's cached access rights stay usable
 
+# Every facility's fixed parties: company server, gate, outsourced provider.
+COMPANY, GATE, EXTERNAL = "company", "gate", "external"
+
 
 @dataclass
 class FacilityContext:
-    company_id: str
-    gate_id: str
-    external_id: str
     zone_policy: FeaturePolicy  # base features plus per-zone overrides
     enforcer_allowed_fields: frozenset  # only these may leave toward the provider
     gate: TrustedDevice
@@ -39,15 +39,15 @@ class FacilityContext:
 def access_rights_check(sim, ctx: FacilityContext, identity: str) -> bool:
     """Online via the operator network, or from the gate's cached table."""
     if ctx.gate_cache is not None and sim.tick - ctx.gate_cache_synced <= CACHE_STALENESS:
-        sim.event("access-check", gate=ctx.gate_id, identity=identity, source="cache")
+        sim.event("access-check", gate=GATE, identity=identity, source="cache")
         return identity in ctx.gate_cache
-    sim.send(ctx.gate_id, ctx.company_id, CHANNEL_MOBILE, "access-check",
+    sim.send(GATE, COMPANY, CHANNEL_MOBILE, "access-check",
              {"identity": identity}, {"identity": "identity"}, encrypted=True)
     authorized = identity in ctx.admitted_identities
-    sim.send(ctx.company_id, ctx.gate_id, CHANNEL_MOBILE, "access-verdict",
+    sim.send(COMPANY, GATE, CHANNEL_MOBILE, "access-verdict",
              {"identity": identity, "authorized": authorized},
              {"identity": "identity", "authorized": "plumbing"}, encrypted=True)
-    sim.event("access-check", gate=ctx.gate_id, identity=identity, source="online")
+    sim.event("access-check", gate=GATE, identity=identity, source="online")
     return authorized
 
 
@@ -62,7 +62,7 @@ def facility_access(
 
     Returns the applied feature map on entry, None when denied."""
     device_side = attest_flow(
-        sim, device, ctx.gate_id, ctx.gate_verifier_for_device, CHANNEL_SR, plan=plan
+        sim, device, GATE, ctx.gate_verifier_for_device, CHANNEL_SR, plan=plan
     )
     granted = (device_side is not None and device_side.verdict.accepted
                and access_rights_check(sim, ctx, device.identity))
@@ -72,7 +72,7 @@ def facility_access(
             sim, ctx.gate, device.device_id, ctx.device_verifier_for_gate, CHANNEL_SR
         )
         granted = gate_side is not None and gate_side.verdict.accepted
-    sim.event("entry", gate=ctx.gate_id, device=device.device_id,
+    sim.event("entry", gate=GATE, device=device.device_id,
               granted=granted, zone=zone)
     if not granted:
         return None
@@ -100,19 +100,19 @@ def terminal_interaction(sim, ctx: FacilityContext, device: TrustedDevice,
     Returns the ack as the terminal received it, or None after the abort of
     a lost hop, an unreadable request or an ack that is not ok for this
     terminal."""
-    dev, company = device.device_id, ctx.company_id
+    dev = device.device_id
     named = carry(
         sim, (Leg(terminal_id, dev, CHANNEL_SR, "terminal-request", "request-lost",
-                  sealed_for=company),
-              Leg(dev, company, CHANNEL_MOBILE, "terminal-relay", "request-lost",
-                  sealed_for=company)),
+                  sealed_for=COMPANY),
+              Leg(dev, COMPANY, CHANNEL_MOBILE, "terminal-relay", "request-lost",
+                  sealed_for=COMPANY)),
         {"request": request, "terminal": terminal_id},
         {"request": "plumbing", "terminal": "plumbing"},
         read=lambda p: p["terminal"], bad="bad-terminal-request")
     if named is None:
         return None
     return carry(
-        sim, (Leg(company, dev, CHANNEL_MOBILE, "terminal-ack", "ack-lost"),
+        sim, (Leg(COMPANY, dev, CHANNEL_MOBILE, "terminal-ack", "ack-lost"),
               Leg(dev, terminal_id, CHANNEL_SR, "terminal-ack-relay", "ack-lost")),
         {"terminal": named, "ok": True}, {"terminal": "plumbing", "ok": "plumbing"},
         read=lambda p: checked(p, p["ok"] is True and p["terminal"] == terminal_id),
@@ -126,7 +126,7 @@ def send_external(sim, ctx: FacilityContext, msg_type: str,
     allowed = {k: v for k, v in payload.items() if k in ctx.enforcer_allowed_fields}
     dropped = sorted(set(payload) - set(allowed))
     if dropped:
-        sim.event("enforcer-filtered", server=ctx.company_id, dropped_fields=dropped)
-    sim.send(ctx.company_id, ctx.external_id, CHANNEL_MOBILE, msg_type,
+        sim.event("enforcer-filtered", server=COMPANY, dropped_fields=dropped)
+    sim.send(COMPANY, EXTERNAL, CHANNEL_MOBILE, msg_type,
              allowed, {k: labels[k] for k in allowed}, encrypted=True)
     return allowed

@@ -23,10 +23,12 @@ TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 MOBILE_NETWORK = "mobile_network"
 SHORT_RANGE = "short_range"
 
+MNO = "mno"  # every scenario's one mobile operator, the mobile channel's carrier
+
 # The channels of every simulation, (name, kind, carrier): the operator's
 # network, observed by its carrier, a short-range link and a fixed network.
 CHANNEL_MOBILE, CHANNEL_SR, CHANNEL_NET = "mobile", "sr", "net"
-CHANNELS = ((CHANNEL_MOBILE, MOBILE_NETWORK, "mno"), (CHANNEL_SR, SHORT_RANGE, None),
+CHANNELS = ((CHANNEL_MOBILE, MOBILE_NETWORK, MNO), (CHANNEL_SR, SHORT_RANGE, None),
             (CHANNEL_NET, MOBILE_NETWORK, None))
 
 # The fixed label taxonomy; scenario code may not invent labels.

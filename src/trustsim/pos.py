@@ -21,7 +21,7 @@ from .attestation import Verifier
 from .crypto import KeyPair
 from .device import TrustedDevice
 from .flows import AttackPlan, Leg, Route, attest_flow, carry, checked, hop, replenish_flow
-from .harness import CHANNEL_MOBILE, CHANNEL_NET, CHANNEL_SR, seal
+from .harness import CHANNEL_MOBILE, CHANNEL_NET, CHANNEL_SR, MNO, seal
 from .privacy_ca import AikCertificate, verify_aik_certificate
 
 _ACK_TAG = b"ack:"
@@ -31,6 +31,10 @@ _BILLING_TAG = b"billing:"
 _CONFIRM_TAG = b"confirm:"
 
 _ORDER_FIELDS = ("order_id", "account", "price", "modality", "good")
+
+# The fixed back office behind every POS: its owner, the charging provider,
+# and the vendor and payment provider the operator notifies.
+POS_OWNER, CHARGING, VENDOR, PAYMENT = "pos-owner", "charging", "vendor", "payment"
 
 
 @dataclass(frozen=True)
@@ -79,22 +83,17 @@ class PosContext:
     pos: TrustedDevice
     device_id: str
     pos_id: str
-    mno_id: str
-    pos_owner_id: str
-    charging_id: str
-    auth_id: str  # device-domain CA / authentication provider (may equal mno_id)
-    vendor_id: str
-    payment_id: str
+    auth_id: str  # device-domain CA / authentication provider (may be the MNO)
     # verification material
-    pos_verifier_for_device: Verifier | None = None  # POS-side local check (operator flow)
-    device_verifier_for_pos: Verifier | None = None  # device-side check of the POS
-    auth_verifier: Verifier | None = None  # token decisions (separation flow)
+    pos_verifier_for_device: Verifier  # POS-side local check (operator flow)
+    device_verifier_for_pos: Verifier  # device-side check of the POS
+    auth_verifier: Verifier  # token decisions (separation flow)
     # signing parties
-    mno_keys: KeyPair | None = None
-    pos_owner_keys: KeyPair | None = None
-    charging_keys: KeyPair | None = None
-    pos_delegate_keys: KeyPair | None = None  # owner-registered key the POS signs with
-    device_credential: object = None  # GenericCredential for operator-billed orders
+    mno_keys: KeyPair
+    pos_owner_keys: KeyPair
+    charging_keys: KeyPair
+    pos_delegate_keys: KeyPair  # owner-registered key the POS signs with
+    device_credential: object  # GenericCredential for operator-billed orders
     price_list: PriceList | None = None
     _counters: dict = field(default_factory=lambda: {"session": 0, "order": 0})
 
@@ -112,12 +111,11 @@ def _backhaul(ctx: PosContext, origin: str, dest: str, msg_type: str, lost: str,
     party, the POS unless named."""
     party = party or ctx.pos_id
     if via_owner:
-        owner = ctx.pos_owner_id
         if dest == ctx.pos_id:
-            return (Leg(origin, owner, CHANNEL_NET, msg_type, lost, party),
-                    *_backhaul(ctx, owner, dest, msg_type, lost, party))
-        return (*_backhaul(ctx, origin, owner, msg_type, lost, party),
-                Leg(owner, dest, CHANNEL_NET, msg_type, lost, party))
+            return (Leg(origin, POS_OWNER, CHANNEL_NET, msg_type, lost, party),
+                    *_backhaul(ctx, POS_OWNER, dest, msg_type, lost, party))
+        return (*_backhaul(ctx, origin, POS_OWNER, msg_type, lost, party),
+                Leg(POS_OWNER, dest, CHANNEL_NET, msg_type, lost, party))
     if ctx.pos_id not in (origin, dest):
         raise ValueError("relay endpoints must include the POS")
 
@@ -202,7 +200,7 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         # operator vouches for the POS pseudonym it received; its identity is
         # revealed to it. The device acts on the answer that reached it.
         _, pos_cert = ctx.pos.wallet.peek()
-        check = hop(sim, ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "pos-identity-check",
+        check = hop(sim, ctx.device_id, MNO, CHANNEL_MOBILE, "pos-identity-check",
                     {"pos_certificate": pos_cert.to_fields()}, {"pos_certificate": "token"},
                     "identity-check-lost", party=ctx.device_id)
         if check is None:
@@ -213,7 +211,7 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
             received = None
         ok = received is not None and verify_aik_certificate(
             received, ctx.device_verifier_for_pos.pca_root)
-        if hop(sim, ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
+        if hop(sim, MNO, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
                {"ok": ok}, {"ok": "plumbing"}, "identity-check-lost",
                read=lambda p: checked(True, p["ok"] is True),
                bad="pos-identity-unverified") is None:
@@ -221,7 +219,7 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
 
     order_id = ctx.next_id("order")
     price = ctx.price_list.price_of(good)
-    good_field = seal([ctx.vendor_id], {"good_id": good}, {"good_id": "good"}) \
+    good_field = seal([VENDOR], {"good_id": good}, {"good_id": "good"}) \
         if encrypted else good
     order_body = {
         "order_id": order_id,
@@ -231,7 +229,7 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         "good": good_field,
     }
     order = hop(
-        sim, ctx.device_id, ctx.mno_id, CHANNEL_MOBILE, "purchase-order",
+        sim, ctx.device_id, MNO, CHANNEL_MOBILE, "purchase-order",
         crypto.signed(ctx.device_credential.secret, _ORDER_TAG, order_body),
         {"order_id": "plumbing", "account": "identity", "price": "price",
          "modality": "plumbing", "good": "good", "signature": "plumbing"},
@@ -243,19 +241,19 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
     # it before acknowledging, and then acts on that order
     if not crypto.signed_by(ctx.device_credential.secret.public, _ORDER_TAG, order,
                             _ORDER_FIELDS):
-        reject = crypto.sign(ctx.mno_keys, _ACK_TAG + crypto.canonical_bytes(
-            {"order_id": order_id, "status": "rejected"}))
-        sim.send(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-reject",
-                 {"order_id": order_id, "signature": reject.hex()},
-                 {"order_id": "plumbing", "signature": "plumbing"}, encrypted=True)
-        sim.event("abort", party=ctx.mno_id, code="bad-order-signature", order_id=order_id)
+        sim.send(MNO, ctx.device_id, CHANNEL_MOBILE, "purchase-reject",
+                 crypto.signed(ctx.mno_keys, _ACK_TAG,
+                               {"order_id": order_id, "status": "rejected"}),
+                 {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"},
+                 encrypted=True)
+        sim.event("abort", party=MNO, code="bad-order-signature", order_id=order_id)
         return None
 
-    sim.send(ctx.mno_id, ctx.vendor_id, CHANNEL_NET, "vendor-notify",
+    sim.send(MNO, VENDOR, CHANNEL_NET, "vendor-notify",
              {"order_id": order["order_id"], "good": order["good"], "price": order["price"]},
              {"order_id": "plumbing", "good": "good", "price": "price"},
              encrypted=True)
-    sim.send(ctx.mno_id, ctx.payment_id, CHANNEL_NET, "payment-notify",
+    sim.send(MNO, PAYMENT, CHANNEL_NET, "payment-notify",
              {"order_id": order["order_id"], "price": order["price"],
               "modality": order["modality"]},
              {"order_id": "plumbing", "price": "price", "modality": "plumbing"},
@@ -263,7 +261,7 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
 
     # the device relays the acknowledgement as it arrived
     if carry(
-        sim, (Leg(ctx.mno_id, ctx.device_id, CHANNEL_MOBILE, "purchase-ack", "ack-lost"),
+        sim, (Leg(MNO, ctx.device_id, CHANNEL_MOBILE, "purchase-ack", "ack-lost"),
               Leg(ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay", "ack-lost")),
         crypto.signed(ctx.mno_keys, _ACK_TAG, {"order_id": order["order_id"], "status": "ok"}),
         {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"},
@@ -364,18 +362,18 @@ def separation_purchase(
         return lambda c: checked(c, _confirmation_ok(ctx, c, token))
 
     if not decentralised:
-        billed = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "billing-data", billing,
+        billed = _relay(sim, ctx, ctx.pos_id, POS_OWNER, "billing-data", billing,
                         billing_labels, "billing-lost", read=billed_in_full,
                         bad="bad-billing-data", order_id=order_id)
         if billed is None:
             return None
         package = make_billing_package(billed["auth_token"], billed["price"],
                                        ctx.pos_owner_keys)
-        at_charging = hop(sim, ctx.pos_owner_id, ctx.charging_id, CHANNEL_NET,
+        at_charging = hop(sim, POS_OWNER, CHARGING, CHANNEL_NET,
                           "billing-package", package, package_labels, "billing-lost",
-                          party=ctx.pos_owner_id, order_id=order_id)
+                          party=POS_OWNER, order_id=order_id)
         if at_charging is None or hop(
-            sim, ctx.charging_id, ctx.pos_owner_id, CHANNEL_NET, "charge-confirmation",
+            sim, CHARGING, POS_OWNER, CHANNEL_NET, "charge-confirmation",
             _charge(ctx, at_charging, [ctx.pos_owner_keys.public]), confirmation_labels,
             "confirmation-lost", read=confirmed(billed["auth_token"]), bad="charge-refused",
             order_id=order_id,
@@ -384,24 +382,24 @@ def separation_purchase(
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
     else:
         package = make_billing_package(token_fp, price, ctx.pos_delegate_keys)
-        at_charging = _relay(sim, ctx, ctx.pos_id, ctx.charging_id, "billing-package",
+        at_charging = _relay(sim, ctx, ctx.pos_id, CHARGING, "billing-package",
                              package, package_labels, "billing-lost", order_id=order_id)
         if at_charging is None or _relay(
-            sim, ctx, ctx.charging_id, ctx.pos_id, "charge-confirmation",
+            sim, ctx, CHARGING, ctx.pos_id, "charge-confirmation",
             _charge(ctx, at_charging, [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public]),
             confirmation_labels, "confirmation-lost", read=confirmed(token_fp),
             bad="charge-refused", order_id=order_id,
         ) is None:
             return None
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
-        billed = _relay(sim, ctx, ctx.pos_id, ctx.pos_owner_id, "ack-request", billing,
+        billed = _relay(sim, ctx, ctx.pos_id, POS_OWNER, "ack-request", billing,
                         billing_labels, "ack-lost", read=billed_in_full,
                         bad="bad-billing-data", order_id=order_id)
         if billed is None:
             return None
 
     ack = crypto.signed(ctx.pos_owner_keys, _ACK_TAG, {"order_id": billed["order_id"]})
-    if _relay(sim, ctx, ctx.pos_owner_id, ctx.pos_id, "purchase-acknowledgement", ack,
+    if _relay(sim, ctx, POS_OWNER, ctx.pos_id, "purchase-acknowledgement", ack,
               {"order_id": "plumbing", "signature": "plumbing"}, "ack-lost",
               read=lambda a: checked(a, a.get("order_id") == order_id and crypto.signed_by(
                   ctx.pos_owner_keys.public, _ACK_TAG, a, ("order_id",))),
@@ -432,15 +430,15 @@ def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:
     every session anyway; this tops the wallet back up so rotation never
     leaves a service gap. None after a replenishment that ended in an abort."""
     if ctx.pos.wallet.needs_replenish:
-        if not replenish_flow(sim, ctx.pos, ctx.pos_owner_id, ctx.pos.wallet.pca, CHANNEL_SR):
+        if not replenish_flow(sim, ctx.pos, POS_OWNER, ctx.pos.wallet.pca, CHANNEL_SR):
             return None
     _, cert = ctx.pos.wallet.peek()
     return crypto.hash160(cert.aik_public).hex()
 
 
-def control_exchange(sim, device_id: str, sink_id: str) -> None:
-    """An arbitrary encrypted device session: what the carrier view of any
-    relayed POS traffic must be indistinguishable from."""
-    body = seal([sink_id], {"blob": "opaque-0"}, {"blob": "plumbing"})
-    sim.send(device_id, sink_id, CHANNEL_MOBILE, "control-env",
+def control_exchange(sim, ctx: PosContext) -> None:
+    """An arbitrary encrypted session, device to POS owner: what the carrier
+    view of any relayed POS traffic must be indistinguishable from."""
+    body = seal([POS_OWNER], {"blob": "opaque-0"}, {"blob": "plumbing"})
+    sim.send(ctx.device_id, POS_OWNER, CHANNEL_MOBILE, "control-env",
              {"env": body}, {"env": "plumbing"}, encrypted=True)

@@ -18,7 +18,7 @@ from .crypto import KeyPair, Rng
 from .device import TrustedDevice
 from .errors import ProtocolError
 from .flows import attest_flow
-from .harness import CHANNEL_MOBILE
+from .harness import CHANNEL_MOBILE, MNO
 
 BALANCE_SLOT = "prepaid-balance"
 KEY_SLOT = "ppc-statement-key"
@@ -120,21 +120,20 @@ class PrepaidOperator:
         return f"ppsess-{self._session_counter}"
 
 
-def vsim_logon(sim, client: PrepaidClient, mno_id: str, operator: PrepaidOperator,
-               rng: Rng):
+def vsim_logon(sim, client: PrepaidClient, operator: PrepaidOperator, rng: Rng):
     """Random pool IMSI, retrying busy ones — at most pool-size attempts."""
     device_id = client.device.device_id
     for imsi in rng.shuffled(operator.pool.imsis):
-        sim.send(device_id, mno_id, CHANNEL_MOBILE, "vsim-logon",
+        sim.send(device_id, MNO, CHANNEL_MOBILE, "vsim-logon",
                  {"imsi": imsi}, {"imsi": "identity"})
         try:
             session_id = operator.logon(imsi)
         except ProtocolError as err:
-            sim.send(mno_id, device_id, CHANNEL_MOBILE, "vsim-logon-conflict",
+            sim.send(MNO, device_id, CHANNEL_MOBILE, "vsim-logon-conflict",
                      {"imsi": imsi, "code": err.code},
                      {"imsi": "identity", "code": "plumbing"})
             continue
-        sim.send(mno_id, device_id, CHANNEL_MOBILE, "vsim-session",
+        sim.send(MNO, device_id, CHANNEL_MOBILE, "vsim-session",
                  {"imsi": imsi, "session_id": session_id},
                  {"imsi": "identity", "session_id": "plumbing"})
         sim.event("vsim-session", device=device_id, imsi=imsi, session=session_id)
@@ -146,7 +145,6 @@ def vsim_logon(sim, client: PrepaidClient, mno_id: str, operator: PrepaidOperato
 def prepaid_service_request(
     sim,
     client: PrepaidClient,
-    mno_id: str,
     operator: PrepaidOperator,
     verifier: Verifier,
     service: str,
@@ -159,15 +157,15 @@ def prepaid_service_request(
     Returns the granted cost, or None on any denial (no decrement happens)."""
     device_id = client.device.device_id
     cost = client.cost_of(service, units)
-    sim.send(device_id, mno_id, CHANNEL_MOBILE, "service-request",
+    sim.send(device_id, MNO, CHANNEL_MOBILE, "service-request",
              {"service": service, "units": units},
              {"service": "good", "units": "plumbing"})
 
-    exchange = attest_flow(sim, client.device, mno_id, verifier, CHANNEL_MOBILE,
+    exchange = attest_flow(sim, client.device, MNO, verifier, CHANNEL_MOBILE,
                            plan=plan, replenish_via=replenish_via)
 
     def deny(code):
-        sim.send(mno_id, device_id, CHANNEL_MOBILE, "service-denied",
+        sim.send(MNO, device_id, CHANNEL_MOBILE, "service-denied",
                  {"service": service, "code": code},
                  {"service": "good", "code": "plumbing"})
         sim.event("denial", device=device_id, service=service, code=code)
@@ -182,35 +180,34 @@ def prepaid_service_request(
     try:
         statement = client.sign_statement(service, units, cost, nonce)
     except ProtocolError as err:
-        sim.send(device_id, mno_id, CHANNEL_MOBILE, "statement-refused",
+        sim.send(device_id, MNO, CHANNEL_MOBILE, "statement-refused",
                  {"service": service, "code": err.code},
                  {"service": "good", "code": "plumbing"})
         return deny(err.code)
 
-    sim.send(device_id, mno_id, CHANNEL_MOBILE, "balance-statement",
+    sim.send(device_id, MNO, CHANNEL_MOBILE, "balance-statement",
              {"statement": statement}, {"statement": "balance"})
     if not verify_statement(statement, operator.pool.statement_public, nonce):
         return deny("bad-statement")
 
-    sim.send(mno_id, device_id, CHANNEL_MOBILE, "service-accept",
+    sim.send(MNO, device_id, CHANNEL_MOBILE, "service-accept",
              {"service": service, "cost": cost},
              {"service": "good", "cost": "price"})
     remaining = client.decrement(cost)
     sim.event("decrement", device=device_id, amount=cost, balance=remaining)
-    sim.send(device_id, mno_id, CHANNEL_MOBILE, "service-consumed",
+    sim.send(device_id, MNO, CHANNEL_MOBILE, "service-consumed",
              {"service": service}, {"service": "good"})
     sim.event("grant", device=device_id, service=service, cost=cost)
-    sim.send(mno_id, device_id, CHANNEL_MOBILE, "service-granted",
+    sim.send(MNO, device_id, CHANNEL_MOBILE, "service-granted",
              {"service": service, "units": units},
              {"service": "good", "units": "plumbing"})
     return cost
 
 
-def top_up_flow(sim, client: PrepaidClient, mno_id: str, mno_keys: KeyPair,
-                voucher: dict):
+def top_up_flow(sim, client: PrepaidClient, mno_keys: KeyPair, voucher: dict):
     """Deliver a voucher and apply it; replays and forgeries are rejected."""
     device_id = client.device.device_id
-    sim.send(mno_id, device_id, CHANNEL_MOBILE, "voucher",
+    sim.send(MNO, device_id, CHANNEL_MOBILE, "voucher",
              {"voucher": voucher}, {"voucher": "balance"})
     try:
         balance = client.apply_voucher(voucher, mno_keys.public)

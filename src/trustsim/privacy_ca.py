@@ -166,11 +166,11 @@ class CredentialWallet:
 
     An enrolled batch stays off the record, so its certificates are minted
     on first use: enroll() runs the PCA's EK and liveness checks and keeps
-    (AikRecord, None) entries, and peek()/take() certify an AIK, valid from
-    the enrollment tick, the first time it is looked at. Installed batches
-    arrive certified. Replenishment is due exactly when one unused
-    credential remains: that last credential authenticates the request for
-    the next batch.
+    (AikRecord, None) entries, and peek()/take() certify an AIK the first
+    time it is looked at, valid from tick 0, when every such batch is
+    enrolled. Installed batches arrive certified. Replenishment is due
+    exactly when one unused credential remains: that last credential
+    authenticates the request for the next batch.
     """
 
     anchor: TrustAnchor
@@ -178,16 +178,14 @@ class CredentialWallet:
     batch_size: int
     credentials: list = field(default_factory=list)  # (AikRecord, AikCertificate | None)
     replenish_count: int = 0
-    enrolled_at: int = 0  # valid_from of the certificates minted on first use
 
-    def enroll(self, now: int) -> None:
+    def enroll(self) -> None:
         """First batch: prove EK provenance + liveness now, certify on use."""
         records = self.anchor.create_aik_batch(self.batch_size)
         challenge = self.pca.liveness_challenge()
         self.pca.admit(
             self.anchor.ek_certificate, challenge, self.anchor.ek_challenge_response(challenge)
         )
-        self.enrolled_at = now
         self.credentials = [(record, None) for record in records]
 
     @property
@@ -201,7 +199,7 @@ class CredentialWallet:
             raise ProtocolError("wallet-empty", self.anchor.device_id)
         record, cert = self.credentials[0]
         if cert is None:
-            cert = self.pca.certify(record.key.public, self.enrolled_at)
+            cert = self.pca.certify(record.key.public, 0)
             self.credentials[0] = (record, cert)
         return record, cert
 

@@ -14,7 +14,7 @@ import functools
 import json
 from dataclasses import dataclass
 
-from . import audit, crypto
+from . import audit, crypto, facility, pos
 from .anchor import Manufacturer
 from .attestation import Verifier
 from .boot import tamper
@@ -45,7 +45,7 @@ from .flows import (
     enroll_flow,
     opened,
 )
-from .harness import CHANNEL_MOBILE, CHANNEL_NET, Simulation, canon_value
+from .harness import CHANNEL_MOBILE, CHANNEL_NET, MNO, Simulation, canon_value
 from .pos import (
     PosContext,
     PriceList,
@@ -121,6 +121,7 @@ def _attack_rows(transcript, names, subject: str) -> list:
                 (e["event"] == "grant" and e.get("device") == subject)
                 or (e["event"] == "admission" and e.get("device") == subject and e["admitted"])
                 or (e["event"] == "entry" and e.get("device") == subject and e["granted"])
+                or (e["event"] == "secure-session" and e.get("device") == subject)
                 or e["event"] == "delivery")
         ]
         rows.append(_row(f"attack-{name}-no-service", not successes,
@@ -163,7 +164,7 @@ class World:
             apply_setup_attacks(device, self.plan)
         device.boot()
         if wallet is not None:
-            device.attach_wallet(wallet, self.config["batch_size"], now=0)
+            device.attach_wallet(wallet, self.config["batch_size"])
         return device
 
     def verifier(self, pca: PrivacyCa, chain, label: str, used_aiks=None) -> Verifier:
@@ -229,7 +230,7 @@ ONE_TIME_AIK = ScenarioScript(
                 "automatic replenishment with the last credential, unlinkable "
                 "across the two collaborating services.",
     roster=(("dev-1", "device"), ("pca", "pca"), ("svc-a", "service"),
-            ("svc-b", "service"), ("mno", "mno")),
+            ("svc-b", "service"), (MNO, "mno")),
     defaults={**_TRUST_DEFAULTS, "auth_count": 27,
               "extra_components": [["svc-client", "svc-client-v1"]]},
     runner=_run_one_time_aik,
@@ -244,7 +245,7 @@ ONE_TIME_AIK = ScenarioScript(
 
 def _run_clone(sim, config, plan, mode):
     world = World(sim, config, plan)
-    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=mode)
+    mno = MobileNetworkOperator(sim.rng, registry_mode=mode)
     pca = world.pca("pca", "subdomain")
     chain = standard_chain()
     # the clone is the attacked requester
@@ -259,10 +260,10 @@ def _run_clone(sim, config, plan, mode):
     verifier = world.verifier(pca, chain, "verifier")
 
     for device in (clone, legit):
-        session = network_access_flow(sim, device, "mno", mno, credential)
+        session = network_access_flow(sim, device, mno, credential)
         if session is None:
             break
-        subdomain_admission_flow(sim, device, "mno", mno, verifier, session, plan=plan)
+        subdomain_admission_flow(sim, device, mno, verifier, session, plan=plan)
 
 
 def _judge_clone(transcript, config, attacks, mode):
@@ -290,7 +291,7 @@ CLONE_UNBOUND = ScenarioScript(
     name="clone-attack-unbound",
     description="Two devices share one stolen network credential; without a "
                 "joint authority the registry admits exactly the first comer.",
-    roster=(("legit", "device"), ("clone", "device"), ("mno", "mno"), ("pca", "pca")),
+    roster=(("legit", "device"), ("clone", "device"), (MNO, "mno"), ("pca", "pca")),
     defaults={**_TRUST_DEFAULTS, "batch_size": 4},
     runner=functools.partial(_run_clone, mode=UNBOUND),
     judge=functools.partial(_judge_clone, mode=UNBOUND),
@@ -331,7 +332,7 @@ def _prepaid_setup(sim, config, plan, tampered):
     client = PrepaidClient.provision(device, chain, config["tariffs"],
                                      config["initial_balance"], statement_keys.private)
     sim.event("balance-init", device="dev-1", value=config["initial_balance"])
-    logged_on = vsim_logon(sim, client, "mno", operator, sim.rng.fork("logon")) is not None
+    logged_on = vsim_logon(sim, client, operator, sim.rng.fork("logon")) is not None
     return logged_on, client, operator, world.verifier(pca, chain, "verifier"), pca, mno_keys
 
 
@@ -353,7 +354,7 @@ def _run_prepaid(sim, config, plan, tampered):
     vouchers = config["vouchers"]
     for n, (service, units) in enumerate(config["requests"] if logged_on else (), 1):
         prepaid_service_request(
-            sim, client, "mno", operator, verifier, service, units,
+            sim, client, operator, verifier, service, units,
             plan=plan, replenish_via=("pca", pca, CHANNEL_MOBILE),
         )
         if attacked:
@@ -362,7 +363,7 @@ def _run_prepaid(sim, config, plan, tampered):
             break  # a failed replenishment spent the last credential
         if n <= len(vouchers):
             voucher = make_voucher(mno_keys, f"v-{n}", vouchers[n - 1])
-            top_up_flow(sim, client, "mno", mno_keys, voucher)
+            top_up_flow(sim, client, mno_keys, voucher)
 
     _prepaid_finish(sim, client, config)
     if not tampered:
@@ -409,14 +410,14 @@ def _run_prepaid_zero(sim, config, plan):
     logged_on, client, operator, verifier, _, mno_keys = _prepaid_setup(
         sim, config, plan, tampered=False)
     if logged_on:
-        prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1, plan=plan)
+        prepaid_service_request(sim, client, operator, verifier, "calls", 1, plan=plan)
     # an attacked exchange is the whole story of its run
     if logged_on and not plan.names & set(ATTESTATION_ATTACKS):
         voucher = make_voucher(mno_keys, "v-1", config["voucher_value"])
-        top_up_flow(sim, client, "mno", mno_keys, voucher)
+        top_up_flow(sim, client, mno_keys, voucher)
         if "voucher-replay" in plan.names:
-            top_up_flow(sim, client, "mno", mno_keys, voucher)
-        prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
+            top_up_flow(sim, client, mno_keys, voucher)
+        prepaid_service_request(sim, client, operator, verifier, "calls", 1)
     _prepaid_finish(sim, client, config)
 
 
@@ -444,7 +445,7 @@ PREPAID_HAPPY = ScenarioScript(
     name="prepaid-happy",
     description="Pool logon, attested balance statements, grants decrement the "
                 "shielded counter, a voucher tops it back up.",
-    roster=(("dev-1", "device"), ("mno", "mno"), ("pca", "pca")),
+    roster=(("dev-1", "device"), (MNO, "mno"), ("pca", "pca")),
     defaults={**_PREPAID_DEFAULTS, "requests": [["calls", 2], ["data", 4], ["calls", 1]],
               "vouchers": [100]},
     runner=functools.partial(_run_prepaid, tampered=False),
@@ -486,7 +487,7 @@ def _pos_setup(sim, config, plan, auth_id):
     world = World(sim, config, plan)
     device_pca = world.pca("device-pca", "operator-domain")
     pos_pca = world.pca("pos-pca", "pos-domain")
-    mno = MobileNetworkOperator("mno", sim.rng)
+    mno = MobileNetworkOperator(sim.rng)
     device_chain = standard_chain((("wallet-app", b"wallet-v1"),))
     pos_chain = standard_chain((("pos-client", b"pos-firmware-v1"),))
     device = world.device("dev-1", device_chain, identity="imsi-7001", attacked=True)
@@ -494,16 +495,14 @@ def _pos_setup(sim, config, plan, auth_id):
 
     credential = mno.issue_credential("imsi-7001")
     batch = config["batch_size"]
-    if not (network_access_flow(sim, device, "mno", mno, credential)
+    if not (network_access_flow(sim, device, mno, credential)
             and enroll_flow(sim, device, auth_id, device_pca, batch, CHANNEL_MOBILE)
             and enroll_flow(sim, pos_device, "pos-pca", pos_pca, batch, CHANNEL_NET)):
         return None
 
     ctx = PosContext(
         device=device, pos=pos_device,
-        device_id="dev-1", pos_id="pos-1", mno_id="mno",
-        pos_owner_id="pos-owner", charging_id="charging", auth_id=auth_id,
-        vendor_id="vendor", payment_id="payment",
+        device_id="dev-1", pos_id="pos-1", auth_id=auth_id,
         pos_verifier_for_device=world.verifier(device_pca, device_chain, "v-pos"),
         device_verifier_for_pos=world.verifier(pos_pca, pos_chain, "v-dev"),
         auth_verifier=world.verifier(device_pca, device_chain, "v-auth"),
@@ -524,16 +523,16 @@ def _pos_set_up(transcript) -> bool:
 
 
 _POS_ROSTER = (
-    ("dev-1", "device"), ("pos-1", "pos"), ("mno", "mno"),
-    ("pos-owner", "pos_owner"), ("pos-pca", "pos_pca"),
-    ("charging", "charging_provider"), ("vendor", "vendor"),
-    ("payment", "payment_provider"), ("auth", "auth_provider"),
+    ("dev-1", "device"), ("pos-1", "pos"), (MNO, "mno"),
+    (pos.POS_OWNER, "pos_owner"), ("pos-pca", "pos_pca"),
+    (pos.CHARGING, "charging_provider"), (pos.VENDOR, "vendor"),
+    (pos.PAYMENT, "payment_provider"), ("auth", "auth_provider"),
 )
 
 
 def _carrier_uniformity_row(transcript) -> dict:
     shapes = {(tuple(e["fields"]), e["encrypted"])
-              for e in transcript.snapshot["carrier_views"].get("mno", ())}
+              for e in transcript.snapshot["carrier_views"].get(MNO, ())}
     return _row("carrier-sees-uniform-encrypted-shapes",
                 shapes <= {(("env",), True)},
                 "" if shapes <= {(("env",), True)} else str(sorted(shapes)))
@@ -559,7 +558,7 @@ def _run_pos_fig4(sim, config, plan):
             encrypted=config["encryption"],
             check_pos_via_mno=config["pos_check_via_mno"],
         )
-    control_exchange(sim, "dev-1", "pos-owner")
+    control_exchange(sim, ctx)
 
 
 def _judge_pos_fig4(transcript, config, attacks):
@@ -576,7 +575,7 @@ def _judge_pos_fig4(transcript, config, attacks):
     expected_order = ["price-list", "purchase-order", "vendor-notify", "payment-notify",
                       "purchase-ack", "purchase-ack-relay", "delivery-confirmation"]
     seen = [m["type"] for m in transcript.messages() if m["type"] in expected_order]
-    good_at_mno = transcript.knowledge_query("mno", "good")
+    good_at_mno = transcript.knowledge_query(MNO, "good")
     rows = [
         _row("purchase-delivered", len(deliveries) == 1),
         _row("message-sequence", seen == expected_order, "->".join(seen)),
@@ -585,7 +584,7 @@ def _judge_pos_fig4(transcript, config, attacks):
     ]
     if config["pos_check_via_mno"]:
         rows.append(_row("pos-identity-revealed-to-operator",
-                         bool(transcript.knowledge_query("mno", "token"))))
+                         bool(transcript.knowledge_query(MNO, "token"))))
     rows.append(_carrier_uniformity_row(transcript))
     return rows
 
@@ -605,7 +604,7 @@ def _run_pos_sep(sim, config, plan, auth_id, decentralised):
         if "reuse-token" in plan.names:
             separation_session(sim, ctx, validate_direct=decentralised,
                                reuse_response=response_payload)
-    control_exchange(sim, "dev-1", "pos-owner")
+    control_exchange(sim, ctx)
 
 
 def _judge_pos_sep(transcript, config, attacks, auth_id):
@@ -625,19 +624,19 @@ def _judge_pos_sep(transcript, config, attacks, auth_id):
     know = transcript.knowledge_query
     rows = [
         _row("purchase-delivered", len(deliveries) == 1),
-        _row("charging-provider-blind-to-goods", not know("charging", "good")),
-        _row("pos-owner-blind-to-customer-identity", not know("pos-owner", "identity")),
+        _row("charging-provider-blind-to-goods", not know(pos.CHARGING, "good")),
+        _row("pos-owner-blind-to-customer-identity", not know(pos.POS_OWNER, "identity")),
     ]
     # the token the device presented (none is spent when the session aborted)
     spent = (_first(transcript.messages("auth-token"), "auth-token message")
              ["payload"]["quote"]["aik_public"] if sessions else None)
-    held = spent is not None and any(spent in v for v in know("mno", "token"))
-    if auth_id == "mno":  # the operator authenticates
-        rows += [_row("merged-operator-links-identity", know("mno", "identity")),
+    held = spent is not None and any(spent in v for v in know(MNO, "token"))
+    if auth_id == MNO:  # the operator authenticates
+        rows += [_row("merged-operator-links-identity", know(MNO, "identity")),
                  _row("merged-operator-holds-spent-token", held)]
     else:
         rows += [_row("operator-never-sees-spent-token", not held),
-                 _row("operator-blind-to-good", not know("mno", "good"))]
+                 _row("operator-blind-to-good", not know(MNO, "good"))]
     return rows + [_carrier_uniformity_row(transcript)]
 
 
@@ -681,8 +680,8 @@ POS_MNO_MERGED = dataclasses.replace(
                 "identity to spent purchase tokens.",
     roster=tuple(party for party in _POS_ROSTER if party[0] != "auth"),
     attacks=ATTESTATION_ATTACKS,
-    runner=functools.partial(_run_pos_sep, auth_id="mno", decentralised=False),
-    judge=functools.partial(_judge_pos_sep, auth_id="mno"),
+    runner=functools.partial(_run_pos_sep, auth_id=MNO, decentralised=False),
+    judge=functools.partial(_judge_pos_sep, auth_id=MNO),
 )
 
 
@@ -705,7 +704,7 @@ def _facility_setup(sim, config, plan):
     """The facility world, once the employee has tried the gate of the
     first zone; an attack run's story ends there."""
     world = World(sim, config, plan)
-    mno = MobileNetworkOperator("mno", sim.rng, registry_mode=BOUND)
+    mno = MobileNetworkOperator(sim.rng, registry_mode=BOUND)
     pca = world.pca("company-pca", "company-domain")
     chain = standard_chain((("enforcer", b"policy-enforcer-v1"),))
     gate_chain = standard_chain((("gate-terminal", b"gate-firmware-v1"),))
@@ -720,12 +719,11 @@ def _facility_setup(sim, config, plan):
         [crypto.hash160(r.key.public).hex() for r, _ in employee.wallet.credentials],
     )
     company_verifier = world.verifier(pca, chain, "v-company")
-    session = network_access_flow(sim, employee, "mno", mno, credential)
+    session = network_access_flow(sim, employee, mno, credential)
     admitted = session is not None and subdomain_admission_flow(
-        sim, employee, "mno", mno, company_verifier, session).admitted
+        sim, employee, mno, company_verifier, session).admitted
 
     ctx = FacilityContext(
-        company_id="company", gate_id="gate", external_id="external",
         zone_policy=_zone_policy(config),
         enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
         gate=gate,
@@ -750,9 +748,9 @@ def _entered(transcript, device: str) -> dict | None:
 
 
 _FACILITY_ROSTER = (
-    ("employee", "device"), ("visitor", "device"), ("gate", "gate"),
-    ("gate-dev", "gate_terminal"), ("company", "company_server"),
-    ("external", "facility_provider"), ("mno", "mno"),
+    ("employee", "device"), ("visitor", "device"), (facility.GATE, "gate"),
+    ("gate-dev", "gate_terminal"), (facility.COMPANY, "company_server"),
+    (facility.EXTERNAL, "facility_provider"), (MNO, "mno"),
     ("whiteboard", "terminal"),
 )
 
@@ -811,7 +809,8 @@ def _judge_facility_midnight(transcript, config, attacks):
     filtered = [e["dropped_fields"] for e in transcript.events("enforcer-filtered")]
     expected = [dropped] if dropped else []
     sensitive = ("identity", "good", "price", "token", "balance", "policy")
-    leaked = set().union(*(transcript.knowledge_query("external", label) for label in sensitive))
+    leaked = set().union(*(transcript.knowledge_query(facility.EXTERNAL, label)
+                           for label in sensitive))
     return [
         _row("entry-granted", _entered(transcript, "employee") is not None),
         _row("external-request-filtered",

@@ -150,7 +150,7 @@ def _conservation_world(seed):
     initial = rng.randrange(120)
     client = PrepaidClient.provision(device, chain, {"calls": 10, "data": 5}, initial,
                                      statement.private)
-    device.attach_wallet(pca, 10, now=0)
+    device.attach_wallet(pca, 10)
     sim.event("balance-init", device="dev-1", value=initial)
     verifier = Verifier(pca.root.public, refs, rng.fork("verifier"))
     operator = PrepaidOperator(pool)
@@ -164,7 +164,7 @@ def test_criterion_5_prepaid_conservation():
     for seed in (31, 32, 33, 34, 35):
         sim, rng, client, operator, verifier, pca, mno_keys, initial = \
             _conservation_world(seed)
-        vsim_logon(sim, client, "mno", operator, rng.fork("logon"))
+        vsim_logon(sim, client, operator, rng.fork("logon"))
         script = rng.fork("script")
         vouchers = granted = 0
         denials_at_short_balance = True
@@ -172,7 +172,7 @@ def test_criterion_5_prepaid_conservation():
         for step in range(steps):
             if script.randrange(5) == 0:
                 voucher = make_voucher(mno_keys, f"v-{step}", 20 + script.randrange(30))
-                credited = top_up_flow(sim, client, "mno", mno_keys, voucher)
+                credited = top_up_flow(sim, client, mno_keys, voucher)
                 if credited is not None:
                     vouchers += voucher["value"]
             else:
@@ -181,7 +181,7 @@ def test_criterion_5_prepaid_conservation():
                 cost = client.cost_of(service, units)
                 balance_before = client.balance()
                 outcome = prepaid_service_request(
-                    sim, client, "mno", operator, verifier, service, units,
+                    sim, client, operator, verifier, service, units,
                     replenish_via=("pca", pca, "mobile"),
                 )
                 if outcome is None and balance_before >= cost:

@@ -27,7 +27,7 @@ def clone_world(mode, seed=3, tampered=False):
     rng = Rng(seed)
     sim = Simulation(seed, scenario="unit-clone")
     mfr = Manufacturer(rng)
-    mno = MobileNetworkOperator("mno", rng, registry_mode=mode)
+    mno = MobileNetworkOperator(rng, registry_mode=mode)
     pca = PrivacyCa("pca", rng, {mfr.root.public}, domain_id="subdomain")
     sim.add_party("mno", "mno")
 
@@ -40,7 +40,7 @@ def clone_world(mode, seed=3, tampered=False):
     for device in (legit, clone):
         sim.add_party(device.device_id, "device")
         device.boot()
-        device.attach_wallet(pca, batch_size=4, now=0)
+        device.attach_wallet(pca, batch_size=4)
     verifier = Verifier(pca.root.public, refs, rng.fork("verifier"))
     if mode == BOUND:
         fps = [hash160(r.key.public).hex() for r, _ in legit.wallet.credentials]
@@ -49,14 +49,14 @@ def clone_world(mode, seed=3, tampered=False):
 
 
 def admit(sim, mno, verifier, credential, device):
-    session = network_access_flow(sim, device, "mno", mno, credential)
+    session = network_access_flow(sim, device, mno, credential)
     assert session is not None
-    return subdomain_admission_flow(sim, device, "mno", mno, verifier, session)
+    return subdomain_admission_flow(sim, device, mno, verifier, session)
 
 
 def test_network_access_grants_known_identity_denies_unknown():
     sim, mno, verifier, credential, legit, _ = clone_world(UNBOUND)
-    session = network_access_flow(sim, legit, "mno", mno, credential)
+    session = network_access_flow(sim, legit, mno, credential)
     assert session.identity == "imsi-100"
     with pytest.raises(ProtocolError) as err:
         mno.network_access("imsi-999", b"\x00")
@@ -65,8 +65,8 @@ def test_network_access_grants_known_identity_denies_unknown():
 
 def test_two_sessions_same_identity_both_granted_at_network_layer():
     sim, mno, verifier, credential, legit, clone = clone_world(UNBOUND)
-    s1 = network_access_flow(sim, legit, "mno", mno, credential)
-    s2 = network_access_flow(sim, clone, "mno", mno, credential)
+    s1 = network_access_flow(sim, legit, mno, credential)
+    s2 = network_access_flow(sim, clone, mno, credential)
     assert s1 is not None and s2 is not None
     assert s1.session_id != s2.session_id
 

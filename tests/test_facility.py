@@ -40,16 +40,15 @@ def facility_world(seed=9, tampered_employee=False):
     if tampered_employee:
         employee.tamper("enforcer", b"patched-enforcer")
     employee.boot()
-    employee.attach_wallet(pca, 4, now=0)
+    employee.attach_wallet(pca, 4)
 
     gate_chain = standard_chain((("gate-terminal", b"gate-firmware-v1"),))
     gate = TrustedDevice.provision("gate-dev", rng.fork("gate"), mfr, chain=gate_chain)
     gate.boot()
-    gate.attach_wallet(pca, 4, now=0)
+    gate.attach_wallet(pca, 4)
     gate_refs = reference_db_for(gate_chain)
 
     ctx = FacilityContext(
-        company_id="company", gate_id="gate", external_id="external",
         zone_policy=FeaturePolicy(
             base={"camera": "enabled", "mms": "enabled"},
             location_rules=(("zone-lab", {"camera": "disabled", "mms": "disabled"}),),

@@ -54,7 +54,7 @@ def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
     mfr = Manufacturer(rng)
     device_pca = PrivacyCa("device-pca", rng, {mfr.root.public}, domain_id="operator-domain")
     pos_pca = PrivacyCa("pos-pca", rng, {mfr.root.public}, domain_id="pos-domain")
-    mno = MobileNetworkOperator("mno", rng)
+    mno = MobileNetworkOperator(rng)
 
     device = TrustedDevice.provision("dev-1", rng.fork("dev-1"), mfr,
                                      chain=standard_chain((("wallet-app", b"wallet-v1"),)),
@@ -73,7 +73,7 @@ def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
     pos_refs = reference_db_for(standard_chain((("pos-client", b"pos-firmware-v1"),)))
 
     credential = mno.issue_credential("imsi-7001")
-    network_access_flow(sim, device, "mno", mno, credential)
+    network_access_flow(sim, device, mno, credential)
     enroll_flow(sim, device, auth_id, device_pca, batch_size=10, channel="mobile")
     enroll_flow(sim, pos_device, "pos-pca", pos_pca, batch_size=10, channel="net")
 
@@ -82,12 +82,7 @@ def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
         pos=pos_device,
         device_id="dev-1",
         pos_id="pos-1",
-        mno_id="mno",
-        pos_owner_id="pos-owner",
-        charging_id="charging",
         auth_id=auth_id,
-        vendor_id="vendor",
-        payment_id="payment",
         pos_verifier_for_device=Verifier(device_pca.root.public, device_refs, rng.fork("v-pos")),
         device_verifier_for_pos=Verifier(pos_pca.root.public, pos_refs, rng.fork("v-dev")),
         auth_verifier=Verifier(device_pca.root.public, device_refs, rng.fork("v-auth")),
@@ -247,7 +242,7 @@ def test_unmerged_operator_sees_neither_tokens_nor_goods():
     _, token_fp, response_payload = out
     exchange_price_list(sim, ctx)
     separation_purchase(sim, ctx, "cola", token_fp)
-    control_exchange(sim, "dev-1", "pos-owner")
+    control_exchange(sim, ctx)
     spent = response_payload["quote"]["aik_public"]
     assert sim.knowledge_query("mno", "good") == set()
     assert all(spent not in v for v in sim.knowledge_query("mno", "token"))
@@ -713,6 +708,27 @@ def test_malformed_hop_aborts_instead_of_raising(monkeypatch, scenario, msg_type
     transcript, report, events = _run_with_hook(monkeypatch, scenario,
                                                 _alter_first(msg_type, changes), variants)
     _assert_aborted_without_delivery(transcript, report, events, code)
+
+
+@pytest.mark.parametrize("changes", [run[2] for run in _MALFORMED_RUNS
+                                     if run[1] == "purchase-order"],
+                         ids=[_malformed_id(run) for run in _MALFORMED_RUNS
+                              if run[1] == "purchase-order"])
+def test_broken_order_gets_a_signed_reject(monkeypatch, changes):
+    operators = []
+
+    class RecordedOperator(MobileNetworkOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            operators.append(self)
+
+    monkeypatch.setattr(scenarios, "MobileNetworkOperator", RecordedOperator)
+    transcript, _, _ = _run_with_hook(monkeypatch, "pos-fig4",
+                                      _alter_first("purchase-order", changes))
+    reject = transcript.messages("purchase-reject")[0]["payload"]
+    assert crypto.signed_by(operators[0].keys.public, pos._ACK_TAG, reject,
+                            ("order_id", "status"))
+    assert reject["status"] == "rejected" and reject["order_id"] == "order-1"
 
 
 # (scenario, relayed hop, payload it arrives with, abort party, abort code):

@@ -48,7 +48,7 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
         apply_setup_attacks(device, plan)
         device.boot()
         client = PrepaidClient.provision(device, chain, TARIFFS, balance, statement_keys.private)
-        device.attach_wallet(pca, batch_size=10, now=0)
+        device.attach_wallet(pca, batch_size=10)
         sim.event("balance-init", device=device.device_id, value=balance)
         clients.append(client)
 
@@ -59,13 +59,13 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
 def test_logon_picks_seed_determined_imsi():
     sim, rng, _, pool, operator, _, _, clients = prepaid_world()
     expected = Rng(5).fork("pick").shuffled(pool.imsis)[0]
-    out = vsim_logon(sim, clients[0], "mno", operator, Rng(5).fork("pick"))
+    out = vsim_logon(sim, clients[0], operator, Rng(5).fork("pick"))
     assert out is not None and out[0] == expected
 
 
 def test_logon_conflict_retries_to_distinct_imsis():
     sim, rng, _, pool, operator, _, _, clients = prepaid_world(devices=2)
-    first = vsim_logon(sim, clients[0], "mno", operator, rng.fork("a"))
+    first = vsim_logon(sim, clients[0], operator, rng.fork("a"))
     # drive the second device with a stream whose first pick collides
     seed = None
     for candidate in range(2000):
@@ -73,26 +73,26 @@ def test_logon_conflict_retries_to_distinct_imsis():
             seed = candidate
             break
     assert seed is not None
-    second = vsim_logon(sim, clients[1], "mno", operator, Rng(seed).fork("b"))
+    second = vsim_logon(sim, clients[1], operator, Rng(seed).fork("b"))
     assert second is not None and second[0] != first[0]
     assert len(sim.messages("vsim-logon-conflict")) >= 1
 
 
 def test_logon_fails_when_pool_exhausted():
     sim, rng, _, pool, operator, _, _, clients = prepaid_world(pool_size=1, devices=2)
-    assert vsim_logon(sim, clients[0], "mno", operator, rng.fork("a")) is not None
-    assert vsim_logon(sim, clients[1], "mno", operator, rng.fork("b")) is None
+    assert vsim_logon(sim, clients[0], operator, rng.fork("a")) is not None
+    assert vsim_logon(sim, clients[1], operator, rng.fork("b")) is None
     assert any(e["code"] == "pool-exhausted" for e in sim.events("abort"))
 
 
 def test_grant_decrements_and_denies_at_zero():
     sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(balance=25)
     client = clients[0]
-    vsim_logon(sim, client, "mno", operator, rng.fork("pick"))
-    cost = prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 2)
+    vsim_logon(sim, client, operator, rng.fork("pick"))
+    cost = prepaid_service_request(sim, client, operator, verifier, "calls", 2)
     assert cost == 20 and client.balance() == 5
 
-    denied = prepaid_service_request(sim, client, "mno", operator, verifier, "calls", 1)
+    denied = prepaid_service_request(sim, client, operator, verifier, "calls", 1)
     assert denied is None and client.balance() == 5
     assert sim.events("denial")[-1]["code"] == "insufficient-balance"
     # the refusal happened after an accepted attestation, before any decrement
@@ -103,8 +103,8 @@ def test_grant_decrements_and_denies_at_zero():
 def test_tampered_ppc_requests_rejected_without_decrement():
     sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(tampered=True)
     client = clients[0]
-    vsim_logon(sim, client, "mno", operator, rng.fork("pick"))
-    out = prepaid_service_request(sim, client, "mno", operator, verifier, "data", 3)
+    vsim_logon(sim, client, operator, rng.fork("pick"))
+    out = prepaid_service_request(sim, client, operator, verifier, "data", 3)
     assert out is None
     assert sim.events("denial")[-1]["code"] == "reference-mismatch"
     assert sim.events("grant") == [] and sim.events("decrement") == []
@@ -114,8 +114,8 @@ def test_voucher_top_up_and_replay():
     sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(balance=0)
     client = clients[0]
     voucher = make_voucher(mno_keys, "v-1", 100)
-    assert top_up_flow(sim, client, "mno", mno_keys, voucher) == 100
-    assert top_up_flow(sim, client, "mno", mno_keys, voucher) is None
+    assert top_up_flow(sim, client, mno_keys, voucher) == 100
+    assert top_up_flow(sim, client, mno_keys, voucher) is None
     events = sim.events("top-up")
     assert events[0]["accepted"] and not events[1]["accepted"]
     assert events[1]["code"] == "voucher-replay"
@@ -126,7 +126,7 @@ def test_forged_voucher_rejected():
     sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(balance=0)
     rogue = crypto.keygen(Rng(321))
     voucher = make_voucher(rogue, "v-9", 500)
-    assert top_up_flow(sim, clients[0], "mno", mno_keys, voucher) is None
+    assert top_up_flow(sim, clients[0], mno_keys, voucher) is None
     assert sim.events("top-up")[-1]["code"] == "voucher-invalid"
     assert clients[0].balance() == 0
 
@@ -137,7 +137,7 @@ def test_conservation_over_randomized_sequences():
             seed=seed, balance=300
         )
         client = clients[0]
-        vsim_logon(sim, client, "mno", operator, rng.fork("pick"))
+        vsim_logon(sim, client, operator, rng.fork("pick"))
         script_rng = rng.fork("script")
         vouchers = granted = 0
         voucher_counter = 0
@@ -145,13 +145,13 @@ def test_conservation_over_randomized_sequences():
             if script_rng.randrange(4) == 0:
                 voucher_counter += 1
                 voucher = make_voucher(mno_keys, f"v-{voucher_counter}", 25)
-                if top_up_flow(sim, client, "mno", mno_keys, voucher) is not None:
+                if top_up_flow(sim, client, mno_keys, voucher) is not None:
                     vouchers += 25
             else:
                 service = ("calls", "data")[script_rng.randrange(2)]
                 units = 1 + script_rng.randrange(3)
                 cost = prepaid_service_request(
-                    sim, client, "mno", operator, verifier, service, units,
+                    sim, client, operator, verifier, service, units,
                     replenish_via=("pca", pca, "mobile"),
                 )
                 if cost is not None:
@@ -163,8 +163,8 @@ def test_conservation_over_randomized_sequences():
 def test_no_message_carries_an_individual_device_identity():
     sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world()
     client = clients[0]
-    vsim_logon(sim, client, "mno", operator, rng.fork("pick"))
-    prepaid_service_request(sim, client, "mno", operator, verifier, "data", 2)
+    vsim_logon(sim, client, operator, rng.fork("pick"))
+    prepaid_service_request(sim, client, operator, verifier, "data", 2)
     forbidden = {client.device.device_id, client.device.anchor.ek_certificate.ek_public.hex()}
 
     def walk(value):

@@ -52,7 +52,7 @@ def recorded_replenisher(anchor, wallet, pca):
 
 def test_enroll_issues_one_cert_per_aik_with_no_ek_material():
     _, _, pca, anchor, _, _, wallet = build()
-    wallet.enroll(now=0)
+    wallet.enroll()
     certs = [wallet.take()[1] for _ in range(10)]
     assert not wallet.credentials
     ek_hex = anchor.ek_certificate.ek_public.hex()
@@ -100,7 +100,7 @@ def test_enroll_rejects_failed_liveness():
 
 def test_replenish_after_batch_exhaustion():
     _, _, pca, anchor, _, _, wallet = build(batch_size=3)
-    wallet.enroll(now=0)
+    wallet.enroll()
     old_certs = [wallet.take()[1], wallet.take()[1], wallet.peek()[1]]
     assert wallet.needs_replenish
     sim, replenish = recorded_replenisher(anchor, wallet, pca)
@@ -123,7 +123,7 @@ def test_replenish_after_batch_exhaustion():
 
 def test_replenish_replay_rejected():
     _, _, pca, anchor, _, _, wallet = build(batch_size=2)
-    wallet.enroll(now=0)
+    wallet.enroll()
     wallet.take()
     last_record, last_cert = wallet.peek()
     publics = [r.key.public for r in anchor.create_aik_batch(2)]
@@ -136,7 +136,7 @@ def test_replenish_replay_rejected():
 
 def test_replenish_refuses_foreign_or_unsigned_requests():
     _, _, pca, anchor, _, _, wallet = build(batch_size=2)
-    wallet.enroll(now=0)
+    wallet.enroll()
     record, cert = wallet.peek()
     publics = [r.key.public for r in anchor.create_aik_batch(2)]
     with pytest.raises(ProtocolError) as err:
@@ -153,7 +153,7 @@ def test_replenish_refuses_foreign_or_unsigned_requests():
 def test_batch_liveness_replenishment_count(batch_size, uses):
     # k service uses with batch size N trigger exactly floor(k/(N-1)) replenishments
     _, _, pca, anchor, log, refs, wallet = build(batch_size=batch_size)
-    wallet.enroll(now=0)
+    wallet.enroll()
     sim, replenish = recorded_replenisher(anchor, wallet, pca)
     for _ in range(uses):
         wallet.take()
@@ -166,7 +166,7 @@ def test_batch_liveness_replenishment_count(batch_size, uses):
 
 def test_service_access_fresh_token_accepted_expired_rejected():
     rng, _, pca, anchor, log, refs, wallet = build()
-    wallet.enroll(now=0)
+    wallet.enroll()
     service = Verifier(pca.root.public, refs, rng.fork("shop"))
 
     record, cert = wallet.take()
@@ -240,12 +240,12 @@ def _eager_certificates(seed, batch_size, now):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), batch_size=st.integers(2, 12),
-       now=st.integers(0, 5000), calls=st.lists(st.sampled_from(["take", "peek"]),
-                                                max_size=30))
-def test_wallet_mints_what_eager_enrollment_issues(seed, batch_size, now, calls):
-    eager_pca, eager = _eager_certificates(seed, batch_size, now)
+       calls=st.lists(st.sampled_from(["take", "peek"]), max_size=30))
+def test_wallet_mints_what_eager_enrollment_issues(seed, batch_size, calls):
+    # off-record batches are enrolled at tick 0
+    eager_pca, eager = _eager_certificates(seed, batch_size, 0)
     _, _, pca, _, _, _, wallet = build(seed, batch_size)
-    wallet.enroll(now)
+    wallet.enroll()
     # the EK and liveness checks ran now: the PCA's stream is where eager left it
     assert pca.rng.bytes(32) == eager_pca.rng.bytes(32)
 
@@ -267,20 +267,20 @@ def test_wallet_mints_what_eager_enrollment_issues(seed, batch_size, now, calls)
 
 def test_peek_then_take_signs_once():
     _, _, pca, _, _, _, wallet = build(batch_size=3)
-    wallet.enroll(now=5)
+    wallet.enroll()
     with mock.patch.object(crypto, "sign", wraps=crypto.sign) as sign:
         peeked = wallet.peek()
         assert wallet.peek() == peeked
         assert wallet.take() == peeked
         assert sign.call_count == 1
-    assert peeked[1].valid_from == 5 and peeked[1].valid_until == 5 + VALIDITY_TICKS
+    assert peeked[1].valid_from == 0 and peeked[1].valid_until == VALIDITY_TICKS
     assert len(wallet.credentials) == 2
 
 
 def test_wallet_enroll_mints_nothing_until_used():
     _, _, pca, _, _, _, wallet = build(batch_size=4)
     with mock.patch.object(crypto, "sign", wraps=crypto.sign) as sign:
-        wallet.enroll(now=0)
+        wallet.enroll()
     assert sign.call_count == 1  # the EK's liveness answer, no certificate
     assert [cert for _, cert in wallet.credentials] == [None] * 4
     assert not pca._issued
@@ -290,13 +290,13 @@ def test_wallet_enroll_checks_ek_provenance_and_liveness_up_front():
     rng, _, pca, _, _, _, _ = build()
     rogue = TrustAnchor.manufacture("rogue", Rng(778), Manufacturer(Rng(777)))
     with pytest.raises(ProtocolError) as err:
-        CredentialWallet(rogue, pca, batch_size=10).enroll(now=0)
+        CredentialWallet(rogue, pca, batch_size=10).enroll()
     assert err.value.code == "untrusted-ek"
 
     _, _, pca, anchor, _, _, wallet = build()
     anchor.ek_challenge_response = lambda challenge: b"\x00" * 64
     with pytest.raises(ProtocolError) as err:
-        wallet.enroll(now=0)
+        wallet.enroll()
     assert err.value.code == "ek-liveness-failed"
     assert not wallet.credentials
 
@@ -305,7 +305,7 @@ def test_replenishment_is_authenticated_by_a_minted_last_credential():
     # the last AIK of a lazily minted batch joins the PCA's issued set when
     # it is taken to sign the request, before the PCA sees the request
     _, _, pca, anchor, _, _, wallet = build(batch_size=2)
-    wallet.enroll(now=0)
+    wallet.enroll()
     wallet.take()
     sim, replenish = recorded_replenisher(anchor, wallet, pca)
     assert len(replenish()) == 2

@@ -180,6 +180,25 @@ def test_facility_midnight_judge_wants_no_filter_event_when_nothing_is_dropped()
     assert not rows["enforcer-dropped-sensitive-fields"]
 
 
+@pytest.mark.parametrize("device,served", [("dev-1", True), ("dev-2", False)])
+def test_a_secure_session_after_a_rejection_is_a_service(device, served):
+    # the hand-edited seed-1 transcript: a secure session right after the
+    # rejected verdict counts against the attack when it is the subject's
+    transcript, report = run_scenario("pos-fig4", 1, attacks=("forge-log",))
+    assert report["ok"]
+    lines = transcript.to_text().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if '"attestation-verdict"' in line and '"accepted":false' in line)
+    session = {"kind": "event", "tick": json.loads(lines[at])["tick"],
+               "event": "secure-session", "device": device, "pos": "pos-1",
+               "session": "session-9"}
+    lines.insert(at + 1, json.dumps(session, sort_keys=True, separators=(",", ":")))
+    edited = scenarios.report(Transcript.parse("\n".join(lines) + "\n"))
+    rows = {r["name"]: r["ok"] for r in edited["assertions"]}
+    assert rows["attack-forge-log-rejected"]
+    assert rows["attack-forge-log-no-service"] is not served
+
+
 def test_long_tampered_prepaid_session_replenishes_and_is_refused_throughout():
     # 25 requests outlast the 10-credential batch: the tampered device
     # replenishes like an honest one, and every request is still refused
