@@ -110,7 +110,6 @@ def network_access_flow(sim, device, mno: MobileNetworkOperator,
     received = hop(sim, device.device_id, MNO, CHANNEL_MOBILE, "network-access",
                    {"identity": credential.device_identity,
                     "proof": credential.access_proof().hex()},
-                   {"identity": "identity", "proof": "plumbing"},
                    "network-access-lost", read=_access_request, bad="bad-access-request",
                    encrypted=False)
     if received is None:
@@ -119,13 +118,11 @@ def network_access_flow(sim, device, mno: MobileNetworkOperator,
         session = mno.network_access(*received)
     except ProtocolError as err:
         sim.send(MNO, device.device_id, CHANNEL_MOBILE, "network-denied",
-                 {"code": err.code}, {"code": "plumbing"})
+                 {"code": err.code})
         sim.event("network-denied", device=device.device_id, code=err.code)
         return None
-    sim.send(
-        MNO, device.device_id, CHANNEL_MOBILE, "network-session",
-        {"session_id": session.session_id}, {"session_id": "plumbing"},
-    )
+    sim.send(MNO, device.device_id, CHANNEL_MOBILE, "network-session",
+             {"session_id": session.session_id})
     sim.event("network-session", device=device.device_id, session=session.session_id)
     return session
 
@@ -145,10 +142,8 @@ def subdomain_admission_flow(
     plan=None,
 ) -> Admission:
     """Transmit the trust credential (attestation) and apply the registry rules."""
-    sim.send(
-        device.device_id, MNO, CHANNEL_MOBILE, "subdomain-request",
-        {"session_id": session.session_id}, {"session_id": "plumbing"},
-    )
+    sim.send(device.device_id, MNO, CHANNEL_MOBILE, "subdomain-request",
+             {"session_id": session.session_id})
     exchange = attest_flow(sim, device, MNO, verifier, CHANNEL_MOBILE, plan=plan)
     if exchange is None:
         admission = Admission(False, "attestation-failed")
@@ -157,11 +152,8 @@ def subdomain_admission_flow(
         fingerprint = exchange.response.aik_fingerprint()  # of the response that arrived
         admission = mno.registry.decide(session.identity, fingerprint,
                                         exchange.verdict.accepted)
-    sim.send(
-        MNO, device.device_id, CHANNEL_MOBILE, "subdomain-verdict",
-        {"admitted": admission.admitted, "reason": admission.reason},
-        {"admitted": "plumbing", "reason": "plumbing"},
-    )
+    sim.send(MNO, device.device_id, CHANNEL_MOBILE, "subdomain-verdict",
+             {"admitted": admission.admitted, "reason": admission.reason})
     sim.event(
         "admission",
         mno=MNO,

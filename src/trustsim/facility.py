@@ -41,12 +41,11 @@ def access_rights_check(sim, ctx: FacilityContext, identity: str) -> bool:
     if ctx.gate_cache is not None and sim.tick - ctx.gate_cache_synced <= CACHE_STALENESS:
         sim.event("access-check", gate=GATE, identity=identity, source="cache")
         return identity in ctx.gate_cache
-    sim.send(GATE, COMPANY, CHANNEL_MOBILE, "access-check",
-             {"identity": identity}, {"identity": "identity"}, encrypted=True)
+    sim.send(GATE, COMPANY, CHANNEL_MOBILE, "access-check", {"identity": identity},
+             encrypted=True)
     authorized = identity in ctx.admitted_identities
     sim.send(COMPANY, GATE, CHANNEL_MOBILE, "access-verdict",
-             {"identity": identity, "authorized": authorized},
-             {"identity": "identity", "authorized": "plumbing"}, encrypted=True)
+             {"identity": identity, "authorized": authorized}, encrypted=True)
     sim.event("access-check", gate=GATE, identity=identity, source="online")
     return authorized
 
@@ -106,27 +105,24 @@ def terminal_interaction(sim, ctx: FacilityContext, device: TrustedDevice,
                   sealed_for=COMPANY),
               Leg(dev, COMPANY, CHANNEL_MOBILE, "terminal-relay", "request-lost",
                   sealed_for=COMPANY)),
-        {"request": request, "terminal": terminal_id},
-        {"request": "plumbing", "terminal": "plumbing"},
-        read=lambda p: p["terminal"], bad="bad-terminal-request")
+        {"request": request, "terminal": terminal_id}, read=lambda p: p["terminal"],
+        bad="bad-terminal-request")
     if named is None:
         return None
     return carry(
         sim, (Leg(COMPANY, dev, CHANNEL_MOBILE, "terminal-ack", "ack-lost"),
               Leg(dev, terminal_id, CHANNEL_SR, "terminal-ack-relay", "ack-lost")),
-        {"terminal": named, "ok": True}, {"terminal": "plumbing", "ok": "plumbing"},
+        {"terminal": named, "ok": True},
         read=lambda p: checked(p, p["ok"] is True and p["terminal"] == terminal_id),
         bad="bad-terminal-ack")
 
 
-def send_external(sim, ctx: FacilityContext, msg_type: str,
-                  payload: dict, labels: dict) -> dict:
+def send_external(sim, ctx: FacilityContext, msg_type: str, payload: dict) -> dict:
     """Everything toward the outsourced provider passes the policy enforcer:
     fields outside the allow list never leave the building."""
     allowed = {k: v for k, v in payload.items() if k in ctx.enforcer_allowed_fields}
     dropped = sorted(set(payload) - set(allowed))
     if dropped:
         sim.event("enforcer-filtered", server=COMPANY, dropped_fields=dropped)
-    sim.send(COMPANY, EXTERNAL, CHANNEL_MOBILE, msg_type,
-             allowed, {k: labels[k] for k in allowed}, encrypted=True)
+    sim.send(COMPANY, EXTERNAL, CHANNEL_MOBILE, msg_type, allowed, encrypted=True)
     return allowed

@@ -60,11 +60,6 @@ def apply_setup_attacks(device: TrustedDevice, plan: AttackPlan | None) -> None:
 # -- wire format ------------------------------------------------------------
 
 
-CHALLENGE_LABELS = {"nonce": "plumbing", "selection": "plumbing", "deadline": "plumbing"}
-RESPONSE_LABELS = {"quote": "plumbing", "log": "plumbing", "certificate": "token"}
-VERDICT_LABELS = {"ok": "plumbing", "reasons": "plumbing"}
-
-
 def challenge_fields(challenge: AttestationChallenge) -> dict:
     return {
         "nonce": challenge.nonce.hex(),
@@ -129,12 +124,9 @@ def parse_verdict(payload: dict) -> AttestationVerdict:
 
 # -- flows -------------------------------------------------------------------
 
-ENV_LABELS = {"env": "plumbing"}  # labels of a hop that carries one sealed envelope
-
-
 def hop(sim, sender: str, receiver: str, channel: str, msg_type: str, payload: dict,
-        labels: dict, lost: str, *, read=None, bad: str | None = None,
-        party: str | None = None, encrypted: bool = True, **fields):
+        lost: str, *, read=None, bad: str | None = None, party: str | None = None,
+        encrypted: bool = True, **fields):
     """Send one hop and return the payload that reached receiver, decoded
     through read(payload) when a reader is given.
 
@@ -143,7 +135,7 @@ def hop(sim, sender: str, receiver: str, channel: str, msg_type: str, payload: d
     with code lost, for party (the receiver unless named), when the hop was
     dropped, or could not be read and has no bad code. fields go on the
     abort record."""
-    msg = sim.send(sender, receiver, channel, msg_type, payload, labels, encrypted=encrypted)
+    msg = sim.send(sender, receiver, channel, msg_type, payload, encrypted=encrypted)
     if msg is not None:
         if read is None:
             return msg.payload
@@ -187,8 +179,7 @@ Leg = collections.namedtuple(
 Route = collections.namedtuple("Route", "challenge response verdict", defaults=((),))
 
 
-def carry(sim, legs, payload: dict, labels: dict, *, read=None, bad: str | None = None,
-          **fields):
+def carry(sim, legs, payload: dict, *, read=None, bad: str | None = None, **fields):
     """Send payload along legs, each sender forwarding what reached it, and
     return it as the last receiver got it, through read when given; or None
     after the one abort (see hop; bad is the last leg's code).
@@ -199,7 +190,7 @@ def carry(sim, legs, payload: dict, labels: dict, *, read=None, bad: str | None 
     for n, leg in enumerate(legs, 1):
         last = n == len(legs)
         if leg.sealed_for is not None and not sealed:
-            payload, sealed = {"env": seal([leg.sealed_for], payload, labels)}, True
+            payload, sealed = {"env": seal([leg.sealed_for], payload)}, True
         opens = sealed and leg.receiver == leg.sealed_for
         if not sealed:
             step = read if last else None
@@ -208,9 +199,8 @@ def carry(sim, legs, payload: dict, labels: dict, *, read=None, bad: str | None 
         else:
             step = (lambda p: read(opened(p))) if last and read else opened
         payload = hop(sim, leg.sender, leg.receiver, leg.channel, leg.msg_type, payload,
-                      ENV_LABELS if sealed else labels, leg.lost, read=step,
-                      bad=bad if last else None, party=leg.party, encrypted=leg.encrypted,
-                      **fields)
+                      leg.lost, read=step, bad=bad if last else None, party=leg.party,
+                      encrypted=leg.encrypted, **fields)
         if payload is None:
             return None
         sealed = sealed and not opens
@@ -218,11 +208,11 @@ def carry(sim, legs, payload: dict, labels: dict, *, read=None, bad: str | None 
 
 
 def _sealed_hop(sim, sender: str, receiver: str, channel: str, msg_type: str,
-                payload: dict, labels: dict, read):
+                payload: dict, read):
     """One hop sealed for its receiver, who reads the interior through read;
     aborts with msg_type-lost or bad-msg_type."""
     leg = Leg(sender, receiver, channel, msg_type, f"{msg_type}-lost", sealed_for=receiver)
-    return carry(sim, (leg,), payload, labels, read=read, bad=f"bad-{msg_type}")
+    return carry(sim, (leg,), payload, read=read, bad=f"bad-{msg_type}")
 
 
 def _certify(sim, pca_id: str, device: TrustedDevice, channel: str, kind: str, records,
@@ -238,7 +228,7 @@ def _certify(sim, pca_id: str, device: TrustedDevice, channel: str, kind: str, r
         return None
     return _sealed_hop(sim, pca_id, device.device_id, channel, f"{kind}-certs",
                        {"certificates": [c.to_fields() for c in certs]},
-                       {"certificates": "token"}, lambda f: _certificates_for(f, records))
+                       lambda f: _certificates_for(f, records))
 
 
 def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, channel: str) -> bool:
@@ -257,7 +247,6 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
             "new_publics": [p.hex() for p in request.publics],
             "signature": request.signature.hex(),
         },
-        {"old_certificate": "token", "new_publics": "token", "signature": "plumbing"},
         _replenish_request)
     certs = None if received is None else _certify(
         sim, pca_id, device, channel, "replenish", request.records,
@@ -321,7 +310,7 @@ def attest_flow(
         now = device.wallet.peek()[1].valid_until + 1
 
     challenge = verifier.make_challenge(now)
-    wire_challenge = carry(sim, route.challenge, challenge_fields(challenge), CHALLENGE_LABELS,
+    wire_challenge = carry(sim, route.challenge, challenge_fields(challenge),
                            read=parse_challenge, bad="bad-challenge")
     if wire_challenge is None:
         return None
@@ -345,8 +334,8 @@ def attest_flow(
             return None
 
     for _ in range(presentations):
-        wire_response = carry(sim, route.response, payload, RESPONSE_LABELS,
-                              read=parse_response, bad="bad-response")
+        wire_response = carry(sim, route.response, payload, read=parse_response,
+                              bad="bad-response")
         if wire_response is None:
             return None
         verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
@@ -361,7 +350,7 @@ def attest_flow(
         if route.verdict:
             verdict = carry(sim, route.verdict,
                             {"ok": verdict.accepted, "reasons": list(verdict.reasons)},
-                            VERDICT_LABELS, read=parse_verdict)
+                            read=parse_verdict)
             if verdict is None:
                 return None
     return Exchange(wire_challenge, wire_response, verdict, payload)
@@ -381,8 +370,7 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
     records = device.anchor.create_aik_batch(batch_size)
     challenge = pca.liveness_challenge()
     nonce = _sealed_hop(sim, pca_id, device.device_id, channel, "enroll-challenge",
-                        {"nonce": challenge.hex()}, {"nonce": "plumbing"},
-                        lambda f: bytes.fromhex(f["nonce"]))
+                        {"nonce": challenge.hex()}, lambda f: bytes.fromhex(f["nonce"]))
     received = None if nonce is None else _sealed_hop(
         sim, device.device_id, pca_id, channel, "enroll-request",
         {
@@ -390,7 +378,6 @@ def enroll_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa,
             "aik_publics": [r.key.public.hex() for r in records],
             "liveness": device.anchor.ek_challenge_response(nonce).hex(),
         },
-        {"ek_certificate": "identity", "aik_publics": "token", "liveness": "plumbing"},
         _enroll_request)
     certs = None if received is None else _certify(
         sim, pca_id, device, channel, "enroll", records,

@@ -2,18 +2,18 @@
 
 A run is a single-threaded sequence of delivered messages; time is an
 integer tick that advances once per delivery. Every payload field carries
-a sensitivity label from a fixed taxonomy, and each party's knowledge set
-records exactly the labeled values it could read — the substrate for all
-privacy assertions. Transcripts serialize to line-delimited JSON with
-stable ordering so identical (scenario, seed) pairs produce identical
-bytes.
+the sensitivity label FIELD_LABELS gives its name, from a fixed taxonomy,
+and each party's knowledge set records exactly the labeled values it could
+read — the substrate for all privacy assertions. Transcripts serialize to
+line-delimited JSON with stable ordering so identical (scenario, seed)
+pairs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.scanner import make_scanner
 
 from .crypto import Rng, canonical_json as _encode
@@ -35,6 +35,28 @@ CHANNELS = ((CHANNEL_MOBILE, MOBILE_NETWORK, MNO), (CHANNEL_SR, SHORT_RANGE, Non
 LABELS = frozenset(
     {"identity", "good", "price", "token", "balance", "policy", "plumbing"}
 )
+
+# The one label of each payload field name, wherever the field travels:
+# send and seal label every payload from it, so no message can label a
+# field otherwise than the rest.
+FIELD_LABELS = {
+    "account": "identity", "attendees": "identity", "ek_certificate": "identity",
+    "identity": "identity", "imsi": "identity",
+    "good": "good", "good_id": "good", "service": "good",
+    "cost": "price", "entries": "price", "grand_total": "price", "price": "price",
+    "aik_publics": "token", "auth_token": "token", "certificate": "token",
+    "certificates": "token", "new_publics": "token", "old_certificate": "token",
+    "pos_certificate": "token",
+    "statement": "balance", "voucher": "balance",
+    "agenda": "policy",
+    "action": "plumbing", "admitted": "plumbing", "authorized": "plumbing",
+    "blob": "plumbing", "code": "plumbing", "deadline": "plumbing", "env": "plumbing",
+    "liveness": "plumbing", "log": "plumbing", "modality": "plumbing", "nonce": "plumbing",
+    "ok": "plumbing", "order_id": "plumbing", "proof": "plumbing", "quote": "plumbing",
+    "reason": "plumbing", "reasons": "plumbing", "request": "plumbing", "room": "plumbing",
+    "selection": "plumbing", "session_id": "plumbing", "signature": "plumbing",
+    "status": "plumbing", "terminal": "plumbing", "units": "plumbing", "until": "plumbing",
+}
 
 DROP = "drop"
 
@@ -63,15 +85,23 @@ def canon_value(value) -> str:
     return _encode(value)
 
 
-def seal(readers, payload: dict, labels: dict) -> dict:
+def _labels_of(payload: dict) -> dict:
+    """The label of each payload field, from FIELD_LABELS; ValueError naming
+    the fields it lacks."""
+    missing = payload.keys() - FIELD_LABELS.keys()
+    if missing:
+        raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
+    return {fname: FIELD_LABELS[fname] for fname in payload}
+
+
+def seal(readers, payload: dict) -> dict:
     """Payload sealed end-to-end for specific readers.
 
     Carried opaquely by everyone else: relays and carriers learn that a
     sealed blob passed, never the fields inside.
     """
-    _check_labels(payload, labels)
     return {"_sealed": {"readers": sorted(set(readers)), "payload": dict(payload),
-                        "labels": dict(labels)}}
+                        "labels": _labels_of(payload)}}
 
 
 def is_sealed(value) -> bool:
@@ -96,16 +126,15 @@ def opens(inner) -> bool:
 
 
 def _check_labels(payload: dict, labels: dict) -> None:
+    """ValueError unless every field of a message that attack hooks let
+    through is labelled, within the taxonomy. Sealed interiors need no
+    check: one that fails it does not open (see opens)."""
     missing = set(payload) - set(labels)
     if missing:
         raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
     for label in labels.values():
         if not isinstance(label, str) or label not in LABELS:
             raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
-    for value in payload.values():
-        if is_sealed(value) and opens(value["_sealed"]):
-            inner = value["_sealed"]
-            _check_labels(inner["payload"], inner["labels"])
 
 
 @dataclass(frozen=True)
@@ -185,26 +214,18 @@ class Simulation:
 
     # -- delivery ----------------------------------------------------------
 
-    def send(
-        self,
-        sender: str,
-        receiver: str,
-        channel: str,
-        msg_type: str,
-        payload: dict,
-        labels: dict,
-        encrypted: bool = False,
-    ):
-        """Deliver one message in order; returns it, or None when an attack
-        hook dropped it. What the hooks let through is label-checked again,
-        whether replaced or edited in place: labels are the harness's record
-        of a message, not wire content."""
+    def send(self, sender: str, receiver: str, channel: str, msg_type: str, payload: dict, *,
+             encrypted: bool = False):
+        """Deliver one message in order, each field labelled from FIELD_LABELS;
+        returns it, or None when an attack hook dropped it. What the hooks
+        let through is label-checked, whether replaced or edited in place:
+        labels are the harness's record of a message, not wire content."""
         if sender not in self.parties or receiver not in self.parties:
             raise ValueError(f"unregistered party in {sender}->{receiver}")
         ch = self.channels.get(channel)
         if ch is None:
             raise ValueError(f"unknown channel: {channel}")
-        _check_labels(payload, labels)
+        labels = _labels_of(payload)
 
         self._msg_counter += 1
         message = Message(
@@ -215,7 +236,7 @@ class Simulation:
             channel=channel,
             msg_type=msg_type,
             payload=dict(payload),
-            labels=dict(labels),
+            labels=labels,
             encrypted=encrypted,
         )
 

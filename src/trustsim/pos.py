@@ -127,15 +127,6 @@ def _backhaul(ctx: PosContext, origin: str, dest: str, msg_type: str, lost: str,
     return leg(origin, ctx.device_id), leg(ctx.device_id, dest)
 
 
-def _relay(sim, ctx: PosContext, origin: str, dest: str, msg_type: str, payload: dict,
-           labels: dict, lost: str, read=None, bad=None, **fields):
-    """Carry payload over the backhaul relay; returns the interior as dest
-    received it, through read when given, or None after flows.carry's
-    abort."""
-    return carry(sim, _backhaul(ctx, origin, dest, msg_type, lost), payload, labels,
-                 read=read, bad=bad, **fields)
-
-
 # -- session establishment -----------------------------------------------------
 
 
@@ -180,8 +171,7 @@ def exchange_price_list(sim, ctx: PosContext) -> bool:
         "signature": ctx.price_list.signature.hex(),
     }
     return hop(sim, ctx.pos_id, ctx.device_id, CHANNEL_SR, "price-list", payload,
-               {"entries": "price", "signature": "plumbing"}, "price-list-lost",
-               read=read, bad="bad-price-list") is not None
+               "price-list-lost", read=read, bad="bad-price-list") is not None
 
 
 # -- operator-mediated purchase (device -> MNO -> ack -> POS delivers) ----------
@@ -201,8 +191,8 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         # revealed to it. The device acts on the answer that reached it.
         _, pos_cert = ctx.pos.wallet.peek()
         check = hop(sim, ctx.device_id, MNO, CHANNEL_MOBILE, "pos-identity-check",
-                    {"pos_certificate": pos_cert.to_fields()}, {"pos_certificate": "token"},
-                    "identity-check-lost", party=ctx.device_id)
+                    {"pos_certificate": pos_cert.to_fields()}, "identity-check-lost",
+                    party=ctx.device_id)
         if check is None:
             return None
         try:
@@ -212,15 +202,13 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         ok = received is not None and verify_aik_certificate(
             received, ctx.device_verifier_for_pos.pca_root)
         if hop(sim, MNO, ctx.device_id, CHANNEL_MOBILE, "pos-identity-ok",
-               {"ok": ok}, {"ok": "plumbing"}, "identity-check-lost",
-               read=lambda p: checked(True, p["ok"] is True),
+               {"ok": ok}, "identity-check-lost", read=lambda p: checked(True, p["ok"] is True),
                bad="pos-identity-unverified") is None:
             return None
 
     order_id = ctx.next_id("order")
     price = ctx.price_list.price_of(good)
-    good_field = seal([VENDOR], {"good_id": good}, {"good_id": "good"}) \
-        if encrypted else good
+    good_field = seal([VENDOR], {"good_id": good}) if encrypted else good
     order_body = {
         "order_id": order_id,
         "account": ctx.device.identity,
@@ -231,8 +219,6 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
     order = hop(
         sim, ctx.device_id, MNO, CHANNEL_MOBILE, "purchase-order",
         crypto.signed(ctx.device_credential.secret, _ORDER_TAG, order_body),
-        {"order_id": "plumbing", "account": "identity", "price": "price",
-         "modality": "plumbing", "good": "good", "signature": "plumbing"},
         "order-lost", party=ctx.device_id, order_id=order_id,
     )
     if order is None:
@@ -244,19 +230,16 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         sim.send(MNO, ctx.device_id, CHANNEL_MOBILE, "purchase-reject",
                  crypto.signed(ctx.mno_keys, _ACK_TAG,
                                {"order_id": order_id, "status": "rejected"}),
-                 {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"},
                  encrypted=True)
         sim.event("abort", party=MNO, code="bad-order-signature", order_id=order_id)
         return None
 
     sim.send(MNO, VENDOR, CHANNEL_NET, "vendor-notify",
              {"order_id": order["order_id"], "good": order["good"], "price": order["price"]},
-             {"order_id": "plumbing", "good": "good", "price": "price"},
              encrypted=True)
     sim.send(MNO, PAYMENT, CHANNEL_NET, "payment-notify",
              {"order_id": order["order_id"], "price": order["price"],
               "modality": order["modality"]},
-             {"order_id": "plumbing", "price": "price", "modality": "plumbing"},
              encrypted=True)
 
     # the device relays the acknowledgement as it arrived
@@ -264,7 +247,6 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         sim, (Leg(MNO, ctx.device_id, CHANNEL_MOBILE, "purchase-ack", "ack-lost"),
               Leg(ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay", "ack-lost")),
         crypto.signed(ctx.mno_keys, _ACK_TAG, {"order_id": order["order_id"], "status": "ok"}),
-        {"order_id": "plumbing", "status": "plumbing", "signature": "plumbing"},
         read=lambda a: checked(a, crypto.signed_by(
             ctx.mno_keys.public, _ACK_TAG, a, ("order_id", "status"))
             and a["order_id"] == order_id and a["status"] == "ok"),
@@ -280,7 +262,7 @@ def _deliver(sim, ctx: PosContext, order_id: str) -> str:
     sim.event("ack-verified", order_id=order_id, pos=ctx.pos_id)
     sim.event("delivery", pos=ctx.pos_id, order_id=order_id)
     sim.send(ctx.pos_id, ctx.device_id, CHANNEL_SR, "delivery-confirmation",
-             {"order_id": order_id}, {"order_id": "plumbing"}, encrypted=True)
+             {"order_id": order_id}, encrypted=True)
     return order_id
 
 
@@ -349,11 +331,6 @@ def separation_purchase(
     order_id = ctx.next_id("order")
     price = ctx.price_list.price_of(good)
     billing = {"order_id": order_id, "auth_token": token_fp, "good_id": good, "price": price}
-    billing_labels = {"order_id": "plumbing", "auth_token": "token", "good_id": "good",
-                      "price": "price"}
-    package_labels = {"auth_token": "token", "grand_total": "price", "signature": "plumbing"}
-    confirmation_labels = {"auth_token": "token", "status": "plumbing",
-                           "signature": "plumbing"}
 
     def billed_in_full(b):
         return checked(b, not billing.keys() - b.keys())
@@ -362,48 +339,43 @@ def separation_purchase(
         return lambda c: checked(c, _confirmation_ok(ctx, c, token))
 
     if not decentralised:
-        billed = _relay(sim, ctx, ctx.pos_id, POS_OWNER, "billing-data", billing,
-                        billing_labels, "billing-lost", read=billed_in_full,
-                        bad="bad-billing-data", order_id=order_id)
+        billed = carry(sim, _backhaul(ctx, ctx.pos_id, POS_OWNER, "billing-data", "billing-lost"),
+                       billing, read=billed_in_full, bad="bad-billing-data", order_id=order_id)
         if billed is None:
             return None
         package = make_billing_package(billed["auth_token"], billed["price"],
                                        ctx.pos_owner_keys)
-        at_charging = hop(sim, POS_OWNER, CHARGING, CHANNEL_NET,
-                          "billing-package", package, package_labels, "billing-lost",
-                          party=POS_OWNER, order_id=order_id)
+        at_charging = hop(sim, POS_OWNER, CHARGING, CHANNEL_NET, "billing-package", package,
+                          "billing-lost", party=POS_OWNER, order_id=order_id)
         if at_charging is None or hop(
             sim, CHARGING, POS_OWNER, CHANNEL_NET, "charge-confirmation",
-            _charge(ctx, at_charging, [ctx.pos_owner_keys.public]), confirmation_labels,
-            "confirmation-lost", read=confirmed(billed["auth_token"]), bad="charge-refused",
-            order_id=order_id,
+            _charge(ctx, at_charging, [ctx.pos_owner_keys.public]), "confirmation-lost",
+            read=confirmed(billed["auth_token"]), bad="charge-refused", order_id=order_id,
         ) is None:
             return None
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
     else:
         package = make_billing_package(token_fp, price, ctx.pos_delegate_keys)
-        at_charging = _relay(sim, ctx, ctx.pos_id, CHARGING, "billing-package",
-                             package, package_labels, "billing-lost", order_id=order_id)
-        if at_charging is None or _relay(
-            sim, ctx, CHARGING, ctx.pos_id, "charge-confirmation",
+        at_charging = carry(
+            sim, _backhaul(ctx, ctx.pos_id, CHARGING, "billing-package", "billing-lost"),
+            package, order_id=order_id)
+        if at_charging is None or carry(
+            sim, _backhaul(ctx, CHARGING, ctx.pos_id, "charge-confirmation", "confirmation-lost"),
             _charge(ctx, at_charging, [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public]),
-            confirmation_labels, "confirmation-lost", read=confirmed(token_fp),
-            bad="charge-refused", order_id=order_id,
+            read=confirmed(token_fp), bad="charge-refused", order_id=order_id,
         ) is None:
             return None
         sim.event("charge-confirmed", order_id=order_id, token=token_fp)
-        billed = _relay(sim, ctx, ctx.pos_id, POS_OWNER, "ack-request", billing,
-                        billing_labels, "ack-lost", read=billed_in_full,
-                        bad="bad-billing-data", order_id=order_id)
+        billed = carry(sim, _backhaul(ctx, ctx.pos_id, POS_OWNER, "ack-request", "ack-lost"),
+                       billing, read=billed_in_full, bad="bad-billing-data", order_id=order_id)
         if billed is None:
             return None
 
     ack = crypto.signed(ctx.pos_owner_keys, _ACK_TAG, {"order_id": billed["order_id"]})
-    if _relay(sim, ctx, POS_OWNER, ctx.pos_id, "purchase-acknowledgement", ack,
-              {"order_id": "plumbing", "signature": "plumbing"}, "ack-lost",
-              read=lambda a: checked(a, a.get("order_id") == order_id and crypto.signed_by(
-                  ctx.pos_owner_keys.public, _ACK_TAG, a, ("order_id",))),
-              bad="bad-ack-signature", order_id=order_id) is None:
+    if carry(sim, _backhaul(ctx, POS_OWNER, ctx.pos_id, "purchase-acknowledgement", "ack-lost"),
+             ack, read=lambda a: checked(a, a.get("order_id") == order_id and crypto.signed_by(
+                 ctx.pos_owner_keys.public, _ACK_TAG, a, ("order_id",))),
+             bad="bad-ack-signature", order_id=order_id) is None:
         return None
     return _deliver(sim, ctx, order_id)
 
@@ -439,6 +411,5 @@ def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:
 def control_exchange(sim, ctx: PosContext) -> None:
     """An arbitrary encrypted session, device to POS owner: what the carrier
     view of any relayed POS traffic must be indistinguishable from."""
-    body = seal([POS_OWNER], {"blob": "opaque-0"}, {"blob": "plumbing"})
     sim.send(ctx.device_id, POS_OWNER, CHANNEL_MOBILE, "control-env",
-             {"env": body}, {"env": "plumbing"}, encrypted=True)
+             {"env": seal([POS_OWNER], {"blob": "opaque-0"})}, encrypted=True)

@@ -124,18 +124,15 @@ def vsim_logon(sim, client: PrepaidClient, operator: PrepaidOperator, rng: Rng):
     """Random pool IMSI, retrying busy ones — at most pool-size attempts."""
     device_id = client.device.device_id
     for imsi in rng.shuffled(operator.pool.imsis):
-        sim.send(device_id, MNO, CHANNEL_MOBILE, "vsim-logon",
-                 {"imsi": imsi}, {"imsi": "identity"})
+        sim.send(device_id, MNO, CHANNEL_MOBILE, "vsim-logon", {"imsi": imsi})
         try:
             session_id = operator.logon(imsi)
         except ProtocolError as err:
             sim.send(MNO, device_id, CHANNEL_MOBILE, "vsim-logon-conflict",
-                     {"imsi": imsi, "code": err.code},
-                     {"imsi": "identity", "code": "plumbing"})
+                     {"imsi": imsi, "code": err.code})
             continue
         sim.send(MNO, device_id, CHANNEL_MOBILE, "vsim-session",
-                 {"imsi": imsi, "session_id": session_id},
-                 {"imsi": "identity", "session_id": "plumbing"})
+                 {"imsi": imsi, "session_id": session_id})
         sim.event("vsim-session", device=device_id, imsi=imsi, session=session_id)
         return imsi, session_id
     sim.event("abort", party=device_id, code="pool-exhausted")
@@ -154,20 +151,23 @@ def prepaid_service_request(
 ):
     """Attested service grant: quote + balance statement, decrement on accept.
 
+    The operator accepts only when the grant would still fall within the
+    verifier's freshness window after the accepted verdict, and otherwise
+    denies with stale-attestation.
+
     Returns the granted cost, or None on any denial (no decrement happens)."""
     device_id = client.device.device_id
     cost = client.cost_of(service, units)
     sim.send(device_id, MNO, CHANNEL_MOBILE, "service-request",
-             {"service": service, "units": units},
-             {"service": "good", "units": "plumbing"})
+             {"service": service, "units": units})
 
     exchange = attest_flow(sim, client.device, MNO, verifier, CHANNEL_MOBILE,
                            plan=plan, replenish_via=replenish_via)
+    verified = sim.tick  # the verdict's tick: the direct exchange ends on it
 
     def deny(code):
         sim.send(MNO, device_id, CHANNEL_MOBILE, "service-denied",
-                 {"service": service, "code": code},
-                 {"service": "good", "code": "plumbing"})
+                 {"service": service, "code": code})
         sim.event("denial", device=device_id, service=service, code=code)
         return None
 
@@ -181,34 +181,29 @@ def prepaid_service_request(
         statement = client.sign_statement(service, units, cost, nonce)
     except ProtocolError as err:
         sim.send(device_id, MNO, CHANNEL_MOBILE, "statement-refused",
-                 {"service": service, "code": err.code},
-                 {"service": "good", "code": "plumbing"})
+                 {"service": service, "code": err.code})
         return deny(err.code)
 
-    sim.send(device_id, MNO, CHANNEL_MOBILE, "balance-statement",
-             {"statement": statement}, {"statement": "balance"})
+    sim.send(device_id, MNO, CHANNEL_MOBILE, "balance-statement", {"statement": statement})
     if not verify_statement(statement, operator.pool.statement_public, nonce):
         return deny("bad-statement")
+    if sim.tick + 2 > verified + verifier.freshness_window:  # the grant comes two hops on
+        return deny("stale-attestation")
 
-    sim.send(MNO, device_id, CHANNEL_MOBILE, "service-accept",
-             {"service": service, "cost": cost},
-             {"service": "good", "cost": "price"})
+    sim.send(MNO, device_id, CHANNEL_MOBILE, "service-accept", {"service": service, "cost": cost})
     remaining = client.decrement(cost)
     sim.event("decrement", device=device_id, amount=cost, balance=remaining)
-    sim.send(device_id, MNO, CHANNEL_MOBILE, "service-consumed",
-             {"service": service}, {"service": "good"})
+    sim.send(device_id, MNO, CHANNEL_MOBILE, "service-consumed", {"service": service})
     sim.event("grant", device=device_id, service=service, cost=cost)
     sim.send(MNO, device_id, CHANNEL_MOBILE, "service-granted",
-             {"service": service, "units": units},
-             {"service": "good", "units": "plumbing"})
+             {"service": service, "units": units})
     return cost
 
 
 def top_up_flow(sim, client: PrepaidClient, mno_keys: KeyPair, voucher: dict):
     """Deliver a voucher and apply it; replays and forgeries are rejected."""
     device_id = client.device.device_id
-    sim.send(MNO, device_id, CHANNEL_MOBILE, "voucher",
-             {"voucher": voucher}, {"voucher": "balance"})
+    sim.send(MNO, device_id, CHANNEL_MOBILE, "voucher", {"voucher": voucher})
     try:
         balance = client.apply_voucher(voucher, mno_keys.public)
     except ProtocolError as err:

@@ -786,18 +786,16 @@ def _judge_facility_entry(transcript, config, attacks):
     ]
 
 
-# The midnight meeting's request to the facility provider, and its labels:
-# keep the room powered; the enforcer lets only the allowed fields leave.
+# The midnight meeting's request to the facility provider: keep the room
+# powered; the enforcer lets only the allowed fields leave.
 _MIDNIGHT_REQUEST = {"room": "conf-3", "action": "maintain-power", "until": "06:00",
                      "attendees": ["imsi-9001", "imsi-9004"], "agenda": "quarterly-figures"}
-_MIDNIGHT_LABELS = {"room": "plumbing", "action": "plumbing", "until": "plumbing",
-                    "attendees": "identity", "agenda": "policy"}
 
 
 def _run_facility_midnight(sim, config, plan):
     ctx, employee, _ = _facility_setup(sim, config, plan)
     if not plan.names:
-        send_external(sim, ctx, "power-request", _MIDNIGHT_REQUEST, _MIDNIGHT_LABELS)
+        send_external(sim, ctx, "power-request", _MIDNIGHT_REQUEST)
         facility_exit(sim, ctx, employee)
 
 

@@ -197,16 +197,14 @@ def _observed_sim():
 def test_receiver_and_carrier_knowledge_is_the_per_field_encoding():
     sim = _observed_sim()
     plain = {
-        "item": "café ☕",
+        "good": "café ☕",
         "quote": {"z": [1, 2.5, None], "a": {"nested": True}},
         "price": 120,
     }
-    plain_labels = {"item": "good", "quote": "plumbing", "price": "price"}
-    inner = {"item": "cola", "token": "t-1\x00"}
-    inner_labels = {"item": "token", "token": "token"}
-    payload = {**plain, "secret": seal(["owner"], inner, inner_labels)}
-    labels = {**plain_labels, "secret": "plumbing"}
-    sim.send("dev", "owner", "mobile", "order", payload, labels)
+    plain_labels = {"good": "good", "quote": "plumbing", "price": "price"}
+    inner = {"auth_token": "cola", "certificate": "t-1\x00"}
+    inner_labels = {"auth_token": "token", "certificate": "token"}
+    sim.send("dev", "owner", "mobile", "order", {**plain, "env": seal(["owner"], inner)})
 
     carrier_rows = {(f, plain_labels[f], reference(v)) for f, v in plain.items()}
     receiver_rows = carrier_rows | {(f, inner_labels[f], reference(v)) for f, v in inner.items()}
@@ -223,11 +221,12 @@ def test_receiver_and_carrier_knowledge_is_the_per_field_encoding():
 def test_one_payload_under_two_label_sets_is_read_under_both():
     sim = _observed_sim()
     shared = {"x": "v"}
+    # interiors built by hand: seal() would label x from the table, once
     payload = {
-        "a": {"_sealed": {"readers": ["owner"], "payload": shared, "labels": {"x": "good"}}},
-        "b": {"_sealed": {"readers": ["owner"], "payload": shared, "labels": {"x": "price"}}},
+        "env": {"_sealed": {"readers": ["owner"], "payload": shared, "labels": {"x": "good"}}},
+        "blob": {"_sealed": {"readers": ["owner"], "payload": shared, "labels": {"x": "price"}}},
     }
-    sim.send("dev", "owner", "mobile", "pair", payload, {"a": "plumbing", "b": "plumbing"})
+    sim.send("dev", "owner", "mobile", "pair", payload)
     expected = {("x", "good", '"v"'), ("x", "price", '"v"')}
     assert sim.parties["owner"].knowledge == expected
     assert sim.parties["mno"].knowledge == set()

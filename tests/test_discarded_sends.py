@@ -106,11 +106,11 @@ def test_every_discarded_send_is_listed_and_every_listed_one_exists():
 def test_the_scan_sees_discards_and_ignores_used_results():
     source = (
         "def step(sim):\n"
-        "    sim.send('a', 'b', 'c', 'kept-away', {}, {})\n"
-        "    msg = sim.send('a', 'b', 'c', 'used', {}, {})\n"
-        "    hop(sim, 'a', 'b', 'c', 'hop-away', {}, {}, 'lost')\n"
+        "    sim.send('a', 'b', 'c', 'kept-away', {})\n"
+        "    msg = sim.send('a', 'b', 'c', 'used', {})\n"
+        "    hop(sim, 'a', 'b', 'c', 'hop-away', {}, 'lost')\n"
         "    def inner():\n"
-        "        sim.send('a', 'b', 'c', f'{kind}-relay', {}, {})\n"
+        "        sim.send('a', 'b', 'c', f'{kind}-relay', {})\n"
         "    return msg\n"
     )
     visitor = _Discards("mod")

@@ -2,7 +2,6 @@
 
 import dataclasses
 
-from trustsim import crypto
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
@@ -160,9 +159,7 @@ def test_enforcer_strips_disallowed_fields():
     sim, ctx, employee = facility_world()
     sent = send_external(
         sim, ctx, "power-request",
-        {"room": "r1", "action": "keep-power", "attendees": ["imsi-1"]},
-        {"room": "plumbing", "action": "plumbing", "attendees": "identity"},
-    )
+        {"room": "r1", "action": "keep-power", "attendees": ["imsi-1"]})
     assert set(sent) == {"room", "action"}
     assert sim.events("enforcer-filtered")[0]["dropped_fields"] == ["attendees"]
     assert sim.knowledge_query("external", "identity") == set()

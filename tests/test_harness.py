@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from trustsim import audit, harness
+from trustsim import audit
 from trustsim.harness import (
     DROP,
+    FIELD_LABELS,
+    LABELS,
     Simulation,
     Transcript,
     canon_value,
@@ -23,28 +25,25 @@ def basic_sim(**kwargs):
 
 def test_plaintext_on_mobile_network_reaches_carrier_view_and_knowledge():
     sim = basic_sim()
-    sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
+    sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
     assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
     assert sim.knowledge_query("mno", "good") == {canon_value("cola")}
     view = sim.parties["mno"].carrier_view
-    assert view == [{"tick": 1, "channel": "mobile", "fields": ["item"], "encrypted": False}]
+    assert view == [{"tick": 1, "channel": "mobile", "fields": ["good"], "encrypted": False}]
 
 
 def test_encrypted_payload_reaches_endpoints_only():
     sim = basic_sim()
-    sim.send(
-        "dev", "owner", "mobile", "hello",
-        {"item": "cola"}, {"item": "good"}, encrypted=True,
-    )
+    sim.send("dev", "owner", "mobile", "hello", {"good": "cola"}, encrypted=True)
     assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
     assert sim.knowledge_query("mno", "good") == set()
     # the carrier still sees the shape
-    assert sim.parties["mno"].carrier_view[0]["fields"] == ["item"]
+    assert sim.parties["mno"].carrier_view[0]["fields"] == ["good"]
 
 
 def test_short_range_never_enters_carrier_state():
     sim = basic_sim()
-    sim.send("dev", "pos", "sr", "hello", {"item": "cola"}, {"item": "good"})
+    sim.send("dev", "pos", "sr", "hello", {"good": "cola"})
     assert sim.parties["mno"].carrier_view == []
     assert sim.knowledge_query("mno", "good") == set()
     assert sim.knowledge_query("pos", "good") == {canon_value("cola")}
@@ -52,46 +51,59 @@ def test_short_range_never_enters_carrier_state():
 
 def test_carrier_as_endpoint_reads_like_any_receiver():
     sim = basic_sim()
-    sim.send("dev", "mno", "mobile", "order", {"price": 120}, {"price": "price"})
+    sim.send("dev", "mno", "mobile", "order", {"price": 120})
     assert sim.knowledge_query("mno", "price") == {canon_value(120)}
     assert sim.parties["mno"].carrier_view == []
 
 
 def test_sealed_payload_opens_only_for_readers():
     sim = basic_sim()
-    envelope = seal(["owner"], {"item": "cola", "cost": 3}, {"item": "good", "cost": "price"})
+    envelope = seal(["owner"], {"good": "cola", "cost": 3})
     # relay hop: pos -> dev (short range), dev -> owner (mobile, encrypted)
-    sim.send("pos", "dev", "sr", "relay", {"env": envelope}, {"env": "plumbing"}, encrypted=True)
-    sim.send("dev", "owner", "mobile", "relay", {"env": envelope}, {"env": "plumbing"}, encrypted=True)
+    sim.send("pos", "dev", "sr", "relay", {"env": envelope}, encrypted=True)
+    sim.send("dev", "owner", "mobile", "relay", {"env": envelope}, encrypted=True)
     assert sim.knowledge_query("dev", "good") == set()
     assert sim.knowledge_query("mno", "good") == set()
     assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
     assert sim.knowledge_query("owner", "price") == {canon_value(3)}
 
 
+def test_every_field_label_is_in_the_taxonomy():
+    assert set(FIELD_LABELS.values()) <= LABELS
+
+
 def test_labels_are_mandatory_and_fixed():
     sim = basic_sim()
-    with pytest.raises(ValueError):
-        sim.send("dev", "mno", "mobile", "x", {"a": 1}, {})
-    with pytest.raises(ValueError):
-        sim.send("dev", "mno", "mobile", "x", {"a": 1}, {"a": "made-up-label"})
+    with pytest.raises(ValueError, match=r"unlabeled payload fields: \['a'\]"):
+        sim.send("dev", "mno", "mobile", "x", {"price": 1, "a": 1})
     sim.add_hook(lambda message: DROP)  # checked before any hook can drop it
-    with pytest.raises(ValueError):
-        sim.send("dev", "mno", "mobile", "x", {"a": 1}, {"a": "made-up-label"})
+    with pytest.raises(ValueError, match="unlabeled"):
+        sim.send("dev", "mno", "mobile", "x", {"a": 1})
+    assert (sim.tick, sim.records, sim.parties["mno"].knowledge) == (0, [], set())
+    with pytest.raises(ValueError, match=r"unlabeled payload fields: \['a'\]"):
+        seal(["owner"], {"good": "cola", "a": 1})
+
+
+def test_labels_come_from_the_table():
+    sim = basic_sim()
+    msg = sim.send("dev", "mno", "mobile", "order",
+                   {"price": 3, "good": seal(["owner"], {"good_id": "cola"})})
+    assert msg.labels == {"price": "price", "good": "good"}
+    assert msg.payload["good"]["_sealed"]["labels"] == {"good_id": "good"}
 
 
 def test_unknown_party_or_channel_rejected():
     sim = basic_sim()
     with pytest.raises(ValueError):
-        sim.send("ghost", "mno", "mobile", "x", {}, {})
+        sim.send("ghost", "mno", "mobile", "x", {})
     with pytest.raises(ValueError):
-        sim.send("dev", "mno", "missing", "x", {}, {})
+        sim.send("dev", "mno", "missing", "x", {})
 
 
 def test_drop_hook_records_event_and_skips_state():
     sim = basic_sim()
     sim.add_hook(lambda m: DROP if m.msg_type == "order" else None)
-    out = sim.send("dev", "mno", "mobile", "order", {"price": 5}, {"price": "price"})
+    out = sim.send("dev", "mno", "mobile", "order", {"price": 5})
     assert out is None
     assert sim.knowledge_query("mno", "price") == set()
     assert sim.tick == 0
@@ -111,24 +123,21 @@ def test_modify_hook_changes_payload_downstream():
         return None
 
     sim.add_hook(strip_signature)
-    msg = sim.send(
-        "mno", "dev", "mobile", "ack",
-        {"signature": "aabb"}, {"signature": "plumbing"},
-    )
+    msg = sim.send("mno", "dev", "mobile", "ack", {"signature": "aabb"})
     assert msg.payload["signature"] == "00"
 
 
 def test_tick_advances_once_per_delivery():
     sim = basic_sim()
-    sim.send("dev", "mno", "mobile", "a", {}, {})
-    sim.send("mno", "dev", "mobile", "b", {}, {})
+    sim.send("dev", "mno", "mobile", "a", {})
+    sim.send("mno", "dev", "mobile", "b", {})
     assert sim.tick == 2
     assert [m["tick"] for m in sim.messages()] == [1, 2]
 
 
 def test_transcript_round_trip_and_queries():
     sim = basic_sim()
-    sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
+    sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
     sim.event("delivery", order_id="o1")
     transcript = sim.finalize()
     text = transcript.to_text()
@@ -155,7 +164,7 @@ def test_transcript_parse_rejects_garbage():
 def test_transcript_lines_end_only_at_line_feeds_and_returns(separator):
     # JSON allows these raw inside a string, so they must not end a line
     sim = basic_sim()
-    sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
+    sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
     sim.event("note", text=f"a{separator}b")
     lines = [json.dumps(json.loads(line), ensure_ascii=False)
              for line in sim.finalize().to_lines()]
@@ -169,7 +178,7 @@ def test_transcript_lines_end_only_at_line_feeds_and_returns(separator):
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_transcript_parses_crlf_and_cr_line_ends(newline):
     sim = basic_sim()
-    sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
+    sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
     sim.event("delivery", order_id="o1")
     transcript = sim.finalize()
     back = Transcript.parse(transcript.to_text().replace("\n", newline))
@@ -179,17 +188,17 @@ def test_transcript_parses_crlf_and_cr_line_ends(newline):
 
 def test_auditor_accepts_honest_transcript():
     sim = basic_sim()
-    envelope = seal(["owner"], {"item": "cola"}, {"item": "good"})
-    sim.send("pos", "dev", "sr", "relay", {"env": envelope}, {"env": "plumbing"}, encrypted=True)
-    sim.send("dev", "owner", "mobile", "relay", {"env": envelope}, {"env": "plumbing"}, encrypted=True)
-    sim.send("dev", "mno", "mobile", "plain", {"n": 1}, {"n": "plumbing"})
+    envelope = seal(["owner"], {"good": "cola"})
+    sim.send("pos", "dev", "sr", "relay", {"env": envelope}, encrypted=True)
+    sim.send("dev", "owner", "mobile", "relay", {"env": envelope}, encrypted=True)
+    sim.send("dev", "mno", "mobile", "plain", {"units": 1})
     findings = audit.audit(sim.finalize())
     assert all(f.ok for f in findings), [f for f in findings if not f.ok]
 
 
 def test_auditor_catches_knowledge_snapshot_tampering():
     sim = basic_sim()
-    sim.send("dev", "mno", "mobile", "plain", {"n": 1}, {"n": "plumbing"})
+    sim.send("dev", "mno", "mobile", "plain", {"units": 1})
     transcript = sim.finalize()
     transcript.snapshot["knowledge"]["pos"] = [["stolen", "good", '"cola"']]
     finding = audit.check_knowledge_soundness(transcript)
@@ -200,8 +209,7 @@ def test_auditor_catches_billing_package_extra_field():
     sim = basic_sim()
     sim.send(
         "owner", "mno", "mobile", "billing-package",
-        {"auth_token": "t", "grand_total": 5, "signature": "ss", "extra": 1},
-        {"auth_token": "token", "grand_total": "price", "signature": "plumbing", "extra": "plumbing"},
+        {"auth_token": "t", "grand_total": 5, "signature": "ss", "order_id": "o1"},
     )
     finding = audit.check_billing_package_exactness(sim.finalize())
     assert not finding.ok
@@ -244,8 +252,8 @@ def test_auditor_counter_conservation():
 def test_same_seed_same_bytes():
     def run():
         sim = basic_sim()
-        sim.send("dev", "mno", "mobile", "a", {"n": sim.rng.randrange(100)}, {"n": "plumbing"})
-        sim.send("mno", "dev", "mobile", "b", {"m": sim.rng.u64()}, {"m": "plumbing"})
+        sim.send("dev", "mno", "mobile", "a", {"units": sim.rng.randrange(100)})
+        sim.send("mno", "dev", "mobile", "b", {"nonce": sim.rng.u64()})
         return sim.finalize().to_text()
 
     assert run() == run()

@@ -11,7 +11,7 @@ from trustsim.attestation import Verifier
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import MobileNetworkOperator, network_access_flow
-from trustsim.flows import apply_setup_attacks, enroll_flow
+from trustsim.flows import apply_setup_attacks, carry, enroll_flow
 from trustsim.harness import (
     DROP,
     Simulation,
@@ -395,22 +395,20 @@ def test_relay_forwards_what_arrived_and_stops_at_a_lost_hop():
     def stamp(message):
         if message.msg_type == "note-relay":
             payload = copy.deepcopy(message.payload)
-            payload["env"]["_sealed"]["payload"]["text"] = "rewritten"
+            payload["env"]["_sealed"]["payload"]["request"] = "rewritten"
             return dataclasses.replace(message, payload=payload)
         return None
 
     sim.add_hook(stamp)
-    delivered = pos._relay(sim, ctx, "pos-1", "pos-owner", "note",
-                           {"text": "hello"}, {"text": "plumbing"}, "note-lost")
-    assert delivered == {"text": "rewritten"}
+    legs = pos._backhaul(ctx, "pos-1", "pos-owner", "note", "note-lost")
+    assert carry(sim, legs, {"request": "hello"}) == {"request": "rewritten"}
     last = sim.messages()[-1]
     assert last["type"] == "note" and last["receiver"] == "pos-owner"
     assert not sim.events("abort")
 
     sim.add_hook(_drop_type("note-relay"))
     sent = len(sim.messages())
-    assert pos._relay(sim, ctx, "pos-1", "pos-owner", "note", {"text": "hello"},
-                      {"text": "plumbing"}, "note-lost", order_id="order-9") is None
+    assert carry(sim, legs, {"request": "hello"}, order_id="order-9") is None
     assert len(sim.messages()) == sent  # nothing left the device
     abort = sim.events("abort")[-1]
     assert (abort["party"], abort["code"], abort["order_id"]) == ("pos-1", "note-lost", "order-9")

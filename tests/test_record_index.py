@@ -31,7 +31,7 @@ def replay(operations):
     sim.add_party("mno", "mno")
     for action, rtype in operations:
         if action == "send":
-            sim.send("dev", "mno", "mobile", rtype, {"n": len(sim.records)}, {"n": "plumbing"})
+            sim.send("dev", "mno", "mobile", rtype, {"units": len(sim.records)})
         elif action == "event":
             sim.event(rtype, n=len(sim.records))
         else:  # from now on, every message of this type is dropped

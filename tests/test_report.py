@@ -132,7 +132,7 @@ def test_scenario_outside_the_catalog_verifies_on_invariants(tmp_path, capsys):
     sim = Simulation(3, scenario="custom-demo")
     for party in ("dev", "owner", "mno"):
         sim.add_party(party, "device")
-    sim.send("dev", "owner", "mobile", "hello", {"item": "cola"}, {"item": "good"})
+    sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
     transcript = sim.finalize()
     result = report(transcript)
     assert [row["name"] for row in result["assertions"]] == [

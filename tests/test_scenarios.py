@@ -5,7 +5,7 @@ import json
 import pytest
 
 from trustsim import audit, scenarios
-from trustsim.harness import Transcript
+from trustsim.harness import FIELD_LABELS, Transcript, is_sealed
 from trustsim.scenarios import (
     CATALOG,
     ScriptError,
@@ -232,3 +232,42 @@ def test_prepaid_run_stops_at_a_failed_vsim_logon(name):
     parsed = Transcript.parse(transcript.to_text())
     assert all(f.ok for f in audit.audit(parsed))
     assert scenarios.report(parsed) == report
+
+
+@pytest.mark.parametrize("name", ["prepaid-happy", "prepaid-zero"])
+def test_no_grant_falls_outside_the_freshness_window(name):
+    # a grant is written three ticks after its accepted verdict: with a
+    # window of 2 the operator denies instead, and nothing is decremented
+    transcript, _ = run_scenario(name, 1, variants={"freshness_window": 2})
+    assert not transcript.events("grant") and not transcript.events("decrement")
+    assert "stale-attestation" in {d["code"] for d in transcript.events("denial")}
+    assert all(f.ok for f in audit.audit(transcript))
+    transcript, report = run_scenario(name, 1, variants={"freshness_window": 3})
+    assert report["ok"] and transcript.events("grant")
+
+
+def _sent_fields(payload: dict):
+    """The field names of a payload and of every sealed interior in it."""
+    for fname, value in payload.items():
+        yield fname
+        if is_sealed(value):
+            yield from _sent_fields(value["_sealed"]["payload"])
+
+
+def _fields_sent(runs) -> set:
+    sent = set()
+    for name, variants in runs:
+        transcript, _ = run_scenario(name, 1, variants=variants)
+        for message in transcript.messages():
+            sent.update(_sent_fields(message["payload"]))
+    return sent
+
+
+def test_every_labelled_field_is_sent_by_some_catalog_run():
+    clean = _fields_sent((name, {}) for name in sorted(CATALOG))
+    assert FIELD_LABELS.keys() - clean == {"pos_certificate", "attendees", "agenda"}
+    overridden = _fields_sent([
+        ("pos-fig4", {"pos_check_via_mno": True}),
+        ("facility-midnight", {"enforcer_allowed_fields": sorted(scenarios._MIDNIGHT_REQUEST)}),
+    ])
+    assert clean | overridden == FIELD_LABELS.keys()
