@@ -135,12 +135,12 @@ def hop(sim, sender: str, receiver: str, channel: str, msg_type: str, payload: d
     with code lost, for party (the receiver unless named), when the hop was
     dropped, or could not be read and has no bad code. fields go on the
     abort record."""
-    msg = sim.send(sender, receiver, channel, msg_type, payload, encrypted=encrypted)
-    if msg is not None:
+    record = sim.send(sender, receiver, channel, msg_type, payload, encrypted=encrypted)
+    if record is not None:
         if read is None:
-            return msg.payload
+            return record["payload"]
         try:
-            return read(msg.payload)
+            return read(record["payload"])
         except (KeyError, TypeError, ValueError):
             if bad is not None:
                 sim.event("abort", party=receiver, code=bad, **fields)

@@ -25,11 +25,15 @@ SHORT_RANGE = "short_range"
 
 MNO = "mno"  # every scenario's one mobile operator, the mobile channel's carrier
 
-# The channels of every simulation, (name, kind, carrier): the operator's
-# network, observed by its carrier, a short-range link and a fixed network.
+# The channel table of every simulation, and of every transcript header: the
+# operator's network, observed by its carrier, a short-range link and a
+# fixed network.
 CHANNEL_MOBILE, CHANNEL_SR, CHANNEL_NET = "mobile", "sr", "net"
-CHANNELS = ((CHANNEL_MOBILE, MOBILE_NETWORK, MNO), (CHANNEL_SR, SHORT_RANGE, None),
-            (CHANNEL_NET, MOBILE_NETWORK, None))
+CHANNELS = {
+    CHANNEL_MOBILE: {"kind": MOBILE_NETWORK, "carrier": MNO},
+    CHANNEL_NET: {"kind": MOBILE_NETWORK, "carrier": None},
+    CHANNEL_SR: {"kind": SHORT_RANGE, "carrier": None},
+}
 
 # The fixed label taxonomy; scenario code may not invent labels.
 LABELS = frozenset(
@@ -137,53 +141,9 @@ def _check_labels(payload: dict, labels: dict) -> None:
             raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
 
 
-@dataclass(frozen=True)
-class Channel:
-    name: str
-    kind: str  # MOBILE_NETWORK or SHORT_RANGE
-    carrier: str | None  # party id observing mobile_network traffic
-
-
-@dataclass(frozen=True)
-class Message:
-    msg_id: str
-    tick: int
-    sender: str
-    receiver: str
-    channel: str
-    msg_type: str
-    payload: dict
-    labels: dict
-    encrypted: bool
-
-    def record(self) -> dict:
-        return {
-            "kind": "message",
-            "id": self.msg_id,
-            "tick": self.tick,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "channel": self.channel,
-            "type": self.msg_type,
-            "encrypted": self.encrypted,
-            "payload": self.payload,
-            "labels": self.labels,
-        }
-
-
-class PartyState:
-    """Per-party observation state owned by the harness."""
-
-    def __init__(self, role: str):
-        self.role = role
-        # knowledge: set of (field, label, canonical value)
-        self.knowledge = set()
-        # carrier-side metadata: list of shape records, in delivery order
-        self.carrier_view = []
-
-
 class Simulation:
-    """One deterministic run: registered parties, the CHANNELS, transcript."""
+    """One deterministic run over the CHANNELS: by party id, each party's
+    role, knowledge set of (field, label, value) rows and carrier view."""
 
     def __init__(self, seed: int, scenario: str = "", attacks=(), variants=None):
         self.rng = Rng(seed)
@@ -192,8 +152,9 @@ class Simulation:
         self.attacks = tuple(attacks)
         self.variants = dict(variants or {})
         self.tick = 0
-        self.parties: dict[str, PartyState] = {}
-        self.channels = {name: Channel(name, kind, carrier) for name, kind, carrier in CHANNELS}
+        self.roles = {}
+        self.knowledge = {}
+        self.carrier_views = {}
         self.records = []
         self.summary = {}
         self._hooks = []
@@ -201,15 +162,15 @@ class Simulation:
 
     # -- setup -------------------------------------------------------------
 
-    def add_party(self, party_id: str, role: str) -> PartyState:
-        if party_id in self.parties:
+    def add_party(self, party_id: str, role: str) -> None:
+        if party_id in self.roles:
             raise ValueError(f"duplicate party id: {party_id}")
-        state = PartyState(role)
-        self.parties[party_id] = state
-        return state
+        self.roles[party_id] = role
+        self.knowledge[party_id] = set()
 
     def add_hook(self, hook) -> None:
-        """Attack hook: hook(message) -> None (pass) | Message | harness.DROP."""
+        """Attack hook: hook(record) -> None (pass, after any in-place edit
+        of the record) | a replacement record dict | harness.DROP."""
         self._hooks.append(hook)
 
     # -- delivery ----------------------------------------------------------
@@ -217,67 +178,69 @@ class Simulation:
     def send(self, sender: str, receiver: str, channel: str, msg_type: str, payload: dict, *,
              encrypted: bool = False):
         """Deliver one message in order, each field labelled from FIELD_LABELS;
-        returns it, or None when an attack hook dropped it. What the hooks
-        let through is label-checked, whether replaced or edited in place:
+        returns the record it appended, or None when a hook dropped it. What
+        hooks let through is label-checked, replaced or edited in place:
         labels are the harness's record of a message, not wire content."""
-        if sender not in self.parties or receiver not in self.parties:
+        if sender not in self.roles or receiver not in self.roles:
             raise ValueError(f"unregistered party in {sender}->{receiver}")
-        ch = self.channels.get(channel)
-        if ch is None:
+        if channel not in CHANNELS:
             raise ValueError(f"unknown channel: {channel}")
         labels = _labels_of(payload)
 
         self._msg_counter += 1
-        message = Message(
-            msg_id=f"m{self._msg_counter:05d}",
-            tick=self.tick + 1,
-            sender=sender,
-            receiver=receiver,
-            channel=channel,
-            msg_type=msg_type,
-            payload=dict(payload),
-            labels=labels,
-            encrypted=encrypted,
-        )
+        record = {
+            "kind": "message",
+            "id": f"m{self._msg_counter:05d}",
+            "tick": self.tick + 1,
+            "sender": sender,
+            "receiver": receiver,
+            "channel": channel,
+            "type": msg_type,
+            "encrypted": encrypted,
+            "payload": dict(payload),
+            "labels": labels,
+        }
 
         for hook in self._hooks:
-            outcome = hook(message)
+            outcome = hook(record)
             if outcome is DROP:
-                self.event("message-dropped", id=message.msg_id, type=message.msg_type,
+                self.event("message-dropped", id=record["id"], type=record["type"],
                            sender=sender, receiver=receiver)
                 return None
-            if isinstance(outcome, Message):
-                message = outcome
+            if outcome is not None:
+                record = outcome
         if self._hooks:
-            _check_labels(message.payload, message.labels)
+            _check_labels(record["payload"], record["labels"])
 
         self.tick += 1
-        self.records.append(message.record())
-        self._observe(message, ch)
-        return message
+        self.records.append(record)
+        self._observe(record, CHANNELS[channel])
+        return record
 
-    def _observe(self, message: Message, channel: Channel) -> None:
+    def _observe(self, record: dict, channel: dict) -> None:
         # Encodings of this message's fields, shared by the receiver and the
         # carrier; dropped with the message.
         memo = {}
-        receiver = self.parties[message.receiver]
-        _absorb(receiver, message.receiver, message.payload, message.labels, memo)
+        payload, labels = record["payload"], record["labels"]
+        receiver = record["receiver"]
+        _absorb(self.knowledge[receiver], receiver, payload, labels, memo)
 
-        if channel.kind != MOBILE_NETWORK or channel.carrier is None:
+        carrier = channel["carrier"]
+        if channel["kind"] != MOBILE_NETWORK or carrier is None:
             return
-        if channel.carrier in (message.sender, message.receiver):
+        if carrier in (record["sender"], receiver):
             return
-        carrier = self.parties[channel.carrier]
-        carrier.carrier_view.append(
+        known = self.knowledge[carrier]  # KeyError: the carrier is no party
+        self.carrier_views.setdefault(carrier, []).append(
             {
-                "tick": message.tick,
-                "channel": message.channel,
-                "fields": sorted(message.payload),
-                "encrypted": message.encrypted,
+                "tick": record["tick"],
+                "channel": record["channel"],
+                "fields": sorted(payload),
+                "encrypted": record["encrypted"],
             }
         )
-        if not message.encrypted:
-            _absorb(carrier, channel.carrier, message.payload, message.labels, memo)
+        if not record["encrypted"]:
+            _absorb(known, carrier, payload, labels, memo)
 
     # -- events and report queries -------------------------------------------
 
@@ -295,11 +258,10 @@ class Simulation:
         """Message records of that type (all messages for None), in record order."""
         return _select(self.records, "message", msg_type)
 
-    def knowledge_query(self, party: str, label: str | None = None, fname: str | None = None) -> set:
-        """Exact set of canonical values with that label (or field name)
-        ever readable by the party."""
-        state = self.parties.get(party)
-        return _known(party, None if state is None else state.knowledge, label, fname)
+    def knowledge_query(self, party: str, label: str | None = None) -> set:
+        """Exact set of canonical values with that label ever readable by
+        the party."""
+        return _known(party, self.knowledge.get(party), label)
 
     # -- transcript --------------------------------------------------------
 
@@ -311,25 +273,16 @@ class Simulation:
                 "seed": self.seed,
                 "attacks": list(self.attacks),
                 "variants": self.variants,
-                "channels": {
-                    name: {"kind": ch.kind, "carrier": ch.carrier}
-                    for name, ch in sorted(self.channels.items())
-                },
+                "channels": {name: dict(spec) for name, spec in CHANNELS.items()},
             },
             records=list(self.records),
             snapshot={
                 "kind": "snapshot",
                 "tick": self.tick,
-                "knowledge": {
-                    pid: sorted(list(t) for t in state.knowledge)
-                    for pid, state in sorted(self.parties.items())
-                },
-                "carrier_views": {
-                    pid: state.carrier_view
-                    for pid, state in sorted(self.parties.items())
-                    if state.carrier_view
-                },
-                "roles": {pid: s.role for pid, s in sorted(self.parties.items())},
+                "knowledge": {pid: sorted(map(list, rows))
+                              for pid, rows in sorted(self.knowledge.items())},
+                "carrier_views": dict(sorted(self.carrier_views.items())),
+                "roles": dict(sorted(self.roles.items())),
                 "summary": self.summary,
             },
         )
@@ -344,21 +297,17 @@ def _select(records: list, kind: str, rtype: str | None) -> list:
     return [r for r in records if r["kind"] == kind and (rtype is None or r[key] == rtype)]
 
 
-def _known(party: str, rows, label: str | None, fname: str | None) -> set:
+def _known(party: str, rows, label: str | None) -> set:
     """knowledge_query of Simulation and Transcript: the exact set of
-    canonical values with that label (or field name) among a party's
-    knowledge rows (field, label, value)."""
+    canonical values with that label among a party's knowledge rows
+    (field, label, value)."""
     if rows is None:
         raise ValueError(f"unknown party: {party}")
-    return {
-        value
-        for f, l, value in rows
-        if (label is None or l == label) and (fname is None or f == fname)
-    }
+    return {value for _, l, value in rows if label is None or l == label}
 
 
-def _absorb(state: PartyState, party_id: str, payload: dict, labels: dict, memo: dict) -> None:
-    """Fold readable payload fields into a party's knowledge set.
+def _absorb(known: set, party_id: str, payload: dict, labels: dict, memo: dict) -> None:
+    """Fold readable payload fields into a party's knowledge set, known.
 
     Sealed sub-payloads open only for their listed readers, however deeply
     the envelope travelled, and an opaque one (see opens) for no one.
@@ -378,10 +327,10 @@ def _absorb(state: PartyState, party_id: str, payload: dict, labels: dict, memo:
                 plain.append((fname, labels[fname], _encode(value)))
         split = memo[key] = (plain, sealed)
     plain, sealed = split
-    state.knowledge.update(plain)
+    known.update(plain)
     for inner in sealed:
         if party_id in inner["readers"]:
-            _absorb(state, party_id, inner["payload"], inner["labels"], memo)
+            _absorb(known, party_id, inner["payload"], inner["labels"], memo)
 
 
 @dataclass
@@ -442,8 +391,8 @@ class Transcript:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read())
 
-    def knowledge_query(self, party: str, label: str | None = None, fname: str | None = None) -> set:
-        return _known(party, self.snapshot["knowledge"].get(party), label, fname)
+    def knowledge_query(self, party: str, label: str | None = None) -> set:
+        return _known(party, self.snapshot["knowledge"].get(party), label)
 
     def events(self, event_type: str | None = None) -> list:
         return _select(self.records, "event", event_type)

@@ -18,7 +18,7 @@ from . import audit, crypto, facility, pos
 from .anchor import Manufacturer
 from .attestation import Verifier
 from .boot import tamper
-from .device import TrustedDevice, reference_db_for, standard_chain
+from .device import BASE_CHAIN, TrustedDevice, reference_db_for, standard_chain
 from .domain import (
     BOUND,
     UNBOUND,
@@ -543,12 +543,9 @@ def _run_pos_fig4(sim, config, plan):
     if ctx is None:
         return
     if "ack-strip" in plan.names:
-        def corrupt(message):
-            if message.msg_type == "purchase-ack-relay":
-                payload = dict(message.payload)
-                payload["signature"] = "00" * 64
-                return dataclasses.replace(message, payload=payload)
-            return None
+        def corrupt(record):
+            if record["type"] == "purchase-ack-relay":
+                record["payload"]["signature"] = "00" * 64
         sim.add_hook(corrupt)
 
     session = mutual_attest_session(sim, ctx, plan=plan)
@@ -899,7 +896,11 @@ def _pairs(value, first: type, second: type) -> bool:
 # that takes); a check may read the rest of the merged config
 _VALUE_RULES = {
     "batch_size": (lambda v, c: v >= 2, "at least 2: replenishing spends a credential"),
-    "extra_components": (lambda v, c: _pairs(v, str, str), "[name, payload] string pairs"),
+    # references are keyed by component name, so a repeated name shadows one
+    "extra_components": (lambda v, c: _pairs(v, str, str)
+                         and len({n for n, _ in [*BASE_CHAIN, *v]}) == len(BASE_CHAIN) + len(v),
+                         "[name, payload] string pairs with distinct names, "
+                         f"none of {[n for n, _ in BASE_CHAIN]}"),
     # prepaid-zero has no requests: it asks for calls
     "tariffs": (lambda v, c: all(type(p) is int and p >= 0 for p in v.values())
                 and ("requests" in c or "calls" in v),
@@ -943,6 +944,8 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     """Deterministic execution -> (Transcript, report dict)."""
     if isinstance(script, str):
         script = get_script(script)
+    if not 0 <= seed < 2**64:
+        raise ScriptError(f"seed must be in 0..2**64-1, got {seed}")
     _validate(script, variants or {}, attacks)
     # the variants as the transcript header records them, keys sorted, so the
     # runner meets any multi-key override in the order a judge of the text does

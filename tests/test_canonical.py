@@ -208,8 +208,8 @@ def test_receiver_and_carrier_knowledge_is_the_per_field_encoding():
 
     carrier_rows = {(f, plain_labels[f], reference(v)) for f, v in plain.items()}
     receiver_rows = carrier_rows | {(f, inner_labels[f], reference(v)) for f, v in inner.items()}
-    assert sim.parties["owner"].knowledge == receiver_rows
-    assert sim.parties["mno"].knowledge == carrier_rows  # the seal stays shut
+    assert sim.knowledge["owner"] == receiver_rows
+    assert sim.knowledge["mno"] == carrier_rows  # the seal stays shut
 
     parsed = Transcript.parse(sim.finalize().to_text())
     knowledge, _ = audit._replay_observations(parsed)
@@ -228,8 +228,8 @@ def test_one_payload_under_two_label_sets_is_read_under_both():
     }
     sim.send("dev", "owner", "mobile", "pair", payload)
     expected = {("x", "good", '"v"'), ("x", "price", '"v"')}
-    assert sim.parties["owner"].knowledge == expected
-    assert sim.parties["mno"].knowledge == set()
+    assert sim.knowledge["owner"] == expected
+    assert sim.knowledge["mno"] == set()
     # the auditor sees the same shared objects when it checks a run in memory
     knowledge, _ = audit._replay_observations(sim.finalize())
     assert knowledge["owner"] == expected

@@ -6,6 +6,7 @@ import pytest
 
 from trustsim.cli import main
 from trustsim.harness import Transcript
+from trustsim.scenarios import CATALOG
 
 
 def run_cli(args):
@@ -70,6 +71,11 @@ UNUSABLE_VARIANTS = [
     pytest.param("pos-fig4", "good", '"tea"', id="good-not-for-sale"),
     pytest.param("facility-entry", "zones", '{"z":5}', id="zone-without-overrides"),
     pytest.param("one-time-aik-auth", "extra_components", '[["a"]]', id="component-no-payload"),
+    pytest.param("one-time-aik-auth", "extra_components", '[["os","x"]]', id="component-named-os"),
+    pytest.param("one-time-aik-auth", "extra_components", '[["crtm","x"]]',
+                 id="component-named-crtm"),
+    pytest.param("one-time-aik-auth", "extra_components", '[["svc","a"],["svc","b"]]',
+                 id="component-name-twice"),
 ] + [pytest.param(scenario, key, value, id=f"fixed-{key}")
       for key, (scenario, value) in FIXED_KEYS.items()]
 
@@ -81,6 +87,20 @@ def test_run_unusable_variant_is_a_config_error(tmp_path, capsys, scenario, key,
     err = capsys.readouterr().err
     says = "unknown config key" if key in FIXED_KEYS else f"config key {key!r} needs"
     assert err.startswith(f"config error: {says}") and repr(key) in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("components", ["[]", json.dumps(
+    CATALOG["one-time-aik-auth"].defaults["extra_components"])], ids=["none", "default"])
+def test_run_distinct_extra_components_are_accepted(tmp_path, components):
+    assert run_cli(["run", "one-time-aik-auth", "--variant", f"extra_components={components}",
+                    "--seed", "1", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "two-to-the-64"])
+def test_run_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, seed):
+    assert run_cli(["run", "pos-fig4", "--seed", seed, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be in 0..2**64-1")
     assert not list(tmp_path.iterdir())
 
 

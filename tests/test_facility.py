@@ -1,6 +1,5 @@
 """Facility pieces in isolation: gate checks, cache, enforcer, terminals."""
 
-import dataclasses
 
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
@@ -109,8 +108,9 @@ def test_terminal_relays_through_device_sealed():
     ack = terminal_interaction(sim, ctx, employee, "board", "show-agenda")
     assert ack == {"terminal": "board", "ok": True}
     # the relaying device cannot read the terminal's request
-    assert sim.knowledge_query("employee", fname="request") == set()
-    assert sim.knowledge_query("company", fname="request") == {'"show-agenda"'}
+    requests = {party: {value for fname, _, value in sim.knowledge[party] if fname == "request"}
+                for party in ("employee", "company")}
+    assert requests == {"employee": set(), "company": {'"show-agenda"'}}
 
 
 def _terminal_with_hook(hook):
@@ -121,7 +121,7 @@ def _terminal_with_hook(hook):
 
 def test_lost_terminal_request_is_never_acked():
     sim, ack = _terminal_with_hook(
-        lambda m: DROP if m.msg_type == "terminal-relay" else None)
+        lambda record: DROP if record["type"] == "terminal-relay" else None)
     assert ack is None
     assert [(e["party"], e["code"]) for e in sim.events("abort")] == [
         ("company", "request-lost")]
@@ -129,10 +129,10 @@ def test_lost_terminal_request_is_never_acked():
 
 
 def test_company_acks_the_terminal_its_request_named():
-    def hook(message):
-        if message.msg_type != "terminal-request":
+    def hook(record):
+        if record["type"] != "terminal-request":
             return None
-        inner = message.payload["env"]["_sealed"]["payload"]
+        inner = record["payload"]["env"]["_sealed"]["payload"]
         inner["terminal"] = "elsewhere"
         return None
 
@@ -144,9 +144,9 @@ def test_company_acks_the_terminal_its_request_named():
 
 
 def test_terminal_reads_only_an_ok_ack_for_itself():
-    def hook(message):
-        if message.msg_type == "terminal-ack-relay":
-            return dataclasses.replace(message, payload={**message.payload, "ok": "yes"})
+    def hook(record):
+        if record["type"] == "terminal-ack-relay":
+            return {**record, "payload": {**record["payload"], "ok": "yes"}}
         return None
 
     sim, ack = _terminal_with_hook(hook)

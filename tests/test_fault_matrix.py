@@ -14,7 +14,6 @@ listed fails this test, and so does a listed one that is no longer silent,
 so the list only shrinks.
 """
 
-import dataclasses
 import functools
 
 import pytest
@@ -82,13 +81,13 @@ SILENT = {(column, scenario, msg_type)
 
 def _fault(column: str, msg_type: str, hit: list):
     """Hook: drop or garble the first message of msg_type, noting its id."""
-    def hook(message):
-        if message.msg_type != msg_type or hit:
+    def hook(record):
+        if record["type"] != msg_type or hit:
             return None
-        hit.append(message.msg_id)
+        hit.append(record["id"])
         if column == "drop":
             return DROP
-        return dataclasses.replace(message, payload=dict.fromkeys(message.payload, "zz"))
+        return {**record, "payload": dict.fromkeys(record["payload"], "zz")}
     return hook
 
 

@@ -3,7 +3,6 @@ the attestation exchange end a run in a named abort, never in an exception or a
 service event, when a hop is lost or arrives malformed."""
 
 import copy
-import dataclasses
 
 import pytest
 
@@ -31,17 +30,17 @@ def _nth(msg_type, change, n=1):
     change is DROP, or a function that edits a deep copy of the payload."""
     seen = []
 
-    def hook(message):
-        if message.msg_type != msg_type:
+    def hook(record):
+        if record["type"] != msg_type:
             return None
-        seen.append(message.msg_id)
+        seen.append(record["id"])
         if len(seen) != n:
             return None
         if change is DROP:
             return DROP
-        payload = copy.deepcopy(message.payload)
+        payload = copy.deepcopy(record["payload"])
         change(payload)
-        return dataclasses.replace(message, payload=payload)
+        return {**record, "payload": payload}
     return hook
 
 

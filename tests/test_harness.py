@@ -5,7 +5,9 @@ import json
 import pytest
 
 from trustsim import audit
+from trustsim.flows import hop
 from trustsim.harness import (
+    CHANNELS,
     DROP,
     FIELD_LABELS,
     LABELS,
@@ -28,8 +30,7 @@ def test_plaintext_on_mobile_network_reaches_carrier_view_and_knowledge():
     sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
     assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
     assert sim.knowledge_query("mno", "good") == {canon_value("cola")}
-    view = sim.parties["mno"].carrier_view
-    assert view == [{"tick": 1, "channel": "mobile", "fields": ["good"], "encrypted": False}]
+    assert sim.carrier_views["mno"] == [{"tick": 1, "channel": "mobile", "fields": ["good"], "encrypted": False}]
 
 
 def test_encrypted_payload_reaches_endpoints_only():
@@ -38,13 +39,13 @@ def test_encrypted_payload_reaches_endpoints_only():
     assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
     assert sim.knowledge_query("mno", "good") == set()
     # the carrier still sees the shape
-    assert sim.parties["mno"].carrier_view[0]["fields"] == ["good"]
+    assert sim.carrier_views["mno"][0]["fields"] == ["good"]
 
 
 def test_short_range_never_enters_carrier_state():
     sim = basic_sim()
     sim.send("dev", "pos", "sr", "hello", {"good": "cola"})
-    assert sim.parties["mno"].carrier_view == []
+    assert sim.carrier_views == {}
     assert sim.knowledge_query("mno", "good") == set()
     assert sim.knowledge_query("pos", "good") == {canon_value("cola")}
 
@@ -53,7 +54,7 @@ def test_carrier_as_endpoint_reads_like_any_receiver():
     sim = basic_sim()
     sim.send("dev", "mno", "mobile", "order", {"price": 120})
     assert sim.knowledge_query("mno", "price") == {canon_value(120)}
-    assert sim.parties["mno"].carrier_view == []
+    assert sim.carrier_views == {}
 
 
 def test_sealed_payload_opens_only_for_readers():
@@ -79,17 +80,17 @@ def test_labels_are_mandatory_and_fixed():
     sim.add_hook(lambda message: DROP)  # checked before any hook can drop it
     with pytest.raises(ValueError, match="unlabeled"):
         sim.send("dev", "mno", "mobile", "x", {"a": 1})
-    assert (sim.tick, sim.records, sim.parties["mno"].knowledge) == (0, [], set())
+    assert (sim.tick, sim.records, sim.knowledge["mno"]) == (0, [], set())
     with pytest.raises(ValueError, match=r"unlabeled payload fields: \['a'\]"):
         seal(["owner"], {"good": "cola", "a": 1})
 
 
 def test_labels_come_from_the_table():
     sim = basic_sim()
-    msg = sim.send("dev", "mno", "mobile", "order",
-                   {"price": 3, "good": seal(["owner"], {"good_id": "cola"})})
-    assert msg.labels == {"price": "price", "good": "good"}
-    assert msg.payload["good"]["_sealed"]["labels"] == {"good_id": "good"}
+    record = sim.send("dev", "mno", "mobile", "order",
+                      {"price": 3, "good": seal(["owner"], {"good_id": "cola"})})
+    assert record["labels"] == {"price": "price", "good": "good"}
+    assert record["payload"]["good"]["_sealed"]["labels"] == {"good_id": "good"}
 
 
 def test_unknown_party_or_channel_rejected():
@@ -102,7 +103,7 @@ def test_unknown_party_or_channel_rejected():
 
 def test_drop_hook_records_event_and_skips_state():
     sim = basic_sim()
-    sim.add_hook(lambda m: DROP if m.msg_type == "order" else None)
+    sim.add_hook(lambda record: DROP if record["type"] == "order" else None)
     out = sim.send("dev", "mno", "mobile", "order", {"price": 5})
     assert out is None
     assert sim.knowledge_query("mno", "price") == set()
@@ -110,21 +111,61 @@ def test_drop_hook_records_event_and_skips_state():
     assert len(sim.events("message-dropped")) == 1
 
 
-def test_modify_hook_changes_payload_downstream():
-    import dataclasses
-
+def test_send_returns_the_record_it_appended():
     sim = basic_sim()
+    payload = {"good": "cola"}
+    record = sim.send("dev", "owner", "mobile", "hello", payload, encrypted=True)
+    assert record is sim.records[-1]
+    assert record == {"kind": "message", "id": "m00001", "tick": 1, "sender": "dev",
+                      "receiver": "owner", "channel": "mobile", "type": "hello",
+                      "encrypted": True, "payload": payload, "labels": {"good": "good"}}
+    assert record["payload"] is not payload
+    delivered = hop(sim, "owner", "dev", "mobile", "reply", {"units": 2}, "lost")
+    assert delivered is sim.records[-1]["payload"]
 
-    def strip_signature(message):
-        if message.msg_type == "ack":
-            payload = dict(message.payload)
-            payload["signature"] = "00"
-            return dataclasses.replace(message, payload=payload)
-        return None
 
-    sim.add_hook(strip_signature)
-    msg = sim.send("mno", "dev", "mobile", "ack", {"signature": "aabb"})
-    assert msg.payload["signature"] == "00"
+def _replaced(record, key, field, value):
+    return {**record, key: {**record[key], field: value}}
+
+
+def _edited_in_place(record, key, field, value):
+    record[key][field] = value
+
+
+EDITS = pytest.mark.parametrize("edit", [_replaced, _edited_in_place],
+                                ids=["replaced", "in-place"])
+
+
+@EDITS
+def test_what_a_hook_leaves_is_recorded_and_observed(edit):
+    sim = basic_sim()
+    sim.add_hook(lambda record: edit(record, "payload", "signature", "00")
+                 if record["type"] == "ack" else None)
+    record = sim.send("mno", "dev", "mobile", "ack", {"signature": "aabb"})
+    assert record is sim.records[-1]
+    assert record["payload"] == {"signature": "00"}
+    assert sim.knowledge_query("dev", "plumbing") == {canon_value("00")}
+
+
+# A top-level label is the harness's record of a message, not wire content,
+# so a hook that rewrites one raises like a protocol step that sends one.
+@EDITS
+@pytest.mark.parametrize("value", ["bogus", ["price"]], ids=["bogus", "list"])
+def test_rewritten_top_level_label_raises(value, edit):
+    sim = basic_sim()
+    sim.add_hook(lambda record: edit(record, "labels", "entries", value))
+    with pytest.raises(ValueError, match="labels outside the fixed taxonomy"):
+        sim.send("pos", "dev", "sr", "price-list", {"entries": [["cola", 3]]})
+    assert (sim.tick, sim.records) == (0, [])
+
+
+def test_each_header_has_its_own_copy_of_the_channel_table():
+    first, second = basic_sim().finalize(), basic_sim().finalize()
+    assert first.header["channels"] == second.header["channels"] == CHANNELS
+    first.header["channels"]["mobile"]["carrier"] = "other"
+    first.header["channels"]["extra"] = {"kind": "short_range", "carrier": None}
+    assert second.header["channels"] == CHANNELS
+    assert CHANNELS["mobile"]["carrier"] == "mno" and "extra" not in CHANNELS
 
 
 def test_tick_advances_once_per_delivery():

@@ -151,11 +151,11 @@ def test_stripped_ack_signature_blocks_delivery():
     mutual_attest_session(sim, ctx)
     exchange_price_list(sim, ctx)
 
-    def corrupt(message):
-        if message.msg_type == "purchase-ack-relay":
-            payload = dict(message.payload)
+    def corrupt(record):
+        if record["type"] == "purchase-ack-relay":
+            payload = dict(record["payload"])
             payload["signature"] = "00" * 64
-            return dataclasses.replace(message, payload=payload)
+            return {**record, "payload": payload}
         return None
 
     sim.add_hook(corrupt)
@@ -203,7 +203,7 @@ def test_separation_purchase_decentralised_same_privacy():
     assert sim.knowledge_query("pos-owner", "identity") == set()
     assert sim.events("delivery")[-1]["order_id"] == order
     # the relaying device never reads the backhaul interiors
-    assert sim.knowledge_query("dev-1", "token", fname="auth_token") == set()
+    assert {value for fname, _, value in sim.knowledge["dev-1"] if fname == "auth_token"} == set()
 
 
 def test_reused_token_rejected_at_validation():
@@ -248,7 +248,7 @@ def test_unmerged_operator_sees_neither_tokens_nor_goods():
     assert all(spent not in v for v in sim.knowledge_query("mno", "token"))
     # carrier view: uniform encrypted envelopes, indistinguishable from the
     # control session's shape
-    shapes = {(tuple(e["fields"]), e["encrypted"]) for e in sim.parties["mno"].carrier_view}
+    shapes = {(tuple(e["fields"]), e["encrypted"]) for e in sim.carrier_views["mno"]}
     assert shapes == {(("env",), True)}
 
 
@@ -260,7 +260,7 @@ def test_two_purchases_expose_distinct_pos_pseudonyms():
         _, token_fp, _ = out
         exchange_price_list(sim, ctx)
         assert separation_purchase(sim, ctx, good, token_fp) is not None
-    device_tokens = sim.knowledge_query("dev-1", "token", fname="certificate")
+    device_tokens = {value for fname, _, value in sim.knowledge["dev-1"] if fname == "certificate"}
     assert len(device_tokens) >= 2
 
 
@@ -276,7 +276,7 @@ def test_rotation_keeps_service_alive():
 def test_rotation_stops_after_a_failed_replenishment(msg_type):
     sim, ctx = pos_world()
     del ctx.pos.wallet.credentials[1:]  # the last credential: rotation replenishes
-    sim.add_hook(lambda message: DROP if message.msg_type == msg_type else None)
+    sim.add_hook(lambda record: DROP if record["type"] == msg_type else None)
     assert rotate_pos_pseudonym(sim, ctx) is None
     last = sim.records[-1]
     assert (last["event"], last["code"]) == ("abort", f"{msg_type}-lost")
@@ -299,7 +299,7 @@ def test_device_knows_prices_from_the_price_list():
     sim, ctx = pos_world()
     mutual_attest_session(sim, ctx)
     exchange_price_list(sim, ctx)
-    entries = sim.knowledge_query("dev-1", "price", fname="entries")
+    entries = {value for fname, _, value in sim.knowledge["dev-1"] if fname == "entries"}
     assert entries and all(str(price) in next(iter(entries)) for _, price in GOODS)
 
 
@@ -329,8 +329,8 @@ SESSION_HOPS = {
 
 
 def _drop_type(msg_type):
-    def hook(message):
-        return DROP if message.msg_type == msg_type else None
+    def hook(record):
+        return DROP if record["type"] == msg_type else None
     return hook
 
 
@@ -349,13 +349,13 @@ def test_separation_session_aborts_on_any_lost_hop(msg_type, direct):
         assert sim.events("attestation-verdict") == []
 
 
-def _rewrite_validated_nonce(message):
-    if message.msg_type != "token-validate":
+def _rewrite_validated_nonce(record):
+    if record["type"] != "token-validate":
         return None
-    payload = copy.deepcopy(message.payload)
+    payload = copy.deepcopy(record["payload"])
     interior = payload["env"]["_sealed"]["payload"] if "env" in payload else payload
     interior["quote"]["nonce"] = "00" * 16
-    return dataclasses.replace(message, payload=payload)
+    return {**record, "payload": payload}
 
 
 @pytest.mark.parametrize("direct", [False, True], ids=["via-owner", "direct"])
@@ -374,12 +374,12 @@ def test_auth_provider_verifies_the_token_it_received(direct):
 def test_pos_acts_on_the_verdict_that_reached_it():
     sim, ctx = pos_world()
 
-    def refuse(message):
-        if message.msg_type != "token-verdict-relay":
+    def refuse(record):
+        if record["type"] != "token-verdict-relay":
             return None
-        payload = copy.deepcopy(message.payload)
+        payload = copy.deepcopy(record["payload"])
         payload["env"]["_sealed"]["payload"] = {"ok": False, "reasons": ["forged"]}
-        return dataclasses.replace(message, payload=payload)
+        return {**record, "payload": payload}
 
     sim.add_hook(refuse)
     assert separation_session(sim, ctx) is None
@@ -392,11 +392,11 @@ def test_pos_acts_on_the_verdict_that_reached_it():
 def test_relay_forwards_what_arrived_and_stops_at_a_lost_hop():
     sim, ctx = pos_world()
 
-    def stamp(message):
-        if message.msg_type == "note-relay":
-            payload = copy.deepcopy(message.payload)
+    def stamp(record):
+        if record["type"] == "note-relay":
+            payload = copy.deepcopy(record["payload"])
             payload["env"]["_sealed"]["payload"]["request"] = "rewritten"
-            return dataclasses.replace(message, payload=payload)
+            return {**record, "payload": payload}
         return None
 
     sim.add_hook(stamp)
@@ -417,12 +417,12 @@ def test_relay_forwards_what_arrived_and_stops_at_a_lost_hop():
 
 def _rewrite_interior(msg_type, **fields):
     """Hook: overwrite fields inside the relayed envelope of msg_type."""
-    def hook(message):
-        if message.msg_type != msg_type:
+    def hook(record):
+        if record["type"] != msg_type:
             return None
-        payload = copy.deepcopy(message.payload)
+        payload = copy.deepcopy(record["payload"])
         payload["env"]["_sealed"]["payload"].update(fields)
-        return dataclasses.replace(message, payload=payload)
+        return {**record, "payload": payload}
     return hook
 
 
@@ -452,10 +452,10 @@ def test_charging_provider_judges_the_package_that_reached_it():
     _, token_fp, _ = separation_session(sim, ctx)
     assert exchange_price_list(sim, ctx)
 
-    def discount(message):
-        if message.msg_type != "billing-package":
+    def discount(record):
+        if record["type"] != "billing-package":
             return None
-        return dataclasses.replace(message, payload={**message.payload, "grand_total": 0})
+        return {**record, "payload": {**record["payload"], "grand_total": 0}}
 
     sim.add_hook(discount)
     assert separation_purchase(sim, ctx, "cola", token_fp) is None
@@ -471,8 +471,8 @@ def test_owner_refuses_a_confirmation_for_another_token():
     other = pos._charge(ctx, make_billing_package("other-token", 3, ctx.pos_owner_keys),
                         [ctx.pos_owner_keys.public])
     assert other["status"] == "confirmed"
-    sim.add_hook(lambda m: dataclasses.replace(m, payload=other)
-                 if m.msg_type == "charge-confirmation" else None)
+    sim.add_hook(lambda record: {**record, "payload": other}
+                 if record["type"] == "charge-confirmation" else None)
     assert separation_purchase(sim, ctx, "cola", token_fp) is None
     assert sim.events("abort")[-1]["code"] == "charge-refused"
     assert sim.events("delivery") == []
@@ -481,10 +481,10 @@ def test_device_checks_the_price_list_that_reached_it():
     sim, ctx = pos_world()
     separation_session(sim, ctx)
 
-    def reprice(message):
-        if message.msg_type != "price-list":
+    def reprice(record):
+        if record["type"] != "price-list":
             return None
-        return dataclasses.replace(message, payload={**message.payload, "entries": [["cola", 1]]})
+        return {**record, "payload": {**record["payload"], "entries": [["cola", 1]]}}
 
     sim.add_hook(reprice)
     assert not exchange_price_list(sim, ctx)
@@ -517,9 +517,9 @@ _SEPARATION_RUNS = [
 def _drop_first(msg_type):
     dropped = []
 
-    def hook(message):
-        if message.msg_type == msg_type and not dropped:
-            dropped.append(message.msg_id)
+    def hook(record):
+        if record["type"] == msg_type and not dropped:
+            dropped.append(record["id"])
             return DROP
         return None
     return hook
@@ -617,12 +617,12 @@ def test_operator_identity_check_aborts_on_a_lost_hop(monkeypatch, msg_type):
 
 
 def test_operator_identity_check_judges_the_certificate_that_reached_it(monkeypatch):
-    def forge(message):
-        if message.msg_type != "pos-identity-check":
+    def forge(record):
+        if record["type"] != "pos-identity-check":
             return None
-        payload = copy.deepcopy(message.payload)
+        payload = copy.deepcopy(record["payload"])
         payload["pos_certificate"]["valid_until"] += 1
-        return dataclasses.replace(message, payload=payload)
+        return {**record, "payload": payload}
 
     transcript, report, events = _run_with_hook(monkeypatch, "pos-fig4", forge,
                                                 _IDENTITY_CHECK)
@@ -636,18 +636,18 @@ def _alter_first(msg_type, changes):
     message carries one."""
     altered = []
 
-    def hook(message):
-        if message.msg_type != msg_type or altered:
+    def hook(record):
+        if record["type"] != msg_type or altered:
             return None
-        altered.append(message.msg_id)
-        payload = copy.deepcopy(message.payload)
+        altered.append(record["id"])
+        payload = copy.deepcopy(record["payload"])
         body = payload["env"]["_sealed"]["payload"] if "env" in payload else payload
         for name, value in changes.items():
             if value is REMOVED:
                 del body[name]
             else:
                 body[name] = value
-        return dataclasses.replace(message, payload=payload)
+        return {**record, "payload": payload}
     return hook
 
 
@@ -747,10 +747,10 @@ _UNOPENABLE_RUNS = [
                          ids=[f"{run[0]}:{run[1]}" for run in _UNOPENABLE_RUNS])
 def test_an_envelope_that_does_not_open_counts_as_lost(monkeypatch, scenario, msg_type,
                                                        arrives, party, code):
-    def unseal(message):
-        if message.msg_type != msg_type:
+    def unseal(record):
+        if record["type"] != msg_type:
             return None
-        return dataclasses.replace(message, payload=dict(arrives))
+        return {**record, "payload": dict(arrives)}
 
     transcript, report, events = _run_with_hook(monkeypatch, scenario, unseal)
     _assert_aborted_without_delivery(transcript, report, events, code)

@@ -35,7 +35,7 @@ def replay(operations):
         elif action == "event":
             sim.event(rtype, n=len(sim.records))
         else:  # from now on, every message of this type is dropped
-            sim.add_hook(lambda m, rtype=rtype: DROP if m.msg_type == rtype else None)
+            sim.add_hook(lambda record, rtype=rtype: DROP if record["type"] == rtype else None)
     return sim
 
 
@@ -52,11 +52,9 @@ def test_queries_equal_the_filter_over_records(operations):
         for rtype in QUERIED + (None,):
             assert same_records(view.events(rtype), naive(view, "event", rtype))
             assert same_records(view.messages(rtype), naive(view, "message", rtype))
-    for party in sim.parties:
+    for party in sim.roles:
         for label in ("plumbing", "identity", None):
-            for fname in ("n", "other", None):
-                assert (sim.knowledge_query(party, label, fname)
-                        == parsed.knowledge_query(party, label, fname))
+            assert sim.knowledge_query(party, label) == parsed.knowledge_query(party, label)
 
 
 @given(OPERATIONS)
