@@ -70,14 +70,24 @@ class Quote:
     aik_public: bytes
     signature: bytes
 
+    def _body(self) -> dict:
+        """The wire fields the AIK signs: all but its public key and signature."""
+        return {"selection": list(self.pcr_selection), "values": list(self.pcr_values),
+                "nonce": self.nonce.hex()}
+
     def signed_payload(self) -> bytes:
-        return _QUOTE_TAG + crypto.canonical_bytes(
-            {
-                "selection": list(self.pcr_selection),
-                "values": list(self.pcr_values),
-                "nonce": self.nonce.hex(),
-            }
-        )
+        return _QUOTE_TAG + crypto.canonical_bytes(self._body())
+
+    def to_fields(self) -> dict:
+        return {**self._body(), "aik_public": self.aik_public.hex(),
+                "signature": self.signature.hex()}
+
+    @classmethod
+    def from_fields(cls, fields: dict) -> "Quote":
+        """The quote that to_fields() put on the wire."""
+        return cls(tuple(fields["selection"]), tuple(fields["values"]),
+                   bytes.fromhex(fields["nonce"]), bytes.fromhex(fields["aik_public"]),
+                   bytes.fromhex(fields["signature"]))
 
 
 @dataclass
@@ -95,28 +105,23 @@ class EkCertificate:
     manufacturer_public: bytes
     signature: bytes
 
+    def _body(self) -> dict:
+        """The wire fields the manufacturer signs: all but its key and signature."""
+        return {"ek_public": self.ek_public.hex(), "model": self.model}
+
     def signed_payload(self) -> bytes:
-        return crypto.canonical_bytes(
-            {"ek_public": self.ek_public.hex(), "model": self.model}
-        )
+        return crypto.canonical_bytes(self._body())
 
     def to_fields(self) -> dict:
-        return {
-            "ek_public": self.ek_public.hex(),
-            "model": self.model,
-            "manufacturer_public": self.manufacturer_public.hex(),
-            "signature": self.signature.hex(),
-        }
+        return {**self._body(), "manufacturer_public": self.manufacturer_public.hex(),
+                "signature": self.signature.hex()}
 
     @classmethod
     def from_fields(cls, fields: dict) -> "EkCertificate":
         """The certificate that to_fields() put on the wire."""
-        return cls(
-            ek_public=bytes.fromhex(fields["ek_public"]),
-            model=fields["model"],
-            manufacturer_public=bytes.fromhex(fields["manufacturer_public"]),
-            signature=bytes.fromhex(fields["signature"]),
-        )
+        return cls(bytes.fromhex(fields["ek_public"]), fields["model"],
+                   bytes.fromhex(fields["manufacturer_public"]),
+                   bytes.fromhex(fields["signature"]))
 
 
 class Manufacturer:

@@ -1,7 +1,9 @@
-"""Remote attestation: challenge, response, and the verifier's checks.
+"""Remote attestation: challenge, response, verdict, and the verifier's checks.
 
-All failure modes are verdict reasons, never exceptions, and every check
-runs (no short-circuit) so a verdict carries the full diagnostic set.
+Challenge, response and verdict own their wire forms (to_fields/from_fields)
+and aik_fingerprint names an AIK. All failure modes are verdict reasons,
+never exceptions, and every check runs (no short-circuit) so a verdict
+carries the full diagnostic set.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto
-from .anchor import Quote, verify_quote_signature
+from .anchor import PCR_COUNT, Quote, verify_quote_signature
 from .boot import BOOT_PCR, MeasurementLog
 from .privacy_ca import AikCertificate, verify_aik_certificate
 
@@ -36,6 +38,11 @@ ALL_REASONS = (
 MIN_NONCE_LEN = 16
 
 
+def aik_fingerprint(public: bytes) -> str:
+    """The fingerprint an AIK is known by: hex of its public key's hash160."""
+    return crypto.hash160(public).hex()
+
+
 @dataclass(frozen=True)
 class AttestationChallenge:
     nonce: bytes
@@ -46,6 +53,19 @@ class AttestationChallenge:
         if len(self.nonce) < MIN_NONCE_LEN:
             raise ValueError(f"nonce must be at least {MIN_NONCE_LEN} bytes")
 
+    def to_fields(self) -> dict:
+        return {"nonce": self.nonce.hex(), "selection": list(self.pcr_selection),
+                "deadline": self.freshness_deadline}
+
+    @classmethod
+    def from_fields(cls, fields: dict) -> "AttestationChallenge":
+        """The challenge as it came off the wire: its PCR selection inside
+        the bank, its nonce long enough."""
+        selection = tuple(fields["selection"])
+        if not all(isinstance(i, int) and 0 <= i < PCR_COUNT for i in selection):
+            raise ValueError("pcr selection outside the bank")
+        return cls(bytes.fromhex(fields["nonce"]), selection, fields["deadline"])
+
 
 @dataclass(frozen=True)
 class AttestationResponse:
@@ -53,8 +73,15 @@ class AttestationResponse:
     log: MeasurementLog
     certificate: AikCertificate
 
-    def aik_fingerprint(self) -> str:
-        return crypto.hash160(self.quote.aik_public).hex()
+    def to_fields(self) -> dict:
+        return {"quote": self.quote.to_fields(), "log": self.log.to_fields(),
+                "certificate": self.certificate.to_fields()}
+
+    @classmethod
+    def from_fields(cls, fields: dict) -> "AttestationResponse":
+        """The response as it came off the wire."""
+        return cls(Quote.from_fields(fields["quote"]), MeasurementLog.from_fields(fields["log"]),
+                   AikCertificate.from_fields(fields["certificate"]))
 
 
 @dataclass(frozen=True)
@@ -68,6 +95,17 @@ class AttestationVerdict:
             ordered = tuple(r for r in ALL_REASONS if r in failures)
             return cls(accepted=False, reasons=ordered)
         return cls(accepted=True, reasons=(REASON_OK,))
+
+    def to_fields(self) -> dict:
+        return {"ok": self.accepted, "reasons": list(self.reasons)}
+
+    @classmethod
+    def from_fields(cls, fields: dict) -> "AttestationVerdict":
+        """A verdict as it came off the wire: accepted only when ok is True,
+        its reasons kept only when they are a list of strings."""
+        reasons = fields.get("reasons")
+        strings = isinstance(reasons, list) and all(isinstance(r, str) for r in reasons)
+        return cls(fields.get("ok") is True, tuple(reasons) if strings else ())
 
 
 def recompute_pcr(log: MeasurementLog, register: int = BOOT_PCR) -> bytes:
@@ -104,7 +142,7 @@ def verify_attestation(
         failures.add(REASON_CERT_EXPIRED)
 
     # 2. one AIK per transaction
-    fingerprint = response.aik_fingerprint()
+    fingerprint = aik_fingerprint(quote.aik_public)
     if fingerprint in used_aiks:
         failures.add(REASON_AIK_REUSED)
     used_aiks.add(fingerprint)

@@ -92,7 +92,10 @@ def cmd_verify(args) -> int:
     if args.expect:
         try:
             expected = json.loads(Path(args.expect).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as err:
+            if not (isinstance(expected, dict)
+                    and isinstance(expected.get("assertions", []), list)):
+                raise ValueError("not a report: an object with a list of assertions")
+        except (OSError, ValueError) as err:
             print(f"parse error in expectations: {err}", file=sys.stderr)
             return 2
         # the header keys, then every row (name, ok and detail), in order

@@ -274,13 +274,14 @@ def signed(key: KeyPair, tag: bytes, body: dict) -> dict:
     return {**body, "signature": sign(key, tag + canonical_bytes(body)).hex()}
 
 
-def signed_by(public: bytes, tag: bytes, payload: dict, fields) -> bool:
+def signed_by(public: bytes, tag: bytes, payload: dict) -> bool:
     """Whether a payload, as it arrived, carries public's signature over
-    those of its fields. A payload that lacks one of them, or whose
-    signature is not hex text, is unsigned rather than an error."""
+    every field but its signature, as signed() signs them: an added field
+    unsigns it. A payload that is not a dict, or whose signature is missing
+    or not hex text, is unsigned rather than an error."""
     try:
-        body = {name: payload[name] for name in fields}
         signature = bytes.fromhex(payload["signature"])
     except (KeyError, TypeError, ValueError):
         return False
+    body = {name: value for name, value in payload.items() if name != "signature"}
     return verify(public, tag + canonical_bytes(body), signature)

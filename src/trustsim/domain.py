@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto
-from .attestation import Verifier
+from .attestation import Verifier, aik_fingerprint
 from .crypto import KeyPair, Rng
 from .errors import ProtocolError
 from .flows import attest_flow, checked, hop
@@ -149,7 +149,7 @@ def subdomain_admission_flow(
         admission = Admission(False, "attestation-failed")
         fingerprint = None
     else:
-        fingerprint = exchange.response.aik_fingerprint()  # of the response that arrived
+        fingerprint = aik_fingerprint(exchange.response.quote.aik_public)  # as it arrived
         admission = mno.registry.decide(session.identity, fingerprint,
                                         exchange.verdict.accepted)
     sim.send(MNO, device.device_id, CHANNEL_MOBILE, "subdomain-verdict",

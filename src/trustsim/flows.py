@@ -1,12 +1,12 @@
 """Recorded protocol flows shared by the scenario modules.
 
-Wire format helpers (challenge/response/certificate as labeled message
-payloads), the delivered-hop helper and the routes built from it, plus the
-one attestation exchange with its five injectable attacks. The exchange
-takes the route its challenge and response travel (one direct hop each
-way, or legs through relays), so every scenario runs the same exchange.
-The verifier always checks what came off the wire, so drop and modify
-hooks behave like real tampering.
+The delivered-hop helper and the routes built from it, enrollment and
+replenishment, plus the one attestation exchange with its five injectable
+attacks. The exchange takes the route its challenge and response travel
+(one direct hop each way, or legs through relays), so every scenario runs
+the same exchange. The verifier always checks what came off the wire, read
+through the wire types' own from_fields, so drop and modify hooks behave
+like real tampering.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import dataclasses
 
 from . import boot as mb
 from . import crypto
-from .attestation import AttestationChallenge, AttestationResponse, AttestationVerdict, Verifier
-from .anchor import PCR_COUNT, EkCertificate, Quote
+from .attestation import (AttestationChallenge, AttestationResponse, AttestationVerdict,
+                          Verifier, aik_fingerprint)
+from .anchor import EkCertificate
 from .device import TrustedDevice
 from .errors import ProtocolError
 from .harness import is_sealed, opens, seal
@@ -55,71 +56,6 @@ def apply_setup_attacks(device: TrustedDevice, plan: AttackPlan | None) -> None:
     """Pre-boot injections; call after provisioning, before boot."""
     if plan and plan.take("tamper"):
         device.tamper(device.chain[-1].name, TAMPER_PAYLOAD)
-
-
-# -- wire format ------------------------------------------------------------
-
-
-def challenge_fields(challenge: AttestationChallenge) -> dict:
-    return {
-        "nonce": challenge.nonce.hex(),
-        "selection": list(challenge.pcr_selection),
-        "deadline": challenge.freshness_deadline,
-    }
-
-
-def parse_challenge(payload: dict) -> AttestationChallenge:
-    """The challenge as it came off the wire. Raises KeyError, TypeError or
-    ValueError when a field the device acts on is malformed."""
-    selection = tuple(payload["selection"])
-    if not all(isinstance(i, int) and 0 <= i < PCR_COUNT for i in selection):
-        raise ValueError("pcr selection outside the bank")
-    return AttestationChallenge(
-        nonce=bytes.fromhex(payload["nonce"]),
-        pcr_selection=selection,
-        freshness_deadline=payload["deadline"],
-    )
-
-
-def response_fields(response: AttestationResponse) -> dict:
-    quote = response.quote
-    return {
-        "quote": {
-            "selection": list(quote.pcr_selection),
-            "values": list(quote.pcr_values),
-            "nonce": quote.nonce.hex(),
-            "aik_public": quote.aik_public.hex(),
-            "signature": quote.signature.hex(),
-        },
-        "log": response.log.to_fields(),
-        "certificate": response.certificate.to_fields(),
-    }
-
-
-def parse_response(payload: dict) -> AttestationResponse:
-    """The response as it came off the wire. Raises KeyError, TypeError or
-    ValueError when a field the verifier checks is malformed."""
-    q = payload["quote"]
-    quote = Quote(
-        pcr_selection=tuple(q["selection"]),
-        pcr_values=tuple(q["values"]),
-        nonce=bytes.fromhex(q["nonce"]),
-        aik_public=bytes.fromhex(q["aik_public"]),
-        signature=bytes.fromhex(q["signature"]),
-    )
-    return AttestationResponse(
-        quote=quote,
-        log=mb.MeasurementLog.from_fields(payload["log"]),
-        certificate=AikCertificate.from_fields(payload["certificate"]),
-    )
-
-
-def parse_verdict(payload: dict) -> AttestationVerdict:
-    """A verdict as it came off the wire: accepted only when ok is True, its
-    reasons kept only when they are a list of strings."""
-    reasons = payload.get("reasons")
-    strings = isinstance(reasons, list) and all(isinstance(r, str) for r in reasons)
-    return AttestationVerdict(payload.get("ok") is True, tuple(reasons) if strings else ())
 
 
 # -- flows -------------------------------------------------------------------
@@ -310,8 +246,8 @@ def attest_flow(
         now = device.wallet.peek()[1].valid_until + 1
 
     challenge = verifier.make_challenge(now)
-    wire_challenge = carry(sim, route.challenge, challenge_fields(challenge),
-                           read=parse_challenge, bad="bad-challenge")
+    wire_challenge = carry(sim, route.challenge, challenge.to_fields(),
+                           read=AttestationChallenge.from_fields, bad="bad-challenge")
     if wire_challenge is None:
         return None
 
@@ -328,14 +264,14 @@ def attest_flow(
                 response, log=mb.forge_log(response.log, 0, crypto.hash160(b"forged-entry")))
         if plan and plan.take("replay-aik"):
             presentations = 2  # the same response goes on the wire twice
-        payload = response_fields(response)
+        payload = response.to_fields()
     if device.wallet.needs_replenish and replenish_via is not None:
         if not replenish_flow(sim, device, *replenish_via):
             return None
 
     for _ in range(presentations):
-        wire_response = carry(sim, route.response, payload, read=parse_response,
-                              bad="bad-response")
+        wire_response = carry(sim, route.response, payload,
+                              read=AttestationResponse.from_fields, bad="bad-response")
         if wire_response is None:
             return None
         verdict = verifier.verify(wire_response, challenge, now=max(now, sim.tick))
@@ -343,14 +279,13 @@ def attest_flow(
             "attestation-verdict",
             verifier=verifier_id,
             subject=device.device_id,
-            aik_fp=wire_response.aik_fingerprint(),
+            aik_fp=aik_fingerprint(wire_response.quote.aik_public),
             accepted=verdict.accepted,
             reasons=list(verdict.reasons),
         )
         if route.verdict:
-            verdict = carry(sim, route.verdict,
-                            {"ok": verdict.accepted, "reasons": list(verdict.reasons)},
-                            read=parse_verdict)
+            verdict = carry(sim, route.verdict, verdict.to_fields(),
+                            read=AttestationVerdict.from_fields)
             if verdict is None:
                 return None
     return Exchange(wire_challenge, wire_response, verdict, payload)

@@ -129,18 +129,6 @@ def opens(inner) -> bool:
     )
 
 
-def _check_labels(payload: dict, labels: dict) -> None:
-    """ValueError unless every field of a message that attack hooks let
-    through is labelled, within the taxonomy. Sealed interiors need no
-    check: one that fails it does not open (see opens)."""
-    missing = set(payload) - set(labels)
-    if missing:
-        raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
-    for label in labels.values():
-        if not isinstance(label, str) or label not in LABELS:
-            raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
-
-
 class Simulation:
     """One deterministic run over the CHANNELS: by party id, each party's
     role, knowledge set of (field, label, value) rows and carrier view."""
@@ -178,19 +166,13 @@ class Simulation:
     def send(self, sender: str, receiver: str, channel: str, msg_type: str, payload: dict, *,
              encrypted: bool = False):
         """Deliver one message in order, each field labelled from FIELD_LABELS;
-        returns the record it appended, or None when a hook dropped it. What
-        hooks let through is label-checked, replaced or edited in place:
-        labels are the harness's record of a message, not wire content."""
-        if sender not in self.roles or receiver not in self.roles:
-            raise ValueError(f"unregistered party in {sender}->{receiver}")
-        if channel not in CHANNELS:
-            raise ValueError(f"unknown channel: {channel}")
-        labels = _labels_of(payload)
-
-        self._msg_counter += 1
+        returns the record it appended, or None when a hook dropped it. The
+        record is checked as built and as hooks let it through, replaced or
+        edited in place (see _check)."""
+        msg_id = f"m{self._msg_counter + 1:05d}"
         record = {
             "kind": "message",
-            "id": f"m{self._msg_counter:05d}",
+            "id": msg_id,
             "tick": self.tick + 1,
             "sender": sender,
             "receiver": receiver,
@@ -198,8 +180,10 @@ class Simulation:
             "type": msg_type,
             "encrypted": encrypted,
             "payload": dict(payload),
-            "labels": labels,
+            "labels": _labels_of(payload),
         }
+        self._check(record, msg_id)
+        self._msg_counter += 1
 
         for hook in self._hooks:
             outcome = hook(record)
@@ -210,14 +194,34 @@ class Simulation:
             if outcome is not None:
                 record = outcome
         if self._hooks:
-            _check_labels(record["payload"], record["labels"])
+            self._check(record, msg_id)
 
         self.tick += 1
         self.records.append(record)
-        self._observe(record, CHANNELS[channel])
+        self._observe(record)
         return record
 
-    def _observe(self, record: dict, channel: dict) -> None:
+    def _check(self, record: dict, msg_id: str) -> None:
+        """ValueError unless send may append record: kind, id and tick as
+        built, registered parties, a channel of CHANNELS, and every field
+        labelled within the taxonomy. Sealed interiors need no check: one
+        that fails it does not open (see opens)."""
+        built = record.get("kind"), record.get("id"), record.get("tick")
+        if built != ("message", msg_id, self.tick + 1):
+            raise ValueError(f"kind, id or tick not as built: {built}")
+        sender, receiver = record.get("sender"), record.get("receiver")
+        if sender not in self.roles or receiver not in self.roles:
+            raise ValueError(f"unregistered party in {sender}->{receiver}")
+        if record.get("channel") not in CHANNELS:
+            raise ValueError(f"unknown channel: {record.get('channel')}")
+        missing = set(record["payload"]) - set(record["labels"])
+        if missing:
+            raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
+        for label in record["labels"].values():
+            if not isinstance(label, str) or label not in LABELS:
+                raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
+
+    def _observe(self, record: dict) -> None:
         # Encodings of this message's fields, shared by the receiver and the
         # carrier; dropped with the message.
         memo = {}
@@ -225,6 +229,7 @@ class Simulation:
         receiver = record["receiver"]
         _absorb(self.knowledge[receiver], receiver, payload, labels, memo)
 
+        channel = CHANNELS[record["channel"]]
         carrier = channel["carrier"]
         if channel["kind"] != MOBILE_NETWORK or carrier is None:
             return
@@ -375,10 +380,11 @@ class Transcript:
             if len(lines) < 2:
                 raise ValueError("transcript too short")
             header = _decode(lines[0])
-            if header.get("schema") != TRANSCRIPT_SCHEMA:
-                raise ValueError(f"unknown transcript schema: {header.get('schema')!r}")
+            schema = header.get("schema") if isinstance(header, dict) else header
+            if schema != TRANSCRIPT_SCHEMA:
+                raise ValueError(f"unknown transcript schema: {schema!r}")
             snapshot = _decode(lines[-1])
-            if snapshot.get("kind") != "snapshot":
+            if not isinstance(snapshot, dict) or snapshot.get("kind") != "snapshot":
                 raise ValueError("transcript missing snapshot line")
             records = list(map(_decode, lines[1:-1]))
             return cls(header=header, records=records, snapshot=snapshot)

@@ -17,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from . import crypto
-from .attestation import Verifier
+from .attestation import Verifier, aik_fingerprint
 from .crypto import KeyPair
 from .device import TrustedDevice
 from .flows import AttackPlan, Leg, Route, attest_flow, carry, checked, hop, replenish_flow
@@ -29,8 +29,6 @@ _PRICED_TAG = b"pricelist:"
 _ORDER_TAG = b"order:"
 _BILLING_TAG = b"billing:"
 _CONFIRM_TAG = b"confirm:"
-
-_ORDER_FIELDS = ("order_id", "account", "price", "modality", "good")
 
 # The fixed back office behind every POS: its owner, the charging provider,
 # and the vendor and payment provider the operator notifies.
@@ -48,8 +46,20 @@ class PriceList:
         return dataclasses.replace(
             unsigned, signature=crypto.sign(owner_keys, unsigned.signed_payload()))
 
+    def _body(self) -> list:
+        """The entries as the owner signs them and the wire carries them."""
+        return [list(e) for e in self.entries]
+
     def signed_payload(self) -> bytes:
-        return _PRICED_TAG + crypto.canonical_bytes([list(e) for e in self.entries])
+        return _PRICED_TAG + crypto.canonical_bytes(self._body())
+
+    def to_fields(self) -> dict:
+        return {"entries": self._body(), "signature": self.signature.hex()}
+
+    @classmethod
+    def from_fields(cls, fields: dict) -> "PriceList":
+        """The price list that to_fields() put on the wire."""
+        return cls(tuple(tuple(e) for e in fields["entries"]), bytes.fromhex(fields["signature"]))
 
     def verify(self, owner_public: bytes) -> bool:
         return crypto.verify(owner_public, self.signed_payload(), self.signature)
@@ -70,8 +80,7 @@ def make_billing_package(auth_token: str, grand_total: int, signer: KeyPair) -> 
 
 def verify_billing_package(package: dict, signer_publics) -> bool:
     return set(package) == {"auth_token", "grand_total", "signature"} and any(
-        crypto.signed_by(public, _BILLING_TAG, package, ("auth_token", "grand_total"))
-        for public in signer_publics
+        crypto.signed_by(public, _BILLING_TAG, package) for public in signer_publics
     )
 
 
@@ -162,16 +171,10 @@ def _open_session(sim, ctx: PosContext) -> str:
 def exchange_price_list(sim, ctx: PosContext) -> bool:
     """Step 1: signed price list over the established channel; the device
     checks the list that reached it."""
-    def read(p):
-        received = PriceList(tuple(tuple(e) for e in p["entries"]), bytes.fromhex(p["signature"]))
-        return checked(received, received.verify(ctx.pos_owner_keys.public))
-
-    payload = {
-        "entries": [list(e) for e in ctx.price_list.entries],
-        "signature": ctx.price_list.signature.hex(),
-    }
-    return hop(sim, ctx.pos_id, ctx.device_id, CHANNEL_SR, "price-list", payload,
-               "price-list-lost", read=read, bad="bad-price-list") is not None
+    return hop(sim, ctx.pos_id, ctx.device_id, CHANNEL_SR, "price-list",
+               ctx.price_list.to_fields(), "price-list-lost", bad="bad-price-list",
+               read=lambda f: checked(f, PriceList.from_fields(f).verify(
+                   ctx.pos_owner_keys.public))) is not None
 
 
 # -- operator-mediated purchase (device -> MNO -> ack -> POS delivers) ----------
@@ -225,8 +228,7 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         return None
     # operator verifies the subscriber's signature on the order that reached
     # it before acknowledging, and then acts on that order
-    if not crypto.signed_by(ctx.device_credential.secret.public, _ORDER_TAG, order,
-                            _ORDER_FIELDS):
+    if not crypto.signed_by(ctx.device_credential.secret.public, _ORDER_TAG, order):
         sim.send(MNO, ctx.device_id, CHANNEL_MOBILE, "purchase-reject",
                  crypto.signed(ctx.mno_keys, _ACK_TAG,
                                {"order_id": order_id, "status": "rejected"}),
@@ -247,9 +249,8 @@ def purchase_via_operator(sim, ctx: PosContext, good: str, encrypted: bool = Tru
         sim, (Leg(MNO, ctx.device_id, CHANNEL_MOBILE, "purchase-ack", "ack-lost"),
               Leg(ctx.device_id, ctx.pos_id, CHANNEL_SR, "purchase-ack-relay", "ack-lost")),
         crypto.signed(ctx.mno_keys, _ACK_TAG, {"order_id": order["order_id"], "status": "ok"}),
-        read=lambda a: checked(a, crypto.signed_by(
-            ctx.mno_keys.public, _ACK_TAG, a, ("order_id", "status"))
-            and a["order_id"] == order_id and a["status"] == "ok"),
+        read=lambda a: checked(a, crypto.signed_by(ctx.mno_keys.public, _ACK_TAG, a)
+                               and a["order_id"] == order_id and a["status"] == "ok"),
         bad="bad-ack-signature", order_id=order_id,
     ) is None:
         return None
@@ -310,7 +311,7 @@ def separation_session(sim, ctx: PosContext, plan: AttackPlan | None = None,
         return None
 
     session_id = _open_session(sim, ctx)
-    return session_id, exchange.response.aik_fingerprint(), exchange.presented
+    return session_id, aik_fingerprint(exchange.response.quote.aik_public), exchange.presented
 
 
 def separation_purchase(
@@ -374,7 +375,7 @@ def separation_purchase(
     ack = crypto.signed(ctx.pos_owner_keys, _ACK_TAG, {"order_id": billed["order_id"]})
     if carry(sim, _backhaul(ctx, POS_OWNER, ctx.pos_id, "purchase-acknowledgement", "ack-lost"),
              ack, read=lambda a: checked(a, a.get("order_id") == order_id and crypto.signed_by(
-                 ctx.pos_owner_keys.public, _ACK_TAG, a, ("order_id",))),
+                 ctx.pos_owner_keys.public, _ACK_TAG, a)),
              bad="bad-ack-signature", order_id=order_id) is None:
         return None
     return _deliver(sim, ctx, order_id)
@@ -392,8 +393,7 @@ def _confirmation_ok(ctx: PosContext, confirmation: dict, token_fp: str) -> bool
     return (
         confirmation.get("status") == "confirmed"
         and confirmation.get("auth_token") == token_fp
-        and crypto.signed_by(ctx.charging_keys.public, _CONFIRM_TAG, confirmation,
-                             ("auth_token", "status"))
+        and crypto.signed_by(ctx.charging_keys.public, _CONFIRM_TAG, confirmation)
     )
 
 
@@ -405,7 +405,7 @@ def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:
         if not replenish_flow(sim, ctx.pos, POS_OWNER, ctx.pos.wallet.pca, CHANNEL_SR):
             return None
     _, cert = ctx.pos.wallet.peek()
-    return crypto.hash160(cert.aik_public).hex()
+    return aik_fingerprint(cert.aik_public)
 
 
 def control_exchange(sim, ctx: PosContext) -> None:

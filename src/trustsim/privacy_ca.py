@@ -39,27 +39,21 @@ class AikCertificate:
     hash_alg: str
     pca_signature: bytes
 
-    def signed_payload(self) -> bytes:
-        body = crypto.canonical_bytes(
-            {
-                "aik_public": self.aik_public.hex(),
-                "domain_id": self.domain_id,
-                "valid_from": self.valid_from,
-                "valid_until": self.valid_until,
-                "hash_alg": self.hash_alg,
-            }
-        )
-        return crypto.hash256(body)
-
-    def to_fields(self) -> dict:
+    def _body(self) -> dict:
+        """The wire fields the CA signs: all but its signature."""
         return {
             "aik_public": self.aik_public.hex(),
             "domain_id": self.domain_id,
             "valid_from": self.valid_from,
             "valid_until": self.valid_until,
             "hash_alg": self.hash_alg,
-            "pca_signature": self.pca_signature.hex(),
         }
+
+    def signed_payload(self) -> bytes:
+        return crypto.hash256(crypto.canonical_bytes(self._body()))
+
+    def to_fields(self) -> dict:
+        return {**self._body(), "pca_signature": self.pca_signature.hex()}
 
     @classmethod
     def from_fields(cls, fields: dict) -> "AikCertificate":
@@ -68,14 +62,8 @@ class AikCertificate:
         valid_from, valid_until = fields["valid_from"], fields["valid_until"]
         if not (isinstance(valid_from, int) and isinstance(valid_until, int)):
             raise ValueError("validity bounds must be integer ticks")
-        return cls(
-            aik_public=bytes.fromhex(fields["aik_public"]),
-            domain_id=fields["domain_id"],
-            valid_from=valid_from,
-            valid_until=valid_until,
-            hash_alg=fields["hash_alg"],
-            pca_signature=bytes.fromhex(fields["pca_signature"]),
-        )
+        return cls(bytes.fromhex(fields["aik_public"]), fields["domain_id"], valid_from,
+                   valid_until, fields["hash_alg"], bytes.fromhex(fields["pca_signature"]))
 
 
 def verify_aik_certificate(cert: AikCertificate, pca_root: bytes) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import audit, crypto, facility, pos
 from .anchor import Manufacturer
-from .attestation import Verifier
+from .attestation import Verifier, aik_fingerprint
 from .boot import tamper
 from .device import BASE_CHAIN, TrustedDevice, reference_db_for, standard_chain
 from .domain import (
@@ -255,7 +255,7 @@ def _run_clone(sim, config, plan, mode):
     if mode == BOUND:
         mno.registry.record_binding(
             "imsi-100",
-            [crypto.hash160(r.key.public).hex() for r, _ in legit.wallet.credentials],
+            [aik_fingerprint(r.key.public) for r, _ in legit.wallet.credentials],
         )
     verifier = world.verifier(pca, chain, "verifier")
 
@@ -713,7 +713,7 @@ def _facility_setup(sim, config, plan):
     credential = mno.issue_credential("imsi-9001")
     mno.registry.record_binding(
         "imsi-9001",
-        [crypto.hash160(r.key.public).hex() for r, _ in employee.wallet.credentials],
+        [aik_fingerprint(r.key.public) for r, _ in employee.wallet.credentials],
     )
     company_verifier = world.verifier(pca, chain, "v-company")
     session = network_access_flow(sim, employee, mno, credential)

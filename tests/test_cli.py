@@ -165,6 +165,30 @@ def test_verify_unparseable_exits_2(tmp_path, capsys):
     assert run_cli(["verify", str(tmp_path / "missing.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("line", [0, -1], ids=["header", "snapshot"])
+@pytest.mark.parametrize("value", ["[1]", "5"])
+def test_verify_non_object_header_or_snapshot_is_a_parse_error(tmp_path, capsys, line, value):
+    run_cli(["run", "pos-fig4", "--seed", "1", "--out", str(tmp_path)])
+    path = tmp_path / "pos-fig4-seed1.transcript.jsonl"
+    lines = path.read_text().splitlines()
+    lines[line] = value
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("expected", [[1], {"assertions": 5}], ids=["list", "assertions-int"])
+def test_verify_expect_that_is_not_a_report_is_a_parse_error(tmp_path, capsys, expected):
+    run_cli(["run", "pos-fig4", "--seed", "1", "--out", str(tmp_path)])
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps(expected))
+    capsys.readouterr()
+    transcript = tmp_path / "pos-fig4-seed1.transcript.jsonl"
+    assert run_cli(["verify", str(transcript), "--expect", str(expect)]) == 2
+    assert capsys.readouterr().err.startswith("parse error in expectations:")
+
+
 def test_list_names_all_scenarios(capsys):
     assert run_cli(["list"]) == 0
     out = capsys.readouterr().out

@@ -159,6 +159,55 @@ def test_rewritten_top_level_label_raises(value, edit):
     assert (sim.tick, sim.records) == (0, [])
 
 
+def _state(sim):
+    knowledge = {party: sorted(rows) for party, rows in sim.knowledge.items()}
+    return json.dumps([sim.tick, sim.records, knowledge, sim.carrier_views])
+
+
+# A hook's record is checked as send checks its arguments: a rewritten kind,
+# id or tick, an unregistered party or an unknown channel raises before
+# anything of the message is recorded or observed.
+@pytest.mark.parametrize("replace", [True, False], ids=["replaced", "in-place"])
+@pytest.mark.parametrize("field,value", [
+    ("kind", "event"), ("id", "m00009"), ("tick", 7), ("sender", "ghost"),
+    ("receiver", "ghost"), ("channel", "nowhere"),
+])
+def test_rewritten_routing_field_raises_before_any_state_changes(field, value, replace):
+    sim = basic_sim()
+    sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
+    before = _state(sim)
+
+    def hook(record):
+        if replace:
+            return {**record, field: value}
+        record[field] = value
+
+    sim.add_hook(hook)
+    with pytest.raises(ValueError):
+        sim.send("dev", "owner", "mobile", "hello", {"good": "tea"})
+    assert _state(sim) == before
+
+
+@pytest.mark.parametrize("moves", [{"receiver": "owner"}, {"channel": "mobile"},
+                                   {"receiver": "owner", "channel": "mobile"}],
+                         ids=["receiver", "channel", "both"])
+def test_a_hook_may_move_a_message_to_another_party_or_channel(moves):
+    sim = basic_sim()
+    sim.add_hook(lambda record: {**record, **moves})
+    record = sim.send("dev", "pos", "sr", "hello", {"good": "cola"})
+    assert record is sim.records[-1]
+    assert {key: record[key] for key in moves} == moves
+    receiver = moves.get("receiver", "pos")
+    on_mobile = moves.get("channel") == "mobile"
+    for party in ("pos", "owner", "mno"):
+        readable = party == receiver or (party == "mno" and on_mobile)
+        assert sim.knowledge_query(party, "good") == ({canon_value("cola")} if readable else set())
+    assert sim.carrier_views == ({"mno": [{"tick": 1, "channel": "mobile", "fields": ["good"],
+                                           "encrypted": False}]} if on_mobile else {})
+    findings = audit.audit(Transcript.parse(sim.finalize().to_text()))
+    assert all(f.ok for f in findings), [f for f in findings if not f.ok]
+
+
 def test_each_header_has_its_own_copy_of_the_channel_table():
     first, second = basic_sim().finalize(), basic_sim().finalize()
     assert first.header["channels"] == second.header["channels"] == CHANNELS
