@@ -245,10 +245,6 @@ class TrustAnchor:
         return slot.value
 
 
-def verify_quote_signature(quote: Quote) -> bool:
-    return crypto.verify(quote.aik_public, quote.signed_payload(), quote.signature)
-
-
 def _replenishment(publics) -> bytes:
     """What the last AIK of a batch signs to ask for the next one."""
     return _REPLENISH_TAG + crypto.canonical_bytes([p.hex() for p in publics])

@@ -1,9 +1,10 @@
 """Remote attestation: challenge, response, verdict, and the verifier's checks.
 
-Challenge, response and verdict own their wire forms (to_fields/from_fields)
-and aik_fingerprint names an AIK. All failure modes are verdict reasons,
-never exceptions, and every check runs (no short-circuit) so a verdict
-carries the full diagnostic set.
+Challenge, response and verdict own their wire forms (to_fields/from_fields),
+aik_fingerprint names an AIK, and Verifier.verify runs the checks against
+the verifier's own root, references and replay store. All failure modes are
+verdict reasons, never exceptions, and every check runs (no short-circuit)
+so a verdict carries the full diagnostic set.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto
-from .anchor import PCR_COUNT, Quote, verify_quote_signature
+from .anchor import PCR_COUNT, Quote
 from .boot import BOOT_PCR, MeasurementLog
 from .privacy_ca import AikCertificate, verify_aik_certificate
 
@@ -89,13 +90,6 @@ class AttestationVerdict:
     accepted: bool
     reasons: tuple
 
-    @classmethod
-    def from_failures(cls, failures) -> "AttestationVerdict":
-        if failures:
-            ordered = tuple(r for r in ALL_REASONS if r in failures)
-            return cls(accepted=False, reasons=ordered)
-        return cls(accepted=True, reasons=(REASON_OK,))
-
     def to_fields(self) -> dict:
         return {"ok": self.accepted, "reasons": list(self.reasons)}
 
@@ -116,58 +110,6 @@ def recompute_pcr(log: MeasurementLog, register: int = BOOT_PCR) -> bytes:
         if entry.pcr_index == register:
             acc = crypto.hash160(acc + bytes.fromhex(entry.measurement))
     return acc
-
-
-def verify_attestation(
-    response: AttestationResponse,
-    challenge: AttestationChallenge,
-    pca_root: bytes,
-    refs: dict,
-    used_aiks: set,
-    now: int,
-) -> AttestationVerdict:
-    """The three-step verification plus freshness and one-time-AIK checks.
-
-    used_aiks is the verifier's replay store; the presented AIK is added
-    after the reuse check regardless of the other outcomes.
-    """
-    failures = set()
-    quote = response.quote
-    cert = response.certificate
-
-    # 1. certificate chains to the privacy CA root and is inside its window
-    if not verify_aik_certificate(cert, pca_root):
-        failures.add(REASON_BAD_CERT_CHAIN)
-    if not cert.valid_from <= now <= cert.valid_until:
-        failures.add(REASON_CERT_EXPIRED)
-
-    # 2. one AIK per transaction
-    fingerprint = aik_fingerprint(quote.aik_public)
-    if fingerprint in used_aiks:
-        failures.add(REASON_AIK_REUSED)
-    used_aiks.add(fingerprint)
-
-    # 3. quote signed by the certified AIK
-    if quote.aik_public != cert.aik_public or not verify_quote_signature(quote):
-        failures.add(REASON_BAD_QUOTE_SIGNATURE)
-
-    # 4. fresh response to this challenge
-    if quote.nonce != challenge.nonce or now > challenge.freshness_deadline:
-        failures.add(REASON_STALE_NONCE)
-
-    # 5. the log refolds to the quoted PCR values
-    if tuple(quote.pcr_selection) != tuple(challenge.pcr_selection):
-        failures.add(REASON_STALE_NONCE)
-    for register, quoted in zip(quote.pcr_selection, quote.pcr_values):
-        if recompute_pcr(response.log, register).hex() != quoted:
-            failures.add(REASON_LOG_PCR_MISMATCH)
-
-    # 6. every logged measurement is a known-good reference value
-    for entry in response.log.entries:
-        if refs.get(entry.component) != entry.measurement:
-            failures.add(REASON_REFERENCE_MISMATCH)
-
-    return AttestationVerdict.from_failures(failures)
 
 
 @dataclass
@@ -191,9 +133,48 @@ class Verifier:
             freshness_deadline=now + self.freshness_window,
         )
 
-    def verify(
-        self, response: AttestationResponse, challenge: AttestationChallenge, now: int
-    ) -> AttestationVerdict:
-        return verify_attestation(
-            response, challenge, self.pca_root, self.refs, self.used_aiks, now
-        )
+    def verify(self, response: AttestationResponse, challenge: AttestationChallenge,
+               now: int) -> AttestationVerdict:
+        """The three-step verification plus freshness and one-time-AIK checks.
+
+        The presented AIK joins used_aiks after the reuse check, whatever
+        the other outcomes."""
+        failures = set()
+        quote = response.quote
+        cert = response.certificate
+
+        # 1. certificate chains to the privacy CA root and is inside its window
+        if not verify_aik_certificate(cert, self.pca_root):
+            failures.add(REASON_BAD_CERT_CHAIN)
+        if not cert.valid_from <= now <= cert.valid_until:
+            failures.add(REASON_CERT_EXPIRED)
+
+        # 2. one AIK per transaction
+        fingerprint = aik_fingerprint(quote.aik_public)
+        if fingerprint in self.used_aiks:
+            failures.add(REASON_AIK_REUSED)
+        self.used_aiks.add(fingerprint)
+
+        # 3. quote signed by the certified AIK
+        if quote.aik_public != cert.aik_public or not crypto.verify(
+                quote.aik_public, quote.signed_payload(), quote.signature):
+            failures.add(REASON_BAD_QUOTE_SIGNATURE)
+
+        # 4. fresh response to this challenge
+        if quote.nonce != challenge.nonce or now > challenge.freshness_deadline:
+            failures.add(REASON_STALE_NONCE)
+
+        # 5. the log refolds to the quoted PCR values
+        if tuple(quote.pcr_selection) != tuple(challenge.pcr_selection):
+            failures.add(REASON_STALE_NONCE)
+        for register, quoted in zip(quote.pcr_selection, quote.pcr_values):
+            if recompute_pcr(response.log, register).hex() != quoted:
+                failures.add(REASON_LOG_PCR_MISMATCH)
+
+        # 6. every logged measurement is a known-good reference value
+        for entry in response.log.entries:
+            if self.refs.get(entry.component) != entry.measurement:
+                failures.add(REASON_REFERENCE_MISMATCH)
+
+        reasons = tuple(r for r in ALL_REASONS if r in failures)
+        return AttestationVerdict(not reasons, reasons or (REASON_OK,))

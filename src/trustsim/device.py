@@ -55,10 +55,6 @@ class TrustedDevice:
             identity=identity,
         )
 
-    def tamper(self, component_name: str, new_payload: bytes) -> None:
-        """Pre-boot supply-chain attack on one measured component."""
-        self.chain = mb.tamper(self.chain, component_name, new_payload)
-
     def boot(self) -> mb.MeasurementLog:
         self.log = mb.boot(self.anchor, self.chain)
         return self.log

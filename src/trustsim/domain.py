@@ -3,14 +3,15 @@ feature policies with location rules.
 
 Devices reach the network with an identity-bearing generic credential;
 admission to a restricted sub-domain takes an additional trust credential
-(an attested one-time AIK). The registry runs in unbound mode
-(first-come-first-served per identity) or bound mode (a joint authority
-recorded which AIKs belong to which identity, defeating clones outright).
+(an attested one-time AIK). The operator issues the generic credential for a
+device's identity and keeps the sub-domain registry itself, in unbound mode
+(first-come-first-served per identity) or bound mode (as the joint authority
+it bound each identity to that device's AIKs, defeating clones outright).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .attestation import Verifier, aik_fingerprint
@@ -52,14 +53,29 @@ class Admission:
     reason: str  # "ok" | "credential-inconsistency" | "clone-conflict" | "attestation-failed"
 
 
-@dataclass
-class SubdomainRegistry:
-    mode: str = UNBOUND
-    admitted: dict = field(default_factory=dict)  # identity -> trust fingerprint
-    bindings: dict = field(default_factory=dict)  # identity -> set of issued fingerprints
+class MobileNetworkOperator:
+    """The MNO party: credential issuance, network sessions, and the
+    sub-domain registry (mode, admitted identities, authority bindings)."""
 
-    def record_binding(self, identity: str, fingerprints) -> None:
-        self.bindings.setdefault(identity, set()).update(fingerprints)
+    def __init__(self, rng: Rng, registry_mode: str = UNBOUND):
+        self.rng = rng.fork(f"mno:{MNO}")
+        self.keys = crypto.keygen(self.rng.fork("keys"))
+        self.mode = registry_mode
+        self.admitted = {}  # identity -> trust fingerprint
+        self.bindings = {}  # identity -> set of issued fingerprints
+        self._issued = {}  # identity -> public key of the credential secret
+        self._session_counter = 0
+
+    def issue_credential(self, device) -> GenericCredential:
+        """The generic credential bearing device's identity."""
+        secret = crypto.keygen(self.rng.fork(f"cred:{device.identity}"))
+        self._issued[device.identity] = secret.public
+        return GenericCredential(device_identity=device.identity, secret=secret)
+
+    def bind(self, device) -> None:
+        """As the joint authority, record device's AIKs under its identity."""
+        self.bindings.setdefault(device.identity, set()).update(
+            aik_fingerprint(record.key.public) for record, _ in device.wallet.credentials)
 
     def decide(self, identity: str, fingerprint: str, attestation_accepted: bool) -> Admission:
         """Admission rules; bound mode checks the authority binding first."""
@@ -72,22 +88,6 @@ class SubdomainRegistry:
             return Admission(False, "attestation-failed")
         self.admitted[identity] = fingerprint
         return Admission(True, "ok")
-
-
-class MobileNetworkOperator:
-    """The MNO party: credential issuance, network sessions, sub-domain registry."""
-
-    def __init__(self, rng: Rng, registry_mode: str = UNBOUND):
-        self.rng = rng.fork(f"mno:{MNO}")
-        self.keys = crypto.keygen(self.rng.fork("keys"))
-        self.registry = SubdomainRegistry(mode=registry_mode)
-        self._issued = {}  # identity -> public key of the credential secret
-        self._session_counter = 0
-
-    def issue_credential(self, identity: str) -> GenericCredential:
-        secret = crypto.keygen(self.rng.fork(f"cred:{identity}"))
-        self._issued[identity] = secret.public
-        return GenericCredential(device_identity=identity, secret=secret)
 
     def network_access(self, identity: str, proof: bytes) -> Session:
         """Basic network logon; clone detection deliberately does NOT happen
@@ -150,8 +150,7 @@ def subdomain_admission_flow(
         fingerprint = None
     else:
         fingerprint = aik_fingerprint(exchange.response.quote.aik_public)  # as it arrived
-        admission = mno.registry.decide(session.identity, fingerprint,
-                                        exchange.verdict.accepted)
+        admission = mno.decide(session.identity, fingerprint, exchange.verdict.accepted)
     sim.send(MNO, device.device_id, CHANNEL_MOBILE, "subdomain-verdict",
              {"admitted": admission.admitted, "reason": admission.reason})
     sim.event(

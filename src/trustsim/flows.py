@@ -1,10 +1,11 @@
 """Recorded protocol flows shared by the scenario modules.
 
 The delivered-hop helper and the routes built from it, enrollment and
-replenishment, plus the one attestation exchange with its five injectable
-attacks. The exchange takes the route its challenge and response travel
-(one direct hop each way, or legs through relays), so every scenario runs
-the same exchange. The verifier always checks what came off the wire, read
+replenishment, plus the one attestation exchange, where every injectable
+attack but tamper acts (scenarios.World.device patches the chain before
+boot). The exchange takes the route its challenge and response travel (one
+direct hop each way, or legs through relays), so every scenario runs the
+same exchange. The verifier always checks what came off the wire, read
 through the wire types' own from_fields, so drop and modify hooks behave
 like real tampering.
 """
@@ -34,8 +35,6 @@ EXPECTED_ATTACK_REASONS = {
     "expired-cert": "cert-expired",
 }
 
-TAMPER_PAYLOAD = b"tampered-code"
-
 
 class AttackPlan:
     """Which attacks this run injects; each fires once, at the first
@@ -50,12 +49,6 @@ class AttackPlan:
             self._fired.add(name)
             return True
         return False
-
-
-def apply_setup_attacks(device: TrustedDevice, plan: AttackPlan | None) -> None:
-    """Pre-boot injections; call after provisioning, before boot."""
-    if plan and plan.take("tamper"):
-        device.tamper(device.chain[-1].name, TAMPER_PAYLOAD)
 
 
 # -- flows -------------------------------------------------------------------
@@ -167,8 +160,9 @@ def _certify(sim, pca_id: str, device: TrustedDevice, channel: str, kind: str, r
                        lambda f: _certificates_for(f, records))
 
 
-def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, channel: str) -> bool:
-    """Spend the device's last credential to certify a fresh batch, on the record.
+def replenish_flow(sim, device: TrustedDevice, pca_id: str, channel: str) -> bool:
+    """Spend the device's last credential to certify a fresh batch, on the
+    record, with the CA that issued the wallet (pca_id names it).
 
     Each side acts on what reached it: the CA judges the request it received
     and the device installs the certificates it received, each of which must
@@ -186,7 +180,7 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, pca: PrivacyCa, chan
         _replenish_request)
     certs = None if received is None else _certify(
         sim, pca_id, device, channel, "replenish", request.records,
-        lambda: pca.replenish(*received, now=sim.tick))
+        lambda: device.wallet.pca.replenish(*received, now=sim.tick))
     if certs is None:
         return False
     device.wallet.install_batch(request.records, certs)
@@ -233,7 +227,7 @@ def attest_flow(
     response payload, presented once instead of the device's answer. With a
     replay-aik injection the response is presented twice and the second
     (rejected) verdict is returned. replenish_via is replenish_flow's
-    (pca_id, pca, channel).
+    (pca_id, channel).
     """
     if isinstance(route, str):
         route = Route(

@@ -203,21 +203,28 @@ class Simulation:
 
     def _check(self, record: dict, msg_id: str) -> None:
         """ValueError unless send may append record: kind, id and tick as
-        built, registered parties, a channel of CHANNELS, and every field
-        labelled within the taxonomy. Sealed interiors need no check: one
-        that fails it does not open (see opens)."""
+        built, registered parties and a channel of CHANNELS named by strings,
+        a payload and labels that are dicts, a bool encrypted, and every
+        field labelled within the taxonomy. Sealed interiors need no check:
+        one that fails it does not open (see opens)."""
         built = record.get("kind"), record.get("id"), record.get("tick")
         if built != ("message", msg_id, self.tick + 1):
             raise ValueError(f"kind, id or tick not as built: {built}")
-        sender, receiver = record.get("sender"), record.get("receiver")
+        sender, receiver, channel, payload, labels, encrypted = map(record.get, (
+            "sender", "receiver", "channel", "payload", "labels", "encrypted"))
+        if not (isinstance(sender, str) and isinstance(receiver, str)
+                and isinstance(channel, str) and isinstance(payload, dict)
+                and isinstance(labels, dict) and isinstance(encrypted, bool)):
+            raise ValueError("sender, receiver or channel not a string, payload "
+                             "or labels not a dict, or encrypted not a bool")
         if sender not in self.roles or receiver not in self.roles:
             raise ValueError(f"unregistered party in {sender}->{receiver}")
-        if record.get("channel") not in CHANNELS:
-            raise ValueError(f"unknown channel: {record.get('channel')}")
-        missing = set(record["payload"]) - set(record["labels"])
+        if channel not in CHANNELS:
+            raise ValueError(f"unknown channel: {channel}")
+        missing = set(payload) - set(labels)
         if missing:
             raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
-        for label in record["labels"].values():
+        for label in labels.values():
             if not isinstance(label, str) or label not in LABELS:
                 raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
 

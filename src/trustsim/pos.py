@@ -402,7 +402,7 @@ def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:
     every session anyway; this tops the wallet back up so rotation never
     leaves a service gap. None after a replenishment that ended in an abort."""
     if ctx.pos.wallet.needs_replenish:
-        if not replenish_flow(sim, ctx.pos, POS_OWNER, ctx.pos.wallet.pca, CHANNEL_SR):
+        if not replenish_flow(sim, ctx.pos, POS_OWNER, CHANNEL_SR):
             return None
     _, cert = ctx.pos.wallet.peek()
     return aik_fingerprint(cert.aik_public)

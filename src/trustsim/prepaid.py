@@ -27,14 +27,6 @@ _STATEMENT_TAG = b"ppc-stmt:"
 _VOUCHER_TAG = b"voucher:"
 
 
-@dataclass(frozen=True)
-class PpImsiPool:
-    """Reserved group IMSIs plus the group's statement verification key."""
-
-    imsis: tuple
-    statement_public: bytes
-
-
 @dataclass
 class PrepaidClient:
     """Device-side ppC: balance slot, sealed statement key, voucher replay store."""
@@ -103,15 +95,17 @@ def verify_voucher(voucher: dict, mno_public: bytes) -> bool:
 
 
 class PrepaidOperator:
-    """MNO-side prepaid state: active pool sessions, nothing per-device."""
+    """MNO-side prepaid state: the reserved group IMSIs, the group's
+    statement verification key and active pool sessions, nothing per-device."""
 
-    def __init__(self, pool: PpImsiPool):
-        self.pool = pool
+    def __init__(self, imsis: tuple, statement_public: bytes):
+        self.imsis = imsis
+        self.statement_public = statement_public
         self.active = set()  # imsis with a live session
         self._session_counter = 0
 
     def logon(self, imsi: str):
-        if imsi not in self.pool.imsis:
+        if imsi not in self.imsis:
             raise ProtocolError("unknown-identity", imsi)
         if imsi in self.active:
             raise ProtocolError("imsi-busy", imsi)
@@ -123,7 +117,7 @@ class PrepaidOperator:
 def vsim_logon(sim, client: PrepaidClient, operator: PrepaidOperator, rng: Rng):
     """Random pool IMSI, retrying busy ones — at most pool-size attempts."""
     device_id = client.device.device_id
-    for imsi in rng.shuffled(operator.pool.imsis):
+    for imsi in rng.shuffled(operator.imsis):
         sim.send(device_id, MNO, CHANNEL_MOBILE, "vsim-logon", {"imsi": imsi})
         try:
             session_id = operator.logon(imsi)
@@ -185,7 +179,7 @@ def prepaid_service_request(
         return deny(err.code)
 
     sim.send(device_id, MNO, CHANNEL_MOBILE, "balance-statement", {"statement": statement})
-    if not verify_statement(statement, operator.pool.statement_public, nonce):
+    if not verify_statement(statement, operator.statement_public, nonce):
         return deny("bad-statement")
     if sim.tick + 2 > verified + verifier.freshness_window:  # the grant comes two hops on
         return deny("stale-attestation")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import audit, crypto, facility, pos
 from .anchor import Manufacturer
-from .attestation import Verifier, aik_fingerprint
+from .attestation import Verifier
 from .boot import tamper
 from .device import BASE_CHAIN, TrustedDevice, reference_db_for, standard_chain
 from .domain import (
@@ -40,7 +40,6 @@ from .flows import (
     ATTESTATION_ATTACKS,
     EXPECTED_ATTACK_REASONS,
     AttackPlan,
-    apply_setup_attacks,
     attest_flow,
     enroll_flow,
     opened,
@@ -57,7 +56,6 @@ from .pos import (
     separation_session,
 )
 from .prepaid import (
-    PpImsiPool,
     PrepaidClient,
     PrepaidOperator,
     make_voucher,
@@ -68,6 +66,8 @@ from .prepaid import (
 from .privacy_ca import PrivacyCa
 
 SCRIPT_SCHEMA = "trustsim-script/1"
+# The tamper attack's patch of the last component of the attacked device's chain.
+TAMPER_PAYLOAD = b"tampered-code"
 
 
 class ScriptError(ValueError):
@@ -156,12 +156,12 @@ class World:
     def device(self, device_id: str, chain, *, label=None, identity=None,
                attacked=False, wallet=None) -> TrustedDevice:
         """A device provisioned from the rng fork label (its id by default)
-        and booted; the attacked device takes the run's setup attacks first,
-        and a wallet PCA gives it an off-record batch."""
+        and booted, the attacked one from its chain as the tamper attack
+        patched it; a wallet PCA gives it an off-record batch."""
+        if attacked and self.plan.take("tamper"):
+            chain = tamper(chain, chain[-1].name, TAMPER_PAYLOAD)
         device = TrustedDevice.provision(device_id, self.sim.rng.fork(label or device_id),
                                          self.manufacturer, chain=chain, identity=identity)
-        if attacked:
-            apply_setup_attacks(device, self.plan)
         device.boot()
         if wallet is not None:
             device.attach_wallet(wallet, self.config["batch_size"])
@@ -191,7 +191,7 @@ def _run_one_time_aik(sim, config, plan):
     for login in range(config["auth_count"]):  # alternating, until one is refused
         svc = ("svc-a", "svc-b")[login % 2]
         exchange = attest_flow(sim, device, svc, services[svc], CHANNEL_MOBILE, plan=plan,
-                               replenish_via=("pca", pca, CHANNEL_MOBILE))
+                               replenish_via=("pca", CHANNEL_MOBILE))
         if exchange is None or not exchange.verdict.accepted:
             break
 
@@ -251,12 +251,9 @@ def _run_clone(sim, config, plan, mode):
     # the clone is the attacked requester
     clone = world.device("clone", chain, identity="imsi-100", attacked=True, wallet=pca)
     legit = world.device("legit", chain, identity="imsi-100", wallet=pca)
-    credential = mno.issue_credential("imsi-100")
+    credential = mno.issue_credential(legit)
     if mode == BOUND:
-        mno.registry.record_binding(
-            "imsi-100",
-            [aik_fingerprint(r.key.public) for r, _ in legit.wallet.credentials],
-        )
+        mno.bind(legit)
     verifier = world.verifier(pca, chain, "verifier")
 
     for device in (clone, legit):
@@ -320,11 +317,8 @@ def _prepaid_setup(sim, config, plan, tampered):
     pca = world.pca("pca", "prepaid")
     mno_keys = crypto.keygen(sim.rng.fork("mno-keys"))
     statement_keys = crypto.keygen(sim.rng.fork("ppc-group"))
-    pool = PpImsiPool(
-        imsis=tuple(f"ppimsi-{i}" for i in range(config["pool_size"])),
-        statement_public=statement_keys.public,
-    )
-    operator = PrepaidOperator(pool)
+    operator = PrepaidOperator(tuple(f"ppimsi-{i}" for i in range(config["pool_size"])),
+                               statement_keys.public)
 
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
     device = world.device("dev-1", tamper(chain, "ppc", b"balance-patcher") if tampered else chain,
@@ -333,7 +327,7 @@ def _prepaid_setup(sim, config, plan, tampered):
                                      config["initial_balance"], statement_keys.private)
     sim.event("balance-init", device="dev-1", value=config["initial_balance"])
     logged_on = vsim_logon(sim, client, operator, sim.rng.fork("logon")) is not None
-    return logged_on, client, operator, world.verifier(pca, chain, "verifier"), pca, mno_keys
+    return logged_on, client, operator, world.verifier(pca, chain, "verifier"), mno_keys
 
 
 def _prepaid_finish(sim, client, config):
@@ -348,14 +342,14 @@ def _prepaid_finish(sim, client, config):
 def _run_prepaid(sim, config, plan, tampered):
     """The requests in order, voucher i credited right after request i;
     none without a vsim session."""
-    logged_on, client, operator, verifier, pca, mno_keys = _prepaid_setup(
+    logged_on, client, operator, verifier, mno_keys = _prepaid_setup(
         sim, config, plan, tampered)
     attacked = bool(plan.names & set(ATTESTATION_ATTACKS))
     vouchers = config["vouchers"]
     for n, (service, units) in enumerate(config["requests"] if logged_on else (), 1):
         prepaid_service_request(
             sim, client, operator, verifier, service, units,
-            plan=plan, replenish_via=("pca", pca, CHANNEL_MOBILE),
+            plan=plan, replenish_via=("pca", CHANNEL_MOBILE),
         )
         if attacked:
             break  # the attacked exchange is the whole story of this run
@@ -407,7 +401,7 @@ def _judge_prepaid_tamper(transcript, config, attacks):
 
 
 def _run_prepaid_zero(sim, config, plan):
-    logged_on, client, operator, verifier, _, mno_keys = _prepaid_setup(
+    logged_on, client, operator, verifier, mno_keys = _prepaid_setup(
         sim, config, plan, tampered=False)
     if logged_on:
         prepaid_service_request(sim, client, operator, verifier, "calls", 1, plan=plan)
@@ -493,7 +487,7 @@ def _pos_setup(sim, config, plan, auth_id):
     device = world.device("dev-1", device_chain, identity="imsi-7001", attacked=True)
     pos_device = world.device("pos-1", pos_chain)
 
-    credential = mno.issue_credential("imsi-7001")
+    credential = mno.issue_credential(device)
     batch = config["batch_size"]
     if not (network_access_flow(sim, device, mno, credential)
             and enroll_flow(sim, device, auth_id, device_pca, batch, CHANNEL_MOBILE)
@@ -710,11 +704,8 @@ def _facility_setup(sim, config, plan):
     gate = world.device("gate-dev", gate_chain, label="gate", wallet=pca)
 
     # company sub-domain enrollment: employee admitted under the joint authority
-    credential = mno.issue_credential("imsi-9001")
-    mno.registry.record_binding(
-        "imsi-9001",
-        [aik_fingerprint(r.key.public) for r, _ in employee.wallet.credentials],
-    )
+    credential = mno.issue_credential(employee)
+    mno.bind(employee)
     company_verifier = world.verifier(pca, chain, "v-company")
     session = network_access_flow(sim, employee, mno, credential)
     admitted = session is not None and subdomain_admission_flow(
@@ -727,7 +718,7 @@ def _facility_setup(sim, config, plan):
         gate_verifier_for_device=world.verifier(pca, chain, "v-gate",
                                                 used_aiks=company_verifier.used_aiks),
         device_verifier_for_gate=world.verifier(pca, gate_chain, "v-employee"),
-        admitted_identities={"imsi-9001"} if admitted else set(),
+        admitted_identities={employee.identity} if admitted else set(),
     )
     if config["gate_cache"]:
         ctx.gate_cache = set(ctx.admitted_identities)

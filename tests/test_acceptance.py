@@ -14,7 +14,6 @@ from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.flows import ATTESTATION_ATTACKS, EXPECTED_ATTACK_REASONS
 from trustsim.harness import Simulation
 from trustsim.prepaid import (
-    PpImsiPool,
     PrepaidClient,
     PrepaidOperator,
     make_voucher,
@@ -142,7 +141,6 @@ def _conservation_world(seed):
     pca = PrivacyCa("pca", rng.fork("world"), {mfr.root.public}, domain_id="prepaid")
     mno_keys = crypto.keygen(rng.fork("mno-keys"))
     statement = crypto.keygen(rng.fork("group"))
-    pool = PpImsiPool(("ppimsi-0", "ppimsi-1", "ppimsi-2"), statement.public)
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
     device = TrustedDevice.provision("dev-1", rng.fork("dev"), mfr, chain=chain)
     refs = reference_db_for(chain)
@@ -153,8 +151,8 @@ def _conservation_world(seed):
     device.attach_wallet(pca, 10)
     sim.event("balance-init", device="dev-1", value=initial)
     verifier = Verifier(pca.root.public, refs, rng.fork("verifier"))
-    operator = PrepaidOperator(pool)
-    return sim, rng, client, operator, verifier, pca, mno_keys, initial
+    operator = PrepaidOperator(("ppimsi-0", "ppimsi-1", "ppimsi-2"), statement.public)
+    return sim, rng, client, operator, verifier, mno_keys, initial
 
 
 def test_criterion_5_prepaid_conservation():
@@ -162,8 +160,7 @@ def test_criterion_5_prepaid_conservation():
     zero-balance requests deny; tampered clients get nothing."""
     problems = []
     for seed in (31, 32, 33, 34, 35):
-        sim, rng, client, operator, verifier, pca, mno_keys, initial = \
-            _conservation_world(seed)
+        sim, rng, client, operator, verifier, mno_keys, initial = _conservation_world(seed)
         vsim_logon(sim, client, operator, rng.fork("logon"))
         script = rng.fork("script")
         vouchers = granted = 0
@@ -182,7 +179,7 @@ def test_criterion_5_prepaid_conservation():
                 balance_before = client.balance()
                 outcome = prepaid_service_request(
                     sim, client, operator, verifier, service, units,
-                    replenish_via=("pca", pca, "mobile"),
+                    replenish_via=("pca", "mobile"),
                 )
                 if outcome is None and balance_before >= cost:
                     denials_at_short_balance = False

@@ -8,9 +8,8 @@ from trustsim.anchor import (
     TrustAnchor,
     verify_ek_certificate,
     verify_ek_response,
-    verify_quote_signature,
 )
-from trustsim.crypto import ZERO_DIGEST, Rng, hash160
+from trustsim.crypto import ZERO_DIGEST, Rng, hash160, verify
 from trustsim.errors import ProtocolError
 
 from sha1_oracle import fold_pcr, sha1
@@ -23,6 +22,11 @@ EXTEND_ZERO_COMPONENT = "0414e057f4f2ad6aa585a4639fb0c190b2dc7877"
 def make_anchor(seed=1, device="dev-1"):
     rng = Rng(seed)
     return TrustAnchor.manufacture(device, rng.fork(device), Manufacturer(rng))
+
+
+def signed_by_its_aik(quote) -> bool:
+    """The quote's signature check of Verifier.verify."""
+    return verify(quote.aik_public, quote.signed_payload(), quote.signature)
 
 
 def test_reset_bank_is_all_zero():
@@ -84,7 +88,7 @@ def test_quote_round_trip_and_one_time_policy():
     record = anchor.create_aik_batch(2)[0]
     nonce = b"n" * 16
     quote = anchor.quote(record.aik_id, [0, 1], nonce)
-    assert verify_quote_signature(quote)
+    assert signed_by_its_aik(quote)
     assert quote.pcr_values == (ZERO_DIGEST.hex(), ZERO_DIGEST.hex())
 
     with pytest.raises(ProtocolError) as err:
@@ -101,7 +105,7 @@ def test_quote_empty_selection_binds_only_nonce():
     record = anchor.create_aik_batch(2)[0]
     quote = anchor.quote(record.aik_id, [], b"m" * 16)
     assert quote.pcr_selection == ()
-    assert verify_quote_signature(quote)
+    assert signed_by_its_aik(quote)
 
 
 def test_quote_any_field_change_invalidates_signature():
@@ -116,7 +120,7 @@ def test_quote_any_field_change_invalidates_signature():
         {"nonce": b"r" * 16},
     ):
         mutated = dataclasses.replace(quote, **change)
-        assert not verify_quote_signature(mutated)
+        assert not signed_by_its_aik(mutated)
 
 
 def test_ek_challenge_response_round_trip():

@@ -12,7 +12,6 @@ from trustsim.attestation import (
     AttestationResponse,
     Verifier,
     recompute_pcr,
-    verify_attestation,
 )
 from trustsim.crypto import Rng, ZERO_DIGEST, hash160
 from trustsim.device import reference_db_for
@@ -191,8 +190,9 @@ def test_verdict_deterministic_and_reason_order_fixed():
     broken = dataclasses.replace(resp, log=mb.forge_log(log, 0, hash160(b"zz")))
     late = certs[0].valid_until + 1
     ch = AttestationChallenge(challenge.nonce, challenge.pcr_selection, late + 5)
-    v1 = verify_attestation(broken, ch, verifier.pca_root, verifier.refs, set(), now=late)
-    v2 = verify_attestation(broken, ch, verifier.pca_root, verifier.refs, set(), now=late)
+    # two verifiers with fresh replay stores judge the same response
+    v1, v2 = (dataclasses.replace(verifier, used_aiks=set()).verify(broken, ch, now=late)
+              for _ in range(2))
     assert v1 == v2
     assert list(v1.reasons) == [r for r in att.ALL_REASONS if r in v1.reasons]
     assert "cert-expired" in v1.reasons and "log-pcr-mismatch" in v1.reasons

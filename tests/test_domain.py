@@ -3,8 +3,8 @@
 import pytest
 
 from trustsim.anchor import Manufacturer
-from trustsim.crypto import hash160
 from trustsim.attestation import Verifier
+from trustsim.boot import tamper
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for
 from trustsim.domain import (
@@ -12,7 +12,6 @@ from trustsim.domain import (
     UNBOUND,
     FeaturePolicy,
     MobileNetworkOperator,
-    SubdomainRegistry,
     network_access_flow,
     subdomain_admission_flow,
 )
@@ -33,18 +32,17 @@ def clone_world(mode, seed=3, tampered=False):
 
     legit = TrustedDevice.provision("legit", rng.fork("legit"), mfr, identity="imsi-100")
     clone = TrustedDevice.provision("clone", rng.fork("clone"), mfr, identity="imsi-100")
-    credential = mno.issue_credential("imsi-100")
+    credential = mno.issue_credential(legit)
     refs = reference_db_for(legit.chain)
     if tampered:
-        legit.tamper("os", b"rootkit")
+        legit.chain = tamper(legit.chain, "os", b"rootkit")
     for device in (legit, clone):
         sim.add_party(device.device_id, "device")
         device.boot()
         device.attach_wallet(pca, batch_size=4)
     verifier = Verifier(pca.root.public, refs, rng.fork("verifier"))
     if mode == BOUND:
-        fps = [hash160(r.key.public).hex() for r, _ in legit.wallet.credentials]
-        mno.registry.record_binding("imsi-100", fps)
+        mno.bind(legit)
     return sim, mno, verifier, credential, legit, clone
 
 
@@ -81,9 +79,8 @@ def test_unbound_first_come_first_served():
 
 def test_unbound_same_device_refresh_keeps_admission():
     sim, mno, verifier, credential, legit, _ = clone_world(UNBOUND)
-    registry = mno.registry
-    first = registry.decide("imsi-100", "fp-1", attestation_accepted=True)
-    again = registry.decide("imsi-100", "fp-1", attestation_accepted=True)
+    first = mno.decide("imsi-100", "fp-1", attestation_accepted=True)
+    again = mno.decide("imsi-100", "fp-1", attestation_accepted=True)
     assert first.admitted and again.admitted
 
 
@@ -106,6 +103,8 @@ def test_failed_attestation_blocks_admission():
 def test_bound_acceptance_implies_unbound_acceptance():
     # per-request dominance on identical registry state
     rng = Rng(17)
+    bound = MobileNetworkOperator(Rng(0), registry_mode=BOUND)
+    unbound = MobileNetworkOperator(Rng(0), registry_mode=UNBOUND)
     for trial in range(200):
         identity = f"imsi-{rng.randrange(5)}"
         fp = f"fp-{rng.randrange(6)}"
@@ -117,8 +116,8 @@ def test_bound_acceptance_implies_unbound_acceptance():
             f"imsi-{i}": {f"fp-{rng.randrange(6)}", f"fp-{rng.randrange(6)}"}
             for i in range(5)
         }
-        bound = SubdomainRegistry(BOUND, dict(admitted_state), dict(bindings))
-        unbound = SubdomainRegistry(UNBOUND, dict(admitted_state))
+        bound.admitted, bound.bindings = dict(admitted_state), dict(bindings)
+        unbound.admitted, unbound.bindings = dict(admitted_state), {}
         if bound.decide(identity, fp, attested).admitted:
             assert unbound.decide(identity, fp, attested).admitted
 

@@ -3,6 +3,7 @@
 
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
+from trustsim.boot import tamper
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import FeaturePolicy
@@ -36,7 +37,7 @@ def facility_world(seed=9, tampered_employee=False):
     employee = TrustedDevice.provision("employee", rng.fork("emp"), mfr,
                                        chain=chain, identity="imsi-1")
     if tampered_employee:
-        employee.tamper("enforcer", b"patched-enforcer")
+        employee.chain = tamper(employee.chain, "enforcer", b"patched-enforcer")
     employee.boot()
     employee.attach_wallet(pca, 4)
 

@@ -164,23 +164,40 @@ def _state(sim):
     return json.dumps([sim.tick, sim.records, knowledge, sim.carrier_views])
 
 
+GONE = object()  # an edit that deletes the field
+
 # A hook's record is checked as send checks its arguments: a rewritten kind,
-# id or tick, an unregistered party or an unknown channel raises before
+# id or tick, an unregistered party, an unknown channel, a sender, receiver
+# or channel that is no string, a payload or labels that is no dict, or an
+# encrypted flag that is no bool (each also when gone) raises before
 # anything of the message is recorded or observed.
 @pytest.mark.parametrize("replace", [True, False], ids=["replaced", "in-place"])
-@pytest.mark.parametrize("field,value", [
-    ("kind", "event"), ("id", "m00009"), ("tick", 7), ("sender", "ghost"),
-    ("receiver", "ghost"), ("channel", "nowhere"),
+@pytest.mark.parametrize("edits", [
+    *(pytest.param({field: value}, id=f"{field}-{value}") for field, value in (
+        ("kind", "event"), ("id", "m00009"), ("tick", 7), ("sender", "ghost"),
+        ("receiver", "ghost"), ("channel", "nowhere"))),
+    *(pytest.param({field: value}, id=f"{field}-{type(value).__name__}")
+      for field in ("sender", "receiver", "channel") for value in (["b"], {"x": 1})),
+    pytest.param({"payload": None}, id="payload-None"),
+    pytest.param({"labels": None}, id="labels-None"),
+    pytest.param({"payload": GONE}, id="payload-deleted"),
+    pytest.param({"payload": [], "labels": {}}, id="payload-list-labels-empty"),
+    pytest.param({"encrypted": None}, id="encrypted-None"),
+    pytest.param({"encrypted": GONE}, id="encrypted-deleted"),
 ])
-def test_rewritten_routing_field_raises_before_any_state_changes(field, value, replace):
+def test_rewritten_routing_field_raises_before_any_state_changes(edits, replace):
     sim = basic_sim()
     sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
     before = _state(sim)
 
     def hook(record):
-        if replace:
-            return {**record, field: value}
-        record[field] = value
+        edited = dict(record) if replace else record
+        for field, value in edits.items():
+            if value is GONE:
+                del edited[field]
+            else:
+                edited[field] = value
+        return edited if replace else None
 
     sim.add_hook(hook)
     with pytest.raises(ValueError):

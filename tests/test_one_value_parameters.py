@@ -9,16 +9,17 @@ to vary, or that is gone, fails this test too, so the list only shrinks.
 
 Callers are the package and the benchmark; tests do not count, because a
 value only a test varies is a value no run varies. Calls are matched to
-definitions by name (a class name for `__init__`), as in
-`test_unused_defaults.py`. A call that leaves a parameter to its default,
-or splats `*args` or `**kwargs`, passes no literal of its own, so it never
-counts as passing the same one.
+definitions by name, as `signature_scan` says. A call that leaves a
+parameter to its default, or splats `*args` or `**kwargs`, passes no
+literal of its own, so it never counts as passing the same one.
 """
 
 import ast
 from pathlib import Path
 
 import trustsim
+
+from signature_scan import calls, parameters
 
 PACKAGE = Path(trustsim.__file__).parent
 CALLERS = (PACKAGE, Path(__file__).parent.parent / "perfbench")
@@ -37,57 +38,10 @@ def _literal(node):
     return ast.dump(node)
 
 
-def _definitions(module: str, source: str) -> list:
-    """(module, function, call name, parameter, positional index or None)
-    of every named parameter defined in source; the index counts the
-    arguments of a call, so it leaves out a method's self."""
-    found = []
-
-    def visit(node, cls):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = child.args
-                static = any(getattr(d, "id", None) == "staticmethod"
-                             for d in child.decorator_list)
-                skip = 1 if cls is not None and not static else 0
-                function = child.name if cls is None else f"{cls}.{child.name}"
-                call_name = cls if child.name == "__init__" else child.name
-                positional = args.posonlyargs + args.args
-                for i, arg in enumerate(positional[skip:]):
-                    found.append((module, function, call_name, arg.arg, i))
-                for arg in args.kwonlyargs:
-                    found.append((module, function, call_name, arg.arg, None))
-                visit(child, None)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, child.name)
-            else:
-                visit(child, cls)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def _calls(sources) -> dict:
-    """call name -> list of (positional argument nodes, keyword name -> node,
-    splats)."""
-    calls = {}
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            splats = (any(isinstance(a, ast.Starred) for a in node.args)
-                      or any(k.arg is None for k in node.keywords))
-            calls.setdefault(name, []).append(
-                (node.args, {k.arg: k.value for k in node.keywords}, splats))
-    return calls
-
-
 def _value(call, parameter, index):
     """The literal form of what call passes for parameter, or None."""
-    positional, keywords, splats = call
-    if splats:
+    positional, keywords, single, double = call
+    if single or double:
         return None
     if parameter in keywords:
         return _literal(keywords[parameter])
@@ -100,14 +54,14 @@ def one_value(definitions: dict, callers) -> list:
     """(module, function, parameter) of each parameter in the definitions
     (module -> source) that at least two calls in the caller sources reach,
     each passing the same literal."""
-    calls = _calls(callers)
+    made = calls(callers)
     found = []
     for name, source in definitions.items():
-        for module, function, call_name, parameter, index in _definitions(name, source):
-            reaching = calls.get(call_name, ())
-            values = {_value(call, parameter, index) for call in reaching}
+        for p in parameters(name, source):
+            reaching = made.get(p.call_name, ())
+            values = {_value(call, p.name, p.index) for call in reaching}
             if len(reaching) >= 2 and len(values) == 1 and None not in values:
-                found.append((module, function, parameter))
+                found.append((p.module, p.function, p.name))
     return sorted(found)
 
 

@@ -8,10 +8,11 @@ import pytest
 from trustsim import audit, crypto, pos, scenarios
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
+from trustsim.boot import tamper
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import MobileNetworkOperator, network_access_flow
-from trustsim.flows import apply_setup_attacks, carry, enroll_flow
+from trustsim.flows import carry, enroll_flow
 from trustsim.harness import (
     DROP,
     Simulation,
@@ -36,7 +37,7 @@ from trustsim.privacy_ca import PrivacyCa
 GOODS = (("cola", 3), ("water", 2), ("juice", 4))
 
 
-def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
+def pos_world(seed=7, merged=False, tampered_pos=False):
     rng = Rng(seed)
     sim = Simulation(seed, scenario="unit-pos")
     roster = [
@@ -59,20 +60,19 @@ def pos_world(seed=7, merged=False, tampered_pos=False, plan=None):
     device = TrustedDevice.provision("dev-1", rng.fork("dev-1"), mfr,
                                      chain=standard_chain((("wallet-app", b"wallet-v1"),)),
                                      identity="imsi-7001")
-    apply_setup_attacks(device, plan)
     device.boot()
     pos_device = TrustedDevice.provision(
         "pos-1", rng.fork("pos-1"), mfr,
         chain=standard_chain((("pos-client", b"pos-firmware-v1"),)),
     )
     if tampered_pos:
-        pos_device.tamper("pos-client", b"skimmer")
+        pos_device.chain = tamper(pos_device.chain, "pos-client", b"skimmer")
     pos_device.boot()
 
     device_refs = reference_db_for(standard_chain((("wallet-app", b"wallet-v1"),)))
     pos_refs = reference_db_for(standard_chain((("pos-client", b"pos-firmware-v1"),)))
 
-    credential = mno.issue_credential("imsi-7001")
+    credential = mno.issue_credential(device)
     network_access_flow(sim, device, mno, credential)
     enroll_flow(sim, device, auth_id, device_pca, batch_size=10, channel="mobile")
     enroll_flow(sim, pos_device, "pos-pca", pos_pca, batch_size=10, channel="net")

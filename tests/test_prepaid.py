@@ -5,13 +5,12 @@ import pytest
 from trustsim import crypto
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
+from trustsim.boot import tamper
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.errors import ProtocolError
-from trustsim.flows import AttackPlan, apply_setup_attacks
 from trustsim.harness import Simulation
 from trustsim.prepaid import (
-    PpImsiPool,
     PrepaidClient,
     PrepaidOperator,
     make_voucher,
@@ -33,19 +32,15 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
     pca = PrivacyCa("pca", rng, {mfr.root.public}, domain_id="prepaid")
     mno_keys = crypto.keygen(rng.fork("mno-keys"))
     statement_keys = crypto.keygen(rng.fork("ppc-group"))
-    pool = PpImsiPool(
-        imsis=tuple(f"ppimsi-{i}" for i in range(pool_size)),
-        statement_public=statement_keys.public,
-    )
-    operator = PrepaidOperator(pool)
+    operator = PrepaidOperator(tuple(f"ppimsi-{i}" for i in range(pool_size)),
+                               statement_keys.public)
 
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
     clients = []
     for i in range(devices):
-        device = TrustedDevice.provision(f"dev-{i}", rng.fork(f"dev-{i}"), mfr, chain=chain)
+        booted = tamper(chain, "ppc", b"tampered-code") if tampered else chain
+        device = TrustedDevice.provision(f"dev-{i}", rng.fork(f"dev-{i}"), mfr, chain=booted)
         sim.add_party(device.device_id, "device")
-        plan = AttackPlan({"tamper"} if tampered else set())
-        apply_setup_attacks(device, plan)
         device.boot()
         client = PrepaidClient.provision(device, chain, TARIFFS, balance, statement_keys.private)
         device.attach_wallet(pca, batch_size=10)
@@ -53,23 +48,23 @@ def prepaid_world(seed=5, balance=500, pool_size=5, tampered=False, devices=1):
         clients.append(client)
 
     verifier = Verifier(pca.root.public, reference_db_for(chain), rng.fork("verifier"))
-    return sim, rng, mno_keys, pool, operator, verifier, pca, clients
+    return sim, rng, mno_keys, operator, verifier, pca, clients
 
 
 def test_logon_picks_seed_determined_imsi():
-    sim, rng, _, pool, operator, _, _, clients = prepaid_world()
-    expected = Rng(5).fork("pick").shuffled(pool.imsis)[0]
+    sim, rng, _, operator, _, _, clients = prepaid_world()
+    expected = Rng(5).fork("pick").shuffled(operator.imsis)[0]
     out = vsim_logon(sim, clients[0], operator, Rng(5).fork("pick"))
     assert out is not None and out[0] == expected
 
 
 def test_logon_conflict_retries_to_distinct_imsis():
-    sim, rng, _, pool, operator, _, _, clients = prepaid_world(devices=2)
+    sim, rng, _, operator, _, _, clients = prepaid_world(devices=2)
     first = vsim_logon(sim, clients[0], operator, rng.fork("a"))
     # drive the second device with a stream whose first pick collides
     seed = None
     for candidate in range(2000):
-        if Rng(candidate).fork("b").shuffled(pool.imsis)[0] == first[0]:
+        if Rng(candidate).fork("b").shuffled(operator.imsis)[0] == first[0]:
             seed = candidate
             break
     assert seed is not None
@@ -79,14 +74,14 @@ def test_logon_conflict_retries_to_distinct_imsis():
 
 
 def test_logon_fails_when_pool_exhausted():
-    sim, rng, _, pool, operator, _, _, clients = prepaid_world(pool_size=1, devices=2)
+    sim, rng, _, operator, _, _, clients = prepaid_world(pool_size=1, devices=2)
     assert vsim_logon(sim, clients[0], operator, rng.fork("a")) is not None
     assert vsim_logon(sim, clients[1], operator, rng.fork("b")) is None
     assert any(e["code"] == "pool-exhausted" for e in sim.events("abort"))
 
 
 def test_grant_decrements_and_denies_at_zero():
-    sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(balance=25)
+    sim, rng, mno_keys, operator, verifier, pca, clients = prepaid_world(balance=25)
     client = clients[0]
     vsim_logon(sim, client, operator, rng.fork("pick"))
     cost = prepaid_service_request(sim, client, operator, verifier, "calls", 2)
@@ -101,7 +96,7 @@ def test_grant_decrements_and_denies_at_zero():
 
 
 def test_tampered_ppc_requests_rejected_without_decrement():
-    sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(tampered=True)
+    sim, rng, mno_keys, operator, verifier, pca, clients = prepaid_world(tampered=True)
     client = clients[0]
     vsim_logon(sim, client, operator, rng.fork("pick"))
     out = prepaid_service_request(sim, client, operator, verifier, "data", 3)
@@ -111,7 +106,7 @@ def test_tampered_ppc_requests_rejected_without_decrement():
 
 
 def test_voucher_top_up_and_replay():
-    sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(balance=0)
+    sim, rng, mno_keys, operator, verifier, pca, clients = prepaid_world(balance=0)
     client = clients[0]
     voucher = make_voucher(mno_keys, "v-1", 100)
     assert top_up_flow(sim, client, mno_keys, voucher) == 100
@@ -123,7 +118,7 @@ def test_voucher_top_up_and_replay():
 
 
 def test_forged_voucher_rejected():
-    sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(balance=0)
+    sim, rng, mno_keys, operator, verifier, pca, clients = prepaid_world(balance=0)
     rogue = crypto.keygen(Rng(321))
     voucher = make_voucher(rogue, "v-9", 500)
     assert top_up_flow(sim, clients[0], mno_keys, voucher) is None
@@ -133,7 +128,7 @@ def test_forged_voucher_rejected():
 
 def test_conservation_over_randomized_sequences():
     for seed in (11, 12, 13):
-        sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(
+        sim, rng, mno_keys, operator, verifier, pca, clients = prepaid_world(
             seed=seed, balance=300
         )
         client = clients[0]
@@ -152,7 +147,7 @@ def test_conservation_over_randomized_sequences():
                 units = 1 + script_rng.randrange(3)
                 cost = prepaid_service_request(
                     sim, client, operator, verifier, service, units,
-                    replenish_via=("pca", pca, "mobile"),
+                    replenish_via=("pca", "mobile"),
                 )
                 if cost is not None:
                     granted += cost
@@ -161,7 +156,7 @@ def test_conservation_over_randomized_sequences():
 
 
 def test_no_message_carries_an_individual_device_identity():
-    sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world()
+    sim, rng, mno_keys, operator, verifier, pca, clients = prepaid_world()
     client = clients[0]
     vsim_logon(sim, client, operator, rng.fork("pick"))
     prepaid_service_request(sim, client, operator, verifier, "data", 2)
@@ -182,7 +177,7 @@ def test_no_message_carries_an_individual_device_identity():
 
 
 def test_statement_requires_sealed_key():
-    sim, rng, mno_keys, pool, operator, verifier, pca, clients = prepaid_world(tampered=True)
+    sim, rng, mno_keys, operator, verifier, pca, clients = prepaid_world(tampered=True)
     client = clients[0]
     with pytest.raises(ProtocolError) as err:
         client.sign_statement("calls", 1, 10, b"n" * 16)

@@ -36,7 +36,7 @@ def build(seed=1, batch_size=10):
     return rng, mfr, pca, anchor, log, refs, wallet
 
 
-def recorded_replenisher(anchor, wallet, pca):
+def recorded_replenisher(anchor, wallet):
     """replenish() running the recorded flow the scenarios use."""
     sim = Simulation(1, scenario="unit-pca")
     sim.add_party("dev-1", "device")
@@ -44,7 +44,7 @@ def recorded_replenisher(anchor, wallet, pca):
     device = TrustedDevice("dev-1", anchor, chain=[], wallet=wallet)
 
     def replenish():
-        replenish_flow(sim, device, "pca", pca, "net")
+        replenish_flow(sim, device, "pca", "net")
         return [cert for _, cert in wallet.credentials]
 
     return sim, replenish
@@ -103,7 +103,7 @@ def test_replenish_after_batch_exhaustion():
     wallet.enroll()
     old_certs = [wallet.take()[1], wallet.take()[1], wallet.peek()[1]]
     assert wallet.needs_replenish
-    sim, replenish = recorded_replenisher(anchor, wallet, pca)
+    sim, replenish = recorded_replenisher(anchor, wallet)
     new_certs = replenish()
     assert len(new_certs) == 3
     assert len(wallet.credentials) == 3
@@ -154,7 +154,7 @@ def test_batch_liveness_replenishment_count(batch_size, uses):
     # k service uses with batch size N trigger exactly floor(k/(N-1)) replenishments
     _, _, pca, anchor, log, refs, wallet = build(batch_size=batch_size)
     wallet.enroll()
-    sim, replenish = recorded_replenisher(anchor, wallet, pca)
+    sim, replenish = recorded_replenisher(anchor, wallet)
     for _ in range(uses):
         wallet.take()
         if wallet.needs_replenish:
@@ -307,6 +307,6 @@ def test_replenishment_is_authenticated_by_a_minted_last_credential():
     _, _, pca, anchor, _, _, wallet = build(batch_size=2)
     wallet.enroll()
     wallet.take()
-    sim, replenish = recorded_replenisher(anchor, wallet, pca)
+    sim, replenish = recorded_replenisher(anchor, wallet)
     assert len(replenish()) == 2
     assert [e["count"] for e in sim.events("replenishment")] == [1]

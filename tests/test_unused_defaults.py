@@ -7,15 +7,16 @@ package must be passed by some call in the package, its tests or the
 benchmark, or be on the named list below. A listed one that a call starts
 to pass, or that is gone, fails this test too, so the list only shrinks.
 
-Calls are matched to definitions by name (a class name for `__init__`),
-so two functions of one name share their callers. A call that splats
-`*args` or `**kwargs` counts as passing every parameter it could reach.
+Calls are matched to definitions by name, as `signature_scan` says. A
+call that splats `*args` or `**kwargs` counts as passing every parameter
+it could reach.
 """
 
-import ast
 from pathlib import Path
 
 import trustsim
+
+from signature_scan import calls, parameters
 
 PACKAGE = Path(trustsim.__file__).parent
 CALLERS = (PACKAGE, Path(__file__).parent, Path(__file__).parent.parent / "perfbench")
@@ -25,74 +26,23 @@ CALLERS = (PACKAGE, Path(__file__).parent, Path(__file__).parent.parent / "perfb
 NEVER_PASSED = []
 
 
-def _definitions(module: str, source: str) -> list:
-    """(module, function, call name, parameter, positional index or None)
-    of every defaulted parameter defined in source; the index counts the
-    arguments of a call, so it leaves out a method's self."""
-    found = []
-
-    def visit(node, cls):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = child.args
-                static = any(getattr(d, "id", None) == "staticmethod"
-                             for d in child.decorator_list)
-                skip = 1 if cls is not None and not static else 0
-                function = child.name if cls is None else f"{cls}.{child.name}"
-                call_name = cls if child.name == "__init__" else child.name
-                positional = args.posonlyargs + args.args
-                first_default = len(positional) - len(args.defaults)
-                for i, arg in enumerate(positional[first_default:], first_default):
-                    found.append((module, function, call_name, arg.arg, i - skip))
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        found.append((module, function, call_name, arg.arg, None))
-                visit(child, None)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, child.name)
-            else:
-                visit(child, cls)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def _calls(sources) -> dict:
-    """call name -> list of (positional count, keyword names, splats *, splats **)."""
-    calls = {}
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.setdefault(name, []).append((
-                sum(not isinstance(a, ast.Starred) for a in node.args),
-                {k.arg for k in node.keywords if k.arg is not None},
-                starred,
-                any(k.arg is None for k in node.keywords),
-            ))
-    return calls
-
-
-def _passed(calls, call_name, parameter, index) -> bool:
+def _passed(made, call_name, parameter, index) -> bool:
     return any(
         parameter in keywords or double
-        or (index is not None and (count > index or single))
-        for count, keywords, single, double in calls.get(call_name, ())
+        or (index is not None and (len(positional) > index or single))
+        for positional, keywords, single, double in made.get(call_name, ())
     )
 
 
 def never_passed(definitions: dict, callers) -> list:
     """(module, function, parameter) of each defaulted parameter in the
     definitions (module -> source) that no caller source passes."""
-    calls = _calls(callers)
+    made = calls(callers)
     return sorted(
-        (module, function, parameter)
+        (p.module, p.function, p.name)
         for name, source in definitions.items()
-        for module, function, call_name, parameter, index in _definitions(name, source)
-        if not _passed(calls, call_name, parameter, index)
+        for p in parameters(name, source)
+        if p.defaulted and not _passed(made, p.call_name, p.name, p.index)
     )
 
 
