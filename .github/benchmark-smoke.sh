@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Benchmark smoke runs of the CI tests job, run from the repository root:
-# each workload for 2 s at seed 1, catalog-sweep also traced. Every run
-# must report "correct" true and no failed run (none that raised).
+# each workload for 2 s at seed 1, catalog-sweep and prepaid-metering also
+# traced, so their trace cross-checks (among them harness.send.calls =
+# messages + dropped) count towards "correct". Every run must report
+# "correct" true and no failed run (none that raised).
 set -euo pipefail
 
 # smoke WORKLOAD TRACE OUT: one run, its output kept in OUT
@@ -14,3 +16,4 @@ smoke catalog-sweep 0 smoke.txt
 smoke catalog-sweep 1 smoke-trace.txt
 smoke long-session 0 smoke-long.txt
 smoke prepaid-metering 0 smoke-prepaid.txt
+smoke prepaid-metering 1 smoke-prepaid-trace.txt

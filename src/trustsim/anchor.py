@@ -7,7 +7,7 @@ one quote (or one batch-replenishment request).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import crypto
@@ -131,8 +131,9 @@ class Manufacturer:
         self.root = crypto.keygen(rng.fork("mfr:manufacturer"))
 
     def endorse(self, ek_public: bytes, model: str) -> EkCertificate:
-        cert = EkCertificate(ek_public, model, self.root.public, b"")
-        return replace(cert, signature=crypto.sign(self.root, cert.signed_payload()))
+        fields = ek_public, model, self.root.public
+        signature = crypto.sign(self.root, EkCertificate(*fields, b"").signed_payload())
+        return EkCertificate(*fields, signature)
 
 
 @dataclass
@@ -191,9 +192,10 @@ class TrustAnchor:
     def quote(self, aik_id: str, pcr_selection, nonce: bytes) -> Quote:
         record = self._take_aik(aik_id)
         selection = tuple(pcr_selection)
-        quote = Quote(selection, tuple(self.pcrs.value(i).hex() for i in selection),
-                      bytes(nonce), record.key.public, b"")
-        return replace(quote, signature=crypto.sign(record.key, quote.signed_payload()))
+        fields = (selection, tuple(self.pcrs.value(i).hex() for i in selection), bytes(nonce),
+                  record.key.public)
+        signature = crypto.sign(record.key, Quote(*fields, b"").signed_payload())
+        return Quote(*fields, signature)
 
     def sign_replenishment(self, aik_id: str, new_publics: list) -> bytes:
         """Authenticate a batch replenishment with (and consume) the last AIK."""

@@ -91,7 +91,9 @@ def _split(payload, labels, splits):
     if split is None or split[0] is not labels:
         plain, sealed = [], []
         for fname, value in payload.items():
-            if _is_envelope(value):
+            if value.__class__ is str:  # _canon's own shortcut
+                plain.append((fname, labels[fname], encode_basestring_ascii(value)))
+            elif _is_envelope(value):
                 if _opens(value["_sealed"]):
                     sealed.append(value["_sealed"])
             else:
@@ -100,14 +102,14 @@ def _split(payload, labels, splits):
     return split
 
 
-def _absorb(knowledge, party, payload, labels, splits):
-    """Fold what party can read of payload into its knowledge set; a sealed
-    interior opens only for its listed readers, however deeply nested."""
-    _, plain, sealed = _split(payload, labels, splits)
-    knowledge.setdefault(party, set()).update(plain)
+def _open(known, party, sealed, splits):
+    """Fold the sealed interiors that list party as a reader into its
+    knowledge set, known, however deeply they nest."""
     for inner in sealed:
         if party in inner["readers"]:
-            _absorb(knowledge, party, inner["payload"], inner["labels"], splits)
+            _, plain, nested = _split(inner["payload"], inner["labels"], splits)
+            known.update(plain)
+            _open(known, party, nested, splits)
 
 
 def _replay_observations(transcript, splits=None):
@@ -122,24 +124,33 @@ def _replay_observations(transcript, splits=None):
     carrier_views = {pid: [] for pid in knowledge}
 
     for record in _messages(transcript):
-        _absorb(knowledge, record["receiver"], record["payload"], record["labels"], splits)
+        receiver, payload = record["receiver"], record["payload"]
+        _, plain, sealed = _split(payload, record["labels"], splits)
+        known = knowledge.setdefault(receiver, set())
+        known.update(plain)
+        if sealed:
+            _open(known, receiver, sealed, splits)
+
         ch = channels.get(record["channel"], {})
         carrier = ch.get("carrier")
         if (
             ch.get("kind") == "mobile_network"
             and carrier
-            and carrier not in (record["sender"], record["receiver"])
+            and carrier not in (record["sender"], receiver)
         ):
             carrier_views.setdefault(carrier, []).append(
                 {
                     "tick": record["tick"],
                     "channel": record["channel"],
-                    "fields": sorted(record["payload"]),
+                    "fields": sorted(payload),
                     "encrypted": record["encrypted"],
                 }
             )
             if not record["encrypted"]:
-                _absorb(knowledge, carrier, record["payload"], record["labels"], splits)
+                known = knowledge.setdefault(carrier, set())
+                known.update(plain)
+                if sealed:
+                    _open(known, carrier, sealed, splits)
 
     return knowledge, carrier_views
 
@@ -148,7 +159,7 @@ def check_knowledge_soundness(transcript) -> Finding:
     """Snapshot knowledge == what the raw messages actually exposed."""
     knowledge, carrier_views = _replay_observations(transcript, _splits(transcript))
     snapshot_knowledge = {
-        pid: {tuple(row) for row in rows}
+        pid: set(map(tuple, rows))
         for pid, rows in transcript.snapshot.get("knowledge", {}).items()
     }
     for pid in set(knowledge) | set(snapshot_knowledge):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 
 from .crypto import Rng, canonical_json as _encode
@@ -89,13 +90,21 @@ def canon_value(value) -> str:
     return _encode(value)
 
 
+_NOT_TYPED = ("sender, receiver or channel not a string, payload or labels not a dict, "
+              "or encrypted not a bool")
+
+
+def _unlabeled(payload: dict, labels: dict) -> str:
+    return f"unlabeled payload fields: {sorted(payload.keys() - labels.keys())}"
+
+
 def _labels_of(payload: dict) -> dict:
     """The label of each payload field, from FIELD_LABELS; ValueError naming
     the fields it lacks."""
-    missing = payload.keys() - FIELD_LABELS.keys()
-    if missing:
-        raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
-    return {fname: FIELD_LABELS[fname] for fname in payload}
+    try:
+        return {fname: FIELD_LABELS[fname] for fname in payload}
+    except KeyError:
+        raise ValueError(_unlabeled(payload, FIELD_LABELS)) from None
 
 
 def seal(readers, payload: dict) -> dict:
@@ -166,13 +175,19 @@ class Simulation:
     def send(self, sender: str, receiver: str, channel: str, msg_type: str, payload: dict, *,
              encrypted: bool = False):
         """Deliver one message in order, each field labelled from FIELD_LABELS;
-        returns the record it appended, or None when a hook dropped it. The
-        record is checked as built and as hooks let it through, replaced or
-        edited in place (see _check)."""
-        msg_id = f"m{self._msg_counter + 1:05d}"
+        returns the record it appended, or None when a hook dropped it.
+
+        The arguments are checked once, before any hook runs: ValueError
+        unless they pass _check_routing and FIELD_LABELS labels every
+        payload field. Only a record that hooks let through, replaced or
+        edited in place is checked again (see _check): a record send built
+        itself passes by construction."""
+        self._check_routing(sender, receiver, channel, payload, encrypted)
+        labels = _labels_of(payload)
+        self._msg_counter += 1
         record = {
             "kind": "message",
-            "id": msg_id,
+            "id": f"m{self._msg_counter:05d}",
             "tick": self.tick + 1,
             "sender": sender,
             "receiver": receiver,
@@ -180,20 +195,19 @@ class Simulation:
             "type": msg_type,
             "encrypted": encrypted,
             "payload": dict(payload),
-            "labels": _labels_of(payload),
+            "labels": labels,
         }
-        self._check(record, msg_id)
-        self._msg_counter += 1
 
-        for hook in self._hooks:
-            outcome = hook(record)
-            if outcome is DROP:
-                self.event("message-dropped", id=record["id"], type=record["type"],
-                           sender=sender, receiver=receiver)
-                return None
-            if outcome is not None:
-                record = outcome
         if self._hooks:
+            msg_id = record["id"]
+            for hook in self._hooks:
+                outcome = hook(record)
+                if outcome is DROP:
+                    self.event("message-dropped", id=record["id"], type=record["type"],
+                               sender=sender, receiver=receiver)
+                    return None
+                if outcome is not None:
+                    record = outcome
             self._check(record, msg_id)
 
         self.tick += 1
@@ -201,46 +215,57 @@ class Simulation:
         self._observe(record)
         return record
 
-    def _check(self, record: dict, msg_id: str) -> None:
-        """ValueError unless send may append record: kind, id and tick as
-        built, registered parties and a channel of CHANNELS named by strings,
-        a payload and labels that are dicts, a bool encrypted, and every
-        field labelled within the taxonomy. Sealed interiors need no check:
-        one that fails it does not open (see opens)."""
-        built = record.get("kind"), record.get("id"), record.get("tick")
-        if built != ("message", msg_id, self.tick + 1):
-            raise ValueError(f"kind, id or tick not as built: {built}")
-        sender, receiver, channel, payload, labels, encrypted = map(record.get, (
-            "sender", "receiver", "channel", "payload", "labels", "encrypted"))
+    def _check_routing(self, sender, receiver, channel, payload, encrypted) -> None:
+        """ValueError unless sender, receiver and channel are strings naming
+        registered parties and a channel of CHANNELS, payload is a dict and
+        encrypted a bool."""
         if not (isinstance(sender, str) and isinstance(receiver, str)
                 and isinstance(channel, str) and isinstance(payload, dict)
-                and isinstance(labels, dict) and isinstance(encrypted, bool)):
-            raise ValueError("sender, receiver or channel not a string, payload "
-                             "or labels not a dict, or encrypted not a bool")
+                and isinstance(encrypted, bool)):
+            raise ValueError(_NOT_TYPED)
         if sender not in self.roles or receiver not in self.roles:
             raise ValueError(f"unregistered party in {sender}->{receiver}")
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel: {channel}")
-        missing = set(payload) - set(labels)
-        if missing:
-            raise ValueError(f"unlabeled payload fields: {sorted(missing)}")
+
+    def _check(self, record: dict, msg_id: str) -> None:
+        """ValueError unless send may append a record that hooks let through:
+        kind, id and tick as built, routing that passes _check_routing,
+        labels that are a dict, and every field labelled within the
+        taxonomy. Sealed interiors need no check: one that fails it does not
+        open (see opens)."""
+        built = record.get("kind"), record.get("id"), record.get("tick")
+        if built != ("message", msg_id, self.tick + 1):
+            raise ValueError(f"kind, id or tick not as built: {built}")
+        payload, labels = record.get("payload"), record.get("labels")
+        if not isinstance(labels, dict):
+            raise ValueError(_NOT_TYPED)
+        self._check_routing(record.get("sender"), record.get("receiver"),
+                            record.get("channel"), payload, record.get("encrypted"))
+        if not payload.keys() <= labels.keys():
+            raise ValueError(_unlabeled(payload, labels))
         for label in labels.values():
             if not isinstance(label, str) or label not in LABELS:
                 raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
 
     def _observe(self, record: dict) -> None:
-        # Encodings of this message's fields, shared by the receiver and the
-        # carrier; dropped with the message.
-        memo = {}
-        payload, labels = record["payload"], record["labels"]
+        """Fold a delivered record into the receiver's knowledge and, on a
+        carried mobile channel, the carrier's view and (unencrypted) its
+        knowledge. Both read one split of the payload."""
+        payload = record["payload"]
+        plain, sealed = _split(payload, record["labels"])
+        memo = {} if sealed else None
         receiver = record["receiver"]
-        _absorb(self.knowledge[receiver], receiver, payload, labels, memo)
+        known = self.knowledge[receiver]
+        known.update(plain)
+        if sealed:
+            _open(known, receiver, sealed, memo)
 
         channel = CHANNELS[record["channel"]]
         carrier = channel["carrier"]
         if channel["kind"] != MOBILE_NETWORK or carrier is None:
             return
-        if carrier in (record["sender"], receiver):
+        if carrier == record["sender"] or carrier == receiver:
             return
         known = self.knowledge[carrier]  # KeyError: the carrier is no party
         self.carrier_views.setdefault(carrier, []).append(
@@ -252,13 +277,14 @@ class Simulation:
             }
         )
         if not record["encrypted"]:
-            _absorb(known, carrier, payload, labels, memo)
+            known.update(plain)
+            if sealed:
+                _open(known, carrier, sealed, memo)
 
     # -- events and report queries -------------------------------------------
 
     def event(self, event_type: str, **fields) -> dict:
-        record = {"kind": "event", "tick": self.tick, "event": event_type}
-        record.update(fields)
+        record = {"kind": "event", "tick": self.tick, "event": event_type, **fields}
         self.records.append(record)
         return record
 
@@ -318,31 +344,38 @@ def _known(party: str, rows, label: str | None) -> set:
     return {value for _, l, value in rows if label is None or l == label}
 
 
-def _absorb(known: set, party_id: str, payload: dict, labels: dict, memo: dict) -> None:
-    """Fold readable payload fields into a party's knowledge set, known.
+def _split(payload: dict, labels: dict) -> tuple:
+    """(plain knowledge rows (field, label, canonical value), sealed
+    interiors that open) of one payload; a sealed field that is opaque
+    (see opens) is neither."""
+    plain, sealed = [], []
+    for fname, value in payload.items():
+        if value.__class__ is str:  # canonical_json's own shortcut
+            plain.append((fname, labels[fname], encode_basestring_ascii(value)))
+        elif is_sealed(value):
+            if opens(value["_sealed"]):
+                sealed.append(value["_sealed"])
+        else:
+            plain.append((fname, labels[fname], _encode(value)))
+    return plain, sealed
 
-    Sealed sub-payloads open only for their listed readers, however deeply
-    the envelope travelled, and an opaque one (see opens) for no one.
-    memo maps (id(payload), id(labels)) to the plain knowledge rows and the
-    interiors that open in them, so each field of one message is encoded
-    once whoever reads it; it must not outlive that message.
-    """
-    key = id(payload), id(labels)
-    split = memo.get(key)
-    if split is None:
-        plain, sealed = [], []
-        for fname, value in payload.items():
-            if is_sealed(value):
-                if opens(value["_sealed"]):
-                    sealed.append(value["_sealed"])
-            else:
-                plain.append((fname, labels[fname], _encode(value)))
-        split = memo[key] = (plain, sealed)
-    plain, sealed = split
-    known.update(plain)
+
+def _open(known: set, party_id: str, sealed: list, memo: dict) -> None:
+    """Fold the sealed interiors that list party_id as a reader into its
+    knowledge set, known, however deeply they nest. memo maps (id(payload),
+    id(labels)) of an interior to its split, so each interior of one
+    message is encoded once whoever reads it; it must not outlive that
+    message."""
     for inner in sealed:
         if party_id in inner["readers"]:
-            _absorb(known, party_id, inner["payload"], inner["labels"], memo)
+            payload, labels = inner["payload"], inner["labels"]
+            key = id(payload), id(labels)
+            split = memo.get(key)
+            if split is None:
+                split = memo[key] = _split(payload, labels)
+            known.update(split[0])
+            if split[1]:
+                _open(known, party_id, split[1], memo)
 
 
 @dataclass

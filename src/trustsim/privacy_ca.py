@@ -8,7 +8,7 @@ authentications are linkable only by the CA itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import crypto
 from .anchor import (
@@ -86,10 +86,10 @@ class PrivacyCa:
 
     def certify(self, aik_public: bytes, now: int) -> AikCertificate:
         """One certificate for an AIK of an admitted device, valid from now."""
-        cert = AikCertificate(aik_public, self.domain_id, now, now + VALIDITY_TICKS,
-                              CERT_HASH_ALG, b"")
+        fields = aik_public, self.domain_id, now, now + VALIDITY_TICKS, CERT_HASH_ALG
         self._issued.add(aik_public.hex())
-        return replace(cert, pca_signature=crypto.sign(self.root, cert.signed_payload()))
+        signature = crypto.sign(self.root, AikCertificate(*fields, b"").signed_payload())
+        return AikCertificate(*fields, signature)
 
     def admit(self, ek_certificate: EkCertificate, challenge: bytes, ek_response: bytes) -> None:
         """Check EK provenance and liveness; raises ProtocolError on failure."""

@@ -278,7 +278,8 @@ def _malformed_envelope(rnd):
 def _mutate(rnd, transcript):
     """One random edit: a package (well-formed or not) embedded in a payload
     at some depth or merged into it, a malformed envelope, a shuffle of
-    the records, a record of an unknown kind, or a key or label deleted."""
+    the records, a record of an unknown kind, or one to three keys of a
+    record or one label deleted."""
     records = transcript.records
     messages = [r for r in records if r.get("kind") == "message"
                 and {"payload", "labels", "receiver"} <= r.keys()]
@@ -302,9 +303,11 @@ def _mutate(rnd, transcript):
     elif op == "rekind":
         rnd.choice(records)["kind"] = "note"
     elif op == "delete-key":
+        # several keys at once, so the order in which a check reads a
+        # record's keys decides which KeyError its finding names
         record = rnd.choice(records)
-        if record:
-            del record[rnd.choice(sorted(record))]
+        for key in rnd.sample(sorted(record), min(len(record), rnd.randint(1, 3))):
+            del record[key]
     elif op == "delete-label" and message["labels"]:
         del message["labels"][rnd.choice(sorted(message["labels"]))]
     elif op == "delete-nested":

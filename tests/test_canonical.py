@@ -235,6 +235,43 @@ def test_one_payload_under_two_label_sets_is_read_under_both():
     assert knowledge["owner"] == expected
 
 
+_INNER = {"auth_token": "cola", "certificate": "t-1"}
+_INNER_ROWS = {(f, "token", reference(v)) for f, v in _INNER.items()}
+
+
+def _opaque(envelope):
+    envelope["_sealed"]["labels"] = None  # an interior out of shape opens for no one
+    return envelope
+
+
+# An unencrypted mobile message from dev to owner, which the carrier mno
+# observes: each envelope case and the parties that read its interior.
+SEALED_CASES = {
+    "carrier-listed": (lambda: seal(["mno", "owner"], _INNER), {"owner", "mno"}),
+    "carrier-not-listed": (lambda: seal(["owner"], _INNER), {"owner"}),
+    "opaque": (lambda: _opaque(seal(["mno", "owner"], _INNER)), set()),
+    "nested-for-carrier": (
+        lambda: seal(["mno", "owner"], {"env": seal(["mno"], _INNER)}), {"mno"}),
+}
+
+
+@pytest.mark.parametrize("case", SEALED_CASES.values(), ids=SEALED_CASES.keys())
+def test_sealed_interiors_open_alike_live_and_in_the_replay(case):
+    envelope, readers = case
+    sim = _observed_sim()
+    sim.send("dev", "owner", "mobile", "order", {"price": 3, "env": envelope()})
+    for party in ("dev", "owner", "mno"):
+        expected = ({("price", "price", "3")} if party != "dev" else set()) | (
+            _INNER_ROWS if party in readers else set())
+        assert sim.knowledge[party] == expected, party
+
+    transcript = sim.finalize()
+    for replayed in (transcript, Transcript.parse(transcript.to_text())):
+        knowledge, _ = audit._replay_observations(replayed)
+        assert knowledge == sim.knowledge
+        assert all(f.ok for f in audit.audit(replayed))
+
+
 def test_audit_imports_no_other_trustsim_module():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     code = ("import sys, trustsim.audit; "

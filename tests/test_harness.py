@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trustsim import audit
+from trustsim import audit, scenarios
 from trustsim.flows import hop
 from trustsim.harness import (
     CHANNELS,
@@ -16,6 +16,8 @@ from trustsim.harness import (
     canon_value,
     seal,
 )
+
+from test_flows import _run_with_hook
 
 
 def basic_sim(**kwargs):
@@ -203,6 +205,58 @@ def test_rewritten_routing_field_raises_before_any_state_changes(edits, replace)
     with pytest.raises(ValueError):
         sim.send("dev", "owner", "mobile", "hello", {"good": "tea"})
     assert _state(sim) == before
+
+
+# Each bad argument of send, as the keyword arguments it replaces; payload
+# {"good": "tea"} from "dev" to "owner" on "mobile" is a good send.
+BAD_SENDS = {
+    **{f"{name}-{type(value).__name__}": {name: value}
+       for name in ("sender", "receiver", "channel") for value in (["dev"], 7, None)},
+    "sender-unregistered": {"sender": "ghost"},
+    "receiver-unregistered": {"receiver": "ghost"},
+    "channel-unknown": {"channel": "nowhere"},
+    "field-unlabeled": {"payload": {"good": "tea", "a": 1}},
+    "encrypted-int": {"encrypted": 1},
+    "encrypted-None": {"encrypted": None},
+    "payload-pairs": {"payload": [("good", "tea")]},
+    "payload-None": {"payload": None},
+    "payload-str": {"payload": "good"},
+}
+
+
+# send checks its arguments once, before any hook runs, so a hook sees only
+# a send that would have gone through, and a bad one raises the same error
+# with or without hooks, before any state changes.
+@pytest.mark.parametrize("bad", BAD_SENDS.values(), ids=BAD_SENDS.keys())
+def test_a_bad_send_raises_alike_with_and_without_a_hook(bad):
+    errors = []
+    for hooked in (False, True):
+        sim = basic_sim()
+        sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
+        seen = []
+        if hooked:
+            sim.add_hook(seen.append)  # passes every record it sees
+        before = _state(sim)
+        args = {"sender": "dev", "receiver": "owner", "channel": "mobile",
+                "payload": {"good": "tea"}, "encrypted": False, **bad}
+        with pytest.raises(ValueError) as raised:
+            sim.send(args["sender"], args["receiver"], args["channel"], "hello",
+                     args["payload"], encrypted=args["encrypted"])
+        errors.append(str(raised.value))
+        assert (_state(sim), seen) == (before, [])
+        # the message counter did not move either
+        assert sim.send("dev", "owner", "mobile", "hello", {"good": "tea"})["id"] == "m00002"
+    assert errors[0] == errors[1]
+
+
+# A clean run reads the same bytes when every message passes a hook: a
+# record send built passes the after-hook checks unchanged.
+@pytest.mark.parametrize("hook", [lambda record: None, dict], ids=["in-place", "replaced"])
+@pytest.mark.parametrize("scenario", sorted(scenarios.CATALOG))
+def test_a_pass_through_hook_leaves_the_transcript_bytes(monkeypatch, scenario, hook):
+    plain, _ = scenarios.run_scenario(scenario, 1)
+    hooked, _, _ = _run_with_hook(monkeypatch, scenario, hook)
+    assert hooked.to_text() == plain.to_text()
 
 
 @pytest.mark.parametrize("moves", [{"receiver": "owner"}, {"channel": "mobile"},
