@@ -3,8 +3,11 @@
 # repository root with the package installed:
 #   1. every catalog scenario, clean and with each attack it supports, runs
 #      and re-verifies against its own report (--expect);
-#   2. a seed outside 64 bits is a config error (exit 2, "config error:");
-#   3. a transcript whose header line is not a JSON object is a parse error
+#   2. facility-entry whose zone leaves the camera and MMS on runs and
+#      re-verifies the same way;
+#   3. a seed outside 64 bits and a zone named "outside" are config errors
+#      (exit 2, "config error:");
+#   4. a transcript whose header line is not a JSON object is a parse error
 #      (exit 2, "parse error:").
 set -euo pipefail
 
@@ -20,6 +23,11 @@ while read -r name attack; do
   trustsim verify "runs/ci/$stem.transcript.jsonl" --expect "runs/ci/$stem.report.json"
 done <<< "$runs"
 
+trustsim run facility-entry --seed 1 --variant 'zones={"zone-b":{"calls":"disabled"}}' \
+  --out runs/ci/zone-camera-on
+stem=runs/ci/zone-camera-on/facility-entry-seed1
+trustsim verify "$stem.transcript.jsonl" --expect "$stem.report.json"
+
 # expect_error PREFIX COMMAND...: COMMAND must exit 2 with stderr starting PREFIX
 expect_error() {
   local prefix=$1 code=0 err
@@ -30,5 +38,7 @@ expect_error() {
 }
 
 expect_error "config error:" trustsim run pos-fig4 --seed -1
+expect_error "config error:" trustsim run facility-entry --variant 'zones={"outside":{}}' \
+  --out runs/ci
 printf '[1]\n{"kind":"snapshot"}\n' > runs/ci/header-not-an-object.transcript.jsonl
 expect_error "parse error:" trustsim verify runs/ci/header-not-an-object.transcript.jsonl

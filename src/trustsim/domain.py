@@ -1,5 +1,4 @@
-"""Sub-domain restriction: generic vs trust credentials, clone handling,
-feature policies with location rules.
+"""Sub-domain restriction: generic vs trust credentials and clone handling.
 
 Devices reach the network with an identity-bearing generic credential;
 admission to a restricted sub-domain takes an additional trust credential
@@ -164,18 +163,3 @@ def subdomain_admission_flow(
     )
     return admission
 
-
-# -- feature policies ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeaturePolicy:
-    base: dict  # feature name -> "enabled" | "disabled"
-    location_rules: tuple = ()  # ((location id, {feature: state}), ...)
-
-    def effective(self, location: str) -> dict:
-        features = dict(self.base)
-        for rule_location, overrides in self.location_rules:
-            if rule_location == location:
-                features.update(overrides)
-        return features

@@ -1,10 +1,10 @@
 """Physical access control and facility management over trusted devices.
 
 Employees' devices open gates the way they pay at a POS: attested
-short-range sessions. Entry applies a zone feature policy (cameras off,
-MMS suppressed), exit restores the base policy, and every message from the
-company server to the outsourced facility provider passes a policy
-enforcer that strips all but an allow-listed field set.
+short-range sessions. Entry applies the zone's feature overrides to the base
+feature set (cameras off, MMS suppressed), exit restores the base set, and
+every message from the company server to the outsourced facility provider
+passes a policy enforcer that strips all but an allow-listed field set.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 from .attestation import Verifier
 from .device import TrustedDevice
-from .domain import FeaturePolicy
 from .flows import AttackPlan, Leg, attest_flow, carry, checked
 from .harness import CHANNEL_MOBILE, CHANNEL_SR
 
-OUTSIDE = "outside"
+OUTSIDE = "outside"  # where a device is after exit; no zone has this name
+BASE_FEATURES = {"camera": "enabled", "mms": "enabled", "calls": "enabled"}
 CACHE_STALENESS = 500  # ticks a gate's cached access rights stay usable
 
 # Every facility's fixed parties: company server, gate, outsourced provider.
@@ -26,7 +26,7 @@ COMPANY, GATE, EXTERNAL = "company", "gate", "external"
 
 @dataclass
 class FacilityContext:
-    zone_policy: FeaturePolicy  # base features plus per-zone overrides
+    zones: dict  # zone -> feature overrides of BASE_FEATURES inside it
     enforcer_allowed_fields: frozenset  # only these may leave toward the provider
     gate: TrustedDevice
     gate_verifier_for_device: Verifier  # gate-side check of employee devices
@@ -34,6 +34,11 @@ class FacilityContext:
     admitted_identities: set = field(default_factory=set)  # company sub-domain members
     gate_cache: set | None = None  # cached access rights (None = always online)
     gate_cache_synced: int = 0
+
+
+def zone_features(zones: dict, location: str) -> dict:
+    """The features at location: the base set, overridden inside a zone."""
+    return {**BASE_FEATURES, **zones.get(location, {})}
 
 
 def access_rights_check(sim, ctx: FacilityContext, identity: str) -> bool:
@@ -75,7 +80,7 @@ def facility_access(
               granted=granted, zone=zone)
     if not granted:
         return None
-    features = ctx.zone_policy.effective(zone)
+    features = zone_features(ctx.zones, zone)
     sim.event("policy-applied", device=device.device_id, location=zone,
               status="enforced", features=features)
     return features
@@ -83,15 +88,15 @@ def facility_access(
 
 def facility_exit(sim, ctx: FacilityContext, device: TrustedDevice) -> dict:
     """Leaving restores the base feature set."""
-    features = ctx.zone_policy.effective(OUTSIDE)
+    features = zone_features(ctx.zones, OUTSIDE)
     sim.event("policy-applied", device=device.device_id, location=OUTSIDE,
               status="enforced", features=features)
     sim.event("exit", device=device.device_id)
     return features
 
 
-def terminal_interaction(sim, ctx: FacilityContext, device: TrustedDevice,
-                         terminal_id: str, request: str) -> dict | None:
+def terminal_interaction(sim, device: TrustedDevice, terminal_id: str,
+                         request: str) -> dict | None:
     """Room control and similar terminals have no uplink: they reach the
     company server through the employee device, sealed end-to-end, and the
     company acks the terminal its request names the same way back.

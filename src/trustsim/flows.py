@@ -38,10 +38,12 @@ EXPECTED_ATTACK_REASONS = {
 
 class AttackPlan:
     """Which attacks this run injects; each fires once, at the first
-    opportunity (device setup for tamper, first attestation otherwise)."""
+    opportunity (the setup of the subject device for tamper, first
+    attestation otherwise)."""
 
-    def __init__(self, names=()):
+    def __init__(self, names, subject: str):
         self.names = set(names)
+        self.subject = subject  # the id of the device the attacks target
         self._fired = set()
 
     def take(self, name: str) -> bool:
@@ -169,21 +171,21 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, channel: str) -> boo
     name its record's AIK. Returns whether the device now holds the new
     batch; a lost or malformed hop, or a refused request, ends in one abort
     instead."""
-    request = device.wallet.prepare_replenish()
+    old_certificate, records, signature = device.wallet.prepare_replenish()
     received = _sealed_hop(
         sim, device.device_id, pca_id, channel, "replenish-request",
         {
-            "old_certificate": request.old_certificate.to_fields(),
-            "new_publics": [p.hex() for p in request.publics],
-            "signature": request.signature.hex(),
+            "old_certificate": old_certificate.to_fields(),
+            "new_publics": [r.key.public.hex() for r in records],
+            "signature": signature.hex(),
         },
         _replenish_request)
     certs = None if received is None else _certify(
-        sim, pca_id, device, channel, "replenish", request.records,
+        sim, pca_id, device, channel, "replenish", records,
         lambda: device.wallet.pca.replenish(*received, now=sim.tick))
     if certs is None:
         return False
-    device.wallet.install_batch(request.records, certs)
+    device.wallet.install_batch(records, certs)
     sim.event(
         "replenishment",
         device=device.device_id,

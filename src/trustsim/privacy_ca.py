@@ -138,16 +138,6 @@ class PrivacyCa:
         return [self.certify(public, now) for public in new_aik_publics]
 
 
-@dataclass(frozen=True)
-class ReplenishRequest:
-    """Materials for one batch replenishment, ready to go on the wire."""
-
-    old_certificate: AikCertificate
-    records: list
-    publics: list
-    signature: bytes
-
-
 @dataclass
 class CredentialWallet:
     """Device-side batch of (AIK, certificate) pairs with one-time take().
@@ -197,13 +187,14 @@ class CredentialWallet:
         del self.credentials[0]
         return credential
 
-    def prepare_replenish(self) -> ReplenishRequest:
-        """Consume the last old credential and sign the fresh batch's publics."""
+    def prepare_replenish(self) -> tuple:
+        """Consume the last old credential and sign the fresh batch's publics:
+        (last AikCertificate, fresh AikRecords, signature)."""
         last_record, last_cert = self.take()
         records = self.anchor.create_aik_batch(self.batch_size)
-        publics = [r.key.public for r in records]
-        signature = self.anchor.sign_replenishment(last_record.aik_id, publics)
-        return ReplenishRequest(last_cert, records, publics, signature)
+        signature = self.anchor.sign_replenishment(last_record.aik_id,
+                                                   [r.key.public for r in records])
+        return last_cert, records, signature
 
     def install_batch(self, records, certs) -> None:
         self.credentials = list(zip(records, certs))

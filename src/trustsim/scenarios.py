@@ -22,7 +22,6 @@ from .device import BASE_CHAIN, TrustedDevice, reference_db_for, standard_chain
 from .domain import (
     BOUND,
     UNBOUND,
-    FeaturePolicy,
     MobileNetworkOperator,
     network_access_flow,
     subdomain_admission_flow,
@@ -35,6 +34,7 @@ from .facility import (
     facility_exit,
     send_external,
     terminal_interaction,
+    zone_features,
 )
 from .flows import (
     ATTESTATION_ATTACKS,
@@ -154,11 +154,11 @@ class World:
         return PrivacyCa(name, self.rng, {self.manufacturer.root.public}, domain_id=domain_id)
 
     def device(self, device_id: str, chain, *, label=None, identity=None,
-               attacked=False, wallet=None) -> TrustedDevice:
+               wallet=None) -> TrustedDevice:
         """A device provisioned from the rng fork label (its id by default)
-        and booted, the attacked one from its chain as the tamper attack
+        and booted, the plan's subject from its chain as the tamper attack
         patched it; a wallet PCA gives it an off-record batch."""
-        if attacked and self.plan.take("tamper"):
+        if device_id == self.plan.subject and self.plan.take("tamper"):
             chain = tamper(chain, chain[-1].name, TAMPER_PAYLOAD)
         device = TrustedDevice.provision(device_id, self.sim.rng.fork(label or device_id),
                                          self.manufacturer, chain=chain, identity=identity)
@@ -184,7 +184,7 @@ def _run_one_time_aik(sim, config, plan):
     pca = world.pca("pca", "service-collab")
     chain = standard_chain(tuple((name, payload.encode())
                                  for name, payload in config["extra_components"]))
-    device = world.device("dev-1", chain, attacked=True)
+    device = world.device("dev-1", chain)
     if not enroll_flow(sim, device, "pca", pca, config["batch_size"], CHANNEL_MOBILE):
         return
     services = {svc: world.verifier(pca, chain, f"v-{svc}") for svc in ("svc-a", "svc-b")}
@@ -248,8 +248,7 @@ def _run_clone(sim, config, plan, mode):
     mno = MobileNetworkOperator(sim.rng, registry_mode=mode)
     pca = world.pca("pca", "subdomain")
     chain = standard_chain()
-    # the clone is the attacked requester
-    clone = world.device("clone", chain, identity="imsi-100", attacked=True, wallet=pca)
+    clone = world.device("clone", chain, identity="imsi-100", wallet=pca)
     legit = world.device("legit", chain, identity="imsi-100", wallet=pca)
     credential = mno.issue_credential(legit)
     if mode == BOUND:
@@ -322,7 +321,7 @@ def _prepaid_setup(sim, config, plan, tampered):
 
     chain = standard_chain((("vsim", b"vsim-client-v1"), ("ppc", b"prepaid-client-v1")))
     device = world.device("dev-1", tamper(chain, "ppc", b"balance-patcher") if tampered else chain,
-                          attacked=True, wallet=pca)
+                          wallet=pca)
     client = PrepaidClient.provision(device, chain, config["tariffs"],
                                      config["initial_balance"], statement_keys.private)
     sim.event("balance-init", device="dev-1", value=config["initial_balance"])
@@ -484,7 +483,7 @@ def _pos_setup(sim, config, plan, auth_id):
     mno = MobileNetworkOperator(sim.rng)
     device_chain = standard_chain((("wallet-app", b"wallet-v1"),))
     pos_chain = standard_chain((("pos-client", b"pos-firmware-v1"),))
-    device = world.device("dev-1", device_chain, identity="imsi-7001", attacked=True)
+    device = world.device("dev-1", device_chain, identity="imsi-7001")
     pos_device = world.device("pos-1", pos_chain)
 
     credential = mno.issue_credential(device)
@@ -681,16 +680,6 @@ POS_MNO_MERGED = dataclasses.replace(
 # ---------------------------------------------------------------------------
 
 
-def _zone_policy(config) -> FeaturePolicy:
-    """The facility's features: the base set, overridden inside each zone."""
-    return FeaturePolicy(
-        base={"camera": "enabled", "mms": "enabled", "calls": "enabled"},
-        location_rules=tuple(
-            (zone, dict(overrides)) for zone, overrides in config["zones"].items()
-        ),
-    )
-
-
 def _facility_setup(sim, config, plan):
     """The facility world, once the employee has tried the gate of the
     first zone; an attack run's story ends there."""
@@ -699,7 +688,7 @@ def _facility_setup(sim, config, plan):
     pca = world.pca("company-pca", "company-domain")
     chain = standard_chain((("enforcer", b"policy-enforcer-v1"),))
     gate_chain = standard_chain((("gate-terminal", b"gate-firmware-v1"),))
-    employee = world.device("employee", chain, identity="imsi-9001", attacked=True, wallet=pca)
+    employee = world.device("employee", chain, identity="imsi-9001", wallet=pca)
     visitor = world.device("visitor", chain, identity="imsi-9002", wallet=pca)
     gate = world.device("gate-dev", gate_chain, label="gate", wallet=pca)
 
@@ -712,7 +701,7 @@ def _facility_setup(sim, config, plan):
         sim, employee, mno, company_verifier, session).admitted
 
     ctx = FacilityContext(
-        zone_policy=_zone_policy(config),
+        zones=config["zones"],
         enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
         gate=gate,
         gate_verifier_for_device=world.verifier(pca, chain, "v-gate",
@@ -752,24 +741,25 @@ _FACILITY_DEFAULTS = {
 def _run_facility_entry(sim, config, plan):
     ctx, employee, visitor = _facility_setup(sim, config, plan)
     if not plan.names:
-        terminal_interaction(sim, ctx, employee, "whiteboard", "show-agenda")
+        terminal_interaction(sim, employee, "whiteboard", "show-agenda")
         facility_exit(sim, ctx, employee)
         facility_access(sim, ctx, visitor, next(iter(config["zones"])))
 
 
 def _judge_facility_entry(transcript, config, attacks):
-    policy = _zone_policy(config)
+    zones = config["zones"]
+    expected = zone_features(zones, next(iter(zones)))
     inside = _entered(transcript, "employee")
     outside = [e["features"] for e in transcript.events("policy-applied")
                if e["device"] == "employee" and e["location"] == OUTSIDE]
     return [
         _row("employee-entry-granted", inside is not None),
-        _row("zone-policy-applied", inside == policy.effective(next(iter(config["zones"]))),
-             json.dumps(inside, sort_keys=True)),
+        _row("zone-policy-applied", inside == expected, json.dumps(inside, sort_keys=True)),
+        # camera and MMS as the first zone sets them (the default zone disables both)
         _row("camera-and-mms-restricted",
-             inside is not None and inside["camera"] == "disabled"
-             and inside["mms"] == "disabled"),
-        _row("policy-restored-on-exit", outside[-1:] == [policy.base]),
+             inside is not None and inside["camera"] == expected["camera"]
+             and inside["mms"] == expected["mms"]),
+        _row("policy-restored-on-exit", outside[-1:] == [zone_features(zones, OUTSIDE)]),
         _row("non-enrolled-device-denied", _entered(transcript, "visitor") is None),
     ]
 
@@ -902,8 +892,9 @@ _VALUE_RULES = {
     "vouchers": (lambda v, c: all(type(x) is int and x >= 0 for x in v),
                  "non-negative int values"),
     "good": (lambda v, c: v in dict(_POS_GOODS), f"one of {[g for g, _ in _POS_GOODS]}"),
-    "zones": (lambda v, c: v and all(isinstance(o, dict) for o in v.values()),
-              "at least one zone, each a feature override object"),
+    # after exit a device is OUTSIDE, so no zone may share that name
+    "zones": (lambda v, c: v and OUTSIDE not in v and all(isinstance(o, dict) for o in v.values()),
+              f"at least one zone, none named {OUTSIDE!r}, each a feature override object"),
 }
 
 
@@ -946,7 +937,7 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     for party_id, role in script.roster:
         sim.add_party(party_id, role)
 
-    script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks))
+    script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks, script.subject))
     transcript = sim.finalize()
     return transcript, report(transcript)
 

@@ -1,5 +1,6 @@
 """The AST scans that the signature ratchets share: every named parameter
-a source defines, and every call a set of sources makes.
+a source defines, whether its function reads it, and every call a set of
+sources makes.
 
 Calls are matched to definitions by name: a function or method by its own
 name, `__init__` by its class's name, and a call by the attribute or name
@@ -11,8 +12,9 @@ import collections
 
 # defaulted: the parameter has a default. index: its position among a
 # call's arguments (a method's self left out), None when keyword-only.
+# read: its function's body, nested functions included, loads its name.
 Parameter = collections.namedtuple(
-    "Parameter", "module function call_name name index defaulted")
+    "Parameter", "module function call_name name index defaulted read")
 
 
 def parameters(module: str, source: str) -> list:
@@ -31,12 +33,14 @@ def parameters(module: str, source: str) -> list:
                 call_name = cls if child.name == "__init__" else child.name
                 positional = args.posonlyargs + args.args
                 first_default = len(positional) - len(args.defaults)
+                loaded = {n.id for statement in child.body for n in ast.walk(statement)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 for i, arg in enumerate(positional[skip:], skip):
                     found.append(Parameter(module, function, call_name, arg.arg, i - skip,
-                                           i >= first_default))
+                                           i >= first_default, arg.arg in loaded))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     found.append(Parameter(module, function, call_name, arg.arg, None,
-                                           default is not None))
+                                           default is not None, arg.arg in loaded))
                 visit(child, None)
             elif isinstance(child, ast.ClassDef):
                 visit(child, child.name)

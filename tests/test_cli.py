@@ -70,6 +70,7 @@ UNUSABLE_VARIANTS = [
     pytest.param("prepaid-zero", "tariffs", '{"data":5}', id="calls-unpriced"),
     pytest.param("pos-fig4", "good", '"tea"', id="good-not-for-sale"),
     pytest.param("facility-entry", "zones", '{"z":5}', id="zone-without-overrides"),
+    pytest.param("facility-entry", "zones", '{"outside":{}}', id="zone-named-outside"),
     pytest.param("one-time-aik-auth", "extra_components", '[["a"]]', id="component-no-payload"),
     pytest.param("one-time-aik-auth", "extra_components", '[["os","x"]]', id="component-named-os"),
     pytest.param("one-time-aik-auth", "extra_components", '[["crtm","x"]]',

@@ -1,4 +1,4 @@
-"""Domain restriction: network access, clone resilience, feature policies."""
+"""Domain restriction: network access and clone resilience."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from trustsim.device import TrustedDevice, reference_db_for
 from trustsim.domain import (
     BOUND,
     UNBOUND,
-    FeaturePolicy,
     MobileNetworkOperator,
     network_access_flow,
     subdomain_admission_flow,
@@ -121,22 +120,3 @@ def test_bound_acceptance_implies_unbound_acceptance():
         if bound.decide(identity, fp, attested).admitted:
             assert unbound.decide(identity, fp, attested).admitted
 
-
-def test_effective_policy_location_rules():
-    policy = FeaturePolicy(
-        base={"camera": "enabled", "mms": "enabled"},
-        location_rules=(("cell-X", {"camera": "disabled"}),),
-    )
-    assert policy.effective("cell-X") == {"camera": "disabled", "mms": "enabled"}
-    assert policy.effective("cell-Y") == policy.base
-
-
-def test_later_matching_rules_override_earlier():
-    policy = FeaturePolicy(
-        base={"camera": "enabled"},
-        location_rules=(
-            ("zone", {"camera": "disabled"}),
-            ("zone", {"camera": "enabled"}),
-        ),
-    )
-    assert policy.effective("zone") == {"camera": "enabled"}

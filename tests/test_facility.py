@@ -6,15 +6,17 @@ from trustsim.attestation import Verifier
 from trustsim.boot import tamper
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
-from trustsim.domain import FeaturePolicy
 from trustsim.facility import (
+    BASE_FEATURES,
     CACHE_STALENESS,
+    OUTSIDE,
     FacilityContext,
     access_rights_check,
     facility_access,
     facility_exit,
     send_external,
     terminal_interaction,
+    zone_features,
 )
 from trustsim.harness import DROP, Simulation
 from trustsim.privacy_ca import PrivacyCa
@@ -48,10 +50,7 @@ def facility_world(seed=9, tampered_employee=False):
     gate_refs = reference_db_for(gate_chain)
 
     ctx = FacilityContext(
-        zone_policy=FeaturePolicy(
-            base={"camera": "enabled", "mms": "enabled"},
-            location_rules=(("zone-lab", {"camera": "disabled", "mms": "disabled"}),),
-        ),
+        zones={"zone-lab": {"camera": "disabled", "mms": "disabled"}},
         enforcer_allowed_fields=frozenset({"room", "action"}),
         gate=gate,
         gate_verifier_for_device=Verifier(pca.root.public, refs, rng.fork("vg")),
@@ -64,10 +63,20 @@ def facility_world(seed=9, tampered_employee=False):
 def test_entry_applies_zone_policy_and_exit_restores():
     sim, ctx, employee = facility_world()
     inside = facility_access(sim, ctx, employee, "zone-lab")
-    assert inside == {"camera": "disabled", "mms": "disabled"}
+    assert inside == {"camera": "disabled", "mms": "disabled", "calls": "enabled"}
     assert sim.events("entry")[-1]["granted"]
     outside = facility_exit(sim, ctx, employee)
-    assert outside == {"camera": "enabled", "mms": "enabled"}
+    assert outside == BASE_FEATURES
+
+
+def test_zone_features_override_the_base_set_inside_a_zone():
+    zones = {"cell-X": {"camera": "disabled"}}
+    assert zone_features(zones, "cell-X") == {**BASE_FEATURES, "camera": "disabled"}
+    assert zone_features(zones, "cell-Y") == BASE_FEATURES
+    assert zone_features(zones, OUTSIDE) == BASE_FEATURES
+    # each call is a fresh map: an applied feature set never aliases the config
+    zone_features(zones, "cell-X")["mms"] = "disabled"
+    assert zones == {"cell-X": {"camera": "disabled"}} and BASE_FEATURES["mms"] == "enabled"
 
 
 def test_tampered_enforcement_component_is_turned_away():
@@ -105,8 +114,8 @@ def test_gate_cache_used_until_stale():
 
 
 def test_terminal_relays_through_device_sealed():
-    sim, ctx, employee = facility_world()
-    ack = terminal_interaction(sim, ctx, employee, "board", "show-agenda")
+    sim, _, employee = facility_world()
+    ack = terminal_interaction(sim, employee, "board", "show-agenda")
     assert ack == {"terminal": "board", "ok": True}
     # the relaying device cannot read the terminal's request
     requests = {party: {value for fname, _, value in sim.knowledge[party] if fname == "request"}
@@ -115,9 +124,9 @@ def test_terminal_relays_through_device_sealed():
 
 
 def _terminal_with_hook(hook):
-    sim, ctx, employee = facility_world()
+    sim, _, employee = facility_world()
     sim.add_hook(hook)
-    return sim, terminal_interaction(sim, ctx, employee, "board", "show-agenda")
+    return sim, terminal_interaction(sim, employee, "board", "show-agenda")
 
 
 def test_lost_terminal_request_is_never_acked():

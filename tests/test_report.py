@@ -66,6 +66,23 @@ def test_multi_zone_override_out_of_key_order_verifies(tmp_path, capsys):
                  "--expect", f"{stem}.report.json"]) == 0
 
 
+@pytest.mark.parametrize("zones", [{"zone-b": {"calls": "disabled"}},
+                                   {"zone-lab": {"camera": "disabled"}}],
+                         ids=["camera-and-mms-on", "mms-on"])
+def test_camera_and_mms_are_judged_as_the_first_zone_sets_them(zones):
+    transcript, result = run_scenario("facility-entry", 1, variants={"zones": zones})
+    assert result["ok"], [r for r in result["assertions"] if not r["ok"]]
+    assert report(Transcript.parse(transcript.to_text())) == result
+
+    # a camera left on against the zone's overrides, or turned off against
+    # them, fails the row
+    edited = Transcript.parse(transcript.to_text())
+    applied = next(r for r in edited.records if r.get("event") == "policy-applied")
+    applied["features"]["camera"] = {"enabled": "disabled", "disabled": "enabled"}[
+        applied["features"]["camera"]]
+    assert not _rows(report(edited))["camera-and-mms-restricted"]["ok"]
+
+
 def test_verify_expect_fails_on_deleted_delivery(tmp_path, capsys):
     assert main(["run", "pos-fig4", "--seed", "1", "--out", str(tmp_path)]) == 0
     path = tmp_path / "pos-fig4-seed1.transcript.jsonl"
