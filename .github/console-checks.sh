@@ -5,7 +5,8 @@
 #      and re-verifies against its own report (--expect);
 #   2. facility-entry whose zone leaves the camera and MMS on runs and
 #      re-verifies the same way;
-#   3. a seed outside 64 bits and a zone named "outside" are config errors
+#   3. a seed outside 64 bits, a zone named "outside" and a zone that
+#      overrides a feature the device lacks ("wifi") are config errors
 #      (exit 2, "config error:");
 #   4. a transcript whose header line is not a JSON object is a parse error
 #      (exit 2, "parse error:").
@@ -40,5 +41,7 @@ expect_error() {
 expect_error "config error:" trustsim run pos-fig4 --seed -1
 expect_error "config error:" trustsim run facility-entry --variant 'zones={"outside":{}}' \
   --out runs/ci
+expect_error "config error:" trustsim run facility-entry \
+  --variant 'zones={"zone-lab":{"wifi":"disabled"}}' --out runs/ci
 printf '[1]\n{"kind":"snapshot"}\n' > runs/ci/header-not-an-object.transcript.jsonl
 expect_error "parse error:" trustsim verify runs/ci/header-not-an-object.transcript.jsonl

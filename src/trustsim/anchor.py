@@ -1,4 +1,4 @@
-"""Software trust anchor: PCR bank, endorsement key, AIKs, shielded storage.
+"""Software trust anchor: PCRs, endorsement key, AIKs, shielded storage.
 
 One anchor per simulated device, single-owner. PCRs only ever change via
 extend; AIK private keys never leave the anchor and each AIK signs at most
@@ -21,29 +21,6 @@ MODEL = "trusted-handset"
 _EK_TAG = b"ek-liveness:"
 _QUOTE_TAG = b"quote:"
 _REPLENISH_TAG = b"replenish:"
-
-
-class PcrBank:
-    """24 registers of 20 bytes each; mutation only via extend."""
-
-    def __init__(self):
-        self._registers = [ZERO_DIGEST] * PCR_COUNT
-
-    def value(self, index: int) -> bytes:
-        self._check_index(index)
-        return self._registers[index]
-
-    def extend(self, index: int, measurement: bytes) -> bytes:
-        self._check_index(index)
-        if len(measurement) != DIGEST_LEN:
-            raise ValueError("measurement must be a 20-byte digest")
-        self._registers[index] = crypto.hash160(self._registers[index] + measurement)
-        return self._registers[index]
-
-    @staticmethod
-    def _check_index(index: int) -> None:
-        if not 0 <= index < PCR_COUNT:
-            raise IndexError(f"pcr index {index} out of range 0..{PCR_COUNT - 1}")
 
 
 @dataclass
@@ -144,7 +121,8 @@ class TrustAnchor:
     rng: Rng
     ek: KeyPair
     ek_certificate: EkCertificate
-    pcrs: PcrBank = field(default_factory=PcrBank)
+    # PCR_COUNT registers of 20 bytes each; only extend changes one
+    pcrs: list = field(default_factory=lambda: [ZERO_DIGEST] * PCR_COUNT)
     aiks: dict = field(default_factory=dict)
     slots: dict = field(default_factory=dict)
     _batch_counter: int = 0
@@ -158,10 +136,17 @@ class TrustAnchor:
     # -- PCRs ------------------------------------------------------------
 
     def extend(self, index: int, measurement: bytes) -> bytes:
-        return self.pcrs.extend(index, measurement)
+        """The one way a register changes: PCR[index] = H(PCR[index] || m)."""
+        current = self.pcr_value(index)
+        if len(measurement) != DIGEST_LEN:
+            raise ValueError("measurement must be a 20-byte digest")
+        self.pcrs[index] = crypto.hash160(current + measurement)
+        return self.pcrs[index]
 
     def pcr_value(self, index: int) -> bytes:
-        return self.pcrs.value(index)
+        if not 0 <= index < PCR_COUNT:
+            raise IndexError(f"pcr index {index} out of range 0..{PCR_COUNT - 1}")
+        return self.pcrs[index]
 
     # -- AIKs and quotes ---------------------------------------------------
 
@@ -192,7 +177,7 @@ class TrustAnchor:
     def quote(self, aik_id: str, pcr_selection, nonce: bytes) -> Quote:
         record = self._take_aik(aik_id)
         selection = tuple(pcr_selection)
-        fields = (selection, tuple(self.pcrs.value(i).hex() for i in selection), bytes(nonce),
+        fields = (selection, tuple(self.pcr_value(i).hex() for i in selection), bytes(nonce),
                   record.key.public)
         signature = crypto.sign(record.key, Quote(*fields, b"").signed_payload())
         return Quote(*fields, signature)
@@ -217,19 +202,25 @@ class TrustAnchor:
         if slot is None:
             raise ProtocolError("unknown-slot", slot_id)
         for index, required in slot.access_policy.items():
-            if self.pcrs.value(index) != required:
+            if self.pcr_value(index) != required:
                 raise ProtocolError("sealed-against-state", slot_id)
         return slot
 
     def slot_read(self, slot_id: str):
         return self._open_slot(slot_id).value
 
-    def slot_decrement(self, slot_id: str, amount: int) -> int:
+    def _open_counter(self, slot_id: str, amount: int) -> ShieldedSlot:
+        """The counter slot a non-negative amount may move, once the
+        platform state passes its policy."""
         if amount < 0:
-            raise ValueError("decrement amount must be non-negative")
+            raise ValueError("amount must be non-negative")
         slot = self._open_slot(slot_id)
         if not isinstance(slot.value, int):
             raise ValueError(f"slot {slot_id} is not a counter")
+        return slot
+
+    def slot_decrement(self, slot_id: str, amount: int) -> int:
+        slot = self._open_counter(slot_id, amount)
         if amount > slot.value:
             raise ProtocolError("insufficient-balance", f"{slot.value} < {amount}")
         slot.value -= amount
@@ -238,11 +229,7 @@ class TrustAnchor:
     def slot_credit(self, slot_id: str, amount: int) -> int:
         """Voucher-authorized top-up path; voucher validation happens in the
         prepaid client, the anchor only gates on platform state."""
-        if amount < 0:
-            raise ValueError("credit amount must be non-negative")
-        slot = self._open_slot(slot_id)
-        if not isinstance(slot.value, int):
-            raise ValueError(f"slot {slot_id} is not a counter")
+        slot = self._open_counter(slot_id, amount)
         slot.value += amount
         return slot.value
 

@@ -11,6 +11,7 @@ pairs produce identical bytes.
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 from dataclasses import dataclass
@@ -181,7 +182,9 @@ class Simulation:
         unless they pass _check_routing and FIELD_LABELS labels every
         payload field. Only a record that hooks let through, replaced or
         edited in place is checked again (see _check): a record send built
-        itself passes by construction."""
+        itself passes by construction. With hooks installed the record
+        carries a deep copy of payload, so an in-place edit reaches no other
+        record: a relay forwards the envelope object it received."""
         self._check_routing(sender, receiver, channel, payload, encrypted)
         labels = _labels_of(payload)
         self._msg_counter += 1
@@ -194,7 +197,7 @@ class Simulation:
             "channel": channel,
             "type": msg_type,
             "encrypted": encrypted,
-            "payload": dict(payload),
+            "payload": copy.deepcopy(payload) if self._hooks else dict(payload),
             "labels": labels,
         }
 
@@ -254,12 +257,11 @@ class Simulation:
         knowledge. Both read one split of the payload."""
         payload = record["payload"]
         plain, sealed = _split(payload, record["labels"])
-        memo = {} if sealed else None
         receiver = record["receiver"]
         known = self.knowledge[receiver]
         known.update(plain)
         if sealed:
-            _open(known, receiver, sealed, memo)
+            _open(known, receiver, sealed)
 
         channel = CHANNELS[record["channel"]]
         carrier = channel["carrier"]
@@ -279,7 +281,7 @@ class Simulation:
         if not record["encrypted"]:
             known.update(plain)
             if sealed:
-                _open(known, carrier, sealed, memo)
+                _open(known, carrier, sealed)
 
     # -- events and report queries -------------------------------------------
 
@@ -360,22 +362,15 @@ def _split(payload: dict, labels: dict) -> tuple:
     return plain, sealed
 
 
-def _open(known: set, party_id: str, sealed: list, memo: dict) -> None:
+def _open(known: set, party_id: str, sealed: list) -> None:
     """Fold the sealed interiors that list party_id as a reader into its
-    knowledge set, known, however deeply they nest. memo maps (id(payload),
-    id(labels)) of an interior to its split, so each interior of one
-    message is encoded once whoever reads it; it must not outlive that
-    message."""
+    knowledge set, known, however deeply they nest."""
     for inner in sealed:
         if party_id in inner["readers"]:
-            payload, labels = inner["payload"], inner["labels"]
-            key = id(payload), id(labels)
-            split = memo.get(key)
-            if split is None:
-                split = memo[key] = _split(payload, labels)
-            known.update(split[0])
-            if split[1]:
-                _open(known, party_id, split[1], memo)
+            plain, nested = _split(inner["payload"], inner["labels"])
+            known.update(plain)
+            if nested:
+                _open(known, party_id, nested)
 
 
 @dataclass

@@ -333,44 +333,40 @@ def separation_purchase(
     price = ctx.price_list.price_of(good)
     billing = {"order_id": order_id, "auth_token": token_fp, "good_id": good, "price": price}
 
-    def billed_in_full(b):
-        return checked(b, not billing.keys() - b.keys())
+    def to_owner(msg_type, lost):
+        return carry(sim, _backhaul(ctx, ctx.pos_id, POS_OWNER, msg_type, lost), billing,
+                     read=lambda b: checked(b, not billing.keys() - b.keys()),
+                     bad="bad-billing-data", order_id=order_id)
 
-    def confirmed(token):
-        return lambda c: checked(c, _confirmation_ok(ctx, c, token))
-
-    if not decentralised:
-        billed = carry(sim, _backhaul(ctx, ctx.pos_id, POS_OWNER, "billing-data", "billing-lost"),
-                       billing, read=billed_in_full, bad="bad-billing-data", order_id=order_id)
-        if billed is None:
-            return None
-        package = make_billing_package(billed["auth_token"], billed["price"],
-                                       ctx.pos_owner_keys)
-        at_charging = hop(sim, POS_OWNER, CHARGING, CHANNEL_NET, "billing-package", package,
-                          "billing-lost", party=POS_OWNER, order_id=order_id)
-        if at_charging is None or hop(
-            sim, CHARGING, POS_OWNER, CHANNEL_NET, "charge-confirmation",
-            _charge(ctx, at_charging, [ctx.pos_owner_keys.public]), "confirmation-lost",
-            read=confirmed(billed["auth_token"]), bad="charge-refused", order_id=order_id,
-        ) is None:
-            return None
-        sim.event("charge-confirmed", order_id=order_id, token=token_fp)
+    # The variant picks the signer (the last of the keys the charging
+    # provider accepts), the routes to and from the charging provider, and
+    # when the billing data reaches the owner: before the charge as
+    # billing-data, or after it as ack-request.
+    if decentralised:
+        signers, billed = (ctx.pos_owner_keys, ctx.pos_delegate_keys), billing
+        to_charging, from_charging = (
+            _backhaul(ctx, ctx.pos_id, CHARGING, "billing-package", "billing-lost"),
+            _backhaul(ctx, CHARGING, ctx.pos_id, "charge-confirmation", "confirmation-lost"))
     else:
-        package = make_billing_package(token_fp, price, ctx.pos_delegate_keys)
-        at_charging = carry(
-            sim, _backhaul(ctx, ctx.pos_id, CHARGING, "billing-package", "billing-lost"),
-            package, order_id=order_id)
-        if at_charging is None or carry(
-            sim, _backhaul(ctx, CHARGING, ctx.pos_id, "charge-confirmation", "confirmation-lost"),
-            _charge(ctx, at_charging, [ctx.pos_owner_keys.public, ctx.pos_delegate_keys.public]),
-            read=confirmed(token_fp), bad="charge-refused", order_id=order_id,
-        ) is None:
-            return None
-        sim.event("charge-confirmed", order_id=order_id, token=token_fp)
-        billed = carry(sim, _backhaul(ctx, ctx.pos_id, POS_OWNER, "ack-request", "ack-lost"),
-                       billing, read=billed_in_full, bad="bad-billing-data", order_id=order_id)
-        if billed is None:
-            return None
+        signers, billed = (ctx.pos_owner_keys,), to_owner("billing-data", "billing-lost")
+        to_charging, from_charging = (
+            (Leg(POS_OWNER, CHARGING, CHANNEL_NET, "billing-package", "billing-lost", POS_OWNER),),
+            (Leg(CHARGING, POS_OWNER, CHANNEL_NET, "charge-confirmation", "confirmation-lost"),))
+    if billed is None:
+        return None
+    token = billed["auth_token"]
+    package = make_billing_package(token, billed["price"], signers[-1])
+    at_charging = carry(sim, to_charging, package, order_id=order_id)
+    if at_charging is None or carry(
+        sim, from_charging, _charge(ctx, at_charging, [k.public for k in signers]),
+        read=lambda c: checked(c, c.get("status") == "confirmed" and c.get("auth_token") == token
+                               and crypto.signed_by(ctx.charging_keys.public, _CONFIRM_TAG, c)),
+        bad="charge-refused", order_id=order_id,
+    ) is None:
+        return None
+    sim.event("charge-confirmed", order_id=order_id, token=token_fp)
+    if decentralised and (billed := to_owner("ack-request", "ack-lost")) is None:
+        return None
 
     ack = crypto.signed(ctx.pos_owner_keys, _ACK_TAG, {"order_id": billed["order_id"]})
     if carry(sim, _backhaul(ctx, POS_OWNER, ctx.pos_id, "purchase-acknowledgement", "ack-lost"),
@@ -387,14 +383,6 @@ def _charge(ctx: PosContext, package: dict, signer_publics) -> dict:
     return crypto.signed(ctx.charging_keys, _CONFIRM_TAG,
                          {"auth_token": package.get("auth_token"),
                           "status": "confirmed" if accepted else "refused"})
-
-
-def _confirmation_ok(ctx: PosContext, confirmation: dict, token_fp: str) -> bool:
-    return (
-        confirmation.get("status") == "confirmed"
-        and confirmation.get("auth_token") == token_fp
-        and crypto.signed_by(ctx.charging_keys.public, _CONFIRM_TAG, confirmation)
-    )
 
 
 def rotate_pos_pseudonym(sim, ctx: PosContext) -> str | None:

@@ -28,6 +28,7 @@ from .domain import (
 )
 from .errors import ProtocolError
 from .facility import (
+    BASE_FEATURES,
     OUTSIDE,
     FacilityContext,
     facility_access,
@@ -893,8 +894,11 @@ _VALUE_RULES = {
                  "non-negative int values"),
     "good": (lambda v, c: v in dict(_POS_GOODS), f"one of {[g for g, _ in _POS_GOODS]}"),
     # after exit a device is OUTSIDE, so no zone may share that name
-    "zones": (lambda v, c: v and OUTSIDE not in v and all(isinstance(o, dict) for o in v.values()),
-              f"at least one zone, none named {OUTSIDE!r}, each a feature override object"),
+    "zones": (lambda v, c: v and OUTSIDE not in v and all(
+                  isinstance(o, dict) and o.keys() <= BASE_FEATURES.keys()
+                  and all(s in ("enabled", "disabled") for s in o.values()) for o in v.values()),
+              f"at least one zone, none named {OUTSIDE!r}, each setting features of "
+              f'{sorted(BASE_FEATURES)} to "enabled" or "disabled"'),
 }
 
 

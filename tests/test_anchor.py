@@ -4,7 +4,6 @@ import pytest
 
 from trustsim.anchor import (
     Manufacturer,
-    PcrBank,
     TrustAnchor,
     verify_ek_certificate,
     verify_ek_response,
@@ -14,7 +13,7 @@ from trustsim.errors import ProtocolError
 
 from sha1_oracle import fold_pcr, sha1
 
-# extend(zero bank, m) with m = sha1(b"component-payload"), from the oracle.
+# extend(zero register, m) with m = sha1(b"component-payload"), from the oracle.
 MEASURE_COMPONENT_PAYLOAD = "5c887df5a5a6298b20699fb4ec2812c13773037b"
 EXTEND_ZERO_COMPONENT = "0414e057f4f2ad6aa585a4639fb0c190b2dc7877"
 
@@ -30,38 +29,38 @@ def signed_by_its_aik(quote) -> bool:
 
 
 def test_reset_bank_is_all_zero():
-    bank = PcrBank()
+    anchor = make_anchor()
     for i in range(24):
-        assert bank.value(i) == ZERO_DIGEST
+        assert anchor.pcr_value(i) == ZERO_DIGEST
 
 
 def test_extend_matches_oracle_frozen_value():
-    bank = PcrBank()
+    anchor = make_anchor()
     m = sha1(b"component-payload")
     assert m.hex() == MEASURE_COMPONENT_PAYLOAD
-    bank.extend(0, m)
-    assert bank.value(0).hex() == EXTEND_ZERO_COMPONENT
+    anchor.extend(0, m)
+    assert anchor.pcr_value(0).hex() == EXTEND_ZERO_COMPONENT
     # only the extended register changed
-    assert all(bank.value(i) == ZERO_DIGEST for i in range(1, 24))
+    assert all(anchor.pcr_value(i) == ZERO_DIGEST for i in range(1, 24))
 
 
 def test_extend_sequence_equals_oracle_fold():
-    bank = PcrBank()
+    anchor = make_anchor()
     rng = Rng(5)
     measurements = [sha1(rng.bytes(33)) for _ in range(8)]
     for m in measurements:
-        bank.extend(3, m)
-    assert bank.value(3) == fold_pcr(measurements)
+        anchor.extend(3, m)
+    assert anchor.pcr_value(3) == fold_pcr(measurements)
 
 
 def test_extend_index_and_length_validation():
-    bank = PcrBank()
+    anchor = make_anchor()
     with pytest.raises(IndexError):
-        bank.extend(24, ZERO_DIGEST)
+        anchor.extend(24, ZERO_DIGEST)
     with pytest.raises(IndexError):
-        bank.value(-1)
+        anchor.pcr_value(-1)
     with pytest.raises(ValueError):
-        bank.extend(0, b"short")
+        anchor.extend(0, b"short")
 
 
 def test_aik_batch_freshness_and_determinism():
@@ -175,3 +174,15 @@ def test_slot_credit_gated_by_same_policy():
     anchor.extend(0, hash160(b"tamper"))
     with pytest.raises(ProtocolError):
         anchor.slot_credit("balance", 1)
+
+
+@pytest.mark.parametrize("move", ["slot_decrement", "slot_credit"])
+def test_counter_moves_refuse_a_negative_amount_and_a_non_counter(move):
+    anchor = make_anchor()
+    anchor.define_slot("balance", 10, {})
+    anchor.define_slot("blob", b"opaque", {})
+    with pytest.raises(ValueError):
+        getattr(anchor, move)("balance", -1)
+    with pytest.raises(ValueError):
+        getattr(anchor, move)("blob", 1)
+    assert anchor.slot_read("balance") == 10 and anchor.slot_read("blob") == b"opaque"

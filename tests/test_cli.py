@@ -71,6 +71,12 @@ UNUSABLE_VARIANTS = [
     pytest.param("pos-fig4", "good", '"tea"', id="good-not-for-sale"),
     pytest.param("facility-entry", "zones", '{"z":5}', id="zone-without-overrides"),
     pytest.param("facility-entry", "zones", '{"outside":{}}', id="zone-named-outside"),
+    pytest.param("facility-entry", "zones", '{"zone-lab":{"wifi":"disabled"}}',
+                 id="zone-feature-unknown"),
+    pytest.param("facility-entry", "zones", '{"zone-lab":{"camera":["x"]}}',
+                 id="zone-state-a-list"),
+    pytest.param("facility-entry", "zones", '{"zone-lab":{"camera":null}}',
+                 id="zone-state-null"),
     pytest.param("one-time-aik-auth", "extra_components", '[["a"]]', id="component-no-payload"),
     pytest.param("one-time-aik-auth", "extra_components", '[["os","x"]]', id="component-named-os"),
     pytest.param("one-time-aik-auth", "extra_components", '[["crtm","x"]]',

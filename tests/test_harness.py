@@ -259,6 +259,20 @@ def test_a_pass_through_hook_leaves_the_transcript_bytes(monkeypatch, scenario, 
     assert hooked.to_text() == plain.to_text()
 
 
+# A relay forwards the envelope object it received, so a hook's in-place
+# edit of the relayed interior must not reach the record of the first leg.
+def test_an_in_place_edit_of_a_relayed_envelope_stays_in_its_record(monkeypatch):
+    def hook(record):
+        if record["type"] == "terminal-relay":
+            record["payload"]["env"]["_sealed"]["payload"]["request"] = "open-all-doors"
+
+    transcript, _, _ = _run_with_hook(monkeypatch, "facility-entry", hook)
+    requests = {msg_type: m["payload"]["env"]["_sealed"]["payload"]["request"]
+                for msg_type in ("terminal-request", "terminal-relay")
+                for m in transcript.messages(msg_type)}
+    assert requests == {"terminal-request": "show-agenda", "terminal-relay": "open-all-doors"}
+
+
 @pytest.mark.parametrize("moves", [{"receiver": "owner"}, {"channel": "mobile"},
                                    {"receiver": "owner", "channel": "mobile"}],
                          ids=["receiver", "channel", "both"])
