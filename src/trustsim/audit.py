@@ -49,6 +49,8 @@ _iterencode = c_make_encoder and c_make_encoder(
 def _canon(value) -> str:
     if value.__class__ is str:  # JSONEncoder.encode's own shortcut
         return encode_basestring_ascii(value)
+    if value.__class__ is int:  # what the C encoder writes for an int
+        return int.__repr__(value)
     return "".join(_iterencode(value, 0))
 
 

@@ -20,6 +20,22 @@ from json.scanner import make_scanner
 
 from .crypto import Rng, canonical_json as _encode
 
+# Transcript lines go through orjson where it is installed, as Ed25519 goes
+# through libsodium where it loads: the faster path writes and reads exactly
+# what the stdlib's does (see _exact_lines and _decode_lines), and falls back
+# to it wherever it might not.
+try:
+    import orjson
+except ImportError:
+    _dumps = _loads = None
+else:
+    _dumps, _loads = orjson.dumps, orjson.loads
+    # Sorted keys; a dataclass, datetime or subclass of str, int, dict or
+    # list raises TypeError, as json.dumps raises for the first two.
+    _DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                      | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
+JSON_BACKEND = "json" if _dumps is None else "orjson"
+
 TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 
 MOBILE_NETWORK = "mobile_network"
@@ -84,6 +100,58 @@ def _decode(line: str):
     except StopIteration:
         pass
     return json.loads(line)
+
+
+# orjson.loads returns a float for an integer beyond 64 bits, where json.loads
+# returns an int; every other difference between the two is an error of
+# orjson.loads. An integer token follows a line start, JSON whitespace, "[",
+# ",", ":" or "-": with those mapped to ":" and digits to "0", a ":" and 19
+# zeros mark every token that might be one.
+_INT_GATE = bytes.maketrans(b"0123456789,[- \t\r\n", b"0000000000:::::::")
+_WIDE_INT = b":" + b"0" * 19
+
+
+def _decode_lines(lines: list) -> list:
+    """[_decode(line) for line in lines], type-exact, errors included:
+    through orjson.loads where it is installed, no line can hold an integer
+    beyond 64 bits and every line decodes, and through _decode otherwise."""
+    if _loads is not None:
+        try:
+            marked = (":" + "\n".join(lines)).encode().translate(_INT_GATE)
+        except UnicodeEncodeError:  # a lone surrogate: no UTF-8 for orjson
+            marked = _WIDE_INT
+        if _WIDE_INT not in marked:
+            try:
+                return list(map(_loads, lines))
+            except ValueError:
+                pass
+    return list(map(_decode, lines))
+
+
+# Where an orjson line differs from _encode's: non-ASCII text and DEL (which
+# _encode escapes), floats (no exponent sign or zero padding), NaN and the
+# infinities (written as null). With digits mapped to "0", line starts, "["
+# and "," to ":", "-" dropped, and DEL and every non-ASCII byte to ".", each
+# leaves a ".", a "null" or a float with a one-digit mantissa, ":0e".
+_LINE_GATE = bytes.maketrans(b"0123456789,[\n\x7f" + bytes(range(0x80, 0x100)),
+                             b"0000000000:::" + b"." * 0x81)
+
+
+def _exact_lines(values: list) -> bytes | None:
+    """The _encode lines of values joined by "\n", through orjson where it is
+    installed; None where it is not, where it raised TypeError (an integer
+    beyond 64 bits, a key that is not a str, a dataclass, datetime or
+    subclass passed through, a cycle) or where its lines may differ."""
+    if _dumps is None:
+        return None
+    try:
+        body = b"\n".join([_dumps(value, None, _DUMPS_OPTIONS) for value in values])
+    except TypeError:
+        return None
+    marked = body.translate(_LINE_GATE, b"-")
+    if b"." in marked or b"null" in marked or b":0e" in marked or marked.startswith(b"0e"):
+        return None
+    return body
 
 
 def canon_value(value) -> str:
@@ -382,13 +450,22 @@ class Transcript:
     snapshot: dict
 
     def to_lines(self) -> list:
-        lines = [_encode(self.header)]
-        lines += map(_encode, self.records)
-        lines.append(_encode(self.snapshot))
-        return lines
+        return self.to_text().split("\n")[:-1]  # no line holds a raw "\n"
 
     def to_text(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
+        """The header, each record and the snapshot in canonical JSON (_encode),
+        one line each. Records and snapshot go through orjson where it is
+        installed and _exact_lines finds its lines to be _encode's, and
+        through _encode otherwise: the same text, or _encode's exception.
+
+        One difference stays: orjson writes an enum.Enum member as its value
+        and a uuid.UUID as its string, where _encode raises TypeError (for an
+        Enum member that is not also a str or an int). No run builds either."""
+        header = _encode(self.header)
+        body = _exact_lines([*self.records, self.snapshot])
+        if body is None:
+            return "\n".join([header, *map(_encode, self.records), _encode(self.snapshot)]) + "\n"
+        return f"{header}\n{body.decode()}\n"
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -418,10 +495,10 @@ class Transcript:
             schema = header.get("schema") if isinstance(header, dict) else header
             if schema != TRANSCRIPT_SCHEMA:
                 raise ValueError(f"unknown transcript schema: {schema!r}")
-            snapshot = _decode(lines[-1])
+            snapshot = _decode_lines(lines[-1:])[0]
             if not isinstance(snapshot, dict) or snapshot.get("kind") != "snapshot":
                 raise ValueError("transcript missing snapshot line")
-            records = list(map(_decode, lines[1:-1]))
+            records = _decode_lines(lines[1:-1])
             return cls(header=header, records=records, snapshot=snapshot)
         finally:
             if collecting:

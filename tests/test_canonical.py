@@ -1,11 +1,18 @@
 """Canonical JSON codecs: one form everywhere, one encoding per message, and
 the prebuilt encoders and transcript decoder behave as json.dumps and
-json.loads do, errors included."""
+json.loads do, errors included, on both line codecs (orjson and the
+stdlib's)."""
 
+import collections
+import contextlib
+import dataclasses
+import datetime
+import enum
 import json
 import os
 import subprocess
 import sys
+import uuid
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +39,36 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except Exception as err:  # compared, not handled
         return type(err), str(err), getattr(err, "__notes__", None)
+
+
+def typed(value):
+    """value with the type of each part spelled out, and each scalar as its
+    repr: == on two of them is type-exact (2**64 == 2.0**64, but not here),
+    order-exact for dict keys, and holds for NaN and tells -0.0 from 0.0."""
+    if type(value) is dict:
+        return dict, [(typed(k), typed(v)) for k, v in value.items()]
+    if type(value) is list:
+        return list, [typed(v) for v in value]
+    return type(value), repr(value)
+
+
+def typed_outcome(fn, *args):
+    result = outcome(fn, *args)
+    return ("ok", typed(result[1])) if result[0] == "ok" else result
+
+
+# The line codecs at hand: the stdlib's, forced by setting the harness's
+# orjson hooks to None, and orjson where it is installed (CI checks which).
+CODECS = ["json"] + (["orjson"] if harness.JSON_BACKEND == "orjson" else [])
+
+
+@contextlib.contextmanager
+def line_codec(name):
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "json":
+            patch.setattr(harness, "_dumps", None)
+            patch.setattr(harness, "_loads", None)
+        yield
 
 
 json_values = st.recursive(
@@ -139,12 +176,33 @@ def padded_transcripts(draw):
     return _layout(draw, lines)
 
 
+# Integers at the edges of orjson's 64-bit range (json.loads keeps each an
+# int; orjson.loads reads those beyond it as floats), each as a value, in a
+# list, after whitespace and as a bare line.
+WIDE_INTS = [2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 2**64, 10**19, -(10**19)]
+WIDE_INT_LINES = [form.format(n) for n in WIDE_INTS
+                  for form in ('{{"v":{}}}', "[1,{}]", '{{"v": \t{}}}', "[ {}]", "{}")]
+
+
 @settings(max_examples=100, deadline=None)
 @given(padded_transcripts())
+@example("".join(f"{line}\n" for line in [reference(HEADER), *WIDE_INT_LINES,
+                                          reference(SNAPSHOT)]))
+@example(f'{reference(HEADER)}\n{{"v":[1,{2**64}]}}\n{{"kind":"snapshot","n":-{10**19}}}\n')
 def test_parse_is_per_line_json_loads(text):
-    lines = [json.loads(line) for line in text.splitlines() if line.strip()]
-    parsed = Transcript.parse(text)
-    assert [parsed.header, *parsed.records, parsed.snapshot] == lines
+    lines = typed([json.loads(line) for line in text.splitlines() if line.strip()])
+    for codec in CODECS:
+        with line_codec(codec):
+            parsed = Transcript.parse(text)
+        assert typed([parsed.header, *parsed.records, parsed.snapshot]) == lines, codec
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("line", WIDE_INT_LINES)
+def test_an_integer_beyond_64_bits_decodes_as_an_int(codec, line):
+    with line_codec(codec):  # first in a block, and after a line break
+        assert typed(harness._decode_lines([line])) == typed([json.loads(line)])
+        assert typed(harness._decode_lines(["[]", line])) == typed([[], json.loads(line)])
 
 
 def _mutants(line):
@@ -183,8 +241,110 @@ def test_a_malformed_line_fails_as_json_loads_fails(case):
 @example(" 1")
 @example("1 ")
 @example("[1,")
+@example("NaN")
+@example('"\\ud800"')
+@example('"\ud800"')
+@example(f"-{2**63 + 1}")
+@example(f" {2**64}")
+@example(f"{2**64}")
 def test_a_line_decodes_as_json_loads_decodes_it(line):
-    assert outcome(harness._decode, line) == outcome(json.loads, line)
+    expected = typed_outcome(lambda: [json.loads(line)])
+    assert typed_outcome(lambda: [harness._decode(line)]) == expected
+    for codec in CODECS:
+        with line_codec(codec):
+            assert typed_outcome(harness._decode_lines, [line]) == expected, codec
+
+
+# -- the transcript encoder -----------------------------------------------------
+
+Pair = collections.namedtuple("Pair", "a b")
+
+
+class Text(str):
+    pass
+
+
+class Number(int):
+    pass
+
+
+@dataclasses.dataclass
+class Point:
+    x: int
+
+
+class Shown(dict):
+    def items(self):  # what json.dumps writes of a dict subclass
+        return [("shown", 1)]
+
+
+# Transcript records where orjson's bytes differ from json.dumps's, or where
+# one raises and the other does not: each must give json.dumps's lines, or
+# its TypeError.
+LINE_CASES = {
+    "exponent-floats": [{"v": [1e16, -2e-7, 1e22, 5e-324]}],
+    "floats": [{"v": [1.5, -0.0, 1.5e300, 0.1]}],
+    "exponent-float-first": [1e16, {}],
+    "exponent-float-later": [{}, -1e16],
+    "nan": [{"v": float("nan")}],
+    "infinities": [{"v": [float("inf"), -float("inf")]}],
+    "none": [{"v": None}],
+    "non-ascii": [{"good": "café ☕", "€": 1}],
+    "del": [{"v": "a\x7fb"}],
+    "controls": [{"v": "\x00\x1f\n\t\\\"/"}],
+    "lone-surrogate": [{"v": "\ud800"}],
+    "tuples": [{"t": (1, (2, "x")), "e": ()}],
+    "namedtuple": [{"v": Pair(1, "b")}],
+    "str-subclass": [{"v": Text("x"), Text("k"): 2}],
+    "int-subclass": [{"v": [Number(3), True]}],
+    "dict-subclass": [{"v": Shown(a=1)}],
+    "int-keys": [{"v": {1: "a", 2: "b"}}],
+    "mixed-keys": [{"v": {1: "a", 2.5: "c", True: "d", None: "e"}}],
+    "wide-ints": [{"v": [2**64, -(2**63) - 1, 2**63, -(2**63)]}],
+    "bytes": [{"v": b"x"}],
+    "object": [{"v": object()}],
+    "dataclass": [{"v": Point(1)}],
+    "datetime": [{"v": datetime.datetime(2020, 1, 1)}],
+    "set": [{"v": {1}}],
+    "unsortable-keys": [{"v": {1: "a", "b": 2}}],
+}
+
+
+def _transcript(records):
+    return Transcript(header=HEADER, records=[*records, {"kind": "x", "n": 7}],
+                      snapshot=SNAPSHOT)
+
+
+def _reference_text(transcript):
+    values = [transcript.header, *transcript.records, transcript.snapshot]
+    return "".join(reference(value) + "\n" for value in values)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("case", LINE_CASES)
+def test_to_lines_writes_json_dumps_lines_or_raises_its_error(codec, case):
+    transcript = _transcript(LINE_CASES[case])
+    expected = outcome(_reference_text, transcript)
+    with line_codec(codec):
+        assert outcome(transcript.to_text) == expected
+        lines = outcome(transcript.to_lines)
+    assert lines == (expected if expected[0] != "ok" else ("ok", expected[1].splitlines()))
+
+
+class Colour(enum.Enum):
+    RED = 1
+
+
+@pytest.mark.parametrize("value", [Colour.RED, uuid.UUID(int=5)], ids=["enum", "uuid"])
+def test_orjson_writes_enum_members_and_uuids_that_json_dumps_refuses(value):
+    # The one documented difference of the orjson line codec (see to_text).
+    transcript = _transcript([{"v": value}])
+    with line_codec("json"):
+        with pytest.raises(TypeError):
+            transcript.to_text()
+    if harness.JSON_BACKEND == "orjson":
+        written = json.dumps(value.value if isinstance(value, enum.Enum) else str(value))
+        assert transcript.to_lines()[1] == f'{{"v":{written}}}'
 
 
 def _observed_sim():

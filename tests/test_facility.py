@@ -1,5 +1,9 @@
-"""Facility pieces in isolation: gate checks, cache, enforcer, terminals."""
+"""Facility pieces in isolation: gate checks, cache, enforcer, terminals; and
+the gate terminal under attack in the facility scenarios."""
 
+import dataclasses
+
+import pytest
 
 from trustsim.anchor import Manufacturer
 from trustsim.attestation import Verifier
@@ -20,6 +24,7 @@ from trustsim.facility import (
 )
 from trustsim.harness import DROP, Simulation
 from trustsim.privacy_ca import PrivacyCa
+from trustsim.scenarios import CATALOG, run_scenario
 
 
 def facility_world(seed=9, tampered_employee=False):
@@ -90,6 +95,22 @@ def test_tampered_enforcement_component_is_turned_away():
     assert rejected and "reference-mismatch" in rejected[0]["reasons"]
     assert sim.events("policy-applied") == []
     assert sim.events("access-check") == [] and sim.messages("access-check") == []
+
+
+@pytest.mark.parametrize("scenario", ["facility-entry", "facility-midnight"])
+def test_the_device_refuses_a_gate_terminal_it_rejected(scenario):
+    # the tamper attack aimed at the gate terminal, not at the employee: the
+    # employee's device rejects the gate's proof, and the door stays shut
+    script = dataclasses.replace(CATALOG[scenario], subject="gate-dev")
+    transcript, _ = run_scenario(script, 1, attacks=("tamper",))
+    verdicts = [e for e in transcript.events("attestation-verdict")
+                if e["verifier"] == "employee" and e["subject"] == "gate-dev"]
+    assert [(v["accepted"], v["reasons"]) for v in verdicts] == [(False, ["reference-mismatch"])]
+    [entry] = transcript.events("entry")
+    assert entry["granted"] is False
+    after = transcript.records[transcript.records.index(entry):]
+    assert [e for e in after if e.get("event") == "policy-applied"
+            and e["location"] != OUTSIDE] == []
 
 
 def test_unlisted_identity_denied_even_when_attested():
