@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -57,6 +58,53 @@ def _canon(value) -> str:
 if c_make_encoder is None:  # no C accelerator: the pure-Python encoder, same text
     _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# The knowledge replay encodes through orjson where it is installed, as the
+# harness's line codec does: one gate over the joined encodings (_exact)
+# sends the replay back to _canon wherever the two might differ.
+try:
+    import orjson
+except ImportError:
+    _dumps = None
+else:
+    _dumps = orjson.dumps
+    # Sorted keys; a dataclass, datetime or subclass of str, int, dict or
+    # list raises TypeError, and _canon decides.
+    _DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                      | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
+JSON_BACKEND = "json" if _dumps is None else "orjson"
+
+
+def _orjson_canon(value) -> str:
+    """_canon(value) through orjson: the same text wherever the joined
+    encodings pass _exact, and _canon's own text or error where orjson
+    raised TypeError (an integer beyond 64 bits, a key that is not a str, a
+    value passed through, a cycle). One difference stays: orjson writes an
+    enum.Enum member and a uuid.UUID, which _canon refuses."""
+    if value.__class__ is int:  # _canon's own shortcut
+        return int.__repr__(value)
+    try:
+        return _dumps(value, None, _DUMPS_OPTIONS).decode()
+    except TypeError:
+        return _canon(value)
+
+
+# Where orjson's text differs from _canon's: non-ASCII text and DEL (which
+# _canon escapes), floats (no exponent sign or zero padding), NaN and the
+# infinities (written as null). With digits mapped to "0", DEL to ".", and
+# ",", "[", "-" and the join separator "\n" to ":", each leaves a ".", a
+# "null" or a float with a one-digit mantissa, ":0e", in ASCII text.
+_GATE = bytes.maketrans(b"0123456789,[-\n\x7f", b"0000000000::::.")
+_EXPONENT = re.compile(rb":0e").search
+
+
+def _exact(joined: str) -> bool:
+    """Whether orjson's field encodings, each after a "\n" in joined, are
+    all _canon's."""
+    if not joined.isascii():
+        return False
+    marked = joined.encode().translate(_GATE)
+    return b"." not in marked and b"null" not in marked and _EXPONENT(marked) is None
+
 # The canonical encoding in a knowledge row (field, label, encoding), and
 # the plain rows of a payload split (labels, plain rows, sealed interiors).
 _ENCODED = itemgetter(2)
@@ -84,11 +132,12 @@ def _opens(inner) -> bool:
     )
 
 
-def _split(payload, labels, splits):
+def _split(payload, labels, splits, encode):
     """(labels, plain knowledge rows, sealed interiors that open) of one
-    payload dict, computed once per payload and labels in splits, keyed by
-    id(payload). Every payload a replay reaches stays alive in its
-    transcript, so these ids are not reused while splits is in use."""
+    payload dict, each field that is not a str encoded by encode, computed
+    once per payload and labels in splits, keyed by id(payload). Every
+    payload a replay reaches stays alive in its transcript, so these ids
+    are not reused while splits is in use."""
     split = splits.get(id(payload))
     if split is None or split[0] is not labels:
         plain, sealed = [], []
@@ -99,39 +148,39 @@ def _split(payload, labels, splits):
                 if _opens(value["_sealed"]):
                     sealed.append(value["_sealed"])
             else:
-                plain.append((fname, labels[fname], _canon(value)))
+                plain.append((fname, labels[fname], encode(value)))
         split = splits[id(payload)] = (labels, plain, sealed)
     return split
 
 
-def _open(known, party, sealed, splits):
+def _open(known, party, sealed, splits, encode):
     """Fold the sealed interiors that list party as a reader into its
     knowledge set, known, however deeply they nest."""
     for inner in sealed:
         if party in inner["readers"]:
-            _, plain, nested = _split(inner["payload"], inner["labels"], splits)
+            _, plain, nested = _split(inner["payload"], inner["labels"], splits, encode)
             known.update(plain)
-            _open(known, party, nested, splits)
+            _open(known, party, nested, splits, encode)
 
 
-def _replay_observations(transcript, splits=None):
-    """Walk the message records and rebuild who could read what.
+def _replay_observations(transcript, splits, encode):
+    """Walk the message records and rebuild who could read what, each
+    field that is not a str encoded by encode.
 
     splits collects the split of every payload the replay reads (see
     _split), so the receiver and the carrier share one encoding of each
     field and a later check of the same audit can reuse it."""
-    splits = {} if splits is None else splits
     channels = transcript.header.get("channels", {})
     knowledge = {pid: set() for pid in transcript.snapshot.get("knowledge", {})}
     carrier_views = {pid: [] for pid in knowledge}
 
     for record in _messages(transcript):
         receiver, payload = record["receiver"], record["payload"]
-        _, plain, sealed = _split(payload, record["labels"], splits)
+        _, plain, sealed = _split(payload, record["labels"], splits, encode)
         known = knowledge.setdefault(receiver, set())
         known.update(plain)
         if sealed:
-            _open(known, receiver, sealed, splits)
+            _open(known, receiver, sealed, splits, encode)
 
         ch = channels.get(record["channel"], {})
         carrier = ch.get("carrier")
@@ -152,14 +201,39 @@ def _replay_observations(transcript, splits=None):
                 known = knowledge.setdefault(carrier, set())
                 known.update(plain)
                 if sealed:
-                    _open(known, carrier, sealed, splits)
+                    _open(known, carrier, sealed, splits, encode)
 
     return knowledge, carrier_views
 
 
+def _joined(splits) -> str:
+    """Every field encoding in the splits, each after a "\n"."""
+    rows = chain.from_iterable(map(_PLAIN, splits.values()))
+    return "\n".join(chain(("",), map(_ENCODED, rows)))
+
+
+def _exact_replay(transcript):
+    """(knowledge, carrier views), splits and their joined encodings (see
+    _joined) of the knowledge replay on _canon. The replay runs through
+    orjson where it is installed; when its joined encodings fail _exact,
+    the splits are cleared and it runs again on _canon, so every finding,
+    detail and error is _canon's."""
+    splits = {}
+    if _dumps is not None:
+        observed = _replay_observations(transcript, splits, _orjson_canon)
+        joined = _joined(splits)
+        if _exact(joined):
+            return observed, splits, joined
+        splits.clear()
+    observed = _replay_observations(transcript, splits, _canon)
+    return observed, splits, _joined(splits)
+
+
 def check_knowledge_soundness(transcript) -> Finding:
     """Snapshot knowledge == what the raw messages actually exposed."""
-    knowledge, carrier_views = _replay_observations(transcript, _splits(transcript))
+    (knowledge, carrier_views), splits, joined = _exact_replay(transcript)
+    if isinstance(transcript, _AuditView):
+        transcript.splits, transcript.joined = splits, joined
     snapshot_knowledge = {
         pid: set(map(tuple, rows))
         for pid, rows in transcript.snapshot.get("knowledge", {}).items()
@@ -178,8 +252,27 @@ def check_knowledge_soundness(transcript) -> Finding:
     snapshot_views = transcript.snapshot.get("carrier_views", {})
     derived_views = {pid: view for pid, view in carrier_views.items() if view}
     if snapshot_views != derived_views:
-        return Finding("knowledge-soundness", False, "carrier views do not replay")
+        detail = _view_difference(snapshot_views, derived_views)
+        return Finding("knowledge-soundness", False, detail)
     return Finding("knowledge-soundness", True)
+
+
+def _view_difference(recorded, derived) -> str:
+    """The detail of carrier views that do not replay: the first carrier,
+    in replay order and then the snapshot's, whose recorded view differs
+    from the replayed one, and the tick of its first entry that differs
+    (the replayed entry's, or the recorded one's past the replay's end)."""
+    if isinstance(recorded, dict):
+        for carrier in chain(derived, recorded):
+            replayed, kept = derived.get(carrier, []), recorded.get(carrier, [])
+            if replayed == kept or not isinstance(kept, list):
+                continue
+            index = next((i for i, (ours, theirs) in enumerate(zip(replayed, kept))
+                          if ours != theirs), min(len(replayed), len(kept)))
+            entry = replayed[index] if index < len(replayed) else kept[index]
+            tick = entry.get("tick") if isinstance(entry, dict) else None
+            return f"carrier views do not replay: {carrier} from tick {tick}"
+    return "carrier views do not replay"
 
 
 def check_channel_separation(transcript) -> Finding:
@@ -329,13 +422,15 @@ def check_billing_package_exactness(transcript) -> Finding:
     """Structural exactness wherever a billing package appears: a message of
     that type (possibly one sealed hop) and any payload dict carrying a
     grand total must hold exactly {auth_token, grand_total, signature}."""
-    splits = _splits(transcript)
-    # One scan over every field encoding of the replay: when none shows a
-    # package, a payload it split can hold one only in its own keys or in
-    # a sealed field, and all others are skipped without a walk.
-    fields_show = _shows_package(
-        "".join(map(_ENCODED, chain.from_iterable(map(_PLAIN, splits.values()))))
-    )
+    # The knowledge replay's splits, when it ran in this audit, and one scan
+    # over their joined encodings: when none shows a package, a payload it
+    # split can hold one only in its own keys or in a sealed field, and all
+    # others are skipped without a walk. Without them, every payload is
+    # walked whole.
+    if isinstance(transcript, _AuditView):
+        splits, fields_show = transcript.splits, _shows_package(transcript.joined)
+    else:
+        splits, fields_show = {}, False
     for record in _messages(transcript):
         rtype, payload = record["type"], record["payload"]
         if rtype == "billing-package":
@@ -428,9 +523,10 @@ INVARIANT_CHECKS = (
 class _AuditView:
     """What the checks of one audit() call share: the transcript's header,
     snapshot and records, those records grouped by kind (events also by
-    type) in one pass, and the payload splits of the knowledge replay. It
-    lives for that call only and is never stored on the transcript, so
-    in-place edits show up on the next audit.
+    type) in one pass, and the payload splits of the knowledge replay with
+    their joined encodings, once that replay has run to its end. It lives
+    for that call only and is never stored on the transcript, so in-place
+    edits show up on the next audit.
 
     Grouping reads exactly what Transcript.events reads, each record's
     "kind" and each event's "event", so when it succeeds every check reads
@@ -441,7 +537,7 @@ class _AuditView:
         self.header = transcript.header
         self.snapshot = transcript.snapshot
         self.records = transcript.records
-        self.splits = {}
+        self.splits, self.joined = {}, ""
         self.messages = []
         self._events = {}
         for record in self.records:
@@ -462,12 +558,6 @@ def _messages(transcript):
     if isinstance(transcript, _AuditView):
         return transcript.messages
     return (record for record in transcript.records if record["kind"] == "message")
-
-
-def _splits(transcript) -> dict:
-    """The payload splits shared across one audit, or a fresh dict for a
-    check run on its own."""
-    return transcript.splits if isinstance(transcript, _AuditView) else {}
 
 
 def audit(transcript) -> list:

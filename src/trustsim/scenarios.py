@@ -369,23 +369,39 @@ def _judge_prepaid_happy(transcript, config, attacks):
     summary = transcript.snapshot["summary"]
     grants = len(transcript.events("grant"))
     requests = len(config["requests"])
-    forbidden = {"dev-1", summary["ek_publics"]["dev-1"]}
+    # each identifying value, and how a failing row names it
+    forbidden = {"dev-1": "dev-1", summary["ek_publics"]["dev-1"]: "the EK public of dev-1"}
     final = summary["balances"]["dev-1"]
+    leak = _first_leak(transcript.messages(), forbidden)
     return [
         _row("vsim-logon", transcript.events("vsim-session")),
         _row("all-requests-granted", grants == requests, f"{grants}/{requests}"),
-        _row("anonymity-no-device-identity-on-wire",
-             all(_payload_clean(m["payload"], forbidden) for m in transcript.messages())),
+        _row("anonymity-no-device-identity-on-wire", not leak, leak),
         _row("balance-final-recorded", final >= 0, str(final)),
     ]
 
 
-def _payload_clean(value, forbidden) -> bool:
+def _first_leak(messages, forbidden) -> str:
+    """A detail naming the first message whose payload holds a forbidden
+    value, and what it carries; empty when none does."""
+    for message in messages:
+        found = _leaked(message["payload"], forbidden)
+        if found is not None:
+            return f"message {message['id']} ({message['type']}) carries {forbidden[found]}"
+    return ""
+
+
+def _leaked(value, forbidden):
+    """The first forbidden value inside value, or None."""
     if isinstance(value, dict):
-        return all(_payload_clean(v, forbidden) for v in value.values())
-    if isinstance(value, list):
-        return all(_payload_clean(v, forbidden) for v in value)
-    return value not in forbidden
+        value = value.values()
+    elif not isinstance(value, list):
+        return value if value in forbidden else None
+    for nested in value:
+        found = _leaked(nested, forbidden)
+        if found is not None:
+            return found
+    return None
 
 
 def _judge_prepaid_tamper(transcript, config, attacks):

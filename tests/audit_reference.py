@@ -110,8 +110,35 @@ def check_knowledge_soundness(transcript) -> Finding:
     snapshot_views = transcript.snapshot.get("carrier_views", {})
     derived_views = {pid: view for pid, view in carrier_views.items() if view}
     if snapshot_views != derived_views:
-        return Finding("knowledge-soundness", False, "carrier views do not replay")
+        return Finding("knowledge-soundness", False,
+                       _carrier_view_detail(snapshot_views, derived_views))
     return Finding("knowledge-soundness", True)
+
+
+_ABSENT = object()
+
+
+def _carrier_view_detail(recorded, derived):
+    """Names the first carrier whose recorded view is not the replayed one,
+    replayed carriers first, and the tick of the first entry that differs:
+    the replayed entry at that place if there is one, else the recorded."""
+    if not isinstance(recorded, dict):
+        return "carrier views do not replay"
+    carriers = list(derived) + [pid for pid in recorded if pid not in derived]
+    for pid in carriers:
+        replayed = derived.get(pid, [])
+        kept = recorded.get(pid, [])
+        if not isinstance(kept, list) or kept == replayed:
+            continue
+        for i in range(max(len(replayed), len(kept))):
+            ours = replayed[i] if i < len(replayed) else _ABSENT
+            theirs = kept[i] if i < len(kept) else _ABSENT
+            if ours == theirs:
+                continue
+            entry = theirs if ours is _ABSENT else ours
+            tick = entry["tick"] if isinstance(entry, dict) and "tick" in entry else None
+            return f"carrier views do not replay: {pid} from tick {tick}"
+    return "carrier views do not replay"
 
 
 def check_channel_separation(transcript) -> Finding:

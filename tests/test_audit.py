@@ -330,12 +330,27 @@ def test_audit_equals_the_reference_checks(data, rnd):
     assert audit.audit(transcript) == reference_audit(transcript)
 
 
-def test_reference_pool_audits_clean_and_equal():
+@pytest.mark.parametrize("canon_only", [True, False], ids=["json", "default"])
+def test_reference_pool_audits_clean_and_equal(monkeypatch, canon_only):
+    # the replay on _canon alone, and through orjson where it is installed
+    if canon_only:
+        monkeypatch.setattr(audit, "_dumps", None)
     for text in transcript_pool():
         transcript = Transcript.parse(text)
         findings = audit.audit(transcript)
         assert all(f.ok for f in findings), findings
         assert findings == reference_audit(transcript)
+
+
+def test_carrier_views_that_do_not_replay_name_the_carrier_and_tick():
+    transcript, _ = run_scenario("one-time-aik-auth", 1)
+    transcript = Transcript.parse(transcript.to_text())
+    entry = transcript.snapshot["carrier_views"]["mno"][20]
+    tick, entry["tick"] = entry["tick"], entry["tick"] + 1000
+    expected = Finding("knowledge-soundness", False,
+                       f"carrier views do not replay: mno from tick {tick}")
+    assert audit.audit(transcript)[0] == expected
+    assert reference_audit(transcript)[0] == expected
 
 
 def test_each_check_alone_equals_its_reference():

@@ -71,6 +71,30 @@ def line_codec(name):
         yield
 
 
+# The audit replay's encoders: _canon alone, forced by setting the auditor's
+# orjson hook to None, and orjson behind its gate where it is installed.
+AUDIT_ENCODERS = ["json"] + (["orjson"] if audit.JSON_BACKEND == "orjson" else [])
+
+
+@contextlib.contextmanager
+def audit_encoder(name):
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "json":
+            patch.setattr(audit, "_dumps", None)
+        yield
+
+
+def gated_orjson(value) -> str:
+    """One field as the auditor's orjson replay keeps it: orjson's text
+    where it passes the replay's gate, and _canon's where it does not."""
+    encoded = audit._orjson_canon(value)
+    return encoded if audit._exact("\n" + encoded) else audit._canon(value)
+
+
+if audit.JSON_BACKEND == "orjson":
+    ENCODERS["audit-orjson"] = gated_orjson
+
+
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -372,7 +396,7 @@ def test_receiver_and_carrier_knowledge_is_the_per_field_encoding():
     assert sim.knowledge["mno"] == carrier_rows  # the seal stays shut
 
     parsed = Transcript.parse(sim.finalize().to_text())
-    knowledge, _ = audit._replay_observations(parsed)
+    knowledge, _ = audit._replay_observations(parsed, {}, audit._canon)
     assert knowledge["owner"] == receiver_rows
     assert knowledge["mno"] == carrier_rows
     assert all(f.ok for f in audit.audit(parsed))
@@ -391,7 +415,7 @@ def test_one_payload_under_two_label_sets_is_read_under_both():
     assert sim.knowledge["owner"] == expected
     assert sim.knowledge["mno"] == set()
     # the auditor sees the same shared objects when it checks a run in memory
-    knowledge, _ = audit._replay_observations(sim.finalize())
+    knowledge, _ = audit._replay_observations(sim.finalize(), {}, audit._canon)
     assert knowledge["owner"] == expected
 
 
@@ -427,7 +451,7 @@ def test_sealed_interiors_open_alike_live_and_in_the_replay(case):
 
     transcript = sim.finalize()
     for replayed in (transcript, Transcript.parse(transcript.to_text())):
-        knowledge, _ = audit._replay_observations(replayed)
+        knowledge, _ = audit._replay_observations(replayed, {}, audit._canon)
         assert knowledge == sim.knowledge
         assert all(f.ok for f in audit.audit(replayed))
 
@@ -439,3 +463,110 @@ def test_audit_imports_no_other_trustsim_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "['trustsim', 'trustsim.audit']"
+
+
+# -- the audit replay's encoder -------------------------------------------------
+
+# Payload values whose orjson text differs from json.dumps's, or on which
+# orjson raises where json.dumps does not: exponent floats, -0.0, NaN and
+# the infinities, None, non-ASCII text, DEL and control characters, integers
+# at and beyond 64 bits, keys that are not a str, tuples, and subclasses.
+DIVERGENT_SCALARS = [1e16, 1e-7, 5e-324, -0.0, float("nan"), float("inf"), -float("inf"),
+                     None, "é", "\u2028", "\x7f", "\x00\x1f\n", 2**63, -(2**63),
+                     -(2**63) - 1, 2**64, 10**19]
+divergent_values = st.recursive(
+    st.sampled_from(DIVERGENT_SCALARS) | st.text(max_size=4) | st.integers() | st.floats(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3)
+    | st.dictionaries(st.text(max_size=3).map(Text), children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3).map(Shown)
+    | st.text(max_size=4).map(Text),
+    max_leaves=12,
+)
+
+
+def _replayed(transcript, encode):
+    """transcript with the knowledge rows that a replay on encode derives
+    as its snapshot's: rows in orjson's spelling when encode writes them."""
+    knowledge, _ = audit._replay_observations(transcript, {}, encode)
+    rows = {pid: sorted(map(list, known)) for pid, known in knowledge.items()}
+    return Transcript(header=transcript.header, records=transcript.records,
+                      snapshot={**transcript.snapshot, "knowledge": rows})
+
+
+def _audits(transcript) -> dict:
+    """encoder -> the outcome of audit(transcript) on it."""
+    audits = {}
+    for name in AUDIT_ENCODERS:
+        with audit_encoder(name):
+            audits[name] = outcome(audit.audit, transcript)
+    return audits
+
+
+@settings(max_examples=150, deadline=None)
+@given(divergent_values, divergent_values)
+@example(1e16, [-1e-7, 5e-324])
+@example(float("nan"), {"k": [float("inf"), None]})
+@example(["é\u2028"], ("\x7f", "\x00"))
+@example({1: 2**64, 2: -(2**63)}, Shown(a=10**19))
+@example({Text("k"): Text("v")}, -0.0)
+def test_the_audit_finds_the_same_under_both_encoders(value, other):
+    sim = _observed_sim()
+    sim.send("dev", "owner", "mobile", "order",
+             {"quote": value, "price": other, "env": seal(["owner"], {"proof": value})})
+    honest = sim.finalize()
+    cases = {"honest": honest, "parsed": Transcript.parse(honest.to_text())}
+    if audit.JSON_BACKEND == "orjson":
+        cases["orjson-spelled"] = _replayed(honest, audit._orjson_canon)
+    for case, transcript in cases.items():
+        audits = _audits(transcript)
+        assert audits["json"] == audits.get("orjson", audits["json"]), case
+        if case == "honest":
+            assert all(f.ok for f in audits["json"][1])
+
+
+# A snapshot row in orjson's spelling of the payload value, which _canon
+# spells otherwise: each must fail knowledge-soundness as on _canon alone.
+FORGED_ROWS = {
+    "exponent-float": (1e16, "1e16"),
+    "raw-non-ascii": (["é"], '["é"]'),
+    "raw-del": (["\x7f"], '["\x7f"]'),
+    "nan-as-null": (float("nan"), "null"),
+}
+
+
+@pytest.mark.parametrize("encoder", AUDIT_ENCODERS)
+@pytest.mark.parametrize("case", FORGED_ROWS)
+def test_a_row_in_orjson_spelling_fails_knowledge_soundness(encoder, case):
+    value, spelled = FORGED_ROWS[case]
+    sim = _observed_sim()
+    sim.send("dev", "owner", "net", "order", {"quote": value})
+    transcript = sim.finalize()
+    [row] = transcript.snapshot["knowledge"]["owner"]
+    assert row[2] == reference(value) != spelled
+    row[2] = spelled
+    expected = audit.Finding("knowledge-soundness", False,
+                             "party owner: 1 unexplained, 1 missing entries")
+    for forged in (transcript, Transcript.parse(transcript.to_text())):
+        with audit_encoder(encoder):
+            assert audit.audit(forged)[0] == expected
+
+
+@pytest.mark.parametrize("value,written",
+                         [(Colour.RED, 1), (uuid.UUID(int=5), str(uuid.UUID(int=5)))],
+                         ids=["enum", "uuid"])
+def test_the_orjson_replay_reads_enum_members_and_uuids_that_canon_refuses(value, written):
+    # The one documented difference of the orjson replay (see _orjson_canon):
+    # the record holds the value, its snapshot row what orjson writes of it.
+    sim = _observed_sim()
+    sim.send("dev", "owner", "net", "order", {"quote": written})
+    transcript = sim.finalize()
+    [message] = transcript.messages()
+    message["payload"]["quote"] = value
+    with audit_encoder("json"):
+        finding = audit.audit(transcript)[0]
+    assert not finding.ok and finding.detail.startswith("malformed transcript: TypeError(")
+    if audit.JSON_BACKEND == "orjson":
+        assert audit.audit(transcript)[0] == audit.Finding("knowledge-soundness", True)

@@ -295,6 +295,21 @@ def test_expired_pos_pseudonym_aborts_session():
     assert rejected and "cert-expired" in rejected[-1]["reasons"]
 
 
+@pytest.mark.parametrize(
+    "scenario", ["pos-fig4", "pos-sep-duties", "pos-decentralised", "pos-mno-merged"])
+def test_the_device_refuses_a_pos_terminal_it_rejected(scenario):
+    # the tamper attack aimed at the POS terminal, not at the device: the
+    # device rejects the terminal's proof, and no session or delivery follows
+    script = dataclasses.replace(scenarios.CATALOG[scenario], subject="pos-1")
+    transcript, _ = scenarios.run_scenario(script, 1, attacks=("tamper",))
+    verdicts = [e for e in transcript.events("attestation-verdict")
+                if e["verifier"] == "dev-1" and e["subject"] == "pos-1"]
+    assert [(v["accepted"], v["reasons"]) for v in verdicts] == [(False, ["reference-mismatch"])]
+    assert [e["code"] for e in transcript.events("abort")] == ["session-attestation-failed"]
+    assert transcript.events("secure-session") == []
+    assert transcript.events("delivery") == []
+
+
 def test_device_knows_prices_from_the_price_list():
     sim, ctx = pos_world()
     mutual_attest_session(sim, ctx)

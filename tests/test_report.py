@@ -105,6 +105,32 @@ def test_deleted_grant_fails_all_requests_granted():
     assert rows["all-requests-granted"]["detail"] == "2/3"
 
 
+def test_the_anonymity_row_names_the_first_leaking_message():
+    # defect (a): replenish-certs is sealed to the device id; the row stops
+    # at the first message that carries it
+    transcript, result = run_scenario("prepaid-happy", 1,
+                                      variants={"requests": [["calls", 1]] * 12})
+    leaking = [m for m in transcript.messages() if '"dev-1"' in json.dumps(m["payload"])]
+    assert (leaking[0]["id"], leaking[0]["type"]) == ("m00063", "replenish-certs")
+    assert _rows(result)["anonymity-no-device-identity-on-wire"] == {
+        "name": "anonymity-no-device-identity-on-wire", "ok": False,
+        "detail": "message m00063 (replenish-certs) carries dev-1"}
+
+
+def test_the_anonymity_row_names_a_planted_ek_public():
+    transcript, result = run_scenario("prepaid-happy", 1)
+    assert _rows(result)["anonymity-no-device-identity-on-wire"]["detail"] == ""
+    edited = Transcript.parse(transcript.to_text())
+    ek_public = edited.snapshot["summary"]["ek_publics"]["dev-1"]
+    message = edited.messages()[5]
+    message["payload"]["imsi"] = [{"public": ek_public}]
+    message["labels"]["imsi"] = "identity"
+    row = _rows(report(edited))["anonymity-no-device-identity-on-wire"]
+    assert not row["ok"]
+    assert row["detail"] == (f"message {message['id']} ({message['type']}) "
+                             "carries the EK public of dev-1")
+
+
 def test_unreadable_edit_gives_one_failing_row(tmp_path, capsys):
     transcript, _ = run_scenario("facility-midnight", 1)
     edited = _without(transcript, _first_only("type", "power-request"))

@@ -70,14 +70,15 @@ PINS = (
 
 # (scenario, variants, sha256 of transcript text, sha256 of report file):
 # runs long enough to replenish 4 and 3 times. The prepaid report fails
-# its anonymity row, because replenish-certs is sealed to the device id.
+# its anonymity row, because replenish-certs is sealed to the device id; the
+# row's detail names the first such message, m00065.
 VARIANT_PINS = (
     ("one-time-aik-auth", {"auth_count": 40},
      "82c56b209bcde8ba6d79b9dcfaa58591419854afd9c8fa5e7f07ad2edc9bf27f",
      "7010b5d7019a39dacee52016b0146392daf9a29b25a54fba503818dd55df6a5d"),
     ("prepaid-happy", {"requests": [["calls", 1], ["data", 2]] * 15, "vouchers": [50, 50, 50]},
      "abc1af84ae09f87e1726f2c24f755962d21f65d32d360bcde5ad116a3f6b68ad",
-     "281dde781d36f8ee2a2b11a76c3b047a32905cfe8e038a43212c8b9011fab0b3"),
+     "2f0ec763960ffc1dae144f0a13a7b14d50e97c27cc5b23ac1dcf24eb87529831"),
 )
 
 # sha256 over the transcript text and report file of every (scenario,
