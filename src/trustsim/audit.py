@@ -16,8 +16,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+
+import orjson
 
 DEFAULT_FRESHNESS_WINDOW = 100
 
@@ -37,41 +39,21 @@ class Finding:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-# The auditor's own canonical encoder: json.dumps(value, sort_keys=True,
-# separators=(",", ":")) through a C encoder built once at import. It is
-# deliberately not the harness's. markers is None (no circular-reference
-# check), so an encode that raised leaves no stale container ids behind.
-_iterencode = c_make_encoder and c_make_encoder(
-    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",",
-    True, False, True,
-)
-
-
 def _canon(value) -> str:
-    if value.__class__ is str:  # JSONEncoder.encode's own shortcut
-        return encode_basestring_ascii(value)
-    if value.__class__ is int:  # what the C encoder writes for an int
-        return int.__repr__(value)
-    return "".join(_iterencode(value, 0))
+    """The auditor's own canonical encoder, deliberately not the harness's.
+    No circular-reference check, as in the harness's: a cycle raises
+    RecursionError."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-if c_make_encoder is None:  # no C accelerator: the pure-Python encoder, same text
-    _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-# The knowledge replay encodes through orjson where it is installed, as the
-# harness's line codec does: one gate over the joined encodings (_exact)
-# sends the replay back to _canon wherever the two might differ.
-try:
-    import orjson
-except ImportError:
-    _dumps = None
-else:
-    _dumps = orjson.dumps
-    # Sorted keys; a dataclass, datetime or subclass of str, int, dict or
-    # list raises TypeError, and _canon decides.
-    _DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
-                      | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
-JSON_BACKEND = "json" if _dumps is None else "orjson"
+# The knowledge replay encodes through orjson, as the harness's line codec
+# does: one gate over the joined encodings (_exact) sends the replay back to
+# _canon wherever the two might differ.
+_dumps = orjson.dumps
+# Sorted keys; a dataclass, datetime or subclass of str, int, dict or list
+# raises TypeError, and _canon decides.
+_DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                  | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
 
 
 def _orjson_canon(value) -> str:
@@ -80,7 +62,7 @@ def _orjson_canon(value) -> str:
     raised TypeError (an integer beyond 64 bits, a key that is not a str, a
     value passed through, a cycle). One difference stays: orjson writes an
     enum.Enum member and a uuid.UUID, which _canon refuses."""
-    if value.__class__ is int:  # _canon's own shortcut
+    if value.__class__ is int:  # the text _canon writes, without the encoder
         return int.__repr__(value)
     try:
         return _dumps(value, None, _DUMPS_OPTIONS).decode()
@@ -142,7 +124,7 @@ def _split(payload, labels, splits, encode):
     if split is None or split[0] is not labels:
         plain, sealed = [], []
         for fname, value in payload.items():
-            if value.__class__ is str:  # _canon's own shortcut
+            if value.__class__ is str:  # the text _canon writes, without the encoder
                 plain.append((fname, labels[fname], encode_basestring_ascii(value)))
             elif _is_envelope(value):
                 if _opens(value["_sealed"]):
@@ -215,16 +197,15 @@ def _joined(splits) -> str:
 def _exact_replay(transcript):
     """(knowledge, carrier views), splits and their joined encodings (see
     _joined) of the knowledge replay on _canon. The replay runs through
-    orjson where it is installed; when its joined encodings fail _exact,
-    the splits are cleared and it runs again on _canon, so every finding,
-    detail and error is _canon's."""
+    orjson; when its joined encodings fail _exact, the splits are cleared
+    and it runs again on _canon, so every finding, detail and error is
+    _canon's."""
     splits = {}
-    if _dumps is not None:
-        observed = _replay_observations(transcript, splits, _orjson_canon)
-        joined = _joined(splits)
-        if _exact(joined):
-            return observed, splits, joined
-        splits.clear()
+    observed = _replay_observations(transcript, splits, _orjson_canon)
+    joined = _joined(splits)
+    if _exact(joined):
+        return observed, splits, joined
+    splits.clear()
     observed = _replay_observations(transcript, splits, _canon)
     return observed, splits, _joined(splits)
 

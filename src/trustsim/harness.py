@@ -16,25 +16,20 @@ import gc
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from json.scanner import make_scanner
+
+import orjson
 
 from .crypto import Rng, canonical_json as _encode
 
-# Transcript lines go through orjson where it is installed, as Ed25519 goes
-# through libsodium where it loads: the faster path writes and reads exactly
-# what the stdlib's does (see _exact_lines and _decode_lines), and falls back
-# to it wherever it might not.
-try:
-    import orjson
-except ImportError:
-    _dumps = _loads = None
-else:
-    _dumps, _loads = orjson.dumps, orjson.loads
-    # Sorted keys; a dataclass, datetime or subclass of str, int, dict or
-    # list raises TypeError, as json.dumps raises for the first two.
-    _DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
-                      | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
-JSON_BACKEND = "json" if _dumps is None else "orjson"
+# Transcript lines and knowledge-set values are in crypto's canonical JSON
+# form (_encode). Record and snapshot lines go through orjson wherever the
+# gates (_exact_lines and _decode_lines) find that it writes and reads what
+# the stdlib's json does, and through the stdlib's json otherwise.
+_dumps, _loads = orjson.dumps, orjson.loads
+# Sorted keys; a dataclass, datetime or subclass of str, int, dict or list
+# raises TypeError, as json.dumps raises for the first two.
+_DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                  | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
 
 TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 
@@ -83,25 +78,6 @@ FIELD_LABELS = {
 DROP = "drop"
 
 
-# Transcript lines and knowledge-set values are in crypto's canonical JSON
-# form (_encode). Lines decode through one scanner built at import: the one
-# json.loads ends up calling, without its per-call checks.
-_scan = make_scanner(json.JSONDecoder())
-
-
-def _decode(line: str):
-    """json.loads(line): the scanner's value when it read the whole line, and
-    json.loads itself (padding, extra data, no value) otherwise, so a line
-    decodes or fails exactly as json.loads would have it."""
-    try:
-        value, end = _scan(line, 0)
-        if end == len(line):
-            return value
-    except StopIteration:
-        pass
-    return json.loads(line)
-
-
 # orjson.loads returns a float for an integer beyond 64 bits, where json.loads
 # returns an int; every other difference between the two is an error of
 # orjson.loads. An integer token follows a line start, JSON whitespace, "[",
@@ -112,20 +88,19 @@ _WIDE_INT = b":" + b"0" * 19
 
 
 def _decode_lines(lines: list) -> list:
-    """[_decode(line) for line in lines], type-exact, errors included:
-    through orjson.loads where it is installed, no line can hold an integer
-    beyond 64 bits and every line decodes, and through _decode otherwise."""
-    if _loads is not None:
+    """[json.loads(line) for line in lines], type-exact, errors included:
+    through orjson.loads where no line can hold an integer beyond 64 bits
+    and every line decodes, and through json.loads otherwise."""
+    try:
+        marked = (":" + "\n".join(lines)).encode().translate(_INT_GATE)
+    except UnicodeEncodeError:  # a lone surrogate: no UTF-8 for orjson
+        marked = _WIDE_INT
+    if _WIDE_INT not in marked:
         try:
-            marked = (":" + "\n".join(lines)).encode().translate(_INT_GATE)
-        except UnicodeEncodeError:  # a lone surrogate: no UTF-8 for orjson
-            marked = _WIDE_INT
-        if _WIDE_INT not in marked:
-            try:
-                return list(map(_loads, lines))
-            except ValueError:
-                pass
-    return list(map(_decode, lines))
+            return list(map(_loads, lines))
+        except ValueError:
+            pass
+    return list(map(json.loads, lines))
 
 
 # Where an orjson line differs from _encode's: non-ASCII text and DEL (which
@@ -138,12 +113,10 @@ _LINE_GATE = bytes.maketrans(b"0123456789,[\n\x7f" + bytes(range(0x80, 0x100)),
 
 
 def _exact_lines(values: list) -> bytes | None:
-    """The _encode lines of values joined by "\n", through orjson where it is
-    installed; None where it is not, where it raised TypeError (an integer
-    beyond 64 bits, a key that is not a str, a dataclass, datetime or
-    subclass passed through, a cycle) or where its lines may differ."""
-    if _dumps is None:
-        return None
+    """The _encode lines of values joined by "\n", through orjson; None
+    where it raised TypeError (an integer beyond 64 bits, a key that is not
+    a str, a dataclass, datetime or subclass passed through, a cycle) or
+    where its lines may differ."""
     try:
         body = b"\n".join([_dumps(value, None, _DUMPS_OPTIONS) for value in values])
     except TypeError:
@@ -449,14 +422,11 @@ class Transcript:
     records: list
     snapshot: dict
 
-    def to_lines(self) -> list:
-        return self.to_text().split("\n")[:-1]  # no line holds a raw "\n"
-
     def to_text(self) -> str:
         """The header, each record and the snapshot in canonical JSON (_encode),
-        one line each. Records and snapshot go through orjson where it is
-        installed and _exact_lines finds its lines to be _encode's, and
-        through _encode otherwise: the same text, or _encode's exception.
+        one line each. Records and snapshot go through orjson where
+        _exact_lines finds its lines to be _encode's, and through _encode
+        otherwise: the same text, or _encode's exception.
 
         One difference stays: orjson writes an enum.Enum member as its value
         and a uuid.UUID as its string, where _encode raises TypeError (for an
@@ -491,7 +461,7 @@ class Transcript:
             lines = [line for line in text.split("\n") if line.strip()]
             if len(lines) < 2:
                 raise ValueError("transcript too short")
-            header = _decode(lines[0])
+            header = json.loads(lines[0])
             schema = header.get("schema") if isinstance(header, dict) else header
             if schema != TRANSCRIPT_SCHEMA:
                 raise ValueError(f"unknown transcript schema: {schema!r}")

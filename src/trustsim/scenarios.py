@@ -374,11 +374,24 @@ def _judge_prepaid_happy(transcript, config, attacks):
     final = summary["balances"]["dev-1"]
     leak = _first_leak(transcript.messages(), forbidden)
     return [
-        _row("vsim-logon", transcript.events("vsim-session")),
+        _logon_row(transcript),
         _row("all-requests-granted", grants == requests, f"{grants}/{requests}"),
         _row("anonymity-no-device-identity-on-wire", not leak, leak),
         _row("balance-final-recorded", final >= 0, str(final)),
     ]
+
+
+def _logon_row(transcript) -> dict:
+    """The vsim-logon row: a vsim session, or else a detail naming the abort
+    that ended the logon, or that no logon was tried."""
+    if transcript.events("vsim-session"):
+        return _row("vsim-logon", True)
+    aborts = transcript.events("abort")
+    if not aborts:
+        return _row("vsim-logon", False, "no logon tried")
+    abort = aborts[0]
+    return _row("vsim-logon", False,
+                f"{abort['code']} for {abort['party']} at tick {abort['tick']}")
 
 
 def _first_leak(messages, forbidden) -> str:
@@ -407,7 +420,7 @@ def _leaked(value, forbidden):
 def _judge_prepaid_tamper(transcript, config, attacks):
     denials = transcript.events("denial")
     return [
-        _row("vsim-logon", transcript.events("vsim-session")),
+        _logon_row(transcript),
         _row("zero-grants", not transcript.events("grant")),
         _row("zero-decrements", not transcript.events("decrement")),
         _row("denials-cite-reference-mismatch",

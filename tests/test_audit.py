@@ -330,11 +330,16 @@ def test_audit_equals_the_reference_checks(data, rnd):
     assert audit.audit(transcript) == reference_audit(transcript)
 
 
+def _refused_dumps(*args):
+    raise TypeError("refused: _canon decides")
+
+
 @pytest.mark.parametrize("canon_only", [True, False], ids=["json", "default"])
 def test_reference_pool_audits_clean_and_equal(monkeypatch, canon_only):
-    # the replay on _canon alone, and through orjson where it is installed
+    # the replay on _canon alone, forced by an orjson hook that raises as
+    # orjson does where _canon decides, and through orjson behind its gate
     if canon_only:
-        monkeypatch.setattr(audit, "_dumps", None)
+        monkeypatch.setattr(audit, "_dumps", _refused_dumps)
     for text in transcript_pool():
         transcript = Transcript.parse(text)
         findings = audit.audit(transcript)
@@ -378,13 +383,13 @@ def test_parse_and_audit_restore_the_collector(collector, monkeypatch, enabled):
     text = transcript_pool()[0]
     (gc.enable if enabled else gc.disable)()
     seen = []
-    decode = harness._decode
+    decode_lines = harness._decode_lines
 
-    def spying_decode(line):
+    def spying_decode_lines(lines):
         seen.append(gc.isenabled())
-        return decode(line)
+        return decode_lines(lines)
 
-    monkeypatch.setattr(harness, "_decode", spying_decode)
+    monkeypatch.setattr(harness, "_decode_lines", spying_decode_lines)
     transcript = Transcript.parse(text)
     monkeypatch.undo()
     assert seen and not any(seen)

@@ -1,7 +1,6 @@
 """Canonical JSON codecs: one form everywhere, one encoding per message, and
-the prebuilt encoders and transcript decoder behave as json.dumps and
-json.loads do, errors included, on both line codecs (orjson and the
-stdlib's)."""
+the encoders and transcript decoder behave as json.dumps and json.loads do,
+errors included, on both paths of each gate (orjson and the stdlib's)."""
 
 import collections
 import contextlib
@@ -26,9 +25,17 @@ def reference(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def gated_orjson(value) -> str:
+    """One field as the auditor's orjson replay keeps it: orjson's text
+    where it passes the replay's gate, and _canon's where it does not."""
+    encoded = audit._orjson_canon(value)
+    return encoded if audit._exact("\n" + encoded) else audit._canon(value)
+
+
 ENCODERS = {
     "harness": canon_value,
     "audit": audit._canon,
+    "audit-orjson": gated_orjson,
     "crypto": lambda value: crypto.canonical_bytes(value).decode("utf-8"),
 }
 
@@ -57,42 +64,39 @@ def typed_outcome(fn, *args):
     return ("ok", typed(result[1])) if result[0] == "ok" else result
 
 
-# The line codecs at hand: the stdlib's, forced by setting the harness's
-# orjson hooks to None, and orjson where it is installed (CI checks which).
-CODECS = ["json"] + (["orjson"] if harness.JSON_BACKEND == "orjson" else [])
+def refused_dumps(*args):
+    raise TypeError("refused: the stdlib path decides")
+
+
+def refused_loads(*args):
+    raise ValueError("refused: the stdlib path decides")
+
+
+# The line codec's two paths: orjson behind its gates, and the stdlib's,
+# forced by orjson hooks that raise as orjson does where the gates fall back.
+CODECS = ["json", "orjson"]
 
 
 @contextlib.contextmanager
 def line_codec(name):
     with pytest.MonkeyPatch.context() as patch:
         if name == "json":
-            patch.setattr(harness, "_dumps", None)
-            patch.setattr(harness, "_loads", None)
+            patch.setattr(harness, "_dumps", refused_dumps)
+            patch.setattr(harness, "_loads", refused_loads)
         yield
 
 
-# The audit replay's encoders: _canon alone, forced by setting the auditor's
-# orjson hook to None, and orjson behind its gate where it is installed.
-AUDIT_ENCODERS = ["json"] + (["orjson"] if audit.JSON_BACKEND == "orjson" else [])
+# The audit replay's two paths: orjson behind its gate, and _canon alone,
+# forced by an orjson hook that raises as orjson does where _canon decides.
+AUDIT_ENCODERS = ["json", "orjson"]
 
 
 @contextlib.contextmanager
 def audit_encoder(name):
     with pytest.MonkeyPatch.context() as patch:
         if name == "json":
-            patch.setattr(audit, "_dumps", None)
+            patch.setattr(audit, "_dumps", refused_dumps)
         yield
-
-
-def gated_orjson(value) -> str:
-    """One field as the auditor's orjson replay keeps it: orjson's text
-    where it passes the replay's gate, and _canon's where it does not."""
-    encoded = audit._orjson_canon(value)
-    return encoded if audit._exact("\n" + encoded) else audit._canon(value)
-
-
-if audit.JSON_BACKEND == "orjson":
-    ENCODERS["audit-orjson"] = gated_orjson
 
 
 json_values = st.recursive(
@@ -273,7 +277,6 @@ def test_a_malformed_line_fails_as_json_loads_fails(case):
 @example(f"{2**64}")
 def test_a_line_decodes_as_json_loads_decodes_it(line):
     expected = typed_outcome(lambda: [json.loads(line)])
-    assert typed_outcome(lambda: [harness._decode(line)]) == expected
     for codec in CODECS:
         with line_codec(codec):
             assert typed_outcome(harness._decode_lines, [line]) == expected, codec
@@ -346,13 +349,11 @@ def _reference_text(transcript):
 
 @pytest.mark.parametrize("codec", CODECS)
 @pytest.mark.parametrize("case", LINE_CASES)
-def test_to_lines_writes_json_dumps_lines_or_raises_its_error(codec, case):
+def test_to_text_writes_json_dumps_lines_or_raises_its_error(codec, case):
     transcript = _transcript(LINE_CASES[case])
     expected = outcome(_reference_text, transcript)
     with line_codec(codec):
         assert outcome(transcript.to_text) == expected
-        lines = outcome(transcript.to_lines)
-    assert lines == (expected if expected[0] != "ok" else ("ok", expected[1].splitlines()))
 
 
 class Colour(enum.Enum):
@@ -366,9 +367,8 @@ def test_orjson_writes_enum_members_and_uuids_that_json_dumps_refuses(value):
     with line_codec("json"):
         with pytest.raises(TypeError):
             transcript.to_text()
-    if harness.JSON_BACKEND == "orjson":
-        written = json.dumps(value.value if isinstance(value, enum.Enum) else str(value))
-        assert transcript.to_lines()[1] == f'{{"v":{written}}}'
+    written = json.dumps(value.value if isinstance(value, enum.Enum) else str(value))
+    assert transcript.to_text().split("\n")[1] == f'{{"v":{written}}}'
 
 
 def _observed_sim():
@@ -517,12 +517,11 @@ def test_the_audit_finds_the_same_under_both_encoders(value, other):
     sim.send("dev", "owner", "mobile", "order",
              {"quote": value, "price": other, "env": seal(["owner"], {"proof": value})})
     honest = sim.finalize()
-    cases = {"honest": honest, "parsed": Transcript.parse(honest.to_text())}
-    if audit.JSON_BACKEND == "orjson":
-        cases["orjson-spelled"] = _replayed(honest, audit._orjson_canon)
+    cases = {"honest": honest, "parsed": Transcript.parse(honest.to_text()),
+             "orjson-spelled": _replayed(honest, audit._orjson_canon)}
     for case, transcript in cases.items():
         audits = _audits(transcript)
-        assert audits["json"] == audits.get("orjson", audits["json"]), case
+        assert audits["json"] == audits["orjson"], case
         if case == "honest":
             assert all(f.ok for f in audits["json"][1])
 
@@ -568,5 +567,4 @@ def test_the_orjson_replay_reads_enum_members_and_uuids_that_canon_refuses(value
     with audit_encoder("json"):
         finding = audit.audit(transcript)[0]
     assert not finding.ok and finding.detail.startswith("malformed transcript: TypeError(")
-    if audit.JSON_BACKEND == "orjson":
-        assert audit.audit(transcript)[0] == audit.Finding("knowledge-soundness", True)
+    assert audit.audit(transcript)[0] == audit.Finding("knowledge-soundness", True)

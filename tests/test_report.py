@@ -131,6 +131,17 @@ def test_the_anonymity_row_names_a_planted_ek_public():
                              "carries the EK public of dev-1")
 
 
+@pytest.mark.parametrize("name", ["prepaid-happy", "prepaid-tamper"])
+def test_the_logon_row_names_the_abort_that_ended_the_logon(name):
+    _, result = run_scenario(name, 1)
+    assert _rows(result)["vsim-logon"] == {"name": "vsim-logon", "ok": True, "detail": ""}
+    transcript, result = run_scenario(name, 1, variants={"pool_size": 0})
+    assert _rows(result)["vsim-logon"] == {
+        "name": "vsim-logon", "ok": False, "detail": "pool-exhausted for dev-1 at tick 0"}
+    row = _rows(report(_without(transcript, lambda r: r.get("event") != "abort")))["vsim-logon"]
+    assert row == {"name": "vsim-logon", "ok": False, "detail": "no logon tried"}
+
+
 def test_unreadable_edit_gives_one_failing_row(tmp_path, capsys):
     transcript, _ = run_scenario("facility-midnight", 1)
     edited = _without(transcript, _first_only("type", "power-request"))
