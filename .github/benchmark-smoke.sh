@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark smoke runs of the CI tests job, run from the repository root:
-# each workload for 2 s at seed 1, catalog-sweep and prepaid-metering also
-# traced, so their trace cross-checks (among them harness.send.calls =
-# messages + dropped) count towards "correct". Every run must report
+# each workload for 2 s at seed 1, and each also traced, so their trace
+# cross-checks (among them harness.send.calls = messages + dropped) count
+# towards "correct". Every run must report
 # "correct" true and no failed run (none that raised).
 set -euo pipefail
 
@@ -15,5 +15,6 @@ smoke() {
 smoke catalog-sweep 0 smoke.txt
 smoke catalog-sweep 1 smoke-trace.txt
 smoke long-session 0 smoke-long.txt
+smoke long-session 1 smoke-long-trace.txt
 smoke prepaid-metering 0 smoke-prepaid.txt
 smoke prepaid-metering 1 smoke-prepaid-trace.txt

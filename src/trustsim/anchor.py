@@ -39,7 +39,8 @@ class AikRecord:
         return crypto.keygen(self.rng)
 
 
-@dataclass(frozen=True)
+@crypto.slot_init
+@dataclass(frozen=True, slots=True)
 class Quote:
     pcr_selection: tuple
     pcr_values: tuple  # hex digests, parallel to pcr_selection

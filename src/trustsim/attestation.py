@@ -44,7 +44,8 @@ def aik_fingerprint(public: bytes) -> str:
     return crypto.hash160(public).hex()
 
 
-@dataclass(frozen=True)
+@crypto.slot_init
+@dataclass(frozen=True, slots=True)
 class AttestationChallenge:
     nonce: bytes
     pcr_selection: tuple
@@ -68,7 +69,8 @@ class AttestationChallenge:
         return cls(bytes.fromhex(fields["nonce"]), selection, fields["deadline"])
 
 
-@dataclass(frozen=True)
+@crypto.slot_init
+@dataclass(frozen=True, slots=True)
 class AttestationResponse:
     quote: Quote
     log: MeasurementLog
@@ -85,7 +87,8 @@ class AttestationResponse:
                    AikCertificate.from_fields(fields["certificate"]))
 
 
-@dataclass(frozen=True)
+@crypto.slot_init
+@dataclass(frozen=True, slots=True)
 class AttestationVerdict:
     accepted: bool
     reasons: tuple

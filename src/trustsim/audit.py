@@ -56,17 +56,40 @@ _DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
                   | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
 
 
+class _NonStrKey(Exception):
+    """A value the replay encodes holds a dict with a key that is not a str."""
+
+
+def _holds_non_str_key(value) -> bool:
+    """Whether a dict in value, read as _canon reads it (its items()), has
+    a key that is not a str."""
+    if isinstance(value, dict):
+        return any(not isinstance(key, str) or _holds_non_str_key(item)
+                   for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_non_str_key, value))
+    return False
+
+
 def _orjson_canon(value) -> str:
     """_canon(value) through orjson: the same text wherever the joined
     encodings pass _exact, and _canon's own text or error where orjson
-    raised TypeError (an integer beyond 64 bits, a key that is not a str, a
-    value passed through, a cycle). One difference stays: orjson writes an
-    enum.Enum member and a uuid.UUID, which _canon refuses."""
+    raised TypeError (an integer beyond 64 bits, a value passed through, a
+    cycle). One difference stays: orjson writes an enum.Enum member and a
+    uuid.UUID, which _canon refuses.
+
+    A value holding a dict with a key that is not a str, which orjson also
+    refuses, raises _NonStrKey: _canon would sort such keys as what they
+    are, but a written transcript holds them as text, which sorts
+    otherwise, so the audit of a transcript in memory would differ from
+    the audit of its text. Only values orjson refused are searched."""
     if value.__class__ is int:  # the text _canon writes, without the encoder
         return int.__repr__(value)
     try:
         return _dumps(value, None, _DUMPS_OPTIONS).decode()
     except TypeError:
+        if _holds_non_str_key(value):
+            raise _NonStrKey from None
         return _canon(value)
 
 
@@ -211,8 +234,16 @@ def _exact_replay(transcript):
 
 
 def check_knowledge_soundness(transcript) -> Finding:
-    """Snapshot knowledge == what the raw messages actually exposed."""
-    (knowledge, carrier_views), splits, joined = _exact_replay(transcript)
+    """Snapshot knowledge == what the raw messages actually exposed. A
+    payload value holding a dict with a key that is not a str fails it,
+    naming the first message whose payload holds one (see _orjson_canon)."""
+    try:
+        (knowledge, carrier_views), splits, joined = _exact_replay(transcript)
+    except _NonStrKey:
+        first = next(record["id"] for record in _messages(transcript)
+                     if _holds_non_str_key(record["payload"]))
+        return Finding("knowledge-soundness", False,
+                       f"message {first} holds a dict with a key that is not a str")
     if isinstance(transcript, _AuditView):
         transcript.splits, transcript.joined = splits, joined
     snapshot_knowledge = {

@@ -27,7 +27,8 @@ def make_chain(components) -> list:
     return [BootComponent(name=name, payload=payload) for name, payload in components]
 
 
-@dataclass(frozen=True)
+@crypto.slot_init
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     component: str
     measurement: str  # hex digest

@@ -196,7 +196,8 @@ def replenish_flow(sim, device: TrustedDevice, pca_id: str, channel: str) -> boo
     return True
 
 
-@dataclasses.dataclass(frozen=True)
+@crypto.slot_init
+@dataclasses.dataclass(frozen=True, slots=True)
 class Exchange:
     """One recorded attestation exchange: the challenge as it reached the
     device, the response as it reached the verifier (the last presentation),

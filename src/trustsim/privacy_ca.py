@@ -24,7 +24,8 @@ from .errors import ProtocolError
 VALIDITY_TICKS = 1000  # every certificate's lifetime from its issue tick
 
 
-@dataclass(frozen=True)
+@crypto.slot_init
+@dataclass(frozen=True, slots=True)
 class AikCertificate:
     """CA-signed binding of an AIK public key to "valid platform in domain".
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 from dataclasses import dataclass
 
@@ -956,7 +957,15 @@ def _validate(script: ScenarioScript, overrides: dict, attacks) -> None:
 
 
 def run_scenario(script, seed: int, attacks=(), variants=None):
-    """Deterministic execution -> (Transcript, report dict)."""
+    """Deterministic execution -> (Transcript, report dict).
+
+    The cyclic garbage collector is paused over the runner, finalize and
+    the report, as Transcript.parse and audit.audit pause it: a run builds
+    no reference cycles of its own (ctypes' bookkeeping of the crypto
+    buffer types aside, the same few objects at any run length), so the
+    pause defers no garbage and saves the collections that its many fresh
+    objects would trigger, each scanning the objects built so far. A
+    collector the caller had disabled stays disabled."""
     if isinstance(script, str):
         script = get_script(script)
     if not 0 <= seed < 2**64:
@@ -970,9 +979,15 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     for party_id, role in script.roster:
         sim.add_party(party_id, role)
 
-    script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks, script.subject))
-    transcript = sim.finalize()
-    return transcript, report(transcript)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks, script.subject))
+        transcript = sim.finalize()
+        return transcript, report(transcript)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # What reading a hand-edited or hook-garbled record can raise: a missing key

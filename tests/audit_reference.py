@@ -35,6 +35,26 @@ def _opened(envelope):
     return None
 
 
+class _KeyNotText(Exception):
+    """A field the replay encodes holds a dict with a key that is not text."""
+
+
+def _text_keyed(value) -> bool:
+    """Whether every dict inside value, read as json.dumps reads it (through
+    items()), has only str keys."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            for key, child in item.items():
+                if not isinstance(key, str):
+                    return False
+                pending.append(child)
+        elif isinstance(item, (list, tuple)):
+            pending.extend(item)
+    return True
+
+
 def _replay_observations(transcript):
     """Walk the message records and rebuild who could read what."""
     channels = transcript.header.get("channels", {})
@@ -55,7 +75,10 @@ def _replay_observations(transcript):
                     if inner is not None:
                         sealed.append(inner)
                 else:
-                    plain.append((fname, labels[fname], _canon(value)))
+                    label = labels[fname]
+                    if not _text_keyed(value):
+                        raise _KeyNotText
+                    plain.append((fname, label, _canon(value)))
             split = memo[key] = (plain, sealed)
         plain, sealed = split
         knowledge.setdefault(party, set()).update(plain)
@@ -90,8 +113,17 @@ def _replay_observations(transcript):
 
 
 def check_knowledge_soundness(transcript) -> Finding:
-    """Snapshot knowledge == what the raw messages actually exposed."""
-    knowledge, carrier_views = _replay_observations(transcript)
+    """Snapshot knowledge == what the raw messages actually exposed; a field
+    holding a dict with a key that is not text fails it, naming the first
+    message whose payload holds such a dict."""
+    try:
+        knowledge, carrier_views = _replay_observations(transcript)
+    except _KeyNotText:
+        for record in transcript.records:
+            if record["kind"] == "message" and not _text_keyed(record["payload"]):
+                detail = f"message {record['id']} holds a dict with a key that is not a str"
+                return Finding("knowledge-soundness", False, detail)
+        raise
     snapshot_knowledge = {
         pid: {tuple(row) for row in rows}
         for pid, rows in transcript.snapshot.get("knowledge", {}).items()

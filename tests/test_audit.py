@@ -2,6 +2,7 @@
 the plain scans they replaced, and audit() as a whole against the checks
 as they stood before the verify path was sped up."""
 
+import dataclasses
 import functools
 import gc
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from audit_reference import REFERENCE_CHECKS, reference_audit
 from trustsim import audit, harness
 from trustsim.audit import DEFAULT_FRESHNESS_WINDOW, Finding
-from trustsim.harness import Transcript
+from trustsim.harness import Simulation, Transcript, seal
 from trustsim.scenarios import CATALOG, run_scenario
 
 SUBJECTS = ("dev-1", "dev-2", "dev-3")
@@ -365,6 +366,58 @@ def test_each_check_alone_equals_its_reference():
             assert check(transcript) == reference(transcript), name
 
 
+def _unit_sim():
+    sim = Simulation(seed=3, scenario="unit")
+    for pid, role in (("dev", "device"), ("owner", "pos_owner"), ("mno", "mno")):
+        sim.add_party(pid, role)
+    return sim
+
+
+def _sent_with_int_keys():
+    """A clean three-party transcript whose second message, m00002, holds
+    int keys, whose numeric order (-2, -1) is not their order as text."""
+    sim = _unit_sim()
+    sim.send("dev", "owner", "net", "order", {"quote": {"a": 1}})
+    sim.send("dev", "owner", "net", "order", {"quote": {-1: "a", -2: "b"}})
+    sim.send("dev", "owner", "net", "order", {"quote": {1: "c"}})
+    return sim.finalize()
+
+
+def test_a_dict_with_a_non_str_key_fails_knowledge_soundness_in_memory_and_parsed():
+    transcript = _sent_with_int_keys()
+    named = Finding("knowledge-soundness", False,
+                    "message m00002 holds a dict with a key that is not a str")
+    assert audit.audit(transcript)[0] == named
+    assert reference_audit(transcript)[0] == named
+    # written out, the keys are text, sorted otherwise than the snapshot's row
+    parsed = Transcript.parse(transcript.to_text())
+    assert audit.audit(parsed)[0] == Finding(
+        "knowledge-soundness", False, "party owner: 1 unexplained, 1 missing entries")
+    assert audit.audit(parsed) == reference_audit(parsed)
+
+
+def test_a_non_str_key_is_found_inside_sealed_interiors_and_lists():
+    sim = _unit_sim()
+    sim.send("dev", "owner", "net", "order",
+             {"env": seal(["owner"], {"quote": [{"k": [{2: "x"}]}]})})
+    transcript = sim.finalize()
+    named = Finding("knowledge-soundness", False,
+                    "message m00001 holds a dict with a key that is not a str")
+    assert audit.audit(transcript)[0] == named == reference_audit(transcript)[0]
+
+
+def test_the_non_str_key_search_runs_only_on_values_orjson_refused(monkeypatch):
+    searched = []
+    holds = audit._holds_non_str_key
+    monkeypatch.setattr(audit, "_holds_non_str_key",
+                        lambda value: searched.append(value) or holds(value))
+    for text in transcript_pool():
+        assert all(f.ok for f in audit.audit(Transcript.parse(text)))
+    assert searched == []
+    audit.audit(_sent_with_int_keys())
+    assert searched[0] == {-1: "a", -2: "b"}
+
+
 # -- the cyclic collector is paused for parse and audit, then restored --------
 
 
@@ -423,3 +476,72 @@ def test_parse_and_audit_restore_the_collector_on_exceptions(collector, monkeypa
     with pytest.raises(Interrupted):
         audit.audit(Transcript.parse(transcript_pool()[0]))
     assert gc.isenabled() is enabled
+
+
+# -- run_scenario pauses the collector too -------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_scenario_pauses_the_collector_and_restores_it(collector, monkeypatch, enabled):
+    (gc.enable if enabled else gc.disable)()
+    script = CATALOG["one-time-aik-auth"]
+    seen = []
+
+    def runner(sim, config, plan):
+        seen.append(("runner", gc.isenabled()))
+        script.runner(sim, config, plan)
+
+    finalize = harness.Simulation.finalize
+    monkeypatch.setattr(harness.Simulation, "finalize",
+                        lambda sim: seen.append(("finalize", gc.isenabled())) or finalize(sim))
+    spy = (("spy", lambda t: seen.append(("report", gc.isenabled())) or Finding("spy", True)),)
+    monkeypatch.setattr(audit, "INVARIANT_CHECKS", audit.INVARIANT_CHECKS + spy)
+    _, report = run_scenario(dataclasses.replace(script, runner=runner), 1)
+    assert report["ok"]
+    assert seen == [("runner", False), ("finalize", False), ("report", False)]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_scenario_restores_the_collector_when_a_hook_raises(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    script = CATALOG["one-time-aik-auth"]
+
+    def interrupt(record):
+        raise Interrupted
+
+    def runner(sim, config, plan):
+        sim.add_hook(interrupt)
+        script.runner(sim, config, plan)
+
+    with pytest.raises(Interrupted):
+        run_scenario(dataclasses.replace(script, runner=runner), 1)
+    assert gc.isenabled() is enabled
+
+
+def _unreachable_after_run(logins: int, seed: int) -> list:
+    """The objects that a one-time-aik-auth run of that many logins leaves
+    for the cyclic collector, with the collector disabled over the run."""
+    gc.collect()
+    gc.disable()
+    flags = gc.get_debug()
+    try:
+        run_scenario("one-time-aik-auth", seed, variants={"auth_count": logins})
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = list(gc.garbage)
+        gc.garbage.clear()
+        return garbage
+    finally:
+        gc.set_debug(flags)
+
+
+def test_a_run_builds_no_reference_cycles(collector):
+    # The premise of the pause: what a run leaves unreachable is ctypes'
+    # bookkeeping of its buffer types, the same at 20 and at 200 logins.
+    # Fresh seeds, so that every key pair is derived and every buffer type
+    # made in both runs.
+    small = _unreachable_after_run(20, 0x5EED0020)
+    large = _unreachable_after_run(200, 0x5EED0200)
+    assert len(small) == len(large)
+    assert not [o for o in small + large if type(o).__module__.split(".")[0] == "trustsim"]

@@ -87,3 +87,28 @@ def test_the_scan_finds_fields_and_attributes_no_code_reads():
         "        other.stored = self.kept\n"
     )
     assert write_only([source]) == ["counter", "default", "lost", "unread"]
+
+
+def test_the_scan_covers_the_values_slot_init_builds():
+    # crypto.slot_init stacks on @dataclass(frozen=True, slots=True): the
+    # scan still sees the dataclass, so those values' fields are stores.
+    source = (
+        "@crypto.slot_init\n"
+        "@dataclass(frozen=True, slots=True)\n"
+        "class V:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "def f(v):\n"
+        "    return v.read\n"
+    )
+    assert write_only([source]) == ["unread"]
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    stored, _ = _stores_and_loads(sources)
+    values = [node for source in sources for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ClassDef)
+              and any("slot_init" in (getattr(d, "attr", None), getattr(d, "id", None))
+                      for d in node.decorator_list)]
+    assert len(values) == 8
+    for node in values:
+        fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+        assert _is_dataclass(node) and fields and set(fields) <= stored, node.name
