@@ -4,7 +4,8 @@
 #   1. every catalog scenario, clean and with each attack it supports, runs
 #      and re-verifies against its own report (--expect);
 #   2. facility-entry whose zone leaves the camera and MMS on runs and
-#      re-verifies the same way;
+#      re-verifies the same way, and so does a 600-login one-time-aik-auth,
+#      whose multi-MB transcript spans many chunks of the line codec;
 #   3. a seed outside 64 bits, a zone named "outside" and a zone that
 #      overrides a feature the device lacks ("wifi") are config errors
 #      (exit 2, "config error:");
@@ -27,6 +28,10 @@ done <<< "$runs"
 trustsim run facility-entry --seed 1 --variant 'zones={"zone-b":{"calls":"disabled"}}' \
   --out runs/ci/zone-camera-on
 stem=runs/ci/zone-camera-on/facility-entry-seed1
+trustsim verify "$stem.transcript.jsonl" --expect "$stem.report.json"
+
+trustsim run one-time-aik-auth --seed 1 --variant auth_count=600 --out runs/ci/long
+stem=runs/ci/long/one-time-aik-auth-seed1
 trustsim verify "$stem.transcript.jsonl" --expect "$stem.report.json"
 
 # expect_error PREFIX COMMAND...: COMMAND must exit 2 with stderr starting PREFIX

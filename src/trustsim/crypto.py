@@ -116,6 +116,16 @@ class Rng:
         return child
 
 
+# The frozen __setattr__ and __delattr__ of slot_init's classes, with the
+# messages of the dataclass's own.
+_FROZEN = """
+def __setattr__(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+def __delattr__(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+"""
+
+
 def slot_init(cls):
     """cls, a frozen dataclass with slots, given an __init__ that stores each
     field through its slot's descriptor.
@@ -123,12 +133,13 @@ def slot_init(cls):
     The dataclass's own frozen __init__ stores each field with
     object.__setattr__, which looks the name up along the class's MRO each
     time; a descriptor's __set__, bound here once per field, writes the
-    slot directly, for 30-45% less per value. Everything else stays the
-    dataclass's; __post_init__, where the class has one, runs last. On
-    Python 3.11, assigning a name that is not a field raises TypeError
-    rather than FrozenInstanceError: the dataclass's frozen __setattr__
-    closes over the class that slots=True replaces. Every field must be an
-    init field without a default."""
+    slot directly, for 30-45% less per value. __post_init__, where the class
+    has one, runs last. __setattr__ and __delattr__ raise FrozenInstanceError
+    for any name, as a frozen dataclass without slots does: on Python 3.11
+    the dataclass's own close over the class that slots=True replaces, and
+    raise TypeError from super() for a name that is not a field. Everything
+    else stays the dataclass's. Every field must be an init field without a
+    default."""
     params = dataclasses.fields(cls)
     if not (cls.__dataclass_params__.frozen and "__slots__" in cls.__dict__) or any(
             not f.init or f.default is not dataclasses.MISSING
@@ -137,13 +148,14 @@ def slot_init(cls):
                         "whose fields are all init fields without defaults")
     names = [f.name for f in params]
     scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    scope["FrozenInstanceError"] = dataclasses.FrozenInstanceError
     body = [f"    _set_{name}(self, {name})\n" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()\n")
-    exec(f"def __init__(self, {', '.join(names)}):\n{''.join(body)}", scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
+    exec(f"def __init__(self, {', '.join(names)}):\n{''.join(body)}" + _FROZEN, scope)
+    for method in ("__init__", "__setattr__", "__delattr__"):
+        scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, scope[method])
     return cls
 
 
@@ -197,15 +209,20 @@ _sodium = _load_libsodium()
 BACKEND = "cryptography" if _sodium is None else "libsodium"
 
 
+# The output buffer types, built once: ctypes.create_string_buffer(n) makes
+# an instance of ctypes.c_char * n, a type it builds or looks up per call.
+_Bytes32, _Bytes64 = ctypes.c_char * 32, ctypes.c_char * 64
+
+
 def _sodium_secret_key(seed: bytes) -> bytes:
     """libsodium's 64-byte secret key: the seed, then the public key."""
-    public, secret = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+    public, secret = _Bytes32(), _Bytes64()
     _sodium.crypto_sign_ed25519_seed_keypair(public, secret, seed)
     return secret.raw
 
 
 def _sodium_sign(secret: bytes, message: bytes) -> bytes:
-    signature = ctypes.create_string_buffer(64)
+    signature = _Bytes64()
     _sodium.crypto_sign_ed25519_detached(signature, None, message, len(message), secret)
     return signature.raw
 

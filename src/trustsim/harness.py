@@ -14,7 +14,9 @@ from __future__ import annotations
 import copy
 import gc
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import orjson
@@ -78,24 +80,44 @@ FIELD_LABELS = {
 DROP = "drop"
 
 
+# The line codec works in bounded pieces: to_text and parse take the stdlib's
+# path or orjson's per chunk of whole lines of about _CHUNK bytes (characters,
+# in parse), and the gates read a chunk in windows of _CHUNK, so a line of any
+# length costs bounded memory. Most catalog transcripts are one chunk.
+_CHUNK = 1 << 16
+
+
 # orjson.loads returns a float for an integer beyond 64 bits, where json.loads
 # returns an int; every other difference between the two is an error of
 # orjson.loads. An integer token follows a line start, JSON whitespace, "[",
 # ",", ":" or "-": with those mapped to ":" and digits to "0", a ":" and 19
-# zeros mark every token that might be one.
+# zeros mark every token that might be one. A mark holds one ":", so none
+# spans a line break.
 _INT_GATE = bytes.maketrans(b"0123456789,[- \t\r\n", b"0000000000:::::::")
 _WIDE_INT = b":" + b"0" * 19
 
 
-def _decode_lines(lines: list) -> list:
+def _narrow_ints(text: str) -> bool:
+    """Whether ":" + text, in UTF-8 mapped by _INT_GATE, holds no _WIDE_INT.
+    Read in windows of _CHUNK characters, each after the last 19 bytes mapped
+    before it, so that a mark across a window edge is still found."""
+    tail = b":"
+    for edge in range(0, len(text), _CHUNK):
+        try:
+            marked = tail + text[edge:edge + _CHUNK].encode().translate(_INT_GATE)
+        except UnicodeEncodeError:  # a lone surrogate: no UTF-8 for orjson
+            return False
+        if _WIDE_INT in marked:
+            return False
+        tail = marked[-19:]
+    return True
+
+
+def _decode(lines: list) -> list:
     """[json.loads(line) for line in lines], type-exact, errors included:
     through orjson.loads where no line can hold an integer beyond 64 bits
     and every line decodes, and through json.loads otherwise."""
-    try:
-        marked = (":" + "\n".join(lines)).encode().translate(_INT_GATE)
-    except UnicodeEncodeError:  # a lone surrogate: no UTF-8 for orjson
-        marked = _WIDE_INT
-    if _WIDE_INT not in marked:
+    if _narrow_ints("\n".join(lines)):
         try:
             return list(map(_loads, lines))
         except ValueError:
@@ -103,28 +125,44 @@ def _decode_lines(lines: list) -> list:
     return list(map(json.loads, lines))
 
 
+def _decode_lines(lines: list) -> list:
+    """lines with each line replaced by json.loads(line) (see _decode), in
+    place, chunk by chunk, so that each chunk's lines are freed as its values
+    are built. Where a line raises, its chunk and those after it stay
+    undecoded; every chunk before it decoded as json.loads decodes it, so
+    the error is json.loads's first."""
+    ends = list(accumulate(map(len, lines)))  # where each line ends, line breaks left out
+    start = 0
+    while start < len(lines):
+        # the lines that end within _CHUNK characters of the chunk's start, at least one
+        stop = bisect_right(ends, ends[start] - len(lines[start]) + _CHUNK, start + 1)
+        lines[start:stop] = _decode(lines[start:stop])
+        start = stop
+    return lines
+
+
 # Where an orjson line differs from _encode's: non-ASCII text and DEL (which
 # _encode escapes), floats (no exponent sign or zero padding), NaN and the
-# infinities (written as null). With digits mapped to "0", line starts, "["
+# infinities (written as null). With digits mapped to "0", line breaks, "["
 # and "," to ":", "-" dropped, and DEL and every non-ASCII byte to ".", each
-# leaves a ".", a "null" or a float with a one-digit mantissa, ":0e".
+# leaves a ".", a "null" or a float with a one-digit mantissa after its line
+# break, ":0e".
 _LINE_GATE = bytes.maketrans(b"0123456789,[\n\x7f" + bytes(range(0x80, 0x100)),
                              b"0000000000:::" + b"." * 0x81)
 
 
-def _exact_lines(values: list) -> bytes | None:
-    """The _encode lines of values joined by "\n", through orjson; None
-    where it raised TypeError (an integer beyond 64 bits, a key that is not
-    a str, a dataclass, datetime or subclass passed through, a cycle) or
-    where its lines may differ."""
-    try:
-        body = b"\n".join([_dumps(value, None, _DUMPS_OPTIONS) for value in values])
-    except TypeError:
-        return None
-    marked = body.translate(_LINE_GATE, b"-")
-    if b"." in marked or b"null" in marked or b":0e" in marked or marked.startswith(b"0e"):
-        return None
-    return body
+def _exact_lines(buffer: bytearray, start: int) -> bool:
+    """Whether buffer[start:], each line orjson wrote after its "\n", is
+    those lines as _encode writes them. Read in windows of _CHUNK bytes,
+    each after the last 3 bytes mapped before it, so that a "null" or ":0e"
+    across a window edge is still found."""
+    tail = b""
+    for edge in range(start, len(buffer), _CHUNK):
+        marked = tail + buffer[edge:edge + _CHUNK].translate(_LINE_GATE, b"-")
+        if b"." in marked or b"null" in marked or b":0e" in marked:
+            return False
+        tail = marked[-3:]
+    return True
 
 
 def canon_value(value) -> str:
@@ -424,18 +462,35 @@ class Transcript:
 
     def to_text(self) -> str:
         """The header, each record and the snapshot in canonical JSON (_encode),
-        one line each. Records and snapshot go through orjson where
-        _exact_lines finds its lines to be _encode's, and through _encode
-        otherwise: the same text, or _encode's exception.
+        one line each. The lines are written into one buffer, decoded once at
+        the end. Records and snapshot go through orjson, chunk by chunk, where
+        _exact_lines finds a chunk's lines to be _encode's, and through
+        _encode otherwise: the same text, or _encode's exception.
 
         One difference stays: orjson writes an enum.Enum member as its value
         and a uuid.UUID as its string, where _encode raises TypeError (for an
         Enum member that is not also a str or an int). No run builds either."""
-        header = _encode(self.header)
-        body = _exact_lines([*self.records, self.snapshot])
-        if body is None:
-            return "\n".join([header, *map(_encode, self.records), _encode(self.snapshot)]) + "\n"
-        return f"{header}\n{body.decode()}\n"
+        buffer = bytearray(_encode(self.header).encode())
+        values = [*self.records, self.snapshot]
+        first, start = 0, len(buffer)  # the chunk's first value and its "\n"
+        for stop, value in enumerate(values, 1):
+            buffer += b"\n"
+            try:
+                buffer += _dumps(value, None, _DUMPS_OPTIONS)
+            except TypeError:  # a wide int, a key not a str, a type passed through, a cycle
+                exact = False
+            else:
+                if len(buffer) - start < _CHUNK and stop < len(values):
+                    continue
+                exact = _exact_lines(buffer, start)
+            if not exact:
+                del buffer[start:]
+                for chunk_value in values[first:stop]:
+                    buffer += b"\n"
+                    buffer += _encode(chunk_value).encode()
+            first, start = stop, len(buffer)
+        buffer += b"\n"
+        return buffer.decode()
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -465,11 +520,11 @@ class Transcript:
             schema = header.get("schema") if isinstance(header, dict) else header
             if schema != TRANSCRIPT_SCHEMA:
                 raise ValueError(f"unknown transcript schema: {schema!r}")
-            snapshot = _decode_lines(lines[-1:])[0]
+            snapshot = _decode([lines.pop()])[0]
             if not isinstance(snapshot, dict) or snapshot.get("kind") != "snapshot":
                 raise ValueError("transcript missing snapshot line")
-            records = _decode_lines(lines[1:-1])
-            return cls(header=header, records=records, snapshot=snapshot)
+            del lines[0]
+            return cls(header=header, records=_decode_lines(lines), snapshot=snapshot)
         finally:
             if collecting:
                 gc.enable()

@@ -315,6 +315,40 @@ class Shown(dict):
         return [("shown", 1)]
 
 
+# Records longer than one chunk of the line codec (harness._CHUNK bytes):
+# each value whose line orjson writes otherwise than json.dumps, or refuses,
+# on both sides of the first edge between chunks of whole lines and of the
+# first window edge inside one long line; and, in a late chunk after chunks
+# that orjson wrote, a value orjson refuses and a TypeError.
+FILLER = {"f": "x" * 991}  # a 999-character line
+EDGE = harness._CHUNK // 1000  # the first chunk edge is within a line of this index
+EDGE_VALUES = {"exponent-float": 1e16, "float": 1.5, "nan": float("nan"),
+               "non-ascii": "é", "del": "\x7f", "wide-int": 2**64}
+# where a value's text begins, in bytes from its line's first window edge,
+# give or take the line break before it
+SHIFTS = (-30, -11, -3, -2, -1, 0, 5)
+
+
+def _at_line(index, value, count=2 * EDGE):
+    records = [FILLER] * count
+    records[index] = {"f": "x" * 991, "v": value}
+    return records
+
+
+def _in_window(shift, value):
+    return [{"a": "y" * (harness._CHUNK - 12 + shift), "v": value}, FILLER]
+
+
+LONG_CASES = {
+    **{f"{name}-line{index - EDGE:+d}": _at_line(index, value)
+       for name, value in EDGE_VALUES.items() for index in range(EDGE - 3, EDGE + 3)},
+    **{f"{name}-window{shift:+d}": _in_window(shift, value)
+       for name, value in EDGE_VALUES.items() for shift in SHIFTS},
+    "late-wide-int": _at_line(2 * EDGE + 7, -(2**70), 3 * EDGE),
+    "late-int-keys": _at_line(2 * EDGE + 7, {1: "a"}, 3 * EDGE),
+    "late-type-error": _at_line(2 * EDGE + 7, b"x", 3 * EDGE),
+}
+
 # Transcript records where orjson's bytes differ from json.dumps's, or where
 # one raises and the other does not: each must give json.dumps's lines, or
 # its TypeError.
@@ -344,6 +378,7 @@ LINE_CASES = {
     "datetime": [{"v": datetime.datetime(2020, 1, 1)}],
     "set": [{"v": {1}}],
     "unsortable-keys": [{"v": {1: "a", "b": 2}}],
+    **LONG_CASES,
 }
 
 
@@ -379,6 +414,40 @@ def test_orjson_writes_enum_members_and_uuids_that_json_dumps_refuses(value):
             transcript.to_text()
     written = json.dumps(value.value if isinstance(value, enum.Enum) else str(value))
     assert transcript.to_text().split("\n")[1] == f'{{"v":{written}}}'
+
+
+def _late_line(line):
+    return [reference(HEADER), *[reference(FILLER)] * (2 * EDGE + 7), line,
+            *[reference(FILLER)] * EDGE, reference(SNAPSHOT)]
+
+
+# Line lists longer than one chunk: the records above, non-ASCII text and DEL
+# written raw, and lines that orjson.loads refuses or reads otherwise in a
+# late chunk, after chunks that it decoded.
+DECODE_CASES = {
+    **{name: [json.dumps(value, ensure_ascii=False) for value in [HEADER, *records, SNAPSHOT]]
+       for name, records in LONG_CASES.items() if name != "late-type-error"},
+    "late-malformed": _late_line('{"f":1}x'),
+    "late-nan": _late_line('{"v":NaN}'),
+    "late-surrogate-escape": _late_line('{"v":"\\ud800"}'),
+    "late-lone-surrogate": _late_line('{"v":"\ud800"}'),
+    "late-wide-int-line": _late_line(f"[1,{2**64}]"),
+}
+
+
+def _parsed_lines(text):
+    transcript = Transcript.parse(text)
+    return [transcript.header, *transcript.records, transcript.snapshot]
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("case", DECODE_CASES)
+def test_long_line_lists_decode_as_json_loads_decodes_each_line(codec, case):
+    lines = DECODE_CASES[case]
+    expected = typed_outcome(lambda: [json.loads(line) for line in lines])
+    with line_codec(codec):
+        assert typed_outcome(harness._decode_lines, list(lines)) == expected
+        assert typed_outcome(_parsed_lines, "\n".join(lines) + "\n") == expected
 
 
 def _observed_sim():
