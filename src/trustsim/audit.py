@@ -17,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import orjson
 
@@ -62,12 +61,20 @@ class _NonStrKey(Exception):
 
 def _holds_non_str_key(value) -> bool:
     """Whether a dict in value, read as _canon reads it (its items()), has
-    a key that is not a str."""
-    if isinstance(value, dict):
-        return any(not isinstance(key, str) or _holds_non_str_key(item)
-                   for key, item in value.items())
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_non_str_key, value))
+    a key that is not a str. Iterative, so that no depth exhausts the stack,
+    and each container is read once, so that a cycle ends the search."""
+    pending, seen = [value], set()
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (dict, list, tuple)) and id(value) not in seen:
+            seen.add(id(value))
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    if not isinstance(key, str):
+                        return True
+                    pending.append(item)
+            else:
+                pending.extend(value)
     return False
 
 
@@ -110,11 +117,6 @@ def _exact(joined: str) -> bool:
     marked = joined.encode().translate(_GATE)
     return b"." not in marked and b"null" not in marked and _EXPONENT(marked) is None
 
-# The canonical encoding in a knowledge row (field, label, encoding), and
-# the plain rows of a payload split (labels, plain rows, sealed interiors).
-_ENCODED = itemgetter(2)
-_PLAIN = itemgetter(1)
-
 
 def _is_envelope(value) -> bool:
     return isinstance(value, dict) and len(value) == 1 and "_sealed" in value
@@ -137,50 +139,56 @@ def _opens(inner) -> bool:
     )
 
 
-def _split(payload, labels, splits, encode):
-    """(labels, plain knowledge rows, sealed interiors that open) of one
-    payload dict, each field that is not a str encoded by encode, computed
-    once per payload and labels in splits, keyed by id(payload). Every
-    payload a replay reaches stays alive in its transcript, so these ids
-    are not reused while splits is in use."""
-    split = splits.get(id(payload))
-    if split is None or split[0] is not labels:
-        plain, sealed = [], []
-        for fname, value in payload.items():
-            if value.__class__ is str:  # the text _canon writes, without the encoder
-                plain.append((fname, labels[fname], encode_basestring_ascii(value)))
-            elif _is_envelope(value):
-                if _opens(value["_sealed"]):
-                    sealed.append(value["_sealed"])
-            else:
-                plain.append((fname, labels[fname], encode(value)))
-        split = splits[id(payload)] = (labels, plain, sealed)
-    return split
+def _split(payload, labels, encode):
+    """(plain knowledge rows, sealed interiors that open) of one payload
+    dict, each field that is not a str encoded by encode."""
+    plain, sealed = [], []
+    for fname, value in payload.items():
+        if value.__class__ is str:  # the text _canon writes, without the encoder
+            plain.append((fname, labels[fname], encode_basestring_ascii(value)))
+        elif _is_envelope(value):
+            if _opens(value["_sealed"]):
+                sealed.append(value["_sealed"])
+        else:
+            plain.append((fname, labels[fname], encode(value)))
+    return plain, sealed
 
 
-def _open(known, party, sealed, splits, encode):
+def _open(known, party, sealed, encode):
     """Fold the sealed interiors that list party as a reader into its
     knowledge set, known, however deeply they nest."""
     for inner in sealed:
         if party in inner["readers"]:
-            _, plain, nested = _split(inner["payload"], inner["labels"], splits, encode)
+            plain, nested = _split(inner["payload"], inner["labels"], encode)
             known.update(plain)
-            _open(known, party, nested, splits, encode)
+            _open(known, party, nested, encode)
 
 
-def _replay_observations(transcript, splits, encode):
+def _walked(inner, receiver, reader) -> bool:
+    """Whether an interior that opens has a grand_total key, holds an
+    interior that opens, or lists neither the receiver nor the reading
+    carrier (reader; None if none) in its readers, a list that may hold
+    unhashable items: the replay did not encode all the billing check
+    walks in it."""
+    payload, readers = inner["payload"], inner["readers"]
+    return (
+        "grand_total" in payload
+        or receiver not in readers and (reader is None or reader not in readers)
+        or any(_is_envelope(value) and _opens(value["_sealed"]) for value in payload.values())
+    )
+
+
+def _replay_observations(transcript, encode):
     """Walk the message records and rebuild who could read what, each
     field that is not a str encoded by encode, and list the messages that
     can fail the billing check.
 
-    splits collects the split of every payload the replay reads (see
-    _split), so the receiver and the carrier share one encoding of each
-    field. A message is listed when its type is missing or is
-    billing-package, when its payload has a grand_total key, or when an
-    interior of it that opens has that key, holds an interior that opens,
-    or was opened by no reader. Any other message holds a package only in
-    a field the replay encoded (see _exact_replay): a payload that is
-    itself an envelope is one field, whose encoding holds the interior."""
+    The receiver and the carrier share one split of each payload; an
+    interior is split where a reader opens it. A message is listed when its
+    type is missing or is billing-package, when its payload has a
+    grand_total key, or when an interior of it must be walked (_walked).
+    Any other message holds a package only in a field the replay encoded
+    (see _exact_replay)."""
     channels = transcript.header.get("channels", {})
     knowledge = {pid: set() for pid in transcript.snapshot.get("knowledge", {})}
     carrier_views = {pid: [] for pid in knowledge}
@@ -188,14 +196,15 @@ def _replay_observations(transcript, splits, encode):
 
     for record in _messages(transcript):
         receiver, payload = record["receiver"], record["payload"]
-        _, plain, sealed = _split(payload, record["labels"], splits, encode)
+        plain, sealed = _split(payload, record["labels"], encode)
         known = knowledge.setdefault(receiver, set())
         known.update(plain)
         if sealed:
-            _open(known, receiver, sealed, splits, encode)
+            _open(known, receiver, sealed, encode)
 
         ch = channels.get(record["channel"], {})
         carrier = ch.get("carrier")
+        reader = None  # the carrier, where it reads the payload
         if (
             ch.get("kind") == "mobile_network"
             and carrier
@@ -210,55 +219,41 @@ def _replay_observations(transcript, splits, encode):
                 }
             )
             if not record["encrypted"]:
+                reader = carrier
                 known = knowledge.setdefault(carrier, set())
                 known.update(plain)
                 if sealed:
-                    _open(known, carrier, sealed, splits, encode)
+                    _open(known, carrier, sealed, encode)
 
-        # after both readers: an interior is split once a reader opens it
         if (
             record.get("type") in (None, "billing-package")
             or "grand_total" in payload
-            or sealed and _unread_interior(sealed, splits)
+            or sealed and any(_walked(inner, receiver, reader) for inner in sealed)
         ):
             listed.append(record)
 
     return knowledge, carrier_views, listed
 
 
-def _unread_interior(sealed, splits) -> bool:
-    """Whether one of these interiors that open has a grand_total key,
-    holds an interior that opens, or was split by no reader: the replay
-    did not encode all that the billing check walks in it."""
-    for inner in sealed:
-        payload = inner["payload"]
-        split = splits.get(id(payload))
-        if split is None or split[2] or "grand_total" in payload:
-            return True
-    return False
-
-
-def _joined(splits) -> str:
-    """Every field encoding in the splits, each after a "\n"."""
-    rows = chain.from_iterable(map(_PLAIN, splits.values()))
-    return "\n".join(chain(("",), map(_ENCODED, rows)))
-
-
 def _exact_replay(transcript):
     """The knowledge replay on _canon: knowledge, carrier views and the
     messages it lists, the last None when a field encoding holds
     '"grand_total":', as it does wherever the value holds a dict with that
-    key. The replay runs through orjson; when its joined encodings fail
-    _exact, the splits are cleared and it runs again on _canon, so every
-    finding, detail and error is _canon's."""
-    splits = {}
-    replay = _replay_observations(transcript, splits, _orjson_canon)
-    joined = _joined(splits)
-    if not _exact(joined):
-        splits.clear()
-        replay = _replay_observations(transcript, splits, _canon)
-        joined = _joined(splits)
-    knowledge, carrier_views, listed = replay
+    key. The replay runs through orjson; when the encodings it returned
+    (a str field is written as _canon writes it) fail _exact, joined, it
+    runs again on _canon, so every finding, detail and error is _canon's."""
+    for canon in (_orjson_canon, _canon):
+        texts = [""]  # each encoding, after a "\n"
+
+        def encode(value):
+            text = canon(value)
+            texts.append(text)
+            return text
+
+        knowledge, carrier_views, listed = _replay_observations(transcript, encode)
+        joined = "\n".join(texts)
+        if canon is _canon or _exact(joined):
+            break
     return knowledge, carrier_views, None if '"grand_total":' in joined else listed
 
 

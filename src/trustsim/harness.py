@@ -14,9 +14,8 @@ from __future__ import annotations
 import copy
 import gc
 import json
-from bisect import bisect_right
+import re
 from dataclasses import dataclass
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import orjson
@@ -25,7 +24,7 @@ from .crypto import Rng, canonical_json as _encode
 
 # Transcript lines and knowledge-set values are in crypto's canonical JSON
 # form (_encode). Record and snapshot lines go through orjson wherever the
-# gates (_exact_lines and _decode_lines) find that it writes and reads what
+# gates (_exact_lines and _narrow_ints) find that it writes and reads what
 # the stdlib's json does, and through the stdlib's json otherwise.
 _dumps, _loads = orjson.dumps, orjson.loads
 # Sorted keys; a dataclass, datetime or subclass of str, int, dict or list
@@ -80,11 +79,12 @@ FIELD_LABELS = {
 DROP = "drop"
 
 
-# The line codec works in bounded pieces: to_text and parse take the stdlib's
-# path or orjson's per chunk of whole lines of about _CHUNK bytes (characters,
-# in parse), and the gates read a chunk in windows of _CHUNK, so a line of any
-# length costs bounded memory. Most catalog transcripts are one chunk.
+# The line codec works in bounded pieces, so a line of any length costs
+# bounded memory: to_text takes the stdlib's path or orjson's per chunk of
+# whole lines of about _CHUNK bytes, parse decodes _BATCH lines at a time,
+# and the gates read windows of _CHUNK. Most catalog transcripts are one chunk.
 _CHUNK = 1 << 16
+_BATCH = 64
 
 
 # orjson.loads returns a float for an integer beyond 64 bits, where json.loads
@@ -94,20 +94,20 @@ _CHUNK = 1 << 16
 # zeros mark every token that might be one. A mark holds one ":", so none
 # spans a line break.
 _INT_GATE = bytes.maketrans(b"0123456789,[- \t\r\n", b"0000000000:::::::")
-_WIDE_INT = b":" + b"0" * 19
+_WIDE_INT = re.compile(b":" + b"0" * 19).search
 
 
-def _narrow_ints(text: str) -> bool:
-    """Whether ":" + text, in UTF-8 mapped by _INT_GATE, holds no _WIDE_INT.
-    Read in windows of _CHUNK characters, each after the last 19 bytes mapped
-    before it, so that a mark across a window edge is still found."""
+def _narrow_ints(text: str, start: int) -> bool:
+    """Whether ":" + text[start:], in UTF-8 mapped by _INT_GATE, holds no
+    _WIDE_INT. Read in windows of _CHUNK characters, each after the last 19
+    bytes mapped before it, so that a mark across a window edge is found."""
     tail = b":"
-    for edge in range(0, len(text), _CHUNK):
+    for edge in range(start, len(text), _CHUNK):
         try:
             marked = tail + text[edge:edge + _CHUNK].encode().translate(_INT_GATE)
         except UnicodeEncodeError:  # a lone surrogate: no UTF-8 for orjson
             return False
-        if _WIDE_INT in marked:
+        if _WIDE_INT(marked) is not None:
             return False
         tail = marked[-19:]
     return True
@@ -128,32 +128,22 @@ def _shallow(lines: list) -> bool:
         for line in lines)
 
 
-def _decode(lines: list) -> list:
-    """[json.loads(line) for line in lines], type-exact, errors included:
-    through orjson.loads where no line can nest _DEPTH deep or hold an
-    integer beyond 64 bits and every line decodes, and through json.loads
-    otherwise."""
-    if _shallow(lines) and _narrow_ints("\n".join(lines)):
-        try:
-            return list(map(_loads, lines))
-        except ValueError:
-            pass
-    return list(map(json.loads, lines))
-
-
-def _decode_lines(lines: list) -> list:
-    """lines with each line replaced by json.loads(line) (see _decode), in
-    place, chunk by chunk, so that each chunk's lines are freed as its values
-    are built. Where a line raises, its chunk and those after it stay
-    undecoded; every chunk before it decoded as json.loads decodes it, so
-    the error is json.loads's first."""
-    ends = list(accumulate(map(len, lines)))  # where each line ends, line breaks left out
-    start = 0
-    while start < len(lines):
-        # the lines that end within _CHUNK characters of the chunk's start, at least one
-        stop = bisect_right(ends, ends[start] - len(lines[start]) + _CHUNK, start + 1)
-        lines[start:stop] = _decode(lines[start:stop])
-        start = stop
+def _decode_lines(lines: list, narrow: bool) -> list:
+    """lines with each line replaced by json.loads(line), type-exact, errors
+    included, in place, _BATCH lines at a time: through orjson.loads where
+    narrow (see _narrow_ints), no line of the batch can nest _DEPTH deep and
+    each decodes, and through json.loads otherwise. Where a line raises, its
+    batch and those after it stay undecoded, so the error is json.loads's
+    first."""
+    for start in range(0, len(lines), _BATCH):
+        batch = lines[start:start + _BATCH]
+        if narrow and _shallow(batch):
+            try:
+                lines[start:start + _BATCH] = map(_loads, batch)
+                continue
+            except ValueError:
+                pass
+        lines[start:start + _BATCH] = map(json.loads, batch)
     return lines
 
 
@@ -165,6 +155,7 @@ def _decode_lines(lines: list) -> list:
 # break, ":0e".
 _LINE_GATE = bytes.maketrans(b"0123456789,[\n\x7f" + bytes(range(0x80, 0x100)),
                              b"0000000000:::" + b"." * 0x81)
+_EXPONENT = re.compile(rb":0e").search
 
 
 def _exact_lines(buffer: bytearray, start: int) -> bool:
@@ -175,15 +166,10 @@ def _exact_lines(buffer: bytearray, start: int) -> bool:
     tail = b""
     for edge in range(start, len(buffer), _CHUNK):
         marked = tail + buffer[edge:edge + _CHUNK].translate(_LINE_GATE, b"-")
-        if b"." in marked or b"null" in marked or b":0e" in marked:
+        if b"." in marked or b"null" in marked or _EXPONENT(marked) is not None:
             return False
         tail = marked[-3:]
     return True
-
-
-def canon_value(value) -> str:
-    """Canonical JSON string for one payload value (knowledge-set element)."""
-    return _encode(value)
 
 
 _NOT_TYPED = ("sender, receiver or channel not a string, payload or labels not a dict, "
@@ -537,11 +523,13 @@ class Transcript:
             schema = header.get("schema") if isinstance(header, dict) else header
             if schema != TRANSCRIPT_SCHEMA:
                 raise ValueError(f"unknown transcript schema: {schema!r}")
-            snapshot = _decode([lines.pop()])[0]
+            # one integer gate over all that follows the header and its seed
+            narrow = _narrow_ints(text, text.find(lines[0]) + len(lines[0]))
+            snapshot = _decode_lines([lines.pop()], narrow)[0]
             if not isinstance(snapshot, dict) or snapshot.get("kind") != "snapshot":
                 raise ValueError("transcript missing snapshot line")
             del lines[0]
-            return cls(header=header, records=_decode_lines(lines), snapshot=snapshot)
+            return cls(header=header, records=_decode_lines(lines, narrow), snapshot=snapshot)
         except RecursionError as err:  # json.loads on a line nested too deep
             raise ValueError(f"line nested too deep: {err}") from None
         finally:

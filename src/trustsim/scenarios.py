@@ -46,7 +46,7 @@ from .flows import (
     enroll_flow,
     opened,
 )
-from .harness import CHANNEL_MOBILE, CHANNEL_NET, MNO, Simulation, canon_value
+from .harness import CHANNEL_MOBILE, CHANNEL_NET, MNO, Simulation
 from .pos import (
     PosContext,
     PriceList,
@@ -601,7 +601,7 @@ def _judge_pos_fig4(transcript, config, attacks):
         _row("purchase-delivered", len(deliveries) == 1),
         _row("message-sequence", seen == expected_order, "->".join(seen)),
         _row("operator-blind-to-good", not good_at_mno) if config["encryption"] else
-        _row("plaintext-variant-reveals-good", canon_value(config["good"]) in good_at_mno),
+        _row("plaintext-variant-reveals-good", crypto.canonical_json(config["good"]) in good_at_mno),
     ]
     if config["pos_check_via_mno"]:
         rows.append(_row("pos-identity-revealed-to-operator",
@@ -973,7 +973,7 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     _validate(script, variants or {}, attacks)
     # the variants as the transcript header records them, keys sorted, so the
     # runner meets any multi-key override in the order a judge of the text does
-    variants = json.loads(canon_value(variants or {}))
+    variants = json.loads(crypto.canonical_json(variants or {}))
 
     sim = Simulation(seed, scenario=script.name, attacks=attacks, variants=variants)
     for party_id, role in script.roster:

@@ -395,6 +395,10 @@ UNENCODED_PACKAGES = {
     "in-an-interior-unread": lambda: {"env": seal(["nobody"], _SHORT_PACKAGE)},
     "in-a-nested-interior": lambda: {"env": seal(["owner"], {"env": seal(["owner"],
                                                                          _SHORT_PACKAGE)})},
+    # built by hand: seal() takes readers as a set
+    "in-an-interior-with-unhashable-readers": lambda: {"env": {"_sealed": {
+        "readers": [["owner"], {"mno": 1}], "payload": dict(_SHORT_PACKAGE),
+        "labels": {"auth_token": "token", "grand_total": "price"}}}},
 }
 
 
@@ -460,6 +464,41 @@ def test_a_non_str_key_is_found_inside_sealed_interiors_and_lists():
     assert audit.audit(transcript)[0] == named == reference_audit(transcript)[0]
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_a_value_nested_past_the_recursion_limit_audits_as_the_reference():
+    # orjson refuses values past 255 levels, so the non-str key search reads
+    # them; from about 500 levels a recursive search raised RecursionError
+    text = run_scenario("pos-fig4", 1)[0].to_text()
+    for depth in range(200, 1381, 20):
+        transcript = Transcript.parse(text)
+        [message, *_] = transcript.messages()
+        message["payload"]["deep"] = _nested(depth)
+        message["labels"]["deep"] = "plumbing"
+        assert audit.audit(transcript) == reference_audit(transcript), depth
+
+
+@pytest.mark.parametrize("value", ["v1.2", "annulled", "null"])
+def test_a_str_field_holding_a_dot_or_null_audits_without_canon(monkeypatch, value):
+    # _canon writes a str as encode_basestring_ascii does, so the replay's
+    # gate reads no str field, and such text sends no replay to _canon
+    calls = []
+    canon = audit._canon
+    monkeypatch.setattr(audit, "_canon", lambda v: calls.append(v) or canon(v))
+    sim = _unit_sim()
+    for _ in range(3):
+        sim.send("dev", "owner", "mobile", "order", {"good": value, "price": 3})
+    transcript = sim.finalize()
+    for audited in (transcript, Transcript.parse(transcript.to_text())):
+        assert all(f.ok for f in audit.audit(audited))
+    assert calls == []
+
+
 def test_the_non_str_key_search_runs_only_on_values_orjson_refused(monkeypatch):
     searched = []
     holds = audit._holds_non_str_key
@@ -492,9 +531,9 @@ def test_parse_and_audit_restore_the_collector(collector, monkeypatch, enabled):
     seen = []
     decode_lines = harness._decode_lines
 
-    def spying_decode_lines(lines):
+    def spying_decode_lines(lines, narrow):
         seen.append(gc.isenabled())
-        return decode_lines(lines)
+        return decode_lines(lines, narrow)
 
     monkeypatch.setattr(harness, "_decode_lines", spying_decode_lines)
     transcript = Transcript.parse(text)

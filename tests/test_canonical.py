@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustsim import audit, crypto, harness
-from trustsim.harness import Simulation, Transcript, canon_value, seal
+from trustsim.harness import Simulation, Transcript, seal
+from trustsim.scenarios import run_scenario
 
 
 def reference(value) -> str:
@@ -43,7 +44,6 @@ def gated_orjson(value) -> str:
 
 
 ENCODERS = {
-    "harness": canon_value,
     "audit": audit._canon,
     "audit-orjson": gated_orjson,
     "crypto": lambda value: crypto.canonical_bytes(value).decode("utf-8"),
@@ -222,6 +222,12 @@ WIDE_INT_LINES = [form.format(n) for n in WIDE_INTS
                   for form in ('{{"v":{}}}', "[1,{}]", '{{"v": \t{}}}', "[ {}]", "{}")]
 
 
+def _decode_lines(lines):
+    """lines decoded as Transcript.parse decodes the lines after a header:
+    one integer gate over them all, then batch by batch."""
+    return harness._decode_lines(lines, harness._narrow_ints("\n".join(lines), 0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(padded_transcripts())
 @example("".join(f"{line}\n" for line in [reference(HEADER), *WIDE_INT_LINES,
@@ -239,8 +245,20 @@ def test_parse_is_per_line_json_loads(text):
 @pytest.mark.parametrize("line", WIDE_INT_LINES)
 def test_an_integer_beyond_64_bits_decodes_as_an_int(codec, line):
     with line_codec(codec):  # first in a block, and after a line break
-        assert typed(harness._decode_lines([line])) == typed([json.loads(line)])
-        assert typed(harness._decode_lines(["[]", line])) == typed([[], json.loads(line)])
+        assert typed(_decode_lines([line])) == typed([json.loads(line)])
+        assert typed(_decode_lines(["[]", line])) == typed([[], json.loads(line)])
+
+
+def test_a_wide_header_seed_sends_only_the_header_to_json_loads(monkeypatch):
+    # the integer gate reads the records and the snapshot, not the header
+    text = run_scenario("pos-fig4", 2**64 - 1)[0].to_text()
+    header = text.split("\n", 1)[0]
+    assert '"seed":18446744073709551615' in header
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda line: decoded.append(line) or loads(line))
+    Transcript.parse(text)
+    assert decoded == [header]
 
 
 def _mutants(line):
@@ -289,7 +307,7 @@ def test_a_line_decodes_as_json_loads_decodes_it(line):
     expected = typed_outcome(lambda: [json.loads(line)])
     for codec in CODECS:
         with line_codec(codec):
-            assert typed_outcome(harness._decode_lines, [line]) == expected, codec
+            assert typed_outcome(_decode_lines, [line]) == expected, codec
 
 
 # -- the transcript encoder -----------------------------------------------------
@@ -446,7 +464,7 @@ def test_long_line_lists_decode_as_json_loads_decodes_each_line(codec, case):
     lines = DECODE_CASES[case]
     expected = typed_outcome(lambda: [json.loads(line) for line in lines])
     with line_codec(codec):
-        assert typed_outcome(harness._decode_lines, list(lines)) == expected
+        assert typed_outcome(_decode_lines, list(lines)) == expected
         assert typed_outcome(_parsed_lines, "\n".join(lines) + "\n") == expected
 
 
@@ -475,7 +493,7 @@ def test_receiver_and_carrier_knowledge_is_the_per_field_encoding():
     assert sim.knowledge["mno"] == carrier_rows  # the seal stays shut
 
     parsed = Transcript.parse(sim.finalize().to_text())
-    knowledge, _, _ = audit._replay_observations(parsed, {}, audit._canon)
+    knowledge, _, _ = audit._replay_observations(parsed, audit._canon)
     assert knowledge["owner"] == receiver_rows
     assert knowledge["mno"] == carrier_rows
     assert all(f.ok for f in audit.audit(parsed))
@@ -494,7 +512,7 @@ def test_one_payload_under_two_label_sets_is_read_under_both():
     assert sim.knowledge["owner"] == expected
     assert sim.knowledge["mno"] == set()
     # the auditor sees the same shared objects when it checks a run in memory
-    knowledge, _, _ = audit._replay_observations(sim.finalize(), {}, audit._canon)
+    knowledge, _, _ = audit._replay_observations(sim.finalize(), audit._canon)
     assert knowledge["owner"] == expected
 
 
@@ -530,7 +548,7 @@ def test_sealed_interiors_open_alike_live_and_in_the_replay(case):
 
     transcript = sim.finalize()
     for replayed in (transcript, Transcript.parse(transcript.to_text())):
-        knowledge, _, _ = audit._replay_observations(replayed, {}, audit._canon)
+        knowledge, _, _ = audit._replay_observations(replayed, audit._canon)
         assert knowledge == sim.knowledge
         assert all(f.ok for f in audit.audit(replayed))
 
@@ -569,7 +587,7 @@ divergent_values = st.recursive(
 def _replayed(transcript, encode):
     """transcript with the knowledge rows that a replay on encode derives
     as its snapshot's: rows in orjson's spelling when encode writes them."""
-    knowledge, _, _ = audit._replay_observations(transcript, {}, encode)
+    knowledge, _, _ = audit._replay_observations(transcript, encode)
     rows = {pid: sorted(map(list, known)) for pid, known in knowledge.items()}
     return Transcript(header=transcript.header, records=transcript.records,
                       snapshot={**transcript.snapshot, "knowledge": rows})

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trustsim import audit, scenarios
+from trustsim import audit, crypto, scenarios
 from trustsim.flows import hop
 from trustsim.harness import (
     CHANNELS,
@@ -13,7 +13,6 @@ from trustsim.harness import (
     LABELS,
     Simulation,
     Transcript,
-    canon_value,
     seal,
 )
 
@@ -30,15 +29,15 @@ def basic_sim(**kwargs):
 def test_plaintext_on_mobile_network_reaches_carrier_view_and_knowledge():
     sim = basic_sim()
     sim.send("dev", "owner", "mobile", "hello", {"good": "cola"})
-    assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
-    assert sim.knowledge_query("mno", "good") == {canon_value("cola")}
+    assert sim.knowledge_query("owner", "good") == {crypto.canonical_json("cola")}
+    assert sim.knowledge_query("mno", "good") == {crypto.canonical_json("cola")}
     assert sim.carrier_views["mno"] == [{"tick": 1, "channel": "mobile", "fields": ["good"], "encrypted": False}]
 
 
 def test_encrypted_payload_reaches_endpoints_only():
     sim = basic_sim()
     sim.send("dev", "owner", "mobile", "hello", {"good": "cola"}, encrypted=True)
-    assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
+    assert sim.knowledge_query("owner", "good") == {crypto.canonical_json("cola")}
     assert sim.knowledge_query("mno", "good") == set()
     # the carrier still sees the shape
     assert sim.carrier_views["mno"][0]["fields"] == ["good"]
@@ -49,13 +48,13 @@ def test_short_range_never_enters_carrier_state():
     sim.send("dev", "pos", "sr", "hello", {"good": "cola"})
     assert sim.carrier_views == {}
     assert sim.knowledge_query("mno", "good") == set()
-    assert sim.knowledge_query("pos", "good") == {canon_value("cola")}
+    assert sim.knowledge_query("pos", "good") == {crypto.canonical_json("cola")}
 
 
 def test_carrier_as_endpoint_reads_like_any_receiver():
     sim = basic_sim()
     sim.send("dev", "mno", "mobile", "order", {"price": 120})
-    assert sim.knowledge_query("mno", "price") == {canon_value(120)}
+    assert sim.knowledge_query("mno", "price") == {crypto.canonical_json(120)}
     assert sim.carrier_views == {}
 
 
@@ -67,8 +66,8 @@ def test_sealed_payload_opens_only_for_readers():
     sim.send("dev", "owner", "mobile", "relay", {"env": envelope}, encrypted=True)
     assert sim.knowledge_query("dev", "good") == set()
     assert sim.knowledge_query("mno", "good") == set()
-    assert sim.knowledge_query("owner", "good") == {canon_value("cola")}
-    assert sim.knowledge_query("owner", "price") == {canon_value(3)}
+    assert sim.knowledge_query("owner", "good") == {crypto.canonical_json("cola")}
+    assert sim.knowledge_query("owner", "price") == {crypto.canonical_json(3)}
 
 
 def test_every_field_label_is_in_the_taxonomy():
@@ -146,7 +145,7 @@ def test_what_a_hook_leaves_is_recorded_and_observed(edit):
     record = sim.send("mno", "dev", "mobile", "ack", {"signature": "aabb"})
     assert record is sim.records[-1]
     assert record["payload"] == {"signature": "00"}
-    assert sim.knowledge_query("dev", "plumbing") == {canon_value("00")}
+    assert sim.knowledge_query("dev", "plumbing") == {crypto.canonical_json("00")}
 
 
 # A top-level label is the harness's record of a message, not wire content,
@@ -286,7 +285,8 @@ def test_a_hook_may_move_a_message_to_another_party_or_channel(moves):
     on_mobile = moves.get("channel") == "mobile"
     for party in ("pos", "owner", "mno"):
         readable = party == receiver or (party == "mno" and on_mobile)
-        assert sim.knowledge_query(party, "good") == ({canon_value("cola")} if readable else set())
+        expected = {crypto.canonical_json("cola")} if readable else set()
+        assert sim.knowledge_query(party, "good") == expected
     assert sim.carrier_views == ({"mno": [{"tick": 1, "channel": "mobile", "fields": ["good"],
                                            "encrypted": False}]} if on_mobile else {})
     findings = audit.audit(Transcript.parse(sim.finalize().to_text()))
@@ -320,7 +320,7 @@ def test_transcript_round_trip_and_queries():
     assert back.header == transcript.header
     assert back.records == transcript.records
     assert back.snapshot == transcript.snapshot
-    assert back.knowledge_query("owner", "good") == {canon_value("cola")}
+    assert back.knowledge_query("owner", "good") == {crypto.canonical_json("cola")}
     assert len(back.events("delivery")) == 1
     # stable bytes
     assert back.to_text() == text

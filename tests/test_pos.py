@@ -13,12 +13,7 @@ from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
 from trustsim.domain import MobileNetworkOperator, network_access_flow
 from trustsim.flows import carry, enroll_flow
-from trustsim.harness import (
-    DROP,
-    Simulation,
-    Transcript,
-    canon_value,
-)
+from trustsim.harness import DROP, Simulation, Transcript
 from trustsim.pos import (
     PosContext,
     PriceList,
@@ -135,7 +130,7 @@ def test_operator_purchase_encrypted_hides_good_from_operator():
     exchange_price_list(sim, ctx)
     purchase_via_operator(sim, ctx, "cola", encrypted=True)
     assert sim.knowledge_query("mno", "good") == set()
-    assert canon_value("cola") in sim.knowledge_query("vendor", "good")
+    assert crypto.canonical_json("cola") in sim.knowledge_query("vendor", "good")
 
 
 def test_operator_purchase_plaintext_reveals_good_to_operator():
@@ -143,7 +138,7 @@ def test_operator_purchase_plaintext_reveals_good_to_operator():
     mutual_attest_session(sim, ctx)
     exchange_price_list(sim, ctx)
     purchase_via_operator(sim, ctx, "cola", encrypted=False)
-    assert canon_value("cola") in sim.knowledge_query("mno", "good")
+    assert crypto.canonical_json("cola") in sim.knowledge_query("mno", "good")
 
 
 def test_stripped_ack_signature_blocks_delivery():
@@ -183,12 +178,12 @@ def test_separation_purchase_centralised_privacy():
     assert order is not None
     # charging provider: token and total only, no goods, no price list
     assert sim.knowledge_query("charging", "good") == set()
-    assert canon_value(token_fp) in sim.knowledge_query("charging", "token")
+    assert crypto.canonical_json(token_fp) in sim.knowledge_query("charging", "token")
     prices = sim.knowledge_query("charging", "price")
-    assert prices == {canon_value(3)}
+    assert prices == {crypto.canonical_json(3)}
     # POS owner: no customer identity, but its own sale data
     assert sim.knowledge_query("pos-owner", "identity") == set()
-    assert canon_value("cola") in sim.knowledge_query("pos-owner", "good")
+    assert crypto.canonical_json("cola") in sim.knowledge_query("pos-owner", "good")
 
 
 def test_separation_purchase_decentralised_same_privacy():
