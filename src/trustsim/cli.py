@@ -27,7 +27,7 @@ def _parse_variant(item: str) -> tuple:
     key, raw = item.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON: the raw string
         value = raw
     return key, value
 
@@ -50,7 +50,11 @@ def cmd_run(args) -> int:
         return 2
 
     out_dir = Path(args.out or os.environ.get(OUT_ENV, "runs"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: cannot make output directory {out_dir}: {err}", file=sys.stderr)
+        return 2
     stem = report["scenario"]
     if attacks:
         stem += "-" + "-".join(attacks)
@@ -81,7 +85,7 @@ def _print_rows(report: dict) -> None:
 def cmd_verify(args) -> int:
     try:
         transcript = Transcript.read(args.transcript)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
 
@@ -95,7 +99,7 @@ def cmd_verify(args) -> int:
             if not (isinstance(expected, dict)
                     and isinstance(expected.get("assertions", []), list)):
                 raise ValueError("not a report: an object with a list of assertions")
-        except (OSError, ValueError) as err:
+        except (OSError, ValueError, RecursionError) as err:
             print(f"parse error in expectations: {err}", file=sys.stderr)
             return 2
         # the header keys, then every row (name, ok and detail), in order

@@ -40,7 +40,7 @@ def hash256(data: bytes) -> bytes:
 # markers dict keeps the ids of the containers an encode was inside when it
 # raised, and a later encode of one of them would then fail as a false
 # "Circular reference". A cyclic value raises RecursionError instead.
-_iterencode = c_make_encoder and c_make_encoder(
+_iterencode = c_make_encoder(
     None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",",
     True, False, True,
 )
@@ -54,10 +54,6 @@ def canonical_json(value) -> str:
     if value.__class__ is int:  # what the C encoder writes for an int
         return int.__repr__(value)
     return "".join(_iterencode(value, 0))
-
-
-if c_make_encoder is None:  # no C accelerator: the pure-Python encoder, same text
-    canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_bytes(obj) -> bytes:

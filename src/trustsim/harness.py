@@ -80,9 +80,8 @@ DROP = "drop"
 
 
 # The line codec works in bounded pieces, so a line of any length costs
-# bounded memory: to_text takes the stdlib's path or orjson's per chunk of
-# whole lines of about _CHUNK bytes, parse decodes _BATCH lines at a time,
-# and the gates read windows of _CHUNK. Most catalog transcripts are one chunk.
+# bounded memory: parse decodes _BATCH lines at a time, and the gates read
+# windows of _CHUNK. to_text chooses orjson or _encode once per transcript.
 _CHUNK = 1 << 16
 _BATCH = 64
 
@@ -464,33 +463,29 @@ class Transcript:
 
     def to_text(self) -> str:
         """The header, each record and the snapshot in canonical JSON (_encode),
-        one line each. The lines are written into one buffer, decoded once at
-        the end. Records and snapshot go through orjson, chunk by chunk, where
-        _exact_lines finds a chunk's lines to be _encode's, and through
-        _encode otherwise: the same text, or _encode's exception.
+        one line each, written into one buffer and decoded once at the end.
+        Records and snapshot go through orjson; where it raises TypeError or
+        _exact_lines refuses any of its lines, its text is deleted and all of
+        them go through _encode: the same text, or _encode's exception.
 
-        One difference stays: orjson writes an enum.Enum member as its value
-        and a uuid.UUID as its string, where _encode raises TypeError (for an
-        Enum member that is not also a str or an int). No run builds either."""
+        One difference stays, in a transcript that orjson writes whole: an
+        enum.Enum member (not also a str or an int) or a uuid.UUID, which
+        orjson writes and _encode refuses with TypeError. No run builds either."""
         buffer = bytearray(_encode(self.header).encode())
+        start = len(buffer)  # the "\n" before the first record
         values = [*self.records, self.snapshot]
-        first, start = 0, len(buffer)  # the chunk's first value and its "\n"
-        for stop, value in enumerate(values, 1):
-            buffer += b"\n"
-            try:
+        try:
+            for value in values:
+                buffer += b"\n"
                 buffer += _dumps(value, None, _DUMPS_OPTIONS)
-            except TypeError:  # a wide int, a key not a str, a type passed through, a cycle
-                exact = False
-            else:
-                if len(buffer) - start < _CHUNK and stop < len(values):
-                    continue
-                exact = _exact_lines(buffer, start)
-            if not exact:
-                del buffer[start:]
-                for chunk_value in values[first:stop]:
-                    buffer += b"\n"
-                    buffer += _encode(chunk_value).encode()
-            first, start = stop, len(buffer)
+            exact = _exact_lines(buffer, start)
+        except TypeError:  # a wide int, a key not a str, a type passed through, a cycle
+            exact = False
+        if not exact:
+            del buffer[start:]
+            for value in values:
+                buffer += b"\n"
+                buffer += _encode(value).encode()
         buffer += b"\n"
         return buffer.decode()
 

@@ -882,7 +882,7 @@ def load_script_file(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ScriptError(f"cannot read script file: {err}") from err
     if not isinstance(raw, dict) or raw.get("schema") != SCRIPT_SCHEMA:
         raise ScriptError(f"script file must declare schema {SCRIPT_SCHEMA!r}")

@@ -333,13 +333,14 @@ class Shown(dict):
         return [("shown", 1)]
 
 
-# Records longer than one chunk of the line codec (harness._CHUNK bytes):
-# each value whose line orjson writes otherwise than json.dumps, or refuses,
-# on both sides of the first edge between chunks of whole lines and of the
-# first window edge inside one long line; and, in a late chunk after chunks
-# that orjson wrote, a value orjson refuses and a TypeError.
+# Records longer than one window of the line codec's gates (harness._CHUNK
+# bytes): each value whose line orjson writes otherwise than json.dumps, or
+# refuses, in the lines on both sides of the first window edge and on both
+# sides of the first window edge inside one long line; and, windows past the
+# first, a value orjson refuses and a TypeError. to_text decides once per
+# transcript, but the gate still reads window by window.
 FILLER = {"f": "x" * 991}  # a 999-character line
-EDGE = harness._CHUNK // 1000  # the first chunk edge is within a line of this index
+EDGE = harness._CHUNK // 1000  # the first window edge is within a line of this index
 EDGE_VALUES = {"exponent-float": 1e16, "float": 1.5, "nan": float("nan"),
                "non-ascii": "é", "del": "\x7f", "wide-int": 2**64}
 # where a value's text begins, in bytes from its line's first window edge,
@@ -439,9 +440,9 @@ def _late_line(line):
             *[reference(FILLER)] * EDGE, reference(SNAPSHOT)]
 
 
-# Line lists longer than one chunk: the records above, non-ASCII text and DEL
-# written raw, and lines that orjson.loads refuses or reads otherwise in a
-# late chunk, after chunks that it decoded.
+# Line lists longer than one gate window: the records above, non-ASCII text
+# and DEL written raw, and lines that orjson.loads refuses or reads otherwise
+# in a late batch, after batches that it decoded.
 DECODE_CASES = {
     **{name: [json.dumps(value, ensure_ascii=False) for value in [HEADER, *records, SNAPSHOT]]
        for name, records in LONG_CASES.items() if name != "late-type-error"},

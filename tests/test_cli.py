@@ -72,6 +72,8 @@ UNUSABLE_VARIANTS = [
     pytest.param("prepaid-tamper", "requests", "[]", id="tamper-no-requests"),
     pytest.param("prepaid-zero", "tariffs", '{"data":5}', id="calls-unpriced"),
     pytest.param("pos-fig4", "good", '"tea"', id="good-not-for-sale"),
+    # too deep for json.loads, so it stays a string
+    pytest.param("pos-fig4", "good", "[" * 5_000 + "]" * 5_000, id="good-too-deep-for-json"),
     pytest.param("facility-entry", "zones", '{"z":5}', id="zone-without-overrides"),
     pytest.param("facility-entry", "zones", '{"outside":{}}', id="zone-named-outside"),
     pytest.param("facility-entry", "zones", '{"zone-lab":{"wifi":"disabled"}}',
@@ -98,6 +100,28 @@ def test_run_unusable_variant_is_a_config_error(tmp_path, capsys, scenario, key,
     says = "unknown config key" if key in FIXED_KEYS else f"config key {key!r} needs"
     assert err.startswith(f"config error: {says}") and repr(key) in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("content", [
+    b'{"schema":"trustsim-script/1","base":"pos-fig4\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf-8", "nested-too-deep"])
+def test_run_unreadable_script_file_is_a_config_error(tmp_path, capsys, content):
+    script = tmp_path / "script.json"
+    script.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(script), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read script file:")
+    assert not out.exists()
+
+
+def test_run_out_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    assert run_cli(["run", "pos-fig4", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make output directory") and str(out) in err
+    assert out.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("components", ["[]", json.dumps(
@@ -228,11 +252,13 @@ def test_verify_of_a_deep_payload_value_fails_a_row_without_a_traceback(tmp_path
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("expected", [[1], {"assertions": 5}], ids=["list", "assertions-int"])
+@pytest.mark.parametrize("expected", [
+    "[1]", '{"assertions": 5}', "[" * 100_000 + "]" * 100_000,
+], ids=["list", "assertions-int", "nested-too-deep"])
 def test_verify_expect_that_is_not_a_report_is_a_parse_error(tmp_path, capsys, expected):
     run_cli(["run", "pos-fig4", "--seed", "1", "--out", str(tmp_path)])
     expect = tmp_path / "expect.json"
-    expect.write_text(json.dumps(expected))
+    expect.write_text(expected)
     capsys.readouterr()
     transcript = tmp_path / "pos-fig4-seed1.transcript.jsonl"
     assert run_cli(["verify", str(transcript), "--expect", str(expect)]) == 2
