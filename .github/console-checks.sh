@@ -12,8 +12,8 @@
 #      holds a 20-digit integer, the first with a billing package;
 #   3. a seed outside 64 bits, a zone named "outside", a zone that overrides
 #      a feature the device lacks ("wifi"), a variant nested too deep for
-#      JSON and a script file that is not UTF-8 are config errors (exit 2,
-#      "config error:");
+#      JSON, a script file that is not UTF-8 and an --out whose transcript
+#      path is a directory are config errors (exit 2, "config error:");
 #   4. a transcript whose header line is not a JSON object, and one with a
 #      record value nested 200,000 deep, are parse errors (exit 2, "parse
 #      error:"), and an --expect file nested 100,000 deep is one too ("parse
@@ -70,6 +70,8 @@ expect_error "config error:" trustsim run pos-fig4 \
   --variant "good=$(python -c 'print("[" * 5000 + "]" * 5000)')" --out runs/ci
 printf '{"schema":"trustsim-script/1","base":"pos-fig4\xff"}' > runs/ci/not-utf-8.json
 expect_error "config error:" trustsim run runs/ci/not-utf-8.json --out runs/ci
+mkdir -p runs/ci/taken/pos-fig4-seed1.transcript.jsonl
+expect_error "config error:" trustsim run pos-fig4 --seed 1 --out runs/ci/taken
 printf '[1]\n{"kind":"snapshot"}\n' > runs/ci/header-not-an-object.transcript.jsonl
 expect_error "parse error:" trustsim verify runs/ci/header-not-an-object.transcript.jsonl
 python -c 'import sys

@@ -32,7 +32,7 @@ class AikRecord:
 
     aik_id: str
     rng: Rng = field(repr=False)
-    used: bool = False
+    used: bool = field(default=False, init=False)
 
     @cached_property
     def key(self) -> KeyPair:
@@ -123,10 +123,10 @@ class TrustAnchor:
     ek: KeyPair
     ek_certificate: EkCertificate
     # PCR_COUNT registers of 20 bytes each; only extend changes one
-    pcrs: list = field(default_factory=lambda: [ZERO_DIGEST] * PCR_COUNT)
-    aiks: dict = field(default_factory=dict)
-    slots: dict = field(default_factory=dict)
-    _batch_counter: int = 0
+    pcrs: list = field(default_factory=lambda: [ZERO_DIGEST] * PCR_COUNT, init=False)
+    aiks: dict = field(default_factory=dict, init=False)
+    slots: dict = field(default_factory=dict, init=False)
+    _batch_counter: int = field(default=0, init=False)
 
     @classmethod
     def manufacture(cls, device_id: str, rng: Rng, manufacturer: Manufacturer) -> "TrustAnchor":

@@ -33,6 +33,7 @@ def _parse_variant(item: str) -> tuple:
 
 
 def cmd_run(args) -> int:
+    out_dir = Path(args.out or os.environ.get(OUT_ENV, "runs"))
     try:
         if args.scenario.endswith(".json") or os.sep in args.scenario:
             script, config, attacks = load_script_file(args.scenario)
@@ -43,27 +44,29 @@ def cmd_run(args) -> int:
             attacks = tuple(args.attack)
             variants = {}
         variants.update(dict(_parse_variant(v) for v in args.variant))
+        try:  # before the run, so that an unusable --out costs none
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ScriptError(f"cannot make output directory {out_dir}: {err}") from None
         transcript, report = run_scenario(script, args.seed, attacks=attacks,
                                           variants=variants)
     except ScriptError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out or os.environ.get(OUT_ENV, "runs"))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"config error: cannot make output directory {out_dir}: {err}", file=sys.stderr)
-        return 2
     stem = report["scenario"]
     if attacks:
         stem += "-" + "-".join(attacks)
     stem += f"-seed{args.seed}"
     transcript_path = out_dir / f"{stem}.transcript.jsonl"
     report_path = out_dir / f"{stem}.report.json"
-    transcript.write(transcript_path)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    try:
+        for path, text in ((transcript_path, transcript.to_text()),
+                           (report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")):
+            path.write_text(text, encoding="utf-8")
+    except OSError as err:
+        print(f"config error: cannot write {path}: {err}", file=sys.stderr)
+        return 2
 
     _print_rows(report)
     print(f"transcript: {transcript_path}")
@@ -84,7 +87,7 @@ def _print_rows(report: dict) -> None:
 
 def cmd_verify(args) -> int:
     try:
-        transcript = Transcript.read(args.transcript)
+        transcript = Transcript.parse(Path(args.transcript).read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ chain alone (reference_db_for), never from a provisioned device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import boot as mb
 from .anchor import Manufacturer, TrustAnchor
@@ -34,8 +34,8 @@ class TrustedDevice:
     device_id: str
     anchor: TrustAnchor
     chain: list
-    log: mb.MeasurementLog | None = None
-    wallet: CredentialWallet | None = None
+    log: mb.MeasurementLog | None = field(default=None, init=False)
+    wallet: CredentialWallet | None = field(default=None, init=False)
     identity: str | None = None  # the identity-bearing network credential holder
 
     @classmethod
@@ -55,14 +55,12 @@ class TrustedDevice:
             identity=identity,
         )
 
-    def boot(self) -> mb.MeasurementLog:
+    def boot(self) -> None:
         self.log = mb.boot(self.anchor, self.chain)
-        return self.log
 
-    def attach_wallet(self, pca: PrivacyCa, batch_size: int) -> CredentialWallet:
+    def attach_wallet(self, pca: PrivacyCa, batch_size: int) -> None:
         self.wallet = CredentialWallet(self.anchor, pca, batch_size=batch_size)
         self.wallet.enroll()
-        return self.wallet
 
     def respond(self, challenge: AttestationChallenge) -> AttestationResponse:
         """Answer a challenge with the next one-time credential."""

@@ -9,7 +9,7 @@ passes a policy enforcer that strips all but an allow-listed field set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .attestation import Verifier
 from .device import TrustedDevice
@@ -31,9 +31,9 @@ class FacilityContext:
     gate: TrustedDevice
     gate_verifier_for_device: Verifier  # gate-side check of employee devices
     device_verifier_for_gate: Verifier  # device-side check of the gate terminal
-    admitted_identities: set = field(default_factory=set)  # company sub-domain members
-    gate_cache: set | None = None  # cached access rights (None = always online)
-    gate_cache_synced: int = 0
+    admitted_identities: set  # company sub-domain members
+    gate_cache: set | None  # cached access rights (None = always online)
+    gate_cache_synced: int  # the tick gate_cache was copied
 
 
 def zone_features(zones: dict, location: str) -> dict:

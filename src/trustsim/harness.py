@@ -12,6 +12,7 @@ pairs produce identical bytes.
 from __future__ import annotations
 
 import copy
+import functools
 import gc
 import json
 import re
@@ -131,9 +132,9 @@ def _decode_lines(lines: list, narrow: bool) -> list:
     """lines with each line replaced by json.loads(line), type-exact, errors
     included, in place, _BATCH lines at a time: through orjson.loads where
     narrow (see _narrow_ints), no line of the batch can nest _DEPTH deep and
-    each decodes, and through json.loads otherwise. Where a line raises, its
-    batch and those after it stay undecoded, so the error is json.loads's
-    first."""
+    each decodes, and line by line through _decode_line otherwise, so that
+    no line's decoding depends on another's. Where a line raises, its batch
+    and those after it stay undecoded, so the error is json.loads's first."""
     for start in range(0, len(lines), _BATCH):
         batch = lines[start:start + _BATCH]
         if narrow and _shallow(batch):
@@ -142,8 +143,34 @@ def _decode_lines(lines: list, narrow: bool) -> list:
                 continue
             except ValueError:
                 pass
-        lines[start:start + _BATCH] = map(json.loads, batch)
+        lines[start:start + _BATCH] = map(_decode_line, batch)
     return lines
+
+
+def _decode_line(line: str):
+    """json.loads(line), type-exact: through orjson where both gates pass."""
+    if _narrow_ints(line, 0) and _shallow([line]):
+        try:
+            return _loads(line)
+        except ValueError:
+            pass
+    return json.loads(line)
+
+
+def paused_collector(function):
+    """function with the cyclic collector paused, if on, over each call that
+    builds no reference cycles, saving collections that rescan all it built.
+    Re-enabling is the last step: an allocation after it would set one off."""
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
 
 
 # Where an orjson line differs from _encode's: non-ASCII text and DEL (which
@@ -489,25 +516,14 @@ class Transcript:
         buffer += b"\n"
         return buffer.decode()
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
     @classmethod
+    @paused_collector  # decoded JSON holds no reference cycles
     def parse(cls, text: str) -> "Transcript":
         """Decode a transcript line by line.
 
-        The cyclic garbage collector is paused meanwhile: decoded JSON holds
-        no reference cycles, so the pause defers no garbage and saves the
-        collections that the new containers would trigger, each scanning
-        the records decoded so far. A collector the caller had disabled
-        stays disabled.
-
         Lines end at "\n", "\r\n" or "\r" only: U+2028, U+2029 and U+0085
-        may stand raw inside a JSON string. A line nested too deep for
-        json.loads raises ValueError, as any other malformed line does."""
-        collecting = gc.isenabled()
-        gc.disable()
+        may stand raw inside a JSON string. A line that _decode_lines sends to
+        json.loads and that nests too deep for it raises ValueError."""
         try:
             if "\r" in text:
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -527,14 +543,6 @@ class Transcript:
             return cls(header=header, records=_decode_lines(lines, narrow), snapshot=snapshot)
         except RecursionError as err:  # json.loads on a line nested too deep
             raise ValueError(f"line nested too deep: {err}") from None
-        finally:
-            if collecting:
-                gc.enable()
-
-    @classmethod
-    def read(cls, path) -> "Transcript":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
 
     def knowledge_query(self, party: str, label: str | None = None) -> set:
         return _known(party, self.snapshot["knowledge"].get(party), label)

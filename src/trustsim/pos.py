@@ -90,8 +90,6 @@ class PosContext:
 
     device: TrustedDevice
     pos: TrustedDevice
-    device_id: str
-    pos_id: str
     auth_id: str  # device-domain CA / authentication provider (may be the MNO)
     # verification material
     pos_verifier_for_device: Verifier  # POS-side local check (operator flow)
@@ -103,8 +101,10 @@ class PosContext:
     charging_keys: KeyPair
     pos_delegate_keys: KeyPair  # owner-registered key the POS signs with
     device_credential: object  # GenericCredential for operator-billed orders
-    price_list: PriceList | None = None
-    _counters: dict = field(default_factory=lambda: {"session": 0, "order": 0})
+    price_list: PriceList
+    _counters: dict = field(default_factory=lambda: {"session": 0, "order": 0}, init=False)
+    device_id = property(lambda self: self.device.device_id)
+    pos_id = property(lambda self: self.pos.device_id)
 
     def next_id(self, kind: str) -> str:
         self._counters[kind] += 1

@@ -33,7 +33,7 @@ class PrepaidClient:
 
     device: TrustedDevice
     tariffs: dict  # service -> cost per unit
-    used_vouchers: set = field(default_factory=set)
+    used_vouchers: set = field(default_factory=set, init=False)
 
     @staticmethod
     def provision(device: TrustedDevice, chain, tariffs: dict, balance: int,

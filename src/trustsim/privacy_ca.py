@@ -156,7 +156,7 @@ class CredentialWallet:
     pca: PrivacyCa
     batch_size: int
     credentials: list = field(default_factory=list)  # (AikRecord, AikCertificate | None)
-    replenish_count: int = 0
+    replenish_count: int = field(default=0, init=False)
 
     def enroll(self) -> None:
         """First batch: prove EK provenance + liveness now, certify on use."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import gc
 import json
 from dataclasses import dataclass
 
@@ -46,7 +45,7 @@ from .flows import (
     enroll_flow,
     opened,
 )
-from .harness import CHANNEL_MOBILE, CHANNEL_NET, MNO, Simulation
+from .harness import CHANNEL_MOBILE, CHANNEL_NET, MNO, Simulation, paused_collector
 from .pos import (
     PosContext,
     PriceList,
@@ -524,20 +523,19 @@ def _pos_setup(sim, config, plan, auth_id):
             and enroll_flow(sim, pos_device, "pos-pca", pos_pca, batch, CHANNEL_NET)):
         return None
 
-    ctx = PosContext(
-        device=device, pos=pos_device,
-        device_id="dev-1", pos_id="pos-1", auth_id=auth_id,
+    owner_keys = crypto.keygen(sim.rng.fork("owner-keys"))
+    return PosContext(
+        device=device, pos=pos_device, auth_id=auth_id,
         pos_verifier_for_device=world.verifier(device_pca, device_chain, "v-pos"),
         device_verifier_for_pos=world.verifier(pos_pca, pos_chain, "v-dev"),
         auth_verifier=world.verifier(device_pca, device_chain, "v-auth"),
         mno_keys=mno.keys,
-        pos_owner_keys=crypto.keygen(sim.rng.fork("owner-keys")),
+        pos_owner_keys=owner_keys,
         charging_keys=crypto.keygen(sim.rng.fork("charging-keys")),
         pos_delegate_keys=crypto.keygen(sim.rng.fork("delegate-keys")),
         device_credential=credential,
+        price_list=PriceList.build(_POS_GOODS, owner_keys),
     )
-    ctx.price_list = PriceList.build(_POS_GOODS, ctx.pos_owner_keys)
-    return ctx
 
 
 def _pos_set_up(transcript) -> bool:
@@ -731,6 +729,7 @@ def _facility_setup(sim, config, plan):
     admitted = session is not None and subdomain_admission_flow(
         sim, employee, mno, company_verifier, session).admitted
 
+    admitted_identities = {employee.identity} if admitted else set()
     ctx = FacilityContext(
         zones=config["zones"],
         enforcer_allowed_fields=frozenset(config["enforcer_allowed_fields"]),
@@ -738,11 +737,10 @@ def _facility_setup(sim, config, plan):
         gate_verifier_for_device=world.verifier(pca, chain, "v-gate",
                                                 used_aiks=company_verifier.used_aiks),
         device_verifier_for_gate=world.verifier(pca, gate_chain, "v-employee"),
-        admitted_identities={employee.identity} if admitted else set(),
+        admitted_identities=admitted_identities,
+        gate_cache=set(admitted_identities) if config["gate_cache"] else None,
+        gate_cache_synced=sim.tick,
     )
-    if config["gate_cache"]:
-        ctx.gate_cache = set(ctx.admitted_identities)
-        ctx.gate_cache_synced = sim.tick
     facility_access(sim, ctx, employee, next(iter(config["zones"])), plan=plan)
     return ctx, employee, visitor
 
@@ -956,16 +954,12 @@ def _validate(script: ScenarioScript, overrides: dict, attacks) -> None:
             raise ScriptError(f"scenario {script.name} has no attack {attack!r}")
 
 
+@paused_collector
 def run_scenario(script, seed: int, attacks=(), variants=None):
     """Deterministic execution -> (Transcript, report dict).
 
-    The cyclic garbage collector is paused over the runner, finalize and
-    the report, as Transcript.parse and audit.audit pause it: a run builds
-    no reference cycles of its own (ctypes' bookkeeping of the crypto
-    buffer types aside, the same few objects at any run length), so the
-    pause defers no garbage and saves the collections that its many fresh
-    objects would trigger, each scanning the objects built so far. A
-    collector the caller had disabled stays disabled."""
+    Under paused_collector: a run builds no reference cycles of its own
+    (ctypes' bookkeeping of the crypto buffer types aside, a few objects)."""
     if isinstance(script, str):
         script = get_script(script)
     if not 0 <= seed < 2**64:
@@ -979,15 +973,9 @@ def run_scenario(script, seed: int, attacks=(), variants=None):
     for party_id, role in script.roster:
         sim.add_party(party_id, role)
 
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks, script.subject))
-        transcript = sim.finalize()
-        return transcript, report(transcript)
-    finally:
-        if collecting:
-            gc.enable()
+    script.runner(sim, {**script.defaults, **variants}, AttackPlan(attacks, script.subject))
+    transcript = sim.finalize()
+    return transcript, report(transcript)
 
 
 # What reading a hand-edited or hook-garbled record can raise: a missing key

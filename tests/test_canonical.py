@@ -8,6 +8,7 @@ import dataclasses
 import datetime
 import enum
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,6 +260,29 @@ def test_a_wide_header_seed_sends_only_the_header_to_json_loads(monkeypatch):
     monkeypatch.setattr(json, "loads", lambda line: decoded.append(line) or loads(line))
     Transcript.parse(text)
     assert decoded == [header]
+
+
+@pytest.mark.parametrize("key, text, read", [
+    ("wide", "123456789012345678901", lambda v: v == 123456789012345678901),
+    ("nan", "NaN", math.isnan),
+], ids=["wide-int-anywhere", "nan-in-the-batch"])
+def test_whether_a_line_decodes_does_not_depend_on_its_neighbours(key, text, read):
+    # 1,000 deep is within what orjson reads and beyond json.loads's recursion;
+    # a wide int sends the whole text, a NaN its batch, past the orjson path
+    lines = run_scenario("pos-fig4", 1)[0].to_text().split("\n")
+    message = next(i for i, line in enumerate(lines) if '"kind":"message"' in line)
+    event = next(i for i, line in enumerate(lines) if '"kind":"event"' in line)
+    assert max(message, event) <= harness._BATCH  # records 0-63: one batch
+    deep = "[" * 1_000 + "]" * 1_000
+    lines[message] = lines[message].replace('"labels":{', '"labels":{"deep":"plumbing",', 1)
+    lines[message] = lines[message].replace('"payload":{', f'"payload":{{"deep":{deep},', 1)
+    lines[event] = f'{{"{key}":{text},{lines[event][1:]}'
+    transcript = Transcript.parse("\n".join(lines))
+    value = transcript.records[message - 1]["payload"]["deep"]
+    for _ in range(999):
+        (value,) = value
+    assert value == []
+    assert read(transcript.records[event - 1][key])
 
 
 def _mutants(line):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from trustsim import cli
 from trustsim.cli import main
 from trustsim.harness import Transcript
 from trustsim.scenarios import CATALOG
@@ -26,7 +27,7 @@ def test_run_writes_transcript_and_report(tmp_path, capsys):
     assert transcript_path.exists() and report_path.exists()
     report = json.loads(report_path.read_text())
     assert report["ok"] and report["seed"] == 42
-    Transcript.read(transcript_path)  # parses cleanly
+    Transcript.parse(transcript_path.read_text(encoding="utf-8"))  # parses cleanly
 
 
 def test_run_attack_script_exits_zero_on_expected_rejection(tmp_path):
@@ -115,13 +116,24 @@ def test_run_unreadable_script_file_is_a_config_error(tmp_path, capsys, content)
     assert not out.exists()
 
 
-def test_run_out_that_is_a_file_is_a_config_error(tmp_path, capsys):
+def test_run_out_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "taken"
     out.write_text("a file\n")
+    ran = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: ran.append(args))
     assert run_cli(["run", "pos-fig4", "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot make output directory") and str(out) in err
     assert out.read_text() == "a file\n"
+    assert not ran
+
+
+def test_run_output_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "pos-fig4-seed1.transcript.jsonl"
+    taken.mkdir()
+    assert run_cli(["run", "pos-fig4", "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {taken}: ")
+    assert taken.is_dir() and not list(taken.iterdir())
 
 
 @pytest.mark.parametrize("components", ["[]", json.dumps(

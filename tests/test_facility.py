@@ -61,6 +61,8 @@ def facility_world(seed=9, tampered_employee=False):
         gate_verifier_for_device=Verifier(pca.root.public, refs, rng.fork("vg")),
         device_verifier_for_gate=Verifier(pca.root.public, gate_refs, rng.fork("ve")),
         admitted_identities={"imsi-1"},
+        gate_cache=None,
+        gate_cache_synced=0,
     )
     return sim, ctx, employee
 

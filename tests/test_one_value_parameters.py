@@ -90,6 +90,13 @@ def test_the_scan_finds_parameters_every_call_fixes():
         "    @staticmethod\n"
         "    def s(u, v):\n"
         "        pass\n"
+        "@dataclass\n"
+        "class P:\n"
+        "    kind: str\n"
+        "    size: int = 0\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        return cls('p', size=n)\n"  # a call of P
     )
     calls = (
         "f(x, 'same', 1, d='x')\n"
@@ -101,8 +108,9 @@ def test_the_scan_finds_parameters_every_call_fixes():
         "k.m(1)\n"
         "K.s(*args)\n"  # a splat passes something unknown
         "K.s(0, 0)\n"
+        "P('p', 1)\n"
     )
-    assert one_value({"mod": source}, [calls]) == [
-        ("mod", "K.__init__", "name"), ("mod", "K.m", "p"),
+    assert one_value({"mod": source}, [calls, source]) == [
+        ("mod", "K.__init__", "name"), ("mod", "K.m", "p"), ("mod", "P.__init__", "kind"),
         ("mod", "f", "b"), ("mod", "f", "d"),
     ]

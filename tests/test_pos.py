@@ -72,22 +72,21 @@ def pos_world(seed=7, merged=False, tampered_pos=False):
     enroll_flow(sim, device, auth_id, device_pca, batch_size=10, channel="mobile")
     enroll_flow(sim, pos_device, "pos-pca", pos_pca, batch_size=10, channel="net")
 
+    owner_keys = crypto.keygen(rng.fork("owner-keys"))
     ctx = PosContext(
         device=device,
         pos=pos_device,
-        device_id="dev-1",
-        pos_id="pos-1",
         auth_id=auth_id,
         pos_verifier_for_device=Verifier(device_pca.root.public, device_refs, rng.fork("v-pos")),
         device_verifier_for_pos=Verifier(pos_pca.root.public, pos_refs, rng.fork("v-dev")),
         auth_verifier=Verifier(device_pca.root.public, device_refs, rng.fork("v-auth")),
         mno_keys=mno.keys,
-        pos_owner_keys=crypto.keygen(rng.fork("owner-keys")),
+        pos_owner_keys=owner_keys,
         charging_keys=crypto.keygen(rng.fork("charging-keys")),
         pos_delegate_keys=crypto.keygen(rng.fork("delegate-keys")),
         device_credential=credential,
+        price_list=PriceList.build(GOODS, owner_keys),
     )
-    ctx.price_list = PriceList.build(GOODS, ctx.pos_owner_keys)
     return sim, ctx
 
 

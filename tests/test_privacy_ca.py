@@ -41,7 +41,8 @@ def recorded_replenisher(anchor, wallet):
     sim = Simulation(1, scenario="unit-pca")
     sim.add_party("dev-1", "device")
     sim.add_party("pca", "pca")
-    device = TrustedDevice("dev-1", anchor, chain=[], wallet=wallet)
+    device = TrustedDevice("dev-1", anchor, chain=[])
+    device.wallet = wallet
 
     def replenish():
         replenish_flow(sim, device, "pca", "net")

@@ -152,7 +152,7 @@ def test_unreadable_edit_gives_one_failing_row(tmp_path, capsys):
     assert "no power-request message" in scenario_rows[0]["detail"]
 
     path = tmp_path / "edited.transcript.jsonl"
-    edited.write(path)
+    path.write_text(edited.to_text(), encoding="utf-8")
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "[FAIL] scenario-assertions" in capsys.readouterr().out
@@ -195,6 +195,6 @@ def test_scenario_outside_the_catalog_verifies_on_invariants(tmp_path, capsys):
 
     path = tmp_path / "custom.transcript.jsonl"
     expect = tmp_path / "custom.report.json"
-    transcript.write(path)
+    path.write_text(transcript.to_text(), encoding="utf-8")
     expect.write_text(json.dumps(result))
     assert main(["verify", str(path), "--expect", str(expect)]) == 0

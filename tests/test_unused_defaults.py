@@ -70,6 +70,16 @@ def test_the_scan_matches_calls_to_definitions():
         "    @staticmethod\n"
         "    def s(u=0, v=0):\n"
         "        pass\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(default=0, init=False)\n"  # state, not a parameter
+        "    e: object = field(repr=False)\n"  # no default
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(1, c=[])\n"  # a call of D
     )
     calls = (
         "f(1, 2, c=3)\n"
@@ -78,6 +88,7 @@ def test_the_scan_matches_calls_to_definitions():
         "K.s(*args)\n"
         "inner(**kwargs)\n"
     )
-    assert never_passed({"mod": source}, [calls]) == [
-        ("mod", "K.__init__", "y"), ("mod", "K.m", "q"), ("mod", "f", "d"),
+    assert never_passed({"mod": source}, [calls, source]) == [
+        ("mod", "D.__init__", "b"), ("mod", "K.__init__", "y"), ("mod", "K.m", "q"),
+        ("mod", "f", "d"),
     ]

@@ -24,19 +24,12 @@ from pathlib import Path
 
 import trustsim
 
+from signature_scan import is_dataclass
+
 PACKAGE = Path(trustsim.__file__).parent
 
 # (attribute name, why it stays although no code reads it)
 WRITE_ONLY = []
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if getattr(target, "id", None) == "dataclass" \
-                or getattr(target, "attr", None) == "dataclass":
-            return True
-    return False
 
 
 def _stores_and_loads(sources) -> tuple:
@@ -44,7 +37,7 @@ def _stores_and_loads(sources) -> tuple:
     stored, loaded = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
                 stored.update(item.target.id for item in node.body
                               if isinstance(item, ast.AnnAssign)
                               and isinstance(item.target, ast.Name))
@@ -111,4 +104,4 @@ def test_the_scan_covers_the_values_slot_init_builds():
     assert len(values) == 8
     for node in values:
         fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
-        assert _is_dataclass(node) and fields and set(fields) <= stored, node.name
+        assert is_dataclass(node) and fields and set(fields) <= stored, node.name
