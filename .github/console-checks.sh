@@ -5,19 +5,22 @@
 #      and re-verifies against its own report (--expect);
 #   2. facility-entry whose zone leaves the camera and MMS on runs and
 #      re-verifies the same way, and so do facility-entry with a zone named
-#      "zone-é", whose records the line codec writes whole with the
-#      canonical encoder, a 600-login one-time-aik-auth, whose multi-MB
-#      transcript spans many of the line codec's gate windows, and
-#      pos-sep-duties and prepaid-happy at the largest seed, whose header
-#      holds a 20-digit integer, the first with a billing package;
+#      "zone-é", whose transcript holds the name as raw UTF-8, a 600-login
+#      one-time-aik-auth, whose multi-MB transcript spans many of the line
+#      decoder's gate windows, and pos-sep-duties and prepaid-happy at the
+#      largest seed, whose header holds a 20-digit integer, the first with a
+#      billing package;
 #   3. a seed outside 64 bits, a zone named "outside", a zone that overrides
 #      a feature the device lacks ("wifi"), a variant nested too deep for
-#      JSON, a script file that is not UTF-8 and an --out whose transcript
-#      path is a directory are config errors (exit 2, "config error:");
-#   4. a transcript whose header line is not a JSON object, and one with a
-#      record value nested 200,000 deep, are parse errors (exit 2, "parse
-#      error:"), and an --expect file nested 100,000 deep is one too ("parse
-#      error in expectations:").
+#      JSON, a voucher value outside 64 bits, one that takes the balance past
+#      64 bits, a script file that is not UTF-8
+#      and an --out whose transcript path is a directory are config errors
+#      (exit 2, "config error:");
+#   4. a transcript whose header line is not a JSON object, one with a
+#      record value nested 200,000 deep, one with a float in a record and
+#      one with 2**64 in a record are parse errors (exit 2, "parse error:"),
+#      and an --expect file nested 100,000 deep is one too ("parse error in
+#      expectations:").
 set -euo pipefail
 
 # one "NAME" line per scenario, then one "NAME ATTACK" line per attack it supports
@@ -40,6 +43,7 @@ trustsim verify "$stem.transcript.jsonl" --expect "$stem.report.json"
 trustsim run facility-entry --seed 1 --variant 'zones={"zone-é":{"camera":"disabled"}}' \
   --out runs/ci/zone-non-ascii
 stem=runs/ci/zone-non-ascii/facility-entry-seed1
+grep -q 'zone-é' "$stem.transcript.jsonl"
 trustsim verify "$stem.transcript.jsonl" --expect "$stem.report.json"
 
 trustsim run one-time-aik-auth --seed 1 --variant auth_count=600 --out runs/ci/long
@@ -68,6 +72,10 @@ expect_error "config error:" trustsim run facility-entry \
   --variant 'zones={"zone-lab":{"wifi":"disabled"}}' --out runs/ci
 expect_error "config error:" trustsim run pos-fig4 \
   --variant "good=$(python -c 'print("[" * 5000 + "]" * 5000)')" --out runs/ci
+expect_error "config error:" trustsim run prepaid-happy \
+  --variant 'vouchers=[100000000000000000000000]' --out runs/ci
+expect_error "config error:" trustsim run prepaid-happy \
+  --variant 'vouchers=[18446744073709551615]' --out runs/ci
 printf '{"schema":"trustsim-script/1","base":"pos-fig4\xff"}' > runs/ci/not-utf-8.json
 expect_error "config error:" trustsim run runs/ci/not-utf-8.json --out runs/ci
 mkdir -p runs/ci/taken/pos-fig4-seed1.transcript.jsonl
@@ -80,6 +88,13 @@ deep = "[" * 200000 + "]" * 200000
 open(sys.argv[2], "w").write(f"{header}\n{{\"deep\":{deep},{rest[1:]}")' \
   runs/ci/pos-fig4-seed1.transcript.jsonl runs/ci/nested-too-deep.transcript.jsonl
 expect_error "parse error:" trustsim verify runs/ci/nested-too-deep.transcript.jsonl
+for number in 1.5 18446744073709551616; do
+  python -c 'import sys
+header, rest = open(sys.argv[1]).read().split("\n", 1)
+open(sys.argv[2], "w").write(f"{header}\n{{\"v\":{sys.argv[3]},{rest[1:]}")' \
+    runs/ci/pos-fig4-seed1.transcript.jsonl "runs/ci/number-$number.transcript.jsonl" "$number"
+  expect_error "parse error:" trustsim verify "runs/ci/number-$number.transcript.jsonl"
+done
 python -c 'print("[" * 100000 + "]" * 100000)' > runs/ci/nested-too-deep.json
 expect_error "parse error in expectations:" trustsim verify \
   runs/ci/pos-fig4-seed1.transcript.jsonl --expect runs/ci/nested-too-deep.json

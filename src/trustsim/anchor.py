@@ -62,7 +62,10 @@ class Quote:
 
     @classmethod
     def from_fields(cls, fields: dict) -> "Quote":
-        """The quote that to_fields() put on the wire."""
+        """The quote that to_fields() put on the wire, its fields in the
+        JSON value domain (see crypto.check_domain), so that it has a
+        signed_payload."""
+        crypto.check_domain(fields)
         return cls(tuple(fields["selection"]), tuple(fields["values"]),
                    bytes.fromhex(fields["nonce"]), bytes.fromhex(fields["aik_public"]),
                    bytes.fromhex(fields["signature"]))
@@ -96,7 +99,9 @@ class EkCertificate:
 
     @classmethod
     def from_fields(cls, fields: dict) -> "EkCertificate":
-        """The certificate that to_fields() put on the wire."""
+        """The certificate that to_fields() put on the wire, its fields in
+        the JSON value domain, so that it has a signed_payload."""
+        crypto.check_domain(fields)
         return cls(bytes.fromhex(fields["ek_public"]), fields["model"],
                    bytes.fromhex(fields["manufacturer_public"]),
                    bytes.fromhex(fields["signature"]))

@@ -64,7 +64,7 @@ class AttestationChallenge:
         """The challenge as it came off the wire: its PCR selection inside
         the bank, its nonce long enough."""
         selection = tuple(fields["selection"])
-        if not all(isinstance(i, int) and 0 <= i < PCR_COUNT for i in selection):
+        if not all(type(i) is int and 0 <= i < PCR_COUNT for i in selection):
             raise ValueError("pcr selection outside the bank")
         return cls(bytes.fromhex(fields["nonce"]), selection, fields["deadline"])
 

@@ -11,12 +11,9 @@ dual-route privacy checks and the engine behind `trustsim verify`.
 from __future__ import annotations
 
 import gc
-import json
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import orjson
 
@@ -38,84 +35,25 @@ class Finding:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def _canon(value) -> str:
-    """The auditor's own canonical encoder, deliberately not the harness's.
-    No circular-reference check, as in the harness's: a cycle raises
-    RecursionError."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
-
-
-# The knowledge replay encodes through orjson, as the harness's line codec
-# does: one gate over the joined encodings (_exact) sends the replay back to
-# _canon wherever the two might differ.
-_dumps = orjson.dumps
 # Sorted keys; a dataclass, datetime or subclass of str, int, dict or list
-# raises TypeError, and _canon decides.
+# raises TypeError.
 _DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
                   | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
 
 
-class _NonStrKey(Exception):
-    """A value the replay encodes holds a dict with a key that is not a str."""
+def _canon(value) -> str:
+    """The auditor's own canonical encoder, deliberately not the harness's:
+    orjson's text, which over the JSON value domain is json.dumps(value,
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False). A value that
+    orjson refuses (an int beyond 64 bits, a key that is not a str, a lone
+    surrogate, nesting past 255 levels, a type it does not write) raises
+    orjson.JSONEncodeError."""
+    return orjson.dumps(value, None, _DUMPS_OPTIONS).decode()
 
 
-def _holds_non_str_key(value) -> bool:
-    """Whether a dict in value, read as _canon reads it (its items()), has
-    a key that is not a str. Iterative, so that no depth exhausts the stack,
-    and each container is read once, so that a cycle ends the search."""
-    pending, seen = [value], set()
-    while pending:
-        value = pending.pop()
-        if isinstance(value, (dict, list, tuple)) and id(value) not in seen:
-            seen.add(id(value))
-            if isinstance(value, dict):
-                for key, item in value.items():
-                    if not isinstance(key, str):
-                        return True
-                    pending.append(item)
-            else:
-                pending.extend(value)
-    return False
-
-
-def _orjson_canon(value) -> str:
-    """_canon(value) through orjson: the same text wherever the joined
-    encodings pass _exact, and _canon's own text or error where orjson
-    raised TypeError (an integer beyond 64 bits, a value passed through, a
-    cycle). One difference stays: orjson writes an enum.Enum member and a
-    uuid.UUID, which _canon refuses.
-
-    A value holding a dict with a key that is not a str, which orjson also
-    refuses, raises _NonStrKey: _canon would sort such keys as what they
-    are, but a written transcript holds them as text, which sorts
-    otherwise, so the audit of a transcript in memory would differ from
-    the audit of its text. Only values orjson refused are searched."""
-    if value.__class__ is int:  # the text _canon writes, without the encoder
-        return int.__repr__(value)
-    try:
-        return _dumps(value, None, _DUMPS_OPTIONS).decode()
-    except TypeError:
-        if _holds_non_str_key(value):
-            raise _NonStrKey from None
-        return _canon(value)
-
-
-# Where orjson's text differs from _canon's: non-ASCII text and DEL (which
-# _canon escapes), floats (no exponent sign or zero padding), NaN and the
-# infinities (written as null). With digits mapped to "0", DEL to ".", and
-# ",", "[", "-" and the join separator "\n" to ":", each leaves a ".", a
-# "null" or a float with a one-digit mantissa, ":0e", in ASCII text.
-_GATE = bytes.maketrans(b"0123456789,[-\n\x7f", b"0000000000::::.")
-_EXPONENT = re.compile(rb":0e").search
-
-
-def _exact(joined: str) -> bool:
-    """Whether orjson's field encodings, each after a "\n" in joined, are
-    all _canon's."""
-    if not joined.isascii():
-        return False
-    marked = joined.encode().translate(_GATE)
-    return b"." not in marked and b"null" not in marked and _EXPONENT(marked) is None
+class _Refused(Exception):
+    """The knowledge replay met a value that orjson refuses; its one
+    argument is the id of the message that holds it."""
 
 
 def _is_envelope(value) -> bool:
@@ -141,11 +79,12 @@ def _opens(inner) -> bool:
 
 def _split(payload, labels, encode):
     """(plain knowledge rows, sealed interiors that open) of one payload
-    dict, each field that is not a str encoded by encode."""
+    dict, each field that is not a str encoded by encode, and each str
+    field by _canon: its text holds no package."""
     plain, sealed = [], []
     for fname, value in payload.items():
-        if value.__class__ is str:  # the text _canon writes, without the encoder
-            plain.append((fname, labels[fname], encode_basestring_ascii(value)))
+        if value.__class__ is str:
+            plain.append((fname, labels[fname], _canon(value)))
         elif _is_envelope(value):
             if _opens(value["_sealed"]):
                 sealed.append(value["_sealed"])
@@ -181,93 +120,90 @@ def _walked(inner, receiver, reader) -> bool:
 def _replay_observations(transcript, encode):
     """Walk the message records and rebuild who could read what, each
     field that is not a str encoded by encode, and list the messages that
-    can fail the billing check.
+    can fail the billing check. Where encode raises orjson's refusal,
+    _Refused names the message being replayed.
 
     The receiver and the carrier share one split of each payload; an
     interior is split where a reader opens it. A message is listed when its
     type is missing or is billing-package, when its payload has a
     grand_total key, or when an interior of it must be walked (_walked).
     Any other message holds a package only in a field the replay encoded
-    (see _exact_replay)."""
+    (see _replay)."""
     channels = transcript.header.get("channels", {})
     knowledge = {pid: set() for pid in transcript.snapshot.get("knowledge", {})}
     carrier_views = {pid: [] for pid in knowledge}
     listed = []
 
-    for record in _messages(transcript):
-        receiver, payload = record["receiver"], record["payload"]
-        plain, sealed = _split(payload, record["labels"], encode)
-        known = knowledge.setdefault(receiver, set())
-        known.update(plain)
-        if sealed:
-            _open(known, receiver, sealed, encode)
+    try:
+        for record in _messages(transcript):
+            receiver, payload = record["receiver"], record["payload"]
+            plain, sealed = _split(payload, record["labels"], encode)
+            known = knowledge.setdefault(receiver, set())
+            known.update(plain)
+            if sealed:
+                _open(known, receiver, sealed, encode)
 
-        ch = channels.get(record["channel"], {})
-        carrier = ch.get("carrier")
-        reader = None  # the carrier, where it reads the payload
-        if (
-            ch.get("kind") == "mobile_network"
-            and carrier
-            and carrier not in (record["sender"], receiver)
-        ):
-            carrier_views.setdefault(carrier, []).append(
-                {
-                    "tick": record["tick"],
-                    "channel": record["channel"],
-                    "fields": sorted(payload),
-                    "encrypted": record["encrypted"],
-                }
-            )
-            if not record["encrypted"]:
-                reader = carrier
-                known = knowledge.setdefault(carrier, set())
-                known.update(plain)
-                if sealed:
-                    _open(known, carrier, sealed, encode)
+            ch = channels.get(record["channel"], {})
+            carrier = ch.get("carrier")
+            reader = None  # the carrier, where it reads the payload
+            if (
+                ch.get("kind") == "mobile_network"
+                and carrier
+                and carrier not in (record["sender"], receiver)
+            ):
+                carrier_views.setdefault(carrier, []).append(
+                    {
+                        "tick": record["tick"],
+                        "channel": record["channel"],
+                        "fields": sorted(payload),
+                        "encrypted": record["encrypted"],
+                    }
+                )
+                if not record["encrypted"]:
+                    reader = carrier
+                    known = knowledge.setdefault(carrier, set())
+                    known.update(plain)
+                    if sealed:
+                        _open(known, carrier, sealed, encode)
 
-        if (
-            record.get("type") in (None, "billing-package")
-            or "grand_total" in payload
-            or sealed and any(_walked(inner, receiver, reader) for inner in sealed)
-        ):
-            listed.append(record)
+            if (
+                record.get("type") in (None, "billing-package")
+                or "grand_total" in payload
+                or sealed and any(_walked(inner, receiver, reader) for inner in sealed)
+            ):
+                listed.append(record)
+    except orjson.JSONEncodeError:
+        raise _Refused(record["id"]) from None
 
     return knowledge, carrier_views, listed
 
 
-def _exact_replay(transcript):
+def _replay(transcript):
     """The knowledge replay on _canon: knowledge, carrier views and the
     messages it lists, the last None when a field encoding holds
     '"grand_total":', as it does wherever the value holds a dict with that
-    key. The replay runs through orjson; when the encodings it returned
-    (a str field is written as _canon writes it) fail _exact, joined, it
-    runs again on _canon, so every finding, detail and error is _canon's."""
-    for canon in (_orjson_canon, _canon):
-        texts = [""]  # each encoding, after a "\n"
+    key (a str field is written as _canon writes it)."""
+    texts = []
 
-        def encode(value):
-            text = canon(value)
-            texts.append(text)
-            return text
+    def encode(value):
+        text = _canon(value)
+        texts.append(text)
+        return text
 
-        knowledge, carrier_views, listed = _replay_observations(transcript, encode)
-        joined = "\n".join(texts)
-        if canon is _canon or _exact(joined):
-            break
-    return knowledge, carrier_views, None if '"grand_total":' in joined else listed
+    knowledge, carrier_views, listed = _replay_observations(transcript, encode)
+    return knowledge, carrier_views, None if '"grand_total":' in "\n".join(texts) else listed
 
 
 def check_knowledge_soundness(transcript) -> Finding:
     """Snapshot knowledge == what the raw messages actually exposed. A
-    payload value holding a dict with a key that is not a str fails it,
-    naming the first message whose payload holds one (see _orjson_canon)."""
+    value that the replay encodes and orjson refuses fails it, naming the
+    first message that holds one: such a value has no canonical text (see
+    _canon), and a written transcript cannot hold it."""
     try:
-        knowledge, carrier_views, listed = _exact_replay(transcript)
-    except _NonStrKey:
-        first = next(record["id"] for record in _messages(transcript)
-                     if _holds_non_str_key(record["payload"]))
+        knowledge, carrier_views, listed = _replay(transcript)
+    except _Refused as refused:
         return Finding("knowledge-soundness", False,
-                       f"message {first} holds a dict with a key that is not a str")
+                       f"message {refused.args[0]} holds a value outside the JSON value domain")
     if isinstance(transcript, _AuditView):
         transcript.listed = listed
     snapshot_knowledge = {

@@ -49,11 +49,13 @@ class MeasurementLog:
 
     @classmethod
     def from_fields(cls, rows) -> "MeasurementLog":
-        """The log that to_fields() put on the wire. Raises KeyError,
-        TypeError or ValueError when an entry is malformed."""
+        """The log that to_fields() put on the wire, each pcr index an int of
+        the JSON value domain. Raises KeyError, TypeError or ValueError when
+        an entry is malformed."""
         log = cls(LogEntry(r["component"], r["measurement"], r["pcr"]) for r in rows)
         for entry in log.entries:
-            if not (isinstance(entry.component, str) and isinstance(entry.pcr_index, int)):
+            if not (isinstance(entry.component, str) and type(entry.pcr_index) is int
+                    and entry.pcr_index in crypto.DOMAIN_INTS):
                 raise ValueError("log entry needs a component name and a pcr index")
             bytes.fromhex(entry.measurement)
         return log

@@ -15,7 +15,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .harness import Transcript
-from .scenarios import CATALOG, ScriptError, load_script_file, run_scenario
+from .scenarios import CATALOG, ScriptError, load_script_file, run_validated, validate_run
 from .scenarios import report as report_of
 
 OUT_ENV = "TRUSTSIM_OUT"
@@ -44,12 +44,12 @@ def cmd_run(args) -> int:
             attacks = tuple(args.attack)
             variants = {}
         variants.update(dict(_parse_variant(v) for v in args.variant))
+        script, variants = validate_run(script, args.seed, attacks, variants)  # before --out
         try:  # before the run, so that an unusable --out costs none
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise ScriptError(f"cannot make output directory {out_dir}: {err}") from None
-        transcript, report = run_scenario(script, args.seed, attacks=attacks,
-                                          variants=variants)
+        transcript, report = run_validated(script, args.seed, attacks, variants)
     except ScriptError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

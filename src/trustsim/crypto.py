@@ -13,10 +13,11 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring
+
+import orjson
 
 DIGEST_LEN = 20
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
@@ -34,31 +35,64 @@ def hash256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-# The C encoder behind json.dumps(value, sort_keys=True, separators=(",",
-# ":")), built once at import: JSONEncoder.encode builds a fresh one on every
-# call. markers is None, so there is no circular-reference check: a shared
-# markers dict keeps the ids of the containers an encode was inside when it
-# raised, and a later encode of one of them would then fail as a false
-# "Circular reference". A cyclic value raises RecursionError instead.
-_iterencode = c_make_encoder(
-    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",",
-    True, False, True,
-)
+# The JSON value domain: a str with no lone surrogate, an int in
+# [-2**63, 2**64), a bool, None, and lists and dicts with str keys of those,
+# nested at most 255 levels deep. Over it the canonical form, the UTF-8 of
+# json.dumps(value, sort_keys=True, separators=(",", ":"),
+# ensure_ascii=False), is byte for byte what orjson writes with sorted keys.
+# A dataclass, datetime or subclass of str, int, dict or list raises
+# TypeError, as json.dumps raises for the first two.
+DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                 | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
+_MAX_DEPTH = 255  # the deepest nesting orjson writes
+DOMAIN_INTS = range(-(2**63), 2**64)
 
 
 def canonical_json(value) -> str:
-    """Canonical JSON text of a value: sorted keys, "," and ":" separators,
-    non-ASCII escaped, exactly as json.dumps writes it with those options."""
-    if value.__class__ is str:  # JSONEncoder.encode's own shortcut
-        return encode_basestring_ascii(value)
-    if value.__class__ is int:  # what the C encoder writes for an int
+    """Canonical JSON text of a value in the domain: what orjson writes,
+    through encode_basestring for an ASCII str and int.__repr__ for an int
+    in range, which write the same text without the encoder. Anything else
+    goes to orjson, which raises TypeError outside the domain."""
+    kind = value.__class__
+    if kind is str and value.isascii():
+        return encode_basestring(value)
+    if kind is int and value in DOMAIN_INTS:
         return int.__repr__(value)
-    return "".join(_iterencode(value, 0))
+    return orjson.dumps(value, None, DUMPS_OPTIONS).decode()
 
 
 def canonical_bytes(obj) -> bytes:
-    """Stable byte encoding of a JSON-able structure, used for signing."""
-    return canonical_json(obj).encode("utf-8")
+    """Stable byte encoding of a value in the domain, used for signing."""
+    return orjson.dumps(obj, None, DUMPS_OPTIONS)
+
+
+def check_domain(value, depth: int = _MAX_DEPTH) -> None:
+    """ValueError naming what puts value outside the JSON value domain, with
+    containers nesting at most depth levels: types are exact, so a float, a
+    tuple or a subclass is outside it. Recursion stops at depth."""
+    kind = value.__class__
+    if kind is str:
+        if not value.isascii():
+            try:
+                value.encode()
+            except UnicodeEncodeError:
+                raise ValueError(f"a lone surrogate in {value!r}") from None
+    elif kind is int:
+        if value not in DOMAIN_INTS:
+            raise ValueError(f"an int outside [-2**63, 2**64): {value}")
+    elif kind is list or kind is dict:
+        if not depth:
+            raise ValueError(f"nested deeper than {_MAX_DEPTH} levels")
+        if kind is dict:
+            for key in value:
+                if key.__class__ is not str:
+                    raise ValueError(f"a dict key that is not a str: {key!r}")
+                check_domain(key)
+            value = value.values()
+        for item in value:
+            check_domain(item, depth - 1)
+    elif value is not None and kind is not bool:
+        raise ValueError(f"a value of type {kind.__name__}")
 
 
 class Rng:
@@ -326,11 +360,13 @@ def signed(key: KeyPair, tag: bytes, body: dict) -> dict:
 def signed_by(public: bytes, tag: bytes, payload: dict) -> bool:
     """Whether a payload, as it arrived, carries public's signature over
     every field but its signature, as signed() signs them: an added field
-    unsigns it. A payload that is not a dict, or whose signature is missing
-    or not hex text, is unsigned rather than an error."""
+    unsigns it. A payload that is not a dict, whose signature is missing or
+    not hex text, or whose body is outside the JSON value domain (and so has
+    no canonical bytes) is unsigned rather than an error."""
     try:
         signature = bytes.fromhex(payload["signature"])
+        body = {name: value for name, value in payload.items() if name != "signature"}
+        check_domain(body)
     except (KeyError, TypeError, ValueError):
         return False
-    body = {name: value for name, value in payload.items() if name != "signature"}
     return verify(public, tag + canonical_bytes(body), signature)

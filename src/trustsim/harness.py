@@ -17,21 +17,17 @@ import gc
 import json
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring
 
 import orjson
 
-from .crypto import Rng, canonical_json as _encode
+from .crypto import DUMPS_OPTIONS, Rng, canonical_json as _encode, check_domain
 
 # Transcript lines and knowledge-set values are in crypto's canonical JSON
-# form (_encode). Record and snapshot lines go through orjson wherever the
-# gates (_exact_lines and _narrow_ints) find that it writes and reads what
-# the stdlib's json does, and through the stdlib's json otherwise.
+# form, orjson's text over the JSON value domain (_encode). Lines are read
+# through orjson wherever the gates (_plain_numbers and _shallow) find that
+# it reads what the stdlib's json does, and through the stdlib's otherwise.
 _dumps, _loads = orjson.dumps, orjson.loads
-# Sorted keys; a dataclass, datetime or subclass of str, int, dict or list
-# raises TypeError, as json.dumps raises for the first two.
-_DUMPS_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
-                  | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
 
 TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 
@@ -80,37 +76,57 @@ FIELD_LABELS = {
 DROP = "drop"
 
 
-# The line codec works in bounded pieces, so a line of any length costs
-# bounded memory: parse decodes _BATCH lines at a time, and the gates read
-# windows of _CHUNK. to_text chooses orjson or _encode once per transcript.
+# The line decoder works in bounded pieces, so a line of any length costs
+# bounded memory: parse decodes _BATCH lines at a time, and the number gate
+# reads windows of _CHUNK.
 _CHUNK = 1 << 16
 _BATCH = 64
 
 
-# orjson.loads returns a float for an integer beyond 64 bits, where json.loads
-# returns an int; every other difference between the two is an error of
-# orjson.loads. An integer token follows a line start, JSON whitespace, "[",
-# ",", ":" or "-": with those mapped to ":" and digits to "0", a ":" and 19
-# zeros mark every token that might be one. A mark holds one ":", so none
-# spans a line break.
-_INT_GATE = bytes.maketrans(b"0123456789,[- \t\r\n", b"0000000000:::::::")
-_WIDE_INT = re.compile(b":" + b"0" * 19).search
+# The domain holds no float and no int outside [-2**63, 2**64), and
+# orjson.loads reads a float, and an int beyond 64 bits as a float, where
+# _strict_loads refuses both; every other difference between the two is an
+# error of orjson.loads. A number token follows a line start, JSON
+# whitespace, "[", ",", ":" or "-": with those mapped to ":" and digits to
+# "0", every token that might be a float (a point or an exponent after its
+# digits) or a wide int (19 digits or more) leaves a mark of at most 20
+# bytes. A mark holds one ":", so none spans a line break.
+_NUMBER_GATE = bytes.maketrans(b"0123456789,[- \t\r\n", b"0000000000:::::::")
+_MARK = re.compile(rb":0(?:0{18}|0*[.eE])").search
 
 
-def _narrow_ints(text: str, start: int) -> bool:
-    """Whether ":" + text[start:], in UTF-8 mapped by _INT_GATE, holds no
-    _WIDE_INT. Read in windows of _CHUNK characters, each after the last 19
+def _plain_numbers(text: str, start: int) -> bool:
+    """Whether ":" + text[start:], in UTF-8 mapped by _NUMBER_GATE, holds no
+    _MARK. Read in windows of _CHUNK characters, each after the last 19
     bytes mapped before it, so that a mark across a window edge is found."""
     tail = b":"
     for edge in range(start, len(text), _CHUNK):
         try:
-            marked = tail + text[edge:edge + _CHUNK].encode().translate(_INT_GATE)
+            marked = tail + text[edge:edge + _CHUNK].encode().translate(_NUMBER_GATE)
         except UnicodeEncodeError:  # a lone surrogate: no UTF-8 for orjson
             return False
-        if _WIDE_INT(marked) is not None:
+        if _MARK(marked) is not None:
             return False
         tail = marked[-19:]
     return True
+
+
+def _refuse(token: str):
+    raise ValueError(f"{token} is outside the JSON value domain")
+
+
+def _domain_int(token: str) -> int:
+    value = int(token)
+    if not -(2**63) <= value < 2**64:
+        _refuse(token)
+    return value
+
+
+def _strict_loads(line: str):
+    """json.loads(line), errors included, except that a float, NaN, an
+    infinity or an int outside [-2**63, 2**64) raises ValueError."""
+    return json.loads(line, parse_float=_refuse, parse_int=_domain_int,
+                      parse_constant=_refuse)
 
 
 # orjson.loads (3.8.3, at least) recurses on the C stack with no depth limit,
@@ -128,16 +144,17 @@ def _shallow(lines: list) -> bool:
         for line in lines)
 
 
-def _decode_lines(lines: list, narrow: bool) -> list:
-    """lines with each line replaced by json.loads(line), type-exact, errors
-    included, in place, _BATCH lines at a time: through orjson.loads where
-    narrow (see _narrow_ints), no line of the batch can nest _DEPTH deep and
-    each decodes, and line by line through _decode_line otherwise, so that
-    no line's decoding depends on another's. Where a line raises, its batch
-    and those after it stay undecoded, so the error is json.loads's first."""
+def _decode_lines(lines: list, plain: bool) -> list:
+    """lines with each line replaced by _strict_loads(line), type-exact,
+    errors included, in place, _BATCH lines at a time: through orjson.loads
+    where plain (see _plain_numbers), no line of the batch can nest _DEPTH
+    deep and each decodes, and line by line through _decode_line otherwise,
+    so that no line's decoding depends on another's. Where a line raises,
+    its batch and those after it stay undecoded, so the error is the first
+    line's."""
     for start in range(0, len(lines), _BATCH):
         batch = lines[start:start + _BATCH]
-        if narrow and _shallow(batch):
+        if plain and _shallow(batch):
             try:
                 lines[start:start + _BATCH] = map(_loads, batch)
                 continue
@@ -148,13 +165,13 @@ def _decode_lines(lines: list, narrow: bool) -> list:
 
 
 def _decode_line(line: str):
-    """json.loads(line), type-exact: through orjson where both gates pass."""
-    if _narrow_ints(line, 0) and _shallow([line]):
+    """_strict_loads(line), type-exact: through orjson where both gates pass."""
+    if _plain_numbers(line, 0) and _shallow([line]):
         try:
             return _loads(line)
         except ValueError:
             pass
-    return json.loads(line)
+    return _strict_loads(line)
 
 
 def paused_collector(function):
@@ -171,31 +188,6 @@ def paused_collector(function):
             if collecting:
                 gc.enable()
     return paused
-
-
-# Where an orjson line differs from _encode's: non-ASCII text and DEL (which
-# _encode escapes), floats (no exponent sign or zero padding), NaN and the
-# infinities (written as null). With digits mapped to "0", line breaks, "["
-# and "," to ":", "-" dropped, and DEL and every non-ASCII byte to ".", each
-# leaves a ".", a "null" or a float with a one-digit mantissa after its line
-# break, ":0e".
-_LINE_GATE = bytes.maketrans(b"0123456789,[\n\x7f" + bytes(range(0x80, 0x100)),
-                             b"0000000000:::" + b"." * 0x81)
-_EXPONENT = re.compile(rb":0e").search
-
-
-def _exact_lines(buffer: bytearray, start: int) -> bool:
-    """Whether buffer[start:], each line orjson wrote after its "\n", is
-    those lines as _encode writes them. Read in windows of _CHUNK bytes,
-    each after the last 3 bytes mapped before it, so that a "null" or ":0e"
-    across a window edge is still found."""
-    tail = b""
-    for edge in range(start, len(buffer), _CHUNK):
-        marked = tail + buffer[edge:edge + _CHUNK].translate(_LINE_GATE, b"-")
-        if b"." in marked or b"null" in marked or _EXPONENT(marked) is not None:
-            return False
-        tail = marked[-3:]
-    return True
 
 
 _NOT_TYPED = ("sender, receiver or channel not a string, payload or labels not a dict, "
@@ -341,9 +333,10 @@ class Simulation:
     def _check(self, record: dict, msg_id: str) -> None:
         """ValueError unless send may append a record that hooks let through:
         kind, id and tick as built, routing that passes _check_routing,
-        labels that are a dict, and every field labelled within the
-        taxonomy. Sealed interiors need no check: one that fails it does not
-        open (see opens)."""
+        labels that are a dict, every field labelled within the taxonomy,
+        and the whole record in the JSON value domain (see check_domain), so
+        that to_text writes it as it is. Sealed interiors need no label
+        check: one that fails it does not open (see opens)."""
         built = record.get("kind"), record.get("id"), record.get("tick")
         if built != ("message", msg_id, self.tick + 1):
             raise ValueError(f"kind, id or tick not as built: {built}")
@@ -357,6 +350,10 @@ class Simulation:
         for label in labels.values():
             if not isinstance(label, str) or label not in LABELS:
                 raise ValueError(f"labels outside the fixed taxonomy: {label!r}")
+        try:
+            check_domain(record)
+        except ValueError as err:
+            raise ValueError(f"record outside the JSON value domain: {err}") from None
 
     def _observe(self, record: dict) -> None:
         """Fold a delivered record into the receiver's knowledge and, on a
@@ -459,8 +456,8 @@ def _split(payload: dict, labels: dict) -> tuple:
     (see opens) is neither."""
     plain, sealed = [], []
     for fname, value in payload.items():
-        if value.__class__ is str:  # canonical_json's own shortcut
-            plain.append((fname, labels[fname], encode_basestring_ascii(value)))
+        if value.__class__ is str and value.isascii():  # canonical_json's own shortcut
+            plain.append((fname, labels[fname], encode_basestring(value)))
         elif is_sealed(value):
             if opens(value["_sealed"]):
                 sealed.append(value["_sealed"])
@@ -489,32 +486,15 @@ class Transcript:
     snapshot: dict
 
     def to_text(self) -> str:
-        """The header, each record and the snapshot in canonical JSON (_encode),
-        one line each, written into one buffer and decoded once at the end.
-        Records and snapshot go through orjson; where it raises TypeError or
-        _exact_lines refuses any of its lines, its text is deleted and all of
-        them go through _encode: the same text, or _encode's exception.
-
-        One difference stays, in a transcript that orjson writes whole: an
-        enum.Enum member (not also a str or an int) or a uuid.UUID, which
-        orjson writes and _encode refuses with TypeError. No run builds either."""
-        buffer = bytearray(_encode(self.header).encode())
-        start = len(buffer)  # the "\n" before the first record
-        values = [*self.records, self.snapshot]
-        try:
-            for value in values:
-                buffer += b"\n"
-                buffer += _dumps(value, None, _DUMPS_OPTIONS)
-            exact = _exact_lines(buffer, start)
-        except TypeError:  # a wide int, a key not a str, a type passed through, a cycle
-            exact = False
-        if not exact:
-            del buffer[start:]
-            for value in values:
-                buffer += b"\n"
-                buffer += _encode(value).encode()
-        buffer += b"\n"
-        return buffer.decode()
+        """The header, each record and the snapshot in canonical JSON, one
+        line each: orjson's bytes, each line decoded on its own (so a
+        non-ASCII line widens only itself) and all joined once. A value that
+        orjson refuses raises its TypeError; send refuses such a value, and
+        a float, in a record that a hook let through."""
+        lines = [_dumps(value, None, DUMPS_OPTIONS).decode()
+                 for value in (self.header, *self.records, self.snapshot)]
+        lines.append("")  # the "\n" after the snapshot
+        return "\n".join(lines)
 
     @classmethod
     @paused_collector  # decoded JSON holds no reference cycles
@@ -522,25 +502,27 @@ class Transcript:
         """Decode a transcript line by line.
 
         Lines end at "\n", "\r\n" or "\r" only: U+2028, U+2029 and U+0085
-        may stand raw inside a JSON string. A line that _decode_lines sends to
-        json.loads and that nests too deep for it raises ValueError."""
+        may stand raw inside a JSON string. A float, NaN, an infinity or an
+        int outside [-2**63, 2**64) raises ValueError (see _strict_loads),
+        and so does a line that _decode_lines sends to json.loads and that
+        nests too deep for it."""
         try:
             if "\r" in text:
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
             lines = [line for line in text.split("\n") if line.strip()]
             if len(lines) < 2:
                 raise ValueError("transcript too short")
-            header = json.loads(lines[0])
+            header = _strict_loads(lines[0])
             schema = header.get("schema") if isinstance(header, dict) else header
             if schema != TRANSCRIPT_SCHEMA:
                 raise ValueError(f"unknown transcript schema: {schema!r}")
-            # one integer gate over all that follows the header and its seed
-            narrow = _narrow_ints(text, text.find(lines[0]) + len(lines[0]))
-            snapshot = _decode_lines([lines.pop()], narrow)[0]
+            # one number gate over all that follows the header and its seed
+            plain = _plain_numbers(text, text.find(lines[0]) + len(lines[0]))
+            snapshot = _decode_lines([lines.pop()], plain)[0]
             if not isinstance(snapshot, dict) or snapshot.get("kind") != "snapshot":
                 raise ValueError("transcript missing snapshot line")
             del lines[0]
-            return cls(header=header, records=_decode_lines(lines, narrow), snapshot=snapshot)
+            return cls(header=header, records=_decode_lines(lines, plain), snapshot=snapshot)
         except RecursionError as err:  # json.loads on a line nested too deep
             raise ValueError(f"line nested too deep: {err}") from None
 

@@ -58,7 +58,9 @@ class PriceList:
 
     @classmethod
     def from_fields(cls, fields: dict) -> "PriceList":
-        """The price list that to_fields() put on the wire."""
+        """The price list that to_fields() put on the wire, its fields in
+        the JSON value domain, so that it has a signed_payload."""
+        crypto.check_domain(fields)
         return cls(tuple(tuple(e) for e in fields["entries"]), bytes.fromhex(fields["signature"]))
 
     def verify(self, owner_public: bytes) -> bool:

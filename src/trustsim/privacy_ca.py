@@ -58,10 +58,12 @@ class AikCertificate:
 
     @classmethod
     def from_fields(cls, fields: dict) -> "AikCertificate":
-        """The certificate that to_fields() put on the wire. Raises KeyError,
-        TypeError or ValueError when a field is malformed."""
+        """The certificate that to_fields() put on the wire, its fields in
+        the JSON value domain, so that it has a signed_payload. Raises
+        KeyError, TypeError or ValueError when a field is malformed."""
+        crypto.check_domain(fields)
         valid_from, valid_until = fields["valid_from"], fields["valid_until"]
-        if not (isinstance(valid_from, int) and isinstance(valid_until, int)):
+        if not (type(valid_from) is int and type(valid_until) is int):
             raise ValueError("validity bounds must be integer ticks")
         return cls(bytes.fromhex(fields["aik_public"]), fields["domain_id"], valid_from,
                    valid_until, fields["hash_alg"], bytes.fromhex(fields["pca_signature"]))

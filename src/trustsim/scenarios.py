@@ -920,6 +920,12 @@ _VALUE_RULES = {
                  "at least one [service, units] pair of a priced service and positive units"),
     "vouchers": (lambda v, c: all(type(x) is int and x >= 0 for x in v),
                  "non-negative int values"),
+    # the rules above hold, so each sum and product is of ints
+    "initial_balance": (lambda v, c: v + sum(c.get("vouchers", ())) + c.get("voucher_value", 0)
+                        < 2**64 and all(c["tariffs"][s] * u < 2**64
+                                        for s, u in c.get("requests", ())),
+                        "a sum with every voucher, and each request's tariff times units, "
+                        "below 2**64: a balance or cost the wire carries"),
     "good": (lambda v, c: v in dict(_POS_GOODS), f"one of {[g for g, _ in _POS_GOODS]}"),
     # after exit a device is OUTSIDE, so no zone may share that name
     "zones": (lambda v, c: v and OUTSIDE not in v and all(
@@ -932,7 +938,8 @@ _VALUE_RULES = {
 
 def _validate(script: ScenarioScript, overrides: dict, attacks) -> None:
     """ScriptError for an unknown key or attack, or a value of the wrong
-    type or one the runner cannot act on, before anything runs."""
+    type, outside the JSON value domain (see crypto.check_domain) or one the
+    runner cannot act on, before anything runs."""
     for key, value in overrides.items():
         if key not in script.defaults:
             raise ScriptError(f"unknown config key for {script.name}: {key!r}")
@@ -945,6 +952,10 @@ def _validate(script: ScenarioScript, overrides: dict, attacks) -> None:
             )
         if type(value) is int and value < 0:
             raise ScriptError(f"config key {key!r} must not be negative, got {value}")
+        try:
+            crypto.check_domain(value)
+        except ValueError as err:
+            raise ScriptError(f"config key {key!r} holds {err}") from None
     config = {**script.defaults, **overrides}
     for key, (usable, needs) in _VALUE_RULES.items():
         if key in config and not usable(config[key], config):
@@ -954,21 +965,34 @@ def _validate(script: ScenarioScript, overrides: dict, attacks) -> None:
             raise ScriptError(f"scenario {script.name} has no attack {attack!r}")
 
 
-@paused_collector
-def run_scenario(script, seed: int, attacks=(), variants=None):
-    """Deterministic execution -> (Transcript, report dict).
-
-    Under paused_collector: a run builds no reference cycles of its own
-    (ctypes' bookkeeping of the crypto buffer types aside, a few objects)."""
+def validate_run(script, seed: int, attacks, variants) -> tuple:
+    """(the ScenarioScript, the variants as the transcript header records
+    them) that run_validated takes, or ScriptError for an unknown scenario,
+    a seed outside 64 bits, or an override or attack that _validate
+    refuses: every check a run makes before anything runs."""
     if isinstance(script, str):
         script = get_script(script)
     if not 0 <= seed < 2**64:
         raise ScriptError(f"seed must be in 0..2**64-1, got {seed}")
     _validate(script, variants or {}, attacks)
-    # the variants as the transcript header records them, keys sorted, so the
-    # runner meets any multi-key override in the order a judge of the text does
-    variants = json.loads(crypto.canonical_json(variants or {}))
+    # keys sorted, so the runner meets any multi-key override in the order
+    # a judge of the text does
+    return script, json.loads(crypto.canonical_json(variants or {}))
 
+
+def run_scenario(script, seed: int, attacks=(), variants=None):
+    """Deterministic execution -> (Transcript, report dict): validate_run,
+    then run_validated."""
+    script, variants = validate_run(script, seed, attacks, variants)
+    return run_validated(script, seed, attacks, variants)
+
+
+@paused_collector
+def run_validated(script: ScenarioScript, seed: int, attacks, variants: dict):
+    """The run of what validate_run returned -> (Transcript, report dict).
+
+    Under paused_collector: a run builds no reference cycles of its own
+    (ctypes' bookkeeping of the crypto buffer types aside, a few objects)."""
     sim = Simulation(seed, scenario=script.name, attacks=attacks, variants=variants)
     for party_id, role in script.roster:
         sim.add_party(party_id, role)

@@ -7,13 +7,21 @@ both: no knowledge comes from it and no package is read in it.
 """
 
 import json
+import re
 from bisect import bisect_right
 
 from trustsim.audit import BILLING_PACKAGE_FIELDS, DEFAULT_FRESHNESS_WINDOW, Finding
 
-# The auditor's own canonical encoder (sorted keys, "," and ":" separators,
-# non-ASCII escaped), built once. It is deliberately not the harness's.
-_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The canonical form (sorted keys, "," and ":" separators, non-ASCII text
+# written raw), built once. It is deliberately not the harness's encoder or
+# the auditor's.
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+
+# What a written transcript can hold: ints of 64 bits, text in UTF-8 (no
+# surrogate code point) and containers nested at most 255 levels deep.
+_INTS = range(-(2**63), 2**64)
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_LEVELS = 255
 
 # The label taxonomy, written out again rather than imported.
 TAXONOMY = {"identity", "good", "price", "token", "balance", "policy", "plumbing"}
@@ -35,23 +43,38 @@ def _opened(envelope):
     return None
 
 
-class _KeyNotText(Exception):
-    """A field the replay encodes holds a dict with a key that is not text."""
+class _Unwritable(Exception):
+    """A field the replay encodes holds a value that has no canonical text;
+    once raised from a record, its one argument is the record's id."""
 
 
-def _text_keyed(value) -> bool:
-    """Whether every dict inside value, read as json.dumps reads it (through
-    items()), has only str keys."""
-    pending = [value]
+def _writable(value) -> bool:
+    """Whether a written transcript can hold value: only JSON's own types
+    (exactly: no subclass but bool), dicts keyed by text, ints in _INTS,
+    text with no surrogate and containers at most _LEVELS deep. Floats are
+    written as the encoders write them. Read with a stack of its own, so
+    that no depth exhausts Python's."""
+    pending = [(value, 1)]
     while pending:
-        item = pending.pop()
-        if isinstance(item, dict):
-            for key, child in item.items():
-                if not isinstance(key, str):
+        item, level = pending.pop()
+        kind = type(item)
+        if kind is str:
+            if _SURROGATE.search(item):
+                return False
+        elif kind is int:
+            if item not in _INTS:
+                return False
+        elif kind in (dict, list, tuple):
+            if level > _LEVELS:
+                return False
+            if kind is dict:
+                if not all(type(key) is str for key in item):
                     return False
-                pending.append(child)
-        elif isinstance(item, (list, tuple)):
-            pending.extend(item)
+                pending += [(key, level) for key in item]
+                item = item.values()
+            pending += [(child, level + 1) for child in item]
+        elif kind not in (bool, float, type(None)):
+            return False
     return True
 
 
@@ -76,8 +99,8 @@ def _replay_observations(transcript):
                         sealed.append(inner)
                 else:
                     label = labels[fname]
-                    if not _text_keyed(value):
-                        raise _KeyNotText
+                    if not _writable(value):
+                        raise _Unwritable
                     plain.append((fname, label, _canon(value)))
             split = memo[key] = (plain, sealed)
         plain, sealed = split
@@ -90,40 +113,40 @@ def _replay_observations(transcript):
         if record["kind"] != "message":
             continue
         memo = {}
-        absorb(record["receiver"], record["payload"], record["labels"], memo)
-        ch = channels.get(record["channel"], {})
-        carrier = ch.get("carrier")
-        if (
-            ch.get("kind") == "mobile_network"
-            and carrier
-            and carrier not in (record["sender"], record["receiver"])
-        ):
-            carrier_views.setdefault(carrier, []).append(
-                {
-                    "tick": record["tick"],
-                    "channel": record["channel"],
-                    "fields": sorted(record["payload"]),
-                    "encrypted": record["encrypted"],
-                }
-            )
-            if not record["encrypted"]:
-                absorb(carrier, record["payload"], record["labels"], memo)
+        try:
+            absorb(record["receiver"], record["payload"], record["labels"], memo)
+            ch = channels.get(record["channel"], {})
+            carrier = ch.get("carrier")
+            if (
+                ch.get("kind") == "mobile_network"
+                and carrier
+                and carrier not in (record["sender"], record["receiver"])
+            ):
+                carrier_views.setdefault(carrier, []).append(
+                    {
+                        "tick": record["tick"],
+                        "channel": record["channel"],
+                        "fields": sorted(record["payload"]),
+                        "encrypted": record["encrypted"],
+                    }
+                )
+                if not record["encrypted"]:
+                    absorb(carrier, record["payload"], record["labels"], memo)
+        except _Unwritable:
+            raise _Unwritable(record["id"]) from None
 
     return knowledge, carrier_views
 
 
 def check_knowledge_soundness(transcript) -> Finding:
     """Snapshot knowledge == what the raw messages actually exposed; a field
-    holding a dict with a key that is not text fails it, naming the first
-    message whose payload holds such a dict."""
+    holding a value that a written transcript cannot hold fails it, naming
+    the first message whose replay meets one."""
     try:
         knowledge, carrier_views = _replay_observations(transcript)
-    except _KeyNotText:
-        for record in transcript.records:
-            if record["kind"] == "message" and not _text_keyed(record["payload"]):
-                detail = f"message {record['id']} holds a dict with a key that is not a str"
-                return Finding("knowledge-soundness", False, detail)
-        raise
+    except _Unwritable as unwritable:
+        detail = f"message {unwritable.args[0]} holds a value outside the JSON value domain"
+        return Finding("knowledge-soundness", False, detail)
     snapshot_knowledge = {
         pid: {tuple(row) for row in rows}
         for pid, rows in transcript.snapshot.get("knowledge", {}).items()

@@ -51,6 +51,55 @@ def test_run_bad_variant_exits_2(tmp_path):
                     "--out", str(tmp_path)]) == 2
 
 
+# Runs that are config errors, each as its arguments after "run": the run is
+# refused before its --out directory is made.
+REFUSED_RUNS = {
+    "unknown-scenario": ["unknown-name"],
+    "unknown-key": ["prepaid-happy", "--variant", "bogus=1"],
+    "unsupported-attack": ["prepaid-happy", "--attack", "ack-strip"],
+    "seed-outside-64-bits": ["pos-fig4", "--seed", str(2**64)],
+    "int-outside-64-bits": ["prepaid-happy", "--variant", "vouchers=[100000000000000000000000]"],
+    "lone-surrogate": ["one-time-aik-auth", "--variant",
+                       'extra_components=[["svc-\\ud800","v1"]]'],
+    # each value fits 64 bits; the balance or a cost it leads to does not
+    "balance-past-64-bits": ["prepaid-happy", "--variant", f"vouchers=[{2**64 - 1}]"],
+    "cost-past-64-bits": ["prepaid-happy", "--variant", 'requests=[["calls",1844674407370955162]]'],
+    "top-up-past-64-bits": ["prepaid-zero", "--variant", f"initial_balance={2**63}",
+                            "--variant", f"voucher_value={2**63}"],
+}
+
+
+@pytest.mark.parametrize("args", REFUSED_RUNS.values(), ids=REFUSED_RUNS.keys())
+def test_a_config_error_leaves_no_out_directory(tmp_path, capsys, args):
+    out = tmp_path / "D"
+    assert run_cli(["run", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_a_balance_at_the_64_bit_edge_runs_and_verifies(tmp_path):
+    # 500 to start and one voucher sum to 2**64 - 1, the most they may; the
+    # three requests spend 50 of it
+    variant = f"vouchers=[{2**64 - 501}]"
+    assert run_cli(["run", "prepaid-happy", "--variant", variant, "--out", str(tmp_path)]) == 0
+    transcript, = tmp_path.glob("*.transcript.jsonl")
+    assert f'"balances":{{"dev-1":{2**64 - 51}}}' in transcript.read_text()
+    assert run_cli(["verify", str(transcript)]) == 0
+
+
+@pytest.mark.parametrize("value, says", [
+    ("[100000000000000000000000]", "an int outside [-2**63, 2**64)"),
+    (f"[{2**64}]", "an int outside [-2**63, 2**64)"),
+    ('[["svc-\\udc00","v1"]]', "a lone surrogate"),
+], ids=["vouchers-10e23", "vouchers-2e64", "component-lone-surrogate"])
+def test_a_config_value_outside_the_json_value_domain_is_a_config_error(tmp_path, capsys,
+                                                                          value, says):
+    key = "extra_components" if "svc" in value else "vouchers"
+    scenario = "one-time-aik-auth" if key == "extra_components" else "prepaid-happy"
+    assert run_cli(["run", scenario, "--variant", f"{key}={value}", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config key {key!r} holds {says}")
+
+
 # Keys that the catalog name or a constant fixes -> a scenario that once
 # had the key, and a value it took.
 FIXED_KEYS = {
@@ -120,7 +169,7 @@ def test_run_out_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch)
     out = tmp_path / "taken"
     out.write_text("a file\n")
     ran = []
-    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr(cli, "run_validated", lambda *args, **kwargs: ran.append(args))
     assert run_cli(["run", "pos-fig4", "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot make output directory") and str(out) in err

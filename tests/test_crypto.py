@@ -3,6 +3,7 @@ wire dicts, seeded rng."""
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -269,12 +270,16 @@ def test_canonical_bytes_stable():
 _KEY, _OTHER_KEY = keygen(Rng(20)), keygen(Rng(21))
 _TAG = b"test:"
 _NAMES = st.text(max_size=6).filter(lambda name: name != "signature")
+# Bodies in the JSON value domain, which alone has canonical bytes to sign;
+# a value outside it (_OUTSIDE) unsigns a payload that holds it.
 _VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-(2**63), 2**64 - 1) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6,
 )
+_OUTSIDE = (st.integers(max_value=-(2**63) - 1) | st.integers(min_value=2**64)
+            | st.sampled_from([1.0, math.nan, "\ud800", {1: 0}]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -289,7 +294,11 @@ def test_signed_round_trips_and_any_edit_unsigns_it(body, data):
     extra = data.draw(_NAMES.filter(lambda n: n not in body))
     missing = {k: v for k, v in wire.items() if k != name}
     signature = wire["signature"]
+    outside = data.draw(_OUTSIDE)
     unsigned = [
+        (_KEY.public, _TAG, {**wire, name: outside}),  # even NaN, which orjson writes as null
+        (_KEY.public, _TAG, {**wire, name: [outside]}),
+        (_KEY.public, _TAG, {**wire, extra: outside}),
         (_KEY.public, _TAG, {**wire, name: [wire[name]]}),  # changed field
         (_KEY.public, _TAG, missing),  # missing field
         (_KEY.public, _TAG, {**wire, extra: 0}),  # an added field unsigns

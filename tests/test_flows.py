@@ -232,6 +232,13 @@ _MALFORMED_ATTESTATION = [
      lambda p: p["quote"].update(signature="zz"), "bad-response"),
     ("one-time-aik-auth", "attestation-response", "validity-not-int",
      lambda p: p["certificate"].update(valid_until="1000"), "bad-response"),
+    # a bool is no int on the wire, though Python's int checks admit one
+    ("one-time-aik-auth", "attestation-challenge", "pcr-a-bool",
+     lambda p: p.update(selection=[False]), "bad-challenge"),
+    ("one-time-aik-auth", "attestation-response", "log-pcr-a-bool",
+     lambda p: p["log"][0].update(pcr=False), "bad-response"),
+    ("one-time-aik-auth", "attestation-response", "validity-a-bool",
+     lambda p: p["certificate"].update(valid_from=False), "bad-response"),
     ("facility-entry", "attestation-response", "no-certificate",
      lambda p: p.pop("certificate"), "bad-response"),
     ("pos-sep-duties", "attestation-challenge", "nonce-not-hex",
