@@ -25,15 +25,8 @@ from .errors import ProtocolError
 from .harness import is_sealed, opens, seal
 from .privacy_ca import AikCertificate, CredentialWallet, PrivacyCa
 
-# The five generic attestation attacks and the reason each must trigger.
+# The five generic attestation attacks; judges.py names the reason each must trigger.
 ATTESTATION_ATTACKS = ("forge-log", "tamper", "replay-aik", "wrong-nonce", "expired-cert")
-EXPECTED_ATTACK_REASONS = {
-    "forge-log": "log-pcr-mismatch",
-    "tamper": "reference-mismatch",
-    "replay-aik": "aik-reused",
-    "wrong-nonce": "stale-nonce",
-    "expired-cert": "cert-expired",
-}
 
 
 class AttackPlan:

@@ -1,10 +1,11 @@
-"""The scenario catalog: scripted end-to-end compositions with assertions.
+"""The scenario catalog: the world, the runners, validation and the report.
 
 Every run is (script, seed, attacks, variants) -> (transcript, report).
-A script's runner only acts; its judge builds the scenario's rows from the
-finalized transcript alone (see report), so `trustsim verify` re-derives
-every row. Attack runs assert that the protocol rejected the injection: a
-thwarted attack is a passing run.
+A script binds a runner, which only acts, to its judge in the judges
+module, which builds the scenario's rows from the finalized transcript
+alone (see report), so `trustsim verify` re-derives every row. Attack runs
+assert that the protocol rejected the injection: a thwarted attack is a
+passing run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import json
 from dataclasses import dataclass
 
-from . import audit, crypto, facility, pos
+from . import audit, crypto, facility, judges, pos
 from .anchor import Manufacturer
 from .attestation import Verifier
 from .boot import tamper
@@ -27,24 +28,9 @@ from .domain import (
     subdomain_admission_flow,
 )
 from .errors import ProtocolError
-from .facility import (
-    BASE_FEATURES,
-    OUTSIDE,
-    FacilityContext,
-    facility_access,
-    facility_exit,
-    send_external,
-    terminal_interaction,
-    zone_features,
-)
-from .flows import (
-    ATTESTATION_ATTACKS,
-    EXPECTED_ATTACK_REASONS,
-    AttackPlan,
-    attest_flow,
-    enroll_flow,
-    opened,
-)
+from .facility import (BASE_FEATURES, OUTSIDE, FacilityContext, facility_access, facility_exit,
+                       send_external, terminal_interaction)
+from .flows import ATTESTATION_ATTACKS, AttackPlan, attest_flow, enroll_flow
 from .harness import CHANNEL_MOBILE, CHANNEL_NET, MNO, Simulation, paused_collector
 from .pos import (
     PosContext,
@@ -98,43 +84,6 @@ class ScenarioScript:
 
 # The trust parameters every family's defaults extend.
 _TRUST_DEFAULTS = {"batch_size": 10, "freshness_window": 100}
-
-
-def _row(name: str, ok: bool, detail: str = "") -> dict:
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
-def _attack_rows(transcript, names, subject: str) -> list:
-    """Expected-rejection assertions for the generic attestation attacks:
-    each is rejected for its reason, and no service follows."""
-    rows = []
-    for name in sorted(names):
-        expected = EXPECTED_ATTACK_REASONS[name]
-        hits = [e for e in transcript.events("attestation-verdict")
-                if e["subject"] == subject and not e["accepted"] and expected in e["reasons"]]
-        rows.append(_row(f"attack-{name}-rejected", hits,
-                         f"expected reason {expected!r}" + ("" if hits else " not observed")))
-        if not hits:
-            continue
-        successes = [
-            e for e in transcript.events()
-            if e["tick"] >= hits[0]["tick"] and (
-                (e["event"] == "grant" and e.get("device") == subject)
-                or (e["event"] == "admission" and e.get("device") == subject and e["admitted"])
-                or (e["event"] == "entry" and e.get("device") == subject and e["granted"])
-                or (e["event"] == "secure-session" and e.get("device") == subject)
-                or e["event"] == "delivery")
-        ]
-        rows.append(_row(f"attack-{name}-no-service", not successes,
-                         f"{len(successes)} service events after rejection" if successes else ""))
-    return rows
-
-
-def _first(records: list, what: str) -> dict:
-    """The first of records, or ValueError: there is no what."""
-    if not records:
-        raise ValueError(f"no {what}")
-    return records[0]
 
 
 class World:
@@ -197,34 +146,6 @@ def _run_one_time_aik(sim, config, plan):
             break
 
 
-def _judge_one_time_aik(transcript, config, attacks):
-    # logins stop at the first rejection or abort, so each accepted verdict is one
-    verdicts = transcript.events("attestation-verdict")
-    accepted = sum(1 for v in verdicts if v["accepted"])
-    aborted = accepted < len(verdicts) or bool(transcript.events("abort"))
-    expected_replenishments = config["auth_count"] // (config["batch_size"] - 1)
-    replenishments = len(transcript.events("replenishment"))
-    common = set.intersection(*(transcript.knowledge_query(svc, "token")
-                                | transcript.knowledge_query(svc, "identity")
-                                for svc in ("svc-a", "svc-b")))
-    # the EK public reaches the record only inside the device's enrollment request
-    eks = {opened(m["payload"])["ek_certificate"]["ek_public"]
-           for m in transcript.messages("enroll-request")}
-    ek_known = any(ek in value for svc in ("svc-a", "svc-b")
-                   for value in transcript.knowledge_query(svc) for ek in eks)
-    return [
-        _row("all-authentications-accepted",
-             not aborted and accepted == config["auth_count"],
-             f"{accepted}/{config['auth_count']}"),
-        _row("replenishment-count",
-             replenishments == expected_replenishments,
-             f"{replenishments} (expected {expected_replenishments})"),
-        _row("service-unlinkability", not common,
-             "" if not common else f"{len(common)} shared credential values"),
-        _row("no-ek-at-services", not ek_known),
-    ]
-
-
 ONE_TIME_AIK = ScenarioScript(
     name="one-time-aik-auth",
     description="Batch-certified one-time credentials: k service logins, "
@@ -235,7 +156,7 @@ ONE_TIME_AIK = ScenarioScript(
     defaults={**_TRUST_DEFAULTS, "auth_count": 27,
               "extra_components": [["svc-client", "svc-client-v1"]]},
     runner=_run_one_time_aik,
-    judge=_judge_one_time_aik,
+    judge=judges.one_time_aik,
 )
 
 
@@ -263,27 +184,6 @@ def _run_clone(sim, config, plan, mode):
         subdomain_admission_flow(sim, device, mno, verifier, session, plan=plan)
 
 
-def _judge_clone(transcript, config, attacks, mode):
-    admissions = dict.fromkeys(("clone", "legit"), (False, "no-network-session"))
-    for e in transcript.events("admission"):
-        admissions[e["device"]] = e["admitted"], e["reason"]
-    (clone_in, clone_why), (legit_in, legit_why) = admissions["clone"], admissions["legit"]
-    if mode == UNBOUND:
-        rows = [_row("first-requester-admitted", clone_in),
-                _row("second-clone-denied", not legit_in and legit_why == "clone-conflict",
-                     legit_why)]
-    else:
-        clones_admitted = sum(1 for e in transcript.events("admission")
-                              if e["admitted"] and e["device"] == "clone")
-        rows = [_row("clone-denied-on-consistency",
-                     not clone_in and clone_why == "credential-inconsistency", clone_why),
-                _row("legit-device-admitted", legit_in),
-                _row("zero-clones-admitted", clones_admitted == 0)]
-    return rows + [_row("both-network-sessions-granted",
-                        len(transcript.events("network-session")) == 2,
-                        "clone detection belongs to restriction, not network access")]
-
-
 CLONE_UNBOUND = ScenarioScript(
     name="clone-attack-unbound",
     description="Two devices share one stolen network credential; without a "
@@ -291,7 +191,7 @@ CLONE_UNBOUND = ScenarioScript(
     roster=(("legit", "device"), ("clone", "device"), (MNO, "mno"), ("pca", "pca")),
     defaults={**_TRUST_DEFAULTS, "batch_size": 4},
     runner=functools.partial(_run_clone, mode=UNBOUND),
-    judge=functools.partial(_judge_clone, mode=UNBOUND),
+    judge=functools.partial(judges.clone, bound=False),
     subject="clone",
 )
 
@@ -301,7 +201,7 @@ CLONE_BOUND = dataclasses.replace(
     description="Same clone pair, but a single authority individualised both "
                 "credentials: the consistency check turns the clone away.",
     runner=functools.partial(_run_clone, mode=BOUND),
-    judge=functools.partial(_judge_clone, mode=BOUND),
+    judge=functools.partial(judges.clone, bound=True),
 )
 
 
@@ -365,70 +265,6 @@ def _run_prepaid(sim, config, plan, tampered):
         sim.summary["ek_publics"] = {"dev-1": client.device.anchor.ek_certificate.ek_public.hex()}
 
 
-def _judge_prepaid_happy(transcript, config, attacks):
-    summary = transcript.snapshot["summary"]
-    grants = len(transcript.events("grant"))
-    requests = len(config["requests"])
-    # each identifying value, and how a failing row names it
-    forbidden = {"dev-1": "dev-1", summary["ek_publics"]["dev-1"]: "the EK public of dev-1"}
-    final = summary["balances"]["dev-1"]
-    leak = _first_leak(transcript.messages(), forbidden)
-    return [
-        _logon_row(transcript),
-        _row("all-requests-granted", grants == requests, f"{grants}/{requests}"),
-        _row("anonymity-no-device-identity-on-wire", not leak, leak),
-        _row("balance-final-recorded", final >= 0, str(final)),
-    ]
-
-
-def _logon_row(transcript) -> dict:
-    """The vsim-logon row: a vsim session, or else a detail naming the abort
-    that ended the logon, or that no logon was tried."""
-    if transcript.events("vsim-session"):
-        return _row("vsim-logon", True)
-    aborts = transcript.events("abort")
-    if not aborts:
-        return _row("vsim-logon", False, "no logon tried")
-    abort = aborts[0]
-    return _row("vsim-logon", False,
-                f"{abort['code']} for {abort['party']} at tick {abort['tick']}")
-
-
-def _first_leak(messages, forbidden) -> str:
-    """A detail naming the first message whose payload holds a forbidden
-    value, and what it carries; empty when none does."""
-    for message in messages:
-        found = _leaked(message["payload"], forbidden)
-        if found is not None:
-            return f"message {message['id']} ({message['type']}) carries {forbidden[found]}"
-    return ""
-
-
-def _leaked(value, forbidden):
-    """The first forbidden value inside value, or None."""
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, list):
-        return value if value in forbidden else None
-    for nested in value:
-        found = _leaked(nested, forbidden)
-        if found is not None:
-            return found
-    return None
-
-
-def _judge_prepaid_tamper(transcript, config, attacks):
-    denials = transcript.events("denial")
-    return [
-        _logon_row(transcript),
-        _row("zero-grants", not transcript.events("grant")),
-        _row("zero-decrements", not transcript.events("decrement")),
-        _row("denials-cite-reference-mismatch",
-             bool(denials) and all(d["code"] == "reference-mismatch" for d in denials),
-             f"{len(denials)} denials"),
-    ]
-
-
 def _run_prepaid_zero(sim, config, plan):
     logged_on, client, operator, verifier, mno_keys = _prepaid_setup(
         sim, config, plan, tampered=False)
@@ -444,23 +280,6 @@ def _run_prepaid_zero(sim, config, plan):
     _prepaid_finish(sim, client, config)
 
 
-def _judge_prepaid_zero(transcript, config, attacks):
-    # The first top-up separates the first request from the second.
-    events = transcript.events()
-    top_up = next((i for i, e in enumerate(events) if e["event"] == "top-up"), len(events))
-    first_denials = [e for e in events[:top_up] if e["event"] == "denial"]
-    rows = [
-        _row("zero-balance-denied",
-             bool(first_denials) and first_denials[0]["code"] == "insufficient-balance"),
-        _row("grant-after-top-up", any(e["event"] == "grant" for e in events[top_up:])),
-    ]
-    if "voucher-replay" in attacks:
-        replays = [e for e in transcript.events("top-up") if not e["accepted"]]
-        rows.append(_row("attack-voucher-replay-rejected",
-                         bool(replays) and replays[0]["code"] == "voucher-replay"))
-    return rows
-
-
 _PREPAID_DEFAULTS = {**_TRUST_DEFAULTS, "pool_size": 5, "initial_balance": 500,
                      "tariffs": {"calls": 10, "data": 5}}
 
@@ -472,7 +291,7 @@ PREPAID_HAPPY = ScenarioScript(
     defaults={**_PREPAID_DEFAULTS, "requests": [["calls", 2], ["data", 4], ["calls", 1]],
               "vouchers": [100]},
     runner=functools.partial(_run_prepaid, tampered=False),
-    judge=_judge_prepaid_happy,
+    judge=judges.prepaid_happy,
 )
 
 PREPAID_TAMPER = dataclasses.replace(
@@ -482,7 +301,7 @@ PREPAID_TAMPER = dataclasses.replace(
                 "rejected on reference values, nothing is granted, nothing moves.",
     defaults={**_PREPAID_DEFAULTS, "requests": [["calls", 1], ["data", 2]], "vouchers": []},
     runner=functools.partial(_run_prepaid, tampered=True),
-    judge=_judge_prepaid_tamper,
+    judge=judges.prepaid_tamper,
 )
 
 PREPAID_ZERO = dataclasses.replace(
@@ -493,7 +312,7 @@ PREPAID_ZERO = dataclasses.replace(
     defaults={**_PREPAID_DEFAULTS, "pool_size": 3, "initial_balance": 0, "voucher_value": 50},
     attacks=ATTESTATION_ATTACKS + ("voucher-replay",),
     runner=_run_prepaid_zero,
-    judge=_judge_prepaid_zero,
+    judge=judges.prepaid_zero,
 )
 
 
@@ -538,26 +357,12 @@ def _pos_setup(sim, config, plan, auth_id):
     )
 
 
-def _pos_set_up(transcript) -> bool:
-    """Whether the POS world came up: the runners send control-env (or have
-    it dropped) after a setup that went through, and stop before it otherwise."""
-    return any(r.get("type") == "control-env" for r in transcript.records)
-
-
 _POS_ROSTER = (
     ("dev-1", "device"), ("pos-1", "pos"), (MNO, "mno"),
     (pos.POS_OWNER, "pos_owner"), ("pos-pca", "pos_pca"),
     (pos.CHARGING, "charging_provider"), (pos.VENDOR, "vendor"),
     (pos.PAYMENT, "payment_provider"), ("auth", "auth_provider"),
 )
-
-
-def _carrier_uniformity_row(transcript) -> dict:
-    shapes = {(tuple(e["fields"]), e["encrypted"])
-              for e in transcript.snapshot["carrier_views"].get(MNO, ())}
-    return _row("carrier-sees-uniform-encrypted-shapes",
-                shapes <= {(("env",), True)},
-                "" if shapes <= {(("env",), True)} else str(sorted(shapes)))
 
 
 def _run_pos_fig4(sim, config, plan):
@@ -580,34 +385,6 @@ def _run_pos_fig4(sim, config, plan):
     control_exchange(sim, ctx)
 
 
-def _judge_pos_fig4(transcript, config, attacks):
-    if not _pos_set_up(transcript):
-        return [_row("purchase-delivered", False, "setup aborted")]
-    deliveries = transcript.events("delivery")
-    if "ack-strip" in attacks:
-        return [
-            _row("attack-ack-strip-no-delivery", not deliveries),
-            _row("attack-ack-strip-abort",
-                 any(e["code"] == "bad-ack-signature" for e in transcript.events("abort"))),
-        ]
-
-    expected_order = ["price-list", "purchase-order", "vendor-notify", "payment-notify",
-                      "purchase-ack", "purchase-ack-relay", "delivery-confirmation"]
-    seen = [m["type"] for m in transcript.messages() if m["type"] in expected_order]
-    good_at_mno = transcript.knowledge_query(MNO, "good")
-    rows = [
-        _row("purchase-delivered", len(deliveries) == 1),
-        _row("message-sequence", seen == expected_order, "->".join(seen)),
-        _row("operator-blind-to-good", not good_at_mno) if config["encryption"] else
-        _row("plaintext-variant-reveals-good", crypto.canonical_json(config["good"]) in good_at_mno),
-    ]
-    if config["pos_check_via_mno"]:
-        rows.append(_row("pos-identity-revealed-to-operator",
-                         bool(transcript.knowledge_query(MNO, "token"))))
-    rows.append(_carrier_uniformity_row(transcript))
-    return rows
-
-
 def _run_pos_sep(sim, config, plan, auth_id, decentralised):
     ctx = _pos_setup(sim, config, plan, auth_id)
     if ctx is None:
@@ -626,39 +403,6 @@ def _run_pos_sep(sim, config, plan, auth_id, decentralised):
     control_exchange(sim, ctx)
 
 
-def _judge_pos_sep(transcript, config, attacks, auth_id):
-    if not _pos_set_up(transcript):
-        return [_row("purchase-delivered", False, "setup aborted")]
-    deliveries = transcript.events("delivery")
-    # a session that went through opens a secure session, the reused one too
-    sessions = transcript.events("secure-session")
-    if "reuse-token" in attacks:
-        rejected = [e for e in transcript.events("attestation-verdict") if not e["accepted"]]
-        return [
-            _row("attack-reuse-token-rejected",
-                 len(sessions) < 2 and bool(rejected) and "aik-reused" in rejected[-1]["reasons"]),
-            _row("attack-reuse-token-single-delivery", len(deliveries) == 1),
-        ]
-
-    know = transcript.knowledge_query
-    rows = [
-        _row("purchase-delivered", len(deliveries) == 1),
-        _row("charging-provider-blind-to-goods", not know(pos.CHARGING, "good")),
-        _row("pos-owner-blind-to-customer-identity", not know(pos.POS_OWNER, "identity")),
-    ]
-    # the token the device presented (none is spent when the session aborted)
-    spent = (_first(transcript.messages("auth-token"), "auth-token message")
-             ["payload"]["quote"]["aik_public"] if sessions else None)
-    held = spent is not None and any(spent in v for v in know(MNO, "token"))
-    if auth_id == MNO:  # the operator authenticates
-        rows += [_row("merged-operator-links-identity", know(MNO, "identity")),
-                 _row("merged-operator-holds-spent-token", held)]
-    else:
-        rows += [_row("operator-never-sees-spent-token", not held),
-                 _row("operator-blind-to-good", not know(MNO, "good"))]
-    return rows + [_carrier_uniformity_row(transcript)]
-
-
 POS_FIG4 = ScenarioScript(
     name="pos-fig4",
     description="Operator-mediated vending purchase: signed order up, signed "
@@ -667,7 +411,7 @@ POS_FIG4 = ScenarioScript(
     defaults={**_TRUST_DEFAULTS, "good": "cola", "encryption": True, "pos_check_via_mno": False},
     attacks=ATTESTATION_ATTACKS + ("ack-strip",),
     runner=_run_pos_fig4,
-    judge=_judge_pos_fig4,
+    judge=judges.pos_fig4,
 )
 
 POS_SEP_DUTIES = ScenarioScript(
@@ -679,7 +423,7 @@ POS_SEP_DUTIES = ScenarioScript(
     defaults={**_TRUST_DEFAULTS, "good": "cola"},
     attacks=ATTESTATION_ATTACKS + ("reuse-token",),
     runner=functools.partial(_run_pos_sep, auth_id="auth", decentralised=False),
-    judge=functools.partial(_judge_pos_sep, auth_id="auth"),
+    judge=judges.pos_sep,
 )
 
 POS_DECENTRALISED = dataclasses.replace(
@@ -700,7 +444,6 @@ POS_MNO_MERGED = dataclasses.replace(
     roster=tuple(party for party in _POS_ROSTER if party[0] != "auth"),
     attacks=ATTESTATION_ATTACKS,
     runner=functools.partial(_run_pos_sep, auth_id=MNO, decentralised=False),
-    judge=functools.partial(_judge_pos_sep, auth_id=MNO),
 )
 
 
@@ -745,14 +488,6 @@ def _facility_setup(sim, config, plan):
     return ctx, employee, visitor
 
 
-def _entered(transcript, device: str) -> dict | None:
-    """The feature map applied when device was let in, or None: it was not."""
-    granted = any(e["granted"] for e in transcript.events("entry") if e["device"] == device)
-    inside = [e["features"] for e in transcript.events("policy-applied")
-              if e["device"] == device and e["location"] != OUTSIDE]
-    return inside[0] if granted and inside else None
-
-
 _FACILITY_ROSTER = (
     ("employee", "device"), ("visitor", "device"), (facility.GATE, "gate"),
     ("gate-dev", "gate_terminal"), (facility.COMPANY, "company_server"),
@@ -775,57 +510,11 @@ def _run_facility_entry(sim, config, plan):
         facility_access(sim, ctx, visitor, next(iter(config["zones"])))
 
 
-def _judge_facility_entry(transcript, config, attacks):
-    zones = config["zones"]
-    expected = zone_features(zones, next(iter(zones)))
-    inside = _entered(transcript, "employee")
-    outside = [e["features"] for e in transcript.events("policy-applied")
-               if e["device"] == "employee" and e["location"] == OUTSIDE]
-    return [
-        _row("employee-entry-granted", inside is not None),
-        _row("zone-policy-applied", inside == expected, json.dumps(inside, sort_keys=True)),
-        # camera and MMS as the first zone sets them (the default zone disables both)
-        _row("camera-and-mms-restricted",
-             inside is not None and inside["camera"] == expected["camera"]
-             and inside["mms"] == expected["mms"]),
-        _row("policy-restored-on-exit", outside[-1:] == [zone_features(zones, OUTSIDE)]),
-        _row("non-enrolled-device-denied", _entered(transcript, "visitor") is None),
-    ]
-
-
-# The midnight meeting's request to the facility provider: keep the room
-# powered; the enforcer lets only the allowed fields leave.
-_MIDNIGHT_REQUEST = {"room": "conf-3", "action": "maintain-power", "until": "06:00",
-                     "attendees": ["imsi-9001", "imsi-9004"], "agenda": "quarterly-figures"}
-
-
 def _run_facility_midnight(sim, config, plan):
     ctx, employee, _ = _facility_setup(sim, config, plan)
     if not plan.names:
-        send_external(sim, ctx, "power-request", _MIDNIGHT_REQUEST)
+        send_external(sim, ctx, "power-request", judges.MIDNIGHT_REQUEST)
         facility_exit(sim, ctx, employee)
-
-
-def _judge_facility_midnight(transcript, config, attacks):
-    sent = _first(transcript.messages("power-request"), "power-request message")["payload"]
-    allowed = set(config["enforcer_allowed_fields"])
-    dropped = sorted(_MIDNIGHT_REQUEST.keys() - allowed)
-    # one enforcer-filtered event naming the dropped fields, none when none are
-    filtered = [e["dropped_fields"] for e in transcript.events("enforcer-filtered")]
-    expected = [dropped] if dropped else []
-    sensitive = ("identity", "good", "price", "token", "balance", "policy")
-    leaked = set().union(*(transcript.knowledge_query(facility.EXTERNAL, label)
-                           for label in sensitive))
-    return [
-        _row("entry-granted", _entered(transcript, "employee") is not None),
-        _row("external-request-filtered",
-             set(sent) == _MIDNIGHT_REQUEST.keys() & allowed,
-             json.dumps(sorted(sent), sort_keys=True)),
-        _row("enforcer-dropped-sensitive-fields", filtered == expected,
-             "" if filtered == expected else f"dropped {filtered}, expected {expected}"),
-        _row("external-provider-knows-no-sensitive-values", not leaked,
-             "" if not leaked else f"{len(leaked)} leaked values"),
-    ]
 
 
 FACILITY_ENTRY = ScenarioScript(
@@ -835,7 +524,7 @@ FACILITY_ENTRY = ScenarioScript(
     roster=_FACILITY_ROSTER,
     defaults=_FACILITY_DEFAULTS,
     runner=_run_facility_entry,
-    judge=_judge_facility_entry,
+    judge=judges.facility_entry,
     subject="employee",
 )
 
@@ -846,7 +535,7 @@ FACILITY_MIDNIGHT = dataclasses.replace(
                 "facility provider to keep a room powered; the policy "
                 "enforcer strips attendees and agenda.",
     runner=_run_facility_midnight,
-    judge=_judge_facility_midnight,
+    judge=judges.facility_midnight,
 )
 
 
@@ -1002,29 +691,16 @@ def run_validated(script: ScenarioScript, seed: int, attacks, variants: dict):
     return transcript, report(transcript)
 
 
-# What reading a hand-edited or hook-garbled record can raise: a missing key
-# or record, a value of the wrong type or shape, or one nested too deep.
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, RecursionError)
-
-
 def report(transcript) -> dict:
     """The report of a finalized transcript, from it alone: every audit
-    finding, then for a catalog scenario the rejection rows of the generic
-    attestation attacks it ran, or else its judge's rows; one failing row
-    when a record the judge needs is malformed. Any other error in a judge
-    is a fault of the judge and propagates."""
+    finding, then for a catalog scenario the rows its script's judge and
+    subject give (see judges.scenario_rows)."""
     header = transcript.header
     rows = [f.to_dict() for f in audit.audit(transcript)]
     scenario = header.get("scenario")
     script = CATALOG.get(scenario) if isinstance(scenario, str) else None
     if script is not None:
-        try:
-            attacks = set(header["attacks"])
-            generic = attacks & set(ATTESTATION_ATTACKS)
-            rows += (_attack_rows(transcript, generic, script.subject) if generic else
-                     script.judge(transcript, {**script.defaults, **header["variants"]}, attacks))
-        except _MALFORMED as err:
-            rows.append(_row("scenario-assertions", False, f"malformed transcript: {err!r}"))
+        rows += judges.scenario_rows(transcript, script)
     return {
         "schema": "trustsim-report/1",
         "scenario": scenario,

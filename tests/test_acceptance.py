@@ -11,8 +11,9 @@ from trustsim.attestation import Verifier, recompute_pcr
 from trustsim.boot import boot, make_chain
 from trustsim.crypto import Rng
 from trustsim.device import TrustedDevice, reference_db_for, standard_chain
-from trustsim.flows import ATTESTATION_ATTACKS, EXPECTED_ATTACK_REASONS
+from trustsim.flows import ATTESTATION_ATTACKS
 from trustsim.harness import Simulation
+from trustsim.judges import EXPECTED_ATTACK_REASONS
 from trustsim.prepaid import (
     PrepaidClient,
     PrepaidOperator,

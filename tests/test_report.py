@@ -2,17 +2,19 @@
 
 `scenarios.report` builds the report that `trustsim run` writes and that
 `trustsim verify` re-derives: the audit findings, then the scenario rows
-its judge reads off the records, the snapshot and the header. So a report
-re-derived from a transcript's text equals the run's own, and a hand edit
-shows in the scenario rows too, never as a traceback.
+that its judge, in `trustsim.judges`, reads off the records, the snapshot
+and the header. So a report re-derived from a transcript's text equals the
+run's own, a hand edit shows in the scenario rows too, never as a
+traceback, and a bug in the protocol code does not pass its own report.
 """
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
-from trustsim import audit
+from trustsim import audit, facility
 from trustsim.cli import main
 from trustsim.harness import Simulation, Transcript
 from trustsim.scenarios import CATALOG, report, run_scenario
@@ -81,6 +83,19 @@ def test_camera_and_mms_are_judged_as_the_first_zone_sets_them(zones):
     applied["features"]["camera"] = {"enabled": "disabled", "disabled": "enabled"}[
         applied["features"]["camera"]]
     assert not _rows(report(edited))["camera-and-mms-restricted"]["ok"]
+
+
+def test_a_zone_rule_that_ignores_the_zone_fails_the_report(monkeypatch):
+    # every binding of the facility model's zone rule returns the base
+    # features, as a bug that drops a zone's overrides would
+    rule = facility.zone_features
+    for module in [m for name, m in sys.modules.items() if name.startswith("trustsim")]:
+        if getattr(module, "zone_features", None) is rule:
+            monkeypatch.setattr(module, "zone_features",
+                                lambda zones, location: dict(facility.BASE_FEATURES))
+    _, result = run_scenario("facility-entry", 1)
+    assert not _rows(result)["zone-policy-applied"]["ok"]
+    assert not result["ok"]
 
 
 def test_verify_expect_fails_on_deleted_delivery(tmp_path, capsys):
@@ -156,6 +171,16 @@ def test_unreadable_edit_gives_one_failing_row(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "[FAIL] scenario-assertions" in capsys.readouterr().out
+
+
+def test_an_enroll_request_that_does_not_open_is_one_malformed_row():
+    # the judges' own envelope read refuses an opaque interior as the
+    # protocol's read does, with the same error
+    transcript, _ = run_scenario("one-time-aik-auth", 1)
+    edited = Transcript.parse(transcript.to_text())
+    edited.messages("enroll-request")[0]["payload"]["env"]["_sealed"]["readers"] = "pca"
+    assert _rows(report(edited))["scenario-assertions"]["detail"] == (
+        "malformed transcript: ValueError('no envelope that opens')")
 
 
 def test_judge_fault_propagates(monkeypatch):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trustsim import audit, scenarios
+from trustsim import audit, judges, scenarios
 from trustsim.harness import FIELD_LABELS, Transcript, is_sealed
 from trustsim.scenarios import (
     CATALOG,
@@ -268,6 +268,6 @@ def test_every_labelled_field_is_sent_by_some_catalog_run():
     assert FIELD_LABELS.keys() - clean == {"pos_certificate", "attendees", "agenda"}
     overridden = _fields_sent([
         ("pos-fig4", {"pos_check_via_mno": True}),
-        ("facility-midnight", {"enforcer_allowed_fields": sorted(scenarios._MIDNIGHT_REQUEST)}),
+        ("facility-midnight", {"enforcer_allowed_fields": sorted(judges.MIDNIGHT_REQUEST)}),
     ])
     assert clean | overridden == FIELD_LABELS.keys()

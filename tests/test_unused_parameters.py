@@ -6,9 +6,9 @@ reader of the signature must learn that it means nothing. Every named
 parameter of a function or method in the package must be read by its
 body, nested functions and lambdas included, or be allowed below.
 
-The only allowance is the judge protocol: `scenarios.report` calls every
-catalog judge alike, as judge(transcript, config, attacks), so a judge
-may leave any of the three unread. A method's `self` is not a parameter
+The only allowance is the judge protocol: `judges.scenario_rows` calls
+every catalog judge alike, as judge(transcript, config, attacks), so a
+judge may leave any of the three unread. A method's `self` is not a parameter
 here, as `signature_scan` says.
 """
 
