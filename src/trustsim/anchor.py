@@ -245,15 +245,21 @@ def _replenishment(publics) -> bytes:
     return _REPLENISH_TAG + crypto.canonical_bytes([p.hex() for p in publics])
 
 
-def verify_replenishment_signature(aik_public: bytes, new_publics: list, signature: bytes) -> bool:
-    return crypto.verify(aik_public, _replenishment(new_publics), signature)
+# Each *_claim is the (public, message, signature) that crypto.verify (or,
+# two at a time, crypto.verify_pair) checks.
 
 
-def verify_ek_response(ek_public: bytes, challenge: bytes, signature: bytes) -> bool:
-    return crypto.verify(ek_public, _EK_TAG + bytes(challenge), signature)
+def replenishment_claim(aik_public: bytes, new_publics: list, signature: bytes) -> tuple:
+    """The last AIK of a batch signed the request for new_publics."""
+    return aik_public, _replenishment(new_publics), signature
 
 
-def verify_ek_certificate(cert: EkCertificate, trusted_roots) -> bool:
-    if cert.manufacturer_public not in trusted_roots:
-        return False
-    return crypto.verify(cert.manufacturer_public, cert.signed_payload(), cert.signature)
+def ek_response_claim(ek_public: bytes, challenge: bytes, signature: bytes) -> tuple:
+    """The EK answered the liveness challenge."""
+    return ek_public, _EK_TAG + bytes(challenge), signature
+
+
+def ek_certificate_claim(cert: EkCertificate) -> tuple:
+    """The manufacturer the certificate names signed it; whether that
+    manufacturer is trusted is the verifier's to check."""
+    return cert.manufacturer_public, cert.signed_payload(), cert.signature

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import crypto
 from .anchor import PCR_COUNT, Quote
 from .boot import BOOT_PCR, MeasurementLog
-from .privacy_ca import AikCertificate, verify_aik_certificate
+from .privacy_ca import AikCertificate, aik_certificate_claim
 
 REASON_OK = "ok"
 REASON_BAD_CERT_CHAIN = "bad-cert-chain"
@@ -145,9 +145,17 @@ class Verifier:
         failures = set()
         quote = response.quote
         cert = response.certificate
+        # the signatures of steps 1 and 3, checked together; the quote's
+        # only when it names the certified AIK
+        chain = aik_certificate_claim(cert, self.pca_root)
+        if quote.aik_public == cert.aik_public:
+            chained, quoted = crypto.verify_pair(
+                chain, (quote.aik_public, quote.signed_payload(), quote.signature))
+        else:
+            chained, quoted = crypto.verify(*chain), False
 
         # 1. certificate chains to the privacy CA root and is inside its window
-        if not verify_aik_certificate(cert, self.pca_root):
+        if not chained:
             failures.add(REASON_BAD_CERT_CHAIN)
         if not cert.valid_from <= now <= cert.valid_until:
             failures.add(REASON_CERT_EXPIRED)
@@ -159,8 +167,7 @@ class Verifier:
         self.used_aiks.add(fingerprint)
 
         # 3. quote signed by the certified AIK
-        if quote.aik_public != cert.aik_public or not crypto.verify(
-                quote.aik_public, quote.signed_payload(), quote.signature):
+        if not quoted:
             failures.add(REASON_BAD_QUOTE_SIGNATURE)
 
         # 4. fresh response to this challenge

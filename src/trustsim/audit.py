@@ -210,7 +210,7 @@ def check_knowledge_soundness(transcript) -> Finding:
         pid: set(map(tuple, rows))
         for pid, rows in transcript.snapshot.get("knowledge", {}).items()
     }
-    for pid in set(knowledge) | set(snapshot_knowledge):
+    for pid in chain(knowledge, snapshot_knowledge):  # replay order, then the snapshot's
         derived = knowledge.get(pid, set())
         recorded = snapshot_knowledge.get(pid, set())
         if derived != recorded:

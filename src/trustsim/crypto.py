@@ -13,8 +13,13 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
+import os
+import queue
+import threading
+import weakref
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring
 
 import orjson
@@ -349,6 +354,125 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
             and isinstance(signature, (bytes, bytearray)) and len(signature) == 64):
         return False
     return _verify(bytes(public), message, bytes(signature))
+
+
+# -- two independent Ed25519 calls at once -------------------------------------
+#
+# ctypes releases the GIL for each libsodium call, so where a second CPU is
+# allowed, a worker thread can run one of two independent calls while the
+# caller runs the other. The caller checks and builds every argument first
+# and the worker calls only the libsodium function on them, so the results,
+# and any exception raised, are those of the calls made one by one.
+
+
+def _allowed_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Whether verify_pair and sign_each hand half their work to the worker.
+OVERLAP = _sodium is not None and _allowed_cpus() >= 2
+
+
+class _Worker:
+    """A daemon thread, started on first use, that runs the jobs of the
+    caller holding busy; a second caller meanwhile makes its calls itself.
+    Each job carries the queue its results come back on, and the caller
+    blocks in that queue's get(), so nobody polls. A caller that a signal
+    handler's exception takes out of its wait leaves behind only a queue
+    that nobody reads. (A pair of plain locks cannot do this: a caller that
+    acquires its lock again on the way out cannot tell whether the handler
+    ran before its wait returned or just after, and hangs in the second
+    case.)"""
+
+    def __init__(self):
+        # the busy lock and the thread's job queue, each made on first use;
+        # a forked child, where the thread is gone and the lock may be held
+        # by a thread that is gone too, empties it
+        self.state = {}
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self.state.clear)
+
+    def _start(self) -> queue.SimpleQueue:
+        jobs = queue.SimpleQueue()
+        # The thread calls each job it takes until it takes None. Built of
+        # builtins alone, neither it nor the fork hook holds this module, so
+        # a re-import that drops the worker frees the module, and the
+        # finalizer's None ends the thread.
+        serve = map(partial.__call__, iter(jobs.get, None))
+        threading.Thread(target=deque, args=(serve, 0),
+                         name="trustsim-ed25519", daemon=True).start()
+        weakref.finalize(self, jobs.put, None)
+        self.state["jobs"] = jobs
+        return jobs
+
+    def run(self, function, calls: list, own, *args):
+        """(own(*args), [function(*c) for c in calls]), the calls made on the
+        thread meanwhile; or None, with nothing run, while another caller
+        holds the thread."""
+        busy = self.state.get("busy") or self.state.setdefault("busy", threading.Lock())
+        if not busy.acquire(False):
+            return None
+        try:
+            jobs = self.state.get("jobs") or self._start()
+            reply = queue.SimpleQueue()
+            jobs.put(partial(_run_job, reply, function, calls))
+            mine = own(*args)
+            results = reply.get()
+        finally:
+            busy.release()
+        if isinstance(results, BaseException):
+            raise results
+        return mine, results
+
+
+def _run_job(reply: queue.SimpleQueue, function, calls: list) -> None:
+    """What the worker thread runs of one job."""
+    try:
+        results = [function(*arguments) for arguments in calls]
+    except BaseException as error:  # raised in the caller; the thread lives on
+        results = error
+    reply.put(results)
+
+
+_worker = _Worker() if OVERLAP else None
+
+
+def verify_pair(first: tuple, second: tuple) -> tuple:
+    """(verify(*first), verify(*second)) for two (public, message,
+    signature) tuples. With the overlap on, the worker checks the second
+    while the caller checks the first."""
+    if (_worker is not None and type(second) is tuple and len(second) == 3
+            and type(second[0]) is bytes and len(second[0]) == 32
+            and type(second[1]) is bytes
+            and type(second[2]) is bytes and len(second[2]) == 64):
+        public, message, signature = second
+        done = _worker.run(_sodium.crypto_sign_ed25519_verify_detached,
+                           [(signature, message, len(message), public)], verify, *first)
+        if done is not None:
+            return done[0], done[1][0] == 0
+    return verify(*first), verify(*second)
+
+
+def _sign_all(key: KeyPair, messages: list) -> list:
+    return [sign(key, message) for message in messages]
+
+
+def sign_each(key: KeyPair, messages: list) -> list:
+    """[sign(key, m) for m in messages]. With the overlap on, the worker
+    signs the second half of the list while the caller signs the first."""
+    half = len(messages) // 2
+    if _worker is not None and half and all(type(m) is bytes for m in messages):
+        secret = _secret_key(key.private)
+        outputs = [_Bytes64() for _ in range(len(messages) - half)]
+        done = _worker.run(_sodium.crypto_sign_ed25519_detached,
+                           [(out, None, m, len(m), secret)
+                            for out, m in zip(outputs, messages[half:])],
+                           _sign_all, key, messages[:half])
+        if done is not None:
+            return done[0] + [out.raw for out in outputs]
+    return _sign_all(key, messages)
 
 
 def signed(key: KeyPair, tag: bytes, body: dict) -> dict:

@@ -14,9 +14,9 @@ from . import crypto
 from .anchor import (
     EkCertificate,
     TrustAnchor,
-    verify_ek_certificate,
-    verify_ek_response,
-    verify_replenishment_signature,
+    ek_certificate_claim,
+    ek_response_claim,
+    replenishment_claim,
 )
 from .crypto import CERT_HASH_ALG, Rng
 from .errors import ProtocolError
@@ -69,8 +69,14 @@ class AikCertificate:
                    valid_until, fields["hash_alg"], bytes.fromhex(fields["pca_signature"]))
 
 
+def aik_certificate_claim(cert: AikCertificate, pca_root: bytes) -> tuple:
+    """The (public, message, signature) that crypto.verify checks of a
+    certificate issued under pca_root."""
+    return pca_root, cert.signed_payload(), cert.pca_signature
+
+
 def verify_aik_certificate(cert: AikCertificate, pca_root: bytes) -> bool:
-    return crypto.verify(pca_root, cert.signed_payload(), cert.pca_signature)
+    return crypto.verify(*aik_certificate_claim(cert, pca_root))
 
 
 class PrivacyCa:
@@ -87,24 +93,31 @@ class PrivacyCa:
     def liveness_challenge(self) -> bytes:
         return self.rng.bytes(16)
 
-    def certify(self, aik_public: bytes, now: int) -> AikCertificate:
-        """One certificate for an AIK of an admitted device, valid from now."""
-        fields = aik_public, self.domain_id, now, now + VALIDITY_TICKS, CERT_HASH_ALG
-        self._issued.add(aik_public.hex())
-        signature = crypto.sign(self.root, AikCertificate(*fields, b"").signed_payload())
-        return AikCertificate(*fields, signature)
+    def certify(self, aik_publics: list, now: int) -> list:
+        """One certificate for each AIK of an admitted device, valid from now."""
+        fields = [(public, self.domain_id, now, now + VALIDITY_TICKS, CERT_HASH_ALG)
+                  for public in aik_publics]
+        self._issued.update(public.hex() for public in aik_publics)
+        signatures = crypto.sign_each(
+            self.root, [AikCertificate(*f, b"").signed_payload() for f in fields])
+        return [AikCertificate(*f, signature) for f, signature in zip(fields, signatures)]
 
     def admit(self, ek_certificate: EkCertificate, challenge: bytes, ek_response: bytes) -> None:
         """Check EK provenance and liveness; raises ProtocolError on failure."""
-        if not verify_ek_certificate(ek_certificate, self.trusted_roots):
+        if ek_certificate.manufacturer_public not in self.trusted_roots:
             raise ProtocolError("untrusted-ek", ek_certificate.model)
-        if not verify_ek_response(ek_certificate.ek_public, challenge, ek_response):
+        endorsed, live = crypto.verify_pair(
+            ek_certificate_claim(ek_certificate),
+            ek_response_claim(ek_certificate.ek_public, challenge, ek_response))
+        if not endorsed:
+            raise ProtocolError("untrusted-ek", ek_certificate.model)
+        if not live:
             raise ProtocolError("ek-liveness-failed")
 
     def enroll(
         self,
         ek_certificate: EkCertificate,
-        aik_publics,
+        aik_publics: list,
         challenge: bytes,
         ek_response: bytes,
         now: int,
@@ -112,12 +125,12 @@ class PrivacyCa:
         """Issue one certificate per AIK after checking EK provenance and
         liveness. The EK itself never appears in the issued certificates."""
         self.admit(ek_certificate, challenge, ek_response)
-        return [self.certify(public, now) for public in aik_publics]
+        return self.certify(aik_publics, now)
 
     def replenish(
         self,
         old_certificate: AikCertificate,
-        new_aik_publics,
+        new_aik_publics: list,
         last_aik_signature: bytes,
         now: int,
     ) -> list:
@@ -125,7 +138,10 @@ class PrivacyCa:
 
         Each old-batch AIK buys exactly one replenishment; replaying the
         request is rejected."""
-        if not verify_aik_certificate(old_certificate, self.root.public):
+        issued_here, requested = crypto.verify_pair(
+            aik_certificate_claim(old_certificate, self.root.public),
+            replenishment_claim(old_certificate.aik_public, new_aik_publics, last_aik_signature))
+        if not issued_here:
             raise ProtocolError("untrusted-replenish-cert")
         if not old_certificate.valid_from <= now <= old_certificate.valid_until:
             raise ProtocolError("replenish-cert-expired")
@@ -133,12 +149,10 @@ class PrivacyCa:
             raise ProtocolError("untrusted-replenish-cert", "certificate not issued here")
         if old_certificate.aik_public.hex() in self._consumed_replenish_aiks:
             raise ProtocolError("replenish-replay")
-        if not verify_replenishment_signature(
-            old_certificate.aik_public, list(new_aik_publics), last_aik_signature
-        ):
+        if not requested:
             raise ProtocolError("bad-replenish-signature")
         self._consumed_replenish_aiks.add(old_certificate.aik_public.hex())
-        return [self.certify(public, now) for public in new_aik_publics]
+        return self.certify(new_aik_publics, now)
 
 
 @dataclass
@@ -180,7 +194,7 @@ class CredentialWallet:
             raise ProtocolError("wallet-empty", self.anchor.device_id)
         record, cert = self.credentials[0]
         if cert is None:
-            cert = self.pca.certify(record.key.public, 0)
+            [cert] = self.pca.certify([record.key.public], 0)
             self.credentials[0] = (record, cert)
         return record, cert
 

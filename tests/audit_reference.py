@@ -151,7 +151,8 @@ def check_knowledge_soundness(transcript) -> Finding:
         pid: {tuple(row) for row in rows}
         for pid, rows in transcript.snapshot.get("knowledge", {}).items()
     }
-    for pid in set(knowledge) | set(snapshot_knowledge):
+    parties = list(knowledge) + [pid for pid in snapshot_knowledge if pid not in knowledge]
+    for pid in parties:
         derived = knowledge.get(pid, set())
         recorded = snapshot_knowledge.get(pid, set())
         if derived != recorded:

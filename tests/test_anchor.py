@@ -5,8 +5,8 @@ import pytest
 from trustsim.anchor import (
     Manufacturer,
     TrustAnchor,
-    verify_ek_certificate,
-    verify_ek_response,
+    ek_certificate_claim,
+    ek_response_claim,
 )
 from trustsim.crypto import ZERO_DIGEST, Rng, hash160, verify
 from trustsim.errors import ProtocolError
@@ -127,18 +127,20 @@ def test_ek_challenge_response_round_trip():
     other = make_anchor(seed=2, device="dev-2")
     challenge = b"c" * 16
     sig = anchor.ek_challenge_response(challenge)
-    assert verify_ek_response(anchor.ek_certificate.ek_public, challenge, sig)
-    assert not verify_ek_response(anchor.ek_certificate.ek_public, b"d" * 16, sig)
+    assert verify(*ek_response_claim(anchor.ek_certificate.ek_public, challenge, sig))
+    assert not verify(*ek_response_claim(anchor.ek_certificate.ek_public, b"d" * 16, sig))
     # responses are not interchangeable between anchors
-    assert not verify_ek_response(other.ek_certificate.ek_public, challenge, sig)
+    assert not verify(*ek_response_claim(other.ek_certificate.ek_public, challenge, sig))
 
 
 def test_ek_certificate_chains_to_manufacturer():
     rng = Rng(9)
     mfr = Manufacturer(rng)
     anchor = TrustAnchor.manufacture("dev-9", rng.fork("dev-9"), mfr)
-    assert verify_ek_certificate(anchor.ek_certificate, {mfr.root.public})
-    assert not verify_ek_certificate(anchor.ek_certificate, {b"other-root"})
+    public, message, signature = ek_certificate_claim(anchor.ek_certificate)
+    assert public == mfr.root.public
+    assert verify(public, message, signature)
+    assert not verify(Manufacturer(rng.fork("other")).root.public, message, signature)
 
 
 def test_slot_decrement_and_floor():

@@ -5,6 +5,9 @@ as they stood before the verify path was sped up."""
 import dataclasses
 import functools
 import gc
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +353,39 @@ def test_carrier_views_that_do_not_replay_name_the_carrier_and_tick():
                        f"carrier views do not replay: mno from tick {tick}")
     assert audit.audit(transcript)[0] == expected
     assert reference_audit(transcript)[0] == expected
+
+
+# What a process prints of the knowledge-soundness detail of one transcript file.
+_SOUNDNESS_DETAIL = """
+import sys
+from trustsim import audit
+from trustsim.harness import Transcript
+with open(sys.argv[1], encoding="utf-8") as fh:
+    print(audit.check_knowledge_soundness(Transcript.parse(fh.read())).detail)
+"""
+
+
+def test_the_first_differing_party_does_not_depend_on_the_hash_seed(tmp_path):
+    # with two parties' knowledge edited away, the detail names the first in
+    # the replay's order, whatever order a set of their names would take
+    transcript, _ = run_scenario("clone-attack-bound", 1)
+    transcript = Transcript.parse(transcript.to_text())
+    knowledge = transcript.snapshot["knowledge"]
+    first = next(pid for pid in knowledge if pid in ("mno", "clone"))
+    knowledge["mno"] = knowledge["clone"] = []
+    expected = audit.check_knowledge_soundness(transcript).detail
+    assert expected.startswith(f"party {first}: 0 unexplained")
+    assert reference_audit(transcript)[0].detail == expected
+    path = tmp_path / "edited.transcript.jsonl"
+    path.write_text(transcript.to_text(), encoding="utf-8")
+    details = set()
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        done = subprocess.run([sys.executable, "-c", _SOUNDNESS_DETAIL, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        details.add(done.stdout.strip())
+    assert details == {expected}
 
 
 def test_each_check_alone_equals_its_reference():

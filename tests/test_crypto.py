@@ -4,6 +4,12 @@ wire dicts, seeded rng."""
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +17,7 @@ from hypothesis import strategies as st
 
 from trustsim import crypto
 from trustsim.crypto import Rng, hash160, keygen, sign, verify
+from trustsim.scenarios import CATALOG, run_scenario
 
 from sha1_oracle import sha1
 
@@ -315,3 +322,242 @@ def test_signed_round_trips_and_any_edit_unsigns_it(body, data):
     ]
     for public, tag, payload in unsigned:
         assert not crypto.signed_by(public, tag, payload)
+
+
+# -- two independent calls at once: verify_pair and sign_each -----------------
+
+def _outcome(call):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return "returned", call()
+    except Exception as error:
+        return "raised", type(error), str(error)
+
+
+_PAIR_KEYS = [keygen(Rng(40 + i)) for i in range(3)]
+_MESSAGES = st.binary(max_size=80)
+
+
+@st.composite
+def _claims(draw):
+    """(public, message, signature): honest, or with a flipped bit, a wrong
+    length, a bytearray or a value that is not bytes in one place."""
+    key = draw(st.sampled_from(_PAIR_KEYS))
+    message = draw(_MESSAGES)
+    claim = [key.public, message, sign(key, message)]
+    place = draw(st.integers(0, 2))
+    edit = draw(st.sampled_from(["none", "flip", "cut", "grow", "bytearray", "str", "none-value",
+                                 "list"]))
+    value = claim[place]
+    if edit == "flip" and value:
+        bit = draw(st.integers(0, 8 * len(value) - 1))
+        value = _flip(value, bit)
+    elif edit == "cut":
+        value = value[:-1]
+    elif edit == "grow":
+        value = value + b"\x00"
+    elif edit == "bytearray":
+        value = bytearray(value)
+    elif edit == "str":
+        value = value.hex()
+    elif edit == "none-value":
+        value = None
+    elif edit == "list":
+        value = list(value)
+    claim[place] = value
+    return tuple(claim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=_claims(), second=_claims())
+def test_verify_pair_equals_two_verifies(first, second):
+    assert _outcome(lambda: crypto.verify_pair(first, second)) == _outcome(
+        lambda: (verify(*first), verify(*second)))
+
+
+_SIGNABLE = _MESSAGES | _MESSAGES.map(bytearray) | st.sampled_from(["text", None, 7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(_PAIR_KEYS + [crypto.KeyPair(b"", b"short")]),
+       messages=st.lists(_MESSAGES, max_size=9) | st.lists(_SIGNABLE, max_size=9))
+def test_sign_each_equals_one_sign_per_message(key, messages):
+    assert _outcome(lambda: crypto.sign_each(key, messages)) == _outcome(
+        lambda: [sign(key, message) for message in messages])
+
+
+def test_the_overlap_runs_where_libsodium_and_a_second_cpu_are():
+    assert crypto.OVERLAP == (crypto.BACKEND == "libsodium" and crypto._allowed_cpus() >= 2)
+    assert (crypto._worker is None) == (not crypto.OVERLAP)
+    if crypto.OVERLAP:
+        key = _PAIR_KEYS[0]
+        assert crypto.sign_each(key, [b"a", b"b"]) == [sign(key, b"a"), sign(key, b"b")]
+        assert "jobs" in crypto._worker.state
+
+
+def _catalog_digest() -> str:
+    """sha256 over the transcript text and report JSON of every catalog
+    (scenario, attack) run at seeds 1-3."""
+    digest = hashlib.sha256()
+    runs = 0
+    for seed in (1, 2, 3):
+        for name, script in CATALOG.items():
+            for attacks in [(), *((attack,) for attack in script.attacks)]:
+                transcript, report = run_scenario(name, seed, attacks)
+                digest.update(transcript.to_text().encode("utf-8"))
+                digest.update(json.dumps(report, indent=2, sort_keys=True).encode("utf-8"))
+                runs += 1
+    assert runs == 228
+    return digest.hexdigest()
+
+
+def test_every_catalog_run_is_the_same_with_the_overlap_off(monkeypatch):
+    overlapped = _catalog_digest()
+    monkeypatch.setattr(crypto, "_worker", None)
+    assert _catalog_digest() == overlapped
+
+
+def _pairs():
+    """Honest and forged claims under every key, and the verdicts they get."""
+    good = [(key.public, b"m%d" % i, sign(key, b"m%d" % i)) for i, key in enumerate(_PAIR_KEYS)]
+    bad = [(public, message + b"!", signature) for public, message, signature in good]
+    claims = [(claim, True) for claim in good] + [(claim, False) for claim in bad]
+    return [(a, b, (ok_a, ok_b)) for a, ok_a in claims for b, ok_b in claims]
+
+
+def test_callers_on_several_threads_each_get_their_own_verdicts():
+    pairs = _pairs()
+    wrong = []
+
+    def check(offset):
+        for i in range(300):
+            first, second, verdicts = pairs[(i + offset) % len(pairs)]
+            if crypto.verify_pair(first, second) != verdicts:
+                wrong.append((offset, i))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check, args=(n,), daemon=True) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=15)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def _python(code: str) -> str:
+    """What a fresh interpreter running code prints, stripped."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout.strip()
+
+
+# A process whose caller is taken out of a job by a signal handler's
+# exception, then checks that later pairs get their own verdicts. It runs
+# apart, so that a caller stuck for good fails the test by its timeout.
+_SIGNALLED = """
+import signal, threading, time
+from trustsim import crypto
+
+class Alarm(Exception):
+    pass
+
+def ring(signum, frame):
+    raise Alarm
+
+signal.signal(signal.SIGALRM, ring)
+worker = crypto._worker = crypto._Worker()
+try:
+    {interrupt}
+except Alarm:
+    pass
+else:
+    raise SystemExit("the alarm never rang")
+key = crypto.keygen(crypto.Rng(1))
+good = (key.public, b"m", crypto.sign(key, b"m"))
+bad = (key.public, b"n", good[2])
+for _ in range(20):
+    for first, second in ((good, bad), (bad, good), (good, good), (bad, bad)):
+        assert crypto.verify_pair(first, second) == (first is good, second is good)
+print("matched")
+"""
+
+INTERRUPTS = {
+    # the handler raises while the caller waits for the worker's longer job
+    "in-the-wait": "signal.setitimer(signal.ITIMER_REAL, 0.05)\n"
+                   "    worker.run(time.sleep, [(0.3,)], lambda: None)",
+    # sent to the worker thread, the signal's handler runs in the caller only
+    # once its wait has returned: a lock taken again would never come back
+    "after-the-wait": "worker.run(lambda: signal.pthread_kill(threading.get_ident(), "
+                      "signal.SIGALRM), [()], lambda: None)",
+}
+
+
+@pytest.mark.skipif(crypto._sodium is None or not hasattr(signal, "pthread_kill"),
+                    reason="needs libsodium and POSIX signals")
+@pytest.mark.parametrize("interrupt", INTERRUPTS.values(), ids=INTERRUPTS.keys())
+def test_a_signal_that_takes_the_caller_out_leaves_later_pairs_matched(interrupt):
+    assert _python(_SIGNALLED.format(interrupt=interrupt)) == "matched"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork, as on Linux")
+def test_a_forked_child_still_verifies():
+    first, second, verdicts = _pairs()[1]
+    assert crypto.verify_pair(first, second) == verdicts  # the worker, if any, runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, 3.12+
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(20)  # a child stuck on the parent's worker dies
+            status = 0 if crypto.verify_pair(first, second) == verdicts else 1
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_importing_the_catalog_starts_no_thread():
+    assert _python("import threading, trustsim.scenarios; print(threading.active_count())") == "1"
+
+
+def test_with_one_cpu_allowed_no_worker_starts():
+    code = """
+import os, threading
+os.sched_getaffinity = lambda pid: {0}
+os.cpu_count = lambda: 1
+from trustsim import crypto
+key = crypto.keygen(crypto.Rng(1))
+signatures = crypto.sign_each(key, [b"a", b"b", b"c"])
+claims = [(key.public, m, s) for m, s in zip([b"a", b"b"], signatures)]
+assert crypto.verify_pair(*claims) == (True, True)
+print(crypto.OVERLAP, crypto._worker, threading.active_count())
+"""
+    assert _python(code) == "False None 1"
+
+
+@pytest.mark.skipif(not crypto.OVERLAP, reason="no worker where the overlap is off")
+def test_a_module_dropped_for_a_fresh_import_frees_its_worker_and_ends_its_thread():
+    code = """
+import gc, sys, threading, time, weakref
+import trustsim
+from trustsim import crypto
+key = crypto.keygen(crypto.Rng(1))
+crypto.sign_each(key, [b"a", b"b"])
+started = threading.active_count()
+worker = weakref.ref(crypto._worker)
+del sys.modules["trustsim.crypto"], trustsim.crypto, crypto, key
+gc.collect()
+for _ in range(500):
+    if threading.active_count() == 1:
+        break
+    time.sleep(0.01)
+print(started, worker() is None, threading.active_count())
+"""
+    assert _python(code) == "2 True 1"
