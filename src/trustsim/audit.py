@@ -77,38 +77,37 @@ def _opens(inner) -> bool:
     )
 
 
-def _split(payload, labels, encode):
+def _split(payload, labels):
     """(plain knowledge rows, sealed interiors that open) of one payload
-    dict, each field that is not a str encoded by encode, and each str
-    field by _canon: its text holds no package."""
+    dict; a field that is not an envelope is written by _canon."""
     plain, sealed = [], []
     for fname, value in payload.items():
-        if value.__class__ is str:
-            plain.append((fname, labels[fname], _canon(value)))
-        elif _is_envelope(value):
+        if _is_envelope(value):
             if _opens(value["_sealed"]):
                 sealed.append(value["_sealed"])
         else:
-            plain.append((fname, labels[fname], encode(value)))
+            plain.append((fname, labels[fname], _canon(value)))
     return plain, sealed
 
 
-def _open(known, party, sealed, encode):
-    """Fold the sealed interiors that list party as a reader into its
-    knowledge set, known, however deeply they nest."""
+def _open(party, sealed) -> list:
+    """The knowledge rows of the sealed interiors that list party as a
+    reader, however deeply they nest."""
+    rows = []
     for inner in sealed:
         if party in inner["readers"]:
-            plain, nested = _split(inner["payload"], inner["labels"], encode)
-            known.update(plain)
-            _open(known, party, nested, encode)
+            plain, nested = _split(inner["payload"], inner["labels"])
+            rows += plain
+            rows += _open(party, nested)
+    return rows
 
 
 def _walked(inner, receiver, reader) -> bool:
     """Whether an interior that opens has a grand_total key, holds an
     interior that opens, or lists neither the receiver nor the reading
     carrier (reader; None if none) in its readers, a list that may hold
-    unhashable items: the replay did not encode all the billing check
-    walks in it."""
+    unhashable items: the replay's rows do not show all that the billing
+    check walks in it."""
     payload, readers = inner["payload"], inner["readers"]
     return (
         "grand_total" in payload
@@ -117,18 +116,18 @@ def _walked(inner, receiver, reader) -> bool:
     )
 
 
-def _replay_observations(transcript, encode):
-    """Walk the message records and rebuild who could read what, each
-    field that is not a str encoded by encode, and list the messages that
-    can fail the billing check. Where encode raises orjson's refusal,
-    _Refused names the message being replayed.
+def _replay_observations(transcript):
+    """Walk the message records and rebuild who could read what, and list
+    the messages that can fail the billing check. Where _canon raises
+    orjson's refusal, _Refused names the message being replayed.
 
     The receiver and the carrier share one split of each payload; an
     interior is split where a reader opens it. A message is listed when its
     type is missing or is billing-package, when its payload has a
-    grand_total key, or when an interior of it must be walked (_walked).
-    Any other message holds a package only in a field the replay encoded
-    (see _replay)."""
+    grand_total key, when an interior of it must be walked (_walked), or
+    when one of its rows holds '"grand_total":', as a row does wherever its
+    value holds a dict with that key. A str row cannot: its quotes are
+    escaped. Any other message holds no package."""
     channels = transcript.header.get("channels", {})
     knowledge = {pid: set() for pid in transcript.snapshot.get("knowledge", {})}
     carrier_views = {pid: [] for pid in knowledge}
@@ -137,11 +136,9 @@ def _replay_observations(transcript, encode):
     try:
         for record in _messages(transcript):
             receiver, payload = record["receiver"], record["payload"]
-            plain, sealed = _split(payload, record["labels"], encode)
-            known = knowledge.setdefault(receiver, set())
-            known.update(plain)
-            if sealed:
-                _open(known, receiver, sealed, encode)
+            plain, sealed = _split(payload, record["labels"])
+            rows = plain + _open(receiver, sealed) if sealed else plain
+            knowledge.setdefault(receiver, set()).update(rows)
 
             ch = channels.get(record["channel"], {})
             carrier = ch.get("carrier")
@@ -161,15 +158,15 @@ def _replay_observations(transcript, encode):
                 )
                 if not record["encrypted"]:
                     reader = carrier
-                    known = knowledge.setdefault(carrier, set())
-                    known.update(plain)
-                    if sealed:
-                        _open(known, carrier, sealed, encode)
+                    read = _open(carrier, sealed) if sealed else []
+                    knowledge.setdefault(carrier, set()).update(plain, read)
+                    rows = rows + read
 
             if (
                 record.get("type") in (None, "billing-package")
                 or "grand_total" in payload
                 or sealed and any(_walked(inner, receiver, reader) for inner in sealed)
+                or any('"grand_total":' in text for _, _, text in rows)
             ):
                 listed.append(record)
     except orjson.JSONEncodeError:
@@ -178,29 +175,13 @@ def _replay_observations(transcript, encode):
     return knowledge, carrier_views, listed
 
 
-def _replay(transcript):
-    """The knowledge replay on _canon: knowledge, carrier views and the
-    messages it lists, the last None when a field encoding holds
-    '"grand_total":', as it does wherever the value holds a dict with that
-    key (a str field is written as _canon writes it)."""
-    texts = []
-
-    def encode(value):
-        text = _canon(value)
-        texts.append(text)
-        return text
-
-    knowledge, carrier_views, listed = _replay_observations(transcript, encode)
-    return knowledge, carrier_views, None if '"grand_total":' in "\n".join(texts) else listed
-
-
 def check_knowledge_soundness(transcript) -> Finding:
     """Snapshot knowledge == what the raw messages actually exposed. A
     value that the replay encodes and orjson refuses fails it, naming the
     first message that holds one: such a value has no canonical text (see
     _canon), and a written transcript cannot hold it."""
     try:
-        knowledge, carrier_views, listed = _replay(transcript)
+        knowledge, carrier_views, listed = _replay_observations(transcript)
     except _Refused as refused:
         return Finding("knowledge-soundness", False,
                        f"message {refused.args[0]} holds a value outside the JSON value domain")

@@ -20,7 +20,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from json.encoder import encode_basestring
 
 import orjson
 
@@ -54,15 +53,8 @@ DOMAIN_INTS = range(-(2**63), 2**64)
 
 
 def canonical_json(value) -> str:
-    """Canonical JSON text of a value in the domain: what orjson writes,
-    through encode_basestring for an ASCII str and int.__repr__ for an int
-    in range, which write the same text without the encoder. Anything else
-    goes to orjson, which raises TypeError outside the domain."""
-    kind = value.__class__
-    if kind is str and value.isascii():
-        return encode_basestring(value)
-    if kind is int and value in DOMAIN_INTS:
-        return int.__repr__(value)
+    """Canonical JSON text of a value in the domain: what orjson writes.
+    Outside the domain orjson raises TypeError."""
     return orjson.dumps(value, None, DUMPS_OPTIONS).decode()
 
 

@@ -17,17 +17,16 @@ import gc
 import json
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 
 import orjson
 
-from .crypto import DUMPS_OPTIONS, Rng, canonical_json as _encode, check_domain
+from .crypto import Rng, canonical_json as _encode, check_domain
 
 # Transcript lines and knowledge-set values are in crypto's canonical JSON
 # form, orjson's text over the JSON value domain (_encode). Lines are read
 # through orjson wherever the gates (_plain_numbers and _shallow) find that
 # it reads what the stdlib's json does, and through the stdlib's otherwise.
-_dumps, _loads = orjson.dumps, orjson.loads
+_loads = orjson.loads
 
 TRANSCRIPT_SCHEMA = "trustsim-transcript/1"
 
@@ -456,9 +455,7 @@ def _split(payload: dict, labels: dict) -> tuple:
     (see opens) is neither."""
     plain, sealed = [], []
     for fname, value in payload.items():
-        if value.__class__ is str and value.isascii():  # canonical_json's own shortcut
-            plain.append((fname, labels[fname], encode_basestring(value)))
-        elif is_sealed(value):
+        if is_sealed(value):
             if opens(value["_sealed"]):
                 sealed.append(value["_sealed"])
         else:
@@ -487,12 +484,11 @@ class Transcript:
 
     def to_text(self) -> str:
         """The header, each record and the snapshot in canonical JSON, one
-        line each: orjson's bytes, each line decoded on its own (so a
-        non-ASCII line widens only itself) and all joined once. A value that
-        orjson refuses raises its TypeError; send refuses such a value, and
-        a float, in a record that a hook let through."""
-        lines = [_dumps(value, None, DUMPS_OPTIONS).decode()
-                 for value in (self.header, *self.records, self.snapshot)]
+        line each: each line encoded on its own (so a non-ASCII line widens
+        only itself) and all joined once. A value that orjson refuses raises
+        its TypeError; send refuses such a value, and a float, in a record
+        that a hook let through."""
+        lines = [_encode(value) for value in (self.header, *self.records, self.snapshot)]
         lines.append("")  # the "\n" after the snapshot
         return "\n".join(lines)
 

@@ -219,16 +219,30 @@ def prepaid_zero(transcript, config, attacks):
     events = transcript.events()
     top_up = next((i for i, e in enumerate(events) if e["event"] == "top-up"), len(events))
     first_denials = [e for e in events[:top_up] if e["event"] == "denial"]
+    denied = bool(first_denials) and first_denials[0]["code"] == "insufficient-balance"
+    granted = any(e["event"] == "grant" for e in events[top_up:])
     rows = [
-        _row("zero-balance-denied",
-             bool(first_denials) and first_denials[0]["code"] == "insufficient-balance"),
-        _row("grant-after-top-up", any(e["event"] == "grant" for e in events[top_up:])),
+        _row("zero-balance-denied", denied, "" if denied else
+             _first_outcome(first_denials or events[:top_up], "before the top-up")),
+        _row("grant-after-top-up", granted, "" if granted else
+             _first_outcome(events[top_up:], "after the top-up")),
     ]
     if "voucher-replay" in attacks:
         replays = [e for e in transcript.events("top-up") if not e["accepted"]]
         rows.append(_row("attack-voucher-replay-rejected",
                          bool(replays) and replays[0]["code"] == "voucher-replay"))
     return rows
+
+
+def _first_outcome(events, where: str) -> str:
+    """A detail naming the first grant or denial among events, with its
+    code and tick, or saying that none came where."""
+    for event in events:
+        if event["event"] == "grant":
+            return f"grant at tick {event['tick']}"
+        if event["event"] == "denial":
+            return f"denial {event['code']} at tick {event['tick']}"
+    return f"no grant or denial {where}"
 
 
 def _pos_set_up(transcript) -> bool:

@@ -403,13 +403,28 @@ def test_the_replay_lists_every_message_the_billing_check_can_fail():
     texts += [text for _, text, _ in fault_sweep().values()]
     for text in texts:
         transcript = Transcript.parse(text)
-        _, _, listed = audit._replay(transcript)
-        assert listed is not None  # no field encoding shows a package
+        _, _, listed = audit._replay_observations(transcript)
+        assert listed is not None
         listed = set(map(id, listed))
         for record in transcript.messages():
             if id(record) not in listed:
                 assert "type" in record and record["type"] != "billing-package"
                 assert list(audit._field_sets(record["payload"])) == [], record["id"]
+
+
+def test_only_the_message_whose_row_holds_a_package_is_listed():
+    sim = _unit_sim()
+    for quote in ({"a": 1}, {"x": {"auth_token": "t", "grand_total": 1}}, {"a": 3}):
+        sim.send("dev", "owner", "net", "order", {"quote": quote})
+    transcript = sim.finalize()
+    for audited in (transcript, Transcript.parse(transcript.to_text())):
+        _, _, listed = audit._replay_observations(audited)
+        assert [record["id"] for record in listed] == ["m00002"]
+        finding = audit.audit(audited)[5]
+        assert finding == reference_audit(audited)[5]
+        assert finding == Finding(
+            "billing-package-exactness", False,
+            "message m00002 embeds a package with fields ['auth_token', 'grand_total']")
 
 
 _SHORT_PACKAGE = {"auth_token": "t", "grand_total": 1}

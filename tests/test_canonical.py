@@ -139,8 +139,8 @@ def test_the_domain_nests_as_deep_as_orjson_writes():
             orjson.dumps(value)
 
 
-# orjson refuses each of these, so every encoder raises TypeError, bare (past
-# the str and int shortcuts of canonical_json) or inside a list.
+# orjson refuses each of these, so every encoder raises TypeError, bare or
+# inside a list.
 REFUSED = [2**64, -(2**63) - 1, "\ud800", "é\udfff", {1: "a"}, {"k": ["\ud800"]},
            _nested(256), b"x", {1, 2},
            object(), 1j, (collections.namedtuple("Pair", "a b"))(1, 2),
@@ -605,7 +605,7 @@ def test_receiver_and_carrier_knowledge_is_the_per_field_encoding():
     assert sim.knowledge["mno"] == carrier_rows  # the seal stays shut
 
     parsed = Transcript.parse(sim.finalize().to_text())
-    knowledge, _, _ = audit._replay_observations(parsed, audit._canon)
+    knowledge, _, _ = audit._replay_observations(parsed)
     assert knowledge["owner"] == receiver_rows
     assert knowledge["mno"] == carrier_rows
     assert all(f.ok for f in audit.audit(parsed))
@@ -624,7 +624,7 @@ def test_one_payload_under_two_label_sets_is_read_under_both():
     assert sim.knowledge["owner"] == expected
     assert sim.knowledge["mno"] == set()
     # the auditor sees the same shared objects when it checks a run in memory
-    knowledge, _, _ = audit._replay_observations(sim.finalize(), audit._canon)
+    knowledge, _, _ = audit._replay_observations(sim.finalize())
     assert knowledge["owner"] == expected
 
 
@@ -660,7 +660,7 @@ def test_sealed_interiors_open_alike_live_and_in_the_replay(case):
 
     transcript = sim.finalize()
     for replayed in (transcript, Transcript.parse(transcript.to_text())):
-        knowledge, _, _ = audit._replay_observations(replayed, audit._canon)
+        knowledge, _, _ = audit._replay_observations(replayed)
         assert knowledge == sim.knowledge
         assert all(f.ok for f in audit.audit(replayed))
 

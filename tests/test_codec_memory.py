@@ -1,6 +1,6 @@
 """The line codec's transient memory on a multi-MB transcript.
 
-Transcript.to_text writes every line into one buffer and decodes it once,
+Transcript.to_text decodes each line on its own and joins the lines once,
 and Transcript.parse replaces each line with its value as it goes, so
 neither holds a second whole-transcript intermediate. Measured by
 tracemalloc, to_text's peak above the text it returns stays within 1.6

@@ -157,6 +157,20 @@ def test_the_logon_row_names_the_abort_that_ended_the_logon(name):
     assert row == {"name": "vsim-logon", "ok": False, "detail": "no logon tried"}
 
 
+@pytest.mark.parametrize("variants, name, detail", [
+    ({"initial_balance": 100}, "zero-balance-denied", "grant at tick 8"),
+    ({"voucher_value": 5}, "grant-after-top-up", "denial insufficient-balance at tick 13"),
+], ids=["balance-not-empty", "voucher-too-small"])
+def test_a_failing_prepaid_zero_row_names_the_grant_or_denial_it_saw(variants, name, detail):
+    _, result = run_scenario("prepaid-zero", 1)
+    rows = _rows(result)
+    assert rows["zero-balance-denied"] == {"name": "zero-balance-denied", "ok": True, "detail": ""}
+    assert rows["grant-after-top-up"] == {"name": "grant-after-top-up", "ok": True, "detail": ""}
+    _, result = run_scenario("prepaid-zero", 1, variants=variants)
+    assert [row for row in result["assertions"] if not row["ok"]] == [
+        {"name": name, "ok": False, "detail": detail}]
+
+
 def test_unreadable_edit_gives_one_failing_row(tmp_path, capsys):
     transcript, _ = run_scenario("facility-midnight", 1)
     edited = _without(transcript, _first_only("type", "power-request"))
